@@ -10,16 +10,15 @@
 //! is meant to move.
 //!
 //! `BENCH_pipeline.json` is a **trajectory**, not a snapshot: each run
-//! appends a history entry (older single-snapshot files are absorbed as the
-//! first entry) and the tool prints per-stage deltas against the previous
-//! entry, so a regression shows up as a printed slowdown factor, not a
-//! silently overwritten number.
+//! appends a history entry and the tool prints per-stage deltas against the
+//! previous entry, so a regression shows up as a printed slowdown factor,
+//! not a silently overwritten number.
 //!
 //! Every history entry is stamped with its `entry` index and the git
-//! revision it measured (`"rev"`); legacy entries written before stamping
-//! are backfilled on load. Cache state is controllable: `--cold` clears
-//! `.spt-cache/` first so every stage runs from scratch, `--warm` primes
-//! the cache with an untimed pass so the measured run is all replay.
+//! revision it measured (`"rev"`). Cache state is controllable: `--cold`
+//! clears `.spt-cache/` first so every stage runs from scratch, `--warm`
+//! primes the store with an untimed pass so the measured run loads every
+//! analysis unit and simulation result instead of computing it.
 //!
 //! `--incremental` switches to the incremental-recompile scenario: a
 //! synthetic analysis-heavy module (see `spt_bench::incremental_workload`)
@@ -56,10 +55,11 @@ struct Totals {
     select_emit_s: f64,
     sim_s: f64,
     search_visited: u64,
-    trace_capture_s: f64,
-    trace_replay_s: f64,
-    trace_hits: u64,
-    trace_misses: u64,
+    /// Artifact-store hits: `SimResult` memos plus pass-1 analysis units
+    /// loaded instead of computed.
+    store_hits: u64,
+    /// Simulations and analysis units the store could not serve.
+    store_misses: u64,
 }
 
 impl Totals {
@@ -77,10 +77,8 @@ impl Totals {
             t.select_emit_s += r.stages.select_emit_s;
             t.sim_s += r.sim_baseline_s + r.sim_spt_s;
             t.search_visited += r.stages.search_visited;
-            t.trace_capture_s += r.stages.trace_capture_s + r.sim_trace.capture_s;
-            t.trace_replay_s += r.stages.trace_replay_s + r.sim_trace.replay_s;
-            t.trace_hits += r.stages.trace_cache_hits + r.sim_trace.hits();
-            t.trace_misses += r.stages.trace_cache_misses + r.sim_trace.misses();
+            t.store_hits += r.sim_trace.hits() + r.stages.func_analysis_hits;
+            t.store_misses += r.sim_trace.misses() + r.stages.func_analysis_misses;
         }
         t
     }
@@ -99,8 +97,7 @@ impl Totals {
              \"preprocess_s\": {:.6}, \"profile_s\": {:.6}, \"analysis_s\": {:.6}, \
              \"svp_s\": {:.6}, \"select_emit_s\": {:.6}, \"sim_s\": {:.6}, \
              \"search_visited\": {}, \"search_nodes_per_s\": {:.1}, \
-             \"trace_capture_s\": {:.6}, \"trace_replay_s\": {:.6}, \
-             \"trace_cache_hits\": {}, \"trace_cache_misses\": {}}}",
+             \"store_hits\": {}, \"store_misses\": {}}}",
             self.wall_s,
             self.compile_s,
             self.preprocess_s,
@@ -111,19 +108,10 @@ impl Totals {
             self.sim_s,
             self.search_visited,
             self.search_nodes_per_s(),
-            self.trace_capture_s,
-            self.trace_replay_s,
-            self.trace_hits,
-            self.trace_misses
+            self.store_hits,
+            self.store_misses
         )
     }
-}
-
-/// The benchmarked configuration: `best` with trace capture/replay on and
-/// the artifact cache at `.spt-cache/` — the production setup this tool is
-/// meant to measure. Run it twice to see warm-cache numbers.
-fn traced_best() -> CompilerConfig {
-    spt_bench::with_trace(CompilerConfig::best())
 }
 
 /// Runs the whole suite, timed, under the current worker-count setting.
@@ -172,10 +160,6 @@ fn print_mode(label: &str, t: &Totals, threads: usize) {
         t.analysis_s,
         t.search_nodes_per_s()
     );
-    println!(
-        "{:<12} trace: capture={:.3}s replay={:.3}s",
-        "", t.trace_capture_s, t.trace_replay_s
-    );
 }
 
 /// The `"sequential": {...}` sub-object of a history entry, if present.
@@ -200,7 +184,7 @@ fn print_deltas(prev_entry: &str, seq: &Totals) {
         return;
     };
     println!("\nper-stage delta vs previous entry (sequential):");
-    let stages: [(&str, f64); 10] = [
+    let stages: [(&str, f64); 8] = [
         ("wall_s", seq.wall_s),
         ("compile_s", seq.compile_s),
         ("preprocess_s", seq.preprocess_s),
@@ -209,8 +193,6 @@ fn print_deltas(prev_entry: &str, seq: &Totals) {
         ("svp_s", seq.svp_s),
         ("select_emit_s", seq.select_emit_s),
         ("sim_s", seq.sim_s),
-        ("trace_capture_s", seq.trace_capture_s),
-        ("trace_replay_s", seq.trace_replay_s),
     ];
     for (name, now) in stages {
         let Some(before) = json_field(prev, name) else {
@@ -241,7 +223,7 @@ fn run_incremental(write_history_file: bool) {
     use spt_core::pipeline::transform_module_timed_with;
     use spt_core::{IncrementalCache, ProfilingInput, StageTimings};
 
-    // No trace backend: the function-granular cache under measurement is
+    // No artifact store: the function-granular cache under measurement is
     // the explicit in-memory one, not the `.spt-cache/` artifact tiers.
     let config = CompilerConfig::best();
     let input = ProfilingInput::new(workload::ENTRY, [workload::TRAIN_ARG]);
@@ -318,7 +300,8 @@ fn run_incremental(write_history_file: bool) {
     let mut history = load_history("BENCH_pipeline.json");
     let entry = format!(
         "{{\"entry\": {}, \"rev\": \"{}\", \"kind\": \"incremental\", \"config\": \"best\", \
-         \"exec_tier\": \"{}\", \"kernels\": {}, \"edits\": {INC_EDITS}, \
+         \"exec_tier\": \"{}\", \"cache_mode\": \"memory\", \"kernels\": {}, \
+         \"edits\": {INC_EDITS}, \
          \"prime_us\": {prime_us}, \"t_full_us\": {t_full}, \"t_inc_us\": {t_inc}, \
          \"inc_speedup\": {speedup:.2}, \"func_units_total\": {}, \
          \"func_analysis_hits\": {}, \"func_analysis_misses\": {}, \
@@ -366,15 +349,17 @@ fn main() {
         "perfbench",
         "pipeline wall-time per stage, sequential vs parallel",
     );
-    let config = traced_best();
+    // `best` with the artifact store at `.spt-cache/`: the production setup
+    // this tool measures. Run it twice to see warm-store numbers.
+    let config = spt_bench::with_trace(CompilerConfig::best());
 
     if cold {
         // Start from an empty artifact cache: every stage pays full cost.
         let _ = std::fs::remove_dir_all(".spt-cache");
         println!("cache mode: cold (.spt-cache/ cleared)");
     } else if warm {
-        // Prime the cache with a throwaway pass; the measured run below is
-        // then served entirely from replay.
+        // Prime the store with a throwaway pass; the measured run below then
+        // loads every analysis unit and simulation result.
         set_thread_count_override(Some(1));
         let _ = run_suite_timed(&config);
         set_thread_count_override(None);
@@ -392,11 +377,11 @@ fn main() {
         // Quick harness check: one sequential pass, no parallel run, no
         // file write — just prove the suite compiles, runs, and times. The
         // digest covers only computed results, so consecutive smoke runs
-        // must print the same digest whether served cold or from the cache.
+        // must print the same digest whether served cold or from the store.
         print_mode("sequential", &seq, 1);
         println!(
-            "trace cache: {} hits, {} misses",
-            seq.trace_hits, seq.trace_misses
+            "artifact store: {} hits, {} misses",
+            seq.store_hits, seq.store_misses
         );
         println!("report digest: {:016x}", report_digest(&seq_runs));
         assert!(seq.wall_s > 0.0 && seq.profile_s > 0.0 && seq.sim_s > 0.0);
@@ -422,11 +407,11 @@ fn main() {
     let rss = peak_rss_kb();
     println!("\nsuite wall speedup: {speedup:.2}x  (peak RSS {rss} kB)");
     println!(
-        "trace cache: {} hits, {} misses (sequential pass: {} hits, {} misses)",
-        seq.trace_hits + par.trace_hits,
-        seq.trace_misses + par.trace_misses,
-        seq.trace_hits,
-        seq.trace_misses
+        "artifact store: {} hits, {} misses (sequential pass: {} hits, {} misses)",
+        seq.store_hits + par.store_hits,
+        seq.store_misses + par.store_misses,
+        seq.store_hits,
+        seq.store_misses
     );
     println!("report digest: {:016x}", report_digest(&seq_runs));
 

@@ -5,19 +5,17 @@
 //! be enough to compensate for the overhead of forking a thread") and its
 //! max-loop-size limit of 1000.
 //!
-//! Every machine point simulates the *same four programs*, so the sweep
-//! runs on the trace backend: each benchmark is compiled once (not once per
-//! point), its baseline simulation is driven by replaying one captured
-//! trace under each machine config, and `.spt-cache/` memoizes everything
-//! across runs. `--compare-direct` re-runs the whole sweep the old way —
-//! recompile and direct-simulate at every point — and verifies the numbers
-//! are bit-identical while reporting the wall-clock ratio.
+//! Every machine point simulates the *same four programs*, so each
+//! benchmark is compiled once (not once per point) and every simulation
+//! goes through `sim_with_cache`: `.spt-cache/` memoizes each
+//! `(module, machine point)` result, so a re-run of the sweep simulates
+//! nothing.
 //!
 //! Run: `cargo run --release -p spt-bench --bin sensitivity`
 
 use spt_bench::{geomean, sim_with_cache, SimTraceStats};
 use spt_core::{compile_and_transform, CompilerConfig, ProfilingInput, TraceSettings};
-use spt_sim::{MachineConfig, SptSimulator};
+use spt_sim::MachineConfig;
 use std::time::Instant;
 
 const SAMPLE: [&str; 4] = ["gcc_s", "vpr_s", "twolf_s", "parser_s"];
@@ -32,7 +30,7 @@ struct Prepared {
 }
 
 /// Compiles the sample benchmarks once, in parallel, under `best` with the
-/// given trace settings (so the profile stage itself capture/replays).
+/// given artifact-store settings.
 fn prepare(trace: &TraceSettings) -> Vec<Prepared> {
     spt_core::parallel::parallel_map(&SAMPLE, |name| {
         let b = spt_bench_suite::benchmark(name)
@@ -52,9 +50,9 @@ fn prepare(trace: &TraceSettings) -> Vec<Prepared> {
     })
 }
 
-/// Geomean speedup across the prepared sample at one machine point, via the
-/// trace backend (baseline sims replay; SPT sims run direct but memoized).
-fn traced_speedups(
+/// Geomean speedup across the prepared sample at one machine point, every
+/// simulation memoized in the artifact store.
+fn speedups(
     prepared: &[Prepared],
     machine: &MachineConfig,
     trace: &TraceSettings,
@@ -75,41 +73,8 @@ fn traced_speedups(
     geomean(out.iter().map(|&(s, _)| s))
 }
 
-/// The pre-trace-backend implementation: recompile every sample benchmark
-/// and direct-simulate both sides at this machine point. Kept as the oracle
-/// for `--compare-direct`.
-fn direct_speedups(machine: MachineConfig) -> f64 {
-    let out = spt_core::parallel::parallel_map(&SAMPLE, |name| {
-        let sim = SptSimulator::with_config(machine.clone());
-        let b = spt_bench_suite::benchmark(name)
-            .unwrap_or_else(|| spt_bench::die(format!("no such benchmark: {name}")));
-        let input = ProfilingInput::new(b.entry, [b.train_arg]);
-        let compiled = compile_and_transform(b.source, &input, &CompilerConfig::best())
-            .unwrap_or_else(|e| spt_bench::die(format!("{name}: pipeline failed: {e}")));
-        let base = sim
-            .run(&compiled.baseline, b.entry, &[b.ref_arg])
-            .unwrap_or_else(|e| spt_bench::die(format!("{name}: baseline sim failed: {e}")));
-        let spt = sim
-            .run(&compiled.module, b.entry, &[b.ref_arg])
-            .unwrap_or_else(|e| spt_bench::die(format!("{name}: SPT sim failed: {e}")));
-        assert_eq!(base.ret, spt.ret);
-        base.cycles as f64 / spt.cycles as f64
-    });
-    geomean(out)
-}
-
-/// Runs the three parameter sweeps, printing tables and shape checks;
-/// records every `(machine, speedup)` the evaluation produced.
-fn run_sweeps(
-    points: &mut Vec<(MachineConfig, f64)>,
-    mut speedup_of: impl FnMut(&MachineConfig) -> f64,
-) {
-    let mut eval = |machine: MachineConfig| -> f64 {
-        let s = speedup_of(&machine);
-        points.push((machine, s));
-        s
-    };
-
+/// Runs the three parameter sweeps, printing tables and shape checks.
+fn run_sweeps(mut speedup_of: impl FnMut(&MachineConfig) -> f64) {
     println!("-- fork+commit overhead sweep (paper point: fork=6, commit=5)");
     println!("{:>18} {:>10}", "fork/commit", "speedup");
     let mut last = f64::MAX;
@@ -120,7 +85,7 @@ fn run_sweeps(
             commit_overhead: commit,
             ..MachineConfig::default()
         };
-        let s = eval(machine);
+        let s = speedup_of(&machine);
         println!("{fork:>9}/{commit:<8} {s:>10.3}");
         if s > last + 1e-9 {
             monotone = false;
@@ -141,7 +106,7 @@ fn run_sweeps(
             max_spec_ops: cap,
             ..MachineConfig::default()
         };
-        let s = eval(machine);
+        let s = speedup_of(&machine);
         println!("{cap:>12} {s:>10.3}");
         if s < prev - 0.02 {
             nondecreasing = false;
@@ -160,13 +125,12 @@ fn run_sweeps(
             spec_buffer_entries: entries,
             ..MachineConfig::default()
         };
-        let s = eval(machine);
+        let s = speedup_of(&machine);
         println!("{entries:>12} {s:>10.3}");
     }
 }
 
 fn main() {
-    let compare_direct = std::env::args().any(|a| a == "--compare-direct");
     spt_bench::header(
         "Sensitivity",
         "speedup vs fork/commit overheads and speculation size limit",
@@ -177,49 +141,20 @@ fn main() {
         cache_dir: Some(".spt-cache".into()),
     };
     let mut stats = SimTraceStats::default();
-    let mut points: Vec<(MachineConfig, f64)> = Vec::new();
+    let mut points = 0usize;
 
     let t0 = Instant::now();
     let prepared = prepare(&trace);
-    run_sweeps(&mut points, |machine| {
-        traced_speedups(&prepared, machine, &trace, &mut stats)
+    run_sweeps(|machine| {
+        points += 1;
+        speedups(&prepared, machine, &trace, &mut stats)
     });
-    let traced_s = t0.elapsed().as_secs_f64();
-
     println!(
-        "\ntrace backend: {} machine points over {} programs in {traced_s:.3}s \
-         (cache: {} hits, {} misses; capture {:.3}s, replay {:.3}s)",
-        points.len(),
+        "\n{points} machine points over {} programs in {:.3}s \
+         (sim memos: {} hits, {} misses)",
         SAMPLE.len(),
+        t0.elapsed().as_secs_f64(),
         stats.hits(),
-        stats.misses(),
-        stats.capture_s,
-        stats.replay_s
+        stats.misses()
     );
-
-    if compare_direct {
-        let t1 = Instant::now();
-        let direct: Vec<f64> = points
-            .iter()
-            .map(|(machine, _)| direct_speedups(machine.clone()))
-            .collect();
-        let direct_s = t1.elapsed().as_secs_f64();
-        for ((machine, traced), direct) in points.iter().zip(&direct) {
-            assert_eq!(
-                traced.to_bits(),
-                direct.to_bits(),
-                "traced speedup diverged from direct re-execution at {machine:?}"
-            );
-        }
-        println!(
-            "--compare-direct: direct re-execution {direct_s:.3}s vs traced {traced_s:.3}s \
-             -> {:.2}x; all {} speedups bit-identical: OK",
-            if traced_s > 0.0 {
-                direct_s / traced_s
-            } else {
-                f64::INFINITY
-            },
-            points.len()
-        );
-    }
 }

@@ -1,21 +1,12 @@
-//! `BENCH_pipeline.json` history: loading, normalizing, and appending.
+//! `BENCH_pipeline.json` history: loading and appending.
 //!
 //! The file is an append-only trajectory — one JSON object per recorded run
 //! under a `"history"` array — written and read by `perfbench` and
 //! `loadgen` without any JSON library: entries are flat-ish objects whose
 //! strings never contain braces, so brace balancing splits them and
-//! substring scans extract fields.
-//!
-//! The schema has grown across sessions: early entries predate the
-//! `entry`/`rev` stamps, and entries before the execution-tier and
-//! cache-mode work lack `exec_tier`/`cache_mode`. [`load_history`] absorbs
-//! all vintages: every entry is backfilled with defaults on read
-//! ([`normalize_entry`]) and the result is ordered by its `entry` index —
-//! so tooling downstream can rely on every stamp existing and on
-//! chronological order, without this file ever rewriting history it did not
-//! append.
-
-use std::fmt::Write as _;
+//! substring scans extract fields. Every entry carries the `entry`, `rev`,
+//! `exec_tier` and `cache_mode` stamps (the checked-in file was migrated to
+//! this one schema once; writers stamp every new entry).
 
 /// Splits the objects of a JSON array body by brace balancing (entries are
 /// flat-ish objects written by this tool family; strings never contain
@@ -71,68 +62,22 @@ pub fn entry_index(entry: &str) -> Option<u64> {
     json_field(entry, "entry").map(|v| v as u64)
 }
 
-/// Backfills the stamps an entry's vintage may predate, so every entry a
-/// reader sees carries `entry`, `rev`, `exec_tier`, and `cache_mode`:
-/// missing index and revision default to the positional index `i` and
-/// `"unknown"` (as before), and the PR-6-era execution-tier / cache-mode
-/// stamps default to `"unknown"` too — absent keys must read as "not
-/// recorded", never crash a reader or collate entries wrongly.
-pub fn normalize_entry(e: &str, i: usize) -> String {
-    let mut inserts = String::new();
-    if !e.contains("\"entry\":") {
-        let _ = write!(inserts, "\"entry\": {i}, ");
-    }
-    if !e.contains("\"rev\":") {
-        inserts.push_str("\"rev\": \"unknown\", ");
-    }
-    if !e.contains("\"exec_tier\":") {
-        inserts.push_str("\"exec_tier\": \"unknown\", ");
-    }
-    if !e.contains("\"cache_mode\":") {
-        inserts.push_str("\"cache_mode\": \"unknown\", ");
-    }
-    if inserts.is_empty() {
-        return e.to_string();
-    }
-    let body = e.trim_start().strip_prefix('{').unwrap_or(e).trim_start();
-    format!("{{{inserts}{body}")
-}
-
-/// Loads the history entries of `path`, normalized and ordered by `entry`
-/// index. A legacy single-snapshot file (no `"history"` key) becomes the
-/// first entry; a missing file is an empty history.
+/// Loads the history entries of `path`, ordered by `entry` index. A
+/// missing file, or one without a `"history"` array, is an empty history.
 pub fn load_history(path: &str) -> Vec<String> {
     let Ok(text) = std::fs::read_to_string(path) else {
         return Vec::new();
     };
-    let raw = match text.find("\"history\"") {
-        Some(pos) => {
-            let Some(open) = text[pos..].find('[') else {
-                return Vec::new();
-            };
-            let Some(close) = text.rfind(']') else {
-                return Vec::new();
-            };
-            split_objects(&text[pos + open + 1..close])
-        }
-        None => {
-            let t = text.trim();
-            if t.starts_with('{') {
-                vec![t.to_string()]
-            } else {
-                Vec::new()
-            }
-        }
+    let Some(pos) = text.find("\"history\"") else {
+        return Vec::new();
     };
-    let mut entries: Vec<String> = raw
-        .iter()
-        .enumerate()
-        .map(|(i, e)| normalize_entry(e, i))
-        .collect();
+    let (Some(open), Some(close)) = (text[pos..].find('['), text.rfind(']')) else {
+        return Vec::new();
+    };
+    let mut entries = split_objects(&text[pos + open + 1..close]);
     // Order by stamp, not file position: a hand-edited or merged file must
-    // not flip "previous entry" semantics. Normalization guarantees the
-    // stamp exists; the positional fallback is belt-and-braces. The sort is
-    // stable, so same-index entries keep file order.
+    // not flip "previous entry" semantics. The sort is stable, so
+    // same-index entries keep file order.
     entries.sort_by_key(|e| entry_index(e).unwrap_or(u64::MAX));
     entries
 }
@@ -203,12 +148,10 @@ pub fn peak_rss_kb() -> u64 {
 mod tests {
     use super::*;
 
-    /// The repository's own checked-in trajectory: every vintage of entry
-    /// must load with all four stamps present and in `entry` order — the
-    /// oldest records predate `exec_tier`/`cache_mode` (and that is exactly
-    /// what this test pins the tolerance for).
+    /// The repository's own checked-in trajectory: every entry carries all
+    /// four stamps and the entries are in `entry` order.
     #[test]
-    fn checked_in_history_loads_normalized() {
+    fn checked_in_history_is_stamped_and_ordered() {
         let path =
             std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_pipeline.json");
         let entries = load_history(&path.to_string_lossy());
@@ -219,7 +162,7 @@ mod tests {
         );
         let mut prev = None;
         for e in &entries {
-            let idx = entry_index(e).expect("entry stamp after normalization");
+            let idx = entry_index(e).expect("entry stamp");
             if let Some(p) = prev {
                 assert!(idx > p, "history not ordered: {idx} after {p}");
             }
@@ -227,32 +170,11 @@ mod tests {
             for key in ["rev", "exec_tier", "cache_mode"] {
                 assert!(
                     json_string_field(e, key).is_some(),
-                    "entry {idx} missing {key:?} after normalization: {e}"
+                    "entry {idx} missing {key:?}: {e}"
                 );
             }
         }
         assert_eq!(next_entry_index(&entries), prev.unwrap() + 1);
-    }
-
-    #[test]
-    fn legacy_entry_is_backfilled_without_touching_payload() {
-        let legacy = r#"{"config": "best", "sequential": {"wall_s": 1.5}}"#;
-        let n = normalize_entry(legacy, 7);
-        assert_eq!(entry_index(&n), Some(7));
-        assert_eq!(json_string_field(&n, "rev").as_deref(), Some("unknown"));
-        assert_eq!(
-            json_string_field(&n, "exec_tier").as_deref(),
-            Some("unknown")
-        );
-        assert_eq!(
-            json_string_field(&n, "cache_mode").as_deref(),
-            Some("unknown")
-        );
-        assert_eq!(json_field(&n, "wall_s"), Some(1.5));
-        // A fully stamped entry passes through untouched.
-        let modern =
-            r#"{"entry": 3, "rev": "abc", "exec_tier": "superblock", "cache_mode": "warm"}"#;
-        assert_eq!(normalize_entry(modern, 9), modern);
     }
 
     #[test]
@@ -266,7 +188,7 @@ mod tests {
   "history": [
     {"entry": 5, "rev": "e", "exec_tier": "t", "cache_mode": "m"},
     {"entry": 2, "rev": "b", "exec_tier": "t", "cache_mode": "m"},
-    {"config": "legacy-no-stamp"}
+    {"entry": 3, "rev": "c", "exec_tier": "t", "cache_mode": "m"}
   ]
 }
 "#,
@@ -274,8 +196,7 @@ mod tests {
         .unwrap();
         let entries = load_history(&path.to_string_lossy());
         let idx: Vec<u64> = entries.iter().filter_map(|e| entry_index(e)).collect();
-        // The legacy entry backfills to its position (2) and sorts between.
-        assert_eq!(idx, vec![2, 2, 5]);
+        assert_eq!(idx, vec![2, 3, 5]);
         assert_eq!(next_entry_index(&entries), 6);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -61,7 +61,7 @@ pub struct TimedBenchmarkRun {
     pub sim_baseline_s: f64,
     /// SPT simulation seconds.
     pub sim_spt_s: f64,
-    /// Capture/replay/cache statistics of the two simulations.
+    /// Artifact-store statistics of the two simulations.
     pub sim_trace: SimTraceStats,
 }
 
@@ -176,11 +176,11 @@ pub fn die(msg: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
-/// `config` with the trace capture/replay backend switched on over the
-/// shared `.spt-cache/` artifact cache. Results are bit-identical to the
-/// direct path (pinned by `tests/trace_equivalence.rs`); repeated harness
-/// runs replay cached traces instead of re-executing the interpreter and
-/// the baseline simulator.
+/// `config` with the artifact store switched on over the shared
+/// `.spt-cache/` directory. Results are bit-identical to the store-off path
+/// (pinned by `tests/trace_equivalence.rs`); repeated harness runs reuse
+/// stored function analysis units and `SimResult` memos instead of
+/// re-analyzing and re-simulating.
 pub fn with_trace(mut config: CompilerConfig) -> CompilerConfig {
     config.trace = TraceSettings {
         enabled: true,

@@ -3,24 +3,23 @@
 
 use std::path::PathBuf;
 
-/// Trace capture/replay settings for the pipeline's execution stages.
+/// Artifact-store settings for the pipeline and the simulation harnesses.
 ///
-/// When enabled, the profile stage captures the training run's dynamic
-/// event streams once (a `spt_trace::Trace`) and derives later profiles —
-/// the SVP value-profiling run, the post-rewrite re-profile's inputs — by
-/// replaying that trace instead of re-interpreting the program. With a
-/// `cache_dir`, traces persist across processes in a content-addressed
-/// artifact cache keyed by module IR hash + entry + inputs + format
-/// version, so repeated runs skip capture entirely. Replay is bit-identical
-/// to direct execution (pinned by `tests/trace_equivalence.rs`); any cache
-/// problem degrades to direct execution with a diagnostic, never an error.
+/// The name is historical (the store once also held execution traces).
+/// Enabled with a `cache_dir`, compiles persist their function-granular
+/// pass-1 analysis units, and `spt_serve::sim_with_cache` its whole
+/// `SimResult` memos, in a content-addressed directory keyed by
+/// IR content hash + inputs + format version, so an exact repeat skips the
+/// work. The store never changes an answer: reports and results are
+/// byte-identical with it on, off, cold or warm, and a damaged entry is
+/// evicted and recomputed.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TraceSettings {
-    /// Capture/replay the profiling run's trace (off by default; direct
-    /// interpretation is used when disabled).
+    /// Use the on-disk store (off by default). Without a `cache_dir` it
+    /// has nothing to persist to and compiles and simulations run exactly
+    /// as when disabled.
     pub enabled: bool,
-    /// On-disk artifact cache directory (conventionally `.spt-cache`).
-    /// `None` keeps traces in memory only for the current compile.
+    /// On-disk artifact store directory (conventionally `.spt-cache`).
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -54,10 +53,6 @@ pub struct ResourceBudget {
     /// deadline trades determinism for bounded latency, so leave it unset
     /// when byte-identical reports matter.
     pub analysis_deadline_ms: Option<u64>,
-    /// Cap on the in-memory size of a captured execution trace. A capture
-    /// that exceeds it is discarded (with a diagnostic) and the pipeline
-    /// falls back to direct interpretation for that run.
-    pub trace_max_bytes: u64,
 }
 
 impl Default for ResourceBudget {
@@ -67,7 +62,6 @@ impl Default for ResourceBudget {
             search_max_visited: 1_000_000,
             unroll_growth_cap: 64.0,
             analysis_deadline_ms: None,
-            trace_max_bytes: 128 << 20,
         }
     }
 }
@@ -117,7 +111,7 @@ pub struct CompilerConfig {
     pub svp_threshold: f64,
     /// Resource limits with graceful-degradation semantics.
     pub budget: ResourceBudget,
-    /// Trace capture/replay behavior for the execution stages.
+    /// Artifact-store settings (see [`TraceSettings`]).
     pub trace: TraceSettings,
 }
 

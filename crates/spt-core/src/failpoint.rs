@@ -89,11 +89,6 @@ pub fn sites() -> &'static [SiteInfo] {
             key_shape: "(unkeyed)",
         },
         SiteInfo {
-            name: "trace::cache_load",
-            kind: SiteKind::ErrorChannel,
-            key_shape: "cache key (016x)",
-        },
-        SiteInfo {
             name: "superblock::lower",
             kind: SiteKind::Contained,
             key_shape: "function name",

@@ -15,7 +15,7 @@
 //! Two tiers per kind:
 //!
 //! * **analysis units** ([`FuncAnalysisUnit`]) live in a sharded in-memory
-//!   LRU and, when the cache was built from trace settings with a
+//!   LRU and, when the cache was built from artifact-store settings with a
 //!   `cache_dir`, in the on-disk [`ArtifactCache`] (kind `func`), so
 //!   edit-recompile cycles survive process boundaries;
 //! * **emission units** ([`EmitUnit`]) — the transformed function plus the
@@ -112,10 +112,10 @@ impl IncrementalCache {
     }
 
     /// The cache a plain [`crate::transform_module_timed`] call compiles
-    /// through: `None` when tracing is disabled or has no `cache_dir`
-    /// (nothing would persist anyway, and a single compile never re-probes
-    /// its own stores), otherwise a small memory tier over the same
-    /// `.spt-cache/` directory the trace artifacts use.
+    /// through: `None` when the artifact store is disabled or has no
+    /// `cache_dir` (nothing would persist anyway, and a single compile never
+    /// re-probes its own stores), otherwise a small memory tier over the
+    /// same `.spt-cache/` directory the simulation memos use.
     pub fn from_config(config: &CompilerConfig) -> Option<Self> {
         let dir = config.trace.cache_dir.as_ref()?;
         if !config.trace.enabled {
@@ -191,9 +191,9 @@ fn fold_debug<T: std::fmt::Debug + ?Sized>(h: &mut Fnv, v: &T) {
 }
 
 /// Hash of every compilation knob that can change an analysis result. The
-/// trace settings are deliberately normalized out: capture/replay/caching
-/// changes *how* a profile is obtained, never its contents (pinned by
-/// `tests/trace_equivalence.rs`), so trace-on and trace-off compiles share
+/// artifact-store settings are deliberately normalized out: where results
+/// are stored never changes what they are (pinned by
+/// `tests/trace_equivalence.rs`), so store-on and store-off compiles share
 /// function units.
 pub fn config_context_hash(config: &CompilerConfig) -> u64 {
     let mut normalized = config.clone();

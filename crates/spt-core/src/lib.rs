@@ -14,7 +14,7 @@
 //!   (`spt-transform`).
 //!
 //! The pipeline also hosts the enabling techniques (§7): loop unrolling
-//! before analysis, software value prediction with its own profiling round,
+//! before analysis, software value prediction fed by the same profiling run,
 //! dependence-profiling feedback, and (in the *anticipated* configuration)
 //! while-loop unrolling and global scalar promotion.
 //!

@@ -8,15 +8,16 @@
 //!    (counted loops always; `while` loops in the *anticipated*
 //!    configuration) and promote global scalars (*anticipated*);
 //! 3. **profile** the preprocessed program: control-flow edges, data
-//!    dependences, loop statistics in one interpreter run;
+//!    dependences, loop statistics and (*best* and up) the value patterns
+//!    of every SVP carrier candidate, all in one interpreter run;
 //! 4. **pass 1**: for every loop candidate (every nest level), build the
 //!    annotated dependence graph and cost model and search for the optimal
 //!    partition — tentatively, without changing the program;
-//! 5. **SVP** (§7.2, *best* and up): value-profile the carried definitions
-//!    of loops whose cost is still too high; rewrite the predictable ones
-//!    through predictor cells, then re-profile and re-run pass 1 (the
-//!    dependence profile of the rewritten code prices the predictor's rare
-//!    recovery store automatically);
+//! 5. **SVP** (§7.2, *best* and up): among the carried definitions of
+//!    loops whose cost is still too high, rewrite the ones stage 3 found
+//!    predictable through predictor cells, then re-profile and re-run
+//!    pass 1 (the dependence profile of the rewritten code prices the
+//!    predictor's rare recovery store automatically);
 //! 6. **pass 2**: select the good SPT loops (§6.1 criteria; one loop per
 //!    nest) and emit the SPT transformation for each;
 //! 7. cleanup and verification.
@@ -33,10 +34,7 @@ use spt_ir::loops::LoopId;
 use spt_ir::{BlockId, Cfg, DomTree, FuncId, InstId, LoopForest, Module, Ty};
 use spt_partition::{optimal_partition, SearchConfig};
 use spt_profile::{Interp, InterpError, ProfileCollector, Val, ValueProfile};
-use spt_trace::{
-    replay_profile, svp_watch_set, ArtifactCache, CaptureProfiler, FuncAnalysisUnit, LoadOutcome,
-    LoopFragment, ReplayLimits, Trace, WatchSet,
-};
+use spt_trace::{ArtifactCache, FuncAnalysisUnit, LoopFragment};
 use spt_transform::{
     classify_loop, emit_spt_loop, unroll::choose_unroll_factor, unroll_loop, SptLoopSpec,
     UnrollKind,
@@ -206,29 +204,24 @@ pub struct StageTimings {
     /// Stage 4 (plus the SVP re-analysis): dependence graphs, cost models,
     /// and the optimal-partition searches.
     pub analysis_s: f64,
-    /// Stage 5: value profiling and predictor rewriting.
+    /// Stage 5: SVP target selection and predictor rewriting (the value
+    /// profile itself is collected by stage 3).
     pub svp_s: f64,
     /// Stage 6: selection plus SPT emission.
     pub select_emit_s: f64,
     /// Total partition-search nodes visited across all analyses (pairs with
     /// `analysis_s` for a nodes-per-second figure).
     pub search_visited: u64,
-    /// Seconds spent capturing execution traces (inside `profile_s`); zero
-    /// when [`crate::TraceSettings::enabled`] is off or every trace came
-    /// from the artifact cache.
+    /// Always 0. The pipeline no longer captures or replays execution
+    /// traces; the `trace_*` fields stay only because the `sptbench`
+    /// benchmark reads them.
     pub trace_capture_s: f64,
-    /// Seconds spent replaying traces (profile derivation and the SVP
-    /// value-profiling run; inside `profile_s`/`svp_s`).
+    /// Always 0 (see [`StageTimings::trace_capture_s`]).
     pub trace_replay_s: f64,
-    /// Profiling runs served by replaying a cached trace.
+    /// Always 0 (see [`StageTimings::trace_capture_s`]).
     pub trace_cache_hits: u64,
-    /// Profiling runs that had to capture (cache miss, corrupt entry, or
-    /// caching disabled) while tracing was enabled.
+    /// Always 0 (see [`StageTimings::trace_capture_s`]).
     pub trace_cache_misses: u64,
-    /// Corrupt trace-cache entries detected during this run. The cache
-    /// evicts the bad file on detection, so each count also means the key
-    /// was cleaned back to a Miss for subsequent loads.
-    pub trace_cache_evictions: u64,
     /// Function-granular units considered (one per function per analysis
     /// pass; the SVP re-analysis counts again). Zero when the run had no
     /// [`IncrementalCache`].
@@ -288,8 +281,8 @@ pub fn transform_module_timed(
 /// `tests/incremental_equivalence.rs`), and the hit/miss counters land in
 /// [`StageTimings`]. With `None` the pipeline behaves exactly as before
 /// this cache existed. [`transform_module_timed`] passes an ephemeral
-/// disk-backed cache when tracing is enabled with a `cache_dir` (so
-/// edit-recompile cycles reuse analysis units across processes); the
+/// disk-backed cache when the artifact store is enabled with a `cache_dir`
+/// (so edit-recompile cycles reuse analysis units across processes); the
 /// daemon passes its long-lived shared cache.
 ///
 /// # Errors
@@ -346,34 +339,27 @@ fn transform_scratch(
     spt_ir::verify::verify_module(module).map_err(|e| PipelineError::Verify(e.to_string()))?;
     timings.preprocess_s = t.elapsed().as_secs_f64();
 
-    // --- Stage 3: profiling run A. The interpreter (and its pre-decoded
-    // module form) is kept alive so the SVP stage can reuse it for the
-    // value-profiling run instead of re-decoding an unchanged module.
+    // --- Stage 3: the profiling run. With SVP on, the same run also
+    // value-profiles every SVP carrier candidate, so stage 5 needs no run
+    // of its own.
     let t = std::time::Instant::now();
-    let mut interp = Interp::new(module);
-    interp.fuel = config.budget.interp_fuel;
-    let (mut collector, trace_bundle) =
-        collect_profile(module, &interp, input, config, &mut diags, &mut timings)?;
+    let carriers = if config.use_svp {
+        svp_carriers(module)
+    } else {
+        Vec::new()
+    };
+    let mut collector = {
+        let mut interp = Interp::new(module);
+        interp.fuel = config.budget.interp_fuel;
+        let mut collector = ProfileCollector::with_value_targets(
+            carriers.iter().map(|c| (c.func, c.carrier, Ty::I64)),
+        );
+        collect_profile(&interp, input, &mut collector)?;
+        superblock_degradations(module, &interp, &mut diags);
+        collector
+    };
+    collector.values.threshold = config.svp_threshold;
     timings.profile_s = t.elapsed().as_secs_f64();
-
-    // Superblock-tier observability: when the profiling engine runs fused
-    // code, surface every function a lowering fault degraded to the dense
-    // tier. Results are unaffected (the dense tier is exact), so this is a
-    // warning, not an error.
-    if spt_ir::exec_tier() == spt_ir::ExecTier::Super {
-        for (fid, why) in &interp.superblock().degraded {
-            diags.push(Diagnostic::for_func(
-                Stage::Profile,
-                Severity::Warning,
-                *fid,
-                format!(
-                    "superblock lowering of `{}` failed ({why}); \
-                     function degraded to the dense execution tier",
-                    module.func(*fid).name
-                ),
-            ));
-        }
-    }
 
     // --- Stage 4: pass 1 analysis.
     let t = std::time::Instant::now();
@@ -384,68 +370,15 @@ fn transform_scratch(
     let mut svp_headers: HashSet<(FuncId, BlockId)> = HashSet::new();
     if config.use_svp {
         let t = std::time::Instant::now();
-        let (targets, loop_phis) = svp_targets(module, config, &analyses);
-        let rewrote = if targets.is_empty() {
-            drop(interp);
-            false
-        } else {
-            let mut vp = ValueProfile::new(targets.iter().copied());
-            vp.threshold = config.svp_threshold;
-            // Value-profile by replaying the stage-3 trace when one exists
-            // and carries every target's def values (svp_watch_set is a
-            // superset of svp_targets, so this holds whenever a trace was
-            // captured); otherwise re-run the interpreter.
-            let mut replayed = false;
-            if let Some(bundle) = &trace_bundle {
-                if targets.iter().all(|&(f, i, _)| bundle.watch.contains(f, i)) {
-                    let tr = std::time::Instant::now();
-                    let initial = input
-                        .memory
-                        .clone()
-                        .unwrap_or_else(|| interp.initial_memory());
-                    let limits = ReplayLimits {
-                        fuel: config.budget.interp_fuel,
-                        ..ReplayLimits::default()
-                    };
-                    match replay_profile(
-                        interp.decoded(),
-                        bundle.entry,
-                        &bundle.trace,
-                        &bundle.watch,
-                        initial,
-                        &mut vp,
-                        limits,
-                    ) {
-                        Ok(_) => {
-                            timings.trace_replay_s += tr.elapsed().as_secs_f64();
-                            replayed = true;
-                        }
-                        Err(e) => {
-                            vp = ValueProfile::new(targets.iter().copied());
-                            vp.threshold = config.svp_threshold;
-                            diags.push(Diagnostic::global(
-                                Stage::Svp,
-                                Severity::Warning,
-                                format!(
-                                    "trace replay for value profiling failed ({e}); \
-                                     re-running the interpreter"
-                                ),
-                            ));
-                        }
-                    }
-                }
-            }
-            if !replayed {
-                match &input.memory {
-                    Some(mem) => {
-                        interp.run_with_memory(&input.entry, &input.args, mem.clone(), &mut vp)?
-                    }
-                    None => interp.run(&input.entry, &input.args, &mut vp)?,
-                };
-            }
-            drop(interp);
-            svp_rewrite(module, loop_phis, &vp, &mut svp_headers, &mut diags)
-        };
+        let loop_phis = svp_targets(config, &analyses, &carriers);
+        let rewrote = !loop_phis.is_empty()
+            && svp_rewrite(
+                module,
+                loop_phis,
+                &collector.values,
+                &mut svp_headers,
+                &mut diags,
+            );
         timings.svp_s = t.elapsed().as_secs_f64();
         if rewrote {
             for func in &mut module.funcs {
@@ -455,13 +388,10 @@ fn transform_scratch(
             spt_ir::verify::verify_module(module)
                 .map_err(|e| PipelineError::Verify(e.to_string()))?;
             let t = std::time::Instant::now();
-            // The rewrite changed the module (new content hash), so this
-            // re-profile gets its own trace capture/cache entry; the stage-3
-            // bundle no longer applies.
             let mut reinterp = Interp::new(module);
             reinterp.fuel = config.budget.interp_fuel;
-            collector =
-                collect_profile(module, &reinterp, input, config, &mut diags, &mut timings)?.0;
+            collector = ProfileCollector::new();
+            collect_profile(&reinterp, input, &mut collector)?;
             drop(reinterp);
             timings.profile_s += t.elapsed().as_secs_f64();
             let t = std::time::Instant::now();
@@ -834,181 +764,43 @@ fn preprocess(
     }
 }
 
-/// A trace captured (or cache-loaded) by the profile stage, kept so later
-/// stages can replay it instead of re-interpreting the module it came from.
-struct TraceBundle {
-    trace: Trace,
-    watch: WatchSet,
-    entry: FuncId,
-}
-
-/// Loads a trace from the artifact cache, with a fail-point site
-/// (`trace::cache_load`) that tests use to force a corrupt-entry outcome and
-/// exercise the capture fallback. `Panic`/`Delay` actions behave as at any
-/// other site; `Error` maps to [`LoadOutcome::Corrupt`] because a broken
-/// cache must degrade, never fail the compile.
-fn load_trace_guarded(cache: &ArtifactCache, key: u64) -> LoadOutcome<Trace> {
-    #[cfg(feature = "failpoints")]
-    if let Some(act) = crate::failpoint::eval("trace::cache_load", &format!("{key:016x}")) {
-        match act {
-            crate::failpoint::Action::Panic(msg) => {
-                panic!("failpoint trace::cache_load [{key:016x}]: {msg}")
-            }
-            crate::failpoint::Action::Delay(ms) => {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-            }
-            crate::failpoint::Action::Error(msg) => {
-                return LoadOutcome::Corrupt(format!("failpoint: {msg}"));
-            }
-        }
-    }
-    cache.load_trace(key)
-}
-
-/// One profiling run with the full collector against an already-built
+/// One profiling run of `input` into `profiler` against an already-built
 /// interpreter.
-///
-/// With [`crate::TraceSettings::enabled`] off this is a plain interpreter
-/// run. With it on, the run's dynamic event streams are captured once into a
-/// [`Trace`] (or, with a cache directory configured and a prior run's trace
-/// on disk, the profile is *derived* by replaying the cached trace with no
-/// interpretation at all), and the trace rides along in the returned
-/// [`TraceBundle`] for later stages to replay. Every trace problem — corrupt
-/// cache entry, replay desync, capture over budget — degrades to direct
-/// execution with a [`Diagnostic`], never an error.
 fn collect_profile(
-    module: &Module,
     interp: &Interp<'_>,
     input: &ProfilingInput,
-    config: &CompilerConfig,
-    diags: &mut Vec<Diagnostic>,
-    timings: &mut StageTimings,
-) -> Result<(ProfileCollector, Option<TraceBundle>), PipelineError> {
+    profiler: &mut ProfileCollector,
+) -> Result<(), PipelineError> {
     crate::fail_point!("pipeline::profile", &input.entry, |msg: String| {
         PipelineError::Interp(InterpError::Malformed(format!("failpoint: {msg}")))
     });
-    let entry = if config.trace.enabled {
-        module.func_by_name(&input.entry)
-    } else {
-        None
+    match &input.memory {
+        Some(mem) => interp.run_with_memory(&input.entry, &input.args, mem.clone(), profiler)?,
+        None => interp.run(&input.entry, &input.args, profiler)?,
     };
-    let Some(entry) = entry else {
-        // Tracing off — or the entry doesn't exist, in which case the plain
-        // run below surfaces the interpreter's canonical error.
-        let mut collector = ProfileCollector::new();
-        match &input.memory {
-            Some(mem) => {
-                interp.run_with_memory(&input.entry, &input.args, mem.clone(), &mut collector)?
-            }
-            None => interp.run(&input.entry, &input.args, &mut collector)?,
-        };
-        return Ok((collector, None));
-    };
+    Ok(())
+}
 
-    let watch = svp_watch_set(module);
-    let module_hash = module.content_hash();
-    let cache = config.trace.cache_dir.as_ref().map(ArtifactCache::new);
-    let arg_bits: Vec<u64> = input.args.iter().map(|v| v.0).collect();
-    let key = ArtifactCache::trace_key(
-        module_hash,
-        &input.entry,
-        &arg_bits,
-        watch.hash(),
-        ArtifactCache::memory_hash(input.memory.as_deref()),
-    );
-
-    if let Some(cache) = &cache {
-        match load_trace_guarded(cache, key) {
-            LoadOutcome::Hit(trace) => {
-                let t = std::time::Instant::now();
-                let mut collector = ProfileCollector::new();
-                let initial = input
-                    .memory
-                    .clone()
-                    .unwrap_or_else(|| interp.initial_memory());
-                let limits = ReplayLimits {
-                    fuel: config.budget.interp_fuel,
-                    ..ReplayLimits::default()
-                };
-                match replay_profile(
-                    interp.decoded(),
-                    entry,
-                    &trace,
-                    &watch,
-                    initial,
-                    &mut collector,
-                    limits,
-                ) {
-                    Ok(_) => {
-                        timings.trace_replay_s += t.elapsed().as_secs_f64();
-                        timings.trace_cache_hits += 1;
-                        return Ok((
-                            collector,
-                            Some(TraceBundle {
-                                trace,
-                                watch,
-                                entry,
-                            }),
-                        ));
-                    }
-                    Err(e) => {
-                        diags.push(Diagnostic::global(
-                            Stage::Profile,
-                            Severity::Warning,
-                            format!("cached trace unusable ({e}); re-capturing"),
-                        ));
-                    }
-                }
-            }
-            LoadOutcome::Miss => {}
-            LoadOutcome::Corrupt(why) => {
-                timings.trace_cache_evictions += 1;
-                diags.push(Diagnostic::global(
-                    Stage::Profile,
-                    Severity::Warning,
-                    format!("trace cache entry corrupt ({why}); evicted, re-capturing"),
-                ));
-            }
-        }
+/// Superblock-tier observability: when the profiling engine runs fused
+/// code, surface every function a lowering fault degraded to the dense
+/// tier. Results are unaffected (the dense tier is exact), so this is a
+/// warning, not an error.
+fn superblock_degradations(module: &Module, interp: &Interp<'_>, diags: &mut Vec<Diagnostic>) {
+    if spt_ir::exec_tier() != spt_ir::ExecTier::Super {
+        return;
     }
-
-    // Capture path: one direct run, recorded.
-    timings.trace_cache_misses += 1;
-    let t = std::time::Instant::now();
-    let mut cap = CaptureProfiler::new(
-        ProfileCollector::new(),
-        watch.clone(),
-        config.budget.trace_max_bytes,
-    );
-    let result = match &input.memory {
-        Some(mem) => interp.run_with_memory(&input.entry, &input.args, mem.clone(), &mut cap)?,
-        None => interp.run(&input.entry, &input.args, &mut cap)?,
-    };
-    let poisoned = cap.poisoned();
-    let (trace, collector) = cap.finish(&result, module_hash, &input.entry, &input.args);
-    timings.trace_capture_s += t.elapsed().as_secs_f64();
-    if poisoned {
-        diags.push(Diagnostic::global(
+    for (fid, why) in &interp.superblock().degraded {
+        diags.push(Diagnostic::for_func(
             Stage::Profile,
             Severity::Warning,
+            *fid,
             format!(
-                "trace capture exceeded the {}-byte budget and was discarded; \
-                 later runs fall back to direct interpretation",
-                config.budget.trace_max_bytes
+                "superblock lowering of `{}` failed ({why}); \
+                 function degraded to the dense execution tier",
+                module.func(*fid).name
             ),
         ));
     }
-    if let (Some(trace), Some(cache)) = (&trace, &cache) {
-        cache.store_trace(key, trace);
-    }
-    Ok((
-        collector,
-        trace.map(|trace| TraceBundle {
-            trace,
-            watch,
-            entry,
-        }),
-    ))
 }
 
 /// Pass 1 over every loop of every function. Loop analyses are mutually
@@ -1383,22 +1175,73 @@ fn analyze_loop(
     }
 }
 
-/// Stage 5, collection half: identify SVP targets on an unmodified module.
-/// Returns the value-profiling targets and the `(func, header, phi, carrier)`
-/// tuples describing where each one came from.
-#[allow(clippy::type_complexity)]
+/// One SVP candidate: the latch-edge carrier of an `I64` phi in the header
+/// of a single-latch loop.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct SvpCarrier {
+    /// Owning function.
+    func: FuncId,
+    /// Loop header holding the phi.
+    header: BlockId,
+    /// The header phi SVP would predict.
+    phi: InstId,
+    /// The definition flowing into `phi` along the latch edge — the value
+    /// the profile watches.
+    carrier: InstId,
+}
+
+/// Every SVP candidate of `module`, in function, loop-forest and header
+/// instruction order. Stage 3 value-profiles all of them in its one
+/// profiling run; stage 5 ([`svp_targets`]) narrows them by cost.
+fn svp_carriers(module: &Module) -> Vec<SvpCarrier> {
+    let mut out = Vec::new();
+    for fid in module.func_ids() {
+        let func = module.func(fid);
+        let cfg = Cfg::compute(func);
+        let dom = DomTree::compute(&cfg);
+        let forest = LoopForest::compute(func, &cfg, &dom);
+        for lid in forest.ids() {
+            let l = forest.get(lid);
+            let latch = match l.latches.as_slice() {
+                [single] => *single,
+                _ => continue,
+            };
+            for &phi in &func.block(l.header).insts {
+                let spt_ir::InstKind::Phi { args } = &func.inst(phi).kind else {
+                    continue;
+                };
+                if func.inst(phi).ty != Some(Ty::I64) {
+                    continue; // integer prediction only
+                }
+                for (pred, v) in args {
+                    if let (true, spt_ir::Operand::Inst(carrier)) = (*pred == latch, v) {
+                        out.push(SvpCarrier {
+                            func: fid,
+                            header: l.header,
+                            phi,
+                            carrier: *carrier,
+                        });
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Stage 5, selection half: the [`svp_carriers`] of loops that are
+/// plausible except for cost (or a too-large pre-fork region) — SVP exists
+/// to remove exactly those residual dependences — in analysis order.
 fn svp_targets(
-    module: &Module,
     config: &CompilerConfig,
     analyses: &[LoopAnalysis],
-) -> (
-    Vec<(FuncId, InstId, Ty)>,
-    Vec<(FuncId, BlockId, InstId, InstId)>,
-) {
-    // Candidate loops: plausible except for cost (or a too-large pre-fork
-    // region): SVP exists to remove exactly those residual dependences.
-    let mut targets: Vec<(FuncId, InstId, Ty)> = Vec::new();
-    let mut loop_phis: Vec<(FuncId, BlockId, InstId, InstId)> = Vec::new(); // (func, header, phi, carrier)
+    carriers: &[SvpCarrier],
+) -> Vec<SvpCarrier> {
+    let mut by_loop: HashMap<(FuncId, BlockId), Vec<SvpCarrier>> = HashMap::new();
+    for c in carriers {
+        by_loop.entry((c.func, c.header)).or_default().push(*c);
+    }
+    let mut out = Vec::new();
     for a in analyses {
         if !a.canonical || a.skipped_too_many_vcs {
             continue;
@@ -1408,39 +1251,11 @@ fn svp_targets(
         }
         let needs_help = a.cost > config.cost_frac * a.body_size as f64
             || a.prefork_size as f64 > config.prefork_frac * a.body_size as f64;
-        if !needs_help {
-            continue;
-        }
-        let func = module.func(a.func);
-        let cfg = Cfg::compute(func);
-        let dom = DomTree::compute(&cfg);
-        let forest = LoopForest::compute(func, &cfg, &dom);
-        let Some(lid) = forest.ids().find(|&l| forest.get(l).header == a.header) else {
-            continue;
-        };
-        let l = forest.get(lid);
-        let latch = match l.latches.as_slice() {
-            [single] => *single,
-            _ => continue,
-        };
-        for &i in &func.block(a.header).insts {
-            if let spt_ir::InstKind::Phi { args } = &func.inst(i).kind {
-                let Some(ty) = func.inst(i).ty else { continue };
-                if ty != Ty::I64 {
-                    continue; // integer prediction only
-                }
-                for (pred, v) in args {
-                    if *pred == latch {
-                        if let spt_ir::Operand::Inst(carrier) = v {
-                            targets.push((a.func, *carrier, ty));
-                            loop_phis.push((a.func, a.header, i, *carrier));
-                        }
-                    }
-                }
-            }
+        if let (true, Some(cs)) = (needs_help, by_loop.get(&(a.func, a.header))) {
+            out.extend_from_slice(cs);
         }
     }
-    (targets, loop_phis)
+    out
 }
 
 /// Stage 5, rewrite half: given value-profile results, rewrite the
@@ -1452,14 +1267,20 @@ fn svp_targets(
 /// loop back and records a diagnostic instead of failing the compile.
 fn svp_rewrite(
     module: &mut Module,
-    loop_phis: Vec<(FuncId, BlockId, InstId, InstId)>,
+    targets: Vec<SvpCarrier>,
     vp: &ValueProfile,
     svp_headers: &mut HashSet<(FuncId, BlockId)>,
     diags: &mut Vec<Diagnostic>,
 ) -> bool {
     // Rewrite predictable carriers.
     let mut rewrote = false;
-    for (func_id, header, phi, carrier) in loop_phis {
+    for SvpCarrier {
+        func: func_id,
+        header,
+        phi,
+        carrier,
+    } in targets
+    {
         let (pattern, ratio) = vp.pattern(func_id, carrier);
         if matches!(pattern, spt_profile::ValuePattern::Unpredictable) {
             continue; // no evidence of a pattern — routine, not a degradation
@@ -1901,5 +1722,59 @@ mod tests {
         for n in [0i64, 7, 1024] {
             assert_eq!(run_module(&ant.module, n), run_module(&ant.baseline, n));
         }
+    }
+
+    /// Stage 3 value-profiles every SVP carrier candidate in the profiling
+    /// run itself. Per target, that folded profile must read exactly what a
+    /// separate run watching only the stage-5 targets reads.
+    #[test]
+    fn folded_value_profile_matches_a_targets_only_run_on_every_program() {
+        let config = CompilerConfig::best();
+        let mut pinned = 0usize;
+        for b in spt_bench_suite::suite() {
+            let mut module = spt_frontend::compile(b.source).expect("compiles");
+            let input = ProfilingInput::new(b.entry, [b.train_arg]);
+            let mut diags = Vec::new();
+            preprocess(&mut module, &config, &mut HashMap::new(), &mut diags);
+
+            let carriers = svp_carriers(&module);
+            let interp = Interp::new(&module);
+            let mut folded = ProfileCollector::with_value_targets(
+                carriers.iter().map(|c| (c.func, c.carrier, Ty::I64)),
+            );
+            collect_profile(&interp, &input, &mut folded).expect("profiles");
+            folded.values.threshold = config.svp_threshold;
+            let mut timings = StageTimings::default();
+            let analyses =
+                analyze_module(&module, &folded, &config, None, &mut timings, &mut diags);
+            let targets = svp_targets(&config, &analyses, &carriers);
+
+            let mut alone = ValueProfile::new(targets.iter().map(|c| (c.func, c.carrier, Ty::I64)));
+            alone.threshold = config.svp_threshold;
+            interp
+                .run(&input.entry, &input.args, &mut alone)
+                .expect("value-profiling run");
+            for c in &targets {
+                let (fp, fr) = folded.values.pattern(c.func, c.carrier);
+                let (ap, ar) = alone.pattern(c.func, c.carrier);
+                assert_eq!(fp, ap, "{}: pattern of {}", b.name, c.carrier);
+                assert_eq!(
+                    fr.to_bits(),
+                    ar.to_bits(),
+                    "{}: ratio of {}",
+                    b.name,
+                    c.carrier
+                );
+                assert_eq!(
+                    folded.values.samples(c.func, c.carrier),
+                    alone.samples(c.func, c.carrier),
+                    "{}: samples of {}",
+                    b.name,
+                    c.carrier
+                );
+            }
+            pinned += targets.len();
+        }
+        assert!(pinned > 0, "no suite program has an SVP target");
     }
 }

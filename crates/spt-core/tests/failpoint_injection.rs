@@ -278,66 +278,6 @@ fn error_at_verify_site_surfaces_as_verify_error() {
 }
 
 #[test]
-fn corrupt_trace_cache_load_falls_back_to_capture() {
-    let _lock = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let _guard = failpoint::scoped();
-
-    let dir = std::env::temp_dir().join(format!("spt-fp-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut cfg = CompilerConfig::best();
-    cfg.trace.enabled = true;
-    cfg.trace.cache_dir = Some(dir.clone());
-
-    // Prime the cache with one clean traced compile.
-    let clean = compile_and_transform(PROGRAM, &input(), &cfg).expect("pipeline");
-
-    // Every cache load now reports corruption: the pipeline must warn,
-    // re-capture, and produce results identical to the clean run — a broken
-    // cache can never poison a compile.
-    failpoint::set(
-        "trace::cache_load",
-        Action::error("injected cache corruption"),
-    );
-    let injected = compile_and_transform(PROGRAM, &input(), &cfg)
-        .expect("pipeline must succeed with a corrupt cache");
-
-    assert!(
-        injected.report.diagnostics.iter().any(|d| {
-            d.stage == Stage::Profile
-                && d.severity == Severity::Warning
-                && d.message.contains("injected cache corruption")
-        }),
-        "missing corrupt-cache diagnostic: {:#?}",
-        injected.report.diagnostics
-    );
-
-    assert_eq!(
-        clean.report.loops.len(),
-        injected.report.loops.len(),
-        "loop candidate set changed under cache corruption"
-    );
-    for (c, i) in clean.report.loops.iter().zip(&injected.report.loops) {
-        assert_eq!(
-            format!("{c:?}"),
-            format!("{i:?}"),
-            "loop record diverged under cache corruption"
-        );
-    }
-    assert_eq!(
-        format!("{:?}", clean.report.selected),
-        format!("{:?}", injected.report.selected),
-        "selection diverged under cache corruption"
-    );
-    assert_eq!(
-        format!("{:?}", clean.module),
-        format!("{:?}", injected.module),
-        "transformed module diverged under cache corruption"
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn superblock_lowering_panic_degrades_function_to_dense_tier() {
     let _lock = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let _guard = failpoint::scoped();

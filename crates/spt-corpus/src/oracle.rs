@@ -133,8 +133,8 @@ impl From<&GeneratedProgram> for ProgramUnderTest {
 /// Which oracles to run and with what pipeline configuration.
 #[derive(Clone, Debug)]
 pub struct CheckOptions {
-    /// Base pipeline configuration (trace settings are overridden per
-    /// sub-oracle).
+    /// Base pipeline configuration (the cache-identity oracle overrides its
+    /// artifact-store settings).
     pub config: CompilerConfig,
     /// Run the `SPT_THREADS`-invariance oracle (takes the global lock).
     pub check_threads: bool,
@@ -346,11 +346,11 @@ pub fn check_program(p: &ProgramUnderTest, opts: &CheckOptions) -> Vec<Failure> 
     if let Some(root) = &opts.cache_root {
         let dir = root.join(&p.tag);
         let _ = std::fs::remove_dir_all(&dir);
-        let mut traced = opts.config.clone();
-        traced.trace.enabled = true;
-        traced.trace.cache_dir = Some(dir.clone());
+        let mut stored = opts.config.clone();
+        stored.trace.enabled = true;
+        stored.trace.cache_dir = Some(dir.clone());
         for (mode, expect_hits) in [("cold", false), ("warm", true)] {
-            match compile(p, &traced) {
+            match compile(p, &stored) {
                 Ok(Ok(c)) => {
                     let r = format!("{:?}", c.report);
                     if r != base_report {
@@ -360,12 +360,12 @@ pub fn check_program(p: &ProgramUnderTest, opts: &CheckOptions) -> Vec<Failure> 
                         });
                     }
                     if expect_hits
-                        && c.timings.trace_cache_hits == 0
-                        && c.timings.trace_cache_misses > 0
+                        && c.timings.func_analysis_hits == 0
+                        && c.timings.func_analysis_misses > 0
                     {
                         failures.push(Failure {
                             kind: OracleKind::CacheDivergence,
-                            detail: "warm compile re-captured every trace (cache never hit)"
+                            detail: "warm compile re-analyzed every function (store never hit)"
                                 .to_string(),
                         });
                     }

@@ -11,15 +11,13 @@
 //! * a `Contained` site's compile **succeeds**, and the (degraded)
 //!   transformed module still computes baseline semantics;
 //! * an `ErrorChannel` site yields either a clean `PipelineError` or a
-//!   successful degraded compile (the cache-load site degrades to
-//!   re-capture) — again with baseline semantics when it succeeds.
+//!   successful degraded compile — again with baseline semantics when it
+//!   succeeds.
 //!
 //! The failpoint registry is process-global, so the whole sweep holds
-//! [`crate::oracle::global_state_lock`] and runs sequentially. Two sites
-//! need special staging: `trace::cache_load` only fires when tracing with
-//! a cache directory is enabled, and `superblock::lower` only fires while
-//! the superblock tier is lowering, i.e. under an `ExecTier::Super`
-//! override.
+//! [`crate::oracle::global_state_lock`] and runs sequentially. One site
+//! needs special staging: `superblock::lower` only fires while the
+//! superblock tier is lowering, i.e. under an `ExecTier::Super` override.
 
 #![cfg(feature = "failpoints")]
 
@@ -74,25 +72,11 @@ pub fn sweep_failpoints(start_seed: u64, count: usize, opts: &CheckOptions) -> S
         // Only the battery's base compile + semantics oracles run under
         // injection: report-identity oracles would recompile with the
         // fault still armed and trivially agree, telling us nothing.
-        let mut sweep_opts = CheckOptions {
+        let sweep_opts = CheckOptions {
             config: opts.config.clone(),
             check_threads: false,
             check_tiers: false,
             cache_root: None,
-        };
-        // The cache-load site never fires unless tracing with an on-disk
-        // cache is enabled.
-        let cache_tmp = if site.name == "trace::cache_load" {
-            let dir = std::env::temp_dir().join(format!(
-                "spt-corpus-sweep-{}-{start_seed}",
-                std::process::id()
-            ));
-            let _ = std::fs::create_dir_all(&dir);
-            sweep_opts.config.trace.enabled = true;
-            sweep_opts.config.trace.cache_dir = Some(dir.clone());
-            Some(dir)
-        } else {
-            None
         };
         // The superblock lowering hook only runs while the fused tier is
         // active.
@@ -134,9 +118,6 @@ pub fn sweep_failpoints(start_seed: u64, count: usize, opts: &CheckOptions) -> S
                     });
                 }
             }
-        }
-        if let Some(dir) = cache_tmp {
-            let _ = std::fs::remove_dir_all(&dir);
         }
         set_exec_tier_override(None);
     }

@@ -4,8 +4,8 @@
 //! little-endian payload length followed by the payload. Frames are
 //! independent — a client may pipeline several requests and the daemon may
 //! answer them out of order, so every request carries a caller-chosen `id`
-//! that its response echoes. Payloads reuse the trace codec's primitives
-//! ([`spt_trace::codec`]): LEB128 varints, zigzag for signed values,
+//! that its response echoes. Payloads reuse the artifact store's codec
+//! primitives ([`spt_trace::codec`]): LEB128 varints, zigzag for signed values,
 //! varint-length-prefixed UTF-8 strings and byte blobs; `f64`s travel as
 //! their fixed 8-byte little-endian bit patterns so timings round-trip
 //! exactly.
@@ -26,7 +26,9 @@ use spt_trace::codec::{get_varint, put_varint, unzigzag, zigzag};
 /// Bumped on any incompatible change to the frame payloads.
 /// v2: [`StageTimings`] gained the function-granular incremental-compile
 /// counters, and the `CompileBatch` request kind was added.
-pub const PROTO_VERSION: u8 = 2;
+/// v3: [`StageTimings`]' `trace_*` fields, which always read 0, are no
+/// longer sent.
+pub const PROTO_VERSION: u8 = 3;
 
 /// Upper bound on a single frame's payload. Large enough for any report +
 /// module text + simulation memo this repo produces (the biggest corpus
@@ -155,7 +157,7 @@ pub struct CompileResp {
 }
 
 /// Sim result: the compile rendering plus both simulation outcomes,
-/// encoded with the trace cache's `SimResult` codec.
+/// encoded with the artifact store's `SimResult` codec.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimResp {
     /// `format!("{:?}", CompilationReport)` for the unit that was simulated.
@@ -330,11 +332,6 @@ fn put_timings(out: &mut Vec<u8>, t: &StageTimings) {
     put_f64(out, t.svp_s);
     put_f64(out, t.select_emit_s);
     put_varint(out, t.search_visited);
-    put_f64(out, t.trace_capture_s);
-    put_f64(out, t.trace_replay_s);
-    put_varint(out, t.trace_cache_hits);
-    put_varint(out, t.trace_cache_misses);
-    put_varint(out, t.trace_cache_evictions);
     put_varint(out, t.func_units_total);
     put_varint(out, t.func_analysis_hits);
     put_varint(out, t.func_analysis_misses);
@@ -350,16 +347,12 @@ fn get_timings(buf: &[u8], pos: &mut usize) -> Result<StageTimings, String> {
         svp_s: get_f64(buf, pos)?,
         select_emit_s: get_f64(buf, pos)?,
         search_visited: need(buf, pos)?,
-        trace_capture_s: get_f64(buf, pos)?,
-        trace_replay_s: get_f64(buf, pos)?,
-        trace_cache_hits: need(buf, pos)?,
-        trace_cache_misses: need(buf, pos)?,
-        trace_cache_evictions: need(buf, pos)?,
         func_units_total: need(buf, pos)?,
         func_analysis_hits: need(buf, pos)?,
         func_analysis_misses: need(buf, pos)?,
         func_emit_hits: need(buf, pos)?,
         func_emit_misses: need(buf, pos)?,
+        ..StageTimings::default()
     })
 }
 
@@ -705,16 +698,12 @@ mod tests {
                     svp_s: f64::MIN_POSITIVE,
                     select_emit_s: 3.25,
                     search_visited: 999,
-                    trace_capture_s: 0.5,
-                    trace_replay_s: 0.25,
-                    trace_cache_hits: 3,
-                    trace_cache_misses: 1,
-                    trace_cache_evictions: 0,
                     func_units_total: 12,
                     func_analysis_hits: 11,
                     func_analysis_misses: 1,
                     func_emit_hits: 4,
                     func_emit_misses: 1,
+                    ..StageTimings::default()
                 },
                 served_from_memory: true,
             })),

@@ -9,8 +9,8 @@
 //!   configuration + profiling input, and **`SimResult`s** keyed by the
 //!   artifact cache's own sim key (module hash + entry + args + machine);
 //! * the byte-budgeted on-disk [`ArtifactCache`] (`.spt-cache/` tier) that
-//!   traces and simulation memos persist through, shared with the one-shot
-//!   CLI so a daemon warm-up also warms `sptc`;
+//!   simulation memos and function analysis units persist through, shared
+//!   with the one-shot CLI so a daemon warm-up also warms `sptc`;
 //! * a **single-flight** table: concurrent requests for the same unit key
 //!   elect one leader to run the pipeline while the rest block on its
 //!   result, so N identical cold requests cost exactly one compile;
@@ -20,7 +20,7 @@
 //!
 //! Everything is keyed by content, so the service never invalidates: a new
 //! source, configuration, or machine model is a new key. Determinism: the
-//! pipeline's reports are byte-identical across thread counts and trace
+//! pipeline's reports are byte-identical across thread counts and store
 //! settings (pinned by `tests/trace_equivalence.rs` and the report contract
 //! in `spt-core`), so a response assembled from any mix of tiers is
 //! byte-identical to a cold single-process compile — `sptd` can never serve
@@ -34,7 +34,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use spt_core::pipeline::transform_module_timed_with;
-use spt_core::{CompilerConfig, IncrementalCache, ProfilingInput, StageTimings, TraceSettings};
+use spt_core::{CompilerConfig, IncrementalCache, ProfilingInput, StageTimings};
 use spt_ir::Module;
 use spt_sim::{MachineConfig, SimResult};
 use spt_trace::codec::Fnv;
@@ -48,7 +48,7 @@ use crate::sim::{sim_with_cache_in, SimTraceStats};
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Directory of the on-disk artifact tier; `None` disables disk caching
-    /// (and trace capture/replay) entirely.
+    /// entirely.
     pub cache_dir: Option<PathBuf>,
     /// Byte bound on the disk tier; enforced after every store by evicting
     /// oldest artifacts first. `None` = unbounded (the one-shot CLI
@@ -132,8 +132,6 @@ struct Counters {
     flights_led: AtomicU64,
     flights_joined: AtomicU64,
     disk_memo_hits: AtomicU64,
-    disk_trace_hits: AtomicU64,
-    disk_captures: AtomicU64,
     disk_direct_runs: AtomicU64,
     latency: [AtomicU64; LATENCY_BUCKETS],
 }
@@ -154,8 +152,6 @@ impl Default for Counters {
             flights_led: AtomicU64::new(0),
             flights_joined: AtomicU64::new(0),
             disk_memo_hits: AtomicU64::new(0),
-            disk_trace_hits: AtomicU64::new(0),
-            disk_captures: AtomicU64::new(0),
             disk_direct_runs: AtomicU64::new(0),
             latency: std::array::from_fn(|_| AtomicU64::new(0)),
         }
@@ -166,7 +162,6 @@ impl Default for Counters {
 /// behind an `Arc` and call [`CompileService::execute`] concurrently.
 pub struct CompileService {
     cfg: ServiceConfig,
-    trace: TraceSettings,
     disk: Option<ArtifactCache>,
     modules: ShardedLru<Arc<Module>>,
     units: ShardedLru<Arc<CompiledUnit>>,
@@ -194,10 +189,6 @@ impl CompileService {
                 Some(b) => ArtifactCache::with_byte_budget(dir, b),
                 None => ArtifactCache::new(dir),
             });
-        let trace = TraceSettings {
-            enabled: cfg.cache_dir.is_some(),
-            cache_dir: cfg.cache_dir.clone(),
-        };
         // The function-granular cache persists its analysis units through
         // its own handle on the same disk directory (same byte budget), so
         // edit-recompile cycles survive daemon restarts too.
@@ -221,7 +212,6 @@ impl CompileService {
             flights: Mutex::new(HashMap::new()),
             counters: Counters::default(),
             disk,
-            trace,
             cfg,
         }
     }
@@ -230,11 +220,6 @@ impl CompileService {
     /// compiles through (tests pin its hit/miss counters).
     pub fn incremental_cache(&self) -> &IncrementalCache {
         &self.func_cache
-    }
-
-    /// The service's trace settings (what `sim_with_cache` would see).
-    pub fn trace_settings(&self) -> &TraceSettings {
-        &self.trace
     }
 
     /// Executes one request body, recording counters and latency. Never
@@ -381,8 +366,7 @@ impl CompileService {
         req: &CompileReq,
     ) -> Result<Arc<CompiledUnit>, String> {
         spt_core::fail_point!("serve::compile", &req.entry);
-        let mut config = Self::config_for(req.config_id)?;
-        config.trace = self.trace.clone();
+        let config = Self::config_for(req.config_id)?;
         let input = ProfilingInput::new(req.entry.clone(), [req.train]);
         let mut module = (**baseline).clone();
         let (report, timings) =
@@ -455,9 +439,6 @@ impl CompileService {
         let c = &self.counters;
         c.disk_memo_hits
             .fetch_add(stats.memo_hits, Ordering::Relaxed);
-        c.disk_trace_hits
-            .fetch_add(stats.trace_hits, Ordering::Relaxed);
-        c.disk_captures.fetch_add(stats.captures, Ordering::Relaxed);
         c.disk_direct_runs
             .fetch_add(stats.direct_runs, Ordering::Relaxed);
         let bytes = sim_to_bytes(&result).len() as u64;
@@ -549,8 +530,6 @@ impl CompileService {
             ("flights_led", c.flights_led.load(Ordering::Relaxed)),
             ("flights_joined", c.flights_joined.load(Ordering::Relaxed)),
             ("disk_memo_hits", c.disk_memo_hits.load(Ordering::Relaxed)),
-            ("disk_trace_hits", c.disk_trace_hits.load(Ordering::Relaxed)),
-            ("disk_captures", c.disk_captures.load(Ordering::Relaxed)),
             (
                 "disk_direct_runs",
                 c.disk_direct_runs.load(Ordering::Relaxed),

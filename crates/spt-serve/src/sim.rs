@@ -5,75 +5,57 @@
 //! This is the *disk* tier: the daemon's in-memory `SimResult` layer (see
 //! [`crate::service`]) probes its sharded LRU first and only falls through
 //! to [`sim_with_cache`], which consults the content-addressed
-//! `.spt-cache/` memo, then trace replay, then direct simulation.
+//! `.spt-cache/` memo and otherwise runs the simulator directly.
 
-use spt_core::{ResourceBudget, TraceSettings};
-use spt_profile::{Interp, NoProfiler, Val};
+use spt_core::TraceSettings;
 use spt_sim::{MachineConfig, SimError, SimResult, SptSimulator};
-use spt_trace::{
-    has_spt_markers, replay_sim, ArtifactCache, CaptureProfiler, LoadOutcome, WatchSet,
-};
+use spt_trace::{ArtifactCache, LoadOutcome};
 
-/// Trace/artifact-cache statistics of the simulation side of a run (the
-/// pipeline's own trace counters live in
-/// [`StageTimings`](spt_core::StageTimings)).
+/// Artifact-store statistics of the simulation side of a run. The name and
+/// the `capture_s`/`replay_s` fields, which always read 0, stay only
+/// because the `sptbench` benchmark reads them.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimTraceStats {
-    /// Simulations served whole from a cached `SimResult` memo.
+    /// Simulations served whole from a stored `SimResult` memo.
     pub memo_hits: u64,
-    /// Replays whose input trace came from the artifact cache.
-    pub trace_hits: u64,
-    /// Traces captured (interpreter run + recording) this call.
-    pub captures: u64,
-    /// Simulations run directly (tracing disabled for the module — e.g. it
-    /// carries SPT markers — or replay fell back).
+    /// Simulations that ran the simulator while the store was enabled.
     pub direct_runs: u64,
-    /// Seconds spent capturing simulation traces.
+    /// Always 0.
     pub capture_s: f64,
-    /// Seconds spent replaying traces through the simulator.
+    /// Always 0.
     pub replay_s: f64,
 }
 
 impl SimTraceStats {
-    /// Artifact-cache hits (memo or trace).
+    /// Simulations served from the store.
     pub fn hits(&self) -> u64 {
-        self.memo_hits + self.trace_hits
+        self.memo_hits
     }
 
-    /// Runs that could not be served from the cache while tracing was on.
+    /// Simulations the store could not serve while it was enabled.
     pub fn misses(&self) -> u64 {
-        self.captures + self.direct_runs
+        self.direct_runs
     }
 
     /// Accumulates `other` into `self`.
     pub fn absorb(&mut self, other: &SimTraceStats) {
         self.memo_hits += other.memo_hits;
-        self.trace_hits += other.trace_hits;
-        self.captures += other.captures;
         self.direct_runs += other.direct_runs;
         self.capture_s += other.capture_s;
         self.replay_s += other.replay_s;
     }
 }
 
-/// Simulates `entry(arg)` of `module` under `machine`, going through the
-/// trace backend when `settings.enabled`:
-///
-/// 1. a content-addressed `SimResult` memo (module hash + entry + args +
-///    machine config) is probed first — an exact repeat costs one file read;
-/// 2. otherwise, for marker-free modules, the run's trace is loaded from the
-///    cache (or captured once and stored) and **replayed** through the
-///    simulator — bit-identical to direct simulation (pinned by
-///    `tests/trace_equivalence.rs`) but shared across machine configs;
-/// 3. SPT-transformed modules (fork/kill markers) and any trace problem fall
-///    back to direct simulation.
-///
-/// With `settings.enabled == false` this is exactly a direct
-/// [`SptSimulator`] run.
+/// Simulates `entry(arg)` of `module` under `machine`. With
+/// `settings.enabled` and a `cache_dir`, a content-addressed `SimResult`
+/// memo (module hash + entry + args + machine config) is probed first — an
+/// exact repeat costs one file read — and a miss runs the simulator and
+/// stores its result. Otherwise this is exactly a direct [`SptSimulator`]
+/// run.
 ///
 /// # Errors
 ///
-/// Whatever the underlying simulation returns; cache/trace problems never
+/// Whatever the underlying simulation returns; store problems never
 /// surface as errors.
 pub fn sim_with_cache(
     module: &spt_ir::Module,
@@ -91,11 +73,11 @@ pub fn sim_with_cache(
 }
 
 /// [`sim_with_cache`] against a caller-owned [`ArtifactCache`] handle (or
-/// none, for capture-and-replay without persistence). The daemon routes
-/// through here with its byte-budgeted handle so every store also enforces
-/// the disk bound and lands in the daemon's eviction counters; the
-/// settings-based wrapper above constructs a transient unbudgeted handle
-/// per call, which is fine for the one-shot harness binaries.
+/// none, for a counted direct run). The daemon routes through here with its
+/// byte-budgeted handle so every store also enforces the disk bound and
+/// lands in the daemon's eviction counters; the settings-based wrapper
+/// above constructs a transient unbudgeted handle per call, which is fine
+/// for the one-shot harness binaries.
 ///
 /// # Errors
 ///
@@ -108,85 +90,17 @@ pub fn sim_with_cache_in(
     cache: Option<&ArtifactCache>,
     stats: &mut SimTraceStats,
 ) -> Result<SimResult, SimError> {
-    let module_hash = module.content_hash();
-    let sim_key = ArtifactCache::sim_key(module_hash, entry, &[arg], machine);
+    let key = ArtifactCache::sim_key(module.content_hash(), entry, &[arg], machine);
     if let Some(cache) = cache {
-        if let LoadOutcome::Hit(hit) = cache.load_sim(sim_key) {
+        if let LoadOutcome::Hit(hit) = cache.load_sim(key) {
             stats.memo_hits += 1;
             return Ok(hit);
         }
     }
-    let result = match replayed_sim(module, module_hash, entry, arg, machine, cache, stats) {
-        Some(r) => r,
-        None => {
-            stats.direct_runs += 1;
-            SptSimulator::with_config(machine.clone()).run(module, entry, &[arg])?
-        }
-    };
+    stats.direct_runs += 1;
+    let result = SptSimulator::with_config(machine.clone()).run(module, entry, &[arg])?;
     if let Some(cache) = cache {
-        cache.store_sim(sim_key, &result);
+        cache.store_sim(key, &result);
     }
     Ok(result)
-}
-
-/// The trace-replay path of [`sim_with_cache`]: `None` means "use direct
-/// simulation" (marker-bearing module, failed capture, or replay error).
-fn replayed_sim(
-    module: &spt_ir::Module,
-    module_hash: u64,
-    entry: &str,
-    arg: i64,
-    machine: &MachineConfig,
-    cache: Option<&ArtifactCache>,
-    stats: &mut SimTraceStats,
-) -> Option<SimResult> {
-    let interp = Interp::new(module);
-    if has_spt_markers(interp.decoded()) {
-        return None;
-    }
-    let entry_id = module.func_by_name(entry)?;
-    let val_args = [Val::from_i64(arg)];
-    let watch = WatchSet::empty();
-    let trace_key = ArtifactCache::trace_key(
-        module_hash,
-        entry,
-        &[val_args[0].0],
-        watch.hash(),
-        ArtifactCache::memory_hash(None),
-    );
-    let cached = match cache.map(|c| c.load_trace(trace_key)) {
-        Some(LoadOutcome::Hit(t)) => {
-            stats.trace_hits += 1;
-            Some(t)
-        }
-        _ => None,
-    };
-    let trace = match cached {
-        Some(t) => t,
-        None => {
-            let t0 = std::time::Instant::now();
-            let mut cap =
-                CaptureProfiler::new(NoProfiler, watch, ResourceBudget::default().trace_max_bytes);
-            let run = interp.run(entry, &val_args, &mut cap).ok()?;
-            let (trace, _) = cap.finish(&run, module_hash, entry, &val_args);
-            let trace = trace?; // over budget: direct fallback
-            stats.captures += 1;
-            stats.capture_s += t0.elapsed().as_secs_f64();
-            if let Some(cache) = cache {
-                cache.store_trace(trace_key, &trace);
-            }
-            trace
-        }
-    };
-    let t0 = std::time::Instant::now();
-    let out = replay_sim(
-        interp.decoded(),
-        entry_id,
-        &trace,
-        machine,
-        interp.initial_memory(),
-    )
-    .ok()?;
-    stats.replay_s += t0.elapsed().as_secs_f64();
-    Some(out)
 }

@@ -94,8 +94,8 @@ fn both_cache_layers_enforce_their_byte_budgets() {
         "sim tier over budget: {stats:?}"
     );
 
-    // Disk tier: traces and memos for 20 programs overflow the budget many
-    // times over; eviction must be counted and the directory must fit.
+    // Disk tier: sim memos and function units for 20 programs overflow the
+    // budget many times over; eviction must be counted and the directory must fit.
     assert!(
         get("disk_budget_evictions") > 0,
         "disk budget evictions must be observable: {stats:?}"

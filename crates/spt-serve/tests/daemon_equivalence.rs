@@ -59,8 +59,8 @@ fn daemon_responses_are_byte_identical_to_local_compiles() {
 
     for name in PROGRAMS {
         let bench = spt_bench_suite::benchmark(name).expect("exists");
-        // The local reference: plain in-process compile, trace backend off —
-        // the daemon's trace-backed tiers must be indistinguishable from it.
+        // The local reference: plain in-process compile, artifact store off —
+        // the daemon's cached tiers must be indistinguishable from it.
         let input = ProfilingInput::new(bench.entry, [bench.train_arg]);
         let local = compile_and_transform(bench.source, &input, &CompilerConfig::best())
             .unwrap_or_else(|e| panic!("{name}: local compile failed: {e}"));

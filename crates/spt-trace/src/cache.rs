@@ -1,24 +1,24 @@
 //! The content-addressed on-disk artifact cache (`.spt-cache/`).
 //!
 //! Artifacts are keyed by a hash over everything that determines their
-//! content: module IR content hash, entry name, arguments, watched-def set,
-//! memory-image override, machine configuration (for simulation memos) and
-//! the trace format version. A key therefore *is* the artifact identity —
-//! files are immutable once written, and any IR or input change produces a
-//! new key rather than invalidating in place.
+//! content: module or function IR content hash, entry name, arguments,
+//! machine configuration (for simulation memos), analysis context (for
+//! function units) and the artifact's format version. A key therefore *is*
+//! the artifact identity — files are immutable once written, and any IR or
+//! input change produces a new key rather than invalidating in place.
 //!
 //! Robustness contract: a missing file is a [`LoadOutcome::Miss`]; any
 //! unreadable, truncated, corrupt or stale-version file is a
-//! [`LoadOutcome::Corrupt`] that callers treat as "warn and fall back to
-//! direct execution" — never a panic, never a poisoned result. A corrupt
-//! file is additionally **evicted on detection**: keys are content
-//! addresses, so the only way a key can hold bad bytes is a torn or damaged
-//! write, and deleting it turns every subsequent probe into a clean
-//! [`LoadOutcome::Miss`] that re-captures and re-stores — one bad file can
-//! never permanently poison its key. Stores are atomic (unique temp file +
-//! rename) so parallel writers and killed processes can only ever leave
-//! whole files or invisible temp droppings, and store errors are silently
-//! ignored (the cache is an accelerator, not a source of truth).
+//! [`LoadOutcome::Corrupt`] that callers treat as a miss: recompute and
+//! store again — never a panic, never a poisoned result. A corrupt file is
+//! additionally **evicted on detection**: keys are content addresses, so
+//! the only way a key can hold bad bytes is a torn or damaged write, and
+//! deleting it turns every subsequent probe into a clean
+//! [`LoadOutcome::Miss`] until the recomputed artifact is stored — one bad
+//! file can never permanently poison its key. Stores are atomic (unique
+//! temp file + rename) so parallel writers and killed processes can only
+//! ever leave whole files or invisible temp droppings, and store errors are
+//! silently ignored (the cache is an accelerator, not a source of truth).
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,10 +28,13 @@ use spt_sim::{LoopSimStats, MachineConfig, SimResult};
 
 use crate::codec::{get_varint, put_varint, Fnv};
 use crate::func_unit::{FuncAnalysisUnit, FUNC_UNIT_FORMAT_VERSION};
-use crate::trace::{Trace, TRACE_FORMAT_VERSION};
 
 /// Magic prefix of simulation-memo artifact files.
 const SIM_MAGIC: &[u8; 8] = b"SPTSIMRS";
+
+/// Bumped on any change to the `SimResult` encoding; folded into every
+/// sim-memo key and written into every memo, so stale-format entries miss.
+const SIM_FORMAT_VERSION: u32 = 1;
 
 /// Uniquifier for temp-file names within one process.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -65,8 +68,8 @@ pub enum LoadOutcome<T> {
     /// No artifact under this key.
     Miss,
     /// An artifact exists but cannot be trusted (truncated, corrupt, stale
-    /// format version, unreadable). Callers warn and fall back to direct
-    /// execution.
+    /// format version, unreadable). The file has been evicted; callers
+    /// recompute and store, exactly as on a miss.
     Corrupt(String),
 }
 
@@ -132,36 +135,13 @@ impl ArtifactCache {
         &self.dir
     }
 
-    /// Key for an interpreter trace: module IR, entry, args, watched-def
-    /// set, initial-memory override and format version all participate.
-    pub fn trace_key(
-        module_hash: u64,
-        entry: &str,
-        args: &[u64],
-        watch_hash: u64,
-        memory_hash: u64,
-    ) -> u64 {
-        let mut h = Fnv::new();
-        h.update(b"trace");
-        h.update_u64(TRACE_FORMAT_VERSION as u64);
-        h.update_u64(module_hash);
-        h.update(entry.as_bytes());
-        h.update_u64(args.len() as u64);
-        for &a in args {
-            h.update_u64(a);
-        }
-        h.update_u64(watch_hash);
-        h.update_u64(memory_hash);
-        h.finish()
-    }
-
     /// Key for a simulation-result memo. The machine configuration enters
     /// through its canonical `Debug` rendering, so any parameter change —
     /// including future fields — changes the key.
     pub fn sim_key(module_hash: u64, entry: &str, args: &[i64], machine: &MachineConfig) -> u64 {
         let mut h = Fnv::new();
         h.update(b"sim");
-        h.update_u64(TRACE_FORMAT_VERSION as u64);
+        h.update_u64(SIM_FORMAT_VERSION as u64);
         h.update_u64(module_hash);
         h.update(entry.as_bytes());
         h.update_u64(args.len() as u64);
@@ -170,22 +150,6 @@ impl ArtifactCache {
         }
         h.update(format!("{machine:?}").as_bytes());
         h.finish()
-    }
-
-    /// Content hash of an initial-memory override (0 when the module's own
-    /// initial image is used).
-    pub fn memory_hash(memory: Option<&[u64]>) -> u64 {
-        match memory {
-            None => 0,
-            Some(m) => {
-                let mut h = Fnv::new();
-                h.update_u64(m.len() as u64);
-                for &w in m {
-                    h.update_u64(w);
-                }
-                h.finish()
-            }
-        }
     }
 
     fn path_for(&self, kind: &str, key: u64) -> PathBuf {
@@ -289,27 +253,6 @@ impl ArtifactCache {
         }
     }
 
-    /// Probe for a trace under `key`.
-    pub fn load_trace(&self, key: u64) -> LoadOutcome<Trace> {
-        let path = self.path_for("trace", key);
-        match self.load_bytes(&path) {
-            LoadOutcome::Hit(bytes) => match Trace::from_bytes(&bytes) {
-                Ok(t) => LoadOutcome::Hit(t),
-                Err(e) => {
-                    self.evict(&path);
-                    LoadOutcome::Corrupt(format!("{}: {e}", path.display()))
-                }
-            },
-            LoadOutcome::Miss => LoadOutcome::Miss,
-            LoadOutcome::Corrupt(e) => LoadOutcome::Corrupt(e),
-        }
-    }
-
-    /// Store a trace under `key`.
-    pub fn store_trace(&self, key: u64, trace: &Trace) {
-        self.store_bytes(&self.path_for("trace", key), &trace.to_bytes());
-    }
-
     /// Probe for a simulation-result memo under `key`.
     pub fn load_sim(&self, key: u64) -> LoadOutcome<SimResult> {
         let path = self.path_for("sim", key);
@@ -391,7 +334,7 @@ pub fn sim_from_bytes(bytes: &[u8]) -> Result<SimResult, String> {
 fn encode_sim(r: &SimResult) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + r.memory.len() * 3);
     out.extend_from_slice(SIM_MAGIC);
-    put_varint(&mut out, TRACE_FORMAT_VERSION as u64);
+    put_varint(&mut out, SIM_FORMAT_VERSION as u64);
     match r.ret {
         Some(v) => {
             out.push(1);
@@ -453,9 +396,9 @@ fn decode_sim(buf: &[u8]) -> Result<SimResult, String> {
     let mut pos = SIM_MAGIC.len();
     let take = |pos: &mut usize| get_varint(body, pos).ok_or("sim memo truncated");
     let version = take(&mut pos)?;
-    if version != TRACE_FORMAT_VERSION as u64 {
+    if version != SIM_FORMAT_VERSION as u64 {
         return Err(format!(
-            "stale sim memo version {version} (expected {TRACE_FORMAT_VERSION})"
+            "stale sim memo version {version} (expected {SIM_FORMAT_VERSION})"
         ));
     }
     let ret = match body.get(pos).copied().ok_or("sim memo truncated")? {
@@ -620,18 +563,6 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_trace_is_evicted_to_miss() {
-        let cache = ArtifactCache::new(temp_dir("corrupt-trace"));
-        let path = cache.path_for("trace", 11);
-        std::fs::create_dir_all(cache.dir()).unwrap();
-        std::fs::write(&path, b"not a trace at all").unwrap();
-        assert!(matches!(cache.load_trace(11), LoadOutcome::Corrupt(_)));
-        assert!(!path.exists(), "corrupt trace should have been deleted");
-        assert!(matches!(cache.load_trace(11), LoadOutcome::Miss));
-        let _ = std::fs::remove_dir_all(cache.dir());
-    }
-
-    #[test]
     fn byte_budget_evicts_least_recently_used_first() {
         let dir = temp_dir("budget");
         let r = sample_sim();
@@ -749,19 +680,14 @@ mod tests {
 
     #[test]
     fn keys_separate_inputs() {
-        let k1 = ArtifactCache::trace_key(1, "main", &[5], 0, 0);
-        assert_ne!(k1, ArtifactCache::trace_key(2, "main", &[5], 0, 0));
-        assert_ne!(k1, ArtifactCache::trace_key(1, "other", &[5], 0, 0));
-        assert_ne!(k1, ArtifactCache::trace_key(1, "main", &[6], 0, 0));
-        assert_ne!(k1, ArtifactCache::trace_key(1, "main", &[5], 1, 0));
-        assert_ne!(k1, ArtifactCache::trace_key(1, "main", &[5], 0, 1));
         let m1 = MachineConfig::default();
         let mut m2 = MachineConfig::default();
         m2.fork_overhead += 1;
-        assert_ne!(
-            ArtifactCache::sim_key(1, "main", &[5], &m1),
-            ArtifactCache::sim_key(1, "main", &[5], &m2)
-        );
+        let k1 = ArtifactCache::sim_key(1, "main", &[5], &m1);
+        assert_ne!(k1, ArtifactCache::sim_key(2, "main", &[5], &m1));
+        assert_ne!(k1, ArtifactCache::sim_key(1, "other", &[5], &m1));
+        assert_ne!(k1, ArtifactCache::sim_key(1, "main", &[6], &m1));
+        assert_ne!(k1, ArtifactCache::sim_key(1, "main", &[5], &m2));
         let f1 = ArtifactCache::func_unit_key(10, 0, 99);
         assert_ne!(f1, ArtifactCache::func_unit_key(11, 0, 99));
         assert_ne!(f1, ArtifactCache::func_unit_key(10, 1, 99));

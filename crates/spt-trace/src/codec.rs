@@ -1,6 +1,7 @@
-//! Byte-level encoding primitives for the on-disk trace format: LEB128
-//! varints, zigzag mapping for signed deltas, and an FNV-1a running hash
-//! used both as the artifact-key mixer and as the file checksum.
+//! Byte-level encoding primitives shared by the artifact store and the
+//! daemon's wire protocol: LEB128 varints, zigzag mapping for signed
+//! values, and an FNV-1a running hash used both as the artifact-key mixer
+//! and as the file checksum.
 
 /// FNV-1a offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

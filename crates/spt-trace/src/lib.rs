@@ -1,41 +1,30 @@
-//! Capture-once / replay-many execution backend.
+//! The content-addressed artifact store and the codecs behind it.
 //!
-//! The pipeline and the bench harnesses execute the *same* program many
-//! times: once to profile, once per candidate configuration to simulate,
-//! and again on every re-run of a bench binary. This crate amortizes that:
+//! The pipeline profiles a program once, directly, and the harnesses and
+//! the compile daemon simulate the same modules again and again. This crate
+//! keeps the *final* products of that work so an exact repeat costs a
+//! lookup instead of a run:
 //!
-//! 1. **Capture** ([`CaptureProfiler`]): one interpreter run records the
-//!    dynamic event streams — taken branch directions, load/store cells,
-//!    watched def values — as a compact, delta-encoded [`Trace`].
-//! 2. **Replay** ([`replay_profile`], [`replay_sim`]): a linear scan of the
-//!    trace re-derives the full profile (every `Profiler` hook in original
-//!    order) or drives the SPT baseline simulator under any
-//!    [`MachineConfig`](spt_sim::MachineConfig), bit-identically to direct
-//!    execution and without re-evaluating any arithmetic.
-//! 3. **Cache** ([`ArtifactCache`]): traces and simulation memos persist in
-//!    a content-addressed directory (`.spt-cache/` by convention), keyed by
-//!    module IR hash + entry + inputs + format version, so repeated runs
-//!    skip capture entirely.
+//! * [`ArtifactCache`] — the on-disk store (`.spt-cache/` by convention):
+//!   whole `SimResult` memos and function-granular pass-1 analysis units
+//!   ([`FuncAnalysisUnit`]), keyed by content hashes so a key *is* the
+//!   artifact's identity;
+//! * [`ShardedLru`] — the sharded, byte-bounded in-memory LRU the daemon
+//!   and the incremental cache put in front of the disk tier;
+//! * [`codec`] — the varint/zigzag/FNV primitives every on-disk and
+//!   on-wire encoding in the workspace shares.
 //!
-//! Correctness is anchored by oracles: `tests/trace_equivalence.rs` at the
-//! workspace root pins replay output bit-identical to `Interp`,
-//! `ReferenceInterp` and `SptSimulator` over the whole benchmark suite.
+//! The crate keeps its historical name: it once also captured and replayed
+//! execution traces, a layer that measured no faster than direct execution
+//! and was removed (DESIGN.md "Profiling and the artifact store").
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cache;
-pub mod capture;
 pub mod codec;
 pub mod func_unit;
 pub mod mem_cache;
-pub mod replay_profile;
-pub mod replay_sim;
-pub mod trace;
 
 pub use cache::{sim_from_bytes, sim_to_bytes, ArtifactCache, CacheCounters, LoadOutcome};
-pub use capture::{svp_watch_set, CaptureProfiler, WatchSet};
 pub use func_unit::{FuncAnalysisUnit, LoopFragment, FUNC_UNIT_FORMAT_VERSION};
 pub use mem_cache::{ShardStats, ShardedLru};
-pub use replay_profile::{replay_profile, ReplayError, ReplayLimits};
-pub use replay_sim::{has_spt_markers, replay_sim};
-pub use trace::{Trace, TraceCursor, TRACE_FORMAT_VERSION};

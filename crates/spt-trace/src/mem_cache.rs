@@ -1,8 +1,8 @@
 //! Sharded, byte-bounded in-memory LRU for hot compilation artifacts.
 //!
 //! The compile daemon keeps decoded frontend modules, whole compiled units
-//! (transformed module + report renderings), captured traces, `SimResult`s
-//! and per-function analysis/emission units *hot* in front of the on-disk
+//! (transformed module + report renderings), `SimResult`s and
+//! per-function analysis/emission units *hot* in front of the on-disk
 //! `.spt-cache/`: a warm probe costs one shard lock and an `Arc` clone
 //! instead of file I/O plus deserialization. Keys are 64-bit content
 //! addresses (FNV over the artifact kind, `Module::content_hash` or

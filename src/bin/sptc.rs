@@ -12,17 +12,18 @@
 //!   --entry NAME                      entry function (default main)
 //!   --arg N                           entry argument (default 100)
 //!   --train N                         profiling argument (default --arg)
-//!   --no-cache                        disable trace capture and the
-//!                                     `.spt-cache/` artifact cache
+//!   --no-cache                        do not read or write the
+//!                                     `.spt-cache/` artifact store
 //!   --daemon SOCKET                   route analyze/compile/sim through a
 //!                                     running sptd instance
 //! ```
 //!
-//! By default the pipeline commands (`analyze`, `compile`, `sim`) run with
-//! the trace backend on: the profiling run is captured once and memoized in
-//! `.spt-cache/`, so re-invoking `sptc` on the same file replays the cached
-//! trace instead of re-interpreting. Results are bit-identical either way;
-//! `--no-cache` forces direct interpretation with no artifacts written.
+//! By default the pipeline commands (`analyze`, `compile`, `sim`) use the
+//! `.spt-cache/` artifact store in the working directory: pass-1 analysis
+//! units are stored there, so re-invoking `sptc` on the same file reuses
+//! them instead of re-running the partition searches. Results are
+//! bit-identical either way; `--no-cache` computes everything and writes
+//! nothing.
 //!
 //! With `--daemon SOCKET` the pipeline commands become thin clients of a
 //! running `sptd`: the compile happens (at most once) in the daemon, and

@@ -1,153 +1,25 @@
-//! Differential oracle for the trace capture/replay backend.
+//! Differential oracle for the artifact store (`.spt-cache/`).
 //!
-//! A trace captured from one interpreter run must (a) leave the inner
-//! profiler of the capturing run bit-identical to an uninstrumented run,
-//! (b) replay into profiles and `InterpResult`s bit-identical to direct
-//! interpretation, and (c) drive the baseline SPT simulator to
-//! `SimResult`s bit-identical to direct simulation under *any* machine
-//! configuration. Every `spt-bench-suite` program goes through all three,
-//! plus the artifact cache's round-trip/corruption contract.
+//! The store keeps function-granular pass-1 analysis units and whole
+//! `SimResult` memos. It may only ever change speed: over every
+//! `spt-bench-suite` program, compiles and simulations with the store off,
+//! cold, warm, or damaged must produce byte-identical reports, modules and
+//! `SimResult`s, and a damaged store must come out of the next run
+//! repaired. The file keeps its historical name; it once pinned trace
+//! replay against direct execution.
 
-use spt::ir::{FuncId, InstId, Module, Ty};
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+
+use spt::bench_suite::Benchmark;
+use spt::ir::Module;
 use spt::pipeline::{
-    compile_and_transform, transform_module_timed, CompilerConfig, ProfilingInput,
+    compile_and_transform, transform_module_timed, CompilerConfig, ProfilingInput, StageTimings,
+    TraceSettings,
 };
-use spt::profile::{Interp, InterpResult, NoProfiler, ProfileCollector, Val};
-use spt::sim::{CacheConfig, MachineConfig, SimResult, SptSimulator};
-use spt::trace::{
-    replay_profile, replay_sim, svp_watch_set, ArtifactCache, CaptureProfiler, LoadOutcome,
-    ReplayError, ReplayLimits, Trace, WatchSet,
-};
-
-/// Captures a trace of `entry(train_arg)` with the given watch set,
-/// profiling into `inner` along the way.
-fn capture<P: spt::profile::Profiler>(
-    module: &Module,
-    entry: &str,
-    arg: i64,
-    watch: WatchSet,
-    inner: P,
-) -> (Trace, P, InterpResult) {
-    let interp = Interp::new(module);
-    let mut cap = CaptureProfiler::new(inner, watch, u64::MAX);
-    let result = interp
-        .run(entry, &[Val::from_i64(arg)], &mut cap)
-        .expect("capture run succeeds");
-    let (trace, inner) = cap.finish(&result, module.content_hash(), entry, &[Val::from_i64(arg)]);
-    (trace.expect("within budget"), inner, result)
-}
-
-fn value_targets_from_watch(watch: &WatchSet) -> Vec<(FuncId, InstId, Ty)> {
-    watch
-        .pairs()
-        .iter()
-        .map(|&(f, i)| (f, i, Ty::I64))
-        .collect()
-}
-
-fn assert_interp_eq(name: &str, a: &InterpResult, b: &InterpResult) {
-    assert_eq!(a.ret, b.ret, "{name}: return value");
-    assert_eq!(a.insts_retired, b.insts_retired, "{name}: insts_retired");
-    assert_eq!(
-        a.weighted_cycles, b.weighted_cycles,
-        "{name}: weighted_cycles"
-    );
-    assert_eq!(a.memory, b.memory, "{name}: memory image");
-}
-
-fn assert_profiles_eq(
-    name: &str,
-    module: &Module,
-    targets: &[(FuncId, InstId, Ty)],
-    got: &ProfileCollector,
-    want: &ProfileCollector,
-) {
-    for func_id in module.func_ids() {
-        let func = module.func(func_id);
-        assert_eq!(
-            got.edges.entry_count(func_id),
-            want.edges.entry_count(func_id),
-            "{name}/{}: entry count",
-            func.name
-        );
-        for bb in func.block_ids() {
-            assert_eq!(
-                got.edges.block_count(func_id, bb),
-                want.edges.block_count(func_id, bb),
-                "{name}/{}: block count {bb}",
-                func.name
-            );
-            for succ in func.successors(bb) {
-                assert_eq!(
-                    got.edges.edge_count(func_id, bb, succ),
-                    want.edges.edge_count(func_id, bb, succ),
-                    "{name}/{}: edge count {bb}->{succ}",
-                    func.name
-                );
-                assert_eq!(
-                    got.edges.edge_prob(func_id, bb, succ).map(f64::to_bits),
-                    want.edges.edge_prob(func_id, bb, succ).map(f64::to_bits),
-                    "{name}/{}: edge prob {bb}->{succ}",
-                    func.name
-                );
-            }
-        }
-    }
-
-    assert_eq!(
-        got.deps.dep_counts_map(),
-        want.deps.dep_counts_map(),
-        "{name}: dep counts"
-    );
-    assert_eq!(
-        got.deps.interproc_deps, want.deps.interproc_deps,
-        "{name}: interprocedural deps"
-    );
-    for func_id in module.func_ids() {
-        let func = module.func(func_id);
-        for i in 0..func.insts.len() {
-            let inst = InstId::new(i);
-            assert_eq!(
-                got.deps.store_count(func_id, inst),
-                want.deps.store_count(func_id, inst),
-                "{name}/{}: store count {inst}",
-                func.name
-            );
-            assert_eq!(
-                got.deps.load_count(func_id, inst),
-                want.deps.load_count(func_id, inst),
-                "{name}/{}: load count {inst}",
-                func.name
-            );
-        }
-    }
-
-    assert_eq!(got.loops.iter(), want.loops.iter(), "{name}: loop stats");
-    assert_eq!(
-        got.loops.total_insts, want.loops.total_insts,
-        "{name}: total insts"
-    );
-    assert_eq!(
-        got.loops.total_cycles, want.loops.total_cycles,
-        "{name}: total cycles"
-    );
-
-    for &(func_id, inst, _) in targets {
-        assert_eq!(
-            got.values.samples(func_id, inst),
-            want.values.samples(func_id, inst),
-            "{name}: value samples for {inst}"
-        );
-        let (gp, gr) = got.values.pattern(func_id, inst);
-        let (wp, wr) = want.values.pattern(func_id, inst);
-        assert_eq!(gp, wp, "{name}: value pattern for {inst}");
-        assert_eq!(
-            gr.to_bits(),
-            wr.to_bits(),
-            "{name}: value-pattern ratio for {inst}"
-        );
-    }
-}
+use spt::serve::{sim_with_cache, SimTraceStats};
+use spt::sim::{MachineConfig, SimResult, SptSimulator};
+use spt::trace::{ArtifactCache, LoadOutcome};
 
 fn assert_sim_eq(name: &str, got: &SimResult, want: &SimResult) {
     assert_eq!(got.ret, want.ret, "{name}: return bits");
@@ -167,187 +39,86 @@ fn assert_sim_eq(name: &str, got: &SimResult, want: &SimResult) {
     );
 }
 
-#[test]
-fn replayed_profiles_match_direct_interpretation_on_every_program() {
-    let mut watched_total = 0usize;
-    for b in spt::bench_suite::suite() {
-        let module = spt::frontend::compile(b.source).expect("compiles");
-        let watch = svp_watch_set(&module);
-        watched_total += watch.pairs().len();
-        let targets = value_targets_from_watch(&watch);
-        let args = [Val::from_i64(b.train_arg)];
-
-        // Direct interpretation with a plain collector: the ground truth.
-        let mut direct_prof = ProfileCollector::with_value_targets(targets.iter().copied());
-        let interp = Interp::new(&module);
-        let direct_r = interp
-            .run(b.entry, &args, &mut direct_prof)
-            .expect("direct interp runs");
-
-        // Capture: the wrapped collector must be unaffected by recording.
-        let (trace, captured_prof, captured_r) = capture(
-            &module,
-            b.entry,
-            b.train_arg,
-            watch.clone(),
-            ProfileCollector::with_value_targets(targets.iter().copied()),
-        );
-        assert_interp_eq(b.name, &captured_r, &direct_r);
-        assert_profiles_eq(b.name, &module, &targets, &captured_prof, &direct_prof);
-
-        // Replay: one linear trace scan must rebuild the identical profile.
-        let mut replay_prof = ProfileCollector::with_value_targets(targets.iter().copied());
-        let replay_r = replay_profile(
-            interp.decoded(),
-            module.func_by_name(b.entry).expect("entry exists"),
-            &trace,
-            &watch,
-            interp.initial_memory(),
-            &mut replay_prof,
-            ReplayLimits::default(),
-        )
-        .expect("replay succeeds");
-        assert_interp_eq(b.name, &replay_r, &direct_r);
-        assert_profiles_eq(b.name, &module, &targets, &replay_prof, &direct_prof);
-    }
-    assert!(
-        watched_total > 0,
-        "suite produced no watched defs: value-profile replay untested"
-    );
+fn temp_store(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("spt-store-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
-#[test]
-fn replayed_simulation_matches_direct_under_every_machine_config() {
-    let tiny_cache = MachineConfig {
-        cache: CacheConfig {
-            l1_sets: 2,
-            l1_ways: 1,
-            l2_sets: 4,
-            l2_ways: 1,
-            ..CacheConfig::default()
-        },
-        ..MachineConfig::default()
+fn store_config(dir: &Path) -> CompilerConfig {
+    let mut config = CompilerConfig::best();
+    config.trace = TraceSettings {
+        enabled: true,
+        cache_dir: Some(dir.to_path_buf()),
     };
-    let zero_penalty = MachineConfig {
-        branch_mispredict_penalty: 0,
-        ..MachineConfig::default()
-    };
-    let big_penalty = MachineConfig {
-        branch_mispredict_penalty: 40,
-        ..MachineConfig::default()
-    };
-    let machines = [
-        MachineConfig::default(),
-        tiny_cache,
-        zero_penalty,
-        big_penalty,
-    ];
+    config
+}
 
-    for b in spt::bench_suite::suite() {
-        let module = spt::frontend::compile(b.source).expect("compiles");
-        let entry_id = module.func_by_name(b.entry).expect("entry exists");
-        let (trace, _, _) = capture(&module, b.entry, b.train_arg, WatchSet::empty(), NoProfiler);
-        let interp = Interp::new(&module);
-        for (mi, machine) in machines.iter().enumerate() {
-            let direct = SptSimulator::with_config(machine.clone())
-                .run(&module, b.entry, &[b.train_arg])
-                .expect("direct sim runs");
-            let replayed = replay_sim(
-                interp.decoded(),
-                entry_id,
-                &trace,
-                machine,
-                interp.initial_memory(),
-            )
-            .expect("sim replay succeeds");
-            assert_sim_eq(&format!("{}/machine{mi}", b.name), &replayed, &direct);
-        }
+/// What one `sptc sim`-style run of a benchmark produces. Simulations use
+/// the training input to keep the test quick.
+struct Run {
+    report: String,
+    module: String,
+    timings: StageTimings,
+    base: SimResult,
+    spt: SimResult,
+    sims: SimTraceStats,
+}
+
+fn run(b: &Benchmark, config: &CompilerConfig) -> Run {
+    let input = ProfilingInput::new(b.entry, [b.train_arg]);
+    let baseline = spt::frontend::compile(b.source).expect("compiles");
+    let mut module = baseline.clone();
+    let (report, timings) = transform_module_timed(&mut module, &input, config)
+        .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+    let machine = MachineConfig::default();
+    let mut sims = SimTraceStats::default();
+    let mut sim = |m: &Module| {
+        sim_with_cache(m, b.entry, b.train_arg, &machine, &config.trace, &mut sims)
+            .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", b.name))
+    };
+    let base = sim(&baseline);
+    let spt = sim(&module);
+    Run {
+        report: format!("{report:?}"),
+        module: format!("{module:?}"),
+        timings,
+        base,
+        spt,
+        sims,
     }
 }
 
-#[test]
-fn transformed_modules_are_refused_not_misreplayed() {
-    // A module carrying SPT fork/kill markers interleaves two cores; the
-    // sequential replayer must refuse it rather than produce wrong numbers.
-    let mut refused = 0usize;
-    for b in spt::bench_suite::suite() {
-        let input = ProfilingInput::new(b.entry, [b.train_arg]);
-        let compiled = compile_and_transform(b.source, &input, &CompilerConfig::best())
-            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
-        if !spt::trace::has_spt_markers(&spt::ir::DecodedModule::new(&compiled.module)) {
-            continue;
-        }
-        refused += 1;
-        let entry_id = compiled.module.func_by_name(b.entry).expect("entry exists");
-        let (trace, _, _) = capture(
-            &compiled.module,
-            b.entry,
-            b.train_arg,
-            WatchSet::empty(),
-            NoProfiler,
-        );
-        let interp = Interp::new(&compiled.module);
-        let err = replay_sim(
-            interp.decoded(),
-            entry_id,
-            &trace,
-            &MachineConfig::default(),
-            interp.initial_memory(),
-        )
-        .expect_err("marker-bearing module must be refused");
-        assert!(matches!(err, ReplayError::Unsupported(_)), "{err}");
-    }
-    assert!(refused > 0, "no transformed module carried SPT markers");
+fn assert_same_results(name: &str, got: &Run, want: &Run) {
+    assert_eq!(got.report, want.report, "{name}: report");
+    assert_eq!(got.module, want.module, "{name}: module");
+    assert_sim_eq(&format!("{name} baseline"), &got.base, &want.base);
+    assert_sim_eq(&format!("{name} SPT"), &got.spt, &want.spt);
+}
+
+/// Every artifact file in the store, by name.
+fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("store exists")
+        .map(|e| e.expect("dir entry").path())
+        .map(|p| {
+            let name = p
+                .file_name()
+                .expect("file name")
+                .to_string_lossy()
+                .into_owned();
+            (name, std::fs::read(&p).expect("readable"))
+        })
+        .collect()
 }
 
 #[test]
 fn artifact_cache_round_trips_and_rejects_damage() {
-    let dir = std::env::temp_dir().join(format!("spt-trace-eq-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = temp_store("round-trip");
     let cache = ArtifactCache::new(&dir);
 
+    // A genuinely speculative run, so the memo carries per-loop stats.
     let b = spt::bench_suite::benchmark("twolf_s").expect("exists");
-    let module = spt::frontend::compile(b.source).expect("compiles");
-    let watch = svp_watch_set(&module);
-    let (trace, _, _) = capture(&module, b.entry, b.train_arg, watch.clone(), NoProfiler);
-
-    let key = ArtifactCache::trace_key(
-        module.content_hash(),
-        b.entry,
-        &[Val::from_i64(b.train_arg).0],
-        watch.hash(),
-        0,
-    );
-    assert!(matches!(cache.load_trace(key), LoadOutcome::Miss));
-    cache.store_trace(key, &trace);
-    match cache.load_trace(key) {
-        LoadOutcome::Hit(loaded) => assert_eq!(loaded, trace, "trace round trip"),
-        other => panic!("expected hit, got {other:?}"),
-    }
-
-    // Corruption, truncation and version-staleness must all surface as
-    // `Corrupt` — warn-and-fallback territory, never a panic.
-    let path = dir.join(format!("trace-{key:016x}.bin"));
-    let good = std::fs::read(&path).expect("cache file exists");
-
-    let mut corrupt = good.clone();
-    let mid = corrupt.len() / 2;
-    corrupt[mid] ^= 0xff;
-    std::fs::write(&path, &corrupt).expect("write");
-    assert!(matches!(cache.load_trace(key), LoadOutcome::Corrupt(_)));
-
-    std::fs::write(&path, &good[..good.len() / 4]).expect("write");
-    assert!(matches!(cache.load_trace(key), LoadOutcome::Corrupt(_)));
-
-    std::fs::write(&path, b"SPTTRACE").expect("write");
-    assert!(matches!(cache.load_trace(key), LoadOutcome::Corrupt(_)));
-
-    // A rewritten store repairs the slot.
-    cache.store_trace(key, &trace);
-    assert!(matches!(cache.load_trace(key), LoadOutcome::Hit(_)));
-
-    // Sim memos round-trip bit-exactly too, including per-loop stats from a
-    // genuinely speculative run.
     let input = ProfilingInput::new(b.entry, [b.train_arg]);
     let compiled = compile_and_transform(b.source, &input, &CompilerConfig::best())
         .unwrap_or_else(|e| panic!("{}: {e}", b.name));
@@ -355,101 +126,126 @@ fn artifact_cache_round_trips_and_rejects_damage() {
     let sim = SptSimulator::with_config(machine.clone())
         .run(&compiled.module, b.entry, &[b.train_arg])
         .expect("sim runs");
-    let sim_key = ArtifactCache::sim_key(
+    assert!(!sim.loops.is_empty(), "twolf_s selected no loop");
+    let key = ArtifactCache::sim_key(
         compiled.module.content_hash(),
         b.entry,
         &[b.train_arg],
         &machine,
     );
-    assert!(matches!(cache.load_sim(sim_key), LoadOutcome::Miss));
-    cache.store_sim(sim_key, &sim);
-    match cache.load_sim(sim_key) {
+    assert!(matches!(cache.load_sim(key), LoadOutcome::Miss));
+    cache.store_sim(key, &sim);
+    match cache.load_sim(key) {
         LoadOutcome::Hit(loaded) => assert_sim_eq("memo round trip", &loaded, &sim),
         other => panic!("expected hit, got {other:?}"),
     }
+
+    // Corruption, truncation and a bare magic must all surface as `Corrupt`
+    // (never a panic) and evict the file, so the next probe is a clean miss.
+    let path = dir.join(format!("sim-{key:016x}.bin"));
+    let good = std::fs::read(&path).expect("memo file exists");
+    let mut corrupt = good.clone();
+    let mid = corrupt.len() / 2;
+    corrupt[mid] ^= 0xff;
+    for damaged in [
+        corrupt,
+        good[..good.len() / 4].to_vec(),
+        b"SPTSIMRS".to_vec(),
+    ] {
+        std::fs::write(&path, &damaged).expect("write");
+        assert!(matches!(cache.load_sim(key), LoadOutcome::Corrupt(_)));
+        assert!(!path.exists(), "damaged memo was not evicted");
+        assert!(matches!(cache.load_sim(key), LoadOutcome::Miss));
+    }
+
+    // A rewritten store repairs the slot.
+    cache.store_sim(key, &sim);
+    assert!(matches!(cache.load_sim(key), LoadOutcome::Hit(_)));
 
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn pipeline_reports_are_unchanged_by_tracing_cold_or_warm() {
-    let dir = std::env::temp_dir().join(format!("spt-trace-pipe-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let mut traced = CompilerConfig::best();
-    traced.trace.enabled = true;
-    traced.trace.cache_dir = Some(dir.clone());
+    let dir = temp_store("cold-warm");
+    let stored = store_config(&dir);
 
     for b in spt::bench_suite::suite() {
-        let input = ProfilingInput::new(b.entry, [b.train_arg]);
-        let baseline = spt::frontend::compile(b.source).expect("compiles");
+        let plain = run(&b, &CompilerConfig::best());
 
-        let mut plain_mod = baseline.clone();
-        let (plain_report, _) =
-            transform_module_timed(&mut plain_mod, &input, &CompilerConfig::best())
-                .unwrap_or_else(|e| panic!("{}: {e}", b.name));
-
-        // Cold: tracing on, empty cache — captures, stores, replays for SVP.
-        let mut cold_mod = baseline.clone();
-        let (cold_report, cold_t) = transform_module_timed(&mut cold_mod, &input, &traced)
-            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
-        assert_eq!(
-            cold_t.trace_cache_hits, 0,
-            "{}: cold run hit the cache",
+        // Cold: empty store — every analysis unit and simulation computed.
+        let cold = run(&b, &stored);
+        assert!(
+            cold.timings.func_analysis_misses > 0,
+            "{}: cold run analyzed nothing",
             b.name
         );
-        assert!(
-            cold_t.trace_cache_misses > 0,
-            "{}: cold run never captured",
-            b.name
-        );
+        assert_eq!(cold.sims.memo_hits, 0, "{}: cold sim hit the store", b.name);
+        assert_eq!(cold.sims.direct_runs, 2, "{}: cold sim runs", b.name);
 
-        // Warm: same compile served from the cache.
-        let mut warm_mod = baseline.clone();
-        let (warm_report, warm_t) = transform_module_timed(&mut warm_mod, &input, &traced)
-            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+        // Warm: every analysis unit and both simulations come from the store.
+        let warm = run(&b, &stored);
         assert!(
-            warm_t.trace_cache_hits > 0,
-            "{}: warm run missed the cache",
+            warm.timings.func_analysis_hits > 0,
+            "{}: warm run missed every analysis unit",
             b.name
         );
         assert_eq!(
-            warm_t.trace_cache_misses, 0,
-            "{}: warm run re-captured",
+            warm.timings.func_analysis_misses, 0,
+            "{}: warm run re-analyzed a function",
+            b.name
+        );
+        assert_eq!(warm.sims.memo_hits, 2, "{}: warm sim memo hits", b.name);
+        assert_eq!(
+            warm.sims.direct_runs, 0,
+            "{}: warm run re-simulated",
             b.name
         );
 
-        // Reports and transformed modules must be byte-identical across all
-        // three paths — tracing is a pure execution-strategy change.
-        let plain = format!("{plain_report:?}");
-        assert_eq!(plain, format!("{cold_report:?}"), "{}: cold report", b.name);
-        assert_eq!(plain, format!("{warm_report:?}"), "{}: warm report", b.name);
-        let plain_ir = format!("{plain_mod:?}");
-        assert_eq!(plain_ir, format!("{cold_mod:?}"), "{}: cold module", b.name);
-        assert_eq!(plain_ir, format!("{warm_mod:?}"), "{}: warm module", b.name);
+        // The store is a pure speed change.
+        assert_same_results(&format!("{} cold", b.name), &cold, &plain);
+        assert_same_results(&format!("{} warm", b.name), &warm, &plain);
     }
 
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn budget_exhaustion_poisons_capture_but_not_the_inner_profiler() {
-    let b = spt::bench_suite::benchmark("parser_s").expect("exists");
-    let module = spt::frontend::compile(b.source).expect("compiles");
-    let args = [Val::from_i64(b.train_arg)];
+fn a_damaged_store_is_repaired_without_changing_any_result() {
+    let dir = temp_store("damaged");
+    let stored = store_config(&dir);
+    let suite = spt::bench_suite::suite();
 
-    let mut direct_prof = ProfileCollector::new();
-    let interp = Interp::new(&module);
-    let direct_r = interp
-        .run(b.entry, &args, &mut direct_prof)
-        .expect("direct runs");
+    let cold: Vec<Run> = suite.iter().map(|b| run(b, &stored)).collect();
+    let warm_store = snapshot(&dir);
+    assert!(
+        warm_store.keys().any(|n| n.starts_with("func-"))
+            && warm_store.keys().any(|n| n.starts_with("sim-")),
+        "store lacks analysis units or sim memos: {:?}",
+        warm_store.keys().collect::<Vec<_>>()
+    );
 
-    // A 64-byte budget is exceeded almost immediately.
-    let mut cap = CaptureProfiler::new(ProfileCollector::new(), WatchSet::empty(), 64);
-    let result = interp.run(b.entry, &args, &mut cap).expect("capture runs");
-    assert!(cap.poisoned(), "tiny budget must poison the capture");
-    let (trace, inner) = cap.finish(&result, module.content_hash(), b.entry, &args);
-    assert!(trace.is_none(), "poisoned capture yields no trace");
-    assert_interp_eq(b.name, &result, &direct_r);
-    assert_profiles_eq(b.name, &module, &[], &inner, &direct_prof);
+    // Flip one byte in every file of the warm store.
+    for (name, bytes) in &warm_store {
+        let mut damaged = bytes.clone();
+        let mid = damaged.len() / 2;
+        damaged[mid] ^= 0x20;
+        std::fs::write(dir.join(name), damaged).expect("write");
+    }
+
+    for (b, want) in suite.iter().zip(&cold) {
+        let got = run(b, &stored);
+        assert_same_results(&format!("{} damaged", b.name), &got, want);
+        assert_eq!(
+            got.sims.memo_hits, 0,
+            "{}: a damaged memo was served",
+            b.name
+        );
+    }
+
+    // Every damaged entry was evicted and stored again: the store holds
+    // exactly the files, byte for byte, it held before the damage.
+    assert_eq!(snapshot(&dir), warm_store, "store not repaired");
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
