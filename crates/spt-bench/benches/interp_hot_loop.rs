@@ -1,11 +1,10 @@
-//! Isolated measurement of the profiling interpreter's hot loop: the fused
-//! superblock tier and the dense pre-decoded engine against the retained
-//! reference (match-per-step) engine, each bare and under the full
-//! four-profiler collector. Engine regressions show up here directly
-//! instead of being averaged into suite wall time.
+//! Isolated measurement of the profiling interpreter's hot loop: the
+//! superblock engine against the retained reference (match-per-step)
+//! engine, each bare and under the full four-profiler collector. Engine
+//! regressions show up here directly instead of being averaged into suite
+//! wall time.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use spt_ir::ExecTier;
 use spt_profile::{Interp, NoProfiler, ProfileCollector, ReferenceInterp, Val};
 use std::hint::black_box;
 
@@ -18,7 +17,7 @@ fn bench_interp_hot_loop(c: &mut Criterion) {
         let bench = spt_bench_suite::benchmark(name).expect("exists");
         let module = spt_frontend::compile(bench.source).expect("compiles");
 
-        g.bench_function(format!("dense/{name}"), |b| {
+        g.bench_function(format!("engine/{name}"), |b| {
             let interp = Interp::new(&module);
             b.iter(|| {
                 black_box(
@@ -38,7 +37,7 @@ fn bench_interp_hot_loop(c: &mut Criterion) {
                 )
             })
         });
-        g.bench_function(format!("dense_profiled/{name}"), |b| {
+        g.bench_function(format!("engine_profiled/{name}"), |b| {
             let interp = Interp::new(&module);
             b.iter(|| {
                 let mut collector = ProfileCollector::new();
@@ -61,34 +60,6 @@ fn bench_interp_hot_loop(c: &mut Criterion) {
                 );
                 black_box(collector)
             })
-        });
-        g.bench_function(format!("super/{name}"), |b| {
-            let interp = Interp::new(&module);
-            spt_ir::set_exec_tier_override(Some(ExecTier::Super));
-            interp.superblock(); // pre-built, so iterations measure execution
-            b.iter(|| {
-                black_box(
-                    interp
-                        .run(bench.entry, &[Val::from_i64(N)], &mut NoProfiler)
-                        .expect("runs"),
-                )
-            });
-            spt_ir::set_exec_tier_override(None);
-        });
-        g.bench_function(format!("super_profiled/{name}"), |b| {
-            let interp = Interp::new(&module);
-            spt_ir::set_exec_tier_override(Some(ExecTier::Super));
-            interp.superblock();
-            b.iter(|| {
-                let mut collector = ProfileCollector::new();
-                black_box(
-                    interp
-                        .run(bench.entry, &[Val::from_i64(N)], &mut collector)
-                        .expect("runs"),
-                );
-                black_box(collector)
-            });
-            spt_ir::set_exec_tier_override(None);
         });
     }
     g.finish();

@@ -1,13 +1,11 @@
 //! Isolated measurement of the two-thread SPT simulator hot loop on
-//! speculative (transformed) modules: the fused superblock tier and the
-//! dense pre-decoded engine against the retained reference engine, plus the
-//! non-speculative baseline for scale. Spec-buffer and cache behavior
-//! dominate here, so this group is the early-warning signal for
-//! simulator-side engine regressions.
+//! speculative (transformed) modules: the superblock engine against the
+//! retained reference engine, plus the non-speculative baseline for scale.
+//! Spec-buffer and cache behavior dominate here, so this group is the
+//! early-warning signal for simulator-side engine regressions.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spt_core::{compile_and_transform, CompilerConfig, ProfilingInput};
-use spt_ir::ExecTier;
 use spt_sim::{ReferenceSimulator, SptSimulator};
 use std::hint::black_box;
 
@@ -21,13 +19,13 @@ fn bench_sim_two_thread(c: &mut Criterion) {
         let input = ProfilingInput::new(bench.entry, [bench.train_arg / 4]);
         let compiled =
             compile_and_transform(bench.source, &input, &CompilerConfig::best()).expect("pipeline");
-        let dense = SptSimulator::new();
+        let engine = SptSimulator::new();
         let reference = ReferenceSimulator::new();
 
-        g.bench_function(format!("dense_spt/{name}"), |b| {
+        g.bench_function(format!("engine_spt/{name}"), |b| {
             b.iter(|| {
                 black_box(
-                    dense
+                    engine
                         .run(&compiled.module, bench.entry, &[N])
                         .expect("runs"),
                 )
@@ -42,36 +40,23 @@ fn bench_sim_two_thread(c: &mut Criterion) {
                 )
             })
         });
-        g.bench_function(format!("dense_baseline/{name}"), |b| {
+        g.bench_function(format!("engine_baseline/{name}"), |b| {
             b.iter(|| {
                 black_box(
-                    dense
+                    engine
                         .run(&compiled.baseline, bench.entry, &[N])
                         .expect("runs"),
                 )
             })
         });
-        g.bench_function(format!("super_spt/{name}"), |b| {
-            spt_ir::set_exec_tier_override(Some(ExecTier::Super));
+        g.bench_function(format!("reference_baseline/{name}"), |b| {
             b.iter(|| {
                 black_box(
-                    dense
-                        .run(&compiled.module, bench.entry, &[N])
-                        .expect("runs"),
-                )
-            });
-            spt_ir::set_exec_tier_override(None);
-        });
-        g.bench_function(format!("super_baseline/{name}"), |b| {
-            spt_ir::set_exec_tier_override(Some(ExecTier::Super));
-            b.iter(|| {
-                black_box(
-                    dense
+                    reference
                         .run(&compiled.baseline, bench.entry, &[N])
                         .expect("runs"),
                 )
-            });
-            spt_ir::set_exec_tier_override(None);
+            })
         });
     }
     g.finish();

@@ -1,7 +1,7 @@
-//! Tier-build cost: `SuperblockModule::build` over every suite program.
+//! Engine-build cost: `SuperblockModule::build` over every suite program.
 //!
-//! The superblock tier is compiled once per `DecodedModule` and then reused
-//! for every run, so its build cost is an up-front tax on cold compiles.
+//! Superblock code is compiled once per `DecodedModule` and then reused for
+//! every run, so its build cost is an up-front tax on cold compiles.
 //! This group tracks that tax directly — discovery, fusion, and constant
 //! folding — so a fusion-rule change that blows up lowering time is caught
 //! here rather than hidden inside suite wall time.

@@ -235,7 +235,7 @@ fn main() -> ExitCode {
             // cross-compile oracles would triple every probe's cost.
             let lean = CheckOptions {
                 check_threads: false,
-                check_tiers: false,
+                check_engines: false,
                 cache_root: None,
                 ..opts.clone()
             };

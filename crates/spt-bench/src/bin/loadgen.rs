@@ -34,7 +34,7 @@
 //! `--digest`, `--no-append`, `--shutdown`
 
 use spt_bench::history::{
-    git_revision, load_history, next_entry_index, peak_rss_kb, write_history,
+    git_revision, load_history, next_entry_index, peak_rss_kb, write_history, ENGINE,
 };
 use spt_serve::{
     serve, Client, CompileReq, CompileService, ReqBody, RespBody, ServiceConfig, SimReq,
@@ -566,7 +566,7 @@ fn main() {
          \"peak_rss_kb\": {}}}",
         next_entry_index(&history),
         git_revision(),
-        format!("{:?}", spt_ir::exec_tier()).to_lowercase(),
+        ENGINE,
         opts.clients,
         quantile_us(&by_kind[KIND_COMPILE], 0.50),
         quantile_us(&by_kind[KIND_COMPILE], 0.99),

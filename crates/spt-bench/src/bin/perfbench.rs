@@ -34,7 +34,7 @@
 //! Incremental scenario: `... --bin perfbench -- --incremental`
 
 use spt_bench::history::{
-    git_revision, json_field, load_history, next_entry_index, peak_rss_kb, write_history,
+    git_revision, json_field, load_history, next_entry_index, peak_rss_kb, write_history, ENGINE,
 };
 use spt_bench::{run_benchmark_timed, TimedBenchmarkRun};
 use spt_core::parallel::set_thread_count_override;
@@ -309,7 +309,7 @@ fn run_incremental(write_history_file: bool) {
          \"digest_equal\": true, \"peak_rss_kb\": {}}}",
         next_entry_index(&history),
         git_revision(),
-        format!("{:?}", spt_ir::exec_tier()).to_lowercase(),
+        ENGINE,
         workload::KERNELS,
         last.func_units_total,
         last.func_analysis_hits,
@@ -461,7 +461,7 @@ fn main() {
          \"per_benchmark_sequential\": [{per_bench}]}}",
         next_entry_index(&history),
         git_revision(),
-        format!("{:?}", spt_ir::exec_tier()).to_lowercase(),
+        ENGINE,
         seq.json(1),
         par.json(threads)
     );

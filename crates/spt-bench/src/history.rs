@@ -6,7 +6,13 @@
 //! strings never contain braces, so brace balancing splits them and
 //! substring scans extract fields. Every entry carries the `entry`, `rev`,
 //! `exec_tier` and `cache_mode` stamps (the checked-in file was migrated to
-//! this one schema once; writers stamp every new entry).
+//! this one schema once; writers stamp every new entry). Entries before the
+//! engines collapsed to one executor name the tier they ran on (`dense` or
+//! `super`); later ones carry [`ENGINE`].
+
+/// The `exec_tier` stamp of new entries: both engines run one superblock
+/// executor.
+pub const ENGINE: &str = "superblock";
 
 /// Splits the objects of a JSON array body by brace balancing (entries are
 /// flat-ish objects written by this tool family; strings never contain

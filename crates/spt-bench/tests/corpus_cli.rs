@@ -10,7 +10,6 @@ fn digest_run() -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_corpus"))
         .args(["--seed", "5", "--count", "3", "--digest"])
         .env_remove("SPT_THREADS")
-        .env_remove("SPT_EXEC_TIER")
         .output()
         .expect("spawn corpus binary");
     assert!(

@@ -31,10 +31,9 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 /// may arm and what outcome the fault-isolation contract promises.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SiteKind {
-    /// The site fires **inside** a `catch_unwind` fault domain (or an
-    /// equivalent degradation hook): a `Panic` action is contained, the
-    /// affected unit degrades (loop left sequential, function dropped to
-    /// the dense tier) and the compile still succeeds.
+    /// The site fires **inside** a `catch_unwind` fault domain: a `Panic`
+    /// action is contained, the affected unit degrades (loop left
+    /// sequential, daemon request failed) and the compile still succeeds.
     Contained,
     /// The site has an error channel: arm an `Error` action and the fault
     /// surfaces as a clean `Result` (a `PipelineError`, or a degradation
@@ -87,11 +86,6 @@ pub fn sites() -> &'static [SiteInfo] {
             name: "pipeline::verify",
             kind: SiteKind::ErrorChannel,
             key_shape: "(unkeyed)",
-        },
-        SiteInfo {
-            name: "superblock::lower",
-            kind: SiteKind::Contained,
-            key_shape: "function name",
         },
         SiteInfo {
             name: "serve::request",

@@ -301,25 +301,6 @@ pub fn transform_module_timed_with(
     Ok(out)
 }
 
-/// Routes the `superblock::lower` fail point into [`spt_ir::superblock`]'s
-/// lowering hook: a `Panic` action fires *inside* the per-function lowering
-/// fault domain, so tests can prove one function degrades to the dense tier
-/// while the rest of the module fuses. An `Error` action also panics
-/// (lowering has no error channel; degradation is the recovery).
-#[cfg(feature = "failpoints")]
-fn superblock_lower_failpoint(name: &str) {
-    if let Some(act) = crate::failpoint::eval("superblock::lower", name) {
-        match act {
-            crate::failpoint::Action::Panic(msg) | crate::failpoint::Action::Error(msg) => {
-                panic!("failpoint superblock::lower [{name}]: {msg}")
-            }
-            crate::failpoint::Action::Delay(ms) => {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-            }
-        }
-    }
-}
-
 /// The pipeline proper, free to leave `module` half-transformed on error —
 /// [`transform_module_timed`] only commits it on success.
 fn transform_scratch(
@@ -328,8 +309,6 @@ fn transform_scratch(
     config: &CompilerConfig,
     cache: Option<&IncrementalCache>,
 ) -> Result<(CompilationReport, StageTimings), PipelineError> {
-    #[cfg(feature = "failpoints")]
-    spt_ir::superblock::set_lower_hook(Some(superblock_lower_failpoint));
     let mut timings = StageTimings::default();
     let mut diags: Vec<Diagnostic> = Vec::new();
     // --- Stage 2: preprocessing.
@@ -355,7 +334,6 @@ fn transform_scratch(
             carriers.iter().map(|c| (c.func, c.carrier, Ty::I64)),
         );
         collect_profile(&interp, input, &mut collector)?;
-        superblock_degradations(module, &interp, &mut diags);
         collector
     };
     collector.values.threshold = config.svp_threshold;
@@ -779,28 +757,6 @@ fn collect_profile(
         None => interp.run(&input.entry, &input.args, profiler)?,
     };
     Ok(())
-}
-
-/// Superblock-tier observability: when the profiling engine runs fused
-/// code, surface every function a lowering fault degraded to the dense
-/// tier. Results are unaffected (the dense tier is exact), so this is a
-/// warning, not an error.
-fn superblock_degradations(module: &Module, interp: &Interp<'_>, diags: &mut Vec<Diagnostic>) {
-    if spt_ir::exec_tier() != spt_ir::ExecTier::Super {
-        return;
-    }
-    for (fid, why) in &interp.superblock().degraded {
-        diags.push(Diagnostic::for_func(
-            Stage::Profile,
-            Severity::Warning,
-            *fid,
-            format!(
-                "superblock lowering of `{}` failed ({why}); \
-                 function degraded to the dense execution tier",
-                module.func(*fid).name
-            ),
-        ));
-    }
 }
 
 /// Pass 1 over every loop of every function. Loop analyses are mutually

@@ -278,59 +278,6 @@ fn error_at_verify_site_surfaces_as_verify_error() {
 }
 
 #[test]
-fn superblock_lowering_panic_degrades_function_to_dense_tier() {
-    let _lock = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let _guard = failpoint::scoped();
-
-    // Both runs profile on the superblock tier; the tier override is
-    // process-global, so restore it before any assertion can exit the test.
-    spt_ir::set_exec_tier_override(Some(spt_ir::ExecTier::Super));
-    let clean = compile();
-    failpoint::set_keyed(
-        "superblock::lower",
-        "kernel",
-        Action::panic("injected lowering fault"),
-    );
-    let injected = with_quiet_panics(compile);
-    spt_ir::set_exec_tier_override(None);
-
-    // The compile succeeded and the degradation is reported, function-scoped.
-    assert!(
-        injected.report.diagnostics.iter().any(|d| {
-            d.stage == Stage::Profile
-                && d.severity == Severity::Warning
-                && d.message.contains("injected lowering fault")
-                && d.message.contains("kernel")
-        }),
-        "missing superblock degradation diagnostic: {:#?}",
-        injected.report.diagnostics
-    );
-
-    // The dense fallback is exact, so every profile-derived loop record is
-    // byte-identical to the uninjected superblock-tier run.
-    assert_eq!(clean.report.loops.len(), injected.report.loops.len());
-    for (c, i) in clean.report.loops.iter().zip(&injected.report.loops) {
-        assert_eq!(
-            format!("{c:?}"),
-            format!("{i:?}"),
-            "loop record diverged under lowering degradation"
-        );
-    }
-    assert_eq!(
-        format!("{:?}", clean.report.selected),
-        format!("{:?}", injected.report.selected)
-    );
-
-    // And the transformed program still computes baseline results.
-    for n in [0i64, 5, 100, 600] {
-        assert_eq!(
-            run_module(&injected.module, n),
-            run_module(&injected.baseline, n)
-        );
-    }
-}
-
-#[test]
 fn svp_panic_is_contained_and_rolled_back() {
     let _lock = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let _guard = failpoint::scoped();

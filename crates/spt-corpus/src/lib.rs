@@ -12,7 +12,7 @@
 //!   divisors, float kernels), plus a token-level mutator for frontend
 //!   hardening;
 //! * [`oracle`] — the five differential oracles checked per module: no
-//!   escaped panic, baseline-vs-transformed semantics, three-way exec-tier
+//!   escaped panic, baseline-vs-transformed semantics, engine-versus-reference
 //!   bit-identity, cache-off/cold/warm report identity, and
 //!   worker-count-invariant reports;
 //! * [`runner`] — shards thousands of modules over

@@ -12,32 +12,35 @@
 //!    baseline's return value and memory image at every check argument
 //!    (the transformed image may *append* SVP predictor globals; the
 //!    baseline prefix must match bit-for-bit).
-//! 4. **Tier identity** — the transformed module's execution is
-//!    bit-identical across the reference, dense, and superblock tiers.
+//! 4. **Engine identity** — the transformed module runs bit-identically on
+//!    each engine and its retained reference: the interpreter against
+//!    `ReferenceInterp` (result, memory image and every profile summary),
+//!    the simulator against `ReferenceSimulator` (every `SimResult` field).
 //! 5. **Report identity** — the `CompilationReport` (via its `Debug`
 //!    rendering, diagnostics included) is byte-identical across
 //!    `SPT_THREADS=1` vs. multi-threaded compiles, and across
 //!    cache-off/cold-cache/warm-cache compiles.
 //!
-//! The exec-tier and worker-count knobs are process-global, so the battery
-//! serializes those two sub-oracles through [`global_state_lock`]; racing
-//! *observers* in other corpus workers are safe precisely because the
-//! properties under test promise the globals do not change results.
+//! The worker-count knob is process-global, so the battery serializes that
+//! sub-oracle through [`global_state_lock`]; racing *observers* in other
+//! corpus workers are safe precisely because the property under test
+//! promises the global does not change results.
 
 use crate::gen::GeneratedProgram;
 use spt_core::diag::panic_message;
 use spt_core::parallel::set_thread_count_override;
 use spt_core::pipeline::{transform_module_timed, PipelineError, ProfilingInput, StageTimings};
 use spt_core::{CompilationReport, CompilerConfig};
-use spt_ir::{set_exec_tier_override, ExecTier, Module};
-use spt_profile::{Interp, NoProfiler, Val};
+use spt_ir::Module;
+use spt_profile::{Interp, NoProfiler, ProfileCollector, ReferenceInterp, Val};
+use spt_sim::{MachineConfig, ReferenceSimulator, SptSimulator};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Serializes every mutation of process-global execution state (exec-tier
-/// override, worker-count override, failpoint registry) across corpus
-/// workers and the sweep.
+/// Serializes every mutation of process-global execution state
+/// (worker-count override, failpoint registry) across corpus workers and the
+/// sweep.
 pub fn global_state_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -56,8 +59,8 @@ pub enum OracleKind {
     CleanFailure,
     /// Transformed result diverged from the baseline.
     Semantics,
-    /// Execution diverged across exec tiers.
-    TierDivergence,
+    /// An engine diverged from its reference.
+    EngineDivergence,
     /// Report diverged across cache-off / cold / warm compiles.
     CacheDivergence,
     /// Report diverged across worker counts.
@@ -71,7 +74,7 @@ impl OracleKind {
             OracleKind::EscapedPanic => "escaped-panic",
             OracleKind::CleanFailure => "clean-failure",
             OracleKind::Semantics => "semantics",
-            OracleKind::TierDivergence => "tier-divergence",
+            OracleKind::EngineDivergence => "engine-divergence",
             OracleKind::CacheDivergence => "cache-divergence",
             OracleKind::ThreadDivergence => "thread-divergence",
         }
@@ -83,7 +86,7 @@ impl OracleKind {
             OracleKind::EscapedPanic,
             OracleKind::CleanFailure,
             OracleKind::Semantics,
-            OracleKind::TierDivergence,
+            OracleKind::EngineDivergence,
             OracleKind::CacheDivergence,
             OracleKind::ThreadDivergence,
         ]
@@ -138,8 +141,8 @@ pub struct CheckOptions {
     pub config: CompilerConfig,
     /// Run the `SPT_THREADS`-invariance oracle (takes the global lock).
     pub check_threads: bool,
-    /// Run the three-tier execution oracle (takes the global lock).
-    pub check_tiers: bool,
+    /// Run the engine-versus-reference execution oracle.
+    pub check_engines: bool,
     /// Run the cache-identity oracle, with per-module cache directories
     /// created under this root. `None` skips the oracle.
     pub cache_root: Option<PathBuf>,
@@ -155,7 +158,7 @@ impl Default for CheckOptions {
         CheckOptions {
             config,
             check_threads: true,
-            check_tiers: true,
+            check_engines: true,
             cache_root: None,
         }
     }
@@ -209,12 +212,54 @@ fn execute(module: &Module, entry: &str, arg: i64) -> Result<(Option<u64>, Vec<u
     })?
 }
 
-/// Restores the exec-tier override on drop.
-struct TierRestore;
-impl Drop for TierRestore {
-    fn drop(&mut self) {
-        set_exec_tier_override(None);
-    }
+/// Runs `entry(arg)` on both engines and their references, containing
+/// panics, and describes the first divergence.
+fn engine_divergence(module: &Module, entry: &str, arg: i64) -> Option<String> {
+    const FUEL: u64 = 200_000_000;
+    catch_unwind(AssertUnwindSafe(|| {
+        let mut interp = Interp::new(module);
+        interp.fuel = FUEL;
+        let mut reference = ReferenceInterp::new(module);
+        reference.fuel = FUEL;
+        let args = [Val::from_i64(arg)];
+        let (mut ep, mut rp) = (ProfileCollector::new(), ProfileCollector::new());
+        let e = interp.run(entry, &args, &mut ep);
+        let r = reference.run(entry, &args, &mut rp);
+        if e != r {
+            return Some(format!("interpreter diverged at arg {arg}: {e:?} vs {r:?}"));
+        }
+        if ep.loops.iter() != rp.loops.iter()
+            || ep.deps.dep_counts_map() != rp.deps.dep_counts_map()
+        {
+            return Some(format!("profiles diverged at arg {arg}"));
+        }
+        if interp.run(entry, &args, &mut NoProfiler) != r {
+            return Some(format!("unprofiled interpreter diverged at arg {arg}"));
+        }
+        let config = MachineConfig {
+            fuel: FUEL,
+            ..MachineConfig::default()
+        };
+        let e = SptSimulator::with_config(config.clone()).run(module, entry, &[arg]);
+        let r = ReferenceSimulator::with_config(config).run(module, entry, &[arg]);
+        let same = match (&e, &r) {
+            (Ok(e), Ok(r)) => {
+                (e.ret, e.cycles, e.insts, &e.memory, &e.loops)
+                    == (r.ret, r.cycles, r.insts, &r.memory, &r.loops)
+                    && e.cache_hit_rate.to_bits() == r.cache_hit_rate.to_bits()
+                    && e.branch_miss_rate.to_bits() == r.branch_miss_rate.to_bits()
+            }
+            (Err(e), Err(r)) => e == r,
+            _ => false,
+        };
+        (!same).then(|| format!("simulator diverged at arg {arg}: {e:?} vs {r:?}"))
+    }))
+    .unwrap_or_else(|payload| {
+        Some(format!(
+            "panic during engine comparison: {}",
+            panic_message(payload.as_ref())
+        ))
+    })
 }
 
 /// Restores the worker-count override on drop.
@@ -285,25 +330,14 @@ pub fn check_program(p: &ProgramUnderTest, opts: &CheckOptions) -> Vec<Failure> 
         }
     }
 
-    // Oracle 4: three-way exec-tier bit-identity on the transformed module.
-    if opts.check_tiers {
-        let _guard = global_state_lock();
-        let _restore = TierRestore;
-        let mut runs = Vec::new();
-        for tier in [ExecTier::Reference, ExecTier::Dense, ExecTier::Super] {
-            set_exec_tier_override(Some(tier));
-            runs.push((tier, execute(&base.module, &p.entry, p.train_arg)));
-        }
-        set_exec_tier_override(None);
-        let (dense_tier, dense) = &runs[1];
-        debug_assert_eq!(*dense_tier, ExecTier::Dense);
-        for (tier, run) in &runs {
-            if run != dense {
-                failures.push(Failure {
-                    kind: OracleKind::TierDivergence,
-                    detail: format!("{tier:?} diverged from Dense at arg {}", p.train_arg),
-                });
-            }
+    // Oracle 4: engine-versus-reference bit-identity on the transformed
+    // module.
+    if opts.check_engines {
+        if let Some(detail) = engine_divergence(&base.module, &p.entry, p.train_arg) {
+            failures.push(Failure {
+                kind: OracleKind::EngineDivergence,
+                detail,
+            });
         }
     }
 

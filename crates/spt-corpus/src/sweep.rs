@@ -15,16 +15,13 @@
 //!   succeeds.
 //!
 //! The failpoint registry is process-global, so the whole sweep holds
-//! [`crate::oracle::global_state_lock`] and runs sequentially. One site
-//! needs special staging: `superblock::lower` only fires while the
-//! superblock tier is lowering, i.e. under an `ExecTier::Super` override.
+//! [`crate::oracle::global_state_lock`] and runs sequentially.
 
 #![cfg(feature = "failpoints")]
 
 use crate::gen::generate;
 use crate::oracle::{check_program, global_state_lock, CheckOptions, Failure, OracleKind};
 use spt_core::failpoint::{self, Action, SiteKind};
-use spt_ir::{set_exec_tier_override, ExecTier};
 
 /// One sweep violation.
 #[derive(Clone, Debug)]
@@ -53,14 +50,6 @@ impl SweepOutcome {
     }
 }
 
-/// Restores the exec-tier override on drop.
-struct TierRestore;
-impl Drop for TierRestore {
-    fn drop(&mut self) {
-        set_exec_tier_override(None);
-    }
-}
-
 /// Sweeps every registered site over `count` seeds starting at
 /// `start_seed`. Call inside [`crate::runner::with_quiet_panic_hook`] —
 /// contained panics are the *point* of the sweep.
@@ -75,18 +64,9 @@ pub fn sweep_failpoints(start_seed: u64, count: usize, opts: &CheckOptions) -> S
         let sweep_opts = CheckOptions {
             config: opts.config.clone(),
             check_threads: false,
-            check_tiers: false,
+            check_engines: false,
             cache_root: None,
         };
-        // The superblock lowering hook only runs while the fused tier is
-        // active.
-        let _tier = if site.name == "superblock::lower" {
-            set_exec_tier_override(Some(ExecTier::Super));
-            Some(TierRestore)
-        } else {
-            None
-        };
-
         for i in 0..count as u64 {
             let seed = start_seed + i;
             let p = generate(seed);
@@ -119,7 +99,6 @@ pub fn sweep_failpoints(start_seed: u64, count: usize, opts: &CheckOptions) -> S
                 }
             }
         }
-        set_exec_tier_override(None);
     }
     outcome
 }

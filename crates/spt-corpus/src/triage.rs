@@ -112,7 +112,7 @@ mod tests {
             detail: "x".into(),
         };
         let b = Failure {
-            kind: OracleKind::TierDivergence,
+            kind: OracleKind::EngineDivergence,
             detail: "x".into(),
         };
         assert_ne!(bucket_of(&a), bucket_of(&b));

@@ -45,7 +45,7 @@ fn reports_are_thread_invariant() {
     for seed in [7u64, 8, 9] {
         let p = generate(seed);
         let opts = CheckOptions {
-            check_tiers: false,
+            check_engines: false,
             cache_root: None,
             ..CheckOptions::default()
         };

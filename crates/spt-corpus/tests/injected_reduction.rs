@@ -39,7 +39,7 @@ fn injected_failure_is_caught_reduced_and_persisted() {
         // the reducer's probes need no cross-compile oracles.
         let opts = CheckOptions {
             check_threads: false,
-            check_tiers: false,
+            check_engines: false,
             cache_root: None,
             ..CheckOptions::default()
         };

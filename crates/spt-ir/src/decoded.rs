@@ -25,6 +25,10 @@
 //! interpreters, including the degenerate ones (non-leading phis are kept as
 //! [`DKind::SkippedPhi`], pre-SSA variable accesses as [`DKind::Unsupported`])
 //! so the engines can reproduce the exact legacy behavior for them.
+//!
+//! The engines do not dispatch on `DKind`: [`crate::superblock`] lowers every
+//! block into the superinstructions they execute, and they read the decoded
+//! blocks, stream positions and loop facts alongside that code.
 
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
@@ -198,7 +202,7 @@ pub enum DKind {
     /// A phi that is *not* in its block's leading phi group. The reference
     /// interpreter silently skips these (no retire, no events); the reference
     /// simulator reports them as malformed when fetched. Both behaviors are
-    /// reproduced by the dense engines.
+    /// reproduced by the superblock engines.
     SkippedPhi,
     /// Pre-SSA `VarLoad`/`VarStore`: rejected with the legacy "requires SSA
     /// form" error when executed.
@@ -277,9 +281,9 @@ pub struct DecodedFunc {
     /// Decoded blocks, indexed by [`BlockId`].
     pub blocks: Box<[DBlock]>,
     /// All block bodies concatenated in block order; each block occupies
-    /// `[DBlock::body_start, DBlock::body_end)`. Per-step fetch reads this
-    /// flat array directly (one bounds compare + one load) instead of
-    /// chasing `blocks[b].body`.
+    /// `[DBlock::body_start, DBlock::body_end)`. A position in this array
+    /// names one instruction of one block: superblock metadata and
+    /// simulator frames track execution by it.
     pub stream: Box<[InstId]>,
     /// Loop and dominator facts.
     pub facts: DLoopFacts,

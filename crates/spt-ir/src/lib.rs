@@ -49,7 +49,6 @@ pub mod passes;
 pub mod printer;
 pub mod ssa;
 pub mod superblock;
-pub mod tier;
 pub mod types;
 pub mod verify;
 
@@ -63,5 +62,4 @@ pub use loops::{Loop, LoopForest, LoopId};
 pub use module::{Block, Function, Global, Module};
 pub use ops::{BinOp, CmpOp, UnOp};
 pub use superblock::{SBlock, SInst, SOpc, SuperblockFunc, SuperblockModule, NO_SLOT};
-pub use tier::{exec_tier, set_exec_tier_override, ExecTier};
 pub use types::Ty;

@@ -1,9 +1,9 @@
 //! Superblock lowering: fused threaded-code compilation of the decoded IR.
 //!
-//! The dense engines ([`crate::DecodedModule`]) dispatch one [`DKind`] per
-//! executed instruction. This module compiles each straight-line block body
-//! once per module into an array of *superinstructions* ([`SInst`]) that the
-//! engines' superblock tiers execute by threaded-code dispatch:
+//! This module compiles every block body once per module into an array of
+//! *superinstructions* ([`SInst`]) that the profiling interpreter and the
+//! SPT simulator execute by threaded-code dispatch. It is their only
+//! executable form:
 //!
 //! * **constant folding** — pure ops whose operands are all immediates
 //!   collapse to a single pre-computed [`SOpc::FoldedDef`];
@@ -12,58 +12,55 @@
 //!   `StoreRI`/…), so the hot dispatch loop never re-discriminates operand
 //!   kinds: an [`SInst`] operand (`a`, `b`, `aux`) is always a value-array
 //!   slot index, and constants live pre-extracted in `imm`;
-//! * **peephole fusion** — the three dominant adjacent pairs (`CmpI64` +
-//!   `Branch`, `Load` + `BinI64`, `BinI64` + `Store`) become single ops
-//!   ([`SOpc::CmpBr`], [`SOpc::LoadBin`], [`SOpc::BinStore`] and their
-//!   immediate forms);
+//! * **peephole fusion** — the dominant adjacent pairs (`CmpI64` + `Branch`,
+//!   `Load` + `BinI64`, `BinI64` + `Store`, address generation, loop
+//!   backedges, arithmetic chains) become single ops ([`SOpc::CmpBr`],
+//!   [`SOpc::LoadBin`], [`SOpc::BinStore`], …);
 //! * **register windows** — when a fused pair's intermediate value has no
 //!   other use in the function (counting every operand, phi-source row and
 //!   context copy), its write to the frame's value array is elided
 //!   ([`NO_SLOT`]): the value flows through the pair in a register instead
-//!   of round-tripping through the slot array. Fused pairs execute
-//!   atomically in the interpreter and main-simulator tiers; the validation
-//!   replay, which may stop mid-pair, rewrites constituent slots
-//!   unconditionally (see `spt-sim`), so an elided slot can never be
-//!   observed stale.
+//!   of round-tripping through the slot array.
+//!
+//! **Lowering is total.** Every instruction of every block lowers: calls
+//! ([`SOpc::Call`], arguments in [`SuperblockFunc::args`]), stray non-leading
+//! phis ([`SOpc::SkipPhi`]), pre-SSA variable accesses
+//! ([`SOpc::Unsupported`]) and constant/constant stores at any address
+//! ([`SOpc::StoreII`]) each become one-constituent ops, and a block whose
+//! body does not end in a terminator (including an empty one) ends in a
+//! [`SOpc::FallOff`] sentinel. Leading phis, however many, lower to one
+//! [`PhiRow`] per predecessor edge; a row records a missing source instead
+//! of refusing it, so each engine reproduces its own runtime behavior for
+//! malformed merges (the interpreter faults, the simulator reads 0).
+//!
+//! **Every stream position is an entry.** [`SuperblockFunc::op_at`] maps
+//! each position of [`DecodedFunc::stream`] to the op that resumes there: an
+//! op start, the next op after an elided constant, or — for the second
+//! instruction of a fused pair — the pair's *tail*, a one-constituent op
+//! emitted right after the pair that reads the first constituent's real
+//! slot. Straight-line execution skips tails; only the simulator's main
+//! thread enters one, when a validation replay stopped between the two
+//! constituents of a pair (the replay writes every constituent's slot
+//! unconditionally, so the tail never reads an elided value).
 //!
 //! The hot [`SInst`] is a 40-byte `Copy` record; the cold per-op metadata
-//! engines need only for accounting and event replay (constituent
-//! [`InstId`]s and static latencies) lives in a parallel [`SMeta`] array.
-//!
-//! **Fallback contract**: a block is lowered only if it is a straight-line
-//! run — no `Call`, no [`DKind::Unsupported`], no stray [`DKind::SkippedPhi`],
-//! at most [`MAX_FUSED_PHIS`] leading phis, exactly one terminator in tail
-//! position, and every constant operand representable in the compact
-//! encoding (a constant store address must fit in `u32`). Irregular blocks
-//! keep `range: None` and the engines execute them on the dense tier,
-//! instruction by instruction, with identical semantics; lowering commits a
-//! block's ops and `op_at` marks only after the whole block lowers, so a
-//! late bail-out leaves no stale state. A panic during one function's
-//! lowering (exercised via the `superblock::lower` failpoint, injected
-//! through [`set_lower_hook`]) degrades that whole function to the dense
-//! tier and is reported in [`SuperblockModule::degraded`] instead of
-//! propagating.
-//!
+//! engines need for accounting and event replay (constituent [`InstId`]s,
+//! static latencies, stream positions) lives in a parallel [`SMeta`] array.
 //! Lowering is purely structural: per-instruction retire order, profiler
 //! events and timing semantics are properties of the executing engine, which
 //! replays them per constituent instruction ([`SMeta::inst`]/[`SMeta::inst2`])
 //! of each fused op. [`SBlock::retires`]/[`SBlock::cycles`] additionally
-//! pre-aggregate a fused block's retirement accounting so non-observing runs
-//! can batch it per block entry.
+//! pre-aggregate a block's retirement accounting so non-observing runs can
+//! batch it per block entry.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::decoded::{DBlock, DInst, DKind, DVal, DecodedFunc, DecodedModule};
 use crate::ids::{BlockId, FuncId, InstId};
 use crate::ops::{BinOp, CmpOp, UnOp};
-use std::sync::Mutex;
 
 /// Slot sentinel: the op defines no slot (or the write is elided because the
 /// fused consumer is the value's only use).
 pub const NO_SLOT: u32 = u32::MAX;
-
-/// Leading-phi cap for fused blocks; phi-heavier merges fall back to the
-/// dense tier.
-pub const MAX_FUSED_PHIS: usize = 16;
 
 /// Flag bit on [`SInst::flags`]: the *swapped* operand order.
 /// For `LoadBin`/`LoadBinImm` the loaded value is the **right** operand of
@@ -87,7 +84,9 @@ pub const F2_OP1_REV: u8 = 16;
 
 /// Superinstruction opcodes. Field usage per opcode is documented on
 /// [`SInst`]. `RR` suffixes read both operands from slots, `Imm` forms carry
-/// one constant in [`SInst::imm`].
+/// one constant in [`SInst::imm`]. Every opcode before [`SOpc::CmpBr`] has
+/// one constituent instruction; `CmpBr` and everything after it are fused
+/// pairs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum SOpc {
@@ -154,8 +153,7 @@ pub enum SOpc {
     StoreRI,
     /// Store value slot `b` to constant address `imm`.
     StoreIR,
-    /// Store constant `imm` to constant address `aux` (blocks whose constant
-    /// address does not fit `u32` stay dense).
+    /// Store the constant `a | b << 32` to constant address `imm`.
     StoreII,
     /// Unconditional jump to `t1`.
     Jump,
@@ -173,6 +171,18 @@ pub enum SOpc {
     SptFork,
     /// `SPT_KILL` marker: tag `imm`.
     SptKill,
+    /// Direct call of function `aux` with the `b` arguments starting at
+    /// [`SuperblockFunc::args`]`[a]`; a returned value lands in `dst`.
+    Call,
+    /// A phi outside its block's leading group: the interpreter skips it
+    /// (no retire, no events), the simulator faults on it.
+    SkipPhi,
+    /// A pre-SSA variable access: both engines fault on it.
+    Unsupported,
+    /// Sentinel ending a block whose body has no terminator: executing it
+    /// faults. Its [`SMeta::pos`] is the block's body end and it has no
+    /// constituent instruction.
+    FallOff,
     /// Fused integer compare (`cmp`, `a`, `b`, def `dst`) feeding a branch
     /// (`t1`/`t2`).
     CmpBr,
@@ -232,6 +242,15 @@ pub enum SOpc {
     Fuse2IRr,
 }
 
+impl SOpc {
+    /// Whether this opcode fuses two constituent instructions (it is then
+    /// followed by its one-constituent tail, see the module docs).
+    #[inline(always)]
+    pub fn is_pair(self) -> bool {
+        self as u8 >= SOpc::CmpBr as u8
+    }
+}
+
 /// One superinstruction: a compact 40-byte `Copy` record. `a`/`b`/`aux` are
 /// always value-array slot indices (constants are pre-extracted into `imm`
 /// by lowering), so the hot loops never re-discriminate operand kinds.
@@ -259,7 +278,7 @@ pub struct SInst {
     /// Second operand slot.
     pub b: u32,
     /// Third slot: `LoadBin*`'s binary-op destination, `BinStore*`'s store
-    /// address, `StoreII`'s (u32-ranged) constant address.
+    /// address, `Call`'s callee.
     pub aux: u32,
     /// Immediate payload (folded bits, specialized-op immediate, parameter
     /// index, or SPT tag).
@@ -291,9 +310,9 @@ impl SInst {
 }
 
 /// Cold per-op metadata, parallel to [`SuperblockFunc::ops`]: the
-/// constituent decoded instructions and their static latencies, read only by
-/// the simulator tiers and the observing interpreter for per-instruction
-/// event replay and accounting.
+/// constituent decoded instructions and their static latencies, read by the
+/// simulator and the stepwise interpreter for per-instruction event replay
+/// and accounting.
 #[derive(Clone, Copy, Debug)]
 pub struct SMeta {
     /// Primary constituent instruction.
@@ -302,7 +321,7 @@ pub struct SMeta {
     pub inst2: InstId,
     /// Stream position of `inst` ([`DecodedFunc::stream`]). The gap to the
     /// previous op's end is the run of elided zero-latency constant defs
-    /// crossed before this op; the simulator retires them here.
+    /// crossed before this op; the engines retire them there.
     pub pos: u32,
     /// Static latency of `inst`.
     pub lat: u32,
@@ -322,30 +341,39 @@ impl SMeta {
     }
 }
 
+/// The leading-phi moves for one incoming edge of a block.
+#[derive(Clone, Debug)]
+pub struct PhiRow {
+    /// The predecessor this row applies to.
+    pub pred: BlockId,
+    /// `(dst_slot, src)` per leading phi, in block order; all sources are
+    /// read before any destination is written. A missing source reads as
+    /// the constant 0 (the simulator's semantics).
+    pub moves: Box<[(u32, DVal)]>,
+    /// The first phi with no source along this edge, if any (the
+    /// interpreter faults on it).
+    pub missing: Option<InstId>,
+}
+
 /// One block's superblock view.
 #[derive(Clone, Debug)]
 pub struct SBlock {
-    /// `[start, end)` into [`SuperblockFunc::ops`], or `None` when the block
-    /// executes on the dense tier (irregular shape; see the module docs).
-    pub range: Option<(u32, u32)>,
-    /// Instructions retired by one entry to a fused block (leading phis +
-    /// body). 0 for dense blocks.
+    /// `[start, end)` into [`SuperblockFunc::ops`]. The last op is the
+    /// block's terminator (or its pair) or a [`SOpc::FallOff`] sentinel.
+    pub range: (u32, u32),
+    /// Instructions the interpreter retires on one entry (leading phis plus
+    /// the body up to its first terminator, stray phis excluded).
     pub retires: u64,
-    /// Summed static latency of one entry to a fused block. 0 for dense
-    /// blocks.
+    /// Summed static latency of the same instructions.
     pub cycles: u64,
-    /// Pre-resolved phi schedules, one per predecessor: entering from
-    /// `preds[k]` performs the moves `(dst_slot, src)` of `phis[k].1`, all
-    /// sources read before any destination is written. Empty when the block
-    /// has no phis; a block whose phi rows cannot be fully resolved at
-    /// build time (entry block, missing source) is left dense so the dense
-    /// arm reproduces the exact runtime error.
-    #[allow(clippy::type_complexity)]
-    pub phis: Vec<(BlockId, Box<[(u32, DVal)]>)>,
+    /// Whether those instructions include a call.
+    pub has_call: bool,
+    /// One phi schedule per predecessor edge, in CFG order; empty when the
+    /// block has no leading phis.
+    pub phis: Box<[PhiRow]>,
     /// `(slot, bits)` of the block's elided region-base constant defs,
-    /// written as raw data on fused entry instead of dispatching. Their
-    /// reads inside fused ops are folded to immediates at build time; the
-    /// slot writes keep every dense-fallback read of the same slots exact.
+    /// written as raw data on block entry instead of dispatching. Their
+    /// reads inside the block's ops are folded to immediates at build time.
     pub consts: Box<[(u32, u64)]>,
 }
 
@@ -354,109 +382,37 @@ pub struct SBlock {
 pub struct SuperblockFunc {
     /// Per-block ranges, indexed by [`BlockId`].
     pub blocks: Box<[SBlock]>,
-    /// All fused ops, grouped per block.
+    /// All ops, grouped per block.
     pub ops: Box<[SInst]>,
     /// Cold constituent metadata, parallel to `ops`.
     pub meta: Box<[SMeta]>,
-    /// Per position of [`DecodedFunc::stream`]: index of the fused op
-    /// starting at that instruction, or `u32::MAX` when none does (dense
-    /// block, or interior of a fused pair). Used by the simulator to
-    /// resynchronize fused execution after a dense stretch.
+    /// Per position of [`DecodedFunc::stream`]: index of the op that resumes
+    /// execution at that instruction (see the module docs).
     pub op_at: Box<[u32]>,
-    /// Set when lowering this function panicked: every block is dense.
-    pub degraded: Option<String>,
+    /// Call arguments, referenced by [`SOpc::Call`] ops.
+    pub args: Box<[DVal]>,
 }
 
-/// The superblock tier's code for a whole module, built once per
+/// The superblock code for a whole module, built once per
 /// [`DecodedModule`].
 #[derive(Clone, Debug)]
 pub struct SuperblockModule {
     /// Per-function code, indexed by [`FuncId`].
     pub funcs: Vec<SuperblockFunc>,
-    /// Functions degraded to the dense tier by a lowering fault, with the
-    /// panic text, in function order.
-    pub degraded: Vec<(FuncId, String)>,
-}
-
-/// Fault-injection hook type: called with each function's name before it is
-/// lowered.
-pub type LowerHook = fn(&str);
-
-static LOWER_HOOK: Mutex<Option<LowerHook>> = Mutex::new(None);
-
-/// Installs (or with `None` removes) a process-wide hook called at the start
-/// of every function's lowering, *inside* the per-function fault domain. The
-/// fault-isolation harness routes the `superblock::lower` failpoint through
-/// this: a panicking hook degrades exactly the function it fires for.
-pub fn set_lower_hook(hook: Option<LowerHook>) {
-    *LOWER_HOOK.lock().unwrap_or_else(|e| e.into_inner()) = hook;
-}
-
-fn lower_hook() -> Option<LowerHook> {
-    *LOWER_HOOK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 impl SuperblockModule {
-    /// Lowers every function of `decoded`. Never panics: a fault while
-    /// lowering one function degrades that function to the dense tier and
-    /// records it in [`SuperblockModule::degraded`].
+    /// Lowers every function of `decoded`.
     pub fn build(decoded: &DecodedModule) -> SuperblockModule {
-        let hook = lower_hook();
-        let mut funcs = Vec::with_capacity(decoded.funcs.len());
-        let mut degraded = Vec::new();
-        for (fi, df) in decoded.funcs.iter().enumerate() {
-            let lowered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if let Some(h) = hook {
-                    h(&df.name);
-                }
-                lower_func(df)
-            }));
-            match lowered {
-                Ok(sf) => funcs.push(sf),
-                Err(payload) => {
-                    let why = panic_text(payload);
-                    degraded.push((FuncId::new(fi), why.clone()));
-                    funcs.push(degraded_func(df, why));
-                }
-            }
+        SuperblockModule {
+            funcs: decoded.funcs.iter().map(lower_func).collect(),
         }
-        SuperblockModule { funcs, degraded }
     }
 
     /// The superblock code for `func`.
     #[inline]
     pub fn func(&self, func: FuncId) -> &SuperblockFunc {
         &self.funcs[func.index()]
-    }
-}
-
-fn degraded_func(df: &DecodedFunc, why: String) -> SuperblockFunc {
-    SuperblockFunc {
-        blocks: df
-            .blocks
-            .iter()
-            .map(|_| SBlock {
-                range: None,
-                retires: 0,
-                cycles: 0,
-                phis: Vec::new(),
-                consts: Box::new([]),
-            })
-            .collect(),
-        ops: Box::new([]),
-        meta: Box::new([]),
-        op_at: vec![u32::MAX; df.stream.len()].into_boxed_slice(),
-        degraded: Some(why),
     }
 }
 
@@ -610,6 +566,10 @@ fn resolve_inst(di: &DInst, cmap: &[Option<u64>]) -> DInst {
             addr: r(*addr),
             val: r(*val),
         },
+        DKind::Call { callee, args } => DKind::Call {
+            callee: *callee,
+            args: args.iter().map(|&a| r(a)).collect(),
+        },
         DKind::Branch {
             cond,
             then_bb,
@@ -628,144 +588,179 @@ fn resolve_inst(di: &DInst, cmap: &[Option<u64>]) -> DInst {
     }
 }
 
-fn lower_func(df: &DecodedFunc) -> SuperblockFunc {
-    let uses = count_uses(df);
-    let cmap = const_map(df);
-    let mut ops: Vec<SInst> = Vec::new();
-    let mut meta: Vec<SMeta> = Vec::new();
-    let mut op_at = vec![u32::MAX; df.stream.len()];
-    let blocks: Box<[SBlock]> = df
-        .blocks
-        .iter()
-        .enumerate()
-        .map(|(bi, b)| {
-            let is_entry = BlockId(bi as u32) == df.entry;
-            lower_block(
-                df, b, is_entry, &uses, &cmap, &mut ops, &mut meta, &mut op_at,
-            )
-        })
-        .collect();
-    SuperblockFunc {
-        blocks,
-        ops: ops.into_boxed_slice(),
-        meta: meta.into_boxed_slice(),
-        op_at: op_at.into_boxed_slice(),
-        degraded: None,
+/// The op/meta/position arrays one function's blocks lower into.
+struct Out {
+    ops: Vec<SInst>,
+    meta: Vec<SMeta>,
+    op_at: Vec<u32>,
+    args: Vec<DVal>,
+}
+
+impl Out {
+    /// Appends an op starting at stream position `pos` (or, for the
+    /// fall-off sentinel, at no position: `None`). Elided constants waiting
+    /// for their next op resume here too.
+    fn push(&mut self, op: SInst, mut m: SMeta, pos: u32, mapped: bool, waiting: &mut Vec<u32>) {
+        let idx = self.ops.len() as u32;
+        for p in waiting.drain(..) {
+            self.op_at[p as usize] = idx;
+        }
+        if mapped {
+            self.op_at[pos as usize] = idx;
+        }
+        m.pos = pos;
+        self.ops.push(op);
+        self.meta.push(m);
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+fn lower_func(df: &DecodedFunc) -> SuperblockFunc {
+    let uses = count_uses(df);
+    let cmap = const_map(df);
+    let mut out = Out {
+        ops: Vec::new(),
+        meta: Vec::new(),
+        op_at: vec![u32::MAX; df.stream.len()],
+        args: Vec::new(),
+    };
+    let blocks: Box<[SBlock]> = df
+        .blocks
+        .iter()
+        .map(|b| lower_block(df, b, &uses, &cmap, &mut out))
+        .collect();
+    SuperblockFunc {
+        blocks,
+        ops: out.ops.into_boxed_slice(),
+        meta: out.meta.into_boxed_slice(),
+        op_at: out.op_at.into_boxed_slice(),
+        args: out.args.into_boxed_slice(),
+    }
+}
+
 fn lower_block(
     df: &DecodedFunc,
     b: &DBlock,
-    is_entry: bool,
     uses: &[u32],
     cmap: &[Option<u64>],
-    ops: &mut Vec<SInst>,
-    meta: &mut Vec<SMeta>,
-    op_at: &mut [u32],
+    out: &mut Out,
 ) -> SBlock {
-    let dense = SBlock {
-        range: None,
-        retires: 0,
-        cycles: 0,
-        phis: Vec::new(),
-        consts: Box::new([]),
+    let phis: Box<[PhiRow]> = if b.phis.is_empty() {
+        Box::new([])
+    } else {
+        b.preds
+            .iter()
+            .zip(b.phi_srcs.iter())
+            .map(|(&pred, row)| PhiRow {
+                pred,
+                moves: b
+                    .phis
+                    .iter()
+                    .zip(row.iter())
+                    .map(|(&phi, src)| {
+                        (phi.0, src.map_or(DVal::Bits(0), |v| resolve_dval(v, cmap)))
+                    })
+                    .collect(),
+                missing: b
+                    .phis
+                    .iter()
+                    .zip(row.iter())
+                    .find(|(_, src)| src.is_none())
+                    .map(|(&phi, _)| phi),
+            })
+            .collect()
     };
-    let body = &b.body;
-    if b.phis.len() > MAX_FUSED_PHIS || body.is_empty() {
-        return dense;
-    }
-    // Pre-resolve the phi rows into per-predecessor move schedules. A row
-    // that cannot be resolved statically (phis in the entry block, or a
-    // missing source) stays dense: the dense arm raises the exact
-    // `Malformed` error the reference engine would.
-    if !b.phis.is_empty() && is_entry {
-        return dense;
-    }
-    let mut phi_scheds = Vec::with_capacity(if b.phis.is_empty() { 0 } else { b.preds.len() });
-    if !b.phis.is_empty() {
-        for (pi, &pred) in b.preds.iter().enumerate() {
-            let mut moves = Vec::with_capacity(b.phis.len());
-            for (k, &i) in b.phis.iter().enumerate() {
-                match b.phi_srcs[pi][k] {
-                    Some(src) => moves.push((i.index() as u32, resolve_dval(src, cmap))),
-                    None => return dense,
-                }
-            }
-            phi_scheds.push((pred, moves.into_boxed_slice()));
-        }
-    }
-    let last = body.len() - 1;
-    for (k, &i) in body.iter().enumerate() {
-        let kind = &df.insts[i.index()].kind;
-        let irregular = matches!(
-            kind,
-            DKind::Call { .. } | DKind::Unsupported | DKind::SkippedPhi
-        ) || (is_terminator(kind) != (k == last));
-        if irregular {
-            return dense;
-        }
-    }
 
-    // Lower into a scratch list first and commit `ops`/`op_at` only when the
-    // whole block lowers: a late bail-out (e.g. an unencodable constant)
-    // must not leave stale op-start marks behind. Zero-latency constant defs
-    // are elided from the dispatch stream: their bits land in `consts`
-    // (written as raw data on fused entry) and their reads were folded to
-    // immediates by `resolve_inst`.
-    let mut tmp: Vec<(usize, SInst, SMeta)> = Vec::with_capacity(body.len());
+    // Zero-latency constant defs are elided from the dispatch stream: their
+    // bits land in `consts` (written as raw data on block entry) and their
+    // reads were folded to immediates by `resolve_inst`. Their positions
+    // resume at the next op, which retires them from the `SMeta::pos` gap.
+    let body = &b.body;
+    let start = out.ops.len() as u32;
     let mut consts: Vec<(u32, u64)> = Vec::new();
-    let mut elided: Vec<usize> = Vec::new();
+    let mut waiting: Vec<u32> = Vec::new();
     let mut k = 0usize;
+    // The instruction at `k`, when the previous step already resolved it.
+    let mut resolved: Option<DInst> = None;
     while k < body.len() {
         let i = body[k];
-        let pos = b.body_start as usize + k;
+        let pos = b.body_start + k as u32;
         let raw = &df.insts[i.index()];
         if let DKind::Const { bits } = raw.kind {
             if raw.latency == 0 {
                 consts.push((i.0, bits));
-                elided.push(pos);
+                waiting.push(pos);
+                resolved = None;
                 k += 1;
                 continue;
             }
         }
-        let di = resolve_inst(raw, cmap);
-        let nx = body
+        let di = resolved.take().unwrap_or_else(|| resolve_inst(raw, cmap));
+        // Only compares, loads and integer binary ops start a pair.
+        let pairable = matches!(
+            di.kind,
+            DKind::CmpI64 { .. } | DKind::Load { .. } | DKind::BinI64 { .. }
+        );
+        let next = body
             .get(k + 1)
+            .filter(|_| pairable)
             .map(|&j| (j, resolve_inst(&df.insts[j.index()], cmap)));
-        let lowered = match fuse_pair(i, &di, nx.as_ref().map(|(j, d)| (*j, d)), uses) {
-            Some(pair) => Some((pair, 2usize)),
-            None => lower_single(i, &di).map(|s| (s, 1usize)),
-        };
-        let Some(((op, mut m), consumed)) = lowered else {
-            return dense;
-        };
-        m.pos = pos as u32;
-        tmp.push((pos, op, m));
-        k += consumed;
-    }
-    let start = ops.len() as u32;
-    // Elided positions forward-map to the next emitted op, so block entries
-    // and mid-block resumes that land on a skipped constant still find the
-    // fused stream; the simulator retires the crossed constants from the
-    // `SMeta::pos` gap.
-    let mut e = 0usize;
-    for (pos, op, m) in tmp {
-        while e < elided.len() && elided[e] < pos {
-            op_at[elided[e]] = ops.len() as u32;
-            e += 1;
+        match next
+            .as_ref()
+            .and_then(|(j, dj)| fuse_pair(i, &di, *j, dj, uses))
+        {
+            Some((op, m)) => {
+                out.push(op, m, pos, true, &mut waiting);
+                // The pair's tail: its second constituent alone, reading the
+                // first constituent's real slot.
+                if let Some((j, dj)) = &next {
+                    let (tail, tm) = lower_single(*j, dj, &mut out.args);
+                    out.push(tail, tm, pos + 1, true, &mut waiting);
+                }
+                k += 2;
+            }
+            None => {
+                let (op, m) = lower_single(i, &di, &mut out.args);
+                out.push(op, m, pos, true, &mut waiting);
+                resolved = next.map(|(_, dj)| dj);
+                k += 1;
+            }
         }
-        op_at[pos] = ops.len() as u32;
-        ops.push(op);
-        meta.push(m);
     }
-    let end = ops.len() as u32;
+    let ends_in_terminator = body
+        .last()
+        .is_some_and(|&i| is_terminator(&df.insts[i.index()].kind));
+    if !ends_in_terminator {
+        let m = SMeta::new(InstId(NO_SLOT), 0);
+        out.push(
+            SInst::new(SOpc::FallOff),
+            m,
+            b.body_end,
+            false,
+            &mut waiting,
+        );
+    }
+    let end = out.ops.len() as u32;
+
+    // Straight-line accounting up to the first terminator (anything after
+    // it never executes); stray phis retire nothing.
+    let live = match body
+        .iter()
+        .position(|&i| is_terminator(&df.insts[i.index()].kind))
+    {
+        Some(t) => &body[..=t],
+        None => &body[..],
+    };
+    let kind = |i: &InstId| &df.insts[i.index()].kind;
     SBlock {
-        range: Some((start, end)),
-        retires: (b.phis.len() + body.len()) as u64,
-        cycles: body.iter().map(|&i| df.insts[i.index()].latency).sum(),
-        phis: phi_scheds,
+        range: (start, end),
+        retires: (b.phis.len()
+            + live
+                .iter()
+                .filter(|i| !matches!(kind(i), DKind::SkippedPhi))
+                .count()) as u64,
+        cycles: live.iter().map(|&i| df.insts[i.index()].latency).sum(),
+        has_call: live.iter().any(|i| matches!(kind(i), DKind::Call { .. })),
+        phis,
         consts: consts.into_boxed_slice(),
     }
 }
@@ -804,13 +799,7 @@ fn agen(rr: SOpc, ri: SOpc, lhs: &DVal, rhs: &DVal) -> Option<SInst> {
 /// (for the slot-write elision) `uses[..] == 1` proves the elided write
 /// unobservable (see the module docs for the mid-pair-stop contract).
 /// Const/const shapes are declined so constant folding applies instead.
-fn fuse_pair(
-    i: InstId,
-    di: &DInst,
-    next: Option<(InstId, &DInst)>,
-    uses: &[u32],
-) -> Option<(SInst, SMeta)> {
-    let (j, dj) = next?;
+fn fuse_pair(i: InstId, di: &DInst, j: InstId, dj: &DInst, uses: &[u32]) -> Option<(SInst, SMeta)> {
     let elide = |slot: InstId| {
         if uses[slot.index()] == 1 {
             NO_SLOT
@@ -1027,48 +1016,31 @@ fn fuse_pair(
     }
 }
 
-/// Folds a pure op with all-immediate operands to its result bits, using the
-/// exact evaluation rules of both engines.
-fn fold_const(kind: &DKind) -> Option<u64> {
-    let bits = |dv: DVal| match dv {
-        DVal::Bits(b) => Some(b),
-        DVal::Slot(_) => None,
-    };
-    Some(match kind {
-        DKind::BinI64 { op, lhs, rhs } => {
-            op.eval_i64(bits(*lhs)? as i64, bits(*rhs)? as i64) as u64
-        }
-        DKind::BinF64 { op, lhs, rhs } => op
-            .eval_f64(f64::from_bits(bits(*lhs)?), f64::from_bits(bits(*rhs)?))
-            .to_bits(),
-        DKind::UnI64 { op, val } => op.eval_i64(bits(*val)? as i64) as u64,
-        DKind::UnF64 { op, val } => op.eval_f64(f64::from_bits(bits(*val)?)).to_bits(),
-        DKind::IntToFloat { val } => ((bits(*val)? as i64) as f64).to_bits(),
-        DKind::FloatToInt { val } => (f64::from_bits(bits(*val)?) as i64) as u64,
-        DKind::CmpI64 { op, lhs, rhs } => {
-            (op.eval_i64(bits(*lhs)? as i64, bits(*rhs)? as i64) as i64) as u64
-        }
-        DKind::CmpF64 { op, lhs, rhs } => {
-            (op.eval_f64(f64::from_bits(bits(*lhs)?), f64::from_bits(bits(*rhs)?)) as i64) as u64
-        }
-        DKind::Copy { val } => bits(*val)?,
-        _ => return None,
-    })
-}
-
-/// Lowers one instruction, or `None` when it has no compact encoding (the
-/// whole block then stays dense).
-fn lower_single(i: InstId, di: &DInst) -> Option<(SInst, SMeta)> {
+/// Lowers one instruction to a one-constituent op. Total: pure ops whose
+/// operands are all immediates fold to [`SOpc::FoldedDef`], and every other
+/// shape has an encoding. Call arguments are appended to `args`.
+fn lower_single(i: InstId, di: &DInst, args: &mut Vec<DVal>) -> (SInst, SMeta) {
     let m = SMeta::new(i, di.latency);
-    if let Some(folded) = fold_const(&di.kind) {
-        let mut s = SInst::new(SOpc::FoldedDef);
-        s.dst = i.0;
-        s.imm = folded;
-        return Some((s, m));
-    }
     let def = |mut s: SInst| {
         s.dst = i.0;
-        Some((s, m))
+        (s, m)
+    };
+    let folded = |bits: u64| {
+        let mut s = SInst::new(SOpc::FoldedDef);
+        s.imm = bits;
+        def(s)
+    };
+    let unary = |opc: SOpc, val: &DVal, fold: &dyn Fn(u64) -> u64| match *val {
+        DVal::Slot(x) => {
+            let mut s = SInst::new(opc);
+            s.a = x;
+            s
+        }
+        DVal::Bits(c) => {
+            let mut s = SInst::new(SOpc::FoldedDef);
+            s.imm = fold(c);
+            s
+        }
     };
     match &di.kind {
         DKind::Param { index } => {
@@ -1088,7 +1060,7 @@ fn lower_single(i: InstId, di: &DInst) -> Option<(SInst, SMeta)> {
             // exact).
             let mut s = SInst::new(SOpc::BinRR);
             s.bin = *op;
-            match (lhs, rhs) {
+            match (*lhs, *rhs) {
                 (DVal::Slot(x), DVal::Slot(y)) => {
                     s.opc = match op {
                         BinOp::Add => SOpc::AddRR,
@@ -1096,8 +1068,8 @@ fn lower_single(i: InstId, di: &DInst) -> Option<(SInst, SMeta)> {
                         BinOp::Mul => SOpc::MulRR,
                         _ => SOpc::BinRR,
                     };
-                    s.a = *x;
-                    s.b = *y;
+                    s.a = x;
+                    s.b = y;
                 }
                 (DVal::Slot(x), DVal::Bits(c)) => {
                     s.opc = match op {
@@ -1106,8 +1078,8 @@ fn lower_single(i: InstId, di: &DInst) -> Option<(SInst, SMeta)> {
                         BinOp::Mul => SOpc::MulImm,
                         _ => SOpc::BinImm,
                     };
-                    s.a = *x;
-                    s.imm = *c;
+                    s.a = x;
+                    s.imm = c;
                 }
                 (DVal::Bits(c), DVal::Slot(y)) => {
                     s.opc = match op {
@@ -1116,163 +1088,146 @@ fn lower_single(i: InstId, di: &DInst) -> Option<(SInst, SMeta)> {
                         BinOp::Mul => SOpc::MulImm,
                         _ => SOpc::BinImmL,
                     };
-                    s.a = *y;
-                    s.imm = *c;
+                    s.a = y;
+                    s.imm = c;
                 }
-                // All-constant operands fold above.
-                (DVal::Bits(_), DVal::Bits(_)) => return None,
+                (DVal::Bits(x), DVal::Bits(y)) => {
+                    return folded(op.eval_i64(x as i64, y as i64) as u64)
+                }
             }
             def(s)
         }
         DKind::BinF64 { op, lhs, rhs } => {
             let mut s = SInst::new(SOpc::BinF64RR);
             s.bin = *op;
-            match (lhs, rhs) {
+            match (*lhs, *rhs) {
                 (DVal::Slot(x), DVal::Slot(y)) => {
-                    s.a = *x;
-                    s.b = *y;
+                    s.a = x;
+                    s.b = y;
                 }
                 (DVal::Slot(x), DVal::Bits(c)) => {
                     s.opc = SOpc::BinF64Imm;
-                    s.a = *x;
-                    s.imm = *c;
+                    s.a = x;
+                    s.imm = c;
                 }
                 (DVal::Bits(c), DVal::Slot(y)) => {
                     s.opc = SOpc::BinF64ImmL;
-                    s.a = *y;
-                    s.imm = *c;
+                    s.a = y;
+                    s.imm = c;
                 }
-                (DVal::Bits(_), DVal::Bits(_)) => return None,
+                (DVal::Bits(x), DVal::Bits(y)) => {
+                    return folded(op.eval_f64(f64::from_bits(x), f64::from_bits(y)).to_bits())
+                }
             }
             def(s)
         }
-        DKind::CmpI64 { op, lhs, rhs } => {
-            let mut s = SInst::new(SOpc::CmpRR);
-            match (lhs, rhs) {
+        DKind::CmpI64 { op, lhs, rhs } | DKind::CmpF64 { op, lhs, rhs } => {
+            let float = matches!(di.kind, DKind::CmpF64 { .. });
+            let (rr, imm) = if float {
+                (SOpc::CmpF64RR, SOpc::CmpF64Imm)
+            } else {
+                (SOpc::CmpRR, SOpc::CmpImm)
+            };
+            let mut s = SInst::new(rr);
+            s.cmp = *op;
+            match (*lhs, *rhs) {
                 (DVal::Slot(x), DVal::Slot(y)) => {
-                    s.cmp = *op;
-                    s.a = *x;
-                    s.b = *y;
+                    s.a = x;
+                    s.b = y;
                 }
                 (DVal::Slot(x), DVal::Bits(c)) => {
-                    s.opc = SOpc::CmpImm;
-                    s.cmp = *op;
-                    s.a = *x;
-                    s.imm = *c;
+                    s.opc = imm;
+                    s.a = x;
+                    s.imm = c;
                 }
                 (DVal::Bits(c), DVal::Slot(y)) => {
-                    s.opc = SOpc::CmpImm;
+                    s.opc = imm;
                     s.cmp = cmp_swapped(*op);
-                    s.a = *y;
-                    s.imm = *c;
+                    s.a = y;
+                    s.imm = c;
                 }
-                (DVal::Bits(_), DVal::Bits(_)) => return None,
-            }
-            def(s)
-        }
-        DKind::CmpF64 { op, lhs, rhs } => {
-            let mut s = SInst::new(SOpc::CmpF64RR);
-            match (lhs, rhs) {
-                (DVal::Slot(x), DVal::Slot(y)) => {
-                    s.cmp = *op;
-                    s.a = *x;
-                    s.b = *y;
+                (DVal::Bits(x), DVal::Bits(y)) => {
+                    let t = if float {
+                        op.eval_f64(f64::from_bits(x), f64::from_bits(y))
+                    } else {
+                        op.eval_i64(x as i64, y as i64)
+                    };
+                    return folded(t as u64);
                 }
-                (DVal::Slot(x), DVal::Bits(c)) => {
-                    s.opc = SOpc::CmpF64Imm;
-                    s.cmp = *op;
-                    s.a = *x;
-                    s.imm = *c;
-                }
-                (DVal::Bits(c), DVal::Slot(y)) => {
-                    s.opc = SOpc::CmpF64Imm;
-                    s.cmp = cmp_swapped(*op);
-                    s.a = *y;
-                    s.imm = *c;
-                }
-                (DVal::Bits(_), DVal::Bits(_)) => return None,
             }
             def(s)
         }
         DKind::UnI64 { op, val } => {
-            let DVal::Slot(x) = val else { return None };
-            let mut s = SInst::new(SOpc::UnI64);
+            let mut s = unary(SOpc::UnI64, val, &|c| op.eval_i64(c as i64) as u64);
             s.un = *op;
-            s.a = *x;
             def(s)
         }
         DKind::UnF64 { op, val } => {
-            let DVal::Slot(x) = val else { return None };
-            let mut s = SInst::new(SOpc::UnF64);
+            let mut s = unary(SOpc::UnF64, val, &|c| {
+                op.eval_f64(f64::from_bits(c)).to_bits()
+            });
             s.un = *op;
-            s.a = *x;
             def(s)
         }
-        DKind::IntToFloat { val } => {
-            let DVal::Slot(x) = val else { return None };
-            let mut s = SInst::new(SOpc::IntToFloat);
-            s.a = *x;
-            def(s)
-        }
-        DKind::FloatToInt { val } => {
-            let DVal::Slot(x) = val else { return None };
-            let mut s = SInst::new(SOpc::FloatToInt);
-            s.a = *x;
-            def(s)
-        }
-        DKind::Copy { val } => {
-            let DVal::Slot(x) = val else { return None };
-            let mut s = SInst::new(SOpc::Copy);
-            s.a = *x;
-            def(s)
-        }
+        DKind::IntToFloat { val } => def(unary(SOpc::IntToFloat, val, &|c| {
+            ((c as i64) as f64).to_bits()
+        })),
+        DKind::FloatToInt { val } => def(unary(SOpc::FloatToInt, val, &|c| {
+            (f64::from_bits(c) as i64) as u64
+        })),
+        DKind::Copy { val } => def(unary(SOpc::Copy, val, &|c| c)),
         DKind::Load { addr } => {
             let mut s = SInst::new(SOpc::Load);
-            match addr {
-                DVal::Slot(x) => s.a = *x,
+            match *addr {
+                DVal::Slot(x) => s.a = x,
                 DVal::Bits(c) => {
                     s.opc = SOpc::LoadImm;
-                    s.imm = *c;
+                    s.imm = c;
                 }
             }
             def(s)
         }
         DKind::Store { addr, val } => {
             let mut s = SInst::new(SOpc::StoreRR);
-            match (addr, val) {
+            match (*addr, *val) {
                 (DVal::Slot(x), DVal::Slot(y)) => {
-                    s.a = *x;
-                    s.b = *y;
+                    s.a = x;
+                    s.b = y;
                 }
                 (DVal::Slot(x), DVal::Bits(c)) => {
                     s.opc = SOpc::StoreRI;
-                    s.a = *x;
-                    s.imm = *c;
+                    s.a = x;
+                    s.imm = c;
                 }
                 (DVal::Bits(c), DVal::Slot(y)) => {
                     s.opc = SOpc::StoreIR;
-                    s.imm = *c;
-                    s.b = *y;
+                    s.imm = c;
+                    s.b = y;
                 }
                 (DVal::Bits(c), DVal::Bits(v)) => {
-                    // The compact form keeps the constant address in `aux`;
-                    // an address outside u32 range stays dense so the dense
-                    // arm raises the exact out-of-bounds fault.
-                    let addr_i = *c as i64;
-                    if !(0..=u32::MAX as i64).contains(&addr_i) {
-                        return None;
-                    }
                     s.opc = SOpc::StoreII;
-                    s.aux = addr_i as u32;
-                    s.imm = *v;
+                    s.imm = c;
+                    s.a = v as u32;
+                    s.b = (v >> 32) as u32;
                 }
             }
-            Some((s, m))
+            (s, m)
+        }
+        DKind::Call {
+            callee,
+            args: cargs,
+        } => {
+            let mut s = SInst::new(SOpc::Call);
+            s.aux = callee.0;
+            s.a = args.len() as u32;
+            s.b = cargs.len() as u32;
+            args.extend_from_slice(cargs);
+            def(s)
         }
         DKind::Jump { target } => {
             let mut s = SInst::new(SOpc::Jump);
             s.t1 = *target;
-            Some((s, m))
+            (s, m)
         }
         DKind::Branch {
             cond,
@@ -1280,47 +1235,43 @@ fn lower_single(i: InstId, di: &DInst) -> Option<(SInst, SMeta)> {
             else_bb,
         } => {
             let mut s = SInst::new(SOpc::Branch);
-            match cond {
-                DVal::Slot(x) => s.a = *x,
+            match *cond {
+                DVal::Slot(x) => s.a = x,
                 DVal::Bits(c) => {
                     s.opc = SOpc::BranchImm;
-                    s.imm = *c;
+                    s.imm = c;
                 }
             }
             s.t1 = *then_bb;
             s.t2 = *else_bb;
-            Some((s, m))
+            (s, m)
         }
-        DKind::Ret { val } => match val {
+        DKind::Ret { val } => match *val {
             Some(DVal::Slot(x)) => {
                 let mut s = SInst::new(SOpc::RetVal);
-                s.a = *x;
-                Some((s, m))
+                s.a = x;
+                (s, m)
             }
             Some(DVal::Bits(c)) => {
                 let mut s = SInst::new(SOpc::RetImm);
-                s.imm = *c;
-                Some((s, m))
+                s.imm = c;
+                (s, m)
             }
-            None => Some((SInst::new(SOpc::RetVoid), m)),
+            None => (SInst::new(SOpc::RetVoid), m),
         },
         DKind::SptFork { tag, target } => {
             let mut s = SInst::new(SOpc::SptFork);
             s.imm = *tag as u64;
             s.t1 = *target;
-            Some((s, m))
+            (s, m)
         }
         DKind::SptKill { tag } => {
             let mut s = SInst::new(SOpc::SptKill);
             s.imm = *tag as u64;
-            Some((s, m))
+            (s, m)
         }
-        DKind::Call { .. } | DKind::Unsupported | DKind::SkippedPhi => {
-            // Unreachable by the block classification; lowering them is a
-            // structural bug, and the per-function fault domain turns the
-            // panic into a dense-tier degradation.
-            panic!("irregular instruction {i} reached superblock lowering")
-        }
+        DKind::SkippedPhi => (SInst::new(SOpc::SkipPhi), m),
+        DKind::Unsupported => (SInst::new(SOpc::Unsupported), m),
     }
 }
 
@@ -1376,6 +1327,54 @@ mod tests {
         m
     }
 
+    /// Every stream position resumes at an op whose metadata starts at or
+    /// after it within the same block, and pair tails resume exactly at the
+    /// pair's second constituent.
+    fn assert_total(decoded: &DecodedModule, sup: &SuperblockModule) {
+        for (df, sf) in decoded.funcs.iter().zip(&sup.funcs) {
+            assert_eq!(sf.meta.len(), sf.ops.len());
+            for (db, sb) in df.blocks.iter().zip(sf.blocks.iter()) {
+                let (start, end) = sb.range;
+                assert!(start < end, "every block has at least one op");
+                let last = sf.ops[end as usize - 1].opc;
+                assert!(
+                    matches!(
+                        last,
+                        SOpc::FallOff
+                            | SOpc::Jump
+                            | SOpc::Branch
+                            | SOpc::BranchImm
+                            | SOpc::RetVal
+                            | SOpc::RetImm
+                            | SOpc::RetVoid
+                    ) || sf.ops[end as usize - 2].opc.is_pair(),
+                    "block ends in a terminator or sentinel: {last:?}"
+                );
+                for pos in db.body_start..db.body_end {
+                    let idx = sf.op_at[pos as usize];
+                    assert!(
+                        start <= idx && idx < end,
+                        "position {pos} resumes in its block"
+                    );
+                    assert!(sf.meta[idx as usize].pos >= pos);
+                }
+                let mut idx = start as usize;
+                while idx < end as usize {
+                    let (s, m) = (&sf.ops[idx], &sf.meta[idx]);
+                    if s.opc.is_pair() {
+                        let tail = &sf.meta[idx + 1];
+                        assert_eq!(tail.inst, m.inst2);
+                        assert_eq!(tail.pos, m.pos + 1);
+                        assert_eq!(sf.op_at[tail.pos as usize] as usize, idx + 1);
+                        idx += 2;
+                    } else {
+                        idx += 1;
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn sinst_stays_compact() {
         // The hot dispatch loop's working set: one 40-byte record per op.
@@ -1388,9 +1387,7 @@ mod tests {
         let m = loop_module();
         let decoded = DecodedModule::new(&m);
         let sup = SuperblockModule::build(&decoded);
-        assert!(sup.degraded.is_empty());
         let sf = sup.func(FuncId::new(0));
-        assert!(sf.degraded.is_none());
         // The header ends in cmp+branch: fused.
         let has_cmpbr = sf
             .ops
@@ -1402,30 +1399,16 @@ mod tests {
             .ops
             .iter()
             .any(|o| o.opc == SOpc::BinImmJump && o.bin == crate::BinOp::Add));
-        // The cold metadata stays parallel to the hot array.
-        assert_eq!(sf.meta.len(), sf.ops.len());
         // Per-block totals match the decoded bodies.
         let df = decoded.func(FuncId::new(0));
         for (bi, sb) in sf.blocks.iter().enumerate() {
             let db = &df.blocks[bi];
-            if sb.range.is_some() {
-                assert_eq!(sb.retires, (db.phis.len() + db.body.len()) as u64);
-                let lat: u64 = db.body.iter().map(|&i| df.insts[i.index()].latency).sum();
-                assert_eq!(sb.cycles, lat);
-            }
+            assert_eq!(sb.retires, (db.phis.len() + db.body.len()) as u64);
+            let lat: u64 = db.body.iter().map(|&i| df.insts[i.index()].latency).sum();
+            assert_eq!(sb.cycles, lat);
+            assert!(!sb.has_call);
         }
-        // op_at marks every op start plus a forward-mapped mark per elided
-        // constant; pair interiors stay MAX.
-        let n_elided: usize = sf.blocks.iter().map(|sb| sb.consts.len()).sum();
-        let n_starts = sf.op_at.iter().filter(|&&x| x != u32::MAX).count();
-        assert_eq!(n_starts, sf.ops.len() + n_elided);
-        let distinct: std::collections::BTreeSet<u32> = sf
-            .op_at
-            .iter()
-            .copied()
-            .filter(|&x| x != u32::MAX)
-            .collect();
-        assert_eq!(distinct.len(), sf.ops.len());
+        assert_total(&decoded, &sup);
     }
 
     #[test]
@@ -1434,17 +1417,21 @@ mod tests {
         let decoded = DecodedModule::new(&m);
         let sup = SuperblockModule::build(&decoded);
         let sf = sup.func(FuncId::new(0));
-        let cmpbr = sf
+        let at = sf
             .ops
             .iter()
-            .find(|o| matches!(o.opc, SOpc::CmpBr | SOpc::CmpBrImm))
+            .position(|o| matches!(o.opc, SOpc::CmpBr | SOpc::CmpBrImm))
             .expect("fused cmp+branch");
-        // The comparison feeds only the branch, so its slot write is elided.
-        assert_eq!(cmpbr.dst, NO_SLOT);
+        // The comparison feeds only the branch, so its slot write is elided,
+        // and the tail branches on the comparison's real slot.
+        assert_eq!(sf.ops[at].dst, NO_SLOT);
+        let tail = &sf.ops[at + 1];
+        assert_eq!(tail.opc, SOpc::Branch);
+        assert_eq!(tail.a, sf.meta[at].inst.0);
     }
 
     #[test]
-    fn blocks_with_calls_stay_dense() {
+    fn blocks_with_calls_lower() {
         let mut m = Module::new();
         let mut cal = FuncBuilder::new("leaf", vec![("x".into(), Ty::I64)], Some(Ty::I64));
         let x = cal.param(0);
@@ -1453,16 +1440,72 @@ mod tests {
         let leaf = m.add_func(cal.finish());
         let mut b = FuncBuilder::new("main", vec![("n".into(), Ty::I64)], Some(Ty::I64));
         let n = b.param(0);
-        let r = b.call(leaf, vec![n], Some(Ty::I64)).expect("call");
+        let r = b
+            .call(leaf, vec![n, Operand::const_i64(7)], Some(Ty::I64))
+            .expect("call");
         b.ret(Some(r));
         m.add_func(b.finish());
         let decoded = DecodedModule::new(&m);
         let sup = SuperblockModule::build(&decoded);
         let caller = sup.func(FuncId::new(1));
-        assert!(caller.blocks.iter().all(|sb| sb.range.is_none()));
-        // The leaf itself is straight-line and fuses.
-        let leaf_sf = sup.func(FuncId::new(0));
-        assert!(leaf_sf.blocks.iter().any(|sb| sb.range.is_some()));
+        assert!(caller.blocks[0].has_call);
+        let call = caller
+            .ops
+            .iter()
+            .find(|o| o.opc == SOpc::Call)
+            .expect("call op");
+        assert_eq!(call.aux, leaf.0);
+        let args = &caller.args[call.a as usize..(call.a + call.b) as usize];
+        assert_eq!(args[1], DVal::Bits(7));
+        assert_total(&decoded, &sup);
+    }
+
+    #[test]
+    fn irregular_blocks_lower() {
+        // 20 leading phis, a phi row with a missing source, an out-of-range
+        // constant store and a block that falls off its end.
+        let mut b = FuncBuilder::new("irregular", vec![], Some(Ty::I64));
+        let entry = b.entry();
+        let merge = b.add_block();
+        let dead = b.add_block();
+        b.switch_to(entry);
+        b.jump(merge);
+        b.switch_to(merge);
+        let mut phis = Vec::new();
+        for k in 0..20 {
+            phis.push(b.phi(Ty::I64, vec![(entry, Operand::const_i64(k))]));
+        }
+        let orphan = b.phi(Ty::I64, vec![(dead, Operand::const_i64(1))]);
+        b.store(
+            Operand::const_i64(-5),
+            Operand::const_i64(i64::MIN + 3),
+            crate::ids::RegionId::UNKNOWN,
+        );
+        b.ret(Some(orphan));
+        b.switch_to(dead);
+        let _ = b.binary(BinOp::Add, phis[0], Operand::const_i64(1));
+        let mut m = Module::new();
+        m.add_func(b.finish());
+        let decoded = DecodedModule::new(&m);
+        let sup = SuperblockModule::build(&decoded);
+        let sf = sup.func(FuncId::new(0));
+        let merge_sb = &sf.blocks[merge.index()];
+        assert_eq!(merge_sb.phis.len(), 1);
+        assert_eq!(merge_sb.phis[0].moves.len(), 21);
+        assert_eq!(merge_sb.phis[0].missing, orphan.as_inst());
+        let store = sf
+            .ops
+            .iter()
+            .find(|o| o.opc == SOpc::StoreII)
+            .expect("const/const store");
+        assert_eq!(store.imm as i64, -5);
+        assert_eq!(
+            u64::from(store.a) | (u64::from(store.b) << 32),
+            (i64::MIN + 3) as u64
+        );
+        let (_, end) = sf.blocks[dead.index()].range;
+        assert_eq!(sf.ops[end as usize - 1].opc, SOpc::FallOff);
+        assert_total(&decoded, &sup);
     }
 
     #[test]
@@ -1505,27 +1548,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn lowering_panic_degrades_only_that_function() {
-        let m = loop_module();
-        let decoded = DecodedModule::new(&m);
-        set_lower_hook(Some(|name| {
-            if name == "f" {
-                panic!("injected lowering fault");
-            }
-        }));
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let sup = SuperblockModule::build(&decoded);
-        std::panic::set_hook(prev);
-        set_lower_hook(None);
-        assert_eq!(sup.degraded.len(), 1);
-        assert_eq!(sup.degraded[0].0, FuncId::new(0));
-        assert!(sup.degraded[0].1.contains("injected"));
-        let sf = sup.func(FuncId::new(0));
-        assert!(sf.degraded.is_some());
-        assert!(sf.blocks.iter().all(|sb| sb.range.is_none()));
     }
 }

@@ -7,21 +7,20 @@
 //! see DESIGN.md) and also produces the reference outputs that the SPT
 //! simulator's results are validated against.
 //!
-//! The hot loop executes the module's pre-decoded form
-//! ([`spt_ir::DecodedModule`]): one flat opcode per instruction with operands
-//! resolved to value slots or constant bits, per-edge phi-source rows, and
-//! dense loop-membership facts. Results — return value, retired counts,
-//! weighted cycles, memory image and the full profiler event stream — are
-//! bit-identical to the retained [`crate::reference::ReferenceInterp`]
-//! oracle; `tests/engine_equivalence.rs` pins that equivalence over the whole
-//! bench suite.
+//! Every run executes the module's superblock code
+//! ([`spt_ir::SuperblockModule`], built once per interpreter from the
+//! pre-decoded [`spt_ir::DecodedModule`]); the executor lives in
+//! `fused.rs`. Results — return value, retired counts, weighted cycles,
+//! memory image and the full profiler event stream — are bit-identical to
+//! the retained [`crate::reference::ReferenceInterp`] oracle;
+//! `tests/engine_equivalence.rs` pins that equivalence over the whole bench
+//! suite.
 
-use spt_ir::decoded::{DKind, DVal, DecodedFunc, DecodedModule};
+use spt_ir::decoded::{DVal, DecodedFunc, DecodedModule};
 use spt_ir::loops::LoopId;
 use spt_ir::superblock::SuperblockModule;
-use spt_ir::{BlockId, Cfg, DomTree, ExecTier, FuncId, InstId, LoopForest, Module};
+use spt_ir::{BlockId, Cfg, DomTree, FuncId, InstId, LoopForest, Module};
 use std::fmt;
-use std::sync::OnceLock;
 
 /// A dynamic value: raw 64 bits, interpreted per the defining instruction's
 /// type.
@@ -134,9 +133,9 @@ pub enum LoopEvent {
 #[allow(unused_variables)]
 pub trait Profiler {
     /// Whether this profiler observes events at all. When `false` (only
-    /// [`NoProfiler`] sets it), the superblock tier skips hook delivery and
+    /// [`NoProfiler`] sets it), the interpreter skips hook delivery and
     /// loop-stack maintenance entirely and batches retirement accounting per
-    /// fused block — results stay bit-identical because no observer exists.
+    /// block — results stay bit-identical because no observer exists.
     /// Profilers that collect anything must leave this `true`.
     const OBSERVES: bool = true;
 
@@ -173,13 +172,6 @@ pub trait Profiler {
     /// A value-producing instruction defined `value`.
     fn on_def(&mut self, func: FuncId, inst: InstId, value: Val, loops: &[LoopActivation]) {}
 
-    /// A conditional branch resolved its direction (`taken` = the `then`
-    /// target was chosen). Fired before the branch retires; `on_block`
-    /// reports the resulting transfer separately. Trace capture consumes
-    /// this — `on_block` alone cannot recover the direction when both
-    /// branch targets are the same block.
-    fn on_branch(&mut self, func: FuncId, inst: InstId, taken: bool) {}
-
     /// A loop transition occurred in `func`.
     fn on_loop(&mut self, func: FuncId, event: LoopEvent, loops: &[LoopActivation]) {}
 
@@ -215,8 +207,8 @@ pub struct Interp<'m> {
     pub(crate) module: &'m Module,
     infos: Vec<FuncInfo>,
     pub(crate) decoded: DecodedModule,
-    /// Superblock-tier code, built lazily on first superblock-tier run.
-    sup: OnceLock<SuperblockModule>,
+    /// The executable form of `decoded`.
+    sup: SuperblockModule,
     /// Base cell address of each region.
     pub region_bases: Vec<usize>,
     memory_size: usize,
@@ -251,8 +243,9 @@ pub(crate) fn dval(dv: DVal, values: &[Val]) -> Val {
 }
 
 impl<'m> Interp<'m> {
-    /// Prepares an interpreter for `module`: per-function analyses plus the
-    /// decoded execution form, both computed once and shared by every run.
+    /// Prepares an interpreter for `module`: per-function analyses, the
+    /// decoded form and its superblock code, all computed once and shared by
+    /// every run.
     pub fn new(module: &'m Module) -> Self {
         let (region_bases, memory_size) = module.memory_layout();
         let mut infos = Vec::with_capacity(module.funcs.len());
@@ -269,11 +262,12 @@ impl<'m> Interp<'m> {
             region_bases: region_bases.clone(),
             memory_size,
         };
+        let sup = SuperblockModule::build(&decoded);
         Interp {
             module,
             infos,
             decoded,
-            sup: OnceLock::new(),
+            sup,
             region_bases,
             memory_size,
             fuel: 500_000_000,
@@ -281,11 +275,9 @@ impl<'m> Interp<'m> {
         }
     }
 
-    /// The module's superblock-tier code, built on first use and shared by
-    /// every superblock-tier run.
+    /// The module's superblock code, which every run executes.
     pub fn superblock(&self) -> &SuperblockModule {
-        self.sup
-            .get_or_init(|| SuperblockModule::build(&self.decoded))
+        &self.sup
     }
 
     /// The analysis info for a function.
@@ -340,13 +332,6 @@ impl<'m> Interp<'m> {
         memory: Vec<u64>,
         profiler: &mut P,
     ) -> Result<InterpResult, InterpError> {
-        let tier = spt_ir::exec_tier();
-        if tier == ExecTier::Reference {
-            let mut oracle = crate::reference::ReferenceInterp::new(self.module);
-            oracle.fuel = self.fuel;
-            oracle.max_depth = self.max_depth;
-            return oracle.run_with_memory(name, args, memory, profiler);
-        }
         let func = self
             .module
             .func_by_name(name)
@@ -361,231 +346,13 @@ impl<'m> Interp<'m> {
             frame_pool: Vec::new(),
             phi_scratch: Vec::new(),
         };
-        let ret = if tier == ExecTier::Super {
-            self.call_fused(self.superblock(), func, args, &mut state, 0)?
-        } else {
-            self.call(func, args, &mut state, 0)?
-        };
+        let ret = self.call(func, args, &mut state, 0)?;
         Ok(InterpResult {
             ret,
             insts_retired: state.insts_retired,
             weighted_cycles: state.weighted_cycles,
             memory: state.memory,
         })
-    }
-
-    fn call<P: Profiler>(
-        &self,
-        func_id: FuncId,
-        args: &[Val],
-        state: &mut RunState<'_, P>,
-        depth: usize,
-    ) -> Result<Option<Val>, InterpError> {
-        if depth >= self.max_depth {
-            return Err(InterpError::StackOverflow);
-        }
-        let df = self.decoded.func(func_id);
-        let mut values: Vec<Val> = state.frame_pool.pop().unwrap_or_default();
-        values.clear();
-        values.resize(df.num_values(), Val(0));
-        let mut loop_stack: Vec<LoopActivation> = Vec::new();
-
-        let mut block = df.entry;
-        let mut from: Option<BlockId> = None;
-        state.profiler.on_block(func_id, None, block);
-
-        'blocks: loop {
-            // Loop bookkeeping for the transfer `from -> block`.
-            self.update_loops(func_id, df, from, block, &mut loop_stack, state);
-
-            let b = &df.blocks[block.index()];
-
-            // Phase 1: evaluate leading phis atomically against the incoming
-            // edge, then commit.
-            if !b.phis.is_empty() {
-                let Some(pred) = from else {
-                    return Err(InterpError::Malformed(format!(
-                        "phi {} in entry block of {}",
-                        b.phis[0], df.name
-                    )));
-                };
-                let srcs = match b.preds.iter().position(|&p| p == pred) {
-                    Some(pi) => &b.phi_srcs[pi],
-                    None => {
-                        return Err(InterpError::Malformed(format!(
-                            "phi {} missing arg for pred {pred}",
-                            b.phis[0]
-                        )))
-                    }
-                };
-                state.phi_scratch.clear();
-                for (k, &i) in b.phis.iter().enumerate() {
-                    let Some(src) = srcs[k] else {
-                        return Err(InterpError::Malformed(format!(
-                            "phi {i} missing arg for pred {pred}"
-                        )));
-                    };
-                    let v = dval(src, &values);
-                    state.phi_scratch.push((i, v));
-                }
-                for k in 0..state.phi_scratch.len() {
-                    let (i, v) = state.phi_scratch[k];
-                    values[i.index()] = v;
-                    state.profiler.on_def(func_id, i, v, &loop_stack);
-                    self.retire(func_id, i, 0, &loop_stack, state)?;
-                }
-            }
-
-            // Phase 2: execute the block body.
-            for &i in b.body.iter() {
-                let di = &df.insts[i.index()];
-                let latency = di.latency;
-                match &di.kind {
-                    DKind::Param { index } => {
-                        let v = args.get(*index as usize).copied().unwrap_or(Val(0));
-                        values[i.index()] = v;
-                    }
-                    DKind::BinI64 { op, lhs, rhs } => {
-                        let a = dval(*lhs, &values);
-                        let b2 = dval(*rhs, &values);
-                        let v = Val::from_i64(op.eval_i64(a.as_i64(), b2.as_i64()));
-                        values[i.index()] = v;
-                        state.profiler.on_def(func_id, i, v, &loop_stack);
-                    }
-                    DKind::BinF64 { op, lhs, rhs } => {
-                        let a = dval(*lhs, &values);
-                        let b2 = dval(*rhs, &values);
-                        let v = Val::from_f64(op.eval_f64(a.as_f64(), b2.as_f64()));
-                        values[i.index()] = v;
-                        state.profiler.on_def(func_id, i, v, &loop_stack);
-                    }
-                    DKind::UnI64 { op, val } => {
-                        let v = Val::from_i64(op.eval_i64(dval(*val, &values).as_i64()));
-                        values[i.index()] = v;
-                        state.profiler.on_def(func_id, i, v, &loop_stack);
-                    }
-                    DKind::UnF64 { op, val } => {
-                        let v = Val::from_f64(op.eval_f64(dval(*val, &values).as_f64()));
-                        values[i.index()] = v;
-                        state.profiler.on_def(func_id, i, v, &loop_stack);
-                    }
-                    DKind::IntToFloat { val } => {
-                        let v = Val::from_f64(dval(*val, &values).as_i64() as f64);
-                        values[i.index()] = v;
-                        state.profiler.on_def(func_id, i, v, &loop_stack);
-                    }
-                    DKind::FloatToInt { val } => {
-                        let v = Val::from_i64(dval(*val, &values).as_f64() as i64);
-                        values[i.index()] = v;
-                        state.profiler.on_def(func_id, i, v, &loop_stack);
-                    }
-                    DKind::CmpI64 { op, lhs, rhs } => {
-                        let t =
-                            op.eval_i64(dval(*lhs, &values).as_i64(), dval(*rhs, &values).as_i64());
-                        let v = Val::from_i64(t as i64);
-                        values[i.index()] = v;
-                        state.profiler.on_def(func_id, i, v, &loop_stack);
-                    }
-                    DKind::CmpF64 { op, lhs, rhs } => {
-                        let t =
-                            op.eval_f64(dval(*lhs, &values).as_f64(), dval(*rhs, &values).as_f64());
-                        let v = Val::from_i64(t as i64);
-                        values[i.index()] = v;
-                        state.profiler.on_def(func_id, i, v, &loop_stack);
-                    }
-                    DKind::Copy { val } => {
-                        let v = dval(*val, &values);
-                        values[i.index()] = v;
-                        state.profiler.on_def(func_id, i, v, &loop_stack);
-                    }
-                    DKind::Const { bits } => {
-                        values[i.index()] = Val(*bits);
-                    }
-                    DKind::Load { addr } => {
-                        let a = dval(*addr, &values).as_i64();
-                        let cell = self.check_addr(a, &state.memory)?;
-                        let v = Val(state.memory[cell]);
-                        values[i.index()] = v;
-                        state.profiler.on_load(func_id, i, a, v, &loop_stack);
-                        state.profiler.on_def(func_id, i, v, &loop_stack);
-                    }
-                    DKind::Store { addr, val } => {
-                        let a = dval(*addr, &values).as_i64();
-                        let v = dval(*val, &values);
-                        let cell = self.check_addr(a, &state.memory)?;
-                        state.memory[cell] = v.0;
-                        state.profiler.on_store(func_id, i, a, v, &loop_stack);
-                    }
-                    DKind::Call {
-                        callee,
-                        args: cargs,
-                    } => {
-                        let mut call_args = Vec::with_capacity(cargs.len());
-                        for a in cargs.iter() {
-                            call_args.push(dval(*a, &values));
-                        }
-                        state.profiler.on_call_enter(func_id, i, *callee);
-                        let ret = self.call(*callee, &call_args, state, depth + 1)?;
-                        state.profiler.on_call_exit(func_id, i, *callee);
-                        if let Some(v) = ret {
-                            values[i.index()] = v;
-                            state.profiler.on_def(func_id, i, v, &loop_stack);
-                        }
-                    }
-                    DKind::Unsupported => {
-                        return Err(InterpError::Malformed(
-                            "interpreter requires SSA form (run mem2reg first)".into(),
-                        ));
-                    }
-                    DKind::Jump { target } => {
-                        self.retire(func_id, i, latency, &loop_stack, state)?;
-                        state.profiler.on_block(func_id, Some(block), *target);
-                        from = Some(block);
-                        block = *target;
-                        continue 'blocks;
-                    }
-                    DKind::Branch {
-                        cond,
-                        then_bb,
-                        else_bb,
-                    } => {
-                        let taken = dval(*cond, &values).is_truthy();
-                        let target = if taken { *then_bb } else { *else_bb };
-                        state.profiler.on_branch(func_id, i, taken);
-                        self.retire(func_id, i, latency, &loop_stack, state)?;
-                        state.profiler.on_block(func_id, Some(block), target);
-                        from = Some(block);
-                        block = target;
-                        continue 'blocks;
-                    }
-                    DKind::Ret { val } => {
-                        self.retire(func_id, i, latency, &loop_stack, state)?;
-                        // Exit all remaining loops.
-                        while let Some(act) = loop_stack.pop() {
-                            state.profiler.on_loop(
-                                func_id,
-                                LoopEvent::Exit(act.loop_id),
-                                &loop_stack,
-                            );
-                        }
-                        let r = val.map(|v| dval(v, &values));
-                        state.frame_pool.push(values);
-                        return Ok(r);
-                    }
-                    DKind::SptFork { .. } | DKind::SptKill { .. } => {
-                        // Sequential semantics: SPT markers are no-ops.
-                    }
-                    // A non-leading phi: silently skipped, exactly like the
-                    // reference engine's phase-2 `continue` (no retire).
-                    DKind::SkippedPhi => continue,
-                }
-                self.retire(func_id, i, latency, &loop_stack, state)?;
-            }
-            return Err(InterpError::Malformed(format!(
-                "block {block} of {} fell through without terminator",
-                df.name
-            )));
-        }
     }
 
     pub(crate) fn retire<P: Profiler>(
@@ -647,15 +414,6 @@ impl<'m> Interp<'m> {
                     .profiler
                     .on_loop(func_id, LoopEvent::Enter(lid), loop_stack);
             }
-        }
-    }
-
-    #[inline]
-    pub(crate) fn check_addr(&self, addr: i64, memory: &[u64]) -> Result<usize, InterpError> {
-        if addr < 0 || addr as usize >= memory.len() {
-            Err(InterpError::OutOfBounds { addr })
-        } else {
-            Ok(addr as usize)
         }
     }
 }
@@ -826,7 +584,7 @@ mod tests {
     }
 
     #[test]
-    fn dense_matches_reference_on_recursion_and_memory() {
+    fn engine_matches_reference_on_recursion_and_memory() {
         let src = "
             global buf[32]: int;
             fn fill(n: int) -> int {
@@ -837,9 +595,9 @@ mod tests {
             fn main(n: int) -> int { return fill(n) + fill(n / 2); }
         ";
         let module = spt_frontend::compile(src).unwrap();
-        let dense = Interp::new(&module);
+        let engine = Interp::new(&module);
         let reference = crate::reference::ReferenceInterp::new(&module);
-        let a = dense
+        let a = engine
             .run("main", &[Val::from_i64(20)], &mut NoProfiler)
             .unwrap();
         let b = reference

@@ -1,10 +1,10 @@
 //! The retained reference interpreter.
 //!
 //! This is the original tree-walking engine, kept verbatim as the oracle the
-//! dense pre-decoded interpreter in [`crate::interp`] is differentially
-//! tested against (`tests/engine_equivalence.rs` at the workspace root): it
+//! superblock interpreter in [`crate::interp`] is differentially tested
+//! against (`tests/engine_equivalence.rs` at the workspace root): it
 //! re-inspects [`InstKind`]/[`Operand`]/`Ty` on every step, exactly as before
-//! the dense rewrite, and must produce bit-identical [`InterpResult`]s and
+//! pre-decoding, and must produce bit-identical [`InterpResult`]s and
 //! profiler event streams. Do not optimize this module — its value is that it
 //! stays slow and obviously faithful to the IR's semantics.
 
@@ -282,7 +282,6 @@ impl<'m> ReferenceInterp<'m> {
                         let c = self.operand(*cond, &values);
                         let taken = c.is_truthy();
                         let target = if taken { *then_bb } else { *else_bb };
-                        state.profiler.on_branch(func_id, i, taken);
                         self.retire(func_id, i, latency, &loop_stack, state)?;
                         state.profiler.on_block(func_id, Some(block), target);
                         from = Some(block);

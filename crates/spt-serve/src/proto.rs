@@ -36,6 +36,22 @@ pub const PROTO_VERSION: u8 = 3;
 /// length prefix cannot drive an allocation-of-doom.
 pub const MAX_FRAME: usize = 64 << 20;
 
+/// Smallest encoding of a [`CompileReq`], in bytes: two empty strings, a
+/// one-byte varint and two flag bytes.
+const MIN_COMPILE_REQ: usize = 5;
+/// Smallest encoding of a batch-response item: a status byte and an empty
+/// error string.
+const MIN_BATCH_ITEM: usize = 2;
+/// Smallest encoding of a stats entry: an empty name and a one-byte value.
+const MIN_STATS_ENTRY: usize = 2;
+
+/// Capacity to reserve for `n` claimed items of at least `min` bytes each,
+/// given the `left` payload bytes that must encode them: a corrupt count
+/// can reserve no more items than the frame could hold.
+fn bounded(n: usize, left: usize, min: usize) -> usize {
+    n.min(left / min)
+}
+
 /// A client request: caller-chosen correlation id plus the operation.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Request {
@@ -441,7 +457,7 @@ pub fn decode_request(buf: &[u8]) -> Result<Request, String> {
             if n > buf.len() {
                 return Err("batch count exceeds payload".to_string());
             }
-            let mut items = Vec::with_capacity(n);
+            let mut items = Vec::with_capacity(bounded(n, buf.len() - pos, MIN_COMPILE_REQ));
             for _ in 0..n {
                 items.push(get_compile_req(buf, &mut pos)?);
             }
@@ -540,7 +556,7 @@ pub fn decode_response(buf: &[u8]) -> Result<Response, String> {
                     if n > buf.len() {
                         return Err("batch count exceeds payload".to_string());
                     }
-                    let mut items = Vec::with_capacity(n);
+                    let mut items = Vec::with_capacity(bounded(n, buf.len() - pos, MIN_BATCH_ITEM));
                     for _ in 0..n {
                         items.push(match get_u8(buf, &mut pos)? {
                             STATUS_OK => Ok(get_compile_resp(buf, &mut pos)?),
@@ -562,7 +578,8 @@ pub fn decode_response(buf: &[u8]) -> Result<Response, String> {
                     if n > buf.len() {
                         return Err("stats count exceeds payload".to_string());
                     }
-                    let mut entries = Vec::with_capacity(n);
+                    let mut entries =
+                        Vec::with_capacity(bounded(n, buf.len() - pos, MIN_STATS_ENTRY));
                     for _ in 0..n {
                         let name = get_string(buf, &mut pos)?;
                         let value = need(buf, &mut pos)?;

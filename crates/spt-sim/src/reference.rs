@@ -1,10 +1,10 @@
 //! Reference SPT simulator: the original straight-from-the-IR engine, kept
-//! as a differential oracle for the dense execution engine in
-//! [`crate::thread`]/[`crate::sim`].
+//! as a differential oracle for the superblock engine in
+//! [`crate::sim`].
 //!
 //! Do not optimize this module. Its value is that it walks `InstKind`
 //! operands and recomputes loop facts exactly the way the engine did before
-//! pre-decoding, so `tests/engine_equivalence.rs` can pin the dense engine's
+//! pre-decoding, so `tests/engine_equivalence.rs` can pin the engine's
 //! [`SimResult`](crate::SimResult) bit-for-bit against it. Everything here is
 //! self-contained: it has its own thread, cache, predictor and driver copies,
 //! sharing only the public leaf types ([`ExecError`](crate::thread::ExecError),

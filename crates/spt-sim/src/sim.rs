@@ -15,11 +15,11 @@
 use crate::cache::Cache;
 use crate::machine::MachineConfig;
 use crate::predictor::BranchPredictor;
-use crate::specexec::{ReplayState, SpecStop};
+use crate::specexec::ReplayState;
 use crate::stats::LoopSimStats;
 use crate::superexec::SuperStop;
-use crate::thread::{ExecError, ExecRecord, MemView, SpecBuf, StepEvent, Thread, Timing};
-use spt_ir::{BlockId, DecodedModule, ExecTier, FuncId, Module, SuperblockModule};
+use crate::thread::{ExecError, ExecRecord, SpecBuf, StepEvent, Thread};
+use spt_ir::{BlockId, DecodedModule, FuncId, Module, SuperblockModule};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -129,14 +129,9 @@ impl SptSimulator {
         self.run_with_memory(module, entry, args, memory)
     }
 
-    /// Runs with a caller-provided memory image.
-    ///
-    /// The execution tier ([`spt_ir::exec_tier`], selectable via
-    /// `SPT_EXEC_TIER` or [`spt_ir::set_exec_tier_override`]) picks the
-    /// engine: `reference` delegates to
-    /// [`ReferenceSimulator`](crate::ReferenceSimulator), `super` runs the
-    /// main thread on fused superblock code (bit-identical results), `dense`
-    /// (the default) steps the pre-decoded form.
+    /// Runs with a caller-provided memory image. Every core executes the
+    /// module's superblock code; results are bit-identical to
+    /// [`ReferenceSimulator`](crate::ReferenceSimulator).
     ///
     /// # Errors
     ///
@@ -148,17 +143,14 @@ impl SptSimulator {
         args: &[i64],
         memory: Vec<u64>,
     ) -> Result<SimResult, SimError> {
-        let tier = spt_ir::exec_tier();
-        if tier == ExecTier::Reference {
-            return crate::reference::ReferenceSimulator::with_config(self.config.clone())
-                .run_with_memory(module, entry, args, memory);
-        }
         let func = module
             .func_by_name(entry)
             .ok_or_else(|| SimError::NoSuchFunction(entry.to_string()))?;
         let decoded = DecodedModule::new(module);
+        let sup = SuperblockModule::build(&decoded);
         let run = Run {
             decoded: &decoded,
+            sup: &sup,
             config: &self.config,
             memory,
             cycle: 0,
@@ -171,12 +163,7 @@ impl SptSimulator {
             trace_pool: Vec::new(),
             spec_thread: None,
         };
-        if tier == ExecTier::Super {
-            let sup = SuperblockModule::build(&decoded);
-            run.run_fused(&sup, func, args)
-        } else {
-            run.run(func, args)
-        }
+        run.run(func, args)
     }
 }
 
@@ -188,6 +175,8 @@ impl Default for SptSimulator {
 
 pub(crate) struct Run<'m> {
     pub(crate) decoded: &'m DecodedModule,
+    /// The executable form of `decoded`.
+    pub(crate) sup: &'m SuperblockModule,
     pub(crate) config: &'m MachineConfig,
     pub(crate) memory: Vec<u64>,
     pub(crate) cycle: u64,
@@ -232,100 +221,14 @@ impl Run<'_> {
         trace.clear();
         self.trace_pool.push(trace);
     }
-    fn run(mut self, func: FuncId, args: &[i64]) -> Result<SimResult, SimError> {
-        let mut thread =
-            Thread::start(self.decoded, func, args.iter().map(|&a| a as u64).collect());
-        thread.max_depth = self.config.max_depth;
-        let mut episode: Option<Episode> = None;
-
-        let ret = loop {
-            if self.insts > self.config.fuel {
-                return Err(SimError::OutOfFuel);
-            }
-            let rec_event = {
-                let mut view = MemView::Direct(&mut self.memory);
-                let mut timing = Timing {
-                    cycle: &mut self.cycle,
-                    cache: &mut self.cache,
-                    predictor: &mut self.predictor,
-                    mispredict_penalty: self.config.branch_mispredict_penalty,
-                };
-                thread.step(self.decoded, &mut view, Some(&mut timing))?
-            };
-            let (rec, event) = rec_event;
-            self.insts += 1;
-            self.attribute_main(&rec);
-
-            match event {
-                StepEvent::Continue => {}
-                StepEvent::Fork { tag, target, func } => {
-                    if episode.is_none() {
-                        self.activate(tag);
-                        episode = Some(self.spawn(&thread, None, func, target, tag));
-                    }
-                }
-                StepEvent::Kill { tag } => {
-                    if episode.as_ref().is_some_and(|ep| ep.tag == tag) {
-                        let ep = episode.take().expect("matched episode");
-                        let wasted = ep.trace.len() as u64;
-                        let s = self.loop_stats(tag);
-                        s.kills += 1;
-                        s.wasted_insts += wasted;
-                        self.recycle_trace(ep.trace);
-                    }
-                    self.deactivate(tag);
-                }
-                StepEvent::Transfer { to, func } => {
-                    let matches = episode.as_ref().is_some_and(|ep| {
-                        ep.spawn_func == func && ep.spawn_target == to && ep.depth == thread.depth()
-                    });
-                    if matches {
-                        let ep = episode.take().expect("matched episode");
-                        let (next, finished) = self.validate(&mut thread, None, ep)?;
-                        episode = next;
-                        if let Some(value) = finished {
-                            break value;
-                        }
-                    }
-                }
-                StepEvent::Finished { value } => break value,
-            }
-        };
-
-        // Close any still-active loop attributions.
-        let cycle = self.cycle;
-        while let Some((_, entered, slot)) = self.active_tags.pop() {
-            self.loops[slot as usize].1.loop_cycles += cycle - entered;
-        }
-
-        Ok(SimResult {
-            ret,
-            cycles: self.cycle,
-            insts: self.insts,
-            memory: self.memory,
-            loops: self.loops.into_iter().collect(),
-            cache_hit_rate: self.cache.hit_rate(),
-            branch_miss_rate: self.predictor.miss_rate(),
-        })
-    }
-
-    /// The superblock-tier driver: identical episode machinery to
-    /// [`Run::run`], but the main thread advances through
-    /// [`Run::run_super`](crate::superexec), which executes fused blocks by
-    /// threaded-code dispatch and returns only at control events the driver
-    /// must see (fork, kill, watched iteration-boundary transfers, finish)
-    /// or when the fuel budget is crossed. Speculative spawn and validation
-    /// replay likewise run fused blocks through
+    /// The simulation driver: the main thread advances through
+    /// [`Run::run_super`](crate::superexec), which returns only at control
+    /// events the episode machinery must see (fork, kill, watched
+    /// iteration-boundary transfers, finish) or when the fuel budget is
+    /// crossed; speculative spawn and validation replay run through
     /// [`Run::spawn_super`](crate::specexec) and
-    /// [`Run::validate_super`](crate::specexec), with the same exactness
-    /// contract, so results and cycle accounting are bit-identical to
-    /// [`Run::run`].
-    pub(crate) fn run_fused(
-        mut self,
-        sup: &SuperblockModule,
-        func: FuncId,
-        args: &[i64],
-    ) -> Result<SimResult, SimError> {
+    /// [`Run::validate_super`](crate::specexec).
+    fn run(mut self, func: FuncId, args: &[i64]) -> Result<SimResult, SimError> {
         let mut thread =
             Thread::start(self.decoded, func, args.iter().map(|&a| a as u64).collect());
         thread.max_depth = self.config.max_depth;
@@ -338,7 +241,7 @@ impl Run<'_> {
             let watch = episode
                 .as_ref()
                 .map(|ep| (ep.spawn_func, ep.spawn_target, ep.depth));
-            let event = match self.run_super(&mut thread, sup, watch)? {
+            let event = match self.run_super(&mut thread, watch)? {
                 SuperStop::Fuel => continue,
                 SuperStop::Event(event) => event,
             };
@@ -348,7 +251,7 @@ impl Run<'_> {
                 StepEvent::Fork { tag, target, func } => {
                     if episode.is_none() {
                         self.activate(tag);
-                        episode = Some(self.spawn(&thread, Some(sup), func, target, tag));
+                        episode = Some(self.spawn(&thread, func, target, tag));
                     }
                 }
                 StepEvent::Kill { tag } => {
@@ -368,7 +271,7 @@ impl Run<'_> {
                     });
                     if matches {
                         let ep = episode.take().expect("matched episode");
-                        let (next, finished) = self.validate(&mut thread, Some(sup), ep)?;
+                        let (next, finished) = self.validate(&mut thread, ep)?;
                         episode = next;
                         if let Some(value) = finished {
                             break value;
@@ -415,16 +318,6 @@ impl Run<'_> {
         }
     }
 
-    /// Adds a main-thread instruction to every active loop's accounting.
-    #[inline]
-    fn attribute_main(&mut self, rec: &ExecRecord) {
-        for &(_, _, slot) in &self.active_tags {
-            let s = &mut self.loops[slot as usize].1;
-            s.main_insts += 1;
-            s.seq_cycles += rec.latency;
-        }
-    }
-
     /// Adds validated (free or re-executed) work to active loops.
     #[inline]
     pub(crate) fn attribute_committed(&mut self, latency: u64) {
@@ -441,18 +334,9 @@ impl Run<'_> {
     }
 
     /// Spawns an episode: runs the speculative core eagerly against the
-    /// current memory snapshot, producing its trace on its own clock. Under
-    /// the superblock tier (`sup` present) fused blocks run through
-    /// [`Run::spawn_super`](crate::specexec), falling back to the dense
-    /// stepper one instruction at a time anywhere the fused walk cannot go.
-    fn spawn(
-        &mut self,
-        main: &Thread,
-        sup: Option<&SuperblockModule>,
-        func: FuncId,
-        target: BlockId,
-        tag: u32,
-    ) -> Episode {
+    /// current memory snapshot through [`Run::spawn_super`](crate::specexec),
+    /// producing its trace on its own clock.
+    fn spawn(&mut self, main: &Thread, func: FuncId, target: BlockId, tag: u32) -> Episode {
         self.cycle += self.config.fork_overhead;
         self.loop_stats(tag).forks += 1;
 
@@ -470,72 +354,15 @@ impl Run<'_> {
         let mut spec_cycle = self.cycle;
         let mut trace: Vec<ExecRecord> = self.trace_pool.pop().unwrap_or_default();
         let depth0 = spec.depth();
-
-        loop {
-            if trace.len() >= self.config.max_spec_ops {
-                break;
-            }
-            if let Some(sm) = sup {
-                if let SpecStop::Done = self.spawn_super(
-                    &mut spec,
-                    sm,
-                    func,
-                    target,
-                    depth0,
-                    tag,
-                    &mut spec_cycle,
-                    &mut trace,
-                ) {
-                    break;
-                }
-                if trace.len() >= self.config.max_spec_ops {
-                    break;
-                }
-            }
-            let step = {
-                let mut view = MemView::Overlay {
-                    base: &self.memory,
-                    buf: &mut self.spec_buf,
-                };
-                let mut timing = Timing {
-                    cycle: &mut spec_cycle,
-                    cache: &mut self.cache,
-                    predictor: &mut self.predictor,
-                    mispredict_penalty: self.config.branch_mispredict_penalty,
-                };
-                spec.step(self.decoded, &mut view, Some(&mut timing))
-            };
-            match step {
-                Ok((rec, event)) => match event {
-                    StepEvent::Transfer { to, func: tf }
-                        if tf == func && to == target && spec.depth() == depth0 =>
-                    {
-                        // Completed the next iteration.
-                        trace.push(rec);
-                        break;
-                    }
-                    StepEvent::Kill { tag: kt } if kt == tag => {
-                        // Speculative thread left the loop; the kill itself is
-                        // re-executed by the main thread.
-                        break;
-                    }
-                    StepEvent::Fork { .. } => {
-                        // Speculative forks are recorded (no-ops) and become
-                        // effective at commit via the validation replay.
-                        trace.push(rec);
-                    }
-                    StepEvent::Finished { .. } => {
-                        // Returning out of the spawning frame ends speculation;
-                        // the return is not part of the trace.
-                        break;
-                    }
-                    _ => trace.push(rec),
-                },
-                // Any speculative fault (OOB from a wild speculative address,
-                // buffer overflow) silently stops speculation.
-                Err(_) => break,
-            }
-        }
+        self.spawn_super(
+            &mut spec,
+            func,
+            target,
+            depth0,
+            tag,
+            &mut spec_cycle,
+            &mut trace,
+        );
         self.spec_thread = Some(spec);
         Episode {
             tag,
@@ -550,14 +377,11 @@ impl Run<'_> {
     /// through the trace, committing matches for free. Returns the next
     /// episode (if the speculative thread had passed the fork point) and the
     /// program's return value if the thread finished during validation.
-    /// Under the superblock tier (`sup` present) fused blocks replay through
-    /// [`Run::validate_super`](crate::specexec), falling back to the dense
-    /// stepper one instruction at a time anywhere the fused walk cannot go.
+    /// The replay itself is [`Run::validate_super`](crate::specexec).
     #[allow(clippy::type_complexity)]
     fn validate(
         &mut self,
         thread: &mut Thread,
-        sup: Option<&SuperblockModule>,
         ep: Episode,
     ) -> Result<(Option<Episode>, Option<Option<u64>>), SimError> {
         self.loop_stats(ep.tag).commits += 1;
@@ -577,46 +401,7 @@ impl Run<'_> {
             finished: None,
         };
 
-        while rp.finished.is_none()
-            && rp.k < ep.trace.len()
-            && ep.trace[rp.k].cycle_end <= rp.arrival
-        {
-            if let Some(sm) = sup {
-                if self.validate_super(thread, sm, &ep.trace, &mut rp)? {
-                    continue;
-                }
-            }
-            let step = {
-                let mut view = MemView::Direct(&mut self.memory);
-                thread.step(self.decoded, &mut view, None)?
-            };
-            let (rec, event) = step;
-            self.replay_commit(
-                &ep.trace,
-                &mut rp,
-                rec.func,
-                rec.inst,
-                rec.result,
-                rec.store,
-                rec.latency,
-            );
-
-            match event {
-                StepEvent::Fork { tag, .. } if tag == ep.tag => rp.pending_fork = true,
-                StepEvent::Kill { tag } => {
-                    if tag == ep.tag {
-                        rp.killed = true;
-                    }
-                    self.deactivate(tag);
-                    if rp.killed {
-                        self.loops[rp.ti].1.wasted_insts += (ep.trace.len() - rp.k) as u64;
-                        rp.k = ep.trace.len();
-                    }
-                }
-                StepEvent::Finished { value } => rp.finished = Some(value),
-                _ => {}
-            }
-        }
+        self.validate_super(thread, &ep.trace, &mut rp)?;
 
         // Work the speculative core did beyond the catch-up point is wasted.
         if rp.k < ep.trace.len() {
@@ -638,7 +423,7 @@ impl Run<'_> {
             && thread.depth() == ep.depth
             && thread.current_func() == ep.spawn_func
         {
-            let ep2 = self.spawn(thread, sup, ep.spawn_func, ep.spawn_target, ep.tag);
+            let ep2 = self.spawn(thread, ep.spawn_func, ep.spawn_target, ep.tag);
             return Ok((Some(ep2), None));
         }
         Ok((None, None))

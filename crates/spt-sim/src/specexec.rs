@@ -1,50 +1,33 @@
-//! The simulator's superblock execution tier for the *episode* machinery:
-//! speculative spawn and validation replay over the fused
-//! [`SuperblockModule`] form.
+//! The episode machinery's executors: speculative spawn and validation
+//! replay over the module's superblock code ([`spt_ir::superblock`]).
 //!
-//! [`Run::spawn`](crate::sim) and [`Run::validate`](crate::sim) are
-//! per-instruction loops over [`Thread::step`]: spawn runs the speculative
-//! core (timed, overlay memory) pushing one [`ExecRecord`] per instruction,
-//! validation replays the trace on the main core (untimed, direct memory)
-//! comparing one record per instruction. Under the superblock tier both
-//! loops spend most of their time in exactly the loop bodies the lowering
-//! already fused, so [`Run::spawn_super`] and [`Run::validate_super`] walk
-//! the fused ops instead: one dispatch per superinstruction, with records,
-//! comparisons, buffer/cap checks and cache/predictor accesses emitted *per
-//! constituent* in dense order.
+//! [`Run::spawn_super`] runs the speculative core (timed, overlay memory),
+//! pushing one [`ExecRecord`] per instruction; [`Run::validate_super`]
+//! replays the trace on the main core (untimed, direct memory), comparing
+//! one record per instruction. Both walk the fused ops with one dispatch per
+//! superinstruction, calls and returns included, while emitting records,
+//! comparisons, buffer/cap checks and cache/predictor accesses *per
+//! constituent* in the reference stepper's order. Validation can stop
+//! between any two constituents — mid-pair too; it writes every
+//! constituent's slot, register-window-elided ones included, so the main
+//! thread resumes exactly there.
 //!
 //! **Exactness contract** (same as [`superexec`](crate::superexec)): every
 //! constituent produces the record fields, memory/cache/predictor accesses,
-//! cycle charges and stat attributions of the dense stepper, in the same
-//! order — episode traces and replay statistics are part of the pinned
-//! bit-identical [`SimResult`](crate::SimResult) across tiers. The walks
-//! only enter a fused block at its start (spawn entries and validation
-//! boundaries are always block entries); anything irregular — dense-lowered
-//! blocks, calls, mid-block positions — returns to the caller's dense
-//! [`Thread::step`] loop, which re-attempts the fused walk at the next
-//! step. Elided zero-latency constant defs (recorded per block in
-//! [`spt_ir::superblock::SBlock::consts`], in body order) are replayed from
-//! the stream-position gaps so their records and comparisons appear exactly
-//! where the dense stepper would produce them.
+//! cycle charges and stat attributions of the reference simulator, in the
+//! same order — episode traces and replay statistics are part of the pinned
+//! bit-identical [`SimResult`](crate::SimResult). Elided zero-latency
+//! constant defs are replayed from the stream-position gaps, their values
+//! read back from the slots block entry wrote, so their records and
+//! comparisons appear exactly where the reference produces them.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::sim::Run;
 use crate::thread::{transfer, ExecError, ExecRecord, MemView, Thread};
 use spt_ir::superblock::{SInst, F2_IMM1, F2_IMM2, F2_OP1_REV, F2_R_RIGHT, F_SWAP};
-use spt_ir::{BlockId, FuncId, InstId, SOpc, SuperblockModule};
+use spt_ir::{BlockId, FuncId, InstId, SOpc};
 
-/// Why a fused speculative walk returned.
-pub(crate) enum SpecStop {
-    /// Speculation must stop here (iteration boundary reached, matching
-    /// kill, thread finished, fault, or the trace hit `max_spec_ops`).
-    Done,
-    /// The current position cannot run fused (dense block or mid-block
-    /// resume); the caller's dense stepper takes over.
-    Dense,
-}
-
-/// Mutable state of one validation replay, shared between the dense
-/// per-step loop and the fused walk.
+/// Mutable state of one validation replay.
 pub(crate) struct ReplayState {
     /// Next unconsumed trace record.
     pub(crate) k: usize,
@@ -65,7 +48,7 @@ pub(crate) struct ReplayState {
 }
 
 /// Evaluates a pure single-def superinstruction (no memory, no control, no
-/// fused pair) exactly as the dense stepper would.
+/// fused pair).
 #[inline(always)]
 fn pure_def(s: &SInst, vals: &[u64], args: &[u64]) -> u64 {
     match s.opc {
@@ -125,7 +108,7 @@ fn pure_def(s: &SInst, vals: &[u64], args: &[u64]) -> u64 {
 /// First-constituent result of the `Fuse2` family (flags are preserved on
 /// the specialized opcodes, so the generic decode covers all of them).
 #[inline(always)]
-fn fuse2_r(s: &SInst, vals: &[u64]) -> i64 {
+pub(crate) fn fuse2_r(s: &SInst, vals: &[u64]) -> i64 {
     let x = vals[s.a as usize] as i64;
     let y = if s.flags & F2_IMM1 != 0 {
         s.imm as u32 as i32 as i64
@@ -141,7 +124,7 @@ fn fuse2_r(s: &SInst, vals: &[u64]) -> i64 {
 
 /// Second-constituent result of the `Fuse2` family given `r`.
 #[inline(always)]
-fn fuse2_v(s: &SInst, vals: &[u64], r: i64) -> i64 {
+pub(crate) fn fuse2_v(s: &SInst, vals: &[u64], r: i64) -> i64 {
     let z = if s.flags & F2_IMM2 != 0 {
         (s.imm >> 32) as u32 as i32 as i64
     } else {
@@ -154,9 +137,64 @@ fn fuse2_v(s: &SInst, vals: &[u64], r: i64) -> i64 {
     }
 }
 
+/// The integer comparison of a `CmpBr`/`CmpBrImm` pair.
+#[inline(always)]
+pub(crate) fn cmp_br(s: &SInst, vals: &[u64]) -> bool {
+    let b = if s.opc == SOpc::CmpBr {
+        vals[s.b as usize] as i64
+    } else {
+        s.imm as i64
+    };
+    s.cmp.eval_i64(vals[s.a as usize] as i64, b)
+}
+
+/// The binary op of an address-generation, backedge or `BinStore` pair:
+/// slots `a`/`b` for the register form, else `a` and `imm` ([`F_SWAP`] puts
+/// the constant on the left).
+#[inline(always)]
+pub(crate) fn bin_ri(s: &SInst, vals: &[u64], rr: bool) -> u64 {
+    let x = vals[s.a as usize] as i64;
+    let v = if rr {
+        s.bin.eval_i64(x, vals[s.b as usize] as i64)
+    } else if s.flags & F_SWAP != 0 {
+        s.bin.eval_i64(s.imm as i64, x)
+    } else {
+        s.bin.eval_i64(x, s.imm as i64)
+    };
+    v as u64
+}
+
+/// The second constituent of a `LoadBin`/`LoadBinImm` pair given the
+/// loaded value `v`.
+#[inline(always)]
+pub(crate) fn load_bin(s: &SInst, vals: &[u64], v: u64) -> u64 {
+    let other = if s.opc == SOpc::LoadBin {
+        vals[s.b as usize] as i64
+    } else {
+        s.imm as i64
+    };
+    let r = if s.flags & F_SWAP != 0 {
+        s.bin.eval_i64(other, v as i64)
+    } else {
+        s.bin.eval_i64(v as i64, other)
+    };
+    r as u64
+}
+
+/// `(cell, bits)` of a single store op.
+#[inline(always)]
+pub(crate) fn store_operands(s: &SInst, vals: &[u64]) -> (i64, u64) {
+    match s.opc {
+        SOpc::StoreRR => (vals[s.a as usize] as i64, vals[s.b as usize]),
+        SOpc::StoreRI => (vals[s.a as usize] as i64, s.imm),
+        SOpc::StoreIR => (s.imm as i64, vals[s.b as usize]),
+        _ => (s.imm as i64, u64::from(s.a) | (u64::from(s.b) << 32)),
+    }
+}
+
 impl Run<'_> {
     /// One replay comparison against `trace[rp.k]`: exactly the accounting
-    /// of one dense validation step (free commit on a matching record,
+    /// of one reference validation step (free commit on a matching record,
     /// re-execution charge on a value mismatch, trace discard on a control
     /// divergence). The caller has already checked the arrival guard.
     #[inline]
@@ -199,92 +237,92 @@ impl Run<'_> {
         }
     }
 
-    /// Runs the speculative core through fused blocks, pushing one record
-    /// per constituent, until speculation must stop ([`SpecStop::Done`]) or
-    /// the position needs the dense stepper ([`SpecStop::Dense`]).
+    /// Runs the speculative core, pushing one record per executed
+    /// instruction, until speculation must stop: the iteration boundary is
+    /// reached, the episode's own `SPT_KILL` executes (it is re-executed by
+    /// the main thread, so it gets no record), the spawning frame returns,
+    /// a fault, or the trace hits `max_spec_ops`.
     ///
     /// `bfunc`/`btarget`/`depth0` identify the iteration boundary (the spawn
-    /// header at the spawn depth); `tag` is the episode's loop tag, whose
-    /// `SPT_KILL` ends speculation without a record.
+    /// header at the spawn depth); `tag` is the episode's loop tag.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn spawn_super(
         &mut self,
         spec: &mut Thread,
-        sup: &SuperblockModule,
         bfunc: FuncId,
         btarget: BlockId,
         depth0: usize,
         tag: u32,
         spec_cycle: &mut u64,
         trace: &mut Vec<ExecRecord>,
-    ) -> SpecStop {
-        let mut view = MemView::Overlay {
+    ) {
+        let mut view = MemView {
             base: &self.memory,
             buf: &mut self.spec_buf,
         };
         let cap = self.config.max_spec_ops;
+        // Every record is preceded by the cap check.
+        macro_rules! full {
+            () => {
+                if trace.len() >= cap {
+                    return;
+                }
+            };
+        }
         'outer: loop {
             let depth = spec.frames.len();
             let Some(frame) = spec.frames.last_mut() else {
-                return SpecStop::Dense;
+                return;
             };
             let func_id = frame.func;
             let df = self.decoded.func(func_id);
-            let sf = sup.func(func_id);
+            let sf = self.sup.func(func_id);
             let sb = &sf.blocks[frame.block.index()];
-            let Some((s0, e0)) = sb.range else {
-                return SpecStop::Dense;
-            };
-            if frame.pos != df.blocks[frame.block.index()].body_start {
-                return SpecStop::Dense;
+            // One record per executed instruction, at the speculative core's
+            // clock after charging `lat`.
+            macro_rules! record {
+                ($inst:expr, $result:expr, $store:expr, $lat:expr) => {{
+                    let lat: u64 = $lat;
+                    *spec_cycle += lat;
+                    trace.push(ExecRecord {
+                        func: func_id,
+                        inst: $inst,
+                        result: $result,
+                        store: $store,
+                        latency: lat,
+                        cycle_end: *spec_cycle,
+                    });
+                }};
             }
-
             // Deferred phi writes from the last transfer: one record each at
             // latency 0.
             while frame.pending_head < frame.pending.len() {
-                if trace.len() >= cap {
-                    return SpecStop::Done;
-                }
+                full!();
                 let (phi, bits) = frame.pending[frame.pending_head];
                 frame.pending_head += 1;
                 frame.values[phi.index()] = bits;
-                trace.push(ExecRecord {
-                    func: func_id,
-                    inst: phi,
-                    result: Some(bits),
-                    store: None,
-                    latency: 0,
-                    cycle_end: *spec_cycle,
-                });
+                record!(phi, Some(bits), None, 0);
             }
-
-            // Elided constant defs in body order: the gap to each op's
-            // stream position is the run crossed before it.
-            let mut cidx = 0usize;
-            let mut idx = s0 as usize;
-            while idx < e0 as usize {
+            for &(slot, bits) in sb.consts.iter() {
+                frame.values[slot as usize] = bits;
+            }
+            let mut idx = if frame.pos < frame.end {
+                sf.op_at[frame.pos as usize] as usize
+            } else {
+                sb.range.1 as usize - 1
+            };
+            loop {
                 let s = &sf.ops[idx];
                 let m = &sf.meta[idx];
+                // Elided constant defs in body order: the gap to each op's
+                // stream position is the run crossed before it.
                 while frame.pos < m.pos {
-                    if trace.len() >= cap {
-                        return SpecStop::Done;
-                    }
-                    let (slot, bits) = sb.consts[cidx];
-                    cidx += 1;
-                    frame.values[slot as usize] = bits;
+                    full!();
+                    let inst = df.stream[frame.pos as usize];
                     frame.pos += 1;
-                    trace.push(ExecRecord {
-                        func: func_id,
-                        inst: InstId(slot),
-                        result: Some(bits),
-                        store: None,
-                        latency: 0,
-                        cycle_end: *spec_cycle,
-                    });
+                    record!(inst, Some(frame.values[inst.index()]), None, 0);
                 }
-                if trace.len() >= cap {
-                    return SpecStop::Done;
-                }
+                full!();
                 match s.opc {
                     SOpc::Param
                     | SOpc::ConstV
@@ -313,50 +351,21 @@ impl Run<'_> {
                     | SOpc::CmpF64Imm => {
                         let def = pure_def(s, &frame.values, &frame.args);
                         frame.values[m.inst.index()] = def;
-                        let lat = u64::from(m.lat);
-                        *spec_cycle += lat;
-                        trace.push(ExecRecord {
-                            func: func_id,
-                            inst: m.inst,
-                            result: Some(def),
-                            store: None,
-                            latency: lat,
-                            cycle_end: *spec_cycle,
-                        });
                         frame.pos += 1;
+                        record!(m.inst, Some(def), None, u64::from(m.lat));
                         idx += 1;
                     }
                     SOpc::Fuse2 | SOpc::Fuse2II | SOpc::Fuse2IR | SOpc::Fuse2IRr => {
                         let r = fuse2_r(s, &frame.values);
                         frame.values[m.inst.index()] = r as u64;
-                        let lat = u64::from(m.lat);
-                        *spec_cycle += lat;
-                        trace.push(ExecRecord {
-                            func: func_id,
-                            inst: m.inst,
-                            result: Some(r as u64),
-                            store: None,
-                            latency: lat,
-                            cycle_end: *spec_cycle,
-                        });
                         frame.pos += 1;
-                        if trace.len() >= cap {
-                            return SpecStop::Done;
-                        }
+                        record!(m.inst, Some(r as u64), None, u64::from(m.lat));
+                        full!();
                         let v = fuse2_v(s, &frame.values, r) as u64;
                         frame.values[m.inst2.index()] = v;
-                        let lat2 = u64::from(m.lat2);
-                        *spec_cycle += lat2;
-                        trace.push(ExecRecord {
-                            func: func_id,
-                            inst: m.inst2,
-                            result: Some(v),
-                            store: None,
-                            latency: lat2,
-                            cycle_end: *spec_cycle,
-                        });
                         frame.pos += 1;
-                        idx += 1;
+                        record!(m.inst2, Some(v), None, u64::from(m.lat2));
+                        idx += 2;
                     }
                     SOpc::Load | SOpc::LoadImm => {
                         let cell = if s.opc == SOpc::Load {
@@ -364,275 +373,97 @@ impl Run<'_> {
                         } else {
                             s.imm as i64
                         };
-                        let v = match view.read(cell) {
-                            Ok(v) => v,
-                            Err(_) => return SpecStop::Done,
-                        };
+                        let Ok(v) = view.read(cell) else { return };
                         frame.values[m.inst.index()] = v;
-                        let lat = self.cache.access(cell as u64).max(1);
-                        *spec_cycle += lat;
-                        trace.push(ExecRecord {
-                            func: func_id,
-                            inst: m.inst,
-                            result: Some(v),
-                            store: None,
-                            latency: lat,
-                            cycle_end: *spec_cycle,
-                        });
                         frame.pos += 1;
+                        record!(m.inst, Some(v), None, self.cache.access(cell as u64).max(1));
                         idx += 1;
                     }
                     SOpc::StoreRR | SOpc::StoreRI | SOpc::StoreIR | SOpc::StoreII => {
-                        let cell = match s.opc {
-                            SOpc::StoreRR | SOpc::StoreRI => frame.values[s.a as usize] as i64,
-                            SOpc::StoreIR => s.imm as i64,
-                            _ => s.aux as i64,
-                        };
-                        let bits = match s.opc {
-                            SOpc::StoreRR | SOpc::StoreIR => frame.values[s.b as usize],
-                            _ => s.imm,
-                        };
+                        let (cell, bits) = store_operands(s, &frame.values);
                         if view.write(cell, bits).is_err() {
-                            return SpecStop::Done;
+                            return;
                         }
-                        let lat = self.cache.access(cell as u64).clamp(1, 4);
-                        *spec_cycle += lat;
-                        trace.push(ExecRecord {
-                            func: func_id,
-                            inst: m.inst,
-                            result: None,
-                            store: Some((cell, bits)),
-                            latency: lat,
-                            cycle_end: *spec_cycle,
-                        });
                         frame.pos += 1;
+                        let lat = self.cache.access(cell as u64).clamp(1, 4);
+                        record!(m.inst, None, Some((cell, bits)), lat);
                         idx += 1;
                     }
                     SOpc::LoadBin | SOpc::LoadBinImm => {
                         let cell = frame.values[s.a as usize] as i64;
-                        let v = match view.read(cell) {
-                            Ok(v) => v,
-                            Err(_) => return SpecStop::Done,
-                        };
+                        let Ok(v) = view.read(cell) else { return };
                         frame.values[m.inst.index()] = v;
-                        let lat = self.cache.access(cell as u64).max(1);
-                        *spec_cycle += lat;
-                        trace.push(ExecRecord {
-                            func: func_id,
-                            inst: m.inst,
-                            result: Some(v),
-                            store: None,
-                            latency: lat,
-                            cycle_end: *spec_cycle,
-                        });
                         frame.pos += 1;
-                        if trace.len() >= cap {
-                            return SpecStop::Done;
-                        }
-                        let other = if s.opc == SOpc::LoadBin {
-                            frame.values[s.b as usize] as i64
-                        } else {
-                            s.imm as i64
-                        };
-                        let r = if s.flags & F_SWAP != 0 {
-                            s.bin.eval_i64(other, v as i64)
-                        } else {
-                            s.bin.eval_i64(v as i64, other)
-                        } as u64;
+                        record!(m.inst, Some(v), None, self.cache.access(cell as u64).max(1));
+                        full!();
+                        let r = load_bin(s, &frame.values, v);
                         frame.values[m.inst2.index()] = r;
-                        let lat2 = u64::from(m.lat2);
-                        *spec_cycle += lat2;
-                        trace.push(ExecRecord {
-                            func: func_id,
-                            inst: m.inst2,
-                            result: Some(r),
-                            store: None,
-                            latency: lat2,
-                            cycle_end: *spec_cycle,
-                        });
                         frame.pos += 1;
-                        idx += 1;
+                        record!(m.inst2, Some(r), None, u64::from(m.lat2));
+                        idx += 2;
                     }
                     SOpc::BinStore | SOpc::BinStoreImm => {
-                        let a = frame.values[s.a as usize] as i64;
-                        let r = if s.opc == SOpc::BinStore {
-                            s.bin.eval_i64(a, frame.values[s.b as usize] as i64)
-                        } else if s.flags & F_SWAP != 0 {
-                            s.bin.eval_i64(s.imm as i64, a)
-                        } else {
-                            s.bin.eval_i64(a, s.imm as i64)
-                        } as u64;
+                        let r = bin_ri(s, &frame.values, s.opc == SOpc::BinStore);
                         frame.values[m.inst.index()] = r;
-                        let lat = u64::from(m.lat);
-                        *spec_cycle += lat;
-                        trace.push(ExecRecord {
-                            func: func_id,
-                            inst: m.inst,
-                            result: Some(r),
-                            store: None,
-                            latency: lat,
-                            cycle_end: *spec_cycle,
-                        });
                         frame.pos += 1;
-                        if trace.len() >= cap {
-                            return SpecStop::Done;
-                        }
+                        record!(m.inst, Some(r), None, u64::from(m.lat));
+                        full!();
                         let cell = frame.values[s.aux as usize] as i64;
                         if view.write(cell, r).is_err() {
-                            return SpecStop::Done;
+                            return;
                         }
-                        let lat2 = self.cache.access(cell as u64).clamp(1, 4);
-                        *spec_cycle += lat2;
-                        trace.push(ExecRecord {
-                            func: func_id,
-                            inst: m.inst2,
-                            result: None,
-                            store: Some((cell, r)),
-                            latency: lat2,
-                            cycle_end: *spec_cycle,
-                        });
                         frame.pos += 1;
-                        idx += 1;
+                        let lat2 = self.cache.access(cell as u64).clamp(1, 4);
+                        record!(m.inst2, None, Some((cell, r)), lat2);
+                        idx += 2;
                     }
                     SOpc::AgenLoad | SOpc::AgenLoadImm => {
-                        let x = frame.values[s.a as usize] as i64;
-                        let cell = if s.opc == SOpc::AgenLoad {
-                            s.bin.eval_i64(x, frame.values[s.b as usize] as i64)
-                        } else if s.flags & F_SWAP != 0 {
-                            s.bin.eval_i64(s.imm as i64, x)
-                        } else {
-                            s.bin.eval_i64(x, s.imm as i64)
-                        };
-                        frame.values[m.inst.index()] = cell as u64;
-                        let lat = u64::from(m.lat);
-                        *spec_cycle += lat;
-                        trace.push(ExecRecord {
-                            func: func_id,
-                            inst: m.inst,
-                            result: Some(cell as u64),
-                            store: None,
-                            latency: lat,
-                            cycle_end: *spec_cycle,
-                        });
+                        let cell = bin_ri(s, &frame.values, s.opc == SOpc::AgenLoad);
+                        frame.values[m.inst.index()] = cell;
                         frame.pos += 1;
-                        if trace.len() >= cap {
-                            return SpecStop::Done;
-                        }
-                        let v = match view.read(cell) {
-                            Ok(v) => v,
-                            Err(_) => return SpecStop::Done,
+                        record!(m.inst, Some(cell), None, u64::from(m.lat));
+                        full!();
+                        let Ok(v) = view.read(cell as i64) else {
+                            return;
                         };
                         frame.values[m.inst2.index()] = v;
-                        let lat2 = self.cache.access(cell as u64).max(1);
-                        *spec_cycle += lat2;
-                        trace.push(ExecRecord {
-                            func: func_id,
-                            inst: m.inst2,
-                            result: Some(v),
-                            store: None,
-                            latency: lat2,
-                            cycle_end: *spec_cycle,
-                        });
                         frame.pos += 1;
-                        idx += 1;
+                        record!(m.inst2, Some(v), None, self.cache.access(cell).max(1));
+                        idx += 2;
                     }
                     SOpc::AgenStore | SOpc::AgenStoreImm => {
-                        let x = frame.values[s.a as usize] as i64;
-                        let cell = if s.opc == SOpc::AgenStore {
-                            s.bin.eval_i64(x, frame.values[s.b as usize] as i64)
-                        } else if s.flags & F_SWAP != 0 {
-                            s.bin.eval_i64(s.imm as i64, x)
-                        } else {
-                            s.bin.eval_i64(x, s.imm as i64)
-                        };
-                        frame.values[m.inst.index()] = cell as u64;
-                        let lat = u64::from(m.lat);
-                        *spec_cycle += lat;
-                        trace.push(ExecRecord {
-                            func: func_id,
-                            inst: m.inst,
-                            result: Some(cell as u64),
-                            store: None,
-                            latency: lat,
-                            cycle_end: *spec_cycle,
-                        });
+                        let cell = bin_ri(s, &frame.values, s.opc == SOpc::AgenStore);
+                        frame.values[m.inst.index()] = cell;
                         frame.pos += 1;
-                        if trace.len() >= cap {
-                            return SpecStop::Done;
-                        }
+                        record!(m.inst, Some(cell), None, u64::from(m.lat));
+                        full!();
                         let bits = frame.values[s.aux as usize];
-                        if view.write(cell, bits).is_err() {
-                            return SpecStop::Done;
+                        if view.write(cell as i64, bits).is_err() {
+                            return;
                         }
-                        let lat2 = self.cache.access(cell as u64).clamp(1, 4);
-                        *spec_cycle += lat2;
-                        trace.push(ExecRecord {
-                            func: func_id,
-                            inst: m.inst2,
-                            result: None,
-                            store: Some((cell, bits)),
-                            latency: lat2,
-                            cycle_end: *spec_cycle,
-                        });
                         frame.pos += 1;
-                        idx += 1;
+                        let lat2 = self.cache.access(cell).clamp(1, 4);
+                        record!(m.inst2, None, Some((cell as i64, bits)), lat2);
+                        idx += 2;
                     }
                     SOpc::Jump => {
-                        let target = s.t1;
-                        transfer(frame, df, target);
-                        let lat = u64::from(m.lat);
-                        *spec_cycle += lat;
-                        trace.push(ExecRecord {
-                            func: func_id,
-                            inst: m.inst,
-                            result: None,
-                            store: None,
-                            latency: lat,
-                            cycle_end: *spec_cycle,
-                        });
-                        if func_id == bfunc && target == btarget && depth == depth0 {
-                            return SpecStop::Done;
+                        transfer(frame, df, s.t1);
+                        record!(m.inst, None, None, u64::from(m.lat));
+                        if func_id == bfunc && s.t1 == btarget && depth == depth0 {
+                            return;
                         }
                         continue 'outer;
                     }
                     SOpc::BinJump | SOpc::BinImmJump => {
-                        let a = frame.values[s.a as usize] as i64;
-                        let v = if s.opc == SOpc::BinJump {
-                            s.bin.eval_i64(a, frame.values[s.b as usize] as i64)
-                        } else if s.flags & F_SWAP != 0 {
-                            s.bin.eval_i64(s.imm as i64, a)
-                        } else {
-                            s.bin.eval_i64(a, s.imm as i64)
-                        } as u64;
+                        let v = bin_ri(s, &frame.values, s.opc == SOpc::BinJump);
                         frame.values[m.inst.index()] = v;
-                        let lat = u64::from(m.lat);
-                        *spec_cycle += lat;
-                        trace.push(ExecRecord {
-                            func: func_id,
-                            inst: m.inst,
-                            result: Some(v),
-                            store: None,
-                            latency: lat,
-                            cycle_end: *spec_cycle,
-                        });
                         frame.pos += 1;
-                        if trace.len() >= cap {
-                            return SpecStop::Done;
-                        }
-                        let target = s.t1;
-                        transfer(frame, df, target);
-                        let lat2 = u64::from(m.lat2);
-                        *spec_cycle += lat2;
-                        trace.push(ExecRecord {
-                            func: func_id,
-                            inst: m.inst2,
-                            result: None,
-                            store: None,
-                            latency: lat2,
-                            cycle_end: *spec_cycle,
-                        });
-                        if func_id == bfunc && target == btarget && depth == depth0 {
-                            return SpecStop::Done;
+                        record!(m.inst, Some(v), None, u64::from(m.lat));
+                        full!();
+                        transfer(frame, df, s.t1);
+                        record!(m.inst2, None, None, u64::from(m.lat2));
+                        if func_id == bfunc && s.t1 == btarget && depth == depth0 {
+                            return;
                         }
                         continue 'outer;
                     }
@@ -648,60 +479,27 @@ impl Run<'_> {
                             lat += self.config.branch_mispredict_penalty;
                         }
                         transfer(frame, df, target);
-                        *spec_cycle += lat;
-                        trace.push(ExecRecord {
-                            func: func_id,
-                            inst: m.inst,
-                            result: None,
-                            store: None,
-                            latency: lat,
-                            cycle_end: *spec_cycle,
-                        });
+                        record!(m.inst, None, None, lat);
                         if func_id == bfunc && target == btarget && depth == depth0 {
-                            return SpecStop::Done;
+                            return;
                         }
                         continue 'outer;
                     }
                     SOpc::CmpBr | SOpc::CmpBrImm => {
-                        let a = frame.values[s.a as usize] as i64;
-                        let b = if s.opc == SOpc::CmpBr {
-                            frame.values[s.b as usize] as i64
-                        } else {
-                            s.imm as i64
-                        };
-                        let taken = s.cmp.eval_i64(a, b);
+                        let taken = cmp_br(s, &frame.values);
                         frame.values[m.inst.index()] = taken as u64;
-                        let lat = u64::from(m.lat);
-                        *spec_cycle += lat;
-                        trace.push(ExecRecord {
-                            func: func_id,
-                            inst: m.inst,
-                            result: Some(taken as u64),
-                            store: None,
-                            latency: lat,
-                            cycle_end: *spec_cycle,
-                        });
                         frame.pos += 1;
-                        if trace.len() >= cap {
-                            return SpecStop::Done;
-                        }
+                        record!(m.inst, Some(taken as u64), None, u64::from(m.lat));
+                        full!();
                         let target = if taken { s.t1 } else { s.t2 };
                         let mut lat2 = u64::from(m.lat2);
                         if self.predictor.mispredicted(func_id, m.inst2, taken) {
                             lat2 += self.config.branch_mispredict_penalty;
                         }
                         transfer(frame, df, target);
-                        *spec_cycle += lat2;
-                        trace.push(ExecRecord {
-                            func: func_id,
-                            inst: m.inst2,
-                            result: None,
-                            store: None,
-                            latency: lat2,
-                            cycle_end: *spec_cycle,
-                        });
+                        record!(m.inst2, None, None, lat2);
                         if func_id == bfunc && target == btarget && depth == depth0 {
-                            return SpecStop::Done;
+                            return;
                         }
                         continue 'outer;
                     }
@@ -715,151 +513,126 @@ impl Run<'_> {
                         if let Some(done) = spec.frames.pop() {
                             spec.pool.push(done);
                         }
-                        match spec.frames.last_mut() {
-                            Some(parent) => {
-                                if let (Some(slot), Some(v)) = (ret_slot, bits) {
-                                    parent.values[slot.index()] = v;
-                                }
-                                let (to, pf, pd) = (parent.block, parent.func, spec.frames.len());
-                                let lat = u64::from(m.lat);
-                                *spec_cycle += lat;
-                                trace.push(ExecRecord {
-                                    func: func_id,
-                                    inst: m.inst,
-                                    result: None,
-                                    store: None,
-                                    latency: lat,
-                                    cycle_end: *spec_cycle,
-                                });
-                                if pf == bfunc && to == btarget && pd == depth0 {
-                                    return SpecStop::Done;
-                                }
-                                continue 'outer;
-                            }
-                            // Returning out of the spawning frame ends
-                            // speculation; the return is not recorded.
-                            None => return SpecStop::Done,
+                        // Returning out of the spawning frame ends
+                        // speculation; that return is not recorded.
+                        let Some(parent) = spec.frames.last_mut() else {
+                            return;
+                        };
+                        if let (Some(slot), Some(v)) = (ret_slot, bits) {
+                            parent.values[slot.index()] = v;
                         }
+                        let (to, pf) = (parent.block, parent.func);
+                        record!(m.inst, None, None, u64::from(m.lat));
+                        if pf == bfunc && to == btarget && depth - 1 == depth0 {
+                            return;
+                        }
+                        continue 'outer;
+                    }
+                    SOpc::Call => {
+                        frame.pos += 1;
+                        let callee = FuncId(s.aux);
+                        let args = &sf.args[s.a as usize..(s.a + s.b) as usize];
+                        if spec
+                            .push_call(self.decoded, callee, args, InstId(s.dst))
+                            .is_err()
+                        {
+                            return;
+                        }
+                        record!(m.inst, None, None, u64::from(m.lat));
+                        let entry = self.decoded.func(callee).entry;
+                        if callee == bfunc && entry == btarget && depth + 1 == depth0 {
+                            return;
+                        }
+                        continue 'outer;
                     }
                     SOpc::SptFork => {
                         // Speculative forks are recorded (no-ops) and become
                         // effective at commit via the validation replay.
-                        let lat = u64::from(m.lat);
-                        *spec_cycle += lat;
-                        trace.push(ExecRecord {
-                            func: func_id,
-                            inst: m.inst,
-                            result: None,
-                            store: None,
-                            latency: lat,
-                            cycle_end: *spec_cycle,
-                        });
                         frame.pos += 1;
+                        record!(m.inst, None, None, u64::from(m.lat));
                         idx += 1;
                     }
                     SOpc::SptKill => {
-                        let kt = s.imm as u32;
                         frame.pos += 1;
-                        if kt == tag {
+                        if s.imm as u32 == tag {
                             // The speculative thread left the loop; the kill
                             // itself is re-executed by the main thread.
-                            return SpecStop::Done;
+                            return;
                         }
-                        let lat = u64::from(m.lat);
-                        *spec_cycle += lat;
-                        trace.push(ExecRecord {
-                            func: func_id,
-                            inst: m.inst,
-                            result: None,
-                            store: None,
-                            latency: lat,
-                            cycle_end: *spec_cycle,
-                        });
+                        record!(m.inst, None, None, u64::from(m.lat));
                         idx += 1;
                     }
+                    // Faults silently stop speculation.
+                    SOpc::SkipPhi | SOpc::Unsupported | SOpc::FallOff => return,
                 }
             }
-            // A block body always ends in a terminator op, which transfers
-            // or returns above; reaching here means malformed lowering, so
-            // hand the position to the dense stepper.
-            return SpecStop::Dense;
         }
     }
 
-    /// Replays trace records through fused blocks on the main core,
-    /// committing one comparison per constituent. Returns `Ok(true)` when it
-    /// consumed replay steps (the caller re-checks the replay guard) and
-    /// `Ok(false)` only when it made no progress at all and the current
-    /// position needs the dense stepper — the caller may take one dense step
-    /// on `Ok(false)` without re-checking its guard, so any call that
-    /// committed anything must return `Ok(true)` even if it then reached a
-    /// position it cannot run fused (e.g. a return into the middle of a
-    /// caller block).
+    /// Replays trace records on the main core, one comparison per executed
+    /// instruction, for as long as the reference replay loop would: while
+    /// the program has not finished and the next record is unconsumed and
+    /// finished by the arrival cycle.
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError`] on main-thread faults, exactly as the dense
-    /// replay would.
+    /// Returns [`ExecError`] on main-thread faults, exactly as the
+    /// reference replay would.
     pub(crate) fn validate_super(
         &mut self,
         thread: &mut Thread,
-        sup: &SuperblockModule,
         trace: &[ExecRecord],
         rp: &mut ReplayState,
-    ) -> Result<bool, ExecError> {
-        // Each step is guarded exactly like the dense replay loop's
-        // condition: an unconsumed record that finished by arrival.
-        macro_rules! ready {
+    ) -> Result<(), ExecError> {
+        // Checked before every replayed instruction.
+        macro_rules! guard {
             () => {
-                rp.k < trace.len() && trace[rp.k].cycle_end <= rp.arrival
+                if rp.finished.is_some()
+                    || rp.k >= trace.len()
+                    || trace[rp.k].cycle_end > rp.arrival
+                {
+                    return Ok(());
+                }
             };
         }
-        // Every committed constituent advances `rp.k`, so progress is a
-        // plain cursor comparison.
-        let k0 = rp.k;
         'outer: loop {
+            guard!();
             let Some(frame) = thread.frames.last_mut() else {
-                return Ok(rp.k != k0);
+                return Ok(());
             };
             let func_id = frame.func;
             let df = self.decoded.func(func_id);
-            let sf = sup.func(func_id);
+            let sf = self.sup.func(func_id);
             let sb = &sf.blocks[frame.block.index()];
-            let Some((s0, e0)) = sb.range else {
-                return Ok(rp.k != k0);
-            };
-            if frame.pos != df.blocks[frame.block.index()].body_start {
-                return Ok(rp.k != k0);
-            }
 
             while frame.pending_head < frame.pending.len() {
-                if !ready!() {
-                    return Ok(true);
-                }
+                guard!();
                 let (phi, bits) = frame.pending[frame.pending_head];
                 frame.pending_head += 1;
                 frame.values[phi.index()] = bits;
                 self.replay_commit(trace, rp, func_id, phi, Some(bits), None, 0);
             }
-
-            let mut cidx = 0usize;
-            let mut idx = s0 as usize;
-            while idx < e0 as usize {
+            for &(slot, bits) in sb.consts.iter() {
+                frame.values[slot as usize] = bits;
+            }
+            let mut idx = if frame.pos < frame.end {
+                sf.op_at[frame.pos as usize] as usize
+            } else {
+                sb.range.1 as usize - 1
+            };
+            loop {
                 let s = &sf.ops[idx];
                 let m = &sf.meta[idx];
                 while frame.pos < m.pos {
-                    if !ready!() {
-                        return Ok(true);
-                    }
-                    let (slot, bits) = sb.consts[cidx];
-                    cidx += 1;
-                    frame.values[slot as usize] = bits;
+                    guard!();
+                    let inst = df.stream[frame.pos as usize];
                     frame.pos += 1;
-                    self.replay_commit(trace, rp, func_id, InstId(slot), Some(bits), None, 0);
+                    let bits = frame.values[inst.index()];
+                    self.replay_commit(trace, rp, func_id, inst, Some(bits), None, 0);
                 }
-                if !ready!() {
-                    return Ok(true);
-                }
+                guard!();
+                let lat = u64::from(m.lat);
+                let lat2 = u64::from(m.lat2);
                 match s.opc {
                     SOpc::Param
                     | SOpc::ConstV
@@ -889,46 +662,20 @@ impl Run<'_> {
                         let def = pure_def(s, &frame.values, &frame.args);
                         frame.values[m.inst.index()] = def;
                         frame.pos += 1;
-                        self.replay_commit(
-                            trace,
-                            rp,
-                            func_id,
-                            m.inst,
-                            Some(def),
-                            None,
-                            u64::from(m.lat),
-                        );
+                        self.replay_commit(trace, rp, func_id, m.inst, Some(def), None, lat);
                         idx += 1;
                     }
                     SOpc::Fuse2 | SOpc::Fuse2II | SOpc::Fuse2IR | SOpc::Fuse2IRr => {
                         let r = fuse2_r(s, &frame.values);
                         frame.values[m.inst.index()] = r as u64;
                         frame.pos += 1;
-                        self.replay_commit(
-                            trace,
-                            rp,
-                            func_id,
-                            m.inst,
-                            Some(r as u64),
-                            None,
-                            u64::from(m.lat),
-                        );
-                        if !ready!() {
-                            return Ok(true);
-                        }
+                        self.replay_commit(trace, rp, func_id, m.inst, Some(r as u64), None, lat);
+                        guard!();
                         let v = fuse2_v(s, &frame.values, r) as u64;
                         frame.values[m.inst2.index()] = v;
                         frame.pos += 1;
-                        self.replay_commit(
-                            trace,
-                            rp,
-                            func_id,
-                            m.inst2,
-                            Some(v),
-                            None,
-                            u64::from(m.lat2),
-                        );
-                        idx += 1;
+                        self.replay_commit(trace, rp, func_id, m.inst2, Some(v), None, lat2);
+                        idx += 2;
                     }
                     SOpc::Load | SOpc::LoadImm => {
                         let cell = if s.opc == SOpc::Load {
@@ -936,40 +683,15 @@ impl Run<'_> {
                         } else {
                             s.imm as i64
                         };
-                        let v = match usize::try_from(cell).ok().and_then(|i| self.memory.get(i)) {
-                            Some(v) => *v,
-                            None => return Err(ExecError::OutOfBounds(cell)),
-                        };
+                        let v = self.read(cell)?;
                         frame.values[m.inst.index()] = v;
                         frame.pos += 1;
-                        self.replay_commit(
-                            trace,
-                            rp,
-                            func_id,
-                            m.inst,
-                            Some(v),
-                            None,
-                            u64::from(m.lat),
-                        );
+                        self.replay_commit(trace, rp, func_id, m.inst, Some(v), None, lat);
                         idx += 1;
                     }
                     SOpc::StoreRR | SOpc::StoreRI | SOpc::StoreIR | SOpc::StoreII => {
-                        let cell = match s.opc {
-                            SOpc::StoreRR | SOpc::StoreRI => frame.values[s.a as usize] as i64,
-                            SOpc::StoreIR => s.imm as i64,
-                            _ => s.aux as i64,
-                        };
-                        let bits = match s.opc {
-                            SOpc::StoreRR | SOpc::StoreIR => frame.values[s.b as usize],
-                            _ => s.imm,
-                        };
-                        match usize::try_from(cell)
-                            .ok()
-                            .and_then(|i| self.memory.get_mut(i))
-                        {
-                            Some(slot) => *slot = bits,
-                            None => return Err(ExecError::OutOfBounds(cell)),
-                        }
+                        let (cell, bits) = store_operands(s, &frame.values);
+                        self.write(cell, bits)?;
                         frame.pos += 1;
                         self.replay_commit(
                             trace,
@@ -978,87 +700,30 @@ impl Run<'_> {
                             m.inst,
                             None,
                             Some((cell, bits)),
-                            u64::from(m.lat),
+                            lat,
                         );
                         idx += 1;
                     }
                     SOpc::LoadBin | SOpc::LoadBinImm => {
-                        let cell = frame.values[s.a as usize] as i64;
-                        let v = match usize::try_from(cell).ok().and_then(|i| self.memory.get(i)) {
-                            Some(v) => *v,
-                            None => return Err(ExecError::OutOfBounds(cell)),
-                        };
+                        let v = self.read(frame.values[s.a as usize] as i64)?;
                         frame.values[m.inst.index()] = v;
                         frame.pos += 1;
-                        self.replay_commit(
-                            trace,
-                            rp,
-                            func_id,
-                            m.inst,
-                            Some(v),
-                            None,
-                            u64::from(m.lat),
-                        );
-                        if !ready!() {
-                            return Ok(true);
-                        }
-                        let other = if s.opc == SOpc::LoadBin {
-                            frame.values[s.b as usize] as i64
-                        } else {
-                            s.imm as i64
-                        };
-                        let r = if s.flags & F_SWAP != 0 {
-                            s.bin.eval_i64(other, v as i64)
-                        } else {
-                            s.bin.eval_i64(v as i64, other)
-                        } as u64;
+                        self.replay_commit(trace, rp, func_id, m.inst, Some(v), None, lat);
+                        guard!();
+                        let r = load_bin(s, &frame.values, v);
                         frame.values[m.inst2.index()] = r;
                         frame.pos += 1;
-                        self.replay_commit(
-                            trace,
-                            rp,
-                            func_id,
-                            m.inst2,
-                            Some(r),
-                            None,
-                            u64::from(m.lat2),
-                        );
-                        idx += 1;
+                        self.replay_commit(trace, rp, func_id, m.inst2, Some(r), None, lat2);
+                        idx += 2;
                     }
                     SOpc::BinStore | SOpc::BinStoreImm => {
-                        let a = frame.values[s.a as usize] as i64;
-                        let r = if s.opc == SOpc::BinStore {
-                            s.bin.eval_i64(a, frame.values[s.b as usize] as i64)
-                        } else if s.flags & F_SWAP != 0 {
-                            s.bin.eval_i64(s.imm as i64, a)
-                        } else {
-                            s.bin.eval_i64(a, s.imm as i64)
-                        } as u64;
+                        let r = bin_ri(s, &frame.values, s.opc == SOpc::BinStore);
                         frame.values[m.inst.index()] = r;
                         frame.pos += 1;
-                        self.replay_commit(
-                            trace,
-                            rp,
-                            func_id,
-                            m.inst,
-                            Some(r),
-                            None,
-                            u64::from(m.lat),
-                        );
-                        if !ready!() {
-                            return Ok(true);
-                        }
+                        self.replay_commit(trace, rp, func_id, m.inst, Some(r), None, lat);
+                        guard!();
                         let cell = frame.values[s.aux as usize] as i64;
-                        match usize::try_from(cell)
-                            .ok()
-                            .and_then(|i| self.memory.get_mut(i))
-                        {
-                            Some(slot) => *slot = r,
-                            None => {
-                                frame.pos += 1;
-                                return Err(ExecError::OutOfBounds(cell));
-                            }
-                        }
+                        self.write(cell, r)?;
                         frame.pos += 1;
                         self.replay_commit(
                             trace,
@@ -1067,151 +732,48 @@ impl Run<'_> {
                             m.inst2,
                             None,
                             Some((cell, r)),
-                            u64::from(m.lat2),
+                            lat2,
                         );
-                        idx += 1;
+                        idx += 2;
                     }
                     SOpc::AgenLoad | SOpc::AgenLoadImm => {
-                        let x = frame.values[s.a as usize] as i64;
-                        let cell = if s.opc == SOpc::AgenLoad {
-                            s.bin.eval_i64(x, frame.values[s.b as usize] as i64)
-                        } else if s.flags & F_SWAP != 0 {
-                            s.bin.eval_i64(s.imm as i64, x)
-                        } else {
-                            s.bin.eval_i64(x, s.imm as i64)
-                        };
-                        frame.values[m.inst.index()] = cell as u64;
+                        let cell = bin_ri(s, &frame.values, s.opc == SOpc::AgenLoad);
+                        frame.values[m.inst.index()] = cell;
                         frame.pos += 1;
-                        self.replay_commit(
-                            trace,
-                            rp,
-                            func_id,
-                            m.inst,
-                            Some(cell as u64),
-                            None,
-                            u64::from(m.lat),
-                        );
-                        if !ready!() {
-                            return Ok(true);
-                        }
-                        let v = match usize::try_from(cell).ok().and_then(|i| self.memory.get(i)) {
-                            Some(v) => *v,
-                            None => {
-                                frame.pos += 1;
-                                return Err(ExecError::OutOfBounds(cell));
-                            }
-                        };
+                        self.replay_commit(trace, rp, func_id, m.inst, Some(cell), None, lat);
+                        guard!();
+                        let v = self.read(cell as i64)?;
                         frame.values[m.inst2.index()] = v;
                         frame.pos += 1;
-                        self.replay_commit(
-                            trace,
-                            rp,
-                            func_id,
-                            m.inst2,
-                            Some(v),
-                            None,
-                            u64::from(m.lat2),
-                        );
-                        idx += 1;
+                        self.replay_commit(trace, rp, func_id, m.inst2, Some(v), None, lat2);
+                        idx += 2;
                     }
                     SOpc::AgenStore | SOpc::AgenStoreImm => {
-                        let x = frame.values[s.a as usize] as i64;
-                        let cell = if s.opc == SOpc::AgenStore {
-                            s.bin.eval_i64(x, frame.values[s.b as usize] as i64)
-                        } else if s.flags & F_SWAP != 0 {
-                            s.bin.eval_i64(s.imm as i64, x)
-                        } else {
-                            s.bin.eval_i64(x, s.imm as i64)
-                        };
-                        frame.values[m.inst.index()] = cell as u64;
+                        let cell = bin_ri(s, &frame.values, s.opc == SOpc::AgenStore);
+                        frame.values[m.inst.index()] = cell;
                         frame.pos += 1;
-                        self.replay_commit(
-                            trace,
-                            rp,
-                            func_id,
-                            m.inst,
-                            Some(cell as u64),
-                            None,
-                            u64::from(m.lat),
-                        );
-                        if !ready!() {
-                            return Ok(true);
-                        }
+                        self.replay_commit(trace, rp, func_id, m.inst, Some(cell), None, lat);
+                        guard!();
                         let bits = frame.values[s.aux as usize];
-                        match usize::try_from(cell)
-                            .ok()
-                            .and_then(|i| self.memory.get_mut(i))
-                        {
-                            Some(slot) => *slot = bits,
-                            None => {
-                                frame.pos += 1;
-                                return Err(ExecError::OutOfBounds(cell));
-                            }
-                        }
+                        self.write(cell as i64, bits)?;
                         frame.pos += 1;
-                        self.replay_commit(
-                            trace,
-                            rp,
-                            func_id,
-                            m.inst2,
-                            None,
-                            Some((cell, bits)),
-                            u64::from(m.lat2),
-                        );
-                        idx += 1;
+                        let store = Some((cell as i64, bits));
+                        self.replay_commit(trace, rp, func_id, m.inst2, None, store, lat2);
+                        idx += 2;
                     }
                     SOpc::Jump => {
                         transfer(frame, df, s.t1);
-                        self.replay_commit(
-                            trace,
-                            rp,
-                            func_id,
-                            m.inst,
-                            None,
-                            None,
-                            u64::from(m.lat),
-                        );
-                        if rp.k >= trace.len() {
-                            return Ok(true);
-                        }
+                        self.replay_commit(trace, rp, func_id, m.inst, None, None, lat);
                         continue 'outer;
                     }
                     SOpc::BinJump | SOpc::BinImmJump => {
-                        let a = frame.values[s.a as usize] as i64;
-                        let v = if s.opc == SOpc::BinJump {
-                            s.bin.eval_i64(a, frame.values[s.b as usize] as i64)
-                        } else if s.flags & F_SWAP != 0 {
-                            s.bin.eval_i64(s.imm as i64, a)
-                        } else {
-                            s.bin.eval_i64(a, s.imm as i64)
-                        } as u64;
+                        let v = bin_ri(s, &frame.values, s.opc == SOpc::BinJump);
                         frame.values[m.inst.index()] = v;
                         frame.pos += 1;
-                        self.replay_commit(
-                            trace,
-                            rp,
-                            func_id,
-                            m.inst,
-                            Some(v),
-                            None,
-                            u64::from(m.lat),
-                        );
-                        if !ready!() {
-                            return Ok(true);
-                        }
+                        self.replay_commit(trace, rp, func_id, m.inst, Some(v), None, lat);
+                        guard!();
                         transfer(frame, df, s.t1);
-                        self.replay_commit(
-                            trace,
-                            rp,
-                            func_id,
-                            m.inst2,
-                            None,
-                            None,
-                            u64::from(m.lat2),
-                        );
-                        if rp.k >= trace.len() {
-                            return Ok(true);
-                        }
+                        self.replay_commit(trace, rp, func_id, m.inst2, None, None, lat2);
                         continue 'outer;
                     }
                     SOpc::Branch | SOpc::BranchImm => {
@@ -1220,30 +782,12 @@ impl Run<'_> {
                         } else {
                             s.imm != 0
                         };
-                        let target = if taken { s.t1 } else { s.t2 };
-                        transfer(frame, df, target);
-                        self.replay_commit(
-                            trace,
-                            rp,
-                            func_id,
-                            m.inst,
-                            None,
-                            None,
-                            u64::from(m.lat),
-                        );
-                        if rp.k >= trace.len() {
-                            return Ok(true);
-                        }
+                        transfer(frame, df, if taken { s.t1 } else { s.t2 });
+                        self.replay_commit(trace, rp, func_id, m.inst, None, None, lat);
                         continue 'outer;
                     }
                     SOpc::CmpBr | SOpc::CmpBrImm => {
-                        let a = frame.values[s.a as usize] as i64;
-                        let b = if s.opc == SOpc::CmpBr {
-                            frame.values[s.b as usize] as i64
-                        } else {
-                            s.imm as i64
-                        };
-                        let taken = s.cmp.eval_i64(a, b);
+                        let taken = cmp_br(s, &frame.values);
                         frame.values[m.inst.index()] = taken as u64;
                         frame.pos += 1;
                         self.replay_commit(
@@ -1253,25 +797,11 @@ impl Run<'_> {
                             m.inst,
                             Some(taken as u64),
                             None,
-                            u64::from(m.lat),
+                            lat,
                         );
-                        if !ready!() {
-                            return Ok(true);
-                        }
-                        let target = if taken { s.t1 } else { s.t2 };
-                        transfer(frame, df, target);
-                        self.replay_commit(
-                            trace,
-                            rp,
-                            func_id,
-                            m.inst2,
-                            None,
-                            None,
-                            u64::from(m.lat2),
-                        );
-                        if rp.k >= trace.len() {
-                            return Ok(true);
-                        }
+                        guard!();
+                        transfer(frame, df, if taken { s.t1 } else { s.t2 });
+                        self.replay_commit(trace, rp, func_id, m.inst2, None, None, lat2);
                         continue 'outer;
                     }
                     SOpc::RetVal | SOpc::RetImm | SOpc::RetVoid => {
@@ -1293,54 +823,30 @@ impl Run<'_> {
                             }
                             None => true,
                         };
-                        self.replay_commit(
-                            trace,
-                            rp,
-                            func_id,
-                            m.inst,
-                            None,
-                            None,
-                            u64::from(m.lat),
-                        );
+                        self.replay_commit(trace, rp, func_id, m.inst, None, None, lat);
                         if finished {
                             rp.finished = Some(bits);
-                            return Ok(true);
                         }
-                        if rp.k >= trace.len() {
-                            return Ok(true);
-                        }
+                        continue 'outer;
+                    }
+                    SOpc::Call => {
+                        frame.pos += 1;
+                        let args = &sf.args[s.a as usize..(s.a + s.b) as usize];
+                        thread.push_call(self.decoded, FuncId(s.aux), args, InstId(s.dst))?;
+                        self.replay_commit(trace, rp, func_id, m.inst, None, None, lat);
                         continue 'outer;
                     }
                     SOpc::SptFork => {
                         frame.pos += 1;
-                        self.replay_commit(
-                            trace,
-                            rp,
-                            func_id,
-                            m.inst,
-                            None,
-                            None,
-                            u64::from(m.lat),
-                        );
+                        self.replay_commit(trace, rp, func_id, m.inst, None, None, lat);
                         if s.imm as u32 == rp.tag {
                             rp.pending_fork = true;
-                        }
-                        if rp.k >= trace.len() {
-                            return Ok(true);
                         }
                         idx += 1;
                     }
                     SOpc::SptKill => {
                         frame.pos += 1;
-                        self.replay_commit(
-                            trace,
-                            rp,
-                            func_id,
-                            m.inst,
-                            None,
-                            None,
-                            u64::from(m.lat),
-                        );
+                        self.replay_commit(trace, rp, func_id, m.inst, None, None, lat);
                         let kt = s.imm as u32;
                         self.deactivate(kt);
                         if kt == rp.tag {
@@ -1348,21 +854,46 @@ impl Run<'_> {
                             self.loops[rp.ti].1.wasted_insts += (trace.len() - rp.k) as u64;
                             rp.k = trace.len();
                         }
-                        if rp.k >= trace.len() {
-                            return Ok(true);
-                        }
                         idx += 1;
                     }
-                }
-                // A value mismatch commits and continues, but a control
-                // divergence discards the rest of the trace.
-                if rp.k >= trace.len() {
-                    return Ok(true);
+                    SOpc::SkipPhi => {
+                        return Err(ExecError::Malformed(format!(
+                            "unscheduled phi {} executed directly",
+                            m.inst
+                        )));
+                    }
+                    SOpc::Unsupported => {
+                        return Err(ExecError::Malformed("non-SSA IR in simulator".into()));
+                    }
+                    SOpc::FallOff => {
+                        return Err(ExecError::Malformed(format!(
+                            "fell off block {} in {}",
+                            frame.block, df.name
+                        )));
+                    }
                 }
             }
-            // A block body always ends in a terminator; reaching here means
-            // malformed lowering — hand the position to the dense stepper.
-            return Ok(rp.k != k0);
         }
+    }
+
+    /// Reads committed memory (the validation replay's view).
+    #[inline(always)]
+    fn read(&self, cell: i64) -> Result<u64, ExecError> {
+        usize::try_from(cell)
+            .ok()
+            .and_then(|i| self.memory.get(i))
+            .copied()
+            .ok_or(ExecError::OutOfBounds(cell))
+    }
+
+    /// Writes committed memory (the validation replay's view).
+    #[inline(always)]
+    fn write(&mut self, cell: i64, bits: u64) -> Result<(), ExecError> {
+        let slot = usize::try_from(cell)
+            .ok()
+            .and_then(|i| self.memory.get_mut(i))
+            .ok_or(ExecError::OutOfBounds(cell))?;
+        *slot = bits;
+        Ok(())
     }
 }

@@ -1,35 +1,40 @@
-//! The simulator's superblock execution tier: threaded-code dispatch of the
-//! fused [`SuperblockModule`] form for the *main* thread.
+//! The main thread's executor: threaded-code dispatch of the module's
+//! superblock code ([`spt_ir::superblock`]).
 //!
-//! [`Run::run_super`] advances the main thread exactly like repeated
-//! [`Thread::step`] calls driven by [`Run::run`](crate::sim), but executes
-//! whole fused blocks between returns: it only comes back to the driver at
-//! the control events the episode machinery must observe (`SPT_FORK`,
+//! [`Run::run_super`] advances the main thread through whole blocks,
+//! calls and returns included, and comes back to the driver only at the
+//! control events the episode machinery must observe (`SPT_FORK`,
 //! `SPT_KILL`, a transfer matching the watched iteration boundary, program
 //! finish) or when the retired-instruction budget is crossed
-//! ([`SuperStop::Fuel`]).
+//! ([`SuperStop::Fuel`]). It can resume at any stream position — after a
+//! call returns, or wherever a validation replay stopped, including between
+//! the two constituents of a fused pair (the pair's tail op, see
+//! [`SuperblockFunc::op_at`](spt_ir::SuperblockFunc)).
 //!
 //! **Exactness contract**: every constituent instruction of a fused op
 //! charges the same cycle latency, retire count, loop attribution and
-//! cache/branch-predictor accesses, in the same order, as the dense stepper
-//! — the shared cache and predictor are stateful, so identical access
-//! sequences are what make the two tiers produce bit-identical
-//! [`SimResult`](crate::SimResult)s. Cycle/retire/attribution charges are
-//! *batched* per fused walk and flushed at every exit (event, fault,
-//! transfer): nothing the walk executes reads the global clock, so the batch
-//! is unobservable. A block whose full retire count could cross the fuel
-//! budget takes the dense arm instead, which reproduces the exact
-//! per-instruction abort point. Blocks the lowering left dense
-//! (`range: None`), and mid-block resumptions that land inside a fused pair
-//! (validation replay can stop anywhere), likewise fall back to
-//! [`Thread::step`] until the next block boundary re-synchronizes via
-//! [`SuperblockFunc::op_at`](spt_ir::SuperblockFunc).
+//! cache/branch-predictor accesses, in the same order, as the reference
+//! simulator's per-instruction stepper — the shared cache and predictor are
+//! stateful, so identical access sequences are what make the engines
+//! produce bit-identical [`SimResult`](crate::SimResult)s. Each walk runs
+//! one of two ways:
+//!
+//! * **batched**, when the block's full retire count fits under the fuel
+//!   budget: cycle/retire/attribution charges accumulate per walk and are
+//!   flushed at every exit (event, call, transfer). Nothing the walk
+//!   executes reads the global clock, so the batch is unobservable;
+//! * **stepwise** otherwise: every constituent charges immediately, so an
+//!   out-of-fuel stop lands on exactly the instruction it would in the
+//!   reference.
+//!
+//! A fault ends the run with an error, so neither walk settles its charges
+//! before returning one.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::sim::Run;
-use crate::thread::{transfer, ExecError, MemView, StepEvent, Thread, Timing};
-use spt_ir::superblock::{F2_IMM1, F2_IMM2, F2_OP1_REV, F2_R_RIGHT, F_SWAP};
-use spt_ir::{BlockId, FuncId, SOpc, SuperblockModule, NO_SLOT};
+use crate::specexec::{bin_ri, cmp_br, fuse2_r, fuse2_v, load_bin, store_operands};
+use crate::thread::{transfer, ExecError, StepEvent, Thread};
+use spt_ir::{BlockId, FuncId, InstId, SOpc, NO_SLOT};
 
 /// Why [`Run::run_super`] returned to the driver.
 pub(crate) enum SuperStop {
@@ -41,25 +46,19 @@ pub(crate) enum SuperStop {
 }
 
 impl Run<'_> {
-    /// Per-retired-instruction accounting: the fused-tier equivalent of the
-    /// driver's `insts += 1; attribute_main(&rec)` plus the stepper's cycle
-    /// advance. Returns `true` when the fuel budget is now crossed.
+    /// Per-retired-instruction accounting: one main-thread instruction of
+    /// `latency` cycles, attributed to every active loop. Returns `true`
+    /// when the fuel budget is now crossed.
     #[inline(always)]
     fn charge(&mut self, latency: u64) -> bool {
-        self.cycle += latency;
-        self.insts += 1;
-        for &(_, _, slot) in &self.active_tags {
-            let s = &mut self.loops[slot as usize].1;
-            s.main_insts += 1;
-            s.seq_cycles += latency;
-        }
+        self.flush_charges(latency, 1);
         self.insts > self.config.fuel
     }
 
-    /// Flushes a fused walk's batched accounting: `dinsts` retired
-    /// instructions summing `dcycle` cycles, attributed exactly as `dinsts`
-    /// individual [`Run::charge`] calls (the active-tag set cannot change
-    /// mid-walk — fork/kill events end the walk).
+    /// Flushes a batched walk's accounting: `dinsts` retired instructions
+    /// summing `dcycle` cycles, attributed exactly as `dinsts` individual
+    /// [`Run::charge`] calls (the active-tag set cannot change mid-walk —
+    /// fork/kill events end the walk).
     #[inline(always)]
     pub(crate) fn flush_charges(&mut self, dcycle: u64, dinsts: u64) {
         self.cycle += dcycle;
@@ -80,27 +79,20 @@ impl Run<'_> {
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError`] on program faults, exactly as the dense
-    /// stepper would (a faulting constituent is neither charged nor
-    /// recorded; completed constituents before it are flushed first).
+    /// Returns [`ExecError`] on program faults, exactly where the reference
+    /// stepper faults.
     pub(crate) fn run_super(
         &mut self,
         thread: &mut Thread,
-        sup: &SuperblockModule,
         watch: Option<(FuncId, BlockId, usize)>,
     ) -> Result<SuperStop, ExecError> {
-        'outer: loop {
-            let depth = thread.frames.len();
+        loop {
             let frame = thread
                 .frames
                 .last_mut()
                 .ok_or_else(|| ExecError::Malformed("step on finished thread".into()))?;
-            let func_id = frame.func;
-            let df = self.decoded.func(func_id);
-            let sf = sup.func(func_id);
-
-            // Deferred phi writes from the last transfer, delivered in a
-            // batch: each is one retired instruction at latency 0.
+            // Deferred phi writes from the last transfer: each is one
+            // retired instruction at latency 0.
             while frame.pending_head < frame.pending.len() {
                 let (phi, bits) = frame.pending[frame.pending_head];
                 frame.pending_head += 1;
@@ -109,535 +101,412 @@ impl Run<'_> {
                     return Ok(SuperStop::Fuel);
                 }
             }
+            let sb = &self.sup.func(frame.func).blocks[frame.block.index()];
+            let stop = if self.insts + sb.retires <= self.config.fuel {
+                self.walk_main::<false>(thread, watch)?
+            } else {
+                self.walk_main::<true>(thread, watch)?
+            };
+            if let Some(stop) = stop {
+                return Ok(stop);
+            }
+        }
+    }
 
-            // Fused dispatch only when the block lowered, the resume point
-            // is an op start, and the whole block's retires fit under the
-            // fuel budget — the last condition means the walk below needs no
-            // per-op fuel checks, and a near-exhaustion block runs dense
-            // with the exact per-instruction abort point.
-            let sb = &sf.blocks[frame.block.index()];
-            let fused = sb.range.is_some()
-                && (frame.pos as usize) < sf.op_at.len()
-                && sf.op_at[frame.pos as usize] != u32::MAX
-                && self.insts + sb.retires <= self.config.fuel;
-
-            if fused {
-                // Elided zero-latency constant defs are written as raw data
-                // (idempotent under SSA), so dense stretches of the same
-                // frame still read exact values from those slots.
-                for &(slot, bits) in sb.consts.iter() {
-                    frame.values[slot as usize] = bits;
-                }
-                let mut idx = sf.op_at[frame.pos as usize] as usize;
-                // Batched accounting, flushed at every exit from the walk.
-                let mut dcycle: u64 = 0;
-                let mut dinsts: u64 = 0;
-                loop {
-                    let s = &sf.ops[idx];
-                    let m = &sf.meta[idx];
-                    // The gap to this op's stream position is the run of
-                    // elided constants just crossed: one retire each, zero
-                    // latency.
-                    dinsts += u64::from(m.pos - frame.pos);
-                    frame.pos = m.pos;
-                    // Pure single ops share the write-back/accounting tail.
-                    let def: u64 = match s.opc {
-                        SOpc::Param => frame.args.get(s.imm as usize).copied().unwrap_or(0),
-                        SOpc::ConstV | SOpc::FoldedDef => s.imm,
-                        SOpc::AddRR => {
-                            let (a, b) = (frame.values[s.a as usize], frame.values[s.b as usize]);
-                            (a as i64).wrapping_add(b as i64) as u64
-                        }
-                        SOpc::AddImm => {
-                            (frame.values[s.a as usize] as i64).wrapping_add(s.imm as i64) as u64
-                        }
-                        SOpc::SubRR => {
-                            let (a, b) = (frame.values[s.a as usize], frame.values[s.b as usize]);
-                            (a as i64).wrapping_sub(b as i64) as u64
-                        }
-                        SOpc::SubImm => {
-                            (frame.values[s.a as usize] as i64).wrapping_sub(s.imm as i64) as u64
-                        }
-                        SOpc::RsbImm => {
-                            (s.imm as i64).wrapping_sub(frame.values[s.a as usize] as i64) as u64
-                        }
-                        SOpc::MulRR => {
-                            let (a, b) = (frame.values[s.a as usize], frame.values[s.b as usize]);
-                            (a as i64).wrapping_mul(b as i64) as u64
-                        }
-                        SOpc::MulImm => {
-                            (frame.values[s.a as usize] as i64).wrapping_mul(s.imm as i64) as u64
-                        }
-                        SOpc::BinRR => {
-                            let (a, b) = (frame.values[s.a as usize], frame.values[s.b as usize]);
-                            s.bin.eval_i64(a as i64, b as i64) as u64
-                        }
-                        SOpc::BinImm => s
-                            .bin
-                            .eval_i64(frame.values[s.a as usize] as i64, s.imm as i64)
-                            as u64,
-                        SOpc::BinImmL => s
-                            .bin
-                            .eval_i64(s.imm as i64, frame.values[s.a as usize] as i64)
-                            as u64,
-                        SOpc::Fuse2 => {
-                            let x = frame.values[s.a as usize] as i64;
-                            let y = if s.flags & F2_IMM1 != 0 {
-                                s.imm as u32 as i32 as i64
-                            } else {
-                                frame.values[s.b as usize] as i64
-                            };
-                            let r = if s.flags & F2_OP1_REV != 0 {
-                                s.bin.eval_i64(y, x)
-                            } else {
-                                s.bin.eval_i64(x, y)
-                            };
-                            let z = if s.flags & F2_IMM2 != 0 {
-                                (s.imm >> 32) as u32 as i32 as i64
-                            } else {
-                                frame.values[s.aux as usize] as i64
-                            };
-                            let v = if s.flags & F2_R_RIGHT != 0 {
-                                s.bin2.eval_i64(z, r)
-                            } else {
-                                s.bin2.eval_i64(r, z)
-                            };
-                            frame.values[s.dst as usize] = v as u64;
-                            dcycle += u64::from(m.lat) + u64::from(m.lat2);
-                            dinsts += 2;
-                            frame.pos += 2;
-                            idx += 1;
-                            continue;
-                        }
-                        SOpc::Fuse2II | SOpc::Fuse2IR | SOpc::Fuse2IRr => {
-                            let r = s.bin.eval_i64(
-                                frame.values[s.a as usize] as i64,
-                                s.imm as u32 as i32 as i64,
-                            );
-                            let v = match s.opc {
-                                SOpc::Fuse2II => {
-                                    s.bin2.eval_i64(r, (s.imm >> 32) as u32 as i32 as i64)
-                                }
-                                SOpc::Fuse2IR => {
-                                    s.bin2.eval_i64(r, frame.values[s.aux as usize] as i64)
-                                }
-                                _ => s.bin2.eval_i64(frame.values[s.aux as usize] as i64, r),
-                            };
-                            frame.values[s.dst as usize] = v as u64;
-                            dcycle += u64::from(m.lat) + u64::from(m.lat2);
-                            dinsts += 2;
-                            frame.pos += 2;
-                            idx += 1;
-                            continue;
-                        }
-                        SOpc::BinF64RR => {
-                            let (a, b) = (frame.values[s.a as usize], frame.values[s.b as usize]);
-                            s.bin
-                                .eval_f64(f64::from_bits(a), f64::from_bits(b))
-                                .to_bits()
-                        }
-                        SOpc::BinF64Imm => s
-                            .bin
-                            .eval_f64(
-                                f64::from_bits(frame.values[s.a as usize]),
-                                f64::from_bits(s.imm),
-                            )
-                            .to_bits(),
-                        SOpc::BinF64ImmL => s
-                            .bin
-                            .eval_f64(
-                                f64::from_bits(s.imm),
-                                f64::from_bits(frame.values[s.a as usize]),
-                            )
-                            .to_bits(),
-                        SOpc::UnI64 => s.un.eval_i64(frame.values[s.a as usize] as i64) as u64,
-                        SOpc::UnF64 => {
-                            s.un.eval_f64(f64::from_bits(frame.values[s.a as usize]))
-                                .to_bits()
-                        }
-                        SOpc::IntToFloat => ((frame.values[s.a as usize] as i64) as f64).to_bits(),
-                        SOpc::FloatToInt => {
-                            (f64::from_bits(frame.values[s.a as usize]) as i64) as u64
-                        }
-                        SOpc::Copy => frame.values[s.a as usize],
-                        SOpc::CmpRR => {
-                            let (a, b) = (frame.values[s.a as usize], frame.values[s.b as usize]);
-                            s.cmp.eval_i64(a as i64, b as i64) as u64
-                        }
-                        SOpc::CmpImm => s
-                            .cmp
-                            .eval_i64(frame.values[s.a as usize] as i64, s.imm as i64)
-                            as u64,
-                        SOpc::CmpF64RR => {
-                            let (a, b) = (frame.values[s.a as usize], frame.values[s.b as usize]);
-                            s.cmp.eval_f64(f64::from_bits(a), f64::from_bits(b)) as u64
-                        }
-                        SOpc::CmpF64Imm => s.cmp.eval_f64(
-                            f64::from_bits(frame.values[s.a as usize]),
-                            f64::from_bits(s.imm),
-                        ) as u64,
-
-                        SOpc::Load | SOpc::LoadImm => {
-                            let cell = if s.opc == SOpc::Load {
-                                frame.values[s.a as usize] as i64
-                            } else {
-                                s.imm as i64
-                            };
-                            let v =
-                                match usize::try_from(cell).ok().and_then(|i| self.memory.get(i)) {
-                                    Some(v) => *v,
-                                    None => {
-                                        self.flush_charges(dcycle, dinsts);
-                                        return Err(ExecError::OutOfBounds(cell));
-                                    }
-                                };
-                            frame.values[s.dst as usize] = v;
-                            dcycle += self.cache.access(cell as u64).max(1);
-                            dinsts += 1;
-                            frame.pos += 1;
-                            idx += 1;
-                            continue;
-                        }
-                        SOpc::StoreRR | SOpc::StoreRI | SOpc::StoreIR | SOpc::StoreII => {
-                            let cell = match s.opc {
-                                SOpc::StoreRR | SOpc::StoreRI => frame.values[s.a as usize] as i64,
-                                SOpc::StoreIR => s.imm as i64,
-                                _ => s.aux as i64,
-                            };
-                            let bits = match s.opc {
-                                SOpc::StoreRR | SOpc::StoreIR => frame.values[s.b as usize],
-                                _ => s.imm,
-                            };
-                            match usize::try_from(cell)
-                                .ok()
-                                .and_then(|i| self.memory.get_mut(i))
-                            {
-                                Some(slot) => *slot = bits,
-                                None => {
-                                    self.flush_charges(dcycle, dinsts);
-                                    return Err(ExecError::OutOfBounds(cell));
-                                }
-                            }
-                            dcycle += self.cache.access(cell as u64).clamp(1, 4);
-                            dinsts += 1;
-                            frame.pos += 1;
-                            idx += 1;
-                            continue;
-                        }
-
-                        SOpc::Jump => {
-                            let target = s.t1;
-                            transfer(frame, df, target);
-                            self.flush_charges(dcycle + u64::from(m.lat), dinsts + 1);
-                            if watch == Some((func_id, target, depth)) {
-                                return Ok(SuperStop::Event(StepEvent::Transfer {
-                                    to: target,
-                                    func: func_id,
-                                }));
-                            }
-                            continue 'outer;
-                        }
-                        SOpc::BinJump | SOpc::BinImmJump => {
-                            let a = frame.values[s.a as usize] as i64;
-                            let v = if s.opc == SOpc::BinJump {
-                                s.bin.eval_i64(a, frame.values[s.b as usize] as i64)
-                            } else if s.flags & F_SWAP != 0 {
-                                s.bin.eval_i64(s.imm as i64, a)
-                            } else {
-                                s.bin.eval_i64(a, s.imm as i64)
-                            };
-                            frame.values[s.dst as usize] = v as u64;
-                            let target = s.t1;
-                            transfer(frame, df, target);
-                            self.flush_charges(
-                                dcycle + u64::from(m.lat) + u64::from(m.lat2),
-                                dinsts + 2,
-                            );
-                            if watch == Some((func_id, target, depth)) {
-                                return Ok(SuperStop::Event(StepEvent::Transfer {
-                                    to: target,
-                                    func: func_id,
-                                }));
-                            }
-                            continue 'outer;
-                        }
-                        SOpc::Branch | SOpc::BranchImm => {
-                            let taken = if s.opc == SOpc::Branch {
-                                frame.values[s.a as usize] != 0
-                            } else {
-                                s.imm != 0
-                            };
-                            let target = if taken { s.t1 } else { s.t2 };
-                            let mut lat = u64::from(m.lat);
-                            if self.predictor.mispredicted(func_id, m.inst, taken) {
-                                lat += self.config.branch_mispredict_penalty;
-                            }
-                            transfer(frame, df, target);
-                            self.flush_charges(dcycle + lat, dinsts + 1);
-                            if watch == Some((func_id, target, depth)) {
-                                return Ok(SuperStop::Event(StepEvent::Transfer {
-                                    to: target,
-                                    func: func_id,
-                                }));
-                            }
-                            continue 'outer;
-                        }
-                        SOpc::CmpBr | SOpc::CmpBrImm => {
-                            let a = frame.values[s.a as usize] as i64;
-                            let b = if s.opc == SOpc::CmpBr {
-                                frame.values[s.b as usize] as i64
-                            } else {
-                                s.imm as i64
-                            };
-                            let taken = s.cmp.eval_i64(a, b);
-                            if s.dst != NO_SLOT {
-                                frame.values[s.dst as usize] = taken as u64;
-                            }
-                            let target = if taken { s.t1 } else { s.t2 };
-                            let mut lat2 = u64::from(m.lat2);
-                            if self.predictor.mispredicted(func_id, m.inst2, taken) {
-                                lat2 += self.config.branch_mispredict_penalty;
-                            }
-                            transfer(frame, df, target);
-                            self.flush_charges(dcycle + u64::from(m.lat) + lat2, dinsts + 2);
-                            if watch == Some((func_id, target, depth)) {
-                                return Ok(SuperStop::Event(StepEvent::Transfer {
-                                    to: target,
-                                    func: func_id,
-                                }));
-                            }
-                            continue 'outer;
-                        }
-                        SOpc::LoadBin | SOpc::LoadBinImm => {
-                            let cell = frame.values[s.a as usize] as i64;
-                            let v =
-                                match usize::try_from(cell).ok().and_then(|i| self.memory.get(i)) {
-                                    Some(v) => *v,
-                                    None => {
-                                        self.flush_charges(dcycle, dinsts);
-                                        return Err(ExecError::OutOfBounds(cell));
-                                    }
-                                };
-                            if s.dst != NO_SLOT {
-                                frame.values[s.dst as usize] = v;
-                            }
-                            dcycle += self.cache.access(cell as u64).max(1);
-                            // Binary constituent (pure: cannot fault).
-                            let other = if s.opc == SOpc::LoadBin {
-                                frame.values[s.b as usize] as i64
-                            } else {
-                                s.imm as i64
-                            };
-                            let r = if s.flags & F_SWAP != 0 {
-                                s.bin.eval_i64(other, v as i64)
-                            } else {
-                                s.bin.eval_i64(v as i64, other)
-                            };
-                            frame.values[s.aux as usize] = r as u64;
-                            dcycle += u64::from(m.lat2);
-                            dinsts += 2;
-                            frame.pos += 2;
-                            idx += 1;
-                            continue;
-                        }
-                        SOpc::BinStore | SOpc::BinStoreImm => {
-                            let a = frame.values[s.a as usize] as i64;
-                            let r = if s.opc == SOpc::BinStore {
-                                s.bin.eval_i64(a, frame.values[s.b as usize] as i64)
-                            } else if s.flags & F_SWAP != 0 {
-                                s.bin.eval_i64(s.imm as i64, a)
-                            } else {
-                                s.bin.eval_i64(a, s.imm as i64)
-                            } as u64;
-                            if s.dst != NO_SLOT {
-                                frame.values[s.dst as usize] = r;
-                            }
-                            dcycle += u64::from(m.lat);
-                            dinsts += 1;
-                            // The store constituent can fault: the binary
-                            // half above is charged, the faulting store is
-                            // not — the dense stepper's exact accounting.
-                            let cell = frame.values[s.aux as usize] as i64;
-                            match usize::try_from(cell)
-                                .ok()
-                                .and_then(|i| self.memory.get_mut(i))
-                            {
-                                Some(slot) => *slot = r,
-                                None => {
-                                    frame.pos += 1;
-                                    self.flush_charges(dcycle, dinsts);
-                                    return Err(ExecError::OutOfBounds(cell));
-                                }
-                            }
-                            dcycle += self.cache.access(cell as u64).clamp(1, 4);
-                            dinsts += 1;
-                            frame.pos += 2;
-                            idx += 1;
-                            continue;
-                        }
-                        SOpc::AgenLoad | SOpc::AgenLoadImm => {
-                            let x = frame.values[s.a as usize] as i64;
-                            let cell = if s.opc == SOpc::AgenLoad {
-                                s.bin.eval_i64(x, frame.values[s.b as usize] as i64)
-                            } else if s.flags & F_SWAP != 0 {
-                                s.bin.eval_i64(s.imm as i64, x)
-                            } else {
-                                s.bin.eval_i64(x, s.imm as i64)
-                            };
-                            if s.aux != NO_SLOT {
-                                frame.values[s.aux as usize] = cell as u64;
-                            }
-                            // Address-generation half retires before a
-                            // faulting load, as in the dense stepper.
-                            dcycle += u64::from(m.lat);
-                            dinsts += 1;
-                            let v =
-                                match usize::try_from(cell).ok().and_then(|i| self.memory.get(i)) {
-                                    Some(v) => *v,
-                                    None => {
-                                        frame.pos += 1;
-                                        self.flush_charges(dcycle, dinsts);
-                                        return Err(ExecError::OutOfBounds(cell));
-                                    }
-                                };
-                            frame.values[s.dst as usize] = v;
-                            dcycle += self.cache.access(cell as u64).max(1);
-                            dinsts += 1;
-                            frame.pos += 2;
-                            idx += 1;
-                            continue;
-                        }
-                        SOpc::AgenStore | SOpc::AgenStoreImm => {
-                            let x = frame.values[s.a as usize] as i64;
-                            let cell = if s.opc == SOpc::AgenStore {
-                                s.bin.eval_i64(x, frame.values[s.b as usize] as i64)
-                            } else if s.flags & F_SWAP != 0 {
-                                s.bin.eval_i64(s.imm as i64, x)
-                            } else {
-                                s.bin.eval_i64(x, s.imm as i64)
-                            };
-                            if s.dst != NO_SLOT {
-                                frame.values[s.dst as usize] = cell as u64;
-                            }
-                            dcycle += u64::from(m.lat);
-                            dinsts += 1;
-                            let bits = frame.values[s.aux as usize];
-                            match usize::try_from(cell)
-                                .ok()
-                                .and_then(|i| self.memory.get_mut(i))
-                            {
-                                Some(slot) => *slot = bits,
-                                None => {
-                                    frame.pos += 1;
-                                    self.flush_charges(dcycle, dinsts);
-                                    return Err(ExecError::OutOfBounds(cell));
-                                }
-                            }
-                            dcycle += self.cache.access(cell as u64).clamp(1, 4);
-                            dinsts += 1;
-                            frame.pos += 2;
-                            idx += 1;
-                            continue;
-                        }
-
-                        SOpc::RetVal | SOpc::RetImm | SOpc::RetVoid => {
-                            let bits = match s.opc {
-                                SOpc::RetVal => Some(frame.values[s.a as usize]),
-                                SOpc::RetImm => Some(s.imm),
-                                _ => None,
-                            };
-                            let ret_slot = frame.ret_slot;
-                            self.flush_charges(dcycle + u64::from(m.lat), dinsts + 1);
-                            if let Some(done) = thread.frames.pop() {
-                                thread.pool.push(done);
-                            }
-                            match thread.frames.last_mut() {
-                                Some(parent) => {
-                                    if let (Some(slot), Some(v)) = (ret_slot, bits) {
-                                        parent.values[slot.index()] = v;
-                                    }
-                                    let (to, pf) = (parent.block, parent.func);
-                                    if watch == Some((pf, to, thread.frames.len())) {
-                                        return Ok(SuperStop::Event(StepEvent::Transfer {
-                                            to,
-                                            func: pf,
-                                        }));
-                                    }
-                                    continue 'outer;
-                                }
-                                None => {
-                                    return Ok(SuperStop::Event(StepEvent::Finished {
-                                        value: bits,
-                                    }));
-                                }
-                            }
-                        }
-                        SOpc::SptFork => {
-                            frame.pos += 1;
-                            self.flush_charges(dcycle + u64::from(m.lat), dinsts + 1);
-                            return Ok(SuperStop::Event(StepEvent::Fork {
-                                tag: s.imm as u32,
-                                target: s.t1,
-                                func: func_id,
-                            }));
-                        }
-                        SOpc::SptKill => {
-                            frame.pos += 1;
-                            self.flush_charges(dcycle + u64::from(m.lat), dinsts + 1);
-                            return Ok(SuperStop::Event(StepEvent::Kill { tag: s.imm as u32 }));
-                        }
-                    };
-                    frame.values[s.dst as usize] = def;
-                    dcycle += u64::from(m.lat);
+    /// Runs the innermost frame from its current position to the next
+    /// block transfer, call or return (`Ok(None)`: the caller continues
+    /// with the new position) or driver-visible stop.
+    #[inline(always)]
+    fn walk_main<const STEP: bool>(
+        &mut self,
+        thread: &mut Thread,
+        watch: Option<(FuncId, BlockId, usize)>,
+    ) -> Result<Option<SuperStop>, ExecError> {
+        let depth = thread.frames.len();
+        let Some(frame) = thread.frames.last_mut() else {
+            return Err(ExecError::Malformed("step on finished thread".into()));
+        };
+        let func_id = frame.func;
+        let df = self.decoded.func(func_id);
+        let sf = self.sup.func(func_id);
+        let sb = &sf.blocks[frame.block.index()];
+        // Elided zero-latency constant defs are written as raw data
+        // (idempotent under SSA) and retired from the position gaps.
+        for &(slot, bits) in sb.consts.iter() {
+            frame.values[slot as usize] = bits;
+        }
+        let mut idx = if frame.pos < frame.end {
+            sf.op_at[frame.pos as usize] as usize
+        } else {
+            sb.range.1 as usize - 1
+        };
+        // Batched accounting, flushed at every exit from the walk.
+        let mut dcycle: u64 = 0;
+        let mut dinsts: u64 = 0;
+        // One retired constituent that cannot end the walk.
+        macro_rules! charge {
+            ($lat:expr) => {
+                let lat: u64 = $lat;
+                if STEP {
+                    if self.charge(lat) {
+                        return Ok(Some(SuperStop::Fuel));
+                    }
+                } else {
+                    dcycle += lat;
                     dinsts += 1;
+                }
+            };
+        }
+        // The walk's last retired constituent; yields whether the fuel
+        // budget is now crossed.
+        macro_rules! settle {
+            ($lat:expr) => {
+                if STEP {
+                    self.charge($lat)
+                } else {
+                    self.flush_charges(dcycle + $lat, dinsts + 1);
+                    false
+                }
+            };
+        }
+        // A block transfer: events first, then the fuel stop.
+        macro_rules! goto {
+            ($target:expr, $lat:expr) => {{
+                let target = $target;
+                transfer(frame, df, target);
+                let crossed = settle!($lat);
+                if watch == Some((func_id, target, depth)) {
+                    return Ok(Some(SuperStop::Event(StepEvent::Transfer {
+                        to: target,
+                        func: func_id,
+                    })));
+                }
+                return Ok(crossed.then_some(SuperStop::Fuel));
+            }};
+        }
+        macro_rules! cell {
+            ($cell:expr) => {{
+                let cell: i64 = $cell;
+                match usize::try_from(cell)
+                    .ok()
+                    .filter(|&i| i < self.memory.len())
+                {
+                    Some(i) => i,
+                    None => return Err(ExecError::OutOfBounds(cell)),
+                }
+            }};
+        }
+        loop {
+            let s = &sf.ops[idx];
+            let m = &sf.meta[idx];
+            // The gap to this op's stream position is the run of elided
+            // constants just crossed: one retire each, zero latency.
+            if STEP {
+                while frame.pos < m.pos {
                     frame.pos += 1;
-                    idx += 1;
+                    charge!(0);
                 }
             } else {
-                // Dense stretch: irregular block, a mid-pair resumption
-                // after validation replay, or a block whose batched retires
-                // could cross the fuel budget. Step until the next transfer
-                // re-synchronizes with the fused code.
-                loop {
-                    let (rec, event) = {
-                        let mut view = MemView::Direct(&mut self.memory);
-                        let mut timing = Timing {
-                            cycle: &mut self.cycle,
-                            cache: &mut self.cache,
-                            predictor: &mut self.predictor,
-                            mispredict_penalty: self.config.branch_mispredict_penalty,
-                        };
-                        thread.step(self.decoded, &mut view, Some(&mut timing))?
-                    };
-                    self.insts += 1;
-                    for &(_, _, slot) in &self.active_tags {
-                        let s = &mut self.loops[slot as usize].1;
-                        s.main_insts += 1;
-                        s.seq_cycles += rec.latency;
-                    }
-                    match event {
-                        StepEvent::Continue => {
-                            if self.insts > self.config.fuel {
-                                return Ok(SuperStop::Fuel);
-                            }
-                        }
-                        StepEvent::Transfer { to, func } => {
-                            if watch == Some((func, to, thread.depth())) {
-                                return Ok(SuperStop::Event(StepEvent::Transfer { to, func }));
-                            }
-                            if self.insts > self.config.fuel {
-                                return Ok(SuperStop::Fuel);
-                            }
-                            continue 'outer;
-                        }
-                        event @ (StepEvent::Fork { .. }
-                        | StepEvent::Kill { .. }
-                        | StepEvent::Finished { .. }) => {
-                            return Ok(SuperStop::Event(event));
-                        }
-                    }
-                }
+                dinsts += u64::from(m.pos - frame.pos);
+                frame.pos = m.pos;
             }
+            // Pure single ops share the write-back/accounting tail.
+            let def: u64 = match s.opc {
+                SOpc::Param => frame.args.get(s.imm as usize).copied().unwrap_or(0),
+                SOpc::ConstV | SOpc::FoldedDef => s.imm,
+                SOpc::AddRR => {
+                    let (a, b) = (frame.values[s.a as usize], frame.values[s.b as usize]);
+                    (a as i64).wrapping_add(b as i64) as u64
+                }
+                SOpc::AddImm => {
+                    (frame.values[s.a as usize] as i64).wrapping_add(s.imm as i64) as u64
+                }
+                SOpc::SubRR => {
+                    let (a, b) = (frame.values[s.a as usize], frame.values[s.b as usize]);
+                    (a as i64).wrapping_sub(b as i64) as u64
+                }
+                SOpc::SubImm => {
+                    (frame.values[s.a as usize] as i64).wrapping_sub(s.imm as i64) as u64
+                }
+                SOpc::RsbImm => {
+                    (s.imm as i64).wrapping_sub(frame.values[s.a as usize] as i64) as u64
+                }
+                SOpc::MulRR => {
+                    let (a, b) = (frame.values[s.a as usize], frame.values[s.b as usize]);
+                    (a as i64).wrapping_mul(b as i64) as u64
+                }
+                SOpc::MulImm => {
+                    (frame.values[s.a as usize] as i64).wrapping_mul(s.imm as i64) as u64
+                }
+                SOpc::BinRR => {
+                    let (a, b) = (frame.values[s.a as usize], frame.values[s.b as usize]);
+                    s.bin.eval_i64(a as i64, b as i64) as u64
+                }
+                SOpc::BinImm => s
+                    .bin
+                    .eval_i64(frame.values[s.a as usize] as i64, s.imm as i64)
+                    as u64,
+                SOpc::BinImmL => s
+                    .bin
+                    .eval_i64(s.imm as i64, frame.values[s.a as usize] as i64)
+                    as u64,
+                SOpc::Fuse2 => {
+                    let r = fuse2_r(s, &frame.values);
+                    charge!(u64::from(m.lat));
+                    frame.values[s.dst as usize] = fuse2_v(s, &frame.values, r) as u64;
+                    charge!(u64::from(m.lat2));
+                    frame.pos += 2;
+                    idx += 2;
+                    continue;
+                }
+                SOpc::Fuse2II | SOpc::Fuse2IR | SOpc::Fuse2IRr => {
+                    let r = s.bin.eval_i64(
+                        frame.values[s.a as usize] as i64,
+                        s.imm as u32 as i32 as i64,
+                    );
+                    charge!(u64::from(m.lat));
+                    let v = match s.opc {
+                        SOpc::Fuse2II => s.bin2.eval_i64(r, (s.imm >> 32) as u32 as i32 as i64),
+                        SOpc::Fuse2IR => s.bin2.eval_i64(r, frame.values[s.aux as usize] as i64),
+                        _ => s.bin2.eval_i64(frame.values[s.aux as usize] as i64, r),
+                    };
+                    frame.values[s.dst as usize] = v as u64;
+                    charge!(u64::from(m.lat2));
+                    frame.pos += 2;
+                    idx += 2;
+                    continue;
+                }
+                SOpc::BinF64RR => {
+                    let (a, b) = (frame.values[s.a as usize], frame.values[s.b as usize]);
+                    s.bin
+                        .eval_f64(f64::from_bits(a), f64::from_bits(b))
+                        .to_bits()
+                }
+                SOpc::BinF64Imm => s
+                    .bin
+                    .eval_f64(
+                        f64::from_bits(frame.values[s.a as usize]),
+                        f64::from_bits(s.imm),
+                    )
+                    .to_bits(),
+                SOpc::BinF64ImmL => s
+                    .bin
+                    .eval_f64(
+                        f64::from_bits(s.imm),
+                        f64::from_bits(frame.values[s.a as usize]),
+                    )
+                    .to_bits(),
+                SOpc::UnI64 => s.un.eval_i64(frame.values[s.a as usize] as i64) as u64,
+                SOpc::UnF64 => {
+                    s.un.eval_f64(f64::from_bits(frame.values[s.a as usize]))
+                        .to_bits()
+                }
+                SOpc::IntToFloat => ((frame.values[s.a as usize] as i64) as f64).to_bits(),
+                SOpc::FloatToInt => (f64::from_bits(frame.values[s.a as usize]) as i64) as u64,
+                SOpc::Copy => frame.values[s.a as usize],
+                SOpc::CmpRR => {
+                    let (a, b) = (frame.values[s.a as usize], frame.values[s.b as usize]);
+                    s.cmp.eval_i64(a as i64, b as i64) as u64
+                }
+                SOpc::CmpImm => s
+                    .cmp
+                    .eval_i64(frame.values[s.a as usize] as i64, s.imm as i64)
+                    as u64,
+                SOpc::CmpF64RR => {
+                    let (a, b) = (frame.values[s.a as usize], frame.values[s.b as usize]);
+                    s.cmp.eval_f64(f64::from_bits(a), f64::from_bits(b)) as u64
+                }
+                SOpc::CmpF64Imm => s.cmp.eval_f64(
+                    f64::from_bits(frame.values[s.a as usize]),
+                    f64::from_bits(s.imm),
+                ) as u64,
+
+                SOpc::Load | SOpc::LoadImm => {
+                    let cell = if s.opc == SOpc::Load {
+                        frame.values[s.a as usize] as i64
+                    } else {
+                        s.imm as i64
+                    };
+                    frame.values[s.dst as usize] = self.memory[cell!(cell)];
+                    charge!(self.cache.access(cell as u64).max(1));
+                    frame.pos += 1;
+                    idx += 1;
+                    continue;
+                }
+                SOpc::StoreRR | SOpc::StoreRI | SOpc::StoreIR | SOpc::StoreII => {
+                    let (cell, bits) = store_operands(s, &frame.values);
+                    let i = cell!(cell);
+                    self.memory[i] = bits;
+                    charge!(self.cache.access(cell as u64).clamp(1, 4));
+                    frame.pos += 1;
+                    idx += 1;
+                    continue;
+                }
+
+                SOpc::Jump => goto!(s.t1, u64::from(m.lat)),
+                SOpc::BinJump | SOpc::BinImmJump => {
+                    frame.values[s.dst as usize] = bin_ri(s, &frame.values, s.opc == SOpc::BinJump);
+                    charge!(u64::from(m.lat));
+                    goto!(s.t1, u64::from(m.lat2))
+                }
+                SOpc::Branch | SOpc::BranchImm => {
+                    let taken = if s.opc == SOpc::Branch {
+                        frame.values[s.a as usize] != 0
+                    } else {
+                        s.imm != 0
+                    };
+                    let mut lat = u64::from(m.lat);
+                    if self.predictor.mispredicted(func_id, m.inst, taken) {
+                        lat += self.config.branch_mispredict_penalty;
+                    }
+                    goto!(if taken { s.t1 } else { s.t2 }, lat)
+                }
+                SOpc::CmpBr | SOpc::CmpBrImm => {
+                    let taken = cmp_br(s, &frame.values);
+                    if s.dst != NO_SLOT {
+                        frame.values[s.dst as usize] = taken as u64;
+                    }
+                    charge!(u64::from(m.lat));
+                    let mut lat2 = u64::from(m.lat2);
+                    if self.predictor.mispredicted(func_id, m.inst2, taken) {
+                        lat2 += self.config.branch_mispredict_penalty;
+                    }
+                    goto!(if taken { s.t1 } else { s.t2 }, lat2)
+                }
+                SOpc::LoadBin | SOpc::LoadBinImm => {
+                    let cell = frame.values[s.a as usize] as i64;
+                    let v = self.memory[cell!(cell)];
+                    if s.dst != NO_SLOT {
+                        frame.values[s.dst as usize] = v;
+                    }
+                    charge!(self.cache.access(cell as u64).max(1));
+                    // Binary constituent (pure: cannot fault).
+                    let r = load_bin(s, &frame.values, v);
+                    frame.values[s.aux as usize] = r;
+                    charge!(u64::from(m.lat2));
+                    frame.pos += 2;
+                    idx += 2;
+                    continue;
+                }
+                SOpc::BinStore | SOpc::BinStoreImm => {
+                    let r = bin_ri(s, &frame.values, s.opc == SOpc::BinStore);
+                    if s.dst != NO_SLOT {
+                        frame.values[s.dst as usize] = r;
+                    }
+                    charge!(u64::from(m.lat));
+                    // The store constituent can fault after the binary half
+                    // retired.
+                    let cell = frame.values[s.aux as usize] as i64;
+                    let i = cell!(cell);
+                    self.memory[i] = r;
+                    charge!(self.cache.access(cell as u64).clamp(1, 4));
+                    frame.pos += 2;
+                    idx += 2;
+                    continue;
+                }
+                SOpc::AgenLoad | SOpc::AgenLoadImm => {
+                    let cell = bin_ri(s, &frame.values, s.opc == SOpc::AgenLoad) as i64;
+                    if s.aux != NO_SLOT {
+                        frame.values[s.aux as usize] = cell as u64;
+                    }
+                    // Address-generation half retires before a faulting
+                    // load.
+                    charge!(u64::from(m.lat));
+                    frame.values[s.dst as usize] = self.memory[cell!(cell)];
+                    charge!(self.cache.access(cell as u64).max(1));
+                    frame.pos += 2;
+                    idx += 2;
+                    continue;
+                }
+                SOpc::AgenStore | SOpc::AgenStoreImm => {
+                    let cell = bin_ri(s, &frame.values, s.opc == SOpc::AgenStore) as i64;
+                    if s.dst != NO_SLOT {
+                        frame.values[s.dst as usize] = cell as u64;
+                    }
+                    charge!(u64::from(m.lat));
+                    let bits = frame.values[s.aux as usize];
+                    let i = cell!(cell);
+                    self.memory[i] = bits;
+                    charge!(self.cache.access(cell as u64).clamp(1, 4));
+                    frame.pos += 2;
+                    idx += 2;
+                    continue;
+                }
+
+                SOpc::RetVal | SOpc::RetImm | SOpc::RetVoid => {
+                    let bits = match s.opc {
+                        SOpc::RetVal => Some(frame.values[s.a as usize]),
+                        SOpc::RetImm => Some(s.imm),
+                        _ => None,
+                    };
+                    let ret_slot = frame.ret_slot;
+                    let crossed = settle!(u64::from(m.lat));
+                    if let Some(done) = thread.frames.pop() {
+                        thread.pool.push(done);
+                    }
+                    let Some(parent) = thread.frames.last_mut() else {
+                        return Ok(Some(SuperStop::Event(StepEvent::Finished { value: bits })));
+                    };
+                    if let (Some(slot), Some(v)) = (ret_slot, bits) {
+                        parent.values[slot.index()] = v;
+                    }
+                    let (to, pf) = (parent.block, parent.func);
+                    if watch == Some((pf, to, depth - 1)) {
+                        return Ok(Some(SuperStop::Event(StepEvent::Transfer { to, func: pf })));
+                    }
+                    return Ok(crossed.then_some(SuperStop::Fuel));
+                }
+                SOpc::Call => {
+                    frame.pos += 1;
+                    let callee = FuncId(s.aux);
+                    let args = &sf.args[s.a as usize..(s.a + s.b) as usize];
+                    thread.push_call(self.decoded, callee, args, InstId(s.dst))?;
+                    let crossed = settle!(u64::from(m.lat));
+                    let entry = self.decoded.func(callee).entry;
+                    if watch == Some((callee, entry, depth + 1)) {
+                        return Ok(Some(SuperStop::Event(StepEvent::Transfer {
+                            to: entry,
+                            func: callee,
+                        })));
+                    }
+                    return Ok(crossed.then_some(SuperStop::Fuel));
+                }
+                SOpc::SptFork => {
+                    frame.pos += 1;
+                    settle!(u64::from(m.lat));
+                    return Ok(Some(SuperStop::Event(StepEvent::Fork {
+                        tag: s.imm as u32,
+                        target: s.t1,
+                        func: func_id,
+                    })));
+                }
+                SOpc::SptKill => {
+                    frame.pos += 1;
+                    settle!(u64::from(m.lat));
+                    return Ok(Some(SuperStop::Event(StepEvent::Kill {
+                        tag: s.imm as u32,
+                    })));
+                }
+                SOpc::SkipPhi => {
+                    return Err(ExecError::Malformed(format!(
+                        "unscheduled phi {} executed directly",
+                        m.inst
+                    )));
+                }
+                SOpc::Unsupported => {
+                    return Err(ExecError::Malformed("non-SSA IR in simulator".into()));
+                }
+                SOpc::FallOff => {
+                    return Err(ExecError::Malformed(format!(
+                        "fell off block {} in {}",
+                        frame.block, df.name
+                    )));
+                }
+            };
+            frame.values[s.dst as usize] = def;
+            charge!(u64::from(m.lat));
+            frame.pos += 1;
+            idx += 1;
         }
     }
 }
@@ -645,29 +514,12 @@ impl Run<'_> {
 #[cfg(test)]
 mod tests {
     use crate::machine::MachineConfig;
+    use crate::reference::ReferenceSimulator;
     use crate::sim::{SimError, SptSimulator};
-    use spt_ir::{set_exec_tier_override, ExecTier, Module};
-    use std::sync::Mutex;
-
-    /// Tier overrides are process-wide; tests that set them serialize here.
-    static SERIAL: Mutex<()> = Mutex::new(());
+    use spt_ir::Module;
 
     fn compile(src: &str) -> Module {
         spt_frontend::compile(src).unwrap()
-    }
-
-    fn with_tier<T>(tier: ExecTier, f: impl FnOnce() -> T) -> T {
-        let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        set_exec_tier_override(Some(tier));
-        let out = f();
-        set_exec_tier_override(None);
-        out
-    }
-
-    fn run_tier(module: &Module, entry: &str, args: &[i64], tier: ExecTier) -> crate::SimResult {
-        with_tier(tier, || {
-            SptSimulator::new().run(module, entry, args).unwrap()
-        })
     }
 
     fn assert_identical(a: &crate::SimResult, b: &crate::SimResult) {
@@ -675,17 +527,21 @@ mod tests {
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.insts, b.insts);
         assert_eq!(a.memory, b.memory);
-        assert_eq!(a.cache_hit_rate, b.cache_hit_rate);
-        assert_eq!(a.branch_miss_rate, b.branch_miss_rate);
-        let mut la: Vec<_> = a.loops.iter().collect();
-        let mut lb: Vec<_> = b.loops.iter().collect();
-        la.sort_by_key(|(t, _)| **t);
-        lb.sort_by_key(|(t, _)| **t);
-        assert_eq!(format!("{la:?}"), format!("{lb:?}"));
+        assert_eq!(a.cache_hit_rate.to_bits(), b.cache_hit_rate.to_bits());
+        assert_eq!(a.branch_miss_rate.to_bits(), b.branch_miss_rate.to_bits());
+        assert_eq!(a.loops, b.loops);
+    }
+
+    /// The engine and the reference oracle on the same run.
+    fn both(module: &Module, entry: &str, args: &[i64]) -> crate::SimResult {
+        let engine = SptSimulator::new().run(module, entry, args).unwrap();
+        let oracle = ReferenceSimulator::new().run(module, entry, args).unwrap();
+        assert_identical(&engine, &oracle);
+        engine
     }
 
     #[test]
-    fn super_matches_dense_on_plain_loops() {
+    fn matches_reference_on_plain_loops_and_calls() {
         let src = "
             global a[256]: int;
             fn helper(x: int) -> int { return x * 3 + 1; }
@@ -698,15 +554,12 @@ mod tests {
                 return s;
             }
         ";
-        let module = compile(src);
-        let dense = run_tier(&module, "main", &[400], ExecTier::Dense);
-        let sup = run_tier(&module, "main", &[400], ExecTier::Super);
-        assert_identical(&dense, &sup);
-        assert!(sup.cycles > 0);
+        let r = both(&compile(src), "main", &[400]);
+        assert!(r.cycles > 0);
     }
 
     #[test]
-    fn super_matches_dense_on_float_and_branchy_code() {
+    fn matches_reference_on_float_and_branchy_code() {
         let src = "
             global f[64]: float;
             fn main(n: int) -> int {
@@ -720,16 +573,13 @@ mod tests {
                 return s + int(f[0]);
             }
         ";
-        let module = compile(src);
-        let dense = run_tier(&module, "main", &[500], ExecTier::Dense);
-        let sup = run_tier(&module, "main", &[500], ExecTier::Super);
-        assert_identical(&dense, &sup);
+        both(&compile(src), "main", &[500]);
     }
 
     /// Hand-transforms loop 0 of `fname` with an empty partition (only the
     /// forced header-test closure moves), the same shape the sim tests use:
     /// every episode misspeculates part of its trace, exercising fork,
-    /// validation, re-execution and kill under both tiers.
+    /// validation, re-execution and kill.
     fn force_transform(src: &str, fname: &str) -> Module {
         use spt_cost::dep_graph::{DepGraph, DepGraphConfig, NodeClass, Profiles};
         use spt_transform::{emit_spt_loop, SptLoopSpec};
@@ -775,7 +625,7 @@ mod tests {
     }
 
     #[test]
-    fn super_matches_dense_under_speculation() {
+    fn matches_reference_under_speculation() {
         let src = "
             global a[128]: int;
             fn f(n: int) -> int {
@@ -795,10 +645,8 @@ mod tests {
             }
         ";
         let module = force_transform(src, "f");
-        let dense = run_tier(&module, "f", &[400], ExecTier::Dense);
-        let sup = run_tier(&module, "f", &[400], ExecTier::Super);
-        assert_identical(&dense, &sup);
-        let stats = &sup.loops[&9];
+        let r = both(&module, "f", &[400]);
+        let stats = &r.loops[&9];
         assert!(stats.forks > 0 && stats.commits > 0, "{stats:?}");
         assert!(stats.free_insts > 0, "{stats:?}");
         assert!(
@@ -808,38 +656,36 @@ mod tests {
     }
 
     #[test]
-    fn super_preserves_fuel_exhaustion() {
+    fn preserves_fuel_exhaustion() {
         let src = "fn main() -> int { let x = 1; while (x > 0) { x = x + 1; } return x; }";
         let module = compile(src);
         let config = MachineConfig {
             fuel: 5000,
             ..MachineConfig::default()
         };
-        let err = with_tier(ExecTier::Super, || {
-            SptSimulator::with_config(config.clone())
-                .run(&module, "main", &[])
-                .unwrap_err()
-        });
+        let err = SptSimulator::with_config(config.clone())
+            .run(&module, "main", &[])
+            .unwrap_err();
         assert_eq!(err, SimError::OutOfFuel);
+        let oracle = ReferenceSimulator::with_config(config)
+            .run(&module, "main", &[])
+            .unwrap_err();
+        assert_eq!(err, oracle);
     }
 
     #[test]
-    fn super_preserves_oob_fault() {
+    fn preserves_oob_fault() {
         let src = "
             global a[8]: int;
             fn main(i: int) -> int { a[i] = 7; return a[i]; }
         ";
         let module = compile(src);
-        let dense = with_tier(ExecTier::Dense, || {
-            SptSimulator::new()
-                .run(&module, "main", &[1000])
-                .unwrap_err()
-        });
-        let sup = with_tier(ExecTier::Super, || {
-            SptSimulator::new()
-                .run(&module, "main", &[1000])
-                .unwrap_err()
-        });
-        assert_eq!(dense, sup);
+        let engine = SptSimulator::new()
+            .run(&module, "main", &[1000])
+            .unwrap_err();
+        let oracle = ReferenceSimulator::new()
+            .run(&module, "main", &[1000])
+            .unwrap_err();
+        assert_eq!(engine, oracle);
     }
 }

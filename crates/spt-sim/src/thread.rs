@@ -1,22 +1,14 @@
-//! The stepping executor shared by the main core, the speculative core and
-//! validation replay.
+//! A core's architectural state and the memory views its executors use.
 //!
-//! A [`Thread`] holds a call-frame stack and executes one instruction per
-//! [`Thread::step`], reporting what it executed (for trace recording and
-//! validation comparison) and any control event (block transfer, fork,
-//! kill, return). Memory is accessed through a [`MemView`] — direct for the
-//! main core, a write-buffer overlay for the speculative core.
-//!
-//! The executor runs over the pre-decoded module form
-//! ([`spt_ir::DecodedModule`]): one flat opcode per instruction with
-//! operands already resolved to value slots or constant bits, block
-//! transfers driven by pre-decoded per-edge phi-source rows, and the
-//! speculative write buffer an inline open-addressed table ([`SpecBuf`])
-//! instead of a `HashMap`.
+//! A [`Thread`] holds a call-frame stack; the simulator's superblock walks
+//! (main thread, speculative core, validation replay) advance it over the
+//! module's fused code, reporting what each instruction did as an
+//! [`ExecRecord`] and each control event as a [`StepEvent`]. The main core
+//! reads and writes committed memory directly; the speculative core goes
+//! through a [`MemView`], a write-buffer overlay whose buffer is an inline
+//! open-addressed table ([`SpecBuf`]) instead of a `HashMap`.
 
-use crate::cache::Cache;
-use crate::predictor::BranchPredictor;
-use spt_ir::{BlockId, DKind, DecodedFunc, DecodedModule, FuncId, InstId};
+use spt_ir::{BlockId, DVal, DecodedFunc, DecodedModule, FuncId, InstId};
 use std::fmt;
 
 /// Execution faults.
@@ -172,132 +164,40 @@ impl SpecBuf {
     }
 }
 
-/// Memory as seen by a core.
-pub enum MemView<'a> {
-    /// Committed memory (main core, replay).
-    Direct(&'a mut Vec<u64>),
-    /// Fork-time snapshot + speculative store buffer (speculative core).
-    Overlay {
-        /// Committed memory at fork time.
-        base: &'a [u64],
-        /// Buffered speculative writes (capacity enforced by the buffer).
-        buf: &'a mut SpecBuf,
-    },
+/// Memory as seen by the speculative core: the fork-time snapshot with the
+/// speculative store buffer over it.
+pub struct MemView<'a> {
+    /// Committed memory at fork time.
+    pub base: &'a [u64],
+    /// Buffered speculative writes (capacity enforced by the buffer).
+    pub buf: &'a mut SpecBuf,
 }
 
 impl MemView<'_> {
     #[inline]
     pub(crate) fn read(&self, cell: i64) -> Result<u64, ExecError> {
         let idx = usize::try_from(cell).map_err(|_| ExecError::OutOfBounds(cell))?;
-        match self {
-            MemView::Direct(m) => m.get(idx).copied().ok_or(ExecError::OutOfBounds(cell)),
-            MemView::Overlay { base, buf } => match buf.get(idx as u64) {
-                Some(v) => Ok(v),
-                None => base.get(idx).copied().ok_or(ExecError::OutOfBounds(cell)),
-            },
+        match self.buf.get(idx as u64) {
+            Some(v) => Ok(v),
+            None => self
+                .base
+                .get(idx)
+                .copied()
+                .ok_or(ExecError::OutOfBounds(cell)),
         }
     }
 
     #[inline]
     pub(crate) fn write(&mut self, cell: i64, bits: u64) -> Result<(), ExecError> {
         let idx = usize::try_from(cell).map_err(|_| ExecError::OutOfBounds(cell))?;
-        match self {
-            MemView::Direct(m) => {
-                let slot = m.get_mut(idx).ok_or(ExecError::OutOfBounds(cell))?;
-                *slot = bits;
-                Ok(())
-            }
-            MemView::Overlay { base, buf } => {
-                if idx >= base.len() {
-                    return Err(ExecError::OutOfBounds(cell));
-                }
-                buf.insert(idx as u64, bits)
-            }
+        if idx >= self.base.len() {
+            return Err(ExecError::OutOfBounds(cell));
         }
+        self.buf.insert(idx as u64, bits)
     }
 }
 
-/// Cycle accounting shared by a core.
-pub struct Timing<'a> {
-    /// The core's cycle counter.
-    pub cycle: &'a mut u64,
-    /// Shared cache.
-    pub cache: &'a mut Cache,
-    /// Shared branch predictor.
-    pub predictor: &'a mut BranchPredictor,
-    /// Misprediction penalty.
-    pub mispredict_penalty: u64,
-}
-
-/// Static timing-mode selector for [`Thread::step`]: the executor is
-/// monomorphized once per mode, so the timed instantiation charges
-/// cache/predictor/cycle costs without per-site `Option` checks and the
-/// untimed one (validation replay) compiles the timing code out entirely.
-trait TimingMode {
-    /// Whether this mode charges timing at all.
-    const TIMED: bool;
-    fn cache_access(&mut self, cell: u64) -> u64;
-    fn mispredicted(&mut self, func: FuncId, inst: InstId, taken: bool) -> bool;
-    fn penalty(&self) -> u64;
-    fn now(&self) -> u64;
-    /// Advances the core clock by `latency` and returns the new cycle.
-    fn advance(&mut self, latency: u64) -> u64;
-}
-
-struct Timed<'a, 'b>(&'b mut Timing<'a>);
-
-impl TimingMode for Timed<'_, '_> {
-    const TIMED: bool = true;
-    #[inline(always)]
-    fn cache_access(&mut self, cell: u64) -> u64 {
-        self.0.cache.access(cell)
-    }
-    #[inline(always)]
-    fn mispredicted(&mut self, func: FuncId, inst: InstId, taken: bool) -> bool {
-        self.0.predictor.mispredicted(func, inst, taken)
-    }
-    #[inline(always)]
-    fn penalty(&self) -> u64 {
-        self.0.mispredict_penalty
-    }
-    #[inline(always)]
-    fn now(&self) -> u64 {
-        *self.0.cycle
-    }
-    #[inline(always)]
-    fn advance(&mut self, latency: u64) -> u64 {
-        *self.0.cycle += latency;
-        *self.0.cycle
-    }
-}
-
-struct Untimed;
-
-impl TimingMode for Untimed {
-    const TIMED: bool = false;
-    #[inline(always)]
-    fn cache_access(&mut self, _cell: u64) -> u64 {
-        0
-    }
-    #[inline(always)]
-    fn mispredicted(&mut self, _func: FuncId, _inst: InstId, _taken: bool) -> bool {
-        false
-    }
-    #[inline(always)]
-    fn penalty(&self) -> u64 {
-        0
-    }
-    #[inline(always)]
-    fn now(&self) -> u64 {
-        0
-    }
-    #[inline(always)]
-    fn advance(&mut self, _latency: u64) -> u64 {
-        0
-    }
-}
-
-/// What one step executed.
+/// What one instruction executed.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExecRecord {
     /// Function of the executed instruction.
@@ -314,7 +214,7 @@ pub struct ExecRecord {
     pub cycle_end: u64,
 }
 
-/// Control event accompanying a step.
+/// Control event accompanying an executed instruction.
 #[derive(Clone, Debug, PartialEq)]
 pub enum StepEvent {
     /// Plain instruction.
@@ -355,13 +255,14 @@ pub(crate) struct Frame {
     pub(crate) block: BlockId,
     /// Fetch cursor: absolute position of the next instruction in the
     /// function's flat [`DecodedFunc::stream`] (leading phis are delivered
-    /// through `pending`).
+    /// through `pending`); the superblock code's `op_at` maps it to the op
+    /// that resumes there.
     pub(crate) pos: u32,
     /// End (exclusive) of the current block's body in the stream.
     pub(crate) end: u32,
     pub(crate) ret_slot: Option<InstId>,
-    /// Phi writes scheduled by the last transfer, delivered one per step
-    /// from `pending_head` onward.
+    /// Phi writes scheduled by the last transfer, delivered one retired
+    /// instruction each from `pending_head` onward.
     pub(crate) pending: Vec<(InstId, u64)>,
     pub(crate) pending_head: usize,
 }
@@ -398,53 +299,6 @@ impl Thread {
         }
     }
 
-    /// Starts a *speculative* thread at block `header` of `func`, with a
-    /// copy of the forking frame's context. Header phis take their
-    /// latch-edge operand values from the copied context — the hardware
-    /// semantics of "the context of the main thread is copied to the
-    /// speculative thread" (§1).
-    pub fn start_spec(
-        decoded: &DecodedModule,
-        func: FuncId,
-        context: &[u64],
-        args: Vec<u64>,
-        header: BlockId,
-        latch: BlockId,
-    ) -> Self {
-        let df = decoded.func(func);
-        let hb = &df.blocks[header.index()];
-        let values = context.to_vec();
-        let mut pending = Vec::with_capacity(hb.phis.len());
-        match hb.preds.iter().position(|&p| p == latch) {
-            Some(pi) => {
-                let row = &hb.phi_srcs[pi];
-                for (k, &phi) in hb.phis.iter().enumerate() {
-                    pending.push((phi, row[k].map(|dv| dv.read(&values)).unwrap_or(0)));
-                }
-            }
-            None => {
-                for &phi in hb.phis.iter() {
-                    pending.push((phi, 0));
-                }
-            }
-        }
-        Thread {
-            frames: vec![Frame {
-                func,
-                values,
-                args,
-                block: header,
-                pos: hb.body_start,
-                end: hb.body_end,
-                ret_slot: None,
-                pending,
-                pending_head: 0,
-            }],
-            pool: Vec::new(),
-            max_depth: 256,
-        }
-    }
-
     /// Current function of the innermost frame.
     pub fn current_func(&self) -> FuncId {
         self.frames.last().expect("live thread").func
@@ -460,13 +314,6 @@ impl Thread {
         self.frames.len()
     }
 
-    /// A copy of the innermost frame's SSA values (the "context" copied on
-    /// fork).
-    pub fn context(&self) -> (Vec<u64>, Vec<u64>) {
-        let f = self.frames.last().expect("live thread");
-        (f.values.clone(), f.args.clone())
-    }
-
     /// Borrowed view of the innermost frame's context, for callers that
     /// copy it into a reused thread instead of allocating.
     pub fn context_ref(&self) -> (&[u64], &[u64]) {
@@ -474,9 +321,12 @@ impl Thread {
         (&f.values, &f.args)
     }
 
-    /// Re-initializes this thread as a speculative thread (same semantics
-    /// as [`Thread::start_spec`]) while reusing its allocations — the fork
-    /// hot path calls this once per episode.
+    /// Re-initializes this thread as a *speculative* thread at block
+    /// `header` of `func`, with a copy of the forking frame's context,
+    /// reusing its allocations (the fork hot path calls this once per
+    /// episode). Header phis take their latch-edge operand values from the
+    /// copied context — the hardware semantics of "the context of the main
+    /// thread is copied to the speculative thread" (§1).
     pub fn restart_spec(
         &mut self,
         decoded: &DecodedModule,
@@ -536,272 +386,57 @@ impl Thread {
         self.frames.push(frame);
     }
 
-    /// Executes one instruction.
+    /// Pushes a frame calling `callee` from the innermost frame: arguments
+    /// read against the caller's values, execution at the callee's entry
+    /// body (entry-block phis are not scheduled), a returned value bound
+    /// for `ret_slot` of the caller.
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError`] on faults; speculative callers treat faults as
-    /// "stop speculating here".
-    #[inline]
-    pub fn step(
+    /// [`ExecError::StackOverflow`] at the depth limit.
+    pub(crate) fn push_call(
         &mut self,
         decoded: &DecodedModule,
-        mem: &mut MemView<'_>,
-        timing: Option<&mut Timing<'_>>,
-    ) -> Result<(ExecRecord, StepEvent), ExecError> {
-        match timing {
-            Some(t) => self.step_impl(decoded, mem, &mut Timed(t)),
-            None => self.step_impl(decoded, mem, &mut Untimed),
+        callee: FuncId,
+        args: &[DVal],
+        ret_slot: InstId,
+    ) -> Result<(), ExecError> {
+        if self.frames.len() >= self.max_depth {
+            return Err(ExecError::StackOverflow);
         }
-    }
-
-    /// The monomorphized executor body. `inline(always)` so each call site
-    /// (main loop, speculative run, validation replay) gets its own
-    /// specialized copy — the record fields a caller ignores are then dead
-    /// stores the optimizer removes.
-    #[inline(always)]
-    fn step_impl<T: TimingMode>(
-        &mut self,
-        decoded: &DecodedModule,
-        mem: &mut MemView<'_>,
-        timing: &mut T,
-    ) -> Result<(ExecRecord, StepEvent), ExecError> {
-        let depth = self.frames.len();
-        let frame = self
+        let caller = self
             .frames
-            .last_mut()
-            .ok_or_else(|| ExecError::Malformed("step on finished thread".into()))?;
-        let func_id = frame.func;
-        let df = decoded.func(func_id);
-
-        // Deferred phi writes from the last transfer.
-        if frame.pending_head < frame.pending.len() {
-            let (phi, bits) = frame.pending[frame.pending_head];
-            frame.pending_head += 1;
-            frame.values[phi.index()] = bits;
-            let cycle_end = timing.now();
-            return Ok((
-                ExecRecord {
-                    func: func_id,
-                    inst: phi,
-                    result: Some(bits),
-                    store: None,
-                    latency: 0,
-                    cycle_end,
-                },
-                StepEvent::Continue,
-            ));
-        }
-
-        if frame.pos >= frame.end {
-            return Err(ExecError::Malformed(format!(
-                "fell off block {} in {}",
-                frame.block, df.name
-            )));
-        }
-        let inst_id = df.stream[frame.pos as usize];
-        frame.pos += 1;
-        let di = &df.insts[inst_id.index()];
-        let mut latency = di.latency;
-        let mut result: Option<u64> = None;
-        let mut store: Option<(i64, u64)> = None;
-        let mut event = StepEvent::Continue;
-
-        match &di.kind {
-            DKind::Param { index } => {
-                let v = frame.args.get(*index as usize).copied().unwrap_or(0);
-                frame.values[inst_id.index()] = v;
-                result = Some(v);
-            }
-            DKind::BinI64 { op, lhs, rhs } => {
-                let (a, b) = (lhs.read(&frame.values), rhs.read(&frame.values));
-                let v = op.eval_i64(a as i64, b as i64) as u64;
-                frame.values[inst_id.index()] = v;
-                result = Some(v);
-            }
-            DKind::BinF64 { op, lhs, rhs } => {
-                let (a, b) = (lhs.read(&frame.values), rhs.read(&frame.values));
-                let v = op.eval_f64(f64::from_bits(a), f64::from_bits(b)).to_bits();
-                frame.values[inst_id.index()] = v;
-                result = Some(v);
-            }
-            DKind::UnI64 { op, val } => {
-                let a = val.read(&frame.values);
-                let v = op.eval_i64(a as i64) as u64;
-                frame.values[inst_id.index()] = v;
-                result = Some(v);
-            }
-            DKind::UnF64 { op, val } => {
-                let a = val.read(&frame.values);
-                let v = op.eval_f64(f64::from_bits(a)).to_bits();
-                frame.values[inst_id.index()] = v;
-                result = Some(v);
-            }
-            DKind::IntToFloat { val } => {
-                let a = val.read(&frame.values);
-                let v = ((a as i64) as f64).to_bits();
-                frame.values[inst_id.index()] = v;
-                result = Some(v);
-            }
-            DKind::FloatToInt { val } => {
-                let a = val.read(&frame.values);
-                let v = (f64::from_bits(a) as i64) as u64;
-                frame.values[inst_id.index()] = v;
-                result = Some(v);
-            }
-            DKind::CmpI64 { op, lhs, rhs } => {
-                let (a, b) = (lhs.read(&frame.values), rhs.read(&frame.values));
-                let v = op.eval_i64(a as i64, b as i64) as u64;
-                frame.values[inst_id.index()] = v;
-                result = Some(v);
-            }
-            DKind::CmpF64 { op, lhs, rhs } => {
-                let (a, b) = (lhs.read(&frame.values), rhs.read(&frame.values));
-                let v = op.eval_f64(f64::from_bits(a), f64::from_bits(b)) as u64;
-                frame.values[inst_id.index()] = v;
-                result = Some(v);
-            }
-            DKind::Copy { val } => {
-                let v = val.read(&frame.values);
-                frame.values[inst_id.index()] = v;
-                result = Some(v);
-            }
-            DKind::SkippedPhi => {
-                return Err(ExecError::Malformed(format!(
-                    "unscheduled phi {inst_id} executed directly"
-                )));
-            }
-            DKind::Const { bits } => {
-                frame.values[inst_id.index()] = *bits;
-                result = Some(*bits);
-            }
-            DKind::Load { addr } => {
-                let cell = addr.read(&frame.values) as i64;
-                let v = mem.read(cell)?;
-                frame.values[inst_id.index()] = v;
-                result = Some(v);
-                if T::TIMED {
-                    latency = timing.cache_access(cell as u64).max(1);
-                }
-            }
-            DKind::Store { addr, val } => {
-                let cell = addr.read(&frame.values) as i64;
-                let bits = val.read(&frame.values);
-                mem.write(cell, bits)?;
-                store = Some((cell, bits));
-                if T::TIMED {
-                    latency = timing.cache_access(cell as u64).clamp(1, 4);
-                }
-            }
-            DKind::Call { callee, args } => {
-                if depth >= self.max_depth {
-                    return Err(ExecError::StackOverflow);
-                }
-                let callee_df = decoded.func(*callee);
-                let entry = callee_df.entry;
-                let entry_block = &callee_df.blocks[entry.index()];
-                let mut new_frame = self.pool.pop().unwrap_or_else(|| Frame {
-                    func: *callee,
-                    values: Vec::new(),
-                    args: Vec::new(),
-                    block: entry,
-                    pos: 0,
-                    end: 0,
-                    ret_slot: None,
-                    pending: Vec::new(),
-                    pending_head: 0,
-                });
-                new_frame.args.clear();
-                new_frame
-                    .args
-                    .extend(args.iter().map(|a| a.read(&frame.values)));
-                new_frame.values.clear();
-                new_frame.values.resize(callee_df.num_values(), 0);
-                new_frame.func = *callee;
-                new_frame.block = entry;
-                new_frame.pos = entry_block.body_start;
-                new_frame.end = entry_block.body_end;
-                new_frame.ret_slot = Some(inst_id);
-                new_frame.pending.clear();
-                new_frame.pending_head = 0;
-                self.frames.push(new_frame);
-                event = StepEvent::Transfer {
-                    to: entry,
-                    func: *callee,
-                };
-            }
-            DKind::Unsupported => {
-                return Err(ExecError::Malformed("non-SSA IR in simulator".into()));
-            }
-            DKind::Jump { target } => {
-                let target = *target;
-                transfer(frame, df, target);
-                event = StepEvent::Transfer {
-                    to: target,
-                    func: func_id,
-                };
-            }
-            DKind::Branch {
-                cond,
-                then_bb,
-                else_bb,
-            } => {
-                let taken = cond.read(&frame.values) != 0;
-                let target = if taken { *then_bb } else { *else_bb };
-                if T::TIMED && timing.mispredicted(func_id, inst_id, taken) {
-                    latency += timing.penalty();
-                }
-                transfer(frame, df, target);
-                event = StepEvent::Transfer {
-                    to: target,
-                    func: func_id,
-                };
-            }
-            DKind::Ret { val } => {
-                let bits = val.map(|v| v.read(&frame.values));
-                let ret_slot = frame.ret_slot;
-                if let Some(done) = self.frames.pop() {
-                    self.pool.push(done);
-                }
-                match self.frames.last_mut() {
-                    Some(parent) => {
-                        if let (Some(slot), Some(bits)) = (ret_slot, bits) {
-                            parent.values[slot.index()] = bits;
-                        }
-                        event = StepEvent::Transfer {
-                            to: parent.block,
-                            func: parent.func,
-                        };
-                    }
-                    None => {
-                        event = StepEvent::Finished { value: bits };
-                    }
-                }
-            }
-            DKind::SptFork { tag, target } => {
-                event = StepEvent::Fork {
-                    tag: *tag,
-                    target: *target,
-                    func: func_id,
-                };
-            }
-            DKind::SptKill { tag } => {
-                event = StepEvent::Kill { tag: *tag };
-            }
-        }
-
-        let cycle_end = timing.advance(latency);
-        Ok((
-            ExecRecord {
-                func: func_id,
-                inst: inst_id,
-                result,
-                store,
-                latency,
-                cycle_end,
-            },
-            event,
-        ))
+            .last()
+            .ok_or_else(|| ExecError::Malformed("call on finished thread".into()))?;
+        let callee_df = decoded.func(callee);
+        let entry = callee_df.entry;
+        let entry_block = &callee_df.blocks[entry.index()];
+        let mut frame = self.pool.pop().unwrap_or_else(|| Frame {
+            func: callee,
+            values: Vec::new(),
+            args: Vec::new(),
+            block: entry,
+            pos: 0,
+            end: 0,
+            ret_slot: None,
+            pending: Vec::new(),
+            pending_head: 0,
+        });
+        frame.args.clear();
+        frame
+            .args
+            .extend(args.iter().map(|a| a.read(&caller.values)));
+        frame.values.clear();
+        frame.values.resize(callee_df.num_values(), 0);
+        frame.func = callee;
+        frame.block = entry;
+        frame.pos = entry_block.body_start;
+        frame.end = entry_block.body_end;
+        frame.ret_slot = Some(ret_slot);
+        frame.pending.clear();
+        frame.pending_head = 0;
+        self.frames.push(frame);
+        Ok(())
     }
 }
 
@@ -838,41 +473,14 @@ pub(crate) fn transfer(frame: &mut Frame, df: &DecodedFunc, target: BlockId) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{Cache, CacheConfig};
-    use crate::predictor::BranchPredictor;
     use spt_ir::Module;
 
     fn run_to_end(module: &Module, entry: &str, args: Vec<u64>) -> (Option<u64>, u64, Vec<u64>) {
-        let func = module.func_by_name(entry).unwrap();
-        let decoded = DecodedModule::new(module);
-        let (bases, size) = module.memory_layout();
-        let mut memory = vec![0u64; size];
-        for (gi, g) in module.globals.iter().enumerate() {
-            if let Some(init) = &g.init {
-                for (k, &b) in init.iter().take(g.size).enumerate() {
-                    memory[bases[gi] + k] = b;
-                }
-            }
-        }
-        let mut thread = Thread::start(&decoded, func, args);
-        let mut cycle = 0u64;
-        let mut cache = Cache::new(CacheConfig::default());
-        let mut predictor = BranchPredictor::new();
-        loop {
-            let mut view = MemView::Direct(&mut memory);
-            let mut timing = Timing {
-                cycle: &mut cycle,
-                cache: &mut cache,
-                predictor: &mut predictor,
-                mispredict_penalty: 5,
-            };
-            let (_rec, event) = thread
-                .step(&decoded, &mut view, Some(&mut timing))
-                .expect("no faults");
-            if let StepEvent::Finished { value } = event {
-                return (value, cycle, memory);
-            }
-        }
+        let args: Vec<i64> = args.into_iter().map(|a| a as i64).collect();
+        let r = crate::SptSimulator::new()
+            .run(module, entry, &args)
+            .expect("no faults");
+        (r.ret, r.cycles, r.memory)
     }
 
     #[test]
@@ -933,7 +541,7 @@ mod tests {
         let mut base = vec![1u64, 2, 3];
         let mut buf = SpecBuf::new(8);
         {
-            let mut view = MemView::Overlay {
+            let mut view = MemView {
                 base: &base,
                 buf: &mut buf,
             };
@@ -951,7 +559,7 @@ mod tests {
     fn spec_buffer_capacity_enforced() {
         let base = vec![0u64; 100];
         let mut buf = SpecBuf::new(2);
-        let mut view = MemView::Overlay {
+        let mut view = MemView {
             base: &base,
             buf: &mut buf,
         };
@@ -984,9 +592,14 @@ mod tests {
 
     #[test]
     fn oob_faults() {
-        let mut m = vec![0u64; 4];
-        let view = MemView::Direct(&mut m);
+        let base = vec![0u64; 4];
+        let mut buf = SpecBuf::new(4);
+        let mut view = MemView {
+            base: &base,
+            buf: &mut buf,
+        };
         assert!(matches!(view.read(10), Err(ExecError::OutOfBounds(10))));
         assert!(matches!(view.read(-1), Err(ExecError::OutOfBounds(-1))));
+        assert!(matches!(view.write(4, 1), Err(ExecError::OutOfBounds(4))));
     }
 }

@@ -16,7 +16,7 @@ echo "== tests =="
 cargo test -q --workspace --exclude spt-transform
 cargo test -q -p spt-transform --lib --test transform_extra
 
-echo "== engine equivalence (reference / dense / superblock, bit-identical) =="
+echo "== engine equivalence (engine versus reference, bit-identical) =="
 cargo test -q --release --test engine_equivalence
 
 echo "== robustness fuzz (64 deterministic cases, both thread counts) =="
@@ -36,8 +36,8 @@ cargo test -q -p spt-serve --features failpoints --test serve_failpoints
 
 echo "== corpus: 200-module differential slice (five oracles) =="
 # A pinned-seed slice of the corpus fuzzer: every module must satisfy the
-# no-panic, semantics, tier-identity, cache-identity, and thread-invariance
-# oracles. The full thousand-module run is `--count 1000`.
+# no-panic, semantics, engine-identity, cache-identity, and
+# thread-invariance oracles. The full thousand-module run is `--count 1000`.
 cargo run --release -q -p spt-bench --bin corpus -- --seed 1 --count 200
 
 echo "== corpus: failpoint sweep (every site x 20 modules) =="
@@ -68,25 +68,6 @@ fi
 if ! grep -Eq '^artifact store: [1-9][0-9]* hits, 0 misses$' <<<"$warm_out"; then
   echo "FAIL: warm perfbench run did not serve everything from the store" >&2
   grep '^artifact store:' <<<"$warm_out" >&2 || true
-  exit 1
-fi
-
-echo "== perfbench smoke: superblock tier on/off (digests must agree) =="
-# The fused tier may only change speed, never answers: a cold smoke run with
-# SPT_EXEC_TIER=super must print the same results-only digest as the cold
-# dense run above, and a run with the tier explicitly forced off must too.
-super_out=$(SPT_EXEC_TIER=super cargo run --release -q -p spt-bench --bin perfbench -- --smoke --cold)
-super_digest=$(grep '^report digest:' <<<"$super_out")
-dense_out=$(SPT_EXEC_TIER=dense cargo run --release -q -p spt-bench --bin perfbench -- --smoke --cold)
-dense_digest=$(grep '^report digest:' <<<"$dense_out")
-if [[ -z "$super_digest" || "$super_digest" != "$cold_digest" ]]; then
-  echo "FAIL: superblock-tier report digest diverged from the dense run" >&2
-  echo "  dense: ${cold_digest:-<missing>}" >&2
-  echo "  super: ${super_digest:-<missing>}" >&2
-  exit 1
-fi
-if [[ -z "$dense_digest" || "$dense_digest" != "$cold_digest" ]]; then
-  echo "FAIL: forced-dense report digest diverged" >&2
   exit 1
 fi
 
@@ -156,9 +137,9 @@ cargo run --release -q --manifest-path sptbench/Cargo.toml -- --smoke
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 # spt-core and spt-trace deny unwrap/expect crate-wide, and the execution
-# tiers' hot modules (spt-ir superblock/tier, spt-profile fused, spt-sim
-# superexec) carry the same module-level denies; this re-lints them so a
-# local `#[allow]` regression cannot slip through the stricter gate.
+# engines' hot modules (spt-ir superblock, spt-profile fused, spt-sim
+# superexec/specexec) carry the same module-level denies; this re-lints them
+# so a local `#[allow]` regression cannot slip through the stricter gate.
 cargo clippy -p spt-core --lib -- -D warnings
 cargo clippy -p spt-trace --lib -- -D warnings
 cargo clippy -p spt-ir --lib -- -D warnings

@@ -23,7 +23,7 @@ fn checked_in_repros_stay_green() {
             dir.display()
         );
         // Hermetic replay: no artifact cache, but every differential oracle
-        // (semantics, tiers, thread invariance) stays on.
+        // (semantics, engines, thread invariance) stays on.
         let opts = CheckOptions {
             cache_root: None,
             ..CheckOptions::default()
