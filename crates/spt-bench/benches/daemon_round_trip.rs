@@ -5,9 +5,10 @@
 //! should beat re-serving from disk, or the memory tier isn't paying rent.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use spt_bench::{sim_with_cache, SimTraceStats};
 use spt_core::TraceSettings;
-use spt_serve::{serve, Client, CompileService, ServiceConfig, SimReq};
+use spt_serve::{
+    serve, sim_with_cache, Client, CompileService, ServiceConfig, SimReq, SimTraceStats,
+};
 use spt_sim::MachineConfig;
 use std::hint::black_box;
 use std::sync::Arc;

@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use spt_bench::incremental_workload as workload;
 use spt_core::pipeline::transform_module_timed_with;
-use spt_core::{CompilerConfig, IncrementalCache, ProfilingInput};
+use spt_core::{CompilerConfig, ProfilingInput, Store};
 use std::hint::black_box;
 
 /// Smaller than the perfbench workload so one cold sample stays well under
@@ -19,7 +19,7 @@ fn bench_incremental_recompile(c: &mut Criterion) {
     let config = CompilerConfig::best();
     let input = ProfilingInput::new(workload::ENTRY, [workload::TRAIN_ARG]);
     let base = workload::source_with(KERNELS);
-    let compile = |src: &str, cache: Option<&IncrementalCache>| {
+    let compile = |src: &str, cache: Option<&Store>| {
         let mut module = spt_frontend::compile(src).expect("workload compiles");
         transform_module_timed_with(&mut module, &input, &config, cache).expect("pipeline")
     };
@@ -31,7 +31,7 @@ fn bench_incremental_recompile(c: &mut Criterion) {
 
     // Prime once; each warm iteration then edits one kernel (a fresh rename
     // per round), so exactly one function is dirty against the cache.
-    let cache = IncrementalCache::in_memory(256 << 20, 8);
+    let cache = Store::in_memory(256 << 20, 8);
     compile(&base, Some(&cache));
     let mut round = 0usize;
     g.bench_function(format!("warm_edit_one_function/{KERNELS}_kernels"), |b| {

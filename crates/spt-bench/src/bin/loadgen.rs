@@ -15,8 +15,9 @@
 //! - **incremental batch**: K cold compile variants differing in one
 //!   function, submitted as one `CompileBatch` versus K isolated compiles —
 //!   the function-granular cache dedups the shared functions;
-//! - **cache behaviour**: per-tier in-memory hit/miss/eviction counters and
-//!   the disk tier's memo hits, straight from the daemon's `stats` request;
+//! - **cache behaviour**: the store's memory hit/miss/eviction counters
+//!   summed over kinds, and the disk tier's memo hits and budget
+//!   evictions, straight from the daemon's `stats` request;
 //! - **tier comparison**: median warm-hit service time from the in-memory
 //!   tier versus the on-disk tier (same requests, memory deliberately
 //!   cold), measured in-process so socket overhead cancels out;
@@ -467,13 +468,7 @@ fn main() {
         .unwrap_or_else(|e| spt_bench::die(format!("stats request failed: {e}")))
         .into_iter()
         .collect();
-    let tiers = [
-        "mem_module",
-        "mem_unit",
-        "mem_sim",
-        "mem_func_analysis",
-        "mem_func_emit",
-    ];
+    let tiers = ["mem_unit", "mem_sim", "mem_func_analysis", "mem_func_emit"];
     let sum = |suffix: &str| -> u64 {
         tiers
             .iter()
@@ -510,10 +505,11 @@ fn main() {
         mem_hit_rate * 100.0
     );
     println!(
-        "compile dedup: {} led / {} joined; disk memo hits: {}",
+        "compile dedup: {} led / {} joined; disk memo hits: {}, disk budget evictions: {}",
         stat(&stats, "flights_led"),
         stat(&stats, "flights_joined"),
-        stat(&stats, "disk_memo_hits")
+        stat(&stats, "disk_memo_hits"),
+        stat(&stats, "disk_budget_evictions")
     );
 
     let (mem_warm_us, disk_warm_us) = tier_comparison(&suite);

@@ -221,14 +221,14 @@ const INC_EDITS: usize = 3;
 fn run_incremental(write_history_file: bool) {
     use spt_bench::incremental_workload as workload;
     use spt_core::pipeline::transform_module_timed_with;
-    use spt_core::{IncrementalCache, ProfilingInput, StageTimings};
+    use spt_core::{ProfilingInput, StageTimings, Store};
 
     // No artifact store: the function-granular cache under measurement is
     // the explicit in-memory one, not the `.spt-cache/` artifact tiers.
     let config = CompilerConfig::best();
     let input = ProfilingInput::new(workload::ENTRY, [workload::TRAIN_ARG]);
     let base = workload::source();
-    let compile = |src: &str, cache: Option<&IncrementalCache>| -> (String, StageTimings, u64) {
+    let compile = |src: &str, cache: Option<&Store>| -> (String, StageTimings, u64) {
         let mut module = spt_frontend::compile(src)
             .unwrap_or_else(|e| spt_bench::die(format!("workload compile failed: {e}")));
         let t = Instant::now();
@@ -247,7 +247,7 @@ fn run_incremental(write_history_file: bool) {
 
     // Prime: one cold compile through the cache fills every function's
     // analysis and emission units.
-    let cache = IncrementalCache::in_memory(256 << 20, 8);
+    let cache = Store::in_memory(256 << 20, 8);
     let (_, _, prime_us) = compile(&base, Some(&cache));
 
     // Each round edits one kernel of the *base* source, so relative to the

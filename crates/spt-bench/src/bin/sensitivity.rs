@@ -13,8 +13,9 @@
 //!
 //! Run: `cargo run --release -p spt-bench --bin sensitivity`
 
-use spt_bench::{geomean, sim_with_cache, SimTraceStats};
+use spt_bench::geomean;
 use spt_core::{compile_and_transform, CompilerConfig, ProfilingInput, TraceSettings};
+use spt_serve::{sim_with_cache, SimTraceStats};
 use spt_sim::MachineConfig;
 use std::time::Instant;
 

@@ -8,16 +8,12 @@
 use spt_bench_suite::Benchmark;
 use spt_core::pipeline::transform_module_timed;
 use spt_core::{CompilationReport, CompilerConfig, ProfilingInput, StageTimings, TraceSettings};
+use spt_serve::{sim_with_cache, SimTraceStats};
 use spt_sim::{LoopSimStats, MachineConfig, SimResult};
 use std::collections::HashMap;
 
 pub mod history;
 pub mod incremental_workload;
-
-// The cache-aware simulation entry point moved to `spt-serve` (the daemon's
-// disk tier is the same code path); re-exported so the harness binaries and
-// external callers keep their `spt_bench::sim_with_cache` spelling.
-pub use spt_serve::{sim_with_cache, SimTraceStats};
 
 /// The measurements from running one benchmark under one configuration.
 pub struct BenchmarkRun {

@@ -5,22 +5,21 @@
 //! plus a small, explicit context: the compiler configuration, every
 //! function's memory-effect summary (calls are abstracted through
 //! summaries, never by looking into callee bodies), and the function's own
-//! slice of the edge/dependence profiles. [`IncrementalCache`] memoizes
-//! that product at function granularity, keyed by
-//! [`spt_ir::Function::content_hash`] (the Merkle leaf of
-//! [`spt_ir::Module::content_hash`]) plus a context hash folding exactly
-//! those inputs — so editing one function of an N-function module
-//! invalidates one analysis unit, not N.
+//! slice of the edge/dependence profiles. The pipeline memoizes that
+//! product at function granularity in the artifact store
+//! ([`crate::store::Store`]), keyed by [`spt_ir::Function::content_hash`]
+//! (the Merkle leaf of [`spt_ir::Module::content_hash`]) plus a context
+//! hash folding exactly those inputs — so editing one function of an
+//! N-function module invalidates one analysis unit, not N.
 //!
-//! Two tiers per kind:
+//! Two kinds per function:
 //!
-//! * **analysis units** ([`FuncAnalysisUnit`]) live in a sharded in-memory
-//!   LRU and, when the cache was built from artifact-store settings with a
-//!   `cache_dir`, in the on-disk [`ArtifactCache`] (kind `func`), so
-//!   edit-recompile cycles survive process boundaries;
+//! * **analysis units** ([`FuncAnalysisUnit`]) persist on the store's disk
+//!   tier when it has one, so edit-recompile cycles survive process
+//!   boundaries;
 //! * **emission units** ([`EmitUnit`]) — the transformed function plus the
 //!   per-loop emission outcomes needed to splice reports — are memory-only:
-//!   they embed IR and are only worth keeping hot within a daemon.
+//!   they embed IR and are only worth keeping hot within a process.
 //!
 //! The skip-and-splice contract: a decode-and-splice path must be
 //! *byte-identical* to a recompute path, for reports and emitted code
@@ -31,12 +30,10 @@
 //! stored. `tests/incremental_equivalence.rs` pins the contract over the
 //! whole benchmark suite.
 
-use std::sync::Arc;
-
 use spt_ir::{FuncId, Function, LoopForest, Module};
 use spt_profile::ProfileCollector;
 use spt_trace::codec::Fnv;
-use spt_trace::{ArtifactCache, FuncAnalysisUnit, LoadOutcome, ShardStats, ShardedLru};
+use spt_trace::FuncAnalysisUnit;
 
 use crate::config::CompilerConfig;
 
@@ -65,112 +62,6 @@ pub struct EmitUnit {
     pub func: Function,
     /// One event per selected loop, in selection order.
     pub events: Vec<EmitEvent>,
-}
-
-impl EmitUnit {
-    fn approx_bytes(&self) -> u64 {
-        let ir = (self.func.insts.len() * 48 + self.func.blocks.len() * 32) as u64;
-        let msgs: u64 = self
-            .events
-            .iter()
-            .map(|e| match e {
-                EmitEvent::Declined(m) => 16 + m.len() as u64,
-                _ => 16,
-            })
-            .sum();
-        ir + msgs + 64
-    }
-}
-
-/// The function-granular memo the pipeline compiles through. Cheap to
-/// share: clone-free probes hand out `Arc`s, and all counters live in the
-/// underlying tiers.
-pub struct IncrementalCache {
-    analysis: ShardedLru<Arc<FuncAnalysisUnit>>,
-    emit: ShardedLru<Arc<EmitUnit>>,
-    disk: Option<ArtifactCache>,
-}
-
-impl IncrementalCache {
-    /// A memory-only cache splitting `mem_budget_bytes` between the
-    /// analysis and emission tiers over `shards` shards each.
-    pub fn in_memory(mem_budget_bytes: u64, shards: usize) -> Self {
-        IncrementalCache {
-            analysis: ShardedLru::new(shards, mem_budget_bytes / 2),
-            emit: ShardedLru::new(shards, mem_budget_bytes - mem_budget_bytes / 2),
-            disk: None,
-        }
-    }
-
-    /// [`IncrementalCache::in_memory`] plus a disk tier for analysis units
-    /// (emission units stay memory-only; they embed IR).
-    pub fn with_disk(mem_budget_bytes: u64, shards: usize, disk: ArtifactCache) -> Self {
-        IncrementalCache {
-            disk: Some(disk),
-            ..Self::in_memory(mem_budget_bytes, shards)
-        }
-    }
-
-    /// The cache a plain [`crate::transform_module_timed`] call compiles
-    /// through: `None` when the artifact store is disabled or has no
-    /// `cache_dir` (nothing would persist anyway, and a single compile never
-    /// re-probes its own stores), otherwise a small memory tier over the
-    /// same `.spt-cache/` directory the simulation memos use.
-    pub fn from_config(config: &CompilerConfig) -> Option<Self> {
-        let dir = config.trace.cache_dir.as_ref()?;
-        if !config.trace.enabled {
-            return None;
-        }
-        Some(Self::with_disk(32 << 20, 4, ArtifactCache::new(dir)))
-    }
-
-    /// Analysis-tier counter snapshot (memory tier).
-    pub fn analysis_stats(&self) -> ShardStats {
-        self.analysis.stats()
-    }
-
-    /// Emission-tier counter snapshot.
-    pub fn emit_stats(&self) -> ShardStats {
-        self.emit.stats()
-    }
-
-    /// Probe for an analysis unit: memory first, then disk; a disk hit is
-    /// promoted into memory. Disk corruption degrades to a miss (the
-    /// artifact cache has already evicted the bad file).
-    pub fn load_analysis(&self, key: u64) -> Option<Arc<FuncAnalysisUnit>> {
-        if let Some(unit) = self.analysis.get(key) {
-            return Some(unit);
-        }
-        let disk = self.disk.as_ref()?;
-        match disk.load_func_unit(key) {
-            LoadOutcome::Hit(unit) => {
-                let unit = Arc::new(unit);
-                self.analysis.insert(key, unit.clone(), unit.approx_bytes());
-                Some(unit)
-            }
-            LoadOutcome::Miss | LoadOutcome::Corrupt(_) => None,
-        }
-    }
-
-    /// Store an analysis unit in every configured tier.
-    pub fn store_analysis(&self, key: u64, unit: Arc<FuncAnalysisUnit>) {
-        if let Some(disk) = &self.disk {
-            disk.store_func_unit(key, &unit);
-        }
-        let bytes = unit.approx_bytes();
-        self.analysis.insert(key, unit, bytes);
-    }
-
-    /// Probe for an emission unit (memory-only).
-    pub fn load_emit(&self, key: u64) -> Option<Arc<EmitUnit>> {
-        self.emit.get(key)
-    }
-
-    /// Store an emission unit (memory-only).
-    pub fn store_emit(&self, key: u64, unit: Arc<EmitUnit>) {
-        let bytes = unit.approx_bytes();
-        self.emit.insert(key, unit, bytes);
-    }
 }
 
 /// Streams `Debug` renderings into an FNV fold without materialising them.
@@ -322,37 +213,6 @@ pub fn unit_matches_forest(unit: &FuncAnalysisUnit, forest: &LoopForest) -> bool
     n == unit.fragments.len() && ids.next().is_none()
 }
 
-/// Key for an emission unit: the function's IR at emission entry, its
-/// index, the starting loop tag, and each selected loop's header plus
-/// partition sets. Any upstream change — different selection, shifted
-/// tags, different pre-fork sets — lands on a different key, so a hit can
-/// always be spliced verbatim.
-pub fn emit_unit_key(
-    func: &Function,
-    func_id: FuncId,
-    start_tag: u32,
-    selected: &[(u32, Vec<u32>, Vec<u32>)],
-) -> u64 {
-    let mut h = Fnv::new();
-    h.update(b"emit");
-    h.update_u64(func.content_hash());
-    h.update_u64(func_id.index() as u64);
-    h.update_u64(start_tag as u64);
-    h.update_u64(selected.len() as u64);
-    for (header, move_insts, replicate_insts) in selected {
-        h.update_u64(*header as u64);
-        h.update_u64(move_insts.len() as u64);
-        for &i in move_insts {
-            h.update_u64(i as u64);
-        }
-        h.update_u64(replicate_insts.len() as u64);
-        for &i in replicate_insts {
-            h.update_u64(i as u64);
-        }
-    }
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,39 +230,5 @@ mod tests {
             config_context_hash(&CompilerConfig::basic()),
             config_context_hash(&CompilerConfig::anticipated())
         );
-    }
-
-    #[test]
-    fn memory_tiers_round_trip() {
-        let cache = IncrementalCache::in_memory(1 << 20, 2);
-        assert!(cache.load_analysis(7).is_none());
-        let unit = Arc::new(FuncAnalysisUnit::default());
-        cache.store_analysis(7, unit.clone());
-        assert_eq!(cache.load_analysis(7).as_deref(), Some(&*unit));
-        let stats = cache.analysis_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-
-        assert!(cache.load_emit(9).is_none());
-        let emit = Arc::new(EmitUnit {
-            func: Function::new("f", vec![], None),
-            events: vec![EmitEvent::Emitted, EmitEvent::Declined("no".into())],
-        });
-        cache.store_emit(9, emit.clone());
-        assert_eq!(
-            cache.load_emit(9).map(|u| u.events.clone()),
-            Some(emit.events.clone())
-        );
-    }
-
-    #[test]
-    fn disk_tier_survives_a_fresh_memory_tier() {
-        let dir = std::env::temp_dir().join(format!("spt-inc-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let warm = IncrementalCache::with_disk(1 << 20, 2, ArtifactCache::new(&dir));
-        let unit = Arc::new(FuncAnalysisUnit::default());
-        warm.store_analysis(3, unit.clone());
-        let cold = IncrementalCache::with_disk(1 << 20, 2, ArtifactCache::new(&dir));
-        assert_eq!(cold.load_analysis(3).as_deref(), Some(&*unit));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

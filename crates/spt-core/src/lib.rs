@@ -36,15 +36,17 @@ pub mod incremental;
 pub mod parallel;
 pub mod pipeline;
 pub mod report;
+pub mod store;
 
 pub use config::{CompilerConfig, ResourceBudget, TraceSettings};
 pub use diag::{Diagnostic, Severity, Stage};
-pub use incremental::{EmitEvent, EmitUnit, IncrementalCache};
+pub use incremental::{EmitEvent, EmitUnit};
 pub use pipeline::{
     compile_and_transform, transform_module, transform_module_timed, transform_module_timed_with,
     PipelineError, ProfilingInput, SptCompilation, StageTimings,
 };
 pub use report::{CompilationReport, LoopOutcome, LoopRecord, SelectedLoop};
+pub use store::{IncrementalCache, Store};
 
 /// Injects a configurable fault at a named site (`failpoints` builds only).
 ///

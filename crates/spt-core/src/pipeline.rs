@@ -24,17 +24,16 @@
 
 use crate::config::CompilerConfig;
 use crate::diag::{panic_message, Diagnostic, Severity, Stage};
-use crate::incremental::{
-    emit_unit_key, unit_matches_forest, EmitEvent, EmitUnit, IncrementalCache, ModuleContext,
-};
+use crate::incremental::{unit_matches_forest, EmitEvent, EmitUnit, ModuleContext};
 use crate::report::{CompilationReport, LoopOutcome, LoopRecord, SelectedLoop};
+use crate::store::{emit_unit_key, func_unit_key, Store};
 use spt_cost::dep_graph::{DepGraph, DepGraphConfig, NodeClass, Profiles};
 use spt_cost::LoopCostModel;
 use spt_ir::loops::LoopId;
 use spt_ir::{BlockId, Cfg, DomTree, FuncId, InstId, LoopForest, Module, Ty};
 use spt_partition::{optimal_partition, SearchConfig};
 use spt_profile::{Interp, InterpError, ProfileCollector, Val, ValueProfile};
-use spt_trace::{ArtifactCache, FuncAnalysisUnit, LoopFragment};
+use spt_trace::{FuncAnalysisUnit, LoopFragment};
 use spt_transform::{
     classify_loop, emit_spt_loop, unroll::choose_unroll_factor, unroll_loop, SptLoopSpec,
     UnrollKind,
@@ -224,7 +223,7 @@ pub struct StageTimings {
     pub trace_cache_misses: u64,
     /// Function-granular units considered (one per function per analysis
     /// pass; the SVP re-analysis counts again). Zero when the run had no
-    /// [`IncrementalCache`].
+    /// [`Store`].
     pub func_units_total: u64,
     /// Pass-1 analysis units served from the function-granular cache —
     /// functions whose loops skipped dependence graphs, cost models and
@@ -267,23 +266,23 @@ pub fn transform_module_timed(
     input: &ProfilingInput,
     config: &CompilerConfig,
 ) -> Result<(CompilationReport, StageTimings), PipelineError> {
-    let ephemeral = IncrementalCache::from_config(config);
+    let ephemeral = Store::from_config(config);
     transform_module_timed_with(module, input, config, ephemeral.as_ref())
 }
 
-/// [`transform_module_timed`] compiling through a caller-owned
-/// [`IncrementalCache`], the function-granular incremental entry point.
+/// [`transform_module_timed`] compiling through a caller-owned artifact
+/// [`Store`], the function-granular incremental entry point.
 ///
-/// With `Some(cache)`, functions whose content hash and analysis/emission
-/// context match a cached unit skip pass 1 (and SPT emission) entirely and
-/// splice the cached results back in; the report and emitted code are
+/// With `Some(store)`, functions whose content hash and analysis/emission
+/// context match a stored unit skip pass 1 (and SPT emission) entirely and
+/// splice the stored results back in; the report and emitted code are
 /// byte-identical to a cold compile (pinned by
 /// `tests/incremental_equivalence.rs`), and the hit/miss counters land in
-/// [`StageTimings`]. With `None` the pipeline behaves exactly as before
-/// this cache existed. [`transform_module_timed`] passes an ephemeral
-/// disk-backed cache when the artifact store is enabled with a `cache_dir`
-/// (so edit-recompile cycles reuse analysis units across processes); the
-/// daemon passes its long-lived shared cache.
+/// [`StageTimings`]. With `None` every function is analyzed and emitted.
+/// [`transform_module_timed`] passes an ephemeral disk-backed store when
+/// the artifact store is enabled with a `cache_dir` (so edit-recompile
+/// cycles reuse analysis units across processes); the daemon passes its
+/// long-lived shared store.
 ///
 /// # Errors
 ///
@@ -293,7 +292,7 @@ pub fn transform_module_timed_with(
     module: &mut Module,
     input: &ProfilingInput,
     config: &CompilerConfig,
-    cache: Option<&IncrementalCache>,
+    cache: Option<&Store>,
 ) -> Result<(CompilationReport, StageTimings), PipelineError> {
     let mut scratch = module.clone();
     let out = transform_scratch(&mut scratch, input, config, cache)?;
@@ -307,7 +306,7 @@ fn transform_scratch(
     module: &mut Module,
     input: &ProfilingInput,
     config: &CompilerConfig,
-    cache: Option<&IncrementalCache>,
+    cache: Option<&Store>,
 ) -> Result<(CompilationReport, StageTimings), PipelineError> {
     let mut timings = StageTimings::default();
     let mut diags: Vec<Diagnostic> = Vec::new();
@@ -469,7 +468,7 @@ fn emit_func_group(
     idxs: &[usize],
     analyses: &[LoopAnalysis],
     records: &mut [LoopRecord],
-    cache: Option<&IncrementalCache>,
+    cache: Option<&Store>,
     next_tag: &mut u32,
     selected_out: &mut Vec<SelectedLoop>,
     timings: &mut StageTimings,
@@ -493,7 +492,7 @@ fn emit_func_group(
         emit_unit_key(func, fid, start_tag, &selected)
     });
     if let (Some(cache), Some(key)) = (cache, key) {
-        if let Some(unit) = cache.load_emit(key) {
+        if let Some((unit, _)) = cache.get::<EmitUnit>(key) {
             if unit.events.len() == idxs.len() {
                 timings.func_emit_hits += 1;
                 *module.func_mut(fid) = unit.func.clone();
@@ -618,7 +617,7 @@ fn emit_func_group(
         }
     }
     if let (Some(cache), Some(key), false) = (cache, key, panicked) {
-        cache.store_emit(
+        cache.put(
             key,
             Arc::new(EmitUnit {
                 func: module.func(fid).clone(),
@@ -775,7 +774,7 @@ fn analyze_module(
     module: &Module,
     collector: &ProfileCollector,
     config: &CompilerConfig,
-    cache: Option<&IncrementalCache>,
+    cache: Option<&Store>,
     timings: &mut StageTimings,
     diags: &mut Vec<Diagnostic>,
 ) -> Vec<LoopAnalysis> {
@@ -807,13 +806,13 @@ fn analyze_module(
             (Some(cache), Some(ctx)) => {
                 timings.func_units_total += 1;
                 let func = module.func(*func_id);
-                let key = ArtifactCache::func_unit_key(
+                let key = func_unit_key(
                     func.content_hash(),
                     func_id.index() as u64,
                     ctx.func_context_hash(func, *func_id, collector),
                 );
-                match cache.load_analysis(key) {
-                    Some(unit) if unit_matches_forest(&unit, forest) => {
+                match cache.get::<FuncAnalysisUnit>(key) {
+                    Some((unit, _)) if unit_matches_forest(&unit, forest) => {
                         timings.func_analysis_hits += 1;
                         Plan::Hit(unit)
                     }
@@ -945,7 +944,7 @@ fn analyze_module(
                         let unit = FuncAnalysisUnit {
                             fragments: fresh.iter().map(fragment_from_analysis).collect(),
                         };
-                        cache.store_analysis(key, Arc::new(unit));
+                        cache.put(key, Arc::new(unit));
                     }
                 }
             }

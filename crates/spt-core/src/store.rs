@@ -1,0 +1,951 @@
+//! The artifact store: the one memo behind the pipeline, the simulation
+//! harnesses and the compile daemon.
+//!
+//! Every product it holds — a function's pass-1 analysis or emitted code, a
+//! whole compiled program, a simulation result — is a pure function of IR
+//! content and inputs, so its key is a content address built in this module
+//! ([`sim_key`], [`func_unit_key`], [`emit_unit_key`], [`unit_key`]), each
+//! folding its kind tag and format version first. Entries are immutable: a
+//! changed input is a new key, and nothing is ever invalidated.
+//!
+//! Two tiers. **Memory** is a sharded LRU under one byte budget for every
+//! kind: a key's high bits pick its shard, and each shard evicts its
+//! least-recently-used entries, of any kind, until it fits `budget /
+//! shards`; a value larger than a whole shard is refused (an oversize
+//! rejection). **Disk** (optional) is a directory of immutable
+//! `{kind}-{key:016x}.bin` files for the kinds with a [`Codec`]. Stores are
+//! atomic (temp file, then rename); a file that fails to read or decode is
+//! deleted and reads as a miss, since a content-addressed file can only
+//! hold bad bytes after a torn or damaged write; an optional byte budget
+//! deletes the least recently used files (a hit renews a file's mtime).
+//! Only files with the store's own names are counted or deleted.
+//!
+//! The store is an accelerator, not a source of truth: no I/O error
+//! surfaces, and every answer is byte-identical with it on, off, cold or
+//! warm (pinned by `tests/trace_equivalence.rs`,
+//! `tests/incremental_equivalence.rs` and `spt-serve`'s
+//! `daemon_equivalence`). One [`KindStats`] row per [`Kind`] counts both
+//! tiers.
+
+use std::any::Any;
+use std::collections::HashMap;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::SystemTime;
+
+use spt_ir::{FuncId, Function};
+use spt_sim::{LoopSimStats, MachineConfig, SimResult};
+use spt_trace::codec::Fnv;
+use spt_trace::{
+    sim_from_bytes, sim_to_bytes, FuncAnalysisUnit, FUNC_UNIT_FORMAT_VERSION, SIM_FORMAT_VERSION,
+};
+
+use crate::config::CompilerConfig;
+use crate::incremental::{EmitEvent, EmitUnit};
+
+/// The store under the name the function-granular pipeline API first used
+/// (`sptbench` still compiles against it).
+pub type IncrementalCache = Store;
+
+/// Format version of the memory-only kinds' keys (emission and compiled
+/// units): their values never outlive the process.
+const MEMORY_ONLY_FORMAT_VERSION: u32 = 1;
+
+/// Number of [`Kind`]s.
+const KINDS: usize = 4;
+
+/// The kinds of artifact the store holds; each has one counter row.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    /// A whole compiled program (the daemon's `CompiledUnit`); memory-only.
+    Unit,
+    /// A [`SimResult`] memo; persists.
+    Sim,
+    /// One function's pass-1 analysis ([`FuncAnalysisUnit`]); persists.
+    FuncAnalysis,
+    /// One function's emitted code ([`EmitUnit`]); memory-only.
+    FuncEmit,
+}
+
+impl Kind {
+    /// Every kind, in counter-row order.
+    pub const ALL: [Kind; KINDS] = [Kind::Unit, Kind::Sim, Kind::FuncAnalysis, Kind::FuncEmit];
+
+    /// The kind's name in `stats` keys.
+    pub fn name(self) -> &'static str {
+        match self {
+            Kind::Unit => "unit",
+            Kind::Sim => "sim",
+            Kind::FuncAnalysis => "func_analysis",
+            Kind::FuncEmit => "func_emit",
+        }
+    }
+
+    /// The kind tag of its keys and the prefix of its file names.
+    fn tag(self) -> &'static str {
+        match self {
+            Kind::FuncAnalysis => "func",
+            Kind::FuncEmit => "emit",
+            k => k.name(),
+        }
+    }
+}
+
+/// A value the store can hold.
+pub trait Artifact: Any + Send + Sync + Sized {
+    /// The kind's counter row and key tag.
+    const KIND: Kind;
+    /// The disk encoding; kinds without one stay memory-only.
+    const CODEC: Option<Codec<Self>> = None;
+    /// Bytes billed against the memory budget: the resident size to within
+    /// a small factor, which is all a budget needs.
+    fn billed_bytes(&self) -> u64;
+}
+
+/// The disk encoding of a kind that persists. Encodings carry their own
+/// magic, format version and checksum, so `decode` rejects any damage.
+pub struct Codec<A> {
+    /// Serializes a value.
+    pub encode: fn(&A) -> Vec<u8>,
+    /// Parses a value, or describes why the bytes are not one.
+    pub decode: fn(&[u8]) -> Result<A, String>,
+}
+
+impl Artifact for SimResult {
+    const KIND: Kind = Kind::Sim;
+    const CODEC: Option<Codec<Self>> = Some(Codec {
+        encode: sim_to_bytes,
+        decode: sim_from_bytes,
+    });
+    fn billed_bytes(&self) -> u64 {
+        let loop_bytes = std::mem::size_of::<(u32, LoopSimStats)>() * self.loops.len();
+        (std::mem::size_of::<SimResult>() + 8 * self.memory.len() + loop_bytes) as u64
+    }
+}
+
+impl Artifact for FuncAnalysisUnit {
+    const KIND: Kind = Kind::FuncAnalysis;
+    const CODEC: Option<Codec<Self>> = Some(Codec {
+        encode: FuncAnalysisUnit::to_bytes,
+        decode: FuncAnalysisUnit::from_bytes,
+    });
+    fn billed_bytes(&self) -> u64 {
+        self.fragments
+            .iter()
+            .map(|f| 96 + 4 * (f.move_insts.len() + f.replicate_insts.len()) as u64)
+            .sum::<u64>()
+            + 32
+    }
+}
+
+impl Artifact for EmitUnit {
+    const KIND: Kind = Kind::FuncEmit;
+    fn billed_bytes(&self) -> u64 {
+        let ir = (self.func.insts.len() * 48 + self.func.blocks.len() * 32) as u64;
+        let msgs: u64 = self
+            .events
+            .iter()
+            .map(|e| match e {
+                EmitEvent::Declined(m) => 16 + m.len() as u64,
+                _ => 16,
+            })
+            .sum();
+        ir + msgs + 64
+    }
+}
+
+/// Where a [`Store::get`] hit was found.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Tier {
+    /// The memory tier.
+    Memory,
+    /// The disk directory (the value is now also in memory).
+    Disk,
+}
+
+/// One kind's counters. Memory evictions are charged to the evicted
+/// entry's kind, whichever kind's insertion made room.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct KindStats {
+    /// Memory probes that found a value of this kind.
+    pub hits: u64,
+    /// Memory probes for this kind that did not.
+    pub misses: u64,
+    /// Values admitted to memory.
+    pub insertions: u64,
+    /// Values evicted from memory to make room.
+    pub evictions: u64,
+    /// Values refused because they exceed a whole shard's budget.
+    pub oversize_rejections: u64,
+    /// Resident bytes.
+    pub bytes: u64,
+    /// Resident entries.
+    pub entries: u64,
+    /// Disk probes that decoded a value.
+    pub disk_hits: u64,
+    /// Files written (a completed rename).
+    pub disk_stores: u64,
+    /// Files deleted by the disk byte budget.
+    pub disk_budget_evictions: u64,
+    /// Files deleted because they failed to read or decode.
+    pub disk_corrupt_evictions: u64,
+}
+
+/// One resident value and its accounting.
+struct Entry {
+    value: Arc<dyn Any + Send + Sync>,
+    kind: Kind,
+    bytes: u64,
+    last_used: u64,
+}
+
+/// One memory shard: its map, recency clock, occupancy and per-kind
+/// counters, all under the shard's lock so a snapshot is consistent.
+#[derive(Default)]
+struct Shard {
+    map: HashMap<u64, Entry>,
+    clock: u64,
+    bytes: u64,
+    rows: [KindStats; KINDS],
+}
+
+impl Shard {
+    fn remove(&mut self, key: u64) -> Option<Entry> {
+        let entry = self.map.remove(&key)?;
+        self.bytes -= entry.bytes;
+        let row = &mut self.rows[entry.kind as usize];
+        row.bytes -= entry.bytes;
+        row.entries -= 1;
+        Some(entry)
+    }
+}
+
+/// Disk counters of one kind (shared by every thread using the store).
+#[derive(Default)]
+struct DiskRow {
+    hits: AtomicU64,
+    stores: AtomicU64,
+    budget_evictions: AtomicU64,
+    corrupt_evictions: AtomicU64,
+}
+
+/// The disk tier: a directory of `{kind}-{key:016x}.bin` files.
+struct Disk {
+    dir: PathBuf,
+    budget: Option<u64>,
+    rows: [DiskRow; KINDS],
+}
+
+/// Uniquifier for temp-file names within one process.
+static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+impl Disk {
+    fn path(&self, kind: Kind, key: u64) -> PathBuf {
+        self.dir.join(format!("{}-{key:016x}.bin", kind.tag()))
+    }
+
+    fn count(&self, kind: Kind, counter: fn(&DiskRow) -> &AtomicU64) {
+        counter(&self.rows[kind as usize]).fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn load<A>(&self, kind: Kind, key: u64, decode: fn(&[u8]) -> Result<A, String>) -> Option<A> {
+        let path = self.path(kind, key);
+        let decoded = match std::fs::read(&path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
+            read => read
+                .map_err(|e| e.to_string())
+                .and_then(|bytes| decode(&bytes)),
+        };
+        match decoded {
+            Ok(value) => {
+                // Renew the file's lease, so the budget's oldest-mtime order is
+                // least-recently-used, not creation order. A read-only
+                // directory degrades to FIFO eviction.
+                let _ = std::fs::File::options()
+                    .append(true)
+                    .open(&path)
+                    .and_then(|f| f.set_modified(SystemTime::now()));
+                self.count(kind, |r| &r.hits);
+                Some(value)
+            }
+            Err(_) => {
+                if std::fs::remove_file(&path).is_ok() {
+                    self.count(kind, |r| &r.corrupt_evictions);
+                }
+                None
+            }
+        }
+    }
+
+    /// Writes `bytes` atomically, counting only a completed rename and
+    /// removing the temp file on every failure path, then enforces the
+    /// budget.
+    fn store(&self, kind: Kind, key: u64, bytes: &[u8]) {
+        if std::fs::create_dir_all(&self.dir).is_err() {
+            return;
+        }
+        let tmp = self.dir.join(format!(
+            ".tmp-{}-{}",
+            std::process::id(),
+            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
+        ));
+        match std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, self.path(kind, key)))
+        {
+            Ok(()) => self.count(kind, |r| &r.stores),
+            Err(_) => {
+                let _ = std::fs::remove_file(&tmp);
+            }
+        }
+        self.enforce_budget();
+    }
+
+    /// Every file in the directory with a name the store writes: its
+    /// modification time, path, kind and length.
+    fn files(&self) -> Vec<(SystemTime, PathBuf, Kind, u64)> {
+        let Ok(entries) = std::fs::read_dir(&self.dir) else {
+            return Vec::new();
+        };
+        entries
+            .flatten()
+            .filter_map(|e| {
+                let kind = store_file_kind(&e.file_name().to_string_lossy())?;
+                let meta = e.metadata().ok()?;
+                Some((meta.modified().ok()?, e.path(), kind, meta.len()))
+            })
+            .collect()
+    }
+
+    /// Deletes the oldest store files (mtime, then name, so ties within one
+    /// mtime granule break deterministically) until the total fits the
+    /// budget. A budget smaller than one file may delete the file just
+    /// written: an over-budget store simply never sticks.
+    fn enforce_budget(&self) {
+        let Some(budget) = self.budget else {
+            return;
+        };
+        let mut files = self.files();
+        let mut total: u64 = files.iter().map(|f| f.3).sum();
+        if total <= budget {
+            return;
+        }
+        files.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+        for (_, path, kind, len) in files {
+            if total <= budget {
+                break;
+            }
+            if std::fs::remove_file(&path).is_ok() {
+                self.count(kind, |r| &r.budget_evictions);
+                total = total.saturating_sub(len);
+            }
+        }
+    }
+}
+
+/// The kind of a file named like the store's own (`{tag}-{key:016x}.bin`);
+/// `None` for every other name.
+fn store_file_kind(name: &str) -> Option<Kind> {
+    let (tag, key) = name.strip_suffix(".bin")?.split_once('-')?;
+    let is_key = key.len() == 16 && key.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    Kind::ALL.into_iter().find(|k| is_key && k.tag() == tag)
+}
+
+/// The two-tier artifact store (see the module docs). Thread-safe: the
+/// daemon's workers and the pipeline's parallel stages share one instance.
+pub struct Store {
+    shards: Vec<Mutex<Shard>>,
+    shard_budget: u64,
+    disk: Option<Disk>,
+}
+
+impl Store {
+    /// A store whose memory tier holds `mem_budget_bytes` over `shards`
+    /// shards (at least 1; a zero budget admits nothing), over the disk
+    /// directory `dir` (created on first store) when given, which
+    /// `disk_budget_bytes` bounds when given.
+    pub fn new(
+        mem_budget_bytes: u64,
+        shards: usize,
+        dir: Option<PathBuf>,
+        disk_budget_bytes: Option<u64>,
+    ) -> Self {
+        let shards = shards.max(1);
+        Store {
+            shard_budget: mem_budget_bytes / shards as u64,
+            shards: (0..shards).map(|_| Mutex::default()).collect(),
+            disk: dir.map(|dir| Disk {
+                dir,
+                budget: disk_budget_bytes,
+                rows: Default::default(),
+            }),
+        }
+    }
+
+    /// A memory-only store.
+    pub fn in_memory(mem_budget_bytes: u64, shards: usize) -> Self {
+        Self::new(mem_budget_bytes, shards, None, None)
+    }
+
+    /// The store a plain [`crate::transform_module_timed`] call compiles
+    /// through: `None` when the artifact store is disabled or has no
+    /// `cache_dir` (nothing would persist, and a single compile never
+    /// re-probes its own stores), otherwise a 32 MiB memory tier over that
+    /// directory.
+    pub fn from_config(config: &CompilerConfig) -> Option<Self> {
+        let dir = config.trace.cache_dir.clone()?;
+        config
+            .trace
+            .enabled
+            .then(|| Self::new(32 << 20, 4, Some(dir), None))
+    }
+
+    fn shard(&self, key: u64) -> MutexGuard<'_, Shard> {
+        // High bits pick the shard: the map consumes the low bits, and FNV
+        // mixes the whole word. A poisoned lock is still consistent: every
+        // update below completes before anything that can panic.
+        let idx = (key >> 48) as usize % self.shards.len();
+        self.shards[idx]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Looks `key` up as kind `A`: memory first, then disk for kinds with a
+    /// codec. A disk hit is promoted into memory.
+    pub fn get<A: Artifact>(&self, key: u64) -> Option<(Arc<A>, Tier)> {
+        if let Some(hit) = self.mem_get(key) {
+            return Some((hit, Tier::Memory));
+        }
+        let codec = A::CODEC?;
+        let value = Arc::new(self.disk.as_ref()?.load(A::KIND, key, codec.decode)?);
+        self.mem_insert(key, value.clone());
+        Some((value, Tier::Disk))
+    }
+
+    /// Stores `value` under `key`: in memory, and on disk for kinds with a
+    /// codec.
+    pub fn put<A: Artifact>(&self, key: u64, value: Arc<A>) {
+        if let (Some(codec), Some(disk)) = (A::CODEC, &self.disk) {
+            disk.store(A::KIND, key, &(codec.encode)(&value));
+        }
+        self.mem_insert(key, value);
+    }
+
+    fn mem_get<A: Artifact>(&self, key: u64) -> Option<Arc<A>> {
+        let mut shard = self.shard(key);
+        shard.clock += 1;
+        let clock = shard.clock;
+        let hit = shard.map.get_mut(&key).and_then(|entry| {
+            let value = entry.value.clone().downcast::<A>().ok()?;
+            entry.last_used = clock;
+            Some(value)
+        });
+        let row = &mut shard.rows[A::KIND as usize];
+        if hit.is_some() {
+            row.hits += 1;
+        } else {
+            row.misses += 1;
+        }
+        hit
+    }
+
+    /// Admits `value`, evicting least-recently-used entries of any kind
+    /// until the shard fits. Re-inserting a key replaces its value (keys are
+    /// content addresses, so only the accounting can differ).
+    fn mem_insert<A: Artifact>(&self, key: u64, value: Arc<A>) {
+        let bytes = value.billed_bytes();
+        let mut shard = self.shard(key);
+        if bytes > self.shard_budget {
+            shard.rows[A::KIND as usize].oversize_rejections += 1;
+            return;
+        }
+        shard.clock += 1;
+        let clock = shard.clock;
+        shard.remove(key);
+        while shard.bytes + bytes > self.shard_budget {
+            let Some(victim) = shard
+                .map
+                .iter()
+                .min_by_key(|(k, e)| (e.last_used, **k))
+                .map(|(k, _)| *k)
+            else {
+                break;
+            };
+            if let Some(evicted) = shard.remove(victim) {
+                shard.rows[evicted.kind as usize].evictions += 1;
+            }
+        }
+        shard.bytes += bytes;
+        let row = &mut shard.rows[A::KIND as usize];
+        row.insertions += 1;
+        row.bytes += bytes;
+        row.entries += 1;
+        shard.map.insert(
+            key,
+            Entry {
+                value,
+                kind: A::KIND,
+                bytes,
+                last_used: clock,
+            },
+        );
+    }
+
+    /// The counter row of `kind`, summed over shards.
+    pub fn stats(&self, kind: Kind) -> KindStats {
+        let k = kind as usize;
+        let mut s = KindStats::default();
+        for shard in &self.shards {
+            let row = shard.lock().unwrap_or_else(PoisonError::into_inner).rows[k];
+            s.hits += row.hits;
+            s.misses += row.misses;
+            s.insertions += row.insertions;
+            s.evictions += row.evictions;
+            s.oversize_rejections += row.oversize_rejections;
+            s.bytes += row.bytes;
+            s.entries += row.entries;
+        }
+        if let Some(disk) = &self.disk {
+            let row = &disk.rows[k];
+            s.disk_hits = row.hits.load(Ordering::Relaxed);
+            s.disk_stores = row.stores.load(Ordering::Relaxed);
+            s.disk_budget_evictions = row.budget_evictions.load(Ordering::Relaxed);
+            s.disk_corrupt_evictions = row.corrupt_evictions.load(Ordering::Relaxed);
+        }
+        s
+    }
+
+    /// Total bytes of the store's files on disk (other files in the
+    /// directory excluded); `None` without a disk tier.
+    pub fn disk_bytes(&self) -> Option<u64> {
+        let disk = self.disk.as_ref()?;
+        Some(disk.files().iter().map(|f| f.3).sum())
+    }
+}
+
+/// A hasher that has folded `kind`'s tag and `version`: the start of every
+/// key.
+fn key_hasher(kind: Kind, version: u32) -> Fnv {
+    let mut h = Fnv::new();
+    h.update(kind.tag().as_bytes());
+    h.update_u64(version as u64);
+    h
+}
+
+/// Key of a [`SimResult`] memo: the simulated module's content hash, the
+/// entry, its arguments and the machine. The machine enters through its
+/// canonical `Debug` rendering, so any parameter change — future fields
+/// included — changes the key.
+pub fn sim_key(module_hash: u64, entry: &str, args: &[i64], machine: &MachineConfig) -> u64 {
+    let mut h = key_hasher(Kind::Sim, SIM_FORMAT_VERSION);
+    h.update_u64(module_hash);
+    h.update(entry.as_bytes());
+    h.update_u64(args.len() as u64);
+    for &a in args {
+        h.update_u64(a as u64);
+    }
+    h.update(format!("{machine:?}").as_bytes());
+    h.finish()
+}
+
+/// Key of a function's pass-1 analysis unit: the function's own content
+/// hash, its index in the module (unit contents are function-local, but
+/// profile slices are keyed by function id), and the context hash of
+/// everything else the analysis reads
+/// ([`crate::incremental::ModuleContext::func_context_hash`]).
+pub fn func_unit_key(function_hash: u64, func_index: u64, context_hash: u64) -> u64 {
+    let mut h = key_hasher(Kind::FuncAnalysis, FUNC_UNIT_FORMAT_VERSION);
+    h.update_u64(function_hash);
+    h.update_u64(func_index);
+    h.update_u64(context_hash);
+    h.finish()
+}
+
+/// Key of a function's emission unit: its IR at emission entry, its index,
+/// the starting loop tag, and each selected loop's header and partition
+/// sets. Any upstream change — different selection, shifted tags,
+/// different pre-fork sets — lands on a different key, so a hit can always
+/// be spliced verbatim.
+pub fn emit_unit_key(
+    func: &Function,
+    func_id: FuncId,
+    start_tag: u32,
+    selected: &[(u32, Vec<u32>, Vec<u32>)],
+) -> u64 {
+    let mut h = key_hasher(Kind::FuncEmit, MEMORY_ONLY_FORMAT_VERSION);
+    h.update_u64(func.content_hash());
+    h.update_u64(func_id.index() as u64);
+    h.update_u64(start_tag as u64);
+    h.update_u64(selected.len() as u64);
+    for (header, move_insts, replicate_insts) in selected {
+        h.update_u64(*header as u64);
+        for set in [move_insts, replicate_insts] {
+            h.update_u64(set.len() as u64);
+            for &i in set {
+                h.update_u64(i as u64);
+            }
+        }
+    }
+    h.finish()
+}
+
+/// Key of the daemon's compiled unit: the compile request itself — source
+/// text, configuration id, entry and training input — so a warm request
+/// costs one pass over its source and no IR hashing.
+pub fn unit_key(source: &str, config_id: u8, entry: &str, train: i64) -> u64 {
+    let mut h = key_hasher(Kind::Unit, MEMORY_ONLY_FORMAT_VERSION);
+    h.update_u64(source.len() as u64);
+    h.update(source.as_bytes());
+    h.update(&[config_id]);
+    h.update_u64(entry.len() as u64);
+    h.update(entry.as_bytes());
+    h.update_u64(train as u64);
+    h.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spt_trace::LoopFragment;
+    use std::path::Path;
+
+    /// A test value of kind `Unit` billed at its payload.
+    struct Blob(u64);
+
+    impl Artifact for Blob {
+        const KIND: Kind = Kind::Unit;
+        fn billed_bytes(&self) -> u64 {
+            self.0
+        }
+    }
+
+    /// A second test kind (`FuncEmit`), to mix kinds in one budget.
+    struct Other(u64);
+
+    impl Artifact for Other {
+        const KIND: Kind = Kind::FuncEmit;
+        fn billed_bytes(&self) -> u64 {
+            self.0
+        }
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("spt-store-test-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A store over `dir` with no memory tier, so every probe reads disk.
+    fn disk_only(dir: &Path, budget: Option<u64>) -> Store {
+        Store::new(0, 1, Some(dir.to_path_buf()), budget)
+    }
+
+    fn sample_sim() -> Arc<SimResult> {
+        let stats = LoopSimStats {
+            forks: 1,
+            commits: 2,
+            reexec_insts: 5,
+            ..LoopSimStats::default()
+        };
+        Arc::new(SimResult {
+            ret: Some(42),
+            cycles: 1000,
+            insts: 500,
+            memory: vec![1, 2, 3, u64::MAX],
+            loops: [(3, stats), (1, LoopSimStats::default())].into(),
+            cache_hit_rate: 0.987654321,
+            branch_miss_rate: 0.0123456789,
+        })
+    }
+
+    fn sim_path(dir: &Path, key: u64) -> PathBuf {
+        dir.join(format!("sim-{key:016x}.bin"))
+    }
+
+    fn file_count(dir: &Path) -> usize {
+        std::fs::read_dir(dir).map_or(0, |entries| entries.count())
+    }
+
+    #[test]
+    fn memory_hits_misses_and_counters() {
+        let store = Store::in_memory(4096, 4);
+        assert!(store.get::<Blob>(1).is_none());
+        store.put(1, Arc::new(Blob(8)));
+        let (hit, tier) = store.get::<Blob>(1).unwrap();
+        assert_eq!((hit.0, tier), (8, Tier::Memory));
+        let s = store.stats(Kind::Unit);
+        assert_eq!(
+            (s.hits, s.misses, s.insertions, s.bytes, s.entries),
+            (1, 1, 1, 8, 1)
+        );
+        assert_eq!(store.disk_bytes(), None);
+        // Re-inserting a key replaces it without double billing.
+        store.put(1, Arc::new(Blob(8)));
+        let s = store.stats(Kind::Unit);
+        assert_eq!((s.bytes, s.entries, s.evictions), (8, 1, 0));
+    }
+
+    #[test]
+    fn a_value_probed_as_another_kind_is_a_miss() {
+        let store = Store::in_memory(4096, 1);
+        store.put(5, Arc::new(Blob(8)));
+        assert!(store.get::<Other>(5).is_none());
+        assert!(store.get::<SimResult>(5).is_none());
+        assert_eq!(store.stats(Kind::FuncEmit).misses, 1);
+        assert_eq!(store.stats(Kind::Sim).misses, 1);
+        assert_eq!(store.get::<Blob>(5).map(|(b, _)| b.0), Some(8));
+    }
+
+    #[test]
+    fn one_budget_evicts_the_coldest_entry_of_any_kind() {
+        let store = Store::in_memory(100, 1); // one shard: exact arithmetic
+        let resident = |store: &Store| {
+            let (u, e) = (store.stats(Kind::Unit), store.stats(Kind::FuncEmit));
+            (u.bytes + e.bytes, u.entries + e.entries)
+        };
+        store.put(1, Arc::new(Blob(30)));
+        store.put(2, Arc::new(Other(30)));
+        store.put(3, Arc::new(Blob(30)));
+        // Touch 1 so 2, of the other kind, is the coldest.
+        assert!(store.get::<Blob>(1).is_some());
+        store.put(4, Arc::new(Other(30)));
+        assert!(store.get::<Other>(2).is_none(), "coldest entry survived");
+        assert_eq!(store.stats(Kind::FuncEmit).evictions, 1);
+        // Now 3 is the coldest: an `Other` insertion evicts a `Blob`.
+        store.put(5, Arc::new(Other(30)));
+        assert!(store.get::<Blob>(3).is_none());
+        assert_eq!(store.stats(Kind::Unit).evictions, 1);
+        assert!(store.get::<Blob>(1).is_some() && store.get::<Other>(5).is_some());
+        assert_eq!(resident(&store), (90, 3));
+        for k in 10..20 {
+            store.put(k, Arc::new(Blob(30)));
+        }
+        assert_eq!(resident(&store), (90, 3));
+        assert_eq!(
+            store.stats(Kind::Unit).evictions + store.stats(Kind::FuncEmit).evictions,
+            12
+        );
+    }
+
+    #[test]
+    fn oversize_values_are_rejected_and_a_zero_budget_admits_nothing() {
+        let store = Store::in_memory(64, 2); // 32 bytes per shard
+        store.put(5, Arc::new(Blob(33)));
+        assert!(store.get::<Blob>(5).is_none());
+        let s = store.stats(Kind::Unit);
+        assert_eq!((s.oversize_rejections, s.bytes), (1, 0));
+        let none = Store::in_memory(0, 4);
+        none.put(9, Arc::new(Blob(1)));
+        assert!(none.get::<Blob>(9).is_none());
+        assert_eq!(none.stats(Kind::Unit).oversize_rejections, 1);
+    }
+
+    #[test]
+    fn keys_spread_over_shards() {
+        let store = Store::in_memory(8 << 20, 8);
+        for i in 0..256u64 {
+            store.put(func_unit_key(i, 0, 0), Arc::new(Blob(16)));
+        }
+        let populated = store
+            .shards
+            .iter()
+            .filter(|s| !s.lock().unwrap().map.is_empty());
+        assert!(populated.count() >= 6);
+    }
+
+    #[test]
+    fn disk_hits_are_promoted_into_memory() {
+        let dir = temp_dir("funcunit");
+        let unit = Arc::new(FuncAnalysisUnit {
+            fragments: vec![LoopFragment {
+                header: 2,
+                canonical: true,
+                cost_bits: 1.25f64.to_bits(),
+                move_insts: vec![0, 3],
+                ..Default::default()
+            }],
+        });
+        let key = func_unit_key(0xabcd, 1, 0x1234);
+        let warm = Store::new(1 << 20, 2, Some(dir.clone()), None);
+        assert!(warm.get::<FuncAnalysisUnit>(key).is_none());
+        warm.put(key, unit.clone());
+        assert_eq!(warm.get(key), Some((unit.clone(), Tier::Memory)));
+        // A fresh memory tier over the same directory hits on disk once;
+        // the promoted value serves the next probe from memory.
+        let cold = Store::new(1 << 20, 2, Some(dir.clone()), None);
+        assert_eq!(cold.get(key), Some((unit.clone(), Tier::Disk)));
+        assert_eq!(cold.get(key), Some((unit, Tier::Memory)));
+        let s = cold.stats(Kind::FuncAnalysis);
+        assert_eq!((s.disk_hits, s.hits, s.misses, s.entries), (1, 1, 1, 1));
+        assert_eq!(file_count(&dir), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn memory_only_kinds_never_write_a_file() {
+        let dir = temp_dir("memonly");
+        let store = Store::new(1 << 20, 2, Some(dir.clone()), None);
+        store.put(1, Arc::new(Blob(8)));
+        let events = vec![EmitEvent::Emitted, EmitEvent::Declined("no".into())];
+        let func = Function::new("f", vec![], None);
+        store.put(2, Arc::new(EmitUnit { func, events }));
+        assert_eq!(store.get::<EmitUnit>(2).unwrap().0.events.len(), 2);
+        assert_eq!(file_count(&dir), 0);
+        assert!(disk_only(&dir, None).get::<EmitUnit>(2).is_none());
+        assert_eq!(store.disk_bytes(), Some(0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_files_are_evicted_and_then_miss_cleanly() {
+        let dir = temp_dir("corrupt");
+        let r = sample_sim();
+        disk_only(&dir, None).put(7, r.clone());
+        let good = std::fs::read(sim_path(&dir, 7)).unwrap();
+        let (got, want) = (disk_only(&dir, None).get::<SimResult>(7).unwrap().0, &r);
+        assert_eq!(sim_to_bytes(&got), sim_to_bytes(want), "round trip");
+        let mut flipped = good.clone();
+        flipped[good.len() / 2] ^= 0x5a;
+        for bad in [
+            flipped,
+            good[..good.len() / 3].to_vec(),
+            b"scribble".to_vec(),
+        ] {
+            std::fs::write(sim_path(&dir, 7), bad).unwrap();
+            let store = disk_only(&dir, None);
+            assert!(store.get::<SimResult>(7).is_none(), "damage was served");
+            assert!(!sim_path(&dir, 7).exists(), "damage was not evicted");
+            assert!(store.get::<SimResult>(7).is_none());
+            let s = store.stats(Kind::Sim);
+            assert_eq!((s.disk_corrupt_evictions, s.disk_hits), (1, 0));
+            // A re-store makes the key healthy again.
+            store.put(7, r.clone());
+            assert_eq!(std::fs::read(sim_path(&dir, 7)).unwrap(), good);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn disk_budget_evicts_least_recently_used_first() {
+        let dir = temp_dir("budget");
+        let r = sample_sim();
+        let one = sim_to_bytes(&r).len() as u64;
+        let budget = one * 2 + one / 2; // room for two memos
+        let store = disk_only(&dir, Some(budget));
+        let tick = || std::thread::sleep(std::time::Duration::from_millis(20));
+        store.put(1, r.clone());
+        tick();
+        store.put(2, r.clone());
+        tick();
+        // A hit renews key 1's lease (its mtime), so the cold key 2 — not
+        // the oldest-created key 1 — is the next victim.
+        assert!(store.get::<SimResult>(1).is_some());
+        tick();
+        store.put(3, r);
+        assert!(store.disk_bytes().unwrap() <= budget);
+        assert_eq!(store.stats(Kind::Sim).disk_budget_evictions, 1);
+        assert!(store.get::<SimResult>(2).is_none());
+        assert!(store.get::<SimResult>(1).is_some() && store.get::<SimResult>(3).is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn no_budget_never_evicts_and_foreign_files_are_never_touched() {
+        let dir = temp_dir("foreign");
+        std::fs::create_dir_all(&dir).unwrap();
+        let foreign = [
+            "notes.txt",
+            "sim-123.bin",
+            "sim-00000000000000FF.bin",
+            ".tmp-x",
+        ];
+        for name in foreign {
+            std::fs::write(dir.join(name), vec![b'x'; 4000]).unwrap();
+        }
+        let unbounded = disk_only(&dir, None);
+        let bounded = disk_only(&dir, Some(3000));
+        assert_eq!(bounded.disk_bytes(), Some(0));
+        for k in 0..8 {
+            unbounded.put(k, sample_sim());
+        }
+        assert_eq!(unbounded.stats(Kind::Sim).disk_stores, 8);
+        assert!((0..8).all(|k| unbounded.get::<SimResult>(k).is_some()));
+        bounded.put(8, sample_sim());
+        for name in foreign {
+            assert!(dir.join(name).exists(), "the store deleted {name}");
+        }
+        let s = bounded.stats(Kind::Sim);
+        assert_eq!((s.disk_stores, s.disk_budget_evictions), (1, 0));
+        assert_eq!(unbounded.stats(Kind::Sim).disk_budget_evictions, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_writes_are_not_counted_and_leave_no_temp_file() {
+        // The rename fails: a directory squats on the artifact's name.
+        let dir = temp_dir("failed-write");
+        std::fs::create_dir_all(sim_path(&dir, 4).join("inside")).unwrap();
+        let store = disk_only(&dir, None);
+        store.put(4, sample_sim());
+        assert_eq!(store.stats(Kind::Sim).disk_stores, 0);
+        assert_eq!(file_count(&dir), 1, "a temp file was left behind");
+        let _ = std::fs::remove_dir_all(&dir);
+        // The temp write fails: procfs refuses new files, even to root.
+        #[cfg(target_os = "linux")]
+        {
+            let store = disk_only(Path::new("/proc/self"), None);
+            store.put(4, sample_sim());
+            assert_eq!(store.stats(Kind::Sim).disk_stores, 0);
+        }
+    }
+
+    #[test]
+    fn keys_separate_every_input_and_every_kind() {
+        let m1 = MachineConfig::default();
+        let mut m2 = MachineConfig::default();
+        m2.fork_overhead += 1;
+        let (f, g) = (
+            Function::new("f", vec![], None),
+            Function::new("g", vec![], None),
+        );
+        let emit = |func: &Function, id: usize, tag: u32, sel: (u32, Vec<u32>, Vec<u32>)| {
+            emit_unit_key(func, FuncId::new(id), tag, &[sel])
+        };
+        let groups = [
+            vec![
+                sim_key(1, "main", &[5], &m1),
+                sim_key(2, "main", &[5], &m1),
+                sim_key(1, "other", &[5], &m1),
+                sim_key(1, "main", &[6], &m1),
+                sim_key(1, "main", &[5, 0], &m1),
+                sim_key(1, "main", &[5], &m2),
+            ],
+            vec![func_unit_key(10, 0, 99), func_unit_key(11, 0, 99)],
+            vec![func_unit_key(10, 1, 99), func_unit_key(10, 0, 98)],
+            vec![
+                emit(&f, 0, 0, (1, vec![2], vec![])),
+                emit(&g, 0, 0, (1, vec![2], vec![])),
+                emit(&f, 1, 0, (1, vec![2], vec![])),
+                emit(&f, 0, 1, (1, vec![2], vec![])),
+                emit(&f, 0, 0, (3, vec![2], vec![])),
+                emit(&f, 0, 0, (1, vec![], vec![2])),
+                emit_unit_key(&f, FuncId::new(0), 0, &[]),
+            ],
+            vec![
+                unit_key("src", 1, "main", 40),
+                unit_key("src2", 1, "main", 40),
+                unit_key("src", 2, "main", 40),
+                unit_key("src", 1, "mainx", 40),
+                unit_key("src", 1, "main", 41),
+                unit_key("srcm", 1, "ain", 40),
+            ],
+            // Every kind tag and format version starts from its own state.
+            Kind::ALL.map(|k| key_hasher(k, 1).finish()).to_vec(),
+            vec![key_hasher(Kind::Sim, 2).finish()],
+        ];
+        let mut all: Vec<u64> = groups.concat();
+        let n = all.len();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), n, "two inputs share a key");
+    }
+}

@@ -6,11 +6,14 @@
 //! options:
 //!   --socket PATH        Unix socket to listen on (required)
 //!   --workers N          worker threads (default: SPT_THREADS or cores)
-//!   --cache-dir DIR      on-disk artifact cache (default .spt-cache;
-//!                        "none" disables the disk tier)
-//!   --mem-budget BYTES   in-memory cache bound (default 134217728)
-//!   --disk-budget BYTES  on-disk cache bound (default unbounded)
-//!   --shards N           in-memory cache shards (default 8)
+//!   --cache-dir DIR      artifact store's disk tier (default .spt-cache;
+//!                        "none" disables it)
+//!   --mem-budget BYTES   memory-tier bound, all kinds together
+//!                        (default 134217728)
+//!   --disk-budget BYTES  bound on the store's own files in the cache
+//!                        directory; least recently used go first, other
+//!                        files are never deleted (default unbounded)
+//!   --shards N           memory-tier shards (default 8)
 //! ```
 //!
 //! The daemon serves until a client sends a `Shutdown` request (e.g.

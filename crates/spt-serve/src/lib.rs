@@ -8,13 +8,11 @@
 //!
 //! * [`proto`] — the length-framed Unix-socket protocol (requests: ping /
 //!   compile / compile-batch / sim / stats / shutdown);
-//! * [`spt_trace::mem_cache`] (re-exported here) — the sharded,
-//!   byte-bounded in-memory LRU underlying the hot tiers;
-//! * [`sim`] — the cache-aware simulation entry point ([`sim_with_cache`]),
-//!   shared with the bench harnesses via re-export from `spt-bench`;
-//! * [`service`] — [`CompileService`]: the two-tier (memory over
-//!   `.spt-cache/` disk) cache, single-flight compile deduplication, and
-//!   global counters;
+//! * [`sim`] — the one simulation path ([`sim_with_cache`]): a memo probe
+//!   in the artifact store, a simulation on a miss, a store;
+//! * [`service`] — [`CompileService`]: one artifact store
+//!   (`spt_core::store`, memory over an optional `.spt-cache/` disk tier),
+//!   single-flight compile deduplication, and global counters;
 //! * [`server`] — the accept/reader/worker thread machinery behind `sptd`;
 //! * [`client`] — the blocking [`Client`] the CLI (`sptc --daemon`) and
 //!   `loadgen` use.
@@ -36,5 +34,4 @@ pub use client::{Client, ClientError};
 pub use proto::{CompileReq, CompileResp, OkBody, ReqBody, Request, RespBody, SimReq, SimResp};
 pub use server::{serve, ServerHandle};
 pub use service::{CompileService, ServiceConfig};
-pub use sim::{sim_with_cache, sim_with_cache_in, SimTraceStats};
-pub use spt_trace::mem_cache::{self, ShardStats, ShardedLru};
+pub use sim::{sim_with_cache, SimTraceStats};

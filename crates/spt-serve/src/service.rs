@@ -1,22 +1,23 @@
-//! The compile service: request execution against the two-tier cache.
+//! The compile service: request execution against the artifact store.
 //!
 //! One [`CompileService`] owns everything a daemon worker needs to answer a
 //! request, independent of any socket:
 //!
-//! * three in-memory [`ShardedLru`] tiers — decoded frontend **modules**
-//!   keyed by source hash, whole **compiled units** (transformed module,
-//!   baseline, report renderings, stage timings) keyed by baseline IR hash +
-//!   configuration + profiling input, and **`SimResult`s** keyed by the
-//!   artifact cache's own sim key (module hash + entry + args + machine);
-//! * the byte-budgeted on-disk [`ArtifactCache`] (`.spt-cache/` tier) that
-//!   simulation memos and function analysis units persist through, shared
-//!   with the one-shot CLI so a daemon warm-up also warms `sptc`;
+//! * one artifact [`Store`] under one memory budget: whole **compiled
+//!   units** (transformed module, baseline, report renderings, stage
+//!   timings) keyed by the compile request itself, **`SimResult`s** keyed
+//!   by module hash + entry + args + machine, and the pipeline's
+//!   function-granular analysis and emission units. Its optional disk tier
+//!   (`.spt-cache/`, byte-budgeted) persists simulation memos and analysis
+//!   units, shared with the one-shot CLI, so a daemon warm-up also warms
+//!   `sptc` and a restarted daemon serves warm from disk;
 //! * a **single-flight** table: concurrent requests for the same unit key
-//!   elect one leader to run the pipeline while the rest block on its
-//!   result, so N identical cold requests cost exactly one compile;
-//! * global counters (per-kind request totals, cache hits/misses/evictions
-//!   per tier, single-flight dedups, a log₂ latency histogram for p50/p99)
-//!   snapshotted by the `Stats` request.
+//!   elect one leader to run the frontend and the pipeline while the rest
+//!   block on its result, so N identical cold requests cost exactly one
+//!   compile;
+//! * global counters (per-kind request totals, the store's per-kind
+//!   hit/miss/eviction rows, single-flight dedups, a log₂ latency
+//!   histogram for p50/p99) snapshotted by the `Stats` request.
 //!
 //! Everything is keyed by content, so the service never invalidates: a new
 //! source, configuration, or machine model is a new key. Determinism: the
@@ -34,32 +35,29 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use spt_core::pipeline::transform_module_timed_with;
-use spt_core::{CompilerConfig, IncrementalCache, ProfilingInput, StageTimings};
+use spt_core::store::{unit_key, Artifact, Kind, KindStats, Store, Tier};
+use spt_core::{CompilerConfig, ProfilingInput, StageTimings};
 use spt_ir::Module;
-use spt_sim::{MachineConfig, SimResult};
-use spt_trace::codec::Fnv;
-use spt_trace::{sim_to_bytes, ArtifactCache};
+use spt_trace::sim_to_bytes;
 
-use crate::mem_cache::ShardedLru;
 use crate::proto::{CompileReq, CompileResp, OkBody, ReqBody, RespBody, SimReq, SimResp};
-use crate::sim::{sim_with_cache_in, SimTraceStats};
+use crate::sim::memo_sim;
 
 /// Construction parameters of a [`CompileService`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Directory of the on-disk artifact tier; `None` disables disk caching
-    /// entirely.
+    /// Directory of the store's disk tier; `None` disables it entirely.
     pub cache_dir: Option<PathBuf>,
-    /// Byte bound on the disk tier; enforced after every store by evicting
-    /// oldest artifacts first. `None` = unbounded (the one-shot CLI
-    /// behavior).
+    /// Byte bound on the store's files in `cache_dir`; enforced after every
+    /// store by deleting the least recently used store files first (other
+    /// files in the directory are never touched). `None` = unbounded (the
+    /// one-shot CLI behavior).
     pub disk_budget_bytes: Option<u64>,
-    /// Total byte bound across the in-memory tiers: three-eighths to
-    /// compiled units, a quarter each to frontend modules and simulation
-    /// results, and an eighth to the function-granular incremental cache
-    /// (split evenly between analysis and emission units).
+    /// Byte bound on the store's memory tier, shared by every kind —
+    /// compiled units, simulation results, and the pipeline's analysis and
+    /// emission units — with least-recently-used eviction across kinds.
     pub mem_budget_bytes: u64,
-    /// Shard count of each in-memory tier.
+    /// Shard count of the memory tier.
     pub shards: usize,
 }
 
@@ -84,23 +82,27 @@ pub struct CompiledUnit {
     /// Printed IR of the transformed module.
     pub module_text: String,
     /// The SPT-transformed module.
-    pub module: Arc<Module>,
+    pub module: Module,
+    /// [`Module::content_hash`] of `module`, taken at compile time so sim
+    /// requests key their memos without re-hashing IR.
+    pub module_hash: u64,
     /// The untransformed baseline.
-    pub baseline: Arc<Module>,
+    pub baseline: Module,
+    /// [`Module::content_hash`] of `baseline`.
+    pub baseline_hash: u64,
     /// Timings of the pipeline run that built this unit.
     pub timings: StageTimings,
 }
 
-impl CompiledUnit {
-    /// Bytes billed against the unit tier: the owned strings exactly, plus
-    /// the two modules estimated by their printed size (the in-memory form
-    /// tracks it within a small factor, and the estimate only has to make
-    /// the budget meaningful, not account to the byte).
-    fn approx_bytes(&self) -> u64 {
-        (self.report_debug.len()
-            + self.analyze_text.len()
-            + self.module_text.len()
-            + 2 * self.module_text.len()) as u64
+impl Artifact for CompiledUnit {
+    const KIND: Kind = Kind::Unit;
+
+    /// The owned strings exactly, plus the two modules estimated by their
+    /// printed size (the in-memory form tracks it within a small factor,
+    /// and the estimate only has to make the budget meaningful, not account
+    /// to the byte).
+    fn billed_bytes(&self) -> u64 {
+        (self.report_debug.len() + self.analyze_text.len() + 3 * self.module_text.len()) as u64
     }
 }
 
@@ -131,8 +133,6 @@ struct Counters {
     pipeline_runs: AtomicU64,
     flights_led: AtomicU64,
     flights_joined: AtomicU64,
-    disk_memo_hits: AtomicU64,
-    disk_direct_runs: AtomicU64,
     latency: [AtomicU64; LATENCY_BUCKETS],
 }
 
@@ -151,8 +151,6 @@ impl Default for Counters {
             pipeline_runs: AtomicU64::new(0),
             flights_led: AtomicU64::new(0),
             flights_joined: AtomicU64::new(0),
-            disk_memo_hits: AtomicU64::new(0),
-            disk_direct_runs: AtomicU64::new(0),
             latency: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
@@ -162,11 +160,7 @@ impl Default for Counters {
 /// behind an `Arc` and call [`CompileService::execute`] concurrently.
 pub struct CompileService {
     cfg: ServiceConfig,
-    disk: Option<ArtifactCache>,
-    modules: ShardedLru<Arc<Module>>,
-    units: ShardedLru<Arc<CompiledUnit>>,
-    sims: ShardedLru<Arc<SimResult>>,
-    func_cache: Arc<IncrementalCache>,
+    store: Store,
     flights: Mutex<HashMap<u64, Arc<Flight>>>,
     counters: Counters,
 }
@@ -179,47 +173,20 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 }
 
 impl CompileService {
-    /// Builds a service over `cfg`, creating the disk tier handle (budgeted
-    /// if asked) and empty in-memory tiers.
+    /// Builds a service over `cfg` with an empty memory tier (and, with a
+    /// `cache_dir`, whatever the disk tier already holds).
     pub fn new(cfg: ServiceConfig) -> Self {
-        let disk = cfg
-            .cache_dir
-            .as_ref()
-            .map(|dir| match cfg.disk_budget_bytes {
-                Some(b) => ArtifactCache::with_byte_budget(dir, b),
-                None => ArtifactCache::new(dir),
-            });
-        // The function-granular cache persists its analysis units through
-        // its own handle on the same disk directory (same byte budget), so
-        // edit-recompile cycles survive daemon restarts too.
-        let func_mem = cfg.mem_budget_bytes / 8;
-        let func_cache = Arc::new(match (&cfg.cache_dir, cfg.disk_budget_bytes) {
-            (Some(dir), Some(b)) => IncrementalCache::with_disk(
-                func_mem,
-                cfg.shards,
-                ArtifactCache::with_byte_budget(dir, b),
-            ),
-            (Some(dir), None) => {
-                IncrementalCache::with_disk(func_mem, cfg.shards, ArtifactCache::new(dir))
-            }
-            (None, _) => IncrementalCache::in_memory(func_mem, cfg.shards),
-        });
         CompileService {
-            modules: ShardedLru::new(cfg.shards, cfg.mem_budget_bytes / 4),
-            units: ShardedLru::new(cfg.shards, 3 * cfg.mem_budget_bytes / 8),
-            sims: ShardedLru::new(cfg.shards, cfg.mem_budget_bytes / 4),
-            func_cache,
+            store: Store::new(
+                cfg.mem_budget_bytes,
+                cfg.shards,
+                cfg.cache_dir.clone(),
+                cfg.disk_budget_bytes,
+            ),
             flights: Mutex::new(HashMap::new()),
             counters: Counters::default(),
-            disk,
             cfg,
         }
-    }
-
-    /// The shared function-granular incremental cache every pipeline run
-    /// compiles through (tests pin its hit/miss counters).
-    pub fn incremental_cache(&self) -> &IncrementalCache {
-        &self.func_cache
     }
 
     /// Executes one request body, recording counters and latency. Never
@@ -272,43 +239,13 @@ impl CompileService {
         }
     }
 
-    /// Frontend tier: source text → decoded module, memoized by source hash.
-    fn frontend(&self, source: &str) -> Result<Arc<Module>, String> {
-        let mut key = Fnv::new();
-        key.update(b"module\0");
-        key.update(source.as_bytes());
-        let key = key.finish();
-        if let Some(m) = self.modules.get(key) {
-            return Ok(m);
-        }
-        let module = spt_frontend::compile(source).map_err(|e| format!("compile error: {e}"))?;
-        self.counters.frontend_runs.fetch_add(1, Ordering::Relaxed);
-        let module = Arc::new(module);
-        // Billed at source size: the decoded structure scales with it and
-        // the budget only needs the right order of magnitude.
-        self.modules
-            .insert(key, module.clone(), source.len().max(64) as u64);
-        Ok(module)
-    }
-
-    fn unit_key(baseline: &Module, req: &CompileReq) -> u64 {
-        let mut key = Fnv::new();
-        key.update(b"unit\0");
-        key.update_u64(baseline.content_hash());
-        key.update(&[req.config_id]);
-        key.update(req.entry.as_bytes());
-        key.update_u64(req.train as u64);
-        key.finish()
-    }
-
-    /// Unit tier with single-flight: returns the compiled unit for
+    /// Compiled units with single-flight: returns the unit for
     /// `(source, entry, train, config)`, compiling at most once no matter
     /// how many threads ask concurrently. The bool is true when the unit
-    /// came straight from the in-memory tier.
+    /// came straight from the memory tier.
     fn unit_for(&self, req: &CompileReq) -> Result<(Arc<CompiledUnit>, bool), String> {
-        let baseline = self.frontend(&req.source)?;
-        let key = Self::unit_key(&baseline, req);
-        if let Some(unit) = self.units.get(key) {
+        let key = unit_key(&req.source, req.config_id, &req.entry, req.train);
+        if let Some((unit, _)) = self.store.get::<CompiledUnit>(key) {
             return Ok((unit, true));
         }
         enum Role {
@@ -329,12 +266,12 @@ impl CompileService {
         match role {
             Role::Leader(flight) => {
                 self.counters.flights_led.fetch_add(1, Ordering::Relaxed);
-                let result = catch_unwind(AssertUnwindSafe(|| self.compute_unit(&baseline, req)))
+                let result = catch_unwind(AssertUnwindSafe(|| self.compute_unit(req)))
                     .unwrap_or_else(|payload| {
                         Err(format!("compile panicked: {}", panic_message(&payload)))
                     });
                 if let Ok(unit) = &result {
-                    self.units.insert(key, unit.clone(), unit.approx_bytes());
+                    self.store.put(key, unit.clone());
                 }
                 *lock(&flight.result) = Some(result.clone());
                 flight.done.notify_all();
@@ -359,26 +296,27 @@ impl CompileService {
         }
     }
 
-    /// The actual pipeline run of a single-flight leader.
-    fn compute_unit(
-        &self,
-        baseline: &Arc<Module>,
-        req: &CompileReq,
-    ) -> Result<Arc<CompiledUnit>, String> {
+    /// The frontend and pipeline run of a single-flight leader.
+    fn compute_unit(&self, req: &CompileReq) -> Result<Arc<CompiledUnit>, String> {
+        let baseline =
+            spt_frontend::compile(&req.source).map_err(|e| format!("compile error: {e}"))?;
+        self.counters.frontend_runs.fetch_add(1, Ordering::Relaxed);
         spt_core::fail_point!("serve::compile", &req.entry);
         let config = Self::config_for(req.config_id)?;
         let input = ProfilingInput::new(req.entry.clone(), [req.train]);
-        let mut module = (**baseline).clone();
+        let mut module = baseline.clone();
         let (report, timings) =
-            transform_module_timed_with(&mut module, &input, &config, Some(&self.func_cache))
+            transform_module_timed_with(&mut module, &input, &config, Some(&self.store))
                 .map_err(|e| e.to_string())?;
         self.counters.pipeline_runs.fetch_add(1, Ordering::Relaxed);
         Ok(Arc::new(CompiledUnit {
             report_debug: format!("{report:?}"),
             analyze_text: report.analyze_text(),
             module_text: spt_ir::printer::print_module(&module),
-            module: Arc::new(module),
-            baseline: baseline.clone(),
+            module_hash: module.content_hash(),
+            module,
+            baseline_hash: baseline.content_hash(),
+            baseline,
             timings,
         }))
     }
@@ -407,44 +345,16 @@ impl CompileService {
 
     /// Batch compile: the items run sequentially in this worker, each
     /// through the ordinary unit path. Deduplication happens at two levels
-    /// — identical *modules* collapse through the unit tier and the
+    /// — identical *requests* collapse through the compiled units and the
     /// single-flight table (also against concurrent non-batch requests),
     /// and *functions shared across distinct variants* collapse through the
-    /// function-granular cache, so a batch of K variants of one module
+    /// store's function-granular units, so a batch of K variants of one module
     /// costs roughly one full compile plus K splices. Per-item failures
     /// come back as `Err` entries; the batch itself always succeeds.
     fn compile_batch_resp(&self, items: &[CompileReq]) -> RespBody {
         RespBody::Ok(OkBody::CompileBatch(
             items.iter().map(|req| self.compile_one(req)).collect(),
         ))
-    }
-
-    /// `SimResult` tier: in-memory probe keyed exactly like the disk memo,
-    /// then [`sim_with_cache_in`] over the service's budgeted disk handle.
-    /// The bool is true on an in-memory hit.
-    fn sim_one(
-        &self,
-        module: &Module,
-        entry: &str,
-        arg: i64,
-        machine: &MachineConfig,
-    ) -> Result<(Arc<SimResult>, bool), String> {
-        let key = ArtifactCache::sim_key(module.content_hash(), entry, &[arg], machine);
-        if let Some(hit) = self.sims.get(key) {
-            return Ok((hit, true));
-        }
-        let mut stats = SimTraceStats::default();
-        let result = sim_with_cache_in(module, entry, arg, machine, self.disk.as_ref(), &mut stats)
-            .map_err(|e| format!("simulation failed: {e}"))?;
-        let c = &self.counters;
-        c.disk_memo_hits
-            .fetch_add(stats.memo_hits, Ordering::Relaxed);
-        c.disk_direct_runs
-            .fetch_add(stats.direct_runs, Ordering::Relaxed);
-        let bytes = sim_to_bytes(&result).len() as u64;
-        let result = Arc::new(result);
-        self.sims.insert(key, result.clone(), bytes);
-        Ok((result, false))
     }
 
     fn sim_resp(&self, req: &SimReq) -> RespBody {
@@ -459,11 +369,17 @@ impl CompileService {
             Ok((unit, _)) => unit,
             Err(e) => return RespBody::Err(e),
         };
-        let baseline = match self.sim_one(&unit.baseline, &req.entry, req.arg, &req.machine) {
+        // The same memo path as `sptc`, keyed by the hashes taken at compile
+        // time.
+        let sim = |module: &Module, hash: u64| {
+            memo_sim(&self.store, module, hash, &req.entry, req.arg, &req.machine)
+                .map_err(|e| format!("simulation failed: {e}"))
+        };
+        let baseline = match sim(&unit.baseline, unit.baseline_hash) {
             Ok(r) => r,
             Err(e) => return RespBody::Err(e),
         };
-        let spt = match self.sim_one(&unit.module, &req.entry, req.arg, &req.machine) {
+        let spt = match sim(&unit.module, unit.module_hash) {
             Ok(r) => r,
             Err(e) => return RespBody::Err(e),
         };
@@ -475,7 +391,7 @@ impl CompileService {
             timings: unit.timings,
             baseline: sim_to_bytes(&baseline.0),
             spt: sim_to_bytes(&spt.0),
-            served_from_memory: baseline.1 && spt.1,
+            served_from_memory: baseline.1 == Some(Tier::Memory) && spt.1 == Some(Tier::Memory),
         }))
     }
 
@@ -507,6 +423,7 @@ impl CompileService {
     /// responses are deterministic given the same history).
     pub fn stats(&self) -> Vec<(String, u64)> {
         let c = &self.counters;
+        let sims = self.store.stats(Kind::Sim);
         let mut out: Vec<(String, u64)> = vec![
             ("requests_total", c.requests_total.load(Ordering::Relaxed)),
             ("requests_ping", c.requests_ping.load(Ordering::Relaxed)),
@@ -529,10 +446,11 @@ impl CompileService {
             ("pipeline_runs", c.pipeline_runs.load(Ordering::Relaxed)),
             ("flights_led", c.flights_led.load(Ordering::Relaxed)),
             ("flights_joined", c.flights_joined.load(Ordering::Relaxed)),
-            ("disk_memo_hits", c.disk_memo_hits.load(Ordering::Relaxed)),
+            ("disk_memo_hits", sims.disk_hits),
+            // Every memory miss of a sim is served from disk or simulated.
             (
                 "disk_direct_runs",
-                c.disk_direct_runs.load(Ordering::Relaxed),
+                sims.misses.saturating_sub(sims.disk_hits),
             ),
             ("latency_p50_us", self.latency_quantile(0.50)),
             ("latency_p99_us", self.latency_quantile(0.99)),
@@ -540,36 +458,33 @@ impl CompileService {
         .into_iter()
         .map(|(k, v)| (k.to_string(), v))
         .collect();
-        for (tier, cache_stats) in [
-            ("mem_module", self.modules.stats()),
-            ("mem_unit", self.units.stats()),
-            ("mem_sim", self.sims.stats()),
-            ("mem_func_analysis", self.func_cache.analysis_stats()),
-            ("mem_func_emit", self.func_cache.emit_stats()),
-        ] {
-            out.push((format!("{tier}_hits"), cache_stats.hits));
-            out.push((format!("{tier}_misses"), cache_stats.misses));
-            out.push((format!("{tier}_insertions"), cache_stats.insertions));
-            out.push((format!("{tier}_evictions"), cache_stats.evictions));
-            out.push((format!("{tier}_oversize"), cache_stats.oversize_rejections));
-            out.push((format!("{tier}_bytes"), cache_stats.bytes));
-            out.push((format!("{tier}_entries"), cache_stats.entries));
+        let rows = Kind::ALL.map(|kind| (kind.name(), self.store.stats(kind)));
+        for (name, k) in rows {
+            for (field, n) in [
+                ("hits", k.hits),
+                ("misses", k.misses),
+                ("insertions", k.insertions),
+                ("evictions", k.evictions),
+                ("oversize", k.oversize_rejections),
+                ("bytes", k.bytes),
+                ("entries", k.entries),
+            ] {
+                out.push((format!("mem_{name}_{field}"), n));
+            }
         }
-        if let Some(disk) = &self.disk {
-            let counters = disk.counters();
-            out.push((
-                "disk_budget_evictions".to_string(),
-                counters.budget_evictions.load(Ordering::Relaxed),
-            ));
-            out.push((
-                "disk_corrupt_evictions".to_string(),
-                counters.corrupt_evictions.load(Ordering::Relaxed),
-            ));
-            out.push((
-                "disk_stores".to_string(),
-                counters.stores.load(Ordering::Relaxed),
-            ));
-            out.push(("disk_bytes".to_string(), disk.disk_bytes()));
+        if let Some(bytes) = self.store.disk_bytes() {
+            let sum = |field: fn(&KindStats) -> u64| rows.iter().map(|(_, k)| field(k)).sum();
+            for (name, k) in rows {
+                out.push((format!("disk_{name}_hits"), k.disk_hits));
+            }
+            for (key, n) in [
+                ("disk_budget_evictions", sum(|k| k.disk_budget_evictions)),
+                ("disk_corrupt_evictions", sum(|k| k.disk_corrupt_evictions)),
+                ("disk_stores", sum(|k| k.disk_stores)),
+                ("disk_bytes", bytes),
+            ] {
+                out.push((key.to_string(), n));
+            }
         }
         out.push(("mem_budget_bytes".to_string(), self.cfg.mem_budget_bytes));
         out.sort();

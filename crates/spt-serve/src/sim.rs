@@ -1,15 +1,17 @@
-//! Cache-aware simulation entry point, shared by the daemon service and the
-//! bench harnesses (re-exported through `spt-bench` for the table/figure
-//! binaries).
+//! The one simulation path of `sptc`, the bench harnesses and the daemon:
+//! probe the artifact store's `SimResult` memo, simulate on a miss, store
+//! the result.
 //!
-//! This is the *disk* tier: the daemon's in-memory `SimResult` layer (see
-//! [`crate::service`]) probes its sharded LRU first and only falls through
-//! to [`sim_with_cache`], which consults the content-addressed
-//! `.spt-cache/` memo and otherwise runs the simulator directly.
+//! [`sim_with_cache`] runs it against a transient disk-only store for the
+//! one-shot tools; the daemon's service runs the same [`memo_sim`] against
+//! its long-lived two-tier store.
 
+use std::sync::Arc;
+
+use spt_core::store::{sim_key, Store, Tier};
 use spt_core::TraceSettings;
+use spt_ir::Module;
 use spt_sim::{MachineConfig, SimError, SimResult, SptSimulator};
-use spt_trace::{ArtifactCache, LoadOutcome};
 
 /// Artifact-store statistics of the simulation side of a run. The name and
 /// the `capture_s`/`replay_s` fields, which always read 0, stay only
@@ -47,18 +49,17 @@ impl SimTraceStats {
 }
 
 /// Simulates `entry(arg)` of `module` under `machine`. With
-/// `settings.enabled` and a `cache_dir`, a content-addressed `SimResult`
-/// memo (module hash + entry + args + machine config) is probed first — an
-/// exact repeat costs one file read — and a miss runs the simulator and
-/// stores its result. Otherwise this is exactly a direct [`SptSimulator`]
-/// run.
+/// `settings.enabled`, the store's `SimResult` memo in `cache_dir` (if any)
+/// is probed first — an exact repeat costs one file read — and a miss runs
+/// the simulator and stores its result. Otherwise this is exactly a direct
+/// [`SptSimulator`] run.
 ///
 /// # Errors
 ///
 /// Whatever the underlying simulation returns; store problems never
 /// surface as errors.
 pub fn sim_with_cache(
-    module: &spt_ir::Module,
+    module: &Module,
     entry: &str,
     arg: i64,
     machine: &MachineConfig,
@@ -68,39 +69,37 @@ pub fn sim_with_cache(
     if !settings.enabled {
         return SptSimulator::with_config(machine.clone()).run(module, entry, &[arg]);
     }
-    let cache = settings.cache_dir.as_ref().map(ArtifactCache::new);
-    sim_with_cache_in(module, entry, arg, machine, cache.as_ref(), stats)
+    let store = Store::new(0, 1, settings.cache_dir.clone(), None);
+    let out = memo_sim(&store, module, module.content_hash(), entry, arg, machine);
+    match out {
+        Ok((_, Some(_))) => stats.memo_hits += 1,
+        _ => stats.direct_runs += 1,
+    }
+    let (result, _) = out?;
+    // A memory budget of zero retains nothing, so the `Arc` is unique.
+    Ok(Arc::try_unwrap(result).unwrap_or_else(|shared| (*shared).clone()))
 }
 
-/// [`sim_with_cache`] against a caller-owned [`ArtifactCache`] handle (or
-/// none, for a counted direct run). The daemon routes through here with its
-/// byte-budgeted handle so every store also enforces the disk bound and
-/// lands in the daemon's eviction counters; the settings-based wrapper
-/// above constructs a transient unbudgeted handle per call, which is fine
-/// for the one-shot harness binaries.
+/// Memo probe → simulate → store for `entry(arg)` of `module`, whose
+/// content hash is `module_hash`. The tier is `None` when the simulator
+/// ran.
 ///
 /// # Errors
 ///
-/// See [`sim_with_cache`].
-pub fn sim_with_cache_in(
-    module: &spt_ir::Module,
+/// Whatever the underlying simulation returns.
+pub(crate) fn memo_sim(
+    store: &Store,
+    module: &Module,
+    module_hash: u64,
     entry: &str,
     arg: i64,
     machine: &MachineConfig,
-    cache: Option<&ArtifactCache>,
-    stats: &mut SimTraceStats,
-) -> Result<SimResult, SimError> {
-    let key = ArtifactCache::sim_key(module.content_hash(), entry, &[arg], machine);
-    if let Some(cache) = cache {
-        if let LoadOutcome::Hit(hit) = cache.load_sim(key) {
-            stats.memo_hits += 1;
-            return Ok(hit);
-        }
+) -> Result<(Arc<SimResult>, Option<Tier>), SimError> {
+    let key = sim_key(module_hash, entry, &[arg], machine);
+    if let Some((hit, tier)) = store.get::<SimResult>(key) {
+        return Ok((hit, Some(tier)));
     }
-    stats.direct_runs += 1;
-    let result = SptSimulator::with_config(machine.clone()).run(module, entry, &[arg])?;
-    if let Some(cache) = cache {
-        cache.store_sim(key, &result);
-    }
-    Ok(result)
+    let result = Arc::new(SptSimulator::with_config(machine.clone()).run(module, entry, &[arg])?);
+    store.put(key, result.clone());
+    Ok((result, None))
 }

@@ -5,7 +5,9 @@
 
 use spt_core::pipeline::compile_and_transform;
 use spt_core::{CompilerConfig, ProfilingInput};
-use spt_serve::{serve, Client, CompileReq, CompileService, ServiceConfig, SimReq};
+use spt_serve::{
+    serve, Client, CompileReq, CompileService, OkBody, ReqBody, RespBody, ServiceConfig, SimReq,
+};
 use spt_sim::{MachineConfig, SptSimulator};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -130,6 +132,93 @@ fn daemon_responses_are_byte_identical_to_local_compiles() {
 
     client.shutdown().expect("shutdown ack");
     handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A daemon restarted on the first one's `cache_dir` serves warm from disk:
+/// byte-identical answers, every simulation a disk memo hit (no simulator
+/// run), every function analysis from disk. `stats` accounts for every file
+/// the store writes, function units included.
+#[test]
+fn a_restarted_daemon_serves_warm_from_disk() {
+    let dir = temp_dir("restart");
+    let service = || {
+        CompileService::new(ServiceConfig {
+            cache_dir: Some(dir.join("cache")),
+            ..ServiceConfig::default()
+        })
+    };
+    let ok = |resp: RespBody| match resp {
+        RespBody::Ok(body) => body,
+        RespBody::Err(e) => panic!("request failed: {e}"),
+    };
+    // Every payload byte of a compile and a sim of each program, plus the
+    // compile's pass-1 analysis misses.
+    let answers = |service: &CompileService| -> Vec<(Vec<String>, Vec<Vec<u8>>, u64)> {
+        PROGRAMS
+            .iter()
+            .map(|name| {
+                let bench = spt_bench_suite::benchmark(name).expect("exists");
+                let OkBody::Compile(c) =
+                    ok(service.execute(&ReqBody::Compile(compile_req(&bench))))
+                else {
+                    panic!("{name}: not a compile response");
+                };
+                let OkBody::Sim(s) = ok(service.execute(&ReqBody::Sim(sim_req(&bench)))) else {
+                    panic!("{name}: not a sim response");
+                };
+                let texts = vec![
+                    c.report_debug,
+                    c.analyze_text,
+                    c.module_text,
+                    s.report_debug,
+                ];
+                (
+                    texts,
+                    vec![s.baseline, s.spt],
+                    c.timings.func_analysis_misses,
+                )
+            })
+            .collect()
+    };
+    let stats = |service: &CompileService| -> HashMap<String, u64> {
+        service.stats().into_iter().collect()
+    };
+
+    let first = service();
+    let cold = answers(&first);
+    let before = stats(&first);
+    let files = std::fs::read_dir(dir.join("cache"))
+        .expect("cache dir")
+        .count() as u64;
+    assert!(files > 0, "the first daemon stored nothing");
+    assert_eq!(
+        before["disk_stores"], files,
+        "every file written must be counted: {before:?}"
+    );
+    drop(first);
+
+    let second = service();
+    let warm = answers(&second);
+    let after = stats(&second);
+    for (name, (c, w)) in PROGRAMS.iter().zip(cold.iter().zip(&warm)) {
+        assert_eq!(
+            (&w.0, &w.1),
+            (&c.0, &c.1),
+            "{name}: restarted answer differs"
+        );
+        assert_eq!(
+            w.2, 0,
+            "{name}: the restarted daemon re-analyzed a function"
+        );
+    }
+    assert_eq!(after["disk_direct_runs"], 0, "a simulation ran: {after:?}");
+    assert_eq!(after["disk_memo_hits"], 2 * PROGRAMS.len() as u64);
+    assert!(
+        after["disk_func_analysis_hits"] > 0,
+        "function-unit disk hits must reach stats: {after:?}"
+    );
+    assert_eq!(after["disk_stores"], 0, "nothing new to store: {after:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -13,8 +13,8 @@
 //!
 //! Encoding follows the sim-memo codec's conventions: magic, format
 //! version, varint fields, and a trailing FNV checksum; any damage decodes
-//! to an error that the artifact cache maps to [`crate::LoadOutcome::Corrupt`]
-//! (evict + warn + recompute, never a panic).
+//! to an error, which the artifact store treats as a miss (evict and
+//! recompute, never a panic).
 
 use crate::codec::{get_varint, put_varint, Fnv};
 
@@ -69,15 +69,6 @@ pub struct FuncAnalysisUnit {
 }
 
 impl FuncAnalysisUnit {
-    /// Approximate resident size, for byte-budgeted memory tiers.
-    pub fn approx_bytes(&self) -> u64 {
-        self.fragments
-            .iter()
-            .map(|f| 96 + 4 * (f.move_insts.len() + f.replicate_insts.len()) as u64)
-            .sum::<u64>()
-            + 32
-    }
-
     /// Serializes the unit bit-exactly (see the module docs for framing).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32 + self.fragments.len() * 64);

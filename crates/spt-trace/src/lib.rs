@@ -1,16 +1,13 @@
-//! The content-addressed artifact store and the codecs behind it.
+//! The byte encodings behind the artifact store and the daemon's wire
+//! protocol.
 //!
-//! The pipeline profiles a program once, directly, and the harnesses and
-//! the compile daemon simulate the same modules again and again. This crate
-//! keeps the *final* products of that work so an exact repeat costs a
-//! lookup instead of a run:
+//! The store itself (memory tier, disk directory, keys, counters) is
+//! `spt_core::store`; this crate holds what it writes:
 //!
-//! * [`ArtifactCache`] — the on-disk store (`.spt-cache/` by convention):
-//!   whole `SimResult` memos and function-granular pass-1 analysis units
-//!   ([`FuncAnalysisUnit`]), keyed by content hashes so a key *is* the
-//!   artifact's identity;
-//! * [`ShardedLru`] — the sharded, byte-bounded in-memory LRU the daemon
-//!   and the incremental cache put in front of the disk tier;
+//! * [`sim_codec`] — the canonical encoding of a whole `SimResult`, used
+//!   for simulation memos on disk and for the daemon's sim replies;
+//! * [`func_unit`] — function-granular pass-1 analysis units
+//!   ([`FuncAnalysisUnit`]) and their encoding;
 //! * [`codec`] — the varint/zigzag/FNV primitives every on-disk and
 //!   on-wire encoding in the workspace shares.
 //!
@@ -20,11 +17,9 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod cache;
 pub mod codec;
 pub mod func_unit;
-pub mod mem_cache;
+pub mod sim_codec;
 
-pub use cache::{sim_from_bytes, sim_to_bytes, ArtifactCache, CacheCounters, LoadOutcome};
 pub use func_unit::{FuncAnalysisUnit, LoopFragment, FUNC_UNIT_FORMAT_VERSION};
-pub use mem_cache::{ShardStats, ShardedLru};
+pub use sim_codec::{sim_from_bytes, sim_to_bytes, SIM_FORMAT_VERSION};

@@ -75,37 +75,56 @@ echo "== sptd daemon: mixed loadgen batch, digest parity, clean shutdown =="
 # Launch a real sptd on a temp socket, drive it with a concurrent mixed
 # cold/warm batch, and check (a) the daemon-served suite digest equals the
 # single-process perfbench digest above — byte-identical results through
-# the daemon's cache tiers — and (b) shutdown leaks neither the process nor
-# the socket file.
-sptd_dir=$(mktemp -d)
-cargo run --release -q -p spt-serve --bin sptd -- \
-  --socket "$sptd_dir/sptd.sock" --cache-dir "$sptd_dir/cache" &
-sptd_pid=$!
-for _ in $(seq 1 100); do
-  [[ -S "$sptd_dir/sptd.sock" ]] && break
-  sleep 0.1
-done
-[[ -S "$sptd_dir/sptd.sock" ]] || { echo "FAIL: sptd never bound its socket" >&2; exit 1; }
-loadgen_out=$(cargo run --release -q -p spt-bench --bin loadgen -- \
-  --socket "$sptd_dir/sptd.sock" --digest --requests 300 --clients 4 \
-  --no-append --shutdown)
-echo "$loadgen_out"
-daemon_digest=$(grep '^report digest:' <<<"$loadgen_out")
-if [[ -z "$daemon_digest" || "$daemon_digest" != "$cold_digest" ]]; then
-  echo "FAIL: daemon-served report digest diverged from the local run" >&2
-  echo "  local:  ${cold_digest:-<missing>}" >&2
-  echo "  daemon: ${daemon_digest:-<missing>}" >&2
+# the daemon's artifact store — and (b) shutdown leaks neither the process
+# nor the socket file. Extra arguments go to sptd; the loadgen output is
+# left in $loadgen_out.
+daemon_digest_run() {
+  local sptd_dir sptd_pid daemon_digest
+  sptd_dir=$(mktemp -d)
+  cargo run --release -q -p spt-serve --bin sptd -- \
+    --socket "$sptd_dir/sptd.sock" --cache-dir "$sptd_dir/cache" "$@" &
+  sptd_pid=$!
+  for _ in $(seq 1 100); do
+    [[ -S "$sptd_dir/sptd.sock" ]] && break
+    sleep 0.1
+  done
+  [[ -S "$sptd_dir/sptd.sock" ]] || { echo "FAIL: sptd never bound its socket" >&2; exit 1; }
+  loadgen_out=$(cargo run --release -q -p spt-bench --bin loadgen -- \
+    --socket "$sptd_dir/sptd.sock" --digest --requests 300 --clients 4 \
+    --no-append --shutdown)
+  echo "$loadgen_out"
+  daemon_digest=$(grep '^report digest:' <<<"$loadgen_out")
+  if [[ -z "$daemon_digest" || "$daemon_digest" != "$cold_digest" ]]; then
+    echo "FAIL: daemon-served report digest diverged from the local run ($*)" >&2
+    echo "  local:  ${cold_digest:-<missing>}" >&2
+    echo "  daemon: ${daemon_digest:-<missing>}" >&2
+    exit 1
+  fi
+  if ! wait "$sptd_pid"; then
+    echo "FAIL: sptd exited nonzero ($*)" >&2
+    exit 1
+  fi
+  if [[ -e "$sptd_dir/sptd.sock" ]]; then
+    echo "FAIL: sptd left its socket file behind after shutdown ($*)" >&2
+    exit 1
+  fi
+  rm -rf "$sptd_dir"
+}
+daemon_digest_run
+
+echo "== sptd daemon: the same digest while both store tiers evict =="
+# Budgets far below the suite's working set (compiled units are 10-15 KB
+# each; mcf_s's sim memo alone is larger than the disk budget), so answers
+# are checked while memory and disk evictions happen.
+daemon_digest_run --mem-budget 262144 --disk-budget 65536 --shards 2
+if ! grep -Eq '^memory tiers: .*, [1-9][0-9]* evictions$' <<<"$loadgen_out"; then
+  echo "FAIL: the tight-budget daemon run evicted nothing from memory" >&2
   exit 1
 fi
-if ! wait "$sptd_pid"; then
-  echo "FAIL: sptd exited nonzero" >&2
+if ! grep -Eq 'disk budget evictions: [1-9][0-9]*$' <<<"$loadgen_out"; then
+  echo "FAIL: the tight-budget daemon run evicted nothing from disk" >&2
   exit 1
 fi
-if [[ -e "$sptd_dir/sptd.sock" ]]; then
-  echo "FAIL: sptd left its socket file behind after shutdown" >&2
-  exit 1
-fi
-rm -rf "$sptd_dir"
 
 echo "== incremental recompile: splice equality + per-function hit gate =="
 # The function-granular cache may never change an answer: cold, warm, and

@@ -5,7 +5,7 @@
 //! function's units.
 
 use spt::pipeline::{
-    transform_module_timed_with, CompilerConfig, IncrementalCache, ProfilingInput, StageTimings,
+    transform_module_timed_with, CompilerConfig, ProfilingInput, StageTimings, Store,
 };
 
 /// Compiles `source` through the pipeline with an optional function-unit
@@ -17,7 +17,7 @@ fn run(
     entry: &str,
     train_arg: i64,
     config: &CompilerConfig,
-    cache: Option<&IncrementalCache>,
+    cache: Option<&Store>,
 ) -> (String, String, StageTimings) {
     let mut module = spt::frontend::compile(source).expect("program compiles");
     let input = ProfilingInput::new(entry, [train_arg]);
@@ -80,8 +80,8 @@ fn rename_ident(source: &str, from: &str, to: &str) -> String {
     out
 }
 
-fn fresh_cache() -> IncrementalCache {
-    IncrementalCache::in_memory(64 << 20, 4)
+fn fresh_cache() -> Store {
+    Store::in_memory(64 << 20, 4)
 }
 
 /// Cold (no cache), first-compile-through-cache, and fully-warm recompile

@@ -10,16 +10,17 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use spt::bench_suite::Benchmark;
 use spt::ir::Module;
+use spt::pipeline::store::{sim_key, Kind, Tier};
 use spt::pipeline::{
     compile_and_transform, transform_module_timed, CompilerConfig, ProfilingInput, StageTimings,
-    TraceSettings,
+    Store, TraceSettings,
 };
 use spt::serve::{sim_with_cache, SimTraceStats};
 use spt::sim::{MachineConfig, SimResult, SptSimulator};
-use spt::trace::{ArtifactCache, LoadOutcome};
 
 fn assert_sim_eq(name: &str, got: &SimResult, want: &SimResult) {
     assert_eq!(got.ret, want.ret, "{name}: return bits");
@@ -115,7 +116,8 @@ fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 #[test]
 fn artifact_cache_round_trips_and_rejects_damage() {
     let dir = temp_store("round-trip");
-    let cache = ArtifactCache::new(&dir);
+    // Memory budget 0: every probe below goes to the disk tier.
+    let store = || Store::new(0, 1, Some(dir.clone()), None);
 
     // A genuinely speculative run, so the memo carries per-loop stats.
     let b = spt::bench_suite::benchmark("twolf_s").expect("exists");
@@ -127,20 +129,20 @@ fn artifact_cache_round_trips_and_rejects_damage() {
         .run(&compiled.module, b.entry, &[b.train_arg])
         .expect("sim runs");
     assert!(!sim.loops.is_empty(), "twolf_s selected no loop");
-    let key = ArtifactCache::sim_key(
+    let key = sim_key(
         compiled.module.content_hash(),
         b.entry,
         &[b.train_arg],
         &machine,
     );
-    assert!(matches!(cache.load_sim(key), LoadOutcome::Miss));
-    cache.store_sim(key, &sim);
-    match cache.load_sim(key) {
-        LoadOutcome::Hit(loaded) => assert_sim_eq("memo round trip", &loaded, &sim),
-        other => panic!("expected hit, got {other:?}"),
+    assert!(store().get::<SimResult>(key).is_none());
+    store().put(key, Arc::new(sim.clone()));
+    match store().get::<SimResult>(key) {
+        Some((loaded, Tier::Disk)) => assert_sim_eq("memo round trip", &loaded, &sim),
+        other => panic!("expected a disk hit, got {other:?}"),
     }
 
-    // Corruption, truncation and a bare magic must all surface as `Corrupt`
+    // Corruption, truncation and a bare magic must all read as a miss
     // (never a panic) and evict the file, so the next probe is a clean miss.
     let path = dir.join(format!("sim-{key:016x}.bin"));
     let good = std::fs::read(&path).expect("memo file exists");
@@ -153,14 +155,16 @@ fn artifact_cache_round_trips_and_rejects_damage() {
         b"SPTSIMRS".to_vec(),
     ] {
         std::fs::write(&path, &damaged).expect("write");
-        assert!(matches!(cache.load_sim(key), LoadOutcome::Corrupt(_)));
+        let probe = store();
+        assert!(probe.get::<SimResult>(key).is_none());
         assert!(!path.exists(), "damaged memo was not evicted");
-        assert!(matches!(cache.load_sim(key), LoadOutcome::Miss));
+        assert!(probe.get::<SimResult>(key).is_none());
+        assert_eq!(probe.stats(Kind::Sim).disk_corrupt_evictions, 1);
     }
 
     // A rewritten store repairs the slot.
-    cache.store_sim(key, &sim);
-    assert!(matches!(cache.load_sim(key), LoadOutcome::Hit(_)));
+    store().put(key, Arc::new(sim));
+    assert!(store().get::<SimResult>(key).is_some());
 
     let _ = std::fs::remove_dir_all(&dir);
 }
