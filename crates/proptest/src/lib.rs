@@ -222,7 +222,7 @@ pub mod collection {
     use crate::strategy::{Rng, Strategy};
     use std::ops::{Range, RangeInclusive};
 
-    /// Inclusive-exclusive element-count range for [`vec`].
+    /// Inclusive-exclusive element-count range for [`vec()`].
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         pub lo: usize,

@@ -1,8 +1,11 @@
 //! Isolated measurement of the profiling interpreter's hot loop: the
-//! superblock engine against the retained reference (match-per-step)
-//! engine, each bare and under the full four-profiler collector. Engine
-//! regressions show up here directly instead of being averaged into suite
-//! wall time.
+//! superblock engine (one op per IR instruction) against the retained
+//! reference (match-per-step) engine, each bare and under the full
+//! four-profiler collector. The bare `engine/*` rows time the batched
+//! `NoProfiler` walk that `sptc run` and the test oracles use; the
+//! `engine_profiled/*` rows time the stepwise walk of the compile
+//! pipeline's profiling stage. Engine regressions show up here directly
+//! instead of being averaged into suite wall time.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spt_profile::{Interp, NoProfiler, ProfileCollector, ReferenceInterp, Val};

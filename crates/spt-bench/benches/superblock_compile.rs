@@ -2,9 +2,10 @@
 //!
 //! Superblock code is compiled once per `DecodedModule` and then reused for
 //! every run, so its build cost is an up-front tax on cold compiles.
-//! This group tracks that tax directly — discovery, fusion, and constant
-//! folding — so a fusion-rule change that blows up lowering time is caught
-//! here rather than hidden inside suite wall time.
+//! This group tracks that tax directly — one op per instruction, with
+//! constant folding and immediate specialization — so a lowering change
+//! that blows up build time is caught here rather than hidden inside suite
+//! wall time.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spt_ir::{DecodedModule, SuperblockModule};

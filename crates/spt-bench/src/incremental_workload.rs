@@ -82,7 +82,7 @@ pub fn source_with(kernels: usize) -> String {
 }
 
 /// The edit-one-function mutation for round `round`: rename kernel
-/// [`EDITED`] of the **base** source. A rename changes exactly one
+/// `EDITED` of the **base** source. A rename changes exactly one
 /// function's IR — call sites lower to `FuncId`s — so a warm recompile
 /// should miss only that function's cache units.
 pub fn edit(base: &str, round: usize) -> String {

@@ -141,15 +141,16 @@ impl CompilationReport {
         out
     }
 
-    /// Total profile coverage of the selected loops (Fig. 16). Nested
-    /// selections (which pass 2 prevents) would double-count; selection
-    /// guarantees disjoint nests.
+    /// Total profile coverage of the selected loops (Fig. 16), `0.0` when
+    /// none is selected. Nested selections (which pass 2 prevents) would
+    /// double-count; selection guarantees disjoint nests.
     pub fn selected_coverage(&self) -> f64 {
+        // Summed from +0.0: `Iterator::sum` over no floats yields -0.0,
+        // which renders as "-0%".
         self.loops
             .iter()
             .filter(|l| l.outcome == LoopOutcome::Selected)
-            .map(|l| l.coverage)
-            .sum()
+            .fold(0.0, |acc, l| acc + l.coverage)
     }
 
     /// Records for selected loops only.
@@ -267,6 +268,23 @@ mod tests {
         assert_eq!(hist.len(), 2);
         assert!((report.selected_coverage() - 0.6).abs() < 1e-12);
         assert_eq!(report.selected_records().len(), 2);
+    }
+
+    #[test]
+    fn coverage_of_no_selected_loop_is_positive_zero() {
+        let report = CompilationReport {
+            config_name: "test".into(),
+            loops: vec![record(LoopOutcome::BodyTooSmall, 0.1)],
+            selected: Vec::new(),
+            profile_total_cycles: 100,
+            diagnostics: Vec::new(),
+        };
+        assert_eq!(report.selected_coverage().to_bits(), 0.0f64.to_bits());
+        let text = report.analyze_text();
+        assert!(
+            text.contains("selected 0 loop(s), covering 0% of the profiled run"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! * [`reduce`] — a ddmin delta-debugging reducer that shrinks any failing
 //!   module to a minimal repro, persisted under `tests/corpus-regressions/`
 //!   and replayed as an ordinary test forever after;
-//! * [`sweep`] (feature `failpoints`) — forces every registered
+//! * `sweep` (feature `failpoints`) — forces every registered
 //!   `fail_point!` site in turn over generated programs, asserting the
 //!   fault-isolation contract on arbitrary modules.
 //!

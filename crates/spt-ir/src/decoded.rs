@@ -27,8 +27,8 @@
 //! so the engines can reproduce the exact legacy behavior for them.
 //!
 //! The engines do not dispatch on `DKind`: [`crate::superblock`] lowers every
-//! block into the superinstructions they execute, and they read the decoded
-//! blocks, stream positions and loop facts alongside that code.
+//! block into the ops they execute, one per instruction, and they read the
+//! decoded blocks and loop facts alongside that code.
 
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
@@ -226,10 +226,6 @@ pub struct DBlock {
     /// Everything after the leading phis, in block order (stray non-leading
     /// phis stay in place as [`DKind::SkippedPhi`]).
     pub body: Box<[InstId]>,
-    /// Start of this block's body in [`DecodedFunc::stream`].
-    pub body_start: u32,
-    /// End (exclusive) of this block's body in [`DecodedFunc::stream`].
-    pub body_end: u32,
     /// Predecessor blocks, in CFG order.
     pub preds: Box<[BlockId]>,
     /// Per predecessor (parallel to `preds`), per leading phi (parallel to
@@ -280,11 +276,6 @@ pub struct DecodedFunc {
     pub insts: Box<[DInst]>,
     /// Decoded blocks, indexed by [`BlockId`].
     pub blocks: Box<[DBlock]>,
-    /// All block bodies concatenated in block order; each block occupies
-    /// `[DBlock::body_start, DBlock::body_end)`. A position in this array
-    /// names one instruction of one block: superblock metadata and
-    /// simulator frames track execution by it.
-    pub stream: Box<[InstId]>,
     /// Loop and dominator facts.
     pub facts: DLoopFacts,
 }
@@ -311,7 +302,6 @@ impl DecodedFunc {
             .collect();
 
         let nblocks = func.blocks.len();
-        let mut stream: Vec<InstId> = Vec::new();
         let blocks: Box<[DBlock]> = (0..nblocks)
             .map(|bi| {
                 let block = &func.blocks[bi];
@@ -322,9 +312,6 @@ impl DecodedFunc {
                     .count();
                 let phis: Box<[InstId]> = block.insts[..nphis].into();
                 let body: Box<[InstId]> = block.insts[nphis..].into();
-                let body_start = stream.len() as u32;
-                stream.extend_from_slice(&body);
-                let body_end = stream.len() as u32;
                 let preds: Box<[BlockId]> = cfg.preds(BlockId::new(bi)).into();
                 let phi_srcs: Box<[Box<[Option<DVal>]>]> = preds
                     .iter()
@@ -343,8 +330,6 @@ impl DecodedFunc {
                 DBlock {
                     phis,
                     body,
-                    body_start,
-                    body_end,
                     preds,
                     phi_srcs,
                 }
@@ -376,7 +361,6 @@ impl DecodedFunc {
             entry: func.entry,
             insts,
             blocks,
-            stream: stream.into_boxed_slice(),
             facts: DLoopFacts {
                 num_loops: nloops,
                 num_blocks: nblocks,

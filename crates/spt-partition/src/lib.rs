@@ -203,7 +203,7 @@ pub struct SearchResult {
 ///
 /// Search nodes are evaluated *incrementally*: the pre-fork mask is the
 /// refcounted union of the chosen candidates' precomputed closures
-/// ([`DeltaMask`]), extended on push and undone on pop, and costs come from
+/// (`DeltaMask`), extended on push and undone on pop, and costs come from
 /// a single [`spt_cost::CostEvaluator`] arena whose propagation sweep only
 /// touches nodes reachable from still-armed candidates. The result is
 /// bit-identical to [`optimal_partition_reference`] (skipped survival
@@ -541,7 +541,7 @@ pub fn optimal_partition_reference(model: &LoopCostModel, config: &SearchConfig)
 
 /// A greedy baseline for ablation: repeatedly add the single candidate that
 /// most reduces cost, while the size threshold holds. Candidates are probed
-/// by pushing them onto the shared [`DeltaMask`] and popping after the cost
+/// by pushing them onto the shared `DeltaMask` and popping after the cost
 /// read, so one round is linear in closure size rather than quadratic in the
 /// chosen set.
 pub fn greedy_partition(model: &LoopCostModel, config: &SearchConfig) -> SearchResult {

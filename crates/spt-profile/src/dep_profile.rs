@@ -17,14 +17,14 @@
 //! # Dense representation
 //!
 //! The interpreter's memory is already a flat cell array, so the last-writer
-//! map is a *shadow memory*: one [`ShadowRec`] per cell, indexed by address.
+//! map is a *shadow memory*: one `ShadowRec` per cell, indexed by address.
 //! A store writes `(store site, loop-stack snapshot id)` to the shadow cell;
 //! a load reads it back with one index. Loop-stack snapshots are interned in
-//! a [`SnapPool`] (consecutive stores almost always share a stack, so
+//! a `SnapPool` (consecutive stores almost always share a stack, so
 //! interning is one slice compare), and the pool is mark-compacted against
 //! the live shadow records when it grows. Per-site execution counters are
 //! per-function `Vec<u64>` rows indexed by instruction id, and the dependence
-//! counts accumulate in a small open-addressed table ([`DepTable`]) that the
+//! counts accumulate in a small open-addressed table (`DepTable`) that the
 //! query methods read directly — the map-shaped views (`pairs_for_loop`) are
 //! materialized only on demand.
 

@@ -12,54 +12,43 @@
 //!
 //! The walk is monomorphized twice per profiler:
 //!
-//! * **stepwise** (`STEP = true`): every constituent instruction of a fused
-//!   op — and every elided constant def, from the [`SMeta`](spt_ir::SMeta)
-//!   position gaps — fires its profiler hooks and retires individually, in
-//!   the reference interpreter's order, with the fuel check after each
-//!   retire. Observed runs always walk this way, so their event streams are
-//!   bit-identical to [`crate::ReferenceInterp`]'s;
+//! * **stepwise** (`STEP = true`): every op — one IR instruction — fires its
+//!   profiler hooks and retires individually, in the reference
+//!   interpreter's order, with the fuel check after each retire. Observed
+//!   runs always walk this way, so their event streams are bit-identical to
+//!   [`crate::ReferenceInterp`]'s;
 //! * **batched** (`STEP = false`, [`crate::NoProfiler`] only): hooks and
 //!   loop-stack bookkeeping vanish and a block's retirement accounting is
 //!   added once per entry ([`SBlock::retires`](spt_ir::SBlock)/`cycles`).
 //!   A block takes this walk only when it makes no call and its full retire
 //!   count fits the fuel budget, so no abort point can fall inside it;
 //!   otherwise it walks stepwise with no-op hooks.
-//!
-//! Elided slot writes ([`NO_SLOT`]) are sound because a fused pair executes
-//! atomically in both walks: nothing can observe the value array between
-//! the pair's two halves, and hooks receive the intermediate value from a
-//! register.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::interp::{
     dval, Interp, InterpError, LoopActivation, LoopEvent, Profiler, RunState, Val,
 };
 use spt_ir::decoded::DecodedFunc;
-use spt_ir::superblock::{
-    SInst, SMeta, SOpc, SuperblockFunc, F2_IMM1, F2_IMM2, F2_OP1_REV, F2_R_RIGHT, F_SWAP, NO_SLOT,
-};
+use spt_ir::superblock::{SMeta, SOpc, SuperblockFunc, NO_SLOT};
 use spt_ir::{BlockId, FuncId, InstId};
 
 /// How a walk ended.
 enum Flow {
     /// The function returns.
     Ret(Option<Val>),
-    /// The op at index `at` is a call; the walk resumes after it at stream
-    /// position `pos` once the callee returns. Calls are made from
-    /// [`Interp::call`], so the walk's frame is not live during the callee.
-    Call { at: usize, pos: u32 },
+    /// The op at index `at` is a call; the walk resumes at the next op once
+    /// the callee returns. Calls are made from [`Interp::call`], so the
+    /// walk's frame is not live during the callee.
+    Call { at: usize },
     /// Control entered a block that takes the other walk (batched or
     /// stepwise, as given); the block's entry work is already done.
     Switch { batch: bool },
 }
 
-/// Placeholder constituents for batched walks, which never read them.
+/// Placeholder metadata for batched walks, which never read it.
 const NO_META: SMeta = SMeta {
     inst: InstId(NO_SLOT),
-    inst2: InstId(NO_SLOT),
-    pos: 0,
     lat: 0,
-    lat2: 0,
 };
 
 /// One call's state: the function, its values and loop stack, and the
@@ -76,73 +65,11 @@ struct Frame<'a> {
 }
 
 impl Frame<'_> {
-    /// The first op of the current block and its stream position.
+    /// The first op of the current block.
     #[inline(always)]
-    fn block_start(&self) -> (usize, u32) {
-        let b = self.block.index();
-        (
-            self.sf.blocks[b].range.0 as usize,
-            self.df.blocks[b].body_start,
-        )
+    fn block_start(&self) -> usize {
+        self.sf.blocks[self.block.index()].range.0 as usize
     }
-}
-
-/// First-constituent result of the `Fuse2` family (flags are preserved on
-/// the specialized opcodes, so the generic decode covers all of them).
-#[inline(always)]
-fn fuse2_r(s: &SInst, vals: &[Val]) -> i64 {
-    let x = vals[s.a as usize].as_i64();
-    let y = if s.flags & F2_IMM1 != 0 {
-        s.imm as u32 as i32 as i64
-    } else {
-        vals[s.b as usize].as_i64()
-    };
-    if s.flags & F2_OP1_REV != 0 {
-        s.bin.eval_i64(y, x)
-    } else {
-        s.bin.eval_i64(x, y)
-    }
-}
-
-/// Second-constituent result of the `Fuse2` family given `r`.
-#[inline(always)]
-fn fuse2_v(s: &SInst, vals: &[Val], r: i64) -> i64 {
-    let z = if s.flags & F2_IMM2 != 0 {
-        (s.imm >> 32) as u32 as i32 as i64
-    } else {
-        vals[s.aux as usize].as_i64()
-    };
-    if s.flags & F2_R_RIGHT != 0 {
-        s.bin2.eval_i64(z, r)
-    } else {
-        s.bin2.eval_i64(r, z)
-    }
-}
-
-/// The binary op of an address-generation, backedge or `BinStoreImm` pair:
-/// slots `a`/`b` for the register form, else `a` and `imm` ([`F_SWAP`] puts
-/// the constant on the left).
-#[inline(always)]
-fn bin_ri(s: &SInst, vals: &[Val], rr: bool) -> i64 {
-    let x = vals[s.a as usize].as_i64();
-    if rr {
-        s.bin.eval_i64(x, vals[s.b as usize].as_i64())
-    } else if s.flags & F_SWAP != 0 {
-        s.bin.eval_i64(s.imm as i64, x)
-    } else {
-        s.bin.eval_i64(x, s.imm as i64)
-    }
-}
-
-/// The integer comparison of a `CmpBr`/`CmpBrImm` pair.
-#[inline(always)]
-fn cmp_br(s: &SInst, vals: &[Val]) -> bool {
-    let y = if s.opc == SOpc::CmpBr {
-        vals[s.b as usize].as_i64()
-    } else {
-        s.imm as i64
-    };
-    s.cmp.eval_i64(vals[s.a as usize].as_i64(), y)
 }
 
 impl<'m> Interp<'m> {
@@ -173,21 +100,21 @@ impl<'m> Interp<'m> {
         };
         state.profiler.on_block(func_id, None, f.block);
         let mut batch = self.enter(&mut f, state)?;
-        let (mut idx, mut pos) = f.block_start();
+        let mut idx = f.block_start();
         loop {
             let flow = if batch {
-                self.walk::<P, false>(&mut f, idx, pos, state)?
+                self.walk::<P, false>(&mut f, idx, state)?
             } else {
-                self.walk::<P, true>(&mut f, idx, pos, state)?
+                self.walk::<P, true>(&mut f, idx, state)?
             };
             match flow {
                 Flow::Switch { batch: b } => {
                     batch = b;
-                    (idx, pos) = f.block_start();
+                    idx = f.block_start();
                 }
                 // Only stepwise walks reach calls (`SBlock::has_call`), and
                 // the call retires after its callee, as in the reference.
-                Flow::Call { at, pos: resume } => {
+                Flow::Call { at } => {
                     let (s, m) = (&f.sf.ops[at], &f.sf.meta[at]);
                     let callee = FuncId(s.aux);
                     let cargs: Vec<Val> = f.sf.args[s.a as usize..(s.a + s.b) as usize]
@@ -202,7 +129,7 @@ impl<'m> Interp<'m> {
                         state.profiler.on_def(func_id, m.inst, v, &f.loops);
                     }
                     self.retire(func_id, m.inst, u64::from(m.lat), &f.loops, state)?;
-                    (idx, pos) = (at + 1, resume);
+                    idx = at + 1;
                 }
                 Flow::Ret(r) => {
                     if P::OBSERVES {
@@ -219,13 +146,12 @@ impl<'m> Interp<'m> {
         }
     }
 
-    /// Enters `f.block` from `f.from`: loop bookkeeping, the leading phis
+    /// Enters `f.block` from `f.from`: loop bookkeeping and the leading phis
     /// (every source read against the incoming edge, then every
     /// destination committed and, stepwise, defined and retired in block
-    /// order) and the elided constants. Returns whether the block runs
-    /// batched — only when the run does not observe, the block makes no
-    /// call, and its full retire count fits the fuel budget — in which case
-    /// its accounting is added here.
+    /// order). Returns whether the block runs batched — only when the run
+    /// does not observe, the block makes no call, and its full retire count
+    /// fits the fuel budget — in which case its accounting is added here.
     #[inline(always)]
     fn enter<P: Profiler>(
         &self,
@@ -271,10 +197,6 @@ impl<'m> Interp<'m> {
                 }
             }
         }
-        // Elided zero-latency constant defs land as raw data.
-        for &(slot, bits) in sb.consts.iter() {
-            f.values[slot as usize] = Val(bits);
-        }
         if batch {
             state.insts_retired += sb.retires;
             state.weighted_cycles += sb.cycles;
@@ -285,14 +207,11 @@ impl<'m> Interp<'m> {
     /// Executes the frame's ops from op `idx` — across block transfers while
     /// the entered blocks take this walk — to a return, a call, or a block
     /// that takes the other walk (see the module docs for the two walks).
-    /// `pos` is the first stream position not yet retired; stepwise walks
-    /// retire the elided constants between it and each op's position.
     #[inline]
     fn walk<P: Profiler, const STEP: bool>(
         &self,
         f: &mut Frame<'_>,
         mut idx: usize,
-        mut pos: u32,
         state: &mut RunState<'_, P>,
     ) -> Result<Flow, InterpError> {
         let (func_id, sf, df, args) = (f.func, f.sf, f.df, f.args);
@@ -301,49 +220,27 @@ impl<'m> Interp<'m> {
             let loops = &f.loops[..];
             // The current op's metadata, read only by stepwise walks.
             let mut m = &NO_META;
-            // Stepwise hooks and retirement, per constituent (`1` = the op's
-            // primary instruction, `2` = a fused pair's second).
+            // Stepwise hooks and retirement.
             macro_rules! retire {
-                (1) => {
+                () => {
                     if STEP {
                         self.retire(func_id, m.inst, u64::from(m.lat), loops, state)?;
                     }
                 };
-                (2) => {
-                    if STEP {
-                        self.retire(func_id, m.inst2, u64::from(m.lat2), loops, state)?;
-                    }
-                };
             }
             macro_rules! def {
-                (1, $v:expr) => {
+                ($v:expr) => {
                     if STEP {
                         state.profiler.on_def(func_id, m.inst, $v, loops);
                     }
-                    retire!(1);
-                };
-                (2, $v:expr) => {
-                    if STEP {
-                        state.profiler.on_def(func_id, m.inst2, $v, loops);
-                    }
-                    retire!(2);
+                    retire!();
                 };
             }
             macro_rules! on_mem {
-                ($hook:ident, $k:tt, $addr:expr, $v:expr) => {
+                ($hook:ident, $addr:expr, $v:expr) => {
                     if STEP {
-                        let inst = if $k == 1 { m.inst } else { m.inst2 };
-                        state.profiler.$hook(func_id, inst, $addr, $v, loops);
+                        state.profiler.$hook(func_id, m.inst, $addr, $v, loops);
                     }
-                };
-            }
-            // Ends a fused pair that falls through: straight-line execution
-            // skips the pair's tail op.
-            macro_rules! skip_tail {
-                () => {
-                    idx += 1;
-                    pos += 1;
-                    continue;
                 };
             }
             macro_rules! cell {
@@ -360,16 +257,9 @@ impl<'m> Interp<'m> {
                 let s = &sf.ops[at];
                 idx += 1;
                 if STEP {
-                    // Elided constant defs crossed before this op retire here,
-                    // in stream order.
                     m = &sf.meta[at];
-                    while pos < m.pos {
-                        self.retire(func_id, df.stream[pos as usize], 0, loops, state)?;
-                        pos += 1;
-                    }
-                    pos = m.pos + 1;
                 }
-                // Pure single ops share the write-back and def/retire tail;
+                // Pure ops share the write-back and def/retire tail;
                 // every other op completes in its own arm.
                 let v = match s.opc {
                     SOpc::FoldedDef => Val(s.imm),
@@ -449,12 +339,12 @@ impl<'m> Interp<'m> {
                     SOpc::Param => {
                         values[s.dst as usize] =
                             args.get(s.imm as usize).copied().unwrap_or(Val(0));
-                        retire!(1);
+                        retire!();
                         continue;
                     }
                     SOpc::ConstV => {
                         values[s.dst as usize] = Val(s.imm);
-                        retire!(1);
+                        retire!();
                         continue;
                     }
                     SOpc::Load | SOpc::LoadImm => {
@@ -465,8 +355,8 @@ impl<'m> Interp<'m> {
                         };
                         let v = Val(state.memory[cell!(a)]);
                         values[s.dst as usize] = v;
-                        on_mem!(on_load, 1, a, v);
-                        def!(1, v);
+                        on_mem!(on_load, a, v);
+                        def!(v);
                         continue;
                     }
                     SOpc::StoreRR | SOpc::StoreRI | SOpc::StoreIR | SOpc::StoreII => {
@@ -478,42 +368,42 @@ impl<'m> Interp<'m> {
                         };
                         let c = cell!(a);
                         state.memory[c] = v.0;
-                        on_mem!(on_store, 1, a, v);
-                        retire!(1);
+                        on_mem!(on_store, a, v);
+                        retire!();
                         continue;
                     }
                     SOpc::Jump => {
-                        retire!(1);
+                        retire!();
                         break 'ops s.t1;
                     }
                     SOpc::Branch => {
                         let t = values[s.a as usize].is_truthy();
-                        retire!(1);
+                        retire!();
                         break 'ops if t { s.t1 } else { s.t2 };
                     }
                     SOpc::BranchImm => {
-                        retire!(1);
+                        retire!();
                         break 'ops if s.imm != 0 { s.t1 } else { s.t2 };
                     }
                     SOpc::RetVal => {
                         let v = values[s.a as usize];
-                        retire!(1);
+                        retire!();
                         return Ok(Flow::Ret(Some(v)));
                     }
                     SOpc::RetImm => {
-                        retire!(1);
+                        retire!();
                         return Ok(Flow::Ret(Some(Val(s.imm))));
                     }
                     SOpc::RetVoid => {
-                        retire!(1);
+                        retire!();
                         return Ok(Flow::Ret(None));
                     }
                     // Sequential semantics: SPT markers are no-ops.
                     SOpc::SptFork | SOpc::SptKill => {
-                        retire!(1);
+                        retire!();
                         continue;
                     }
-                    SOpc::Call => return Ok(Flow::Call { at, pos }),
+                    SOpc::Call => return Ok(Flow::Call { at }),
                     // A non-leading phi: silently skipped, exactly like the
                     // reference engine (no retire).
                     SOpc::SkipPhi => continue,
@@ -528,125 +418,9 @@ impl<'m> Interp<'m> {
                             f.block, df.name
                         )));
                     }
-                    SOpc::CmpBr | SOpc::CmpBrImm => {
-                        let t = cmp_br(s, values);
-                        let v = Val::from_i64(t as i64);
-                        if s.dst != NO_SLOT {
-                            values[s.dst as usize] = v;
-                        }
-                        def!(1, v);
-                        retire!(2);
-                        break 'ops if t { s.t1 } else { s.t2 };
-                    }
-                    SOpc::LoadBin | SOpc::LoadBinImm => {
-                        let a = values[s.a as usize].as_i64();
-                        let lv = Val(state.memory[cell!(a)]);
-                        if s.dst != NO_SLOT {
-                            values[s.dst as usize] = lv;
-                        }
-                        on_mem!(on_load, 1, a, lv);
-                        def!(1, lv);
-                        let other = if s.opc == SOpc::LoadBin {
-                            values[s.b as usize].as_i64()
-                        } else {
-                            s.imm as i64
-                        };
-                        let v = Val::from_i64(if s.flags & F_SWAP != 0 {
-                            s.bin.eval_i64(other, lv.as_i64())
-                        } else {
-                            s.bin.eval_i64(lv.as_i64(), other)
-                        });
-                        values[s.aux as usize] = v;
-                        def!(2, v);
-                        skip_tail!();
-                    }
-                    SOpc::BinStore | SOpc::BinStoreImm => {
-                        let v = Val::from_i64(bin_ri(s, values, s.opc == SOpc::BinStore));
-                        if s.dst != NO_SLOT {
-                            values[s.dst as usize] = v;
-                        }
-                        def!(1, v);
-                        let a = values[s.aux as usize].as_i64();
-                        let c = cell!(a);
-                        state.memory[c] = v.0;
-                        on_mem!(on_store, 2, a, v);
-                        retire!(2);
-                        skip_tail!();
-                    }
-                    SOpc::AgenLoad | SOpc::AgenLoadImm => {
-                        let a = bin_ri(s, values, s.opc == SOpc::AgenLoad);
-                        if s.aux != NO_SLOT {
-                            values[s.aux as usize] = Val::from_i64(a);
-                        }
-                        def!(1, Val::from_i64(a));
-                        let v = Val(state.memory[cell!(a)]);
-                        values[s.dst as usize] = v;
-                        on_mem!(on_load, 2, a, v);
-                        def!(2, v);
-                        skip_tail!();
-                    }
-                    SOpc::AgenStore | SOpc::AgenStoreImm => {
-                        let a = bin_ri(s, values, s.opc == SOpc::AgenStore);
-                        if s.dst != NO_SLOT {
-                            values[s.dst as usize] = Val::from_i64(a);
-                        }
-                        def!(1, Val::from_i64(a));
-                        let v = values[s.aux as usize];
-                        let c = cell!(a);
-                        state.memory[c] = v.0;
-                        on_mem!(on_store, 2, a, v);
-                        retire!(2);
-                        skip_tail!();
-                    }
-                    SOpc::BinJump | SOpc::BinImmJump => {
-                        let v = Val::from_i64(bin_ri(s, values, s.opc == SOpc::BinJump));
-                        values[s.dst as usize] = v;
-                        def!(1, v);
-                        retire!(2);
-                        break 'ops s.t1;
-                    }
-                    SOpc::Fuse2 => {
-                        let r = fuse2_r(s, values);
-                        def!(1, Val::from_i64(r));
-                        let v = Val::from_i64(fuse2_v(s, values, r));
-                        values[s.dst as usize] = v;
-                        def!(2, v);
-                        skip_tail!();
-                    }
-                    SOpc::Fuse2II => {
-                        let r = s
-                            .bin
-                            .eval_i64(values[s.a as usize].as_i64(), s.imm as u32 as i32 as i64);
-                        def!(1, Val::from_i64(r));
-                        let v =
-                            Val::from_i64(s.bin2.eval_i64(r, (s.imm >> 32) as u32 as i32 as i64));
-                        values[s.dst as usize] = v;
-                        def!(2, v);
-                        skip_tail!();
-                    }
-                    SOpc::Fuse2IR => {
-                        let r = s
-                            .bin
-                            .eval_i64(values[s.a as usize].as_i64(), s.imm as u32 as i32 as i64);
-                        def!(1, Val::from_i64(r));
-                        let v = Val::from_i64(s.bin2.eval_i64(r, values[s.aux as usize].as_i64()));
-                        values[s.dst as usize] = v;
-                        def!(2, v);
-                        skip_tail!();
-                    }
-                    SOpc::Fuse2IRr => {
-                        let r = s
-                            .bin
-                            .eval_i64(values[s.a as usize].as_i64(), s.imm as u32 as i32 as i64);
-                        def!(1, Val::from_i64(r));
-                        let v = Val::from_i64(s.bin2.eval_i64(values[s.aux as usize].as_i64(), r));
-                        values[s.dst as usize] = v;
-                        def!(2, v);
-                        skip_tail!();
-                    }
                 };
                 values[s.dst as usize] = v;
-                def!(1, v);
+                def!(v);
             };
             state.profiler.on_block(func_id, Some(f.block), target);
             f.from = Some(f.block);
@@ -654,7 +428,7 @@ impl<'m> Interp<'m> {
             if self.enter(f, state)? == STEP {
                 return Ok(Flow::Switch { batch: STEP });
             }
-            (idx, pos) = f.block_start();
+            idx = f.block_start();
         }
     }
 }

@@ -3,7 +3,7 @@
 //! the result.
 //!
 //! [`sim_with_cache`] runs it against a transient disk-only store for the
-//! one-shot tools; the daemon's service runs the same [`memo_sim`] against
+//! one-shot tools; the daemon's service runs the same `memo_sim` against
 //! its long-lived two-tier store.
 
 use std::sync::Arc;

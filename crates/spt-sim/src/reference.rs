@@ -5,12 +5,11 @@
 //! Do not optimize this module. Its value is that it walks `InstKind`
 //! operands and recomputes loop facts exactly the way the engine did before
 //! pre-decoding, so `tests/engine_equivalence.rs` can pin the engine's
-//! [`SimResult`](crate::SimResult) bit-for-bit against it. Everything here is
-//! self-contained: it has its own thread, cache, predictor and driver copies,
-//! sharing only the public leaf types ([`ExecError`](crate::thread::ExecError),
-//! [`ExecRecord`](crate::thread::ExecRecord), [`StepEvent`](crate::thread::StepEvent),
-//! [`SimResult`](crate::SimResult), [`MachineConfig`](crate::MachineConfig),
-//! [`CacheConfig`](crate::CacheConfig)) so results are directly comparable.
+//! [`SimResult`] bit-for-bit against it. Everything here is self-contained:
+//! it has its own thread, cache, predictor and driver copies, sharing only
+//! the public leaf types ([`ExecError`], [`ExecRecord`], [`StepEvent`],
+//! [`SimResult`], [`MachineConfig`], [`CacheConfig`]) so results are
+//! directly comparable.
 
 use crate::cache::CacheConfig;
 use crate::machine::MachineConfig;

@@ -4,28 +4,22 @@
 //! [`Run::spawn_super`] runs the speculative core (timed, overlay memory),
 //! pushing one [`ExecRecord`] per instruction; [`Run::validate_super`]
 //! replays the trace on the main core (untimed, direct memory), comparing
-//! one record per instruction. Both walk the fused ops with one dispatch per
-//! superinstruction, calls and returns included, while emitting records,
-//! comparisons, buffer/cap checks and cache/predictor accesses *per
-//! constituent* in the reference stepper's order. Validation can stop
-//! between any two constituents — mid-pair too; it writes every
-//! constituent's slot, register-window-elided ones included, so the main
-//! thread resumes exactly there.
+//! one record per instruction. Both walk the superblock ops, one dispatch
+//! per op and one op per IR instruction, calls and returns included, while
+//! emitting records, comparisons, buffer/cap checks and cache/predictor
+//! accesses in the reference stepper's order. Validation can stop between
+//! any two instructions, and the main thread resumes exactly there.
 //!
 //! **Exactness contract** (same as [`superexec`](crate::superexec)): every
-//! constituent produces the record fields, memory/cache/predictor accesses,
+//! instruction produces the record fields, memory/cache/predictor accesses,
 //! cycle charges and stat attributions of the reference simulator, in the
 //! same order — episode traces and replay statistics are part of the pinned
-//! bit-identical [`SimResult`](crate::SimResult). Elided zero-latency
-//! constant defs are replayed from the stream-position gaps, their values
-//! read back from the slots block entry wrote, so their records and
-//! comparisons appear exactly where the reference produces them.
+//! bit-identical [`SimResult`](crate::SimResult).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::sim::Run;
 use crate::thread::{transfer, ExecError, ExecRecord, MemView, Thread};
-use spt_ir::superblock::{SInst, F2_IMM1, F2_IMM2, F2_OP1_REV, F2_R_RIGHT, F_SWAP};
-use spt_ir::{BlockId, FuncId, InstId, SOpc};
+use spt_ir::{BlockId, FuncId, InstId, SInst, SOpc};
 
 /// Mutable state of one validation replay.
 pub(crate) struct ReplayState {
@@ -47,8 +41,7 @@ pub(crate) struct ReplayState {
     pub(crate) finished: Option<Option<u64>>,
 }
 
-/// Evaluates a pure single-def superinstruction (no memory, no control, no
-/// fused pair).
+/// Evaluates a pure single-def op (no memory, no control).
 #[inline(always)]
 fn pure_def(s: &SInst, vals: &[u64], args: &[u64]) -> u64 {
     match s.opc {
@@ -105,83 +98,7 @@ fn pure_def(s: &SInst, vals: &[u64], args: &[u64]) -> u64 {
     }
 }
 
-/// First-constituent result of the `Fuse2` family (flags are preserved on
-/// the specialized opcodes, so the generic decode covers all of them).
-#[inline(always)]
-pub(crate) fn fuse2_r(s: &SInst, vals: &[u64]) -> i64 {
-    let x = vals[s.a as usize] as i64;
-    let y = if s.flags & F2_IMM1 != 0 {
-        s.imm as u32 as i32 as i64
-    } else {
-        vals[s.b as usize] as i64
-    };
-    if s.flags & F2_OP1_REV != 0 {
-        s.bin.eval_i64(y, x)
-    } else {
-        s.bin.eval_i64(x, y)
-    }
-}
-
-/// Second-constituent result of the `Fuse2` family given `r`.
-#[inline(always)]
-pub(crate) fn fuse2_v(s: &SInst, vals: &[u64], r: i64) -> i64 {
-    let z = if s.flags & F2_IMM2 != 0 {
-        (s.imm >> 32) as u32 as i32 as i64
-    } else {
-        vals[s.aux as usize] as i64
-    };
-    if s.flags & F2_R_RIGHT != 0 {
-        s.bin2.eval_i64(z, r)
-    } else {
-        s.bin2.eval_i64(r, z)
-    }
-}
-
-/// The integer comparison of a `CmpBr`/`CmpBrImm` pair.
-#[inline(always)]
-pub(crate) fn cmp_br(s: &SInst, vals: &[u64]) -> bool {
-    let b = if s.opc == SOpc::CmpBr {
-        vals[s.b as usize] as i64
-    } else {
-        s.imm as i64
-    };
-    s.cmp.eval_i64(vals[s.a as usize] as i64, b)
-}
-
-/// The binary op of an address-generation, backedge or `BinStore` pair:
-/// slots `a`/`b` for the register form, else `a` and `imm` ([`F_SWAP`] puts
-/// the constant on the left).
-#[inline(always)]
-pub(crate) fn bin_ri(s: &SInst, vals: &[u64], rr: bool) -> u64 {
-    let x = vals[s.a as usize] as i64;
-    let v = if rr {
-        s.bin.eval_i64(x, vals[s.b as usize] as i64)
-    } else if s.flags & F_SWAP != 0 {
-        s.bin.eval_i64(s.imm as i64, x)
-    } else {
-        s.bin.eval_i64(x, s.imm as i64)
-    };
-    v as u64
-}
-
-/// The second constituent of a `LoadBin`/`LoadBinImm` pair given the
-/// loaded value `v`.
-#[inline(always)]
-pub(crate) fn load_bin(s: &SInst, vals: &[u64], v: u64) -> u64 {
-    let other = if s.opc == SOpc::LoadBin {
-        vals[s.b as usize] as i64
-    } else {
-        s.imm as i64
-    };
-    let r = if s.flags & F_SWAP != 0 {
-        s.bin.eval_i64(other, v as i64)
-    } else {
-        s.bin.eval_i64(v as i64, other)
-    };
-    r as u64
-}
-
-/// `(cell, bits)` of a single store op.
+/// `(cell, bits)` of a store op.
 #[inline(always)]
 pub(crate) fn store_operands(s: &SInst, vals: &[u64]) -> (i64, u64) {
     match s.opc {
@@ -277,7 +194,6 @@ impl Run<'_> {
             let func_id = frame.func;
             let df = self.decoded.func(func_id);
             let sf = self.sup.func(func_id);
-            let sb = &sf.blocks[frame.block.index()];
             // One record per executed instruction, at the speculative core's
             // clock after charging `lat`.
             macro_rules! record {
@@ -303,25 +219,10 @@ impl Run<'_> {
                 frame.values[phi.index()] = bits;
                 record!(phi, Some(bits), None, 0);
             }
-            for &(slot, bits) in sb.consts.iter() {
-                frame.values[slot as usize] = bits;
-            }
-            let mut idx = if frame.pos < frame.end {
-                sf.op_at[frame.pos as usize] as usize
-            } else {
-                sb.range.1 as usize - 1
-            };
+            let mut idx = sf.op_at(frame.block, frame.pos);
             loop {
                 let s = &sf.ops[idx];
                 let m = &sf.meta[idx];
-                // Elided constant defs in body order: the gap to each op's
-                // stream position is the run crossed before it.
-                while frame.pos < m.pos {
-                    full!();
-                    let inst = df.stream[frame.pos as usize];
-                    frame.pos += 1;
-                    record!(inst, Some(frame.values[inst.index()]), None, 0);
-                }
                 full!();
                 match s.opc {
                     SOpc::Param
@@ -355,18 +256,6 @@ impl Run<'_> {
                         record!(m.inst, Some(def), None, u64::from(m.lat));
                         idx += 1;
                     }
-                    SOpc::Fuse2 | SOpc::Fuse2II | SOpc::Fuse2IR | SOpc::Fuse2IRr => {
-                        let r = fuse2_r(s, &frame.values);
-                        frame.values[m.inst.index()] = r as u64;
-                        frame.pos += 1;
-                        record!(m.inst, Some(r as u64), None, u64::from(m.lat));
-                        full!();
-                        let v = fuse2_v(s, &frame.values, r) as u64;
-                        frame.values[m.inst2.index()] = v;
-                        frame.pos += 1;
-                        record!(m.inst2, Some(v), None, u64::from(m.lat2));
-                        idx += 2;
-                    }
                     SOpc::Load | SOpc::LoadImm => {
                         let cell = if s.opc == SOpc::Load {
                             frame.values[s.a as usize] as i64
@@ -389,79 +278,9 @@ impl Run<'_> {
                         record!(m.inst, None, Some((cell, bits)), lat);
                         idx += 1;
                     }
-                    SOpc::LoadBin | SOpc::LoadBinImm => {
-                        let cell = frame.values[s.a as usize] as i64;
-                        let Ok(v) = view.read(cell) else { return };
-                        frame.values[m.inst.index()] = v;
-                        frame.pos += 1;
-                        record!(m.inst, Some(v), None, self.cache.access(cell as u64).max(1));
-                        full!();
-                        let r = load_bin(s, &frame.values, v);
-                        frame.values[m.inst2.index()] = r;
-                        frame.pos += 1;
-                        record!(m.inst2, Some(r), None, u64::from(m.lat2));
-                        idx += 2;
-                    }
-                    SOpc::BinStore | SOpc::BinStoreImm => {
-                        let r = bin_ri(s, &frame.values, s.opc == SOpc::BinStore);
-                        frame.values[m.inst.index()] = r;
-                        frame.pos += 1;
-                        record!(m.inst, Some(r), None, u64::from(m.lat));
-                        full!();
-                        let cell = frame.values[s.aux as usize] as i64;
-                        if view.write(cell, r).is_err() {
-                            return;
-                        }
-                        frame.pos += 1;
-                        let lat2 = self.cache.access(cell as u64).clamp(1, 4);
-                        record!(m.inst2, None, Some((cell, r)), lat2);
-                        idx += 2;
-                    }
-                    SOpc::AgenLoad | SOpc::AgenLoadImm => {
-                        let cell = bin_ri(s, &frame.values, s.opc == SOpc::AgenLoad);
-                        frame.values[m.inst.index()] = cell;
-                        frame.pos += 1;
-                        record!(m.inst, Some(cell), None, u64::from(m.lat));
-                        full!();
-                        let Ok(v) = view.read(cell as i64) else {
-                            return;
-                        };
-                        frame.values[m.inst2.index()] = v;
-                        frame.pos += 1;
-                        record!(m.inst2, Some(v), None, self.cache.access(cell).max(1));
-                        idx += 2;
-                    }
-                    SOpc::AgenStore | SOpc::AgenStoreImm => {
-                        let cell = bin_ri(s, &frame.values, s.opc == SOpc::AgenStore);
-                        frame.values[m.inst.index()] = cell;
-                        frame.pos += 1;
-                        record!(m.inst, Some(cell), None, u64::from(m.lat));
-                        full!();
-                        let bits = frame.values[s.aux as usize];
-                        if view.write(cell as i64, bits).is_err() {
-                            return;
-                        }
-                        frame.pos += 1;
-                        let lat2 = self.cache.access(cell).clamp(1, 4);
-                        record!(m.inst2, None, Some((cell as i64, bits)), lat2);
-                        idx += 2;
-                    }
                     SOpc::Jump => {
                         transfer(frame, df, s.t1);
                         record!(m.inst, None, None, u64::from(m.lat));
-                        if func_id == bfunc && s.t1 == btarget && depth == depth0 {
-                            return;
-                        }
-                        continue 'outer;
-                    }
-                    SOpc::BinJump | SOpc::BinImmJump => {
-                        let v = bin_ri(s, &frame.values, s.opc == SOpc::BinJump);
-                        frame.values[m.inst.index()] = v;
-                        frame.pos += 1;
-                        record!(m.inst, Some(v), None, u64::from(m.lat));
-                        full!();
-                        transfer(frame, df, s.t1);
-                        record!(m.inst2, None, None, u64::from(m.lat2));
                         if func_id == bfunc && s.t1 == btarget && depth == depth0 {
                             return;
                         }
@@ -480,24 +299,6 @@ impl Run<'_> {
                         }
                         transfer(frame, df, target);
                         record!(m.inst, None, None, lat);
-                        if func_id == bfunc && target == btarget && depth == depth0 {
-                            return;
-                        }
-                        continue 'outer;
-                    }
-                    SOpc::CmpBr | SOpc::CmpBrImm => {
-                        let taken = cmp_br(s, &frame.values);
-                        frame.values[m.inst.index()] = taken as u64;
-                        frame.pos += 1;
-                        record!(m.inst, Some(taken as u64), None, u64::from(m.lat));
-                        full!();
-                        let target = if taken { s.t1 } else { s.t2 };
-                        let mut lat2 = u64::from(m.lat2);
-                        if self.predictor.mispredicted(func_id, m.inst2, taken) {
-                            lat2 += self.config.branch_mispredict_penalty;
-                        }
-                        transfer(frame, df, target);
-                        record!(m.inst2, None, None, lat2);
                         if func_id == bfunc && target == btarget && depth == depth0 {
                             return;
                         }
@@ -603,7 +404,6 @@ impl Run<'_> {
             let func_id = frame.func;
             let df = self.decoded.func(func_id);
             let sf = self.sup.func(func_id);
-            let sb = &sf.blocks[frame.block.index()];
 
             while frame.pending_head < frame.pending.len() {
                 guard!();
@@ -612,27 +412,12 @@ impl Run<'_> {
                 frame.values[phi.index()] = bits;
                 self.replay_commit(trace, rp, func_id, phi, Some(bits), None, 0);
             }
-            for &(slot, bits) in sb.consts.iter() {
-                frame.values[slot as usize] = bits;
-            }
-            let mut idx = if frame.pos < frame.end {
-                sf.op_at[frame.pos as usize] as usize
-            } else {
-                sb.range.1 as usize - 1
-            };
+            let mut idx = sf.op_at(frame.block, frame.pos);
             loop {
                 let s = &sf.ops[idx];
                 let m = &sf.meta[idx];
-                while frame.pos < m.pos {
-                    guard!();
-                    let inst = df.stream[frame.pos as usize];
-                    frame.pos += 1;
-                    let bits = frame.values[inst.index()];
-                    self.replay_commit(trace, rp, func_id, inst, Some(bits), None, 0);
-                }
                 guard!();
                 let lat = u64::from(m.lat);
-                let lat2 = u64::from(m.lat2);
                 match s.opc {
                     SOpc::Param
                     | SOpc::ConstV
@@ -665,18 +450,6 @@ impl Run<'_> {
                         self.replay_commit(trace, rp, func_id, m.inst, Some(def), None, lat);
                         idx += 1;
                     }
-                    SOpc::Fuse2 | SOpc::Fuse2II | SOpc::Fuse2IR | SOpc::Fuse2IRr => {
-                        let r = fuse2_r(s, &frame.values);
-                        frame.values[m.inst.index()] = r as u64;
-                        frame.pos += 1;
-                        self.replay_commit(trace, rp, func_id, m.inst, Some(r as u64), None, lat);
-                        guard!();
-                        let v = fuse2_v(s, &frame.values, r) as u64;
-                        frame.values[m.inst2.index()] = v;
-                        frame.pos += 1;
-                        self.replay_commit(trace, rp, func_id, m.inst2, Some(v), None, lat2);
-                        idx += 2;
-                    }
                     SOpc::Load | SOpc::LoadImm => {
                         let cell = if s.opc == SOpc::Load {
                             frame.values[s.a as usize] as i64
@@ -704,76 +477,9 @@ impl Run<'_> {
                         );
                         idx += 1;
                     }
-                    SOpc::LoadBin | SOpc::LoadBinImm => {
-                        let v = self.read(frame.values[s.a as usize] as i64)?;
-                        frame.values[m.inst.index()] = v;
-                        frame.pos += 1;
-                        self.replay_commit(trace, rp, func_id, m.inst, Some(v), None, lat);
-                        guard!();
-                        let r = load_bin(s, &frame.values, v);
-                        frame.values[m.inst2.index()] = r;
-                        frame.pos += 1;
-                        self.replay_commit(trace, rp, func_id, m.inst2, Some(r), None, lat2);
-                        idx += 2;
-                    }
-                    SOpc::BinStore | SOpc::BinStoreImm => {
-                        let r = bin_ri(s, &frame.values, s.opc == SOpc::BinStore);
-                        frame.values[m.inst.index()] = r;
-                        frame.pos += 1;
-                        self.replay_commit(trace, rp, func_id, m.inst, Some(r), None, lat);
-                        guard!();
-                        let cell = frame.values[s.aux as usize] as i64;
-                        self.write(cell, r)?;
-                        frame.pos += 1;
-                        self.replay_commit(
-                            trace,
-                            rp,
-                            func_id,
-                            m.inst2,
-                            None,
-                            Some((cell, r)),
-                            lat2,
-                        );
-                        idx += 2;
-                    }
-                    SOpc::AgenLoad | SOpc::AgenLoadImm => {
-                        let cell = bin_ri(s, &frame.values, s.opc == SOpc::AgenLoad);
-                        frame.values[m.inst.index()] = cell;
-                        frame.pos += 1;
-                        self.replay_commit(trace, rp, func_id, m.inst, Some(cell), None, lat);
-                        guard!();
-                        let v = self.read(cell as i64)?;
-                        frame.values[m.inst2.index()] = v;
-                        frame.pos += 1;
-                        self.replay_commit(trace, rp, func_id, m.inst2, Some(v), None, lat2);
-                        idx += 2;
-                    }
-                    SOpc::AgenStore | SOpc::AgenStoreImm => {
-                        let cell = bin_ri(s, &frame.values, s.opc == SOpc::AgenStore);
-                        frame.values[m.inst.index()] = cell;
-                        frame.pos += 1;
-                        self.replay_commit(trace, rp, func_id, m.inst, Some(cell), None, lat);
-                        guard!();
-                        let bits = frame.values[s.aux as usize];
-                        self.write(cell as i64, bits)?;
-                        frame.pos += 1;
-                        let store = Some((cell as i64, bits));
-                        self.replay_commit(trace, rp, func_id, m.inst2, None, store, lat2);
-                        idx += 2;
-                    }
                     SOpc::Jump => {
                         transfer(frame, df, s.t1);
                         self.replay_commit(trace, rp, func_id, m.inst, None, None, lat);
-                        continue 'outer;
-                    }
-                    SOpc::BinJump | SOpc::BinImmJump => {
-                        let v = bin_ri(s, &frame.values, s.opc == SOpc::BinJump);
-                        frame.values[m.inst.index()] = v;
-                        frame.pos += 1;
-                        self.replay_commit(trace, rp, func_id, m.inst, Some(v), None, lat);
-                        guard!();
-                        transfer(frame, df, s.t1);
-                        self.replay_commit(trace, rp, func_id, m.inst2, None, None, lat2);
                         continue 'outer;
                     }
                     SOpc::Branch | SOpc::BranchImm => {
@@ -784,24 +490,6 @@ impl Run<'_> {
                         };
                         transfer(frame, df, if taken { s.t1 } else { s.t2 });
                         self.replay_commit(trace, rp, func_id, m.inst, None, None, lat);
-                        continue 'outer;
-                    }
-                    SOpc::CmpBr | SOpc::CmpBrImm => {
-                        let taken = cmp_br(s, &frame.values);
-                        frame.values[m.inst.index()] = taken as u64;
-                        frame.pos += 1;
-                        self.replay_commit(
-                            trace,
-                            rp,
-                            func_id,
-                            m.inst,
-                            Some(taken as u64),
-                            None,
-                            lat,
-                        );
-                        guard!();
-                        transfer(frame, df, if taken { s.t1 } else { s.t2 });
-                        self.replay_commit(trace, rp, func_id, m.inst2, None, None, lat2);
                         continue 'outer;
                     }
                     SOpc::RetVal | SOpc::RetImm | SOpc::RetVoid => {

@@ -6,24 +6,23 @@
 //! control events the episode machinery must observe (`SPT_FORK`,
 //! `SPT_KILL`, a transfer matching the watched iteration boundary, program
 //! finish) or when the retired-instruction budget is crossed
-//! ([`SuperStop::Fuel`]). It can resume at any stream position — after a
-//! call returns, or wherever a validation replay stopped, including between
-//! the two constituents of a fused pair (the pair's tail op, see
-//! [`SuperblockFunc::op_at`](spt_ir::SuperblockFunc)).
+//! ([`SuperStop::Fuel`]). It can resume at any instruction — after a call
+//! returns, or wherever a validation replay stopped — because every
+//! instruction is an op start ([`spt_ir::superblock`]).
 //!
-//! **Exactness contract**: every constituent instruction of a fused op
-//! charges the same cycle latency, retire count, loop attribution and
-//! cache/branch-predictor accesses, in the same order, as the reference
-//! simulator's per-instruction stepper — the shared cache and predictor are
-//! stateful, so identical access sequences are what make the engines
-//! produce bit-identical [`SimResult`](crate::SimResult)s. Each walk runs
-//! one of two ways:
+//! **Exactness contract**: every op is one IR instruction and charges the
+//! same cycle latency, retire count, loop attribution and cache/branch-
+//! predictor accesses, in the same order, as the reference simulator's
+//! per-instruction stepper — the shared cache and predictor are stateful, so
+//! identical access sequences are what make the engines produce
+//! bit-identical [`SimResult`](crate::SimResult)s. Each walk runs one of two
+//! ways:
 //!
 //! * **batched**, when the block's full retire count fits under the fuel
 //!   budget: cycle/retire/attribution charges accumulate per walk and are
 //!   flushed at every exit (event, call, transfer). Nothing the walk
 //!   executes reads the global clock, so the batch is unobservable;
-//! * **stepwise** otherwise: every constituent charges immediately, so an
+//! * **stepwise** otherwise: every instruction charges immediately, so an
 //!   out-of-fuel stop lands on exactly the instruction it would in the
 //!   reference.
 //!
@@ -32,9 +31,9 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::sim::Run;
-use crate::specexec::{bin_ri, cmp_br, fuse2_r, fuse2_v, load_bin, store_operands};
+use crate::specexec::store_operands;
 use crate::thread::{transfer, ExecError, StepEvent, Thread};
-use spt_ir::{BlockId, FuncId, InstId, SOpc, NO_SLOT};
+use spt_ir::{BlockId, FuncId, InstId, SOpc};
 
 /// Why [`Run::run_super`] returned to the driver.
 pub(crate) enum SuperStop {
@@ -129,21 +128,11 @@ impl Run<'_> {
         let func_id = frame.func;
         let df = self.decoded.func(func_id);
         let sf = self.sup.func(func_id);
-        let sb = &sf.blocks[frame.block.index()];
-        // Elided zero-latency constant defs are written as raw data
-        // (idempotent under SSA) and retired from the position gaps.
-        for &(slot, bits) in sb.consts.iter() {
-            frame.values[slot as usize] = bits;
-        }
-        let mut idx = if frame.pos < frame.end {
-            sf.op_at[frame.pos as usize] as usize
-        } else {
-            sb.range.1 as usize - 1
-        };
+        let mut idx = sf.op_at(frame.block, frame.pos);
         // Batched accounting, flushed at every exit from the walk.
         let mut dcycle: u64 = 0;
         let mut dinsts: u64 = 0;
-        // One retired constituent that cannot end the walk.
+        // One retired instruction that cannot end the walk.
         macro_rules! charge {
             ($lat:expr) => {
                 let lat: u64 = $lat;
@@ -157,7 +146,7 @@ impl Run<'_> {
                 }
             };
         }
-        // The walk's last retired constituent; yields whether the fuel
+        // The walk's last retired instruction; yields whether the fuel
         // budget is now crossed.
         macro_rules! settle {
             ($lat:expr) => {
@@ -199,18 +188,7 @@ impl Run<'_> {
         loop {
             let s = &sf.ops[idx];
             let m = &sf.meta[idx];
-            // The gap to this op's stream position is the run of elided
-            // constants just crossed: one retire each, zero latency.
-            if STEP {
-                while frame.pos < m.pos {
-                    frame.pos += 1;
-                    charge!(0);
-                }
-            } else {
-                dinsts += u64::from(m.pos - frame.pos);
-                frame.pos = m.pos;
-            }
-            // Pure single ops share the write-back/accounting tail.
+            // Pure ops share the write-back/accounting tail.
             let def: u64 = match s.opc {
                 SOpc::Param => frame.args.get(s.imm as usize).copied().unwrap_or(0),
                 SOpc::ConstV | SOpc::FoldedDef => s.imm,
@@ -250,32 +228,6 @@ impl Run<'_> {
                     .bin
                     .eval_i64(s.imm as i64, frame.values[s.a as usize] as i64)
                     as u64,
-                SOpc::Fuse2 => {
-                    let r = fuse2_r(s, &frame.values);
-                    charge!(u64::from(m.lat));
-                    frame.values[s.dst as usize] = fuse2_v(s, &frame.values, r) as u64;
-                    charge!(u64::from(m.lat2));
-                    frame.pos += 2;
-                    idx += 2;
-                    continue;
-                }
-                SOpc::Fuse2II | SOpc::Fuse2IR | SOpc::Fuse2IRr => {
-                    let r = s.bin.eval_i64(
-                        frame.values[s.a as usize] as i64,
-                        s.imm as u32 as i32 as i64,
-                    );
-                    charge!(u64::from(m.lat));
-                    let v = match s.opc {
-                        SOpc::Fuse2II => s.bin2.eval_i64(r, (s.imm >> 32) as u32 as i32 as i64),
-                        SOpc::Fuse2IR => s.bin2.eval_i64(r, frame.values[s.aux as usize] as i64),
-                        _ => s.bin2.eval_i64(frame.values[s.aux as usize] as i64, r),
-                    };
-                    frame.values[s.dst as usize] = v as u64;
-                    charge!(u64::from(m.lat2));
-                    frame.pos += 2;
-                    idx += 2;
-                    continue;
-                }
                 SOpc::BinF64RR => {
                     let (a, b) = (frame.values[s.a as usize], frame.values[s.b as usize]);
                     s.bin
@@ -344,11 +296,6 @@ impl Run<'_> {
                 }
 
                 SOpc::Jump => goto!(s.t1, u64::from(m.lat)),
-                SOpc::BinJump | SOpc::BinImmJump => {
-                    frame.values[s.dst as usize] = bin_ri(s, &frame.values, s.opc == SOpc::BinJump);
-                    charge!(u64::from(m.lat));
-                    goto!(s.t1, u64::from(m.lat2))
-                }
                 SOpc::Branch | SOpc::BranchImm => {
                     let taken = if s.opc == SOpc::Branch {
                         frame.values[s.a as usize] != 0
@@ -360,77 +307,6 @@ impl Run<'_> {
                         lat += self.config.branch_mispredict_penalty;
                     }
                     goto!(if taken { s.t1 } else { s.t2 }, lat)
-                }
-                SOpc::CmpBr | SOpc::CmpBrImm => {
-                    let taken = cmp_br(s, &frame.values);
-                    if s.dst != NO_SLOT {
-                        frame.values[s.dst as usize] = taken as u64;
-                    }
-                    charge!(u64::from(m.lat));
-                    let mut lat2 = u64::from(m.lat2);
-                    if self.predictor.mispredicted(func_id, m.inst2, taken) {
-                        lat2 += self.config.branch_mispredict_penalty;
-                    }
-                    goto!(if taken { s.t1 } else { s.t2 }, lat2)
-                }
-                SOpc::LoadBin | SOpc::LoadBinImm => {
-                    let cell = frame.values[s.a as usize] as i64;
-                    let v = self.memory[cell!(cell)];
-                    if s.dst != NO_SLOT {
-                        frame.values[s.dst as usize] = v;
-                    }
-                    charge!(self.cache.access(cell as u64).max(1));
-                    // Binary constituent (pure: cannot fault).
-                    let r = load_bin(s, &frame.values, v);
-                    frame.values[s.aux as usize] = r;
-                    charge!(u64::from(m.lat2));
-                    frame.pos += 2;
-                    idx += 2;
-                    continue;
-                }
-                SOpc::BinStore | SOpc::BinStoreImm => {
-                    let r = bin_ri(s, &frame.values, s.opc == SOpc::BinStore);
-                    if s.dst != NO_SLOT {
-                        frame.values[s.dst as usize] = r;
-                    }
-                    charge!(u64::from(m.lat));
-                    // The store constituent can fault after the binary half
-                    // retired.
-                    let cell = frame.values[s.aux as usize] as i64;
-                    let i = cell!(cell);
-                    self.memory[i] = r;
-                    charge!(self.cache.access(cell as u64).clamp(1, 4));
-                    frame.pos += 2;
-                    idx += 2;
-                    continue;
-                }
-                SOpc::AgenLoad | SOpc::AgenLoadImm => {
-                    let cell = bin_ri(s, &frame.values, s.opc == SOpc::AgenLoad) as i64;
-                    if s.aux != NO_SLOT {
-                        frame.values[s.aux as usize] = cell as u64;
-                    }
-                    // Address-generation half retires before a faulting
-                    // load.
-                    charge!(u64::from(m.lat));
-                    frame.values[s.dst as usize] = self.memory[cell!(cell)];
-                    charge!(self.cache.access(cell as u64).max(1));
-                    frame.pos += 2;
-                    idx += 2;
-                    continue;
-                }
-                SOpc::AgenStore | SOpc::AgenStoreImm => {
-                    let cell = bin_ri(s, &frame.values, s.opc == SOpc::AgenStore) as i64;
-                    if s.dst != NO_SLOT {
-                        frame.values[s.dst as usize] = cell as u64;
-                    }
-                    charge!(u64::from(m.lat));
-                    let bits = frame.values[s.aux as usize];
-                    let i = cell!(cell);
-                    self.memory[i] = bits;
-                    charge!(self.cache.access(cell as u64).clamp(1, 4));
-                    frame.pos += 2;
-                    idx += 2;
-                    continue;
                 }
 
                 SOpc::RetVal | SOpc::RetImm | SOpc::RetVoid => {

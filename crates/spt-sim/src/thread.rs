@@ -2,11 +2,12 @@
 //!
 //! A [`Thread`] holds a call-frame stack; the simulator's superblock walks
 //! (main thread, speculative core, validation replay) advance it over the
-//! module's fused code, reporting what each instruction did as an
-//! [`ExecRecord`] and each control event as a [`StepEvent`]. The main core
-//! reads and writes committed memory directly; the speculative core goes
-//! through a [`MemView`], a write-buffer overlay whose buffer is an inline
-//! open-addressed table ([`SpecBuf`]) instead of a `HashMap`.
+//! module's superblock code, one op per instruction, reporting what each
+//! instruction did as an [`ExecRecord`] and each control event as a
+//! [`StepEvent`]. The main core reads and writes committed memory directly;
+//! the speculative core goes through a [`MemView`], a write-buffer overlay
+//! whose buffer is an inline open-addressed table ([`SpecBuf`]) instead of a
+//! `HashMap`.
 
 use spt_ir::{BlockId, DVal, DecodedFunc, DecodedModule, FuncId, InstId};
 use std::fmt;
@@ -253,13 +254,10 @@ pub(crate) struct Frame {
     pub(crate) values: Vec<u64>,
     pub(crate) args: Vec<u64>,
     pub(crate) block: BlockId,
-    /// Fetch cursor: absolute position of the next instruction in the
-    /// function's flat [`DecodedFunc::stream`] (leading phis are delivered
-    /// through `pending`); the superblock code's `op_at` maps it to the op
-    /// that resumes there.
+    /// Fetch cursor: index of the next instruction in the current block's
+    /// body (leading phis are delivered through `pending`);
+    /// [`spt_ir::SuperblockFunc::op_at`] maps it to the op that executes it.
     pub(crate) pos: u32,
-    /// End (exclusive) of the current block's body in the stream.
-    pub(crate) end: u32,
     pub(crate) ret_slot: Option<InstId>,
     /// Phi writes scheduled by the last transfer, delivered one retired
     /// instruction each from `pending_head` onward.
@@ -281,15 +279,13 @@ impl Thread {
     /// Starts a thread at `func`'s entry with the given arguments.
     pub fn start(decoded: &DecodedModule, func: FuncId, args: Vec<u64>) -> Self {
         let df = decoded.func(func);
-        let eb = &df.blocks[df.entry.index()];
         Thread {
             frames: vec![Frame {
                 func,
                 values: vec![0; df.num_values()],
                 args,
                 block: df.entry,
-                pos: eb.body_start,
-                end: eb.body_end,
+                pos: 0,
                 ret_slot: None,
                 pending: Vec::new(),
                 pending_head: 0,
@@ -351,7 +347,6 @@ impl Thread {
                 args: Vec::new(),
                 block: header,
                 pos: 0,
-                end: 0,
                 ret_slot: None,
                 pending: Vec::new(),
                 pending_head: 0,
@@ -363,8 +358,7 @@ impl Thread {
         frame.args.clear();
         frame.args.extend_from_slice(args);
         frame.block = header;
-        frame.pos = hb.body_start;
-        frame.end = hb.body_end;
+        frame.pos = 0;
         frame.ret_slot = None;
         frame.pending.clear();
         frame.pending_head = 0;
@@ -410,14 +404,12 @@ impl Thread {
             .ok_or_else(|| ExecError::Malformed("call on finished thread".into()))?;
         let callee_df = decoded.func(callee);
         let entry = callee_df.entry;
-        let entry_block = &callee_df.blocks[entry.index()];
         let mut frame = self.pool.pop().unwrap_or_else(|| Frame {
             func: callee,
             values: Vec::new(),
             args: Vec::new(),
             block: entry,
             pos: 0,
-            end: 0,
             ret_slot: None,
             pending: Vec::new(),
             pending_head: 0,
@@ -430,8 +422,7 @@ impl Thread {
         frame.values.resize(callee_df.num_values(), 0);
         frame.func = callee;
         frame.block = entry;
-        frame.pos = entry_block.body_start;
-        frame.end = entry_block.body_end;
+        frame.pos = 0;
         frame.ret_slot = Some(ret_slot);
         frame.pending.clear();
         frame.pending_head = 0;
@@ -466,8 +457,7 @@ pub(crate) fn transfer(frame: &mut Frame, df: &DecodedFunc, target: BlockId) {
         }
     }
     frame.block = target;
-    frame.pos = tb.body_start;
-    frame.end = tb.body_end;
+    frame.pos = 0;
 }
 
 #[cfg(test)]

@@ -50,8 +50,11 @@ pub struct SvpRewrite {
 /// * [`TransformError::NoSuchLoop`] — stale ids;
 /// * [`TransformError::NotCanonical`] — no preheader / multiple latches;
 /// * [`TransformError::Precondition`] — `phi` is not an integer-typed header
-///   phi of the loop with an in-loop latch definition, or the pattern is
+///   phi of the loop with an in-loop latch definition, that definition is
+///   itself a header phi (a swap recurrence), or the pattern is
 ///   [`ValuePattern::Unpredictable`].
+///
+/// Every error leaves `module` unchanged.
 pub fn apply_svp(
     module: &mut Module,
     func_id: FuncId,
@@ -65,16 +68,11 @@ pub fn apply_svp(
             "cannot predict an unpredictable value".into(),
         ));
     }
-    // A fresh predictor cell.
-    let phi_ty = module
-        .func(func_id)
+    let func = module.func(func_id);
+    let phi_ty = func
         .inst(phi)
         .ty
         .ok_or_else(|| TransformError::Precondition("phi must be typed".into()))?;
-    let cell_name = format!("__svp_{}_{}", func_id.index(), phi.index());
-    let region = module.add_global(cell_name, 1, phi_ty);
-
-    let func = module.func_mut(func_id);
     let cfg = Cfg::compute(func);
     let dom = DomTree::compute(&cfg);
     let forest = LoopForest::compute(func, &cfg, &dom);
@@ -135,6 +133,19 @@ pub fn apply_svp(
             "carrier must be defined in the loop".into(),
         ));
     }
+    // A carrier that is another header phi (a swap recurrence) would need
+    // its check-and-recovery code in the header, ahead of the prediction it
+    // compares against.
+    if carrier_block == header && matches!(func.inst(carrier_def).kind, InstKind::Phi { .. }) {
+        return Err(TransformError::Precondition(
+            "carrier must not be a header phi".into(),
+        ));
+    }
+
+    // Validated: add a fresh predictor cell, then rewrite.
+    let cell_name = format!("__svp_{}_{}", func_id.index(), phi.index());
+    let region = module.add_global(cell_name, 1, phi_ty);
+    let func = module.func_mut(func_id);
 
     // --- Preheader: seed the cell with the initial value.
     let base0 = func.add_inst(Inst::new(InstKind::RegionBase { region }, Some(Ty::I64)));

@@ -1,9 +1,9 @@
 //! Temporary review repros (not part of the suite).
 
 use spt_ir::loops::LoopId;
-use spt_ir::{BinOp, Cfg, DomTree, InstId, InstKind, LoopForest, Operand};
-use spt_profile::{Interp, NoProfiler, Val, ValuePattern};
-use spt_transform::{apply_svp, emit_spt_loop, SptLoopSpec};
+use spt_ir::{BinOp, Cfg, DomTree, InstId, InstKind, LoopForest};
+use spt_profile::{Interp, NoProfiler, Val};
+use spt_transform::{emit_spt_loop, SptLoopSpec};
 use std::collections::HashSet;
 
 // Repro 1: moved def inside a replicated branch arm, used post-fork by a
@@ -73,80 +73,6 @@ fn fork_phi_placeholder_reaches_live_use() {
         .run("f", &[Val::from_i64(10)], &mut NoProfiler)
         .unwrap();
     assert_eq!(r.ret.unwrap().as_i64(), 6, "a[2] must be 2*3");
-}
-
-// Repro 2: SVP where the carrier definition (the phi's latch value) is
-// itself another header phi (swap-style recurrence). The recovery split
-// moves the prediction code into `cont` while the miss compare stays in the
-// header and references it: use-before-def.
-#[test]
-fn svp_carrier_is_header_phi() {
-    let src = "
-        fn f(n: int) -> int {
-            let x = 0;
-            let y = 1;
-            let i = 0;
-            while (i < n) {
-                let t = x + y;
-                x = y;
-                y = t;
-                i = i + 1;
-            }
-            return x;
-        }
-    ";
-    let mut m = spt_frontend::compile(src).unwrap();
-    let fid = m.func_by_name("f").unwrap();
-    let func = m.func(fid);
-    let cfg = Cfg::compute(func);
-    let dom = DomTree::compute(&cfg);
-    let forest = LoopForest::compute(func, &cfg, &dom);
-    let header = forest.get(LoopId::new(0)).header;
-    let latch = forest.get(LoopId::new(0)).latches[0];
-    // Find a header phi whose latch operand is another header phi.
-    let phis: Vec<InstId> = func
-        .block(header)
-        .insts
-        .iter()
-        .copied()
-        .filter(|&i| matches!(func.inst(i).kind, InstKind::Phi { .. }))
-        .collect();
-    let mut target = None;
-    for &p in &phis {
-        if let InstKind::Phi { args } = &func.inst(p).kind {
-            for (pred, v) in args {
-                if *pred == latch {
-                    if let Operand::Inst(d) = v {
-                        if phis.contains(d) {
-                            target = Some(p);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let Some(target) = target else {
-        eprintln!("no swap-phi shape produced by the frontend; repro inconclusive");
-        return;
-    };
-    let res = apply_svp(
-        &mut m,
-        fid,
-        LoopId::new(0),
-        target,
-        ValuePattern::LastValue,
-        0.5,
-    );
-    if res.is_err() {
-        eprintln!("apply_svp rejected: ok");
-        return;
-    }
-    spt_ir::verify::verify_module(&m).expect("verifies after svp");
-    let r = Interp::new(&m)
-        .run("f", &[Val::from_i64(10)], &mut NoProfiler)
-        .unwrap();
-    // fib-ish: x after 10 iters starting x=0,y=1 => fib(10) = 55
-    assert_eq!(r.ret.unwrap().as_i64(), 55);
 }
 
 // Repro 3: emit_spt_loop auto-replicates the header terminator even when the

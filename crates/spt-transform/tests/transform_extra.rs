@@ -1,9 +1,11 @@
 //! Additional transformation integration tests: high unroll factors,
-//! SVP on conditional carriers, promotion around while loops, and emission
-//! robustness.
+//! SVP on conditional carriers and the loops SVP must decline, promotion
+//! around while loops, and emission robustness.
 
-use spt_profile::{Interp, NoProfiler, Val};
-use spt_transform::{classify_loop, promote_global_scalars, unroll_loop, UnrollKind};
+use spt_ir::loops::LoopId;
+use spt_ir::{BinOp, BlockId, CmpOp, FuncBuilder, FuncId, InstId, InstKind, Module, Operand, Ty};
+use spt_profile::{Interp, NoProfiler, Val, ValuePattern};
+use spt_transform::{apply_svp, classify_loop, promote_global_scalars, unroll_loop, UnrollKind};
 
 fn run_ret(module: &spt_ir::Module, entry: &str, arg: i64) -> i64 {
     Interp::new(module)
@@ -219,4 +221,175 @@ fn svp_on_conditionally_updated_carrier() {
     for n in [0i64, 15, 16, 17, 100] {
         assert_eq!(run_ret(&m, "f", n), native(n), "n={n}");
     }
+}
+
+/// Runs `apply_svp` on `phi` of loop `lid` and requires an error naming
+/// `why` that leaves the module exactly as it was: no orphan predictor
+/// cell in `globals` and no partial rewrite of the function.
+fn assert_svp_declines(m: &Module, lid: LoopId, phi: InstId, why: &str) {
+    let mut after = m.clone();
+    let e = apply_svp(
+        &mut after,
+        FuncId::new(0),
+        lid,
+        phi,
+        ValuePattern::LastValue,
+        0.5,
+    )
+    .expect_err(why);
+    assert!(e.to_string().contains(why), "{why}: got {e}");
+    assert_eq!(after.globals.len(), m.globals.len(), "{why}: orphan global");
+    assert!(after == *m, "{why}: the module changed");
+}
+
+/// The latch operand of `x` in [`svp_loop`], given the loop's `i + 1`,
+/// a value defined before the loop, and the header phi `i`.
+type Carry = fn(Operand, Operand, Operand) -> Option<Operand>;
+
+/// A hand-built `f(n)` for SVP's preconditions, returning the module and
+/// its header phi `x`: `entries` blocks jump to a header holding
+/// `i` (counting to `n`) and `x` (latch operand from `carry`); the body
+/// increments `i` and jumps back, with a second backedge when `latches` is
+/// 2; the exit returns `x`.
+fn svp_loop(entries: usize, latches: usize, carry: Carry) -> (Module, InstId) {
+    let mut b = FuncBuilder::new("f", vec![("n".into(), Ty::I64)], Some(Ty::I64));
+    let n = b.param(0);
+    let outside = b.binary(BinOp::Mul, n, Operand::const_i64(2));
+    let preds: Vec<BlockId> = (0..entries).map(|_| b.add_block()).collect();
+    let (header, body, exit) = (b.add_block(), b.add_block(), b.add_block());
+    if entries == 1 {
+        b.jump(preds[0]);
+    } else {
+        let c = b.cmp(CmpOp::Gt, Ty::I64, n, Operand::const_i64(0));
+        b.branch(c, preds[0], preds[1]);
+    }
+    for &p in &preds {
+        b.switch_to(p);
+        b.jump(header);
+    }
+    b.switch_to(header);
+    let init = |k| preds.iter().map(|&p| (p, Operand::const_i64(k))).collect();
+    let i = b.phi(Ty::I64, init(0));
+    let x = b.phi(Ty::I64, init(1));
+    let c = b.cmp(CmpOp::Lt, Ty::I64, i, n);
+    b.branch(c, body, exit);
+    b.switch_to(body);
+    let next = b.binary(BinOp::Add, i, Operand::const_i64(1));
+    let mut latch_blocks = vec![body];
+    if latches == 2 {
+        let second = b.add_block();
+        let odd = b.binary(BinOp::And, next, Operand::const_i64(1));
+        b.branch(odd, header, second);
+        b.switch_to(second);
+        b.jump(header);
+        latch_blocks.push(second);
+    } else {
+        b.jump(header);
+    }
+    b.switch_to(exit);
+    b.ret(Some(x));
+    let mut func = b.finish();
+    let (Some(iid), Some(xid)) = (i.as_inst(), x.as_inst()) else {
+        unreachable!("phis are instructions")
+    };
+    for &l in &latch_blocks {
+        for (phi, val) in [(iid, Some(next)), (xid, carry(next, outside, i))] {
+            if let (InstKind::Phi { args }, Some(v)) = (&mut func.insts[phi.index()].kind, val) {
+                args.push((l, v));
+            }
+        }
+    }
+    let mut m = Module::new();
+    m.add_func(func);
+    (m, xid)
+}
+
+#[test]
+fn svp_declines_without_touching_the_module() {
+    let lid = LoopId::new(0);
+    let (m, x) = svp_loop(1, 1, |next, _, _| Some(next));
+    assert_svp_declines(&m, LoopId::new(9), x, "no such loop");
+    // Instruction 1 is the entry block's `n * 2`.
+    assert_svp_declines(&m, lid, InstId::new(1), "phi must live in the loop header");
+    let (m, x) = svp_loop(2, 1, |next, _, _| Some(next));
+    assert_svp_declines(&m, lid, x, "preheader");
+    let (m, x) = svp_loop(1, 2, |next, _, _| Some(next));
+    assert_svp_declines(&m, lid, x, "single latch");
+    let (m, x) = svp_loop(1, 1, |_, _, _| None);
+    assert_svp_declines(&m, lid, x, "phi must have init and latch operands");
+    let (m, x) = svp_loop(1, 1, |_, _, _| Some(Operand::const_i64(5)));
+    assert_svp_declines(&m, lid, x, "latch value must be an instruction");
+    let (m, x) = svp_loop(1, 1, |_, outside, _| Some(outside));
+    assert_svp_declines(&m, lid, x, "carrier must be defined in the loop");
+    let (m, x) = svp_loop(1, 1, |_, _, i| Some(i));
+    assert_svp_declines(&m, lid, x, "carrier must not be a header phi");
+    // The canonical shape itself is accepted.
+    let (mut m, x) = svp_loop(1, 1, |next, _, _| Some(next));
+    assert!(apply_svp(&mut m, FuncId::new(0), lid, x, ValuePattern::LastValue, 0.5).is_ok());
+}
+
+/// SVP where the carrier definition (the phi's latch value) is itself
+/// another header phi, a swap-style recurrence: the rewrite would put the
+/// miss compare in the header ahead of the prediction it reads, so
+/// `apply_svp` declines it and leaves the module untouched.
+#[test]
+fn svp_carrier_is_header_phi() {
+    let src = "
+        fn f(n: int) -> int {
+            let x = 0;
+            let y = 1;
+            let i = 0;
+            while (i < n) {
+                let t = x + y;
+                x = y;
+                y = t;
+                i = i + 1;
+            }
+            return x;
+        }
+    ";
+    let m = spt_frontend::compile(src).unwrap();
+    let fid = m.func_by_name("f").unwrap();
+    let func = m.func(fid);
+    let cfg = spt_ir::Cfg::compute(func);
+    let dom = spt_ir::DomTree::compute(&cfg);
+    let forest = spt_ir::LoopForest::compute(func, &cfg, &dom);
+    let header = forest.get(LoopId::new(0)).header;
+    let latch = forest.get(LoopId::new(0)).latches[0];
+    let phis: Vec<InstId> = func
+        .block(header)
+        .insts
+        .iter()
+        .copied()
+        .filter(|&i| matches!(func.inst(i).kind, InstKind::Phi { .. }))
+        .collect();
+    // `x`'s latch operand is `y`'s header phi.
+    let target = phis
+        .iter()
+        .copied()
+        .find(|&p| {
+            let InstKind::Phi { args } = &func.inst(p).kind else {
+                return false;
+            };
+            args.iter().any(|(pred, v)| {
+                *pred == latch && matches!(v, Operand::Inst(d) if phis.contains(d))
+            })
+        })
+        .expect("the frontend lowers the swap to a phi-to-phi recurrence");
+    let mut after = m.clone();
+    let e = apply_svp(
+        &mut after,
+        fid,
+        LoopId::new(0),
+        target,
+        ValuePattern::LastValue,
+        0.5,
+    )
+    .expect_err("a header-phi carrier is declined");
+    assert!(
+        matches!(e, spt_transform::TransformError::Precondition(_)),
+        "{e}"
+    );
+    assert!(after == m, "the module changed");
+    assert_eq!(run_ret(&after, "f", 10), 55);
 }

@@ -170,6 +170,9 @@ cargo clippy -p spt-frontend --lib -- -D warnings
 # The daemon serves long-lived processes and denies unwrap/expect crate-wide.
 cargo clippy -p spt-serve --lib -- -D warnings
 
+echo "== rustdoc: broken, private or ambiguous doc links fail =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== rustfmt =="
 cargo fmt --all --check
 

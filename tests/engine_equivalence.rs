@@ -9,14 +9,15 @@
 //! every `SimResult` field (floats compared via `f64::to_bits`). Every
 //! `spt-bench-suite` program goes through both, a proptest differential
 //! replays randomly generated programs through the same pin, and targeted
-//! cases cover the shapes a fused executor could get wrong: calls inside
-//! speculated loops, validation stopping mid-pair, fuel running out on
-//! either constituent of a pair, phi-heavy merges, unencodable constants
-//! and malformed phis.
+//! cases cover the shapes a resumable executor could get wrong: calls
+//! inside speculated loops, validation stopping after any instruction, fuel
+//! running out on every instruction, phi-heavy merges, unencodable
+//! constants and malformed phis. The engines' superblock code itself is
+//! pinned to one op per IR instruction, in block order.
 
 use spt::ir::{
-    BinOp, BlockId, CmpOp, DecodedModule, FuncBuilder, FuncId, InstId, Module, Operand, RegionId,
-    SuperblockModule, Ty,
+    BinOp, BlockId, CmpOp, DKind, DecodedModule, FuncBuilder, FuncId, InstId, InstKind, Module,
+    Operand, RegionId, SOpc, SuperblockModule, Ty,
 };
 use spt::pipeline::{compile_and_transform, CompilerConfig, ProfilingInput};
 use spt::profile::{
@@ -343,10 +344,99 @@ fn force_transform(src: &str, fname: &str) -> Module {
     module
 }
 
-/// Whether `func`'s superblock code fuses any pair.
-fn has_fused_pairs(module: &Module, func: FuncId) -> bool {
-    let sup = SuperblockModule::build(&DecodedModule::new(module));
-    sup.func(func).ops.iter().any(|s| s.opc.is_pair())
+/// `(call, load, store)`: whether the loop that `func`'s `SPT_FORK`
+/// speculates contains each kind of instruction, so the cases below stop
+/// validation and fuel around all three.
+fn speculated_loop_kinds(module: &Module, func: FuncId) -> (bool, bool, bool) {
+    let f = module.func(func);
+    let cfg = spt::ir::Cfg::compute(f);
+    let dom = spt::ir::DomTree::compute(&cfg);
+    let forest = spt::ir::LoopForest::compute(f, &cfg, &dom);
+    let target = f
+        .insts
+        .iter()
+        .find_map(|i| match i.kind {
+            InstKind::SptFork { spawn_target, .. } => Some(spawn_target),
+            _ => None,
+        })
+        .expect("an SPT_FORK");
+    let l = forest
+        .ids()
+        .map(|l| forest.get(l))
+        .find(|l| l.header == target)
+        .expect("the speculated loop");
+    let kinds: Vec<&InstKind> = l
+        .blocks
+        .iter()
+        .flat_map(|&b| f.block(b).insts.iter().map(|&i| &f.inst(i).kind))
+        .collect();
+    let has = |p: fn(&InstKind) -> bool| kinds.iter().any(|k| p(k));
+    (
+        has(|k| matches!(k, InstKind::Call { .. })),
+        has(|k| matches!(k, InstKind::Load { .. })),
+        has(|k| matches!(k, InstKind::Store { .. })),
+    )
+}
+
+/// The superblock lowering invariant: every body instruction is exactly one
+/// op, ops follow block order (so every instruction is an op start), a
+/// block ends in a fall-off sentinel exactly when its body does not end in a
+/// terminator, and the per-block retire accounting covers the block's
+/// instructions (frontend code has no stray phis and no mid-body
+/// terminators).
+fn assert_one_op_per_instruction(name: &str, module: &Module) {
+    let decoded = DecodedModule::new(module);
+    let sup = SuperblockModule::build(&decoded);
+    for (df, sf) in decoded.funcs.iter().zip(&sup.funcs) {
+        assert_eq!(sf.meta.len(), sf.ops.len(), "{name}/{}", df.name);
+        let mut next = 0;
+        for (bi, (db, sb)) in df.blocks.iter().zip(sf.blocks.iter()).enumerate() {
+            let at = format!("{name}/{} block {bi}", df.name);
+            let (start, end) = (sb.range.0 as usize, sb.range.1 as usize);
+            assert_eq!(start, next, "{at}: blocks lower in order");
+            let terminated = db.body.last().is_some_and(|&i| {
+                matches!(
+                    df.insts[i.index()].kind,
+                    DKind::Jump { .. } | DKind::Branch { .. } | DKind::Ret { .. }
+                )
+            });
+            let ops = db.body.len() + usize::from(!terminated);
+            assert_eq!(end - start, ops, "{at}: one op per instruction");
+            assert_eq!(sf.ops[end - 1].opc == SOpc::FallOff, !terminated, "{at}");
+            next = end;
+            for (k, &inst) in db.body.iter().enumerate() {
+                let idx = sf.op_at(BlockId(bi as u32), k as u32);
+                assert_eq!(idx, start + k, "{at}: position {k} starts an op");
+                assert_eq!(sf.meta[idx].inst, inst, "{at}: op {k}'s instruction");
+                let lat = df.insts[inst.index()].latency;
+                assert_eq!(u64::from(sf.meta[idx].lat), lat, "{at}: op {k}'s latency");
+            }
+            assert_eq!(sb.retires, (db.phis.len() + db.body.len()) as u64, "{at}");
+            let cycles: u64 = db.body.iter().map(|&i| df.insts[i.index()].latency).sum();
+            assert_eq!(sb.cycles, cycles, "{at}: cycles");
+            let calls = sf.ops[start..end].iter().any(|s| s.opc == SOpc::Call);
+            assert_eq!(sb.has_call, calls, "{at}: has_call");
+        }
+        assert_eq!(
+            next,
+            sf.ops.len(),
+            "{name}/{}: every op is in a block",
+            df.name
+        );
+    }
+}
+
+#[test]
+fn superblock_lowering_is_one_op_per_instruction() {
+    for b in spt::bench_suite::suite() {
+        let module = spt::frontend::compile(b.source).expect("compiles");
+        assert_one_op_per_instruction(b.name, &module);
+        let input = ProfilingInput::new(b.entry, [b.train_arg]);
+        let compiled = compile_and_transform(b.source, &input, &CompilerConfig::best())
+            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+        assert_one_op_per_instruction(&format!("{}/spt", b.name), &compiled.module);
+    }
+    assert_one_op_per_instruction("call-in-loop", &force_transform(CALL_IN_LOOP, "f"));
 }
 
 #[test]
@@ -488,13 +578,13 @@ fn speculated_loop_with_a_call_matches_reference() {
 
 /// Capping the speculative trace at every length from one record up cuts
 /// each episode's trace — and so its validation replay — at every
-/// instruction boundary of the first iterations: between the two
-/// constituents of every fused pair, inside the callee, and among the
-/// header phis. The main thread then resumes exactly there.
+/// instruction boundary of the first iterations: around every load, store
+/// and call, inside the callee, and among the header phis. The main thread
+/// then resumes exactly there.
 #[test]
 fn validation_stopping_anywhere_matches_reference() {
-    for (name, src, entry) in [
-        ("call-in-loop", CALL_IN_LOOP, "f"),
+    for (name, src, entry, has_call) in [
+        ("call-in-loop", CALL_IN_LOOP, "f", true),
         (
             "straight-loop",
             "
@@ -512,11 +602,16 @@ fn validation_stopping_anywhere_matches_reference() {
             }
             ",
             "f",
+            false,
         ),
     ] {
         let module = force_transform(src, entry);
         let fid = module.func_by_name(entry).expect("entry");
-        assert!(has_fused_pairs(&module, fid), "{name}: no fused pairs");
+        assert_eq!(
+            speculated_loop_kinds(&module, fid),
+            (has_call, true, true),
+            "{name}: the speculated loop's calls, loads and stores"
+        );
         for cap in 1..=48 {
             let config = MachineConfig {
                 max_spec_ops: cap,
@@ -528,10 +623,10 @@ fn validation_stopping_anywhere_matches_reference() {
 }
 
 /// Sweeping the fuel budget one instruction at a time lands the abort on
-/// every constituent of every fused pair (and on phis, elided constants and
-/// calls), in both engines, baseline and speculated — at the start of the
-/// run and over its last instructions, where an abort point off by one
-/// instruction turns into a run that completes.
+/// every instruction (loads, stores, calls, phis and region-base
+/// constants among them), in both engines, baseline and speculated — at the
+/// start of the run and over its last instructions, where an abort point
+/// off by one instruction turns into a run that completes.
 #[test]
 fn fuel_exhaustion_on_every_instruction_matches_reference() {
     let src = "
@@ -549,8 +644,9 @@ fn fuel_exhaustion_on_every_instruction_matches_reference() {
         }
     ";
     let module = spt::frontend::compile(src).expect("compiles");
-    let fid = module.func_by_name("f").expect("f");
-    assert!(has_fused_pairs(&module, fid));
+    let speculated = force_transform(src, "f");
+    let fid = speculated.func_by_name("f").expect("f");
+    assert_eq!(speculated_loop_kinds(&speculated, fid), (true, true, true));
     let near_end = |total: u64| (0..160).chain(total.saturating_sub(80)..=total + 1);
     let args = [Val::from_i64(40)];
     let total = ReferenceInterp::new(&module)
@@ -560,7 +656,6 @@ fn fuel_exhaustion_on_every_instruction_matches_reference() {
     for fuel in near_end(total) {
         assert_interp_matches(&format!("interp/fuel{fuel}"), &module, "f", &args, fuel);
     }
-    let speculated = force_transform(src, "f");
     for m in [&module, &speculated] {
         let total = ReferenceSimulator::new()
             .run(m, "f", &[40])
