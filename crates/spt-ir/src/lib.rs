@@ -38,7 +38,6 @@
 
 pub mod builder;
 pub mod cfg;
-pub mod decoded;
 pub mod dom;
 pub mod ids;
 pub mod inst;
@@ -54,12 +53,11 @@ pub mod verify;
 
 pub use builder::FuncBuilder;
 pub use cfg::Cfg;
-pub use decoded::{DBlock, DInst, DKind, DLoopFacts, DVal, DecodedFunc, DecodedModule};
 pub use dom::DomTree;
 pub use ids::{BlockId, FuncId, InstId, RegionId, VarId};
 pub use inst::{Inst, InstKind, Operand};
 pub use loops::{Loop, LoopForest, LoopId};
 pub use module::{Block, Function, Global, Module};
 pub use ops::{BinOp, CmpOp, UnOp};
-pub use superblock::{SBlock, SInst, SOpc, SuperblockFunc, SuperblockModule, NO_SLOT};
+pub use superblock::{DVal, SBlock, SInst, SOpc, SuperblockFunc, SuperblockModule, NO_SLOT};
 pub use types::Ty;

@@ -8,7 +8,12 @@
 //! — an indirect-call handler table defeats register allocation across ops
 //! and measures ~2.5x slower). The compact encoding keeps every operand a
 //! pre-resolved slot index (constants live in `imm`), so the hot loop never
-//! re-discriminates operand kinds. Calls recurse into [`Interp::call`].
+//! re-discriminates operand kinds. Frames hold raw `u64` value bits, so the
+//! pure opcodes ([`spt_ir::pure_ops!`]) run on the one shared evaluator,
+//! [`SInst::eval`](spt_ir::SInst::eval); a value becomes a [`Val`] only where
+//! a profiler hook sees it. Leading phis enter through the block's
+//! [`PhiRow`](spt_ir::superblock::PhiRow)s and loop bookkeeping reads the
+//! loop facts lowered beside the ops. Calls recurse into [`Interp::call`].
 //!
 //! The walk is monomorphized twice per profiler:
 //!
@@ -25,12 +30,9 @@
 //!   otherwise it walks stepwise with no-op hooks.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::interp::{
-    dval, Interp, InterpError, LoopActivation, LoopEvent, Profiler, RunState, Val,
-};
-use spt_ir::decoded::DecodedFunc;
+use crate::interp::{Interp, InterpError, LoopActivation, LoopEvent, Profiler, RunState, Val};
 use spt_ir::superblock::{SMeta, SOpc, SuperblockFunc, NO_SLOT};
-use spt_ir::{BlockId, FuncId, InstId};
+use spt_ir::{pure_ops, BlockId, FuncId, InstId};
 
 /// How a walk ended.
 enum Flow {
@@ -55,10 +57,9 @@ const NO_META: SMeta = SMeta {
 /// current block with the edge it was entered by.
 struct Frame<'a> {
     func: FuncId,
-    df: &'a DecodedFunc,
     sf: &'a SuperblockFunc,
     args: &'a [Val],
-    values: Vec<Val>,
+    values: Vec<u64>,
     loops: Vec<LoopActivation>,
     block: BlockId,
     from: Option<BlockId>,
@@ -84,18 +85,17 @@ impl<'m> Interp<'m> {
         if depth >= self.max_depth {
             return Err(InterpError::StackOverflow);
         }
-        let df = self.decoded.func(func_id);
-        let mut values: Vec<Val> = state.frame_pool.pop().unwrap_or_default();
+        let sf = self.superblock().func(func_id);
+        let mut values: Vec<u64> = state.frame_pool.pop().unwrap_or_default();
         values.clear();
-        values.resize(df.num_values(), Val(0));
+        values.resize(sf.num_values, 0);
         let mut f = Frame {
             func: func_id,
-            df,
-            sf: self.superblock().func(func_id),
+            sf,
             args,
             values,
             loops: Vec::new(),
-            block: df.entry,
+            block: sf.entry,
             from: None,
         };
         state.profiler.on_block(func_id, None, f.block);
@@ -119,13 +119,13 @@ impl<'m> Interp<'m> {
                     let callee = FuncId(s.aux);
                     let cargs: Vec<Val> = f.sf.args[s.a as usize..(s.a + s.b) as usize]
                         .iter()
-                        .map(|&dv| dval(dv, &f.values))
+                        .map(|&dv| Val(dv.read(&f.values)))
                         .collect();
                     state.profiler.on_call_enter(func_id, m.inst, callee);
                     let ret = self.call(callee, &cargs, state, depth + 1)?;
                     state.profiler.on_call_exit(func_id, m.inst, callee);
                     if let Some(v) = ret {
-                        f.values[s.dst as usize] = v;
+                        f.values[s.dst as usize] = v.0;
                         state.profiler.on_def(func_id, m.inst, v, &f.loops);
                     }
                     self.retire(func_id, m.inst, u64::from(m.lat), &f.loops, state)?;
@@ -161,19 +161,19 @@ impl<'m> Interp<'m> {
         // Loop bookkeeping only feeds profiler hooks; a non-observing run
         // needs none of it.
         if P::OBSERVES {
-            self.update_loops(f.func, f.df, f.from, f.block, &mut f.loops, state);
+            self.update_loops(f.func, f.sf, f.from, f.block, &mut f.loops, state);
         }
         let sb = &f.sf.blocks[f.block.index()];
         let batch = !P::OBSERVES && !sb.has_call && state.insts_retired + sb.retires <= state.fuel;
-        let phis = &f.df.blocks[f.block.index()].phis;
+        let phis = &sb.phis;
         if !phis.is_empty() {
             let Some(pred) = f.from else {
                 return Err(InterpError::Malformed(format!(
                     "phi {} in entry block of {}",
-                    phis[0], f.df.name
+                    phis[0], f.sf.name
                 )));
             };
-            let Some(row) = sb.phis.iter().find(|r| r.pred == pred) else {
+            let Some(row) = sb.phi_rows.iter().find(|r| r.pred == pred) else {
                 return Err(InterpError::Malformed(format!(
                     "phi {} missing arg for pred {pred}",
                     phis[0]
@@ -185,14 +185,14 @@ impl<'m> Interp<'m> {
                 )));
             }
             state.phi_scratch.clear();
-            for &(dst, src) in row.moves.iter() {
-                state.phi_scratch.push((InstId(dst), dval(src, &f.values)));
+            for (&phi, src) in phis.iter().zip(row.srcs.iter()) {
+                state.phi_scratch.push((phi, src.read(&f.values)));
             }
             for k in 0..state.phi_scratch.len() {
                 let (i, v) = state.phi_scratch[k];
                 f.values[i.index()] = v;
                 if !batch {
-                    state.profiler.on_def(f.func, i, v, &f.loops);
+                    state.profiler.on_def(f.func, i, Val(v), &f.loops);
                     self.retire(f.func, i, 0, &f.loops, state)?;
                 }
             }
@@ -214,7 +214,7 @@ impl<'m> Interp<'m> {
         mut idx: usize,
         state: &mut RunState<'_, P>,
     ) -> Result<Flow, InterpError> {
-        let (func_id, sf, df, args) = (f.func, f.sf, f.df, f.args);
+        let (func_id, sf, args) = (f.func, f.sf, f.args);
         loop {
             let values = &mut f.values[..];
             let loops = &f.loops[..];
@@ -262,113 +262,31 @@ impl<'m> Interp<'m> {
                 // Pure ops share the write-back and def/retire tail;
                 // every other op completes in its own arm.
                 let v = match s.opc {
-                    SOpc::FoldedDef => Val(s.imm),
-                    SOpc::AddRR => Val::from_i64(
-                        values[s.a as usize]
-                            .as_i64()
-                            .wrapping_add(values[s.b as usize].as_i64()),
-                    ),
-                    SOpc::AddImm => {
-                        Val::from_i64(values[s.a as usize].as_i64().wrapping_add(s.imm as i64))
-                    }
-                    SOpc::SubRR => Val::from_i64(
-                        values[s.a as usize]
-                            .as_i64()
-                            .wrapping_sub(values[s.b as usize].as_i64()),
-                    ),
-                    SOpc::SubImm => {
-                        Val::from_i64(values[s.a as usize].as_i64().wrapping_sub(s.imm as i64))
-                    }
-                    SOpc::RsbImm => {
-                        Val::from_i64((s.imm as i64).wrapping_sub(values[s.a as usize].as_i64()))
-                    }
-                    SOpc::MulRR => Val::from_i64(
-                        values[s.a as usize]
-                            .as_i64()
-                            .wrapping_mul(values[s.b as usize].as_i64()),
-                    ),
-                    SOpc::MulImm => {
-                        Val::from_i64(values[s.a as usize].as_i64().wrapping_mul(s.imm as i64))
-                    }
-                    SOpc::BinRR => Val::from_i64(
-                        s.bin
-                            .eval_i64(values[s.a as usize].as_i64(), values[s.b as usize].as_i64()),
-                    ),
-                    SOpc::BinImm => {
-                        Val::from_i64(s.bin.eval_i64(values[s.a as usize].as_i64(), s.imm as i64))
-                    }
-                    SOpc::BinImmL => {
-                        Val::from_i64(s.bin.eval_i64(s.imm as i64, values[s.a as usize].as_i64()))
-                    }
-                    SOpc::BinF64RR => Val::from_f64(
-                        s.bin
-                            .eval_f64(values[s.a as usize].as_f64(), values[s.b as usize].as_f64()),
-                    ),
-                    SOpc::BinF64Imm => Val::from_f64(
-                        s.bin
-                            .eval_f64(values[s.a as usize].as_f64(), f64::from_bits(s.imm)),
-                    ),
-                    SOpc::BinF64ImmL => Val::from_f64(
-                        s.bin
-                            .eval_f64(f64::from_bits(s.imm), values[s.a as usize].as_f64()),
-                    ),
-                    SOpc::UnI64 => Val::from_i64(s.un.eval_i64(values[s.a as usize].as_i64())),
-                    SOpc::UnF64 => Val::from_f64(s.un.eval_f64(values[s.a as usize].as_f64())),
-                    SOpc::IntToFloat => Val::from_f64(values[s.a as usize].as_i64() as f64),
-                    SOpc::FloatToInt => Val::from_i64(values[s.a as usize].as_f64() as i64),
-                    SOpc::Copy => values[s.a as usize],
-                    SOpc::CmpRR => Val::from_i64(
-                        s.cmp
-                            .eval_i64(values[s.a as usize].as_i64(), values[s.b as usize].as_i64())
-                            as i64,
-                    ),
-                    SOpc::CmpImm => Val::from_i64(
-                        s.cmp.eval_i64(values[s.a as usize].as_i64(), s.imm as i64) as i64,
-                    ),
-                    SOpc::CmpF64RR => Val::from_i64(
-                        s.cmp
-                            .eval_f64(values[s.a as usize].as_f64(), values[s.b as usize].as_f64())
-                            as i64,
-                    ),
-                    SOpc::CmpF64Imm => Val::from_i64(
-                        s.cmp
-                            .eval_f64(values[s.a as usize].as_f64(), f64::from_bits(s.imm))
-                            as i64,
-                    ),
+                    pure_ops!() => s.eval(values),
                     // Parameter reads and constants retire without a def hook.
                     SOpc::Param => {
-                        values[s.dst as usize] =
-                            args.get(s.imm as usize).copied().unwrap_or(Val(0));
+                        values[s.dst as usize] = args.get(s.imm as usize).map_or(0, |v| v.0);
                         retire!();
                         continue;
                     }
                     SOpc::ConstV => {
-                        values[s.dst as usize] = Val(s.imm);
+                        values[s.dst as usize] = s.imm;
                         retire!();
                         continue;
                     }
                     SOpc::Load | SOpc::LoadImm => {
-                        let a = if s.opc == SOpc::Load {
-                            values[s.a as usize].as_i64()
-                        } else {
-                            s.imm as i64
-                        };
-                        let v = Val(state.memory[cell!(a)]);
+                        let a = s.load_addr(values);
+                        let v = state.memory[cell!(a)];
                         values[s.dst as usize] = v;
-                        on_mem!(on_load, a, v);
-                        def!(v);
+                        on_mem!(on_load, a, Val(v));
+                        def!(Val(v));
                         continue;
                     }
                     SOpc::StoreRR | SOpc::StoreRI | SOpc::StoreIR | SOpc::StoreII => {
-                        let (a, v) = match s.opc {
-                            SOpc::StoreRR => (values[s.a as usize].as_i64(), values[s.b as usize]),
-                            SOpc::StoreRI => (values[s.a as usize].as_i64(), Val(s.imm)),
-                            SOpc::StoreIR => (s.imm as i64, values[s.b as usize]),
-                            _ => (s.imm as i64, Val(u64::from(s.a) | (u64::from(s.b) << 32))),
-                        };
+                        let (a, v) = s.store(values);
                         let c = cell!(a);
-                        state.memory[c] = v.0;
-                        on_mem!(on_store, a, v);
+                        state.memory[c] = v;
+                        on_mem!(on_store, a, Val(v));
                         retire!();
                         continue;
                     }
@@ -376,27 +294,15 @@ impl<'m> Interp<'m> {
                         retire!();
                         break 'ops s.t1;
                     }
-                    SOpc::Branch => {
-                        let t = values[s.a as usize].is_truthy();
+                    SOpc::Branch | SOpc::BranchImm => {
+                        let t = s.taken(values);
                         retire!();
                         break 'ops if t { s.t1 } else { s.t2 };
                     }
-                    SOpc::BranchImm => {
+                    SOpc::RetVal | SOpc::RetImm | SOpc::RetVoid => {
+                        let v = s.ret_value(values).map(Val);
                         retire!();
-                        break 'ops if s.imm != 0 { s.t1 } else { s.t2 };
-                    }
-                    SOpc::RetVal => {
-                        let v = values[s.a as usize];
-                        retire!();
-                        return Ok(Flow::Ret(Some(v)));
-                    }
-                    SOpc::RetImm => {
-                        retire!();
-                        return Ok(Flow::Ret(Some(Val(s.imm))));
-                    }
-                    SOpc::RetVoid => {
-                        retire!();
-                        return Ok(Flow::Ret(None));
+                        return Ok(Flow::Ret(v));
                     }
                     // Sequential semantics: SPT markers are no-ops.
                     SOpc::SptFork | SOpc::SptKill => {
@@ -415,12 +321,12 @@ impl<'m> Interp<'m> {
                     SOpc::FallOff => {
                         return Err(InterpError::Malformed(format!(
                             "block {} of {} fell through without terminator",
-                            f.block, df.name
+                            f.block, sf.name
                         )));
                     }
                 };
                 values[s.dst as usize] = v;
-                def!(v);
+                def!(Val(v));
             };
             state.profiler.on_block(func_id, Some(f.block), target);
             f.from = Some(f.block);

@@ -8,18 +8,16 @@
 //! simulator's results are validated against.
 //!
 //! Every run executes the module's superblock code
-//! ([`spt_ir::SuperblockModule`], built once per interpreter from the
-//! pre-decoded [`spt_ir::DecodedModule`]); the executor lives in
-//! `fused.rs`. Results — return value, retired counts, weighted cycles,
-//! memory image and the full profiler event stream — are bit-identical to
-//! the retained [`crate::reference::ReferenceInterp`] oracle;
-//! `tests/engine_equivalence.rs` pins that equivalence over the whole bench
-//! suite.
+//! ([`spt_ir::SuperblockModule`], lowered once per interpreter straight from
+//! the IR); the executor lives in `fused.rs`. Results — return value, retired
+//! counts, weighted cycles, memory image and the full profiler event stream —
+//! are bit-identical to the retained [`crate::reference::ReferenceInterp`]
+//! oracle; `tests/engine_equivalence.rs` pins that equivalence over the whole
+//! bench suite.
 
-use spt_ir::decoded::{DVal, DecodedFunc, DecodedModule};
 use spt_ir::loops::LoopId;
-use spt_ir::superblock::SuperblockModule;
-use spt_ir::{BlockId, Cfg, DomTree, FuncId, InstId, LoopForest, Module};
+use spt_ir::superblock::{SuperblockFunc, SuperblockModule};
+use spt_ir::{BlockId, FuncId, InstId, Module};
 use std::fmt;
 
 /// A dynamic value: raw 64 bits, interpreted per the defining instruction's
@@ -192,22 +190,10 @@ impl Profiler for NoProfiler {
     const OBSERVES: bool = false;
 }
 
-/// Per-function static analysis cache used by the interpreter.
-#[derive(Clone, Debug)]
-pub struct FuncInfo {
-    /// The function's CFG.
-    pub cfg: Cfg,
-    /// Its loop forest.
-    pub forest: LoopForest,
-}
-
-/// The interpreter. Holds per-function analyses and the module's pre-decoded
-/// execution form; reusable across runs of the same module.
+/// The interpreter. Holds the module's superblock code; reusable across
+/// runs of the same module.
 pub struct Interp<'m> {
     pub(crate) module: &'m Module,
-    infos: Vec<FuncInfo>,
-    pub(crate) decoded: DecodedModule,
-    /// The executable form of `decoded`.
     sup: SuperblockModule,
     /// Base cell address of each region.
     pub region_bases: Vec<usize>,
@@ -225,49 +211,23 @@ pub(crate) struct RunState<'p, P: Profiler> {
     pub(crate) weighted_cycles: u64,
     pub(crate) fuel: u64,
     pub(crate) next_activation: u64,
-    /// Recycled frame value arrays, so calls do not allocate in steady state.
-    pub(crate) frame_pool: Vec<Vec<Val>>,
+    /// Recycled frame value arrays (raw value bits), so calls do not
+    /// allocate in steady state.
+    pub(crate) frame_pool: Vec<Vec<u64>>,
     /// Scratch for the atomic phi-evaluation phase. Only live between the
     /// evaluate and commit sub-phases of one block entry (never across a
     /// call), so a single buffer serves all recursion depths.
-    pub(crate) phi_scratch: Vec<(InstId, Val)>,
-}
-
-/// Reads a pre-resolved operand against a frame's values.
-#[inline(always)]
-pub(crate) fn dval(dv: DVal, values: &[Val]) -> Val {
-    match dv {
-        DVal::Slot(i) => values[i as usize],
-        DVal::Bits(b) => Val(b),
-    }
+    pub(crate) phi_scratch: Vec<(InstId, u64)>,
 }
 
 impl<'m> Interp<'m> {
-    /// Prepares an interpreter for `module`: per-function analyses, the
-    /// decoded form and its superblock code, all computed once and shared by
-    /// every run.
+    /// Prepares an interpreter for `module`: its superblock code, lowered
+    /// once and shared by every run.
     pub fn new(module: &'m Module) -> Self {
         let (region_bases, memory_size) = module.memory_layout();
-        let mut infos = Vec::with_capacity(module.funcs.len());
-        let mut dfuncs = Vec::with_capacity(module.funcs.len());
-        for f in &module.funcs {
-            let cfg = Cfg::compute(f);
-            let dom = DomTree::compute(&cfg);
-            let forest = LoopForest::compute(f, &cfg, &dom);
-            dfuncs.push(DecodedFunc::decode(f, &cfg, &dom, &forest, &region_bases));
-            infos.push(FuncInfo { cfg, forest });
-        }
-        let decoded = DecodedModule {
-            funcs: dfuncs,
-            region_bases: region_bases.clone(),
-            memory_size,
-        };
-        let sup = SuperblockModule::build(&decoded);
         Interp {
             module,
-            infos,
-            decoded,
-            sup,
+            sup: SuperblockModule::build(module),
             region_bases,
             memory_size,
             fuel: 500_000_000,
@@ -278,16 +238,6 @@ impl<'m> Interp<'m> {
     /// The module's superblock code, which every run executes.
     pub fn superblock(&self) -> &SuperblockModule {
         &self.sup
-    }
-
-    /// The analysis info for a function.
-    pub fn info(&self, func: FuncId) -> &FuncInfo {
-        &self.infos[func.index()]
-    }
-
-    /// The module's pre-decoded execution form.
-    pub fn decoded(&self) -> &DecodedModule {
-        &self.decoded
     }
 
     /// Builds the initial memory image (globals' initializers applied).
@@ -375,16 +325,15 @@ impl<'m> Interp<'m> {
     pub(crate) fn update_loops<P: Profiler>(
         &self,
         func_id: FuncId,
-        df: &DecodedFunc,
+        sf: &SuperblockFunc,
         from: Option<BlockId>,
         to: BlockId,
         loop_stack: &mut Vec<LoopActivation>,
         state: &mut RunState<'_, P>,
     ) {
-        let facts = &df.facts;
         // Pop loops that do not contain `to`.
         while let Some(top) = loop_stack.last() {
-            if facts.loop_contains(top.loop_id, to) {
+            if sf.loop_contains(top.loop_id, to) {
                 break;
             }
             let act = loop_stack.pop().expect("nonempty");
@@ -393,9 +342,9 @@ impl<'m> Interp<'m> {
                 .on_loop(func_id, LoopEvent::Exit(act.loop_id), loop_stack);
         }
         // Header transitions: iterate (back edge from inside) or enter.
-        if let Some(lid) = facts.header_loop[to.index()] {
+        if let Some(lid) = sf.blocks[to.index()].header_loop {
             let is_active_top = loop_stack.last().map(|a| a.loop_id) == Some(lid);
-            let from_inside = from.is_some_and(|f| facts.loop_contains(lid, f));
+            let from_inside = from.is_some_and(|f| sf.loop_contains(lid, f));
             if is_active_top && from_inside {
                 let top = loop_stack.last_mut().expect("active loop on stack");
                 top.iter += 1;

@@ -8,10 +8,17 @@
 //! profiler event streams. Do not optimize this module — its value is that it
 //! stays slow and obviously faithful to the IR's semantics.
 
-use crate::interp::{
-    FuncInfo, InterpError, InterpResult, LoopActivation, LoopEvent, Profiler, Val,
-};
+use crate::interp::{InterpError, InterpResult, LoopActivation, LoopEvent, Profiler, Val};
 use spt_ir::{BlockId, Cfg, DomTree, FuncId, InstId, InstKind, LoopForest, Module, Operand, Ty};
+
+/// Per-function static analysis cache used by the reference interpreter.
+#[derive(Clone, Debug)]
+pub struct FuncInfo {
+    /// The function's CFG.
+    pub cfg: Cfg,
+    /// Its loop forest.
+    pub forest: LoopForest,
+}
 
 /// The reference interpreter. Same public surface as [`crate::Interp`],
 /// same semantics, no pre-decoding.

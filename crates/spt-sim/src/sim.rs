@@ -11,6 +11,10 @@
 //! discards the rest of the trace. Commit costs
 //! [`MachineConfig::commit_overhead`] cycles; if the speculative thread had
 //! passed the next `SPT_FORK`, the next episode spawns at commit.
+//!
+//! A run lowers the module once ([`SuperblockModule::build`]) and every
+//! core executes that code; the spawn target's back-edge predecessor and
+//! phi rows, lowered beside it, start each speculative thread.
 
 use crate::cache::Cache;
 use crate::machine::MachineConfig;
@@ -19,7 +23,7 @@ use crate::specexec::ReplayState;
 use crate::stats::LoopSimStats;
 use crate::superexec::SuperStop;
 use crate::thread::{ExecError, ExecRecord, SpecBuf, StepEvent, Thread};
-use spt_ir::{BlockId, DecodedModule, FuncId, Module, SuperblockModule};
+use spt_ir::{BlockId, FuncId, Module, SuperblockModule};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -146,10 +150,8 @@ impl SptSimulator {
         let func = module
             .func_by_name(entry)
             .ok_or_else(|| SimError::NoSuchFunction(entry.to_string()))?;
-        let decoded = DecodedModule::new(module);
-        let sup = SuperblockModule::build(&decoded);
+        let sup = SuperblockModule::build(module);
         let run = Run {
-            decoded: &decoded,
             sup: &sup,
             config: &self.config,
             memory,
@@ -174,8 +176,7 @@ impl Default for SptSimulator {
 }
 
 pub(crate) struct Run<'m> {
-    pub(crate) decoded: &'m DecodedModule,
-    /// The executable form of `decoded`.
+    /// The module's superblock code, which every core executes.
     pub(crate) sup: &'m SuperblockModule,
     pub(crate) config: &'m MachineConfig,
     pub(crate) memory: Vec<u64>,
@@ -229,8 +230,7 @@ impl Run<'_> {
     /// [`Run::spawn_super`](crate::specexec) and
     /// [`Run::validate_super`](crate::specexec).
     fn run(mut self, func: FuncId, args: &[i64]) -> Result<SimResult, SimError> {
-        let mut thread =
-            Thread::start(self.decoded, func, args.iter().map(|&a| a as u64).collect());
+        let mut thread = Thread::start(self.sup, func, args.iter().map(|&a| a as u64).collect());
         thread.max_depth = self.config.max_depth;
         let mut episode: Option<Episode> = None;
 
@@ -327,10 +327,10 @@ impl Run<'_> {
     }
 
     /// Finds the latch predecessor of `header` in `func` (the in-loop
-    /// predecessor), for speculative-thread phi startup. Pre-decoded as the
-    /// module's per-block back-edge facts, so this is one array read.
+    /// predecessor), for speculative-thread phi startup: the block's
+    /// back-edge fact, lowered with its superblock code.
     fn latch_of(&self, func: FuncId, header: BlockId) -> Option<BlockId> {
-        self.decoded.func(func).facts.back_pred[header.index()]
+        self.sup.func(func).blocks[header.index()].back_pred
     }
 
     /// Spawns an episode: runs the speculative core eagerly against the
@@ -346,8 +346,8 @@ impl Run<'_> {
         let mut spec = self
             .spec_thread
             .take()
-            .unwrap_or_else(|| Thread::start(self.decoded, func, Vec::new()));
-        spec.restart_spec(self.decoded, func, context, args, target, latch);
+            .unwrap_or_else(|| Thread::start(self.sup, func, Vec::new()));
+        spec.restart_spec(self.sup, func, context, args, target, latch);
         spec.max_depth = self.config.max_depth;
 
         self.spec_buf.reset(self.config.spec_buffer_entries);

@@ -8,7 +8,10 @@
 //! per op and one op per IR instruction, calls and returns included, while
 //! emitting records, comparisons, buffer/cap checks and cache/predictor
 //! accesses in the reference stepper's order. Validation can stop between
-//! any two instructions, and the main thread resumes exactly there.
+//! any two instructions, and the main thread resumes exactly there. Both
+//! evaluate pure ops through [`SInst::eval`] (with `Param` read from the
+//! frame's arguments), the evaluator the main thread's walk and the
+//! interpreter share.
 //!
 //! **Exactness contract** (same as [`superexec`](crate::superexec)): every
 //! instruction produces the record fields, memory/cache/predictor accesses,
@@ -18,8 +21,8 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::sim::Run;
-use crate::thread::{transfer, ExecError, ExecRecord, MemView, Thread};
-use spt_ir::{BlockId, FuncId, InstId, SInst, SOpc};
+use crate::thread::{transfer, ExecError, ExecRecord, Frame, MemView, Thread};
+use spt_ir::{pure_ops, BlockId, FuncId, InstId, SInst, SOpc};
 
 /// Mutable state of one validation replay.
 pub(crate) struct ReplayState {
@@ -41,71 +44,13 @@ pub(crate) struct ReplayState {
     pub(crate) finished: Option<Option<u64>>,
 }
 
-/// Evaluates a pure single-def op (no memory, no control).
+/// The value a defining non-memory op computes: `Param` reads the frame's
+/// arguments, every other op is [`SInst::eval`].
 #[inline(always)]
-fn pure_def(s: &SInst, vals: &[u64], args: &[u64]) -> u64 {
+fn def_of(s: &SInst, frame: &Frame) -> u64 {
     match s.opc {
-        SOpc::Param => args.get(s.imm as usize).copied().unwrap_or(0),
-        SOpc::ConstV | SOpc::FoldedDef => s.imm,
-        SOpc::AddRR => (vals[s.a as usize] as i64).wrapping_add(vals[s.b as usize] as i64) as u64,
-        SOpc::AddImm => (vals[s.a as usize] as i64).wrapping_add(s.imm as i64) as u64,
-        SOpc::SubRR => (vals[s.a as usize] as i64).wrapping_sub(vals[s.b as usize] as i64) as u64,
-        SOpc::SubImm => (vals[s.a as usize] as i64).wrapping_sub(s.imm as i64) as u64,
-        SOpc::RsbImm => (s.imm as i64).wrapping_sub(vals[s.a as usize] as i64) as u64,
-        SOpc::MulRR => (vals[s.a as usize] as i64).wrapping_mul(vals[s.b as usize] as i64) as u64,
-        SOpc::MulImm => (vals[s.a as usize] as i64).wrapping_mul(s.imm as i64) as u64,
-        SOpc::BinRR => {
-            s.bin
-                .eval_i64(vals[s.a as usize] as i64, vals[s.b as usize] as i64) as u64
-        }
-        SOpc::BinImm => s.bin.eval_i64(vals[s.a as usize] as i64, s.imm as i64) as u64,
-        SOpc::BinImmL => s.bin.eval_i64(s.imm as i64, vals[s.a as usize] as i64) as u64,
-        SOpc::BinF64RR => s
-            .bin
-            .eval_f64(
-                f64::from_bits(vals[s.a as usize]),
-                f64::from_bits(vals[s.b as usize]),
-            )
-            .to_bits(),
-        SOpc::BinF64Imm => s
-            .bin
-            .eval_f64(f64::from_bits(vals[s.a as usize]), f64::from_bits(s.imm))
-            .to_bits(),
-        SOpc::BinF64ImmL => s
-            .bin
-            .eval_f64(f64::from_bits(s.imm), f64::from_bits(vals[s.a as usize]))
-            .to_bits(),
-        SOpc::UnI64 => s.un.eval_i64(vals[s.a as usize] as i64) as u64,
-        SOpc::UnF64 => s.un.eval_f64(f64::from_bits(vals[s.a as usize])).to_bits(),
-        SOpc::IntToFloat => ((vals[s.a as usize] as i64) as f64).to_bits(),
-        SOpc::FloatToInt => (f64::from_bits(vals[s.a as usize]) as i64) as u64,
-        SOpc::Copy => vals[s.a as usize],
-        SOpc::CmpRR => {
-            s.cmp
-                .eval_i64(vals[s.a as usize] as i64, vals[s.b as usize] as i64) as u64
-        }
-        SOpc::CmpImm => s.cmp.eval_i64(vals[s.a as usize] as i64, s.imm as i64) as u64,
-        SOpc::CmpF64RR => s.cmp.eval_f64(
-            f64::from_bits(vals[s.a as usize]),
-            f64::from_bits(vals[s.b as usize]),
-        ) as u64,
-        SOpc::CmpF64Imm => s
-            .cmp
-            .eval_f64(f64::from_bits(vals[s.a as usize]), f64::from_bits(s.imm))
-            as u64,
-        // The callers only route the pure single-def opcodes here.
-        _ => 0,
-    }
-}
-
-/// `(cell, bits)` of a store op.
-#[inline(always)]
-pub(crate) fn store_operands(s: &SInst, vals: &[u64]) -> (i64, u64) {
-    match s.opc {
-        SOpc::StoreRR => (vals[s.a as usize] as i64, vals[s.b as usize]),
-        SOpc::StoreRI => (vals[s.a as usize] as i64, s.imm),
-        SOpc::StoreIR => (s.imm as i64, vals[s.b as usize]),
-        _ => (s.imm as i64, u64::from(s.a) | (u64::from(s.b) << 32)),
+        SOpc::Param => frame.args.get(s.imm as usize).copied().unwrap_or(0),
+        _ => s.eval(&frame.values),
     }
 }
 
@@ -192,7 +137,6 @@ impl Run<'_> {
                 return;
             };
             let func_id = frame.func;
-            let df = self.decoded.func(func_id);
             let sf = self.sup.func(func_id);
             // One record per executed instruction, at the speculative core's
             // clock after charging `lat`.
@@ -225,43 +169,15 @@ impl Run<'_> {
                 let m = &sf.meta[idx];
                 full!();
                 match s.opc {
-                    SOpc::Param
-                    | SOpc::ConstV
-                    | SOpc::FoldedDef
-                    | SOpc::AddRR
-                    | SOpc::AddImm
-                    | SOpc::SubRR
-                    | SOpc::SubImm
-                    | SOpc::RsbImm
-                    | SOpc::MulRR
-                    | SOpc::MulImm
-                    | SOpc::BinRR
-                    | SOpc::BinImm
-                    | SOpc::BinImmL
-                    | SOpc::BinF64RR
-                    | SOpc::BinF64Imm
-                    | SOpc::BinF64ImmL
-                    | SOpc::UnI64
-                    | SOpc::UnF64
-                    | SOpc::IntToFloat
-                    | SOpc::FloatToInt
-                    | SOpc::Copy
-                    | SOpc::CmpRR
-                    | SOpc::CmpImm
-                    | SOpc::CmpF64RR
-                    | SOpc::CmpF64Imm => {
-                        let def = pure_def(s, &frame.values, &frame.args);
+                    SOpc::Param | SOpc::ConstV | pure_ops!() => {
+                        let def = def_of(s, frame);
                         frame.values[m.inst.index()] = def;
                         frame.pos += 1;
                         record!(m.inst, Some(def), None, u64::from(m.lat));
                         idx += 1;
                     }
                     SOpc::Load | SOpc::LoadImm => {
-                        let cell = if s.opc == SOpc::Load {
-                            frame.values[s.a as usize] as i64
-                        } else {
-                            s.imm as i64
-                        };
+                        let cell = s.load_addr(&frame.values);
                         let Ok(v) = view.read(cell) else { return };
                         frame.values[m.inst.index()] = v;
                         frame.pos += 1;
@@ -269,7 +185,7 @@ impl Run<'_> {
                         idx += 1;
                     }
                     SOpc::StoreRR | SOpc::StoreRI | SOpc::StoreIR | SOpc::StoreII => {
-                        let (cell, bits) = store_operands(s, &frame.values);
+                        let (cell, bits) = s.store(&frame.values);
                         if view.write(cell, bits).is_err() {
                             return;
                         }
@@ -279,7 +195,7 @@ impl Run<'_> {
                         idx += 1;
                     }
                     SOpc::Jump => {
-                        transfer(frame, df, s.t1);
+                        transfer(frame, sf, s.t1);
                         record!(m.inst, None, None, u64::from(m.lat));
                         if func_id == bfunc && s.t1 == btarget && depth == depth0 {
                             return;
@@ -287,17 +203,13 @@ impl Run<'_> {
                         continue 'outer;
                     }
                     SOpc::Branch | SOpc::BranchImm => {
-                        let taken = if s.opc == SOpc::Branch {
-                            frame.values[s.a as usize] != 0
-                        } else {
-                            s.imm != 0
-                        };
+                        let taken = s.taken(&frame.values);
                         let target = if taken { s.t1 } else { s.t2 };
                         let mut lat = u64::from(m.lat);
                         if self.predictor.mispredicted(func_id, m.inst, taken) {
                             lat += self.config.branch_mispredict_penalty;
                         }
-                        transfer(frame, df, target);
+                        transfer(frame, sf, target);
                         record!(m.inst, None, None, lat);
                         if func_id == bfunc && target == btarget && depth == depth0 {
                             return;
@@ -305,11 +217,7 @@ impl Run<'_> {
                         continue 'outer;
                     }
                     SOpc::RetVal | SOpc::RetImm | SOpc::RetVoid => {
-                        let bits = match s.opc {
-                            SOpc::RetVal => Some(frame.values[s.a as usize]),
-                            SOpc::RetImm => Some(s.imm),
-                            _ => None,
-                        };
+                        let bits = s.ret_value(&frame.values);
                         let ret_slot = frame.ret_slot;
                         if let Some(done) = spec.frames.pop() {
                             spec.pool.push(done);
@@ -334,13 +242,13 @@ impl Run<'_> {
                         let callee = FuncId(s.aux);
                         let args = &sf.args[s.a as usize..(s.a + s.b) as usize];
                         if spec
-                            .push_call(self.decoded, callee, args, InstId(s.dst))
+                            .push_call(self.sup, callee, args, InstId(s.dst))
                             .is_err()
                         {
                             return;
                         }
                         record!(m.inst, None, None, u64::from(m.lat));
-                        let entry = self.decoded.func(callee).entry;
+                        let entry = self.sup.func(callee).entry;
                         if callee == bfunc && entry == btarget && depth + 1 == depth0 {
                             return;
                         }
@@ -402,7 +310,6 @@ impl Run<'_> {
                 return Ok(());
             };
             let func_id = frame.func;
-            let df = self.decoded.func(func_id);
             let sf = self.sup.func(func_id);
 
             while frame.pending_head < frame.pending.len() {
@@ -419,43 +326,15 @@ impl Run<'_> {
                 guard!();
                 let lat = u64::from(m.lat);
                 match s.opc {
-                    SOpc::Param
-                    | SOpc::ConstV
-                    | SOpc::FoldedDef
-                    | SOpc::AddRR
-                    | SOpc::AddImm
-                    | SOpc::SubRR
-                    | SOpc::SubImm
-                    | SOpc::RsbImm
-                    | SOpc::MulRR
-                    | SOpc::MulImm
-                    | SOpc::BinRR
-                    | SOpc::BinImm
-                    | SOpc::BinImmL
-                    | SOpc::BinF64RR
-                    | SOpc::BinF64Imm
-                    | SOpc::BinF64ImmL
-                    | SOpc::UnI64
-                    | SOpc::UnF64
-                    | SOpc::IntToFloat
-                    | SOpc::FloatToInt
-                    | SOpc::Copy
-                    | SOpc::CmpRR
-                    | SOpc::CmpImm
-                    | SOpc::CmpF64RR
-                    | SOpc::CmpF64Imm => {
-                        let def = pure_def(s, &frame.values, &frame.args);
+                    SOpc::Param | SOpc::ConstV | pure_ops!() => {
+                        let def = def_of(s, frame);
                         frame.values[m.inst.index()] = def;
                         frame.pos += 1;
                         self.replay_commit(trace, rp, func_id, m.inst, Some(def), None, lat);
                         idx += 1;
                     }
                     SOpc::Load | SOpc::LoadImm => {
-                        let cell = if s.opc == SOpc::Load {
-                            frame.values[s.a as usize] as i64
-                        } else {
-                            s.imm as i64
-                        };
+                        let cell = s.load_addr(&frame.values);
                         let v = self.read(cell)?;
                         frame.values[m.inst.index()] = v;
                         frame.pos += 1;
@@ -463,7 +342,7 @@ impl Run<'_> {
                         idx += 1;
                     }
                     SOpc::StoreRR | SOpc::StoreRI | SOpc::StoreIR | SOpc::StoreII => {
-                        let (cell, bits) = store_operands(s, &frame.values);
+                        let (cell, bits) = s.store(&frame.values);
                         self.write(cell, bits)?;
                         frame.pos += 1;
                         self.replay_commit(
@@ -478,26 +357,18 @@ impl Run<'_> {
                         idx += 1;
                     }
                     SOpc::Jump => {
-                        transfer(frame, df, s.t1);
+                        transfer(frame, sf, s.t1);
                         self.replay_commit(trace, rp, func_id, m.inst, None, None, lat);
                         continue 'outer;
                     }
                     SOpc::Branch | SOpc::BranchImm => {
-                        let taken = if s.opc == SOpc::Branch {
-                            frame.values[s.a as usize] != 0
-                        } else {
-                            s.imm != 0
-                        };
-                        transfer(frame, df, if taken { s.t1 } else { s.t2 });
+                        let taken = s.taken(&frame.values);
+                        transfer(frame, sf, if taken { s.t1 } else { s.t2 });
                         self.replay_commit(trace, rp, func_id, m.inst, None, None, lat);
                         continue 'outer;
                     }
                     SOpc::RetVal | SOpc::RetImm | SOpc::RetVoid => {
-                        let bits = match s.opc {
-                            SOpc::RetVal => Some(frame.values[s.a as usize]),
-                            SOpc::RetImm => Some(s.imm),
-                            _ => None,
-                        };
+                        let bits = s.ret_value(&frame.values);
                         let ret_slot = frame.ret_slot;
                         if let Some(done) = thread.frames.pop() {
                             thread.pool.push(done);
@@ -520,7 +391,7 @@ impl Run<'_> {
                     SOpc::Call => {
                         frame.pos += 1;
                         let args = &sf.args[s.a as usize..(s.a + s.b) as usize];
-                        thread.push_call(self.decoded, FuncId(s.aux), args, InstId(s.dst))?;
+                        thread.push_call(self.sup, FuncId(s.aux), args, InstId(s.dst))?;
                         self.replay_commit(trace, rp, func_id, m.inst, None, None, lat);
                         continue 'outer;
                     }
@@ -556,7 +427,7 @@ impl Run<'_> {
                     SOpc::FallOff => {
                         return Err(ExecError::Malformed(format!(
                             "fell off block {} in {}",
-                            frame.block, df.name
+                            frame.block, sf.name
                         )));
                     }
                 }

@@ -8,7 +8,10 @@
 //! finish) or when the retired-instruction budget is crossed
 //! ([`SuperStop::Fuel`]). It can resume at any instruction — after a call
 //! returns, or wherever a validation replay stopped — because every
-//! instruction is an op start ([`spt_ir::superblock`]).
+//! instruction is an op start ([`spt_ir::superblock`]). Pure ops evaluate
+//! through [`SInst::eval`](spt_ir::SInst::eval), the one evaluator every
+//! walk shares, and block transfers schedule the target's phis from the
+//! same per-edge rows the interpreter enters through.
 //!
 //! **Exactness contract**: every op is one IR instruction and charges the
 //! same cycle latency, retire count, loop attribution and cache/branch-
@@ -31,9 +34,8 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::sim::Run;
-use crate::specexec::store_operands;
 use crate::thread::{transfer, ExecError, StepEvent, Thread};
-use spt_ir::{BlockId, FuncId, InstId, SOpc};
+use spt_ir::{pure_ops, BlockId, FuncId, InstId, SOpc};
 
 /// Why [`Run::run_super`] returned to the driver.
 pub(crate) enum SuperStop {
@@ -126,7 +128,6 @@ impl Run<'_> {
             return Err(ExecError::Malformed("step on finished thread".into()));
         };
         let func_id = frame.func;
-        let df = self.decoded.func(func_id);
         let sf = self.sup.func(func_id);
         let mut idx = sf.op_at(frame.block, frame.pos);
         // Batched accounting, flushed at every exit from the walk.
@@ -162,7 +163,7 @@ impl Run<'_> {
         macro_rules! goto {
             ($target:expr, $lat:expr) => {{
                 let target = $target;
-                transfer(frame, df, target);
+                transfer(frame, sf, target);
                 let crossed = settle!($lat);
                 if watch == Some((func_id, target, depth)) {
                     return Ok(Some(SuperStop::Event(StepEvent::Transfer {
@@ -191,94 +192,9 @@ impl Run<'_> {
             // Pure ops share the write-back/accounting tail.
             let def: u64 = match s.opc {
                 SOpc::Param => frame.args.get(s.imm as usize).copied().unwrap_or(0),
-                SOpc::ConstV | SOpc::FoldedDef => s.imm,
-                SOpc::AddRR => {
-                    let (a, b) = (frame.values[s.a as usize], frame.values[s.b as usize]);
-                    (a as i64).wrapping_add(b as i64) as u64
-                }
-                SOpc::AddImm => {
-                    (frame.values[s.a as usize] as i64).wrapping_add(s.imm as i64) as u64
-                }
-                SOpc::SubRR => {
-                    let (a, b) = (frame.values[s.a as usize], frame.values[s.b as usize]);
-                    (a as i64).wrapping_sub(b as i64) as u64
-                }
-                SOpc::SubImm => {
-                    (frame.values[s.a as usize] as i64).wrapping_sub(s.imm as i64) as u64
-                }
-                SOpc::RsbImm => {
-                    (s.imm as i64).wrapping_sub(frame.values[s.a as usize] as i64) as u64
-                }
-                SOpc::MulRR => {
-                    let (a, b) = (frame.values[s.a as usize], frame.values[s.b as usize]);
-                    (a as i64).wrapping_mul(b as i64) as u64
-                }
-                SOpc::MulImm => {
-                    (frame.values[s.a as usize] as i64).wrapping_mul(s.imm as i64) as u64
-                }
-                SOpc::BinRR => {
-                    let (a, b) = (frame.values[s.a as usize], frame.values[s.b as usize]);
-                    s.bin.eval_i64(a as i64, b as i64) as u64
-                }
-                SOpc::BinImm => s
-                    .bin
-                    .eval_i64(frame.values[s.a as usize] as i64, s.imm as i64)
-                    as u64,
-                SOpc::BinImmL => s
-                    .bin
-                    .eval_i64(s.imm as i64, frame.values[s.a as usize] as i64)
-                    as u64,
-                SOpc::BinF64RR => {
-                    let (a, b) = (frame.values[s.a as usize], frame.values[s.b as usize]);
-                    s.bin
-                        .eval_f64(f64::from_bits(a), f64::from_bits(b))
-                        .to_bits()
-                }
-                SOpc::BinF64Imm => s
-                    .bin
-                    .eval_f64(
-                        f64::from_bits(frame.values[s.a as usize]),
-                        f64::from_bits(s.imm),
-                    )
-                    .to_bits(),
-                SOpc::BinF64ImmL => s
-                    .bin
-                    .eval_f64(
-                        f64::from_bits(s.imm),
-                        f64::from_bits(frame.values[s.a as usize]),
-                    )
-                    .to_bits(),
-                SOpc::UnI64 => s.un.eval_i64(frame.values[s.a as usize] as i64) as u64,
-                SOpc::UnF64 => {
-                    s.un.eval_f64(f64::from_bits(frame.values[s.a as usize]))
-                        .to_bits()
-                }
-                SOpc::IntToFloat => ((frame.values[s.a as usize] as i64) as f64).to_bits(),
-                SOpc::FloatToInt => (f64::from_bits(frame.values[s.a as usize]) as i64) as u64,
-                SOpc::Copy => frame.values[s.a as usize],
-                SOpc::CmpRR => {
-                    let (a, b) = (frame.values[s.a as usize], frame.values[s.b as usize]);
-                    s.cmp.eval_i64(a as i64, b as i64) as u64
-                }
-                SOpc::CmpImm => s
-                    .cmp
-                    .eval_i64(frame.values[s.a as usize] as i64, s.imm as i64)
-                    as u64,
-                SOpc::CmpF64RR => {
-                    let (a, b) = (frame.values[s.a as usize], frame.values[s.b as usize]);
-                    s.cmp.eval_f64(f64::from_bits(a), f64::from_bits(b)) as u64
-                }
-                SOpc::CmpF64Imm => s.cmp.eval_f64(
-                    f64::from_bits(frame.values[s.a as usize]),
-                    f64::from_bits(s.imm),
-                ) as u64,
-
+                SOpc::ConstV | pure_ops!() => s.eval(&frame.values),
                 SOpc::Load | SOpc::LoadImm => {
-                    let cell = if s.opc == SOpc::Load {
-                        frame.values[s.a as usize] as i64
-                    } else {
-                        s.imm as i64
-                    };
+                    let cell = s.load_addr(&frame.values);
                     frame.values[s.dst as usize] = self.memory[cell!(cell)];
                     charge!(self.cache.access(cell as u64).max(1));
                     frame.pos += 1;
@@ -286,7 +202,7 @@ impl Run<'_> {
                     continue;
                 }
                 SOpc::StoreRR | SOpc::StoreRI | SOpc::StoreIR | SOpc::StoreII => {
-                    let (cell, bits) = store_operands(s, &frame.values);
+                    let (cell, bits) = s.store(&frame.values);
                     let i = cell!(cell);
                     self.memory[i] = bits;
                     charge!(self.cache.access(cell as u64).clamp(1, 4));
@@ -297,11 +213,7 @@ impl Run<'_> {
 
                 SOpc::Jump => goto!(s.t1, u64::from(m.lat)),
                 SOpc::Branch | SOpc::BranchImm => {
-                    let taken = if s.opc == SOpc::Branch {
-                        frame.values[s.a as usize] != 0
-                    } else {
-                        s.imm != 0
-                    };
+                    let taken = s.taken(&frame.values);
                     let mut lat = u64::from(m.lat);
                     if self.predictor.mispredicted(func_id, m.inst, taken) {
                         lat += self.config.branch_mispredict_penalty;
@@ -310,11 +222,7 @@ impl Run<'_> {
                 }
 
                 SOpc::RetVal | SOpc::RetImm | SOpc::RetVoid => {
-                    let bits = match s.opc {
-                        SOpc::RetVal => Some(frame.values[s.a as usize]),
-                        SOpc::RetImm => Some(s.imm),
-                        _ => None,
-                    };
+                    let bits = s.ret_value(&frame.values);
                     let ret_slot = frame.ret_slot;
                     let crossed = settle!(u64::from(m.lat));
                     if let Some(done) = thread.frames.pop() {
@@ -336,9 +244,9 @@ impl Run<'_> {
                     frame.pos += 1;
                     let callee = FuncId(s.aux);
                     let args = &sf.args[s.a as usize..(s.a + s.b) as usize];
-                    thread.push_call(self.decoded, callee, args, InstId(s.dst))?;
+                    thread.push_call(self.sup, callee, args, InstId(s.dst))?;
                     let crossed = settle!(u64::from(m.lat));
-                    let entry = self.decoded.func(callee).entry;
+                    let entry = self.sup.func(callee).entry;
                     if watch == Some((callee, entry, depth + 1)) {
                         return Ok(Some(SuperStop::Event(StepEvent::Transfer {
                             to: entry,
@@ -375,7 +283,7 @@ impl Run<'_> {
                 SOpc::FallOff => {
                     return Err(ExecError::Malformed(format!(
                         "fell off block {} in {}",
-                        frame.block, df.name
+                        frame.block, sf.name
                     )));
                 }
             };

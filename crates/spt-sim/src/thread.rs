@@ -1,15 +1,18 @@
 //! A core's architectural state and the memory views its executors use.
 //!
-//! A [`Thread`] holds a call-frame stack; the simulator's superblock walks
+//! A `Thread` holds a call-frame stack; the simulator's superblock walks
 //! (main thread, speculative core, validation replay) advance it over the
 //! module's superblock code, one op per instruction, reporting what each
 //! instruction did as an [`ExecRecord`] and each control event as a
-//! [`StepEvent`]. The main core reads and writes committed memory directly;
-//! the speculative core goes through a [`MemView`], a write-buffer overlay
-//! whose buffer is an inline open-addressed table ([`SpecBuf`]) instead of a
+//! [`StepEvent`]. Block entries schedule the target's leading phis from the
+//! same [`PhiRow`](spt_ir::superblock::PhiRow)s the interpreter enters
+//! through. The main core reads and writes committed memory directly; the
+//! speculative core goes through a [`MemView`], a write-buffer overlay whose
+//! buffer is an inline open-addressed table ([`SpecBuf`]) instead of a
 //! `HashMap`.
 
-use spt_ir::{BlockId, DVal, DecodedFunc, DecodedModule, FuncId, InstId};
+use spt_ir::superblock::{SBlock, SuperblockFunc, SuperblockModule};
+use spt_ir::{BlockId, DVal, FuncId, InstId};
 use std::fmt;
 
 /// Execution faults.
@@ -266,25 +269,25 @@ pub(crate) struct Frame {
 }
 
 /// A core's architectural state: a stack of call frames.
-pub struct Thread {
+pub(crate) struct Thread {
     pub(crate) frames: Vec<Frame>,
     /// Returned frames, recycled on the next call so the call/return hot
     /// path reuses value vectors instead of allocating per call.
     pub(crate) pool: Vec<Frame>,
     /// Maximum call depth.
-    pub max_depth: usize,
+    pub(crate) max_depth: usize,
 }
 
 impl Thread {
     /// Starts a thread at `func`'s entry with the given arguments.
-    pub fn start(decoded: &DecodedModule, func: FuncId, args: Vec<u64>) -> Self {
-        let df = decoded.func(func);
+    pub(crate) fn start(sup: &SuperblockModule, func: FuncId, args: Vec<u64>) -> Self {
+        let sf = sup.func(func);
         Thread {
             frames: vec![Frame {
                 func,
-                values: vec![0; df.num_values()],
+                values: vec![0; sf.num_values],
                 args,
-                block: df.entry,
+                block: sf.entry,
                 pos: 0,
                 ret_slot: None,
                 pending: Vec::new(),
@@ -296,23 +299,18 @@ impl Thread {
     }
 
     /// Current function of the innermost frame.
-    pub fn current_func(&self) -> FuncId {
+    pub(crate) fn current_func(&self) -> FuncId {
         self.frames.last().expect("live thread").func
     }
 
-    /// Current block of the innermost frame.
-    pub fn current_block(&self) -> BlockId {
-        self.frames.last().expect("live thread").block
-    }
-
     /// Call depth.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.frames.len()
     }
 
     /// Borrowed view of the innermost frame's context, for callers that
     /// copy it into a reused thread instead of allocating.
-    pub fn context_ref(&self) -> (&[u64], &[u64]) {
+    pub(crate) fn context_ref(&self) -> (&[u64], &[u64]) {
         let f = self.frames.last().expect("live thread");
         (&f.values, &f.args)
     }
@@ -322,18 +320,17 @@ impl Thread {
     /// reusing its allocations (the fork hot path calls this once per
     /// episode). Header phis take their latch-edge operand values from the
     /// copied context — the hardware semantics of "the context of the main
-    /// thread is copied to the speculative thread" (§1).
-    pub fn restart_spec(
+    /// thread is copied to the speculative thread" (§1). With no latch row
+    /// (a spawn target that is not a loop header) every phi reads 0.
+    pub(crate) fn restart_spec(
         &mut self,
-        decoded: &DecodedModule,
+        sup: &SuperblockModule,
         func: FuncId,
         context: &[u64],
         args: &[u64],
         header: BlockId,
         latch: BlockId,
     ) {
-        let df = decoded.func(func);
-        let hb = &df.blocks[header.index()];
         let mut frame = match self.frames.pop() {
             Some(f) => {
                 while let Some(extra) = self.frames.pop() {
@@ -360,23 +357,7 @@ impl Thread {
         frame.block = header;
         frame.pos = 0;
         frame.ret_slot = None;
-        frame.pending.clear();
-        frame.pending_head = 0;
-        match hb.preds.iter().position(|&p| p == latch) {
-            Some(pi) => {
-                let row = &hb.phi_srcs[pi];
-                for (k, &phi) in hb.phis.iter().enumerate() {
-                    frame
-                        .pending
-                        .push((phi, row[k].map(|dv| dv.read(&frame.values)).unwrap_or(0)));
-                }
-            }
-            None => {
-                for &phi in hb.phis.iter() {
-                    frame.pending.push((phi, 0));
-                }
-            }
-        }
+        frame.schedule_phis(&sup.func(func).blocks[header.index()], latch);
         self.frames.push(frame);
     }
 
@@ -390,7 +371,7 @@ impl Thread {
     /// [`ExecError::StackOverflow`] at the depth limit.
     pub(crate) fn push_call(
         &mut self,
-        decoded: &DecodedModule,
+        sup: &SuperblockModule,
         callee: FuncId,
         args: &[DVal],
         ret_slot: InstId,
@@ -402,8 +383,8 @@ impl Thread {
             .frames
             .last()
             .ok_or_else(|| ExecError::Malformed("call on finished thread".into()))?;
-        let callee_df = decoded.func(callee);
-        let entry = callee_df.entry;
+        let callee_sf = sup.func(callee);
+        let entry = callee_sf.entry;
         let mut frame = self.pool.pop().unwrap_or_else(|| Frame {
             func: callee,
             values: Vec::new(),
@@ -419,7 +400,7 @@ impl Thread {
             .args
             .extend(args.iter().map(|a| a.read(&caller.values)));
         frame.values.clear();
-        frame.values.resize(callee_df.num_values(), 0);
+        frame.values.resize(callee_sf.num_values, 0);
         frame.func = callee;
         frame.block = entry;
         frame.pos = 0;
@@ -431,31 +412,32 @@ impl Thread {
     }
 }
 
-/// Performs an intra-function block transfer: schedules the target's phi
-/// writes (evaluated atomically against the pre-transfer values via the
-/// pre-decoded phi-source row for the incoming edge) and points the frame at
-/// the target's body.
-pub(crate) fn transfer(frame: &mut Frame, df: &DecodedFunc, target: BlockId) {
-    let from = frame.block;
-    let tb = &df.blocks[target.index()];
-    frame.pending.clear();
-    frame.pending_head = 0;
-    if !tb.phis.is_empty() {
-        match tb.preds.iter().position(|&p| p == from) {
-            Some(pi) => {
-                let row = &tb.phi_srcs[pi];
-                for (k, &phi) in tb.phis.iter().enumerate() {
-                    let v = row[k].map(|dv| dv.read(&frame.values)).unwrap_or(0);
-                    frame.pending.push((phi, v));
+impl Frame {
+    /// Schedules `block`'s leading-phi writes for entry along the edge from
+    /// `pred`, every source read against the current values before any phi
+    /// is written: the edge's [`PhiRow`](spt_ir::superblock::PhiRow) applies
+    /// (a missing source reads 0), and with no matching row every phi reads
+    /// 0.
+    fn schedule_phis(&mut self, block: &SBlock, pred: BlockId) {
+        self.pending.clear();
+        self.pending_head = 0;
+        match block.phi_rows.iter().find(|r| r.pred == pred) {
+            Some(row) => {
+                for (&phi, src) in block.phis.iter().zip(row.srcs.iter()) {
+                    let v = src.read(&self.values);
+                    self.pending.push((phi, v));
                 }
             }
-            None => {
-                for &phi in tb.phis.iter() {
-                    frame.pending.push((phi, 0));
-                }
-            }
+            None => self.pending.extend(block.phis.iter().map(|&phi| (phi, 0))),
         }
     }
+}
+
+/// Performs an intra-function block transfer: schedules the target's phi
+/// writes for the incoming edge and points the frame at the target's body.
+pub(crate) fn transfer(frame: &mut Frame, sf: &SuperblockFunc, target: BlockId) {
+    let from = frame.block;
+    frame.schedule_phis(&sf.blocks[target.index()], from);
     frame.block = target;
     frame.pos = 0;
 }

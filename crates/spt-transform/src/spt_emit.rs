@@ -67,7 +67,11 @@ pub struct SptEmitInfo {
 /// # Errors
 ///
 /// Returns [`TransformError`] if the loop id is stale or the loop is not in
-/// canonical form.
+/// canonical form, and [`TransformError::Precondition`] — before touching
+/// `func` — if a header definition live outside the loop stays post-fork,
+/// or if an instruction the pre-fork region clones (moved, replicated, or
+/// the header's exit test) reads an in-loop value that is neither moved nor
+/// a header phi.
 pub fn emit_spt_loop(
     func: &mut Function,
     spec: &SptLoopSpec,
@@ -141,6 +145,35 @@ pub fn emit_spt_loop(
             {
                 return Err(TransformError::Precondition(format!(
                     "header definition {i} is live outside the loop but not in the pre-fork set"
+                )));
+            }
+        }
+        // The pre-fork region clones every moved and replicated instruction
+        // (the header's exit test included), so each may read only what the
+        // clone has: values from outside the loop, header phis and other
+        // moved instructions. Any other in-loop def is post-fork. (Header
+        // phis themselves are rewired by the cross-region repair below.)
+        let inst_blocks = func.inst_blocks();
+        let mut cloned: Vec<InstId> = moved.union(&replicated).copied().collect();
+        cloned.sort();
+        for i in cloned {
+            if header_phis.contains(&i) {
+                continue;
+            }
+            let mut post_fork = None;
+            func.inst(i).kind.for_each_operand(|op| {
+                if let Operand::Inst(d) = op {
+                    if inst_blocks.get(&d).is_some_and(|b| in_loop.contains(b))
+                        && !moved.contains(&d)
+                        && !header_phis.contains(&d)
+                    {
+                        post_fork.get_or_insert(d);
+                    }
+                }
+            });
+            if let Some(d) = post_fork {
+                return Err(TransformError::Precondition(format!(
+                    "pre-fork instruction {i} reads {d}, an in-loop value that is neither moved nor a header phi"
                 )));
             }
         }

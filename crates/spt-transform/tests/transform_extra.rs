@@ -1,11 +1,16 @@
 //! Additional transformation integration tests: high unroll factors,
 //! SVP on conditional carriers and the loops SVP must decline, promotion
-//! around while loops, and emission robustness.
+//! around while loops, SPT emission specs that leave a cloned
+//! instruction's operand post-fork, and emission robustness.
 
 use spt_ir::loops::LoopId;
 use spt_ir::{BinOp, BlockId, CmpOp, FuncBuilder, FuncId, InstId, InstKind, Module, Operand, Ty};
 use spt_profile::{Interp, NoProfiler, Val, ValuePattern};
-use spt_transform::{apply_svp, classify_loop, promote_global_scalars, unroll_loop, UnrollKind};
+use spt_transform::{
+    apply_svp, classify_loop, emit_spt_loop, promote_global_scalars, unroll_loop, SptLoopSpec,
+    TransformError, UnrollKind,
+};
+use std::collections::HashSet;
 
 fn run_ret(module: &spt_ir::Module, entry: &str, arg: i64) -> i64 {
     Interp::new(module)
@@ -392,4 +397,108 @@ fn svp_carrier_is_header_phi() {
     );
     assert!(after == m, "the module changed");
     assert_eq!(run_ret(&after, "f", 10), 55);
+}
+
+/// Runs `emit_spt_loop` on loop 0 of `f` in `m` with the given sets and
+/// requires a precondition error that leaves the function exactly as it
+/// was.
+fn assert_emit_declines(m: &Module, move_insts: HashSet<InstId>, replicate_insts: HashSet<InstId>) {
+    let fid = m.func_by_name("f").unwrap();
+    let mut after = m.clone();
+    let spec = SptLoopSpec {
+        loop_id: LoopId::new(0),
+        move_insts,
+        replicate_insts,
+        loop_tag: 1,
+    };
+    let e = emit_spt_loop(after.func_mut(fid), &spec).expect_err("the spec is not closed");
+    assert!(matches!(e, TransformError::Precondition(_)), "{e}");
+    assert!(after == *m, "the function changed");
+}
+
+/// An empty spec: the auto-replicated header test would read its compare,
+/// which stays post-fork.
+#[test]
+fn emit_declines_an_unclosed_header_test() {
+    let src = "
+        fn f(n: int) -> int {
+            let i = 0;
+            let s = 0;
+            while (i < n) {
+                s = s + i;
+                i = i + 1;
+            }
+            return s;
+        }
+    ";
+    let m = spt_frontend::compile(src).unwrap();
+    assert_emit_declines(&m, HashSet::new(), HashSet::new());
+}
+
+/// The header test's closure moves, but a replicated in-body branch's
+/// condition does not.
+#[test]
+fn emit_declines_a_replicated_branch_with_a_post_fork_condition() {
+    let src = "
+        fn f(n: int) -> int {
+            let i = 0;
+            let s = 0;
+            while (i < n) {
+                if (i % 3 == 0) { s = s + 1; }
+                i = i + 1;
+            }
+            return s;
+        }
+    ";
+    let m = spt_frontend::compile(src).unwrap();
+    let func = m.func(m.func_by_name("f").unwrap());
+    let cfg = spt_ir::Cfg::compute(func);
+    let dom = spt_ir::DomTree::compute(&cfg);
+    let l = spt_ir::LoopForest::compute(func, &cfg, &dom)
+        .get(LoopId::new(0))
+        .clone();
+    let cond = |term: InstId| match func.inst(term).kind {
+        InstKind::Branch {
+            cond: Operand::Inst(c),
+            ..
+        } => c,
+        _ => panic!("a conditional branch"),
+    };
+    let header_test = cond(func.terminator(l.header).unwrap());
+    let inner = l
+        .blocks
+        .iter()
+        .filter(|&&b| b != l.header)
+        .filter_map(|&b| func.terminator(b))
+        .find(|&t| matches!(func.inst(t).kind, InstKind::Branch { .. }))
+        .expect("the in-body branch");
+    assert!(!matches!(func.inst(cond(inner)).kind, InstKind::Phi { .. }));
+    assert_emit_declines(&m, HashSet::from([header_test]), HashSet::from([inner]));
+    // With its condition's closure moved as well, the same spec emits and
+    // verifies.
+    let mut closure = HashSet::from([header_test]);
+    let mut work = vec![cond(inner)];
+    while let Some(i) = work.pop() {
+        if matches!(func.inst(i).kind, InstKind::Phi { .. }) || !closure.insert(i) {
+            continue;
+        }
+        func.inst(i).kind.for_each_operand(|op| {
+            if let Operand::Inst(d) = op {
+                work.push(d);
+            }
+        });
+    }
+    let mut ok = m.clone();
+    let fid = ok.func_by_name("f").unwrap();
+    let spec = SptLoopSpec {
+        loop_id: LoopId::new(0),
+        move_insts: closure,
+        replicate_insts: HashSet::from([inner]),
+        loop_tag: 1,
+    };
+    emit_spt_loop(ok.func_mut(fid), &spec).expect("a closed spec emits");
+    spt_ir::verify::verify_module(&ok).expect("verifies");
+    for n in [0, 1, 7, 30] {
+        assert_eq!(run_ret(&ok, "f", n), run_ret(&m, "f", n), "n={n}");
+    }
 }

@@ -34,11 +34,12 @@ cargo test -q -p spt-corpus --features failpoints
 # response; a delayed compile proves single-flight joining.
 cargo test -q -p spt-serve --features failpoints --test serve_failpoints
 
-echo "== corpus: 200-module differential slice (five oracles) =="
-# A pinned-seed slice of the corpus fuzzer: every module must satisfy the
-# no-panic, semantics, engine-identity, cache-identity, and
-# thread-invariance oracles. The full thousand-module run is `--count 1000`.
-cargo run --release -q -p spt-bench --bin corpus -- --seed 1 --count 200
+echo "== corpus: full 1000-module differential run (five oracles) =="
+# The pinned-seed corpus fuzzer: every module must satisfy the no-panic,
+# semantics, engine-identity, cache-identity, and thread-invariance
+# oracles. The engine-identity oracle checks every executor walk against
+# the reference engines on each module.
+cargo run --release -q -p spt-bench --bin corpus -- --seed 1 --count 1000
 
 echo "== corpus: failpoint sweep (every site x 20 modules) =="
 cargo run --release -q -p spt-bench --features failpoints --bin corpus -- \
@@ -156,9 +157,10 @@ cargo run --release -q --manifest-path sptbench/Cargo.toml -- --smoke
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 # spt-core and spt-trace deny unwrap/expect crate-wide, and the execution
-# engines' hot modules (spt-ir superblock, spt-profile fused, spt-sim
-# superexec/specexec) carry the same module-level denies; this re-lints them
-# so a local `#[allow]` regression cannot slip through the stricter gate.
+# engines' hot modules (spt-ir superblock, which holds the lowering and the
+# one op evaluator; spt-profile fused; spt-sim superexec/specexec) carry the
+# same module-level denies; this re-lints them so a local `#[allow]`
+# regression cannot slip through the stricter gate.
 cargo clippy -p spt-core --lib -- -D warnings
 cargo clippy -p spt-trace --lib -- -D warnings
 cargo clippy -p spt-ir --lib -- -D warnings

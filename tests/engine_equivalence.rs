@@ -1,8 +1,9 @@
 //! Differential oracle for the execution engines.
 //!
 //! The profiling interpreter (`spt::profile::Interp`) and the simulator
-//! (`spt::sim::SptSimulator`) execute superblock code; the original
-//! match-per-step engines are retained verbatim as
+//! (`spt::sim::SptSimulator`) execute superblock code, lowered straight from
+//! the IR, through one shared op evaluator and one set of phi rows; the
+//! original match-per-step engines are retained verbatim as
 //! `ReferenceInterp`/`ReferenceSimulator`. Every observable output must be
 //! **bit-identical** between each engine and its reference: interpreter
 //! results, the full profiler event stream, all four profile summaries, and
@@ -12,12 +13,13 @@
 //! cases cover the shapes a resumable executor could get wrong: calls
 //! inside speculated loops, validation stopping after any instruction, fuel
 //! running out on every instruction, phi-heavy merges, unencodable
-//! constants and malformed phis. The engines' superblock code itself is
-//! pinned to one op per IR instruction, in block order.
+//! constants, malformed phis and a fork whose speculative thread enters
+//! phis along no edge. The engines' superblock code itself is pinned
+//! against the IR: one op per instruction, in block order.
 
 use spt::ir::{
-    BinOp, BlockId, CmpOp, DKind, DecodedModule, FuncBuilder, FuncId, InstId, InstKind, Module,
-    Operand, RegionId, SOpc, SuperblockModule, Ty,
+    BinOp, BlockId, CmpOp, FuncBuilder, FuncId, Function, InstId, InstKind, Module, Operand,
+    RegionId, SOpc, SuperblockModule, Ty,
 };
 use spt::pipeline::{compile_and_transform, CompilerConfig, ProfilingInput};
 use spt::profile::{
@@ -378,41 +380,50 @@ fn speculated_loop_kinds(module: &Module, func: FuncId) -> (bool, bool, bool) {
     )
 }
 
-/// The superblock lowering invariant: every body instruction is exactly one
-/// op, ops follow block order (so every instruction is an op start), a
-/// block ends in a fall-off sentinel exactly when its body does not end in a
-/// terminator, and the per-block retire accounting covers the block's
-/// instructions (frontend code has no stray phis and no mid-body
-/// terminators).
+/// The number of leading phis of `block` in `func`.
+fn leading_phis(func: &Function, block: BlockId) -> usize {
+    func.block(block)
+        .insts
+        .iter()
+        .take_while(|&&i| matches!(func.inst(i).kind, InstKind::Phi { .. }))
+        .count()
+}
+
+/// The superblock lowering invariant, checked against the IR: every body
+/// instruction is exactly one op, ops follow block order (so every
+/// instruction is an op start), a block ends in a fall-off sentinel exactly
+/// when its body does not end in a terminator, the block's leading phis are
+/// the ones its phi rows write, and the per-block retire accounting covers
+/// the block's instructions (frontend code has no stray phis and no
+/// mid-body terminators).
 fn assert_one_op_per_instruction(name: &str, module: &Module) {
-    let decoded = DecodedModule::new(module);
-    let sup = SuperblockModule::build(&decoded);
-    for (df, sf) in decoded.funcs.iter().zip(&sup.funcs) {
-        assert_eq!(sf.meta.len(), sf.ops.len(), "{name}/{}", df.name);
+    let sup = SuperblockModule::build(module);
+    for (func, sf) in module.funcs.iter().zip(&sup.funcs) {
+        assert_eq!(sf.meta.len(), sf.ops.len(), "{name}/{}", func.name);
         let mut next = 0;
-        for (bi, (db, sb)) in df.blocks.iter().zip(sf.blocks.iter()).enumerate() {
-            let at = format!("{name}/{} block {bi}", df.name);
+        for (bi, sb) in sf.blocks.iter().enumerate() {
+            let at = format!("{name}/{} block {bi}", func.name);
+            let insts = &func.block(BlockId(bi as u32)).insts;
+            let (phis, body) = insts.split_at(leading_phis(func, BlockId(bi as u32)));
+            assert_eq!(&sb.phis[..], phis, "{at}: leading phis");
             let (start, end) = (sb.range.0 as usize, sb.range.1 as usize);
             assert_eq!(start, next, "{at}: blocks lower in order");
-            let terminated = db.body.last().is_some_and(|&i| {
-                matches!(
-                    df.insts[i.index()].kind,
-                    DKind::Jump { .. } | DKind::Branch { .. } | DKind::Ret { .. }
-                )
-            });
-            let ops = db.body.len() + usize::from(!terminated);
+            let terminated = body
+                .last()
+                .is_some_and(|&i| func.inst(i).kind.is_terminator());
+            let ops = body.len() + usize::from(!terminated);
             assert_eq!(end - start, ops, "{at}: one op per instruction");
             assert_eq!(sf.ops[end - 1].opc == SOpc::FallOff, !terminated, "{at}");
             next = end;
-            for (k, &inst) in db.body.iter().enumerate() {
+            for (k, &inst) in body.iter().enumerate() {
                 let idx = sf.op_at(BlockId(bi as u32), k as u32);
                 assert_eq!(idx, start + k, "{at}: position {k} starts an op");
                 assert_eq!(sf.meta[idx].inst, inst, "{at}: op {k}'s instruction");
-                let lat = df.insts[inst.index()].latency;
+                let lat = func.inst(inst).latency();
                 assert_eq!(u64::from(sf.meta[idx].lat), lat, "{at}: op {k}'s latency");
             }
-            assert_eq!(sb.retires, (db.phis.len() + db.body.len()) as u64, "{at}");
-            let cycles: u64 = db.body.iter().map(|&i| df.insts[i.index()].latency).sum();
+            assert_eq!(sb.retires, (phis.len() + body.len()) as u64, "{at}");
+            let cycles: u64 = body.iter().map(|&i| func.inst(i).latency()).sum();
             assert_eq!(sb.cycles, cycles, "{at}: cycles");
             let calls = sf.ops[start..end].iter().any(|s| s.opc == SOpc::Call);
             assert_eq!(sb.has_call, calls, "{at}: has_call");
@@ -421,7 +432,7 @@ fn assert_one_op_per_instruction(name: &str, module: &Module) {
             next,
             sf.ops.len(),
             "{name}/{}: every op is in a block",
-            df.name
+            func.name
         );
     }
 }
@@ -693,11 +704,10 @@ fn phi_heavy_merges_match_reference() {
     }
     src.push_str(";\n}\n");
     let module = spt::frontend::compile(&src).expect("compiles");
-    let decoded = DecodedModule::new(&module);
-    let max_phis = decoded.funcs[0]
-        .blocks
-        .iter()
-        .map(|b| b.phis.len())
+    let func = &module.funcs[0];
+    let max_phis = func
+        .block_ids()
+        .map(|b| leading_phis(func, b))
         .max()
         .unwrap_or(0);
     assert!(max_phis >= 17, "only {max_phis} leading phis");
@@ -761,6 +771,80 @@ fn phi_row_missing_a_source_matches_reference() {
         .run(&module, "f", &[-5])
         .expect("sim runs");
     assert_eq!(s.ret, Some(0));
+}
+
+/// An `SPT_FORK` whose spawn target is a merge block with leading phis but
+/// no back-edge predecessor: the speculative thread restarts there along no
+/// CFG edge, so no phi row matches and every phi reads 0 (both engines).
+/// The main thread then validates against the real edge's values, so each
+/// episode re-executes the phis and what they feed.
+#[test]
+fn fork_into_phis_along_no_edge_matches_reference() {
+    // f(n): for i in 0..n { (p, q) = i % 2 == 0 ? (fork; (i * 3, 7)) : (i, 9);
+    //                       a[i % 16] = p; s += p + q }; return s
+    let mut b = FuncBuilder::new("f", vec![("n".into(), Ty::I64)], Some(Ty::I64));
+    let n = b.param(0);
+    let entry = b.entry();
+    let (header, body, left) = (b.add_block(), b.add_block(), b.add_block());
+    let (right, merge, exit) = (b.add_block(), b.add_block(), b.add_block());
+    b.switch_to(entry);
+    b.jump(header);
+    b.switch_to(header);
+    let i = b.phi(Ty::I64, vec![(entry, Operand::const_i64(0))]);
+    let s = b.phi(Ty::I64, vec![(entry, Operand::const_i64(0))]);
+    let c = b.cmp(CmpOp::Lt, Ty::I64, i, n);
+    b.branch(c, body, exit);
+    b.switch_to(body);
+    let odd = b.binary(BinOp::Rem, i, Operand::const_i64(2));
+    b.branch(odd, right, left);
+    b.switch_to(left);
+    b.spt_fork(5, merge);
+    let y = b.binary(BinOp::Mul, i, Operand::const_i64(3));
+    b.jump(merge);
+    b.switch_to(right);
+    b.jump(merge);
+    b.switch_to(merge);
+    let p = b.phi(Ty::I64, vec![(left, y), (right, i)]);
+    let seven_or_nine = vec![
+        (left, Operand::const_i64(7)),
+        (right, Operand::const_i64(9)),
+    ];
+    let q = b.phi(Ty::I64, seven_or_nine);
+    let cell = b.binary(BinOp::Rem, i, Operand::const_i64(16));
+    b.store(cell, p, RegionId::UNKNOWN);
+    let pq = b.binary(BinOp::Add, p, q);
+    let s2 = b.binary(BinOp::Add, s, pq);
+    let i2 = b.binary(BinOp::Add, i, Operand::const_i64(1));
+    b.jump(header);
+    b.switch_to(exit);
+    b.spt_kill(5);
+    b.ret(Some(s));
+    let mut func = b.finish();
+    for (phi, v) in [(i, i2), (s, s2)] {
+        if let InstKind::Phi { args } = &mut func.inst_mut(phi.as_inst().expect("phi")).kind {
+            args.push((merge, v));
+        }
+    }
+    let mut module = Module::new();
+    module.add_global("a", 16, Ty::I64);
+    module.add_func(func);
+    let sb = &SuperblockModule::build(&module).funcs[0].blocks[merge.index()];
+    assert_eq!(sb.phis.len(), 2);
+    assert_eq!(sb.back_pred, None, "the spawn target has no back edge");
+    assert!(
+        sb.phi_rows.iter().all(|r| r.pred != merge),
+        "no row for the restart"
+    );
+
+    for arg in [1i64, 9, 40] {
+        let name = format!("fork-into-phis({arg})");
+        assert_interp_matches(&name, &module, "f", &[Val::from_i64(arg)], u64::MAX);
+        assert_sim_matches(&name, &module, "f", &[arg], &MachineConfig::default());
+    }
+    let r = SptSimulator::new().run(&module, "f", &[40]).expect("runs");
+    let stats = &r.loops[&5];
+    assert!(stats.forks > 0 && stats.commits > 0, "{stats:?}");
+    assert!(stats.reexec_insts > 0, "zeroed phis re-execute: {stats:?}");
 }
 
 // ---------------------------------------------------------------------------
