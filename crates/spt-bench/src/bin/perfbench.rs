@@ -246,7 +246,7 @@ fn run_incremental(write_history_file: bool) {
     };
 
     // Prime: one cold compile through the cache fills every function's
-    // analysis and emission units.
+    // analysis unit.
     let cache = Store::in_memory(256 << 20, 8);
     let (_, _, prime_us) = compile(&base, Some(&cache));
 
@@ -305,7 +305,6 @@ fn run_incremental(write_history_file: bool) {
          \"prime_us\": {prime_us}, \"t_full_us\": {t_full}, \"t_inc_us\": {t_inc}, \
          \"inc_speedup\": {speedup:.2}, \"func_units_total\": {}, \
          \"func_analysis_hits\": {}, \"func_analysis_misses\": {}, \
-         \"func_emit_hits\": {}, \"func_emit_misses\": {}, \
          \"digest_equal\": true, \"peak_rss_kb\": {}}}",
         next_entry_index(&history),
         git_revision(),
@@ -314,8 +313,6 @@ fn run_incremental(write_history_file: bool) {
         last.func_units_total,
         last.func_analysis_hits,
         last.func_analysis_misses,
-        last.func_emit_hits,
-        last.func_emit_misses,
         peak_rss_kb()
     );
     history.push(entry);

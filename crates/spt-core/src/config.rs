@@ -25,8 +25,8 @@ pub struct TraceSettings {
 
 /// Unified resource limits for one pipeline run, with explicit
 /// graceful-degradation semantics: hitting a budget never fails the
-/// compile — the affected component degrades (loop not speculated, search
-/// keeps its best-so-far, unroll skipped) and a
+/// compile — the affected component degrades (search keeps its
+/// best-so-far, unroll skipped) and a
 /// [`crate::Diagnostic`] records the degradation. The single exception is
 /// [`ResourceBudget::interp_fuel`]: profiling is the pipeline's *input*, so
 /// a profiling run that exhausts its fuel surfaces as
@@ -46,13 +46,6 @@ pub struct ResourceBudget {
     /// function's pre-unroll instruction count. Unrolls that would exceed
     /// it are skipped with a diagnostic.
     pub unroll_growth_cap: f64,
-    /// Optional wall-clock deadline in milliseconds for stage 4 (pass-1
-    /// analysis). Loops whose analysis has not *started* by the deadline
-    /// degrade to [`crate::LoopOutcome::AnalysisFailed`] with a diagnostic.
-    /// `None` (the default) keeps reports fully deterministic; a finite
-    /// deadline trades determinism for bounded latency, so leave it unset
-    /// when byte-identical reports matter.
-    pub analysis_deadline_ms: Option<u64>,
 }
 
 impl Default for ResourceBudget {
@@ -61,7 +54,6 @@ impl Default for ResourceBudget {
             interp_fuel: 500_000_000,
             search_max_visited: 1_000_000,
             unroll_growth_cap: 64.0,
-            analysis_deadline_ms: None,
         }
     }
 }

@@ -114,7 +114,7 @@ pub enum Action {
     /// silently pass.
     Error(String),
     /// Sleep for the given number of milliseconds, then continue normally
-    /// (for deadline-budget tests).
+    /// (to hold a request open while another joins its single flight).
     Delay(u64),
 }
 

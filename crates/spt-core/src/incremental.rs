@@ -10,25 +10,19 @@
 //! ([`crate::store::Store`]), keyed by [`spt_ir::Function::content_hash`]
 //! (the Merkle leaf of [`spt_ir::Module::content_hash`]) plus a context
 //! hash folding exactly those inputs — so editing one function of an
-//! N-function module invalidates one analysis unit, not N.
-//!
-//! Two kinds per function:
-//!
-//! * **analysis units** ([`FuncAnalysisUnit`]) persist on the store's disk
-//!   tier when it has one, so edit-recompile cycles survive process
-//!   boundaries;
-//! * **emission units** ([`EmitUnit`]) — the transformed function plus the
-//!   per-loop emission outcomes needed to splice reports — are memory-only:
-//!   they embed IR and are only worth keeping hot within a process.
+//! N-function module invalidates one analysis unit, not N. The analysis
+//! units ([`FuncAnalysisUnit`]) persist on the store's disk tier when it
+//! has one, so edit-recompile cycles survive process boundaries. Pass 2
+//! (selection and SPT emission) always runs in full.
 //!
 //! The skip-and-splice contract: a decode-and-splice path must be
 //! *byte-identical* to a recompute path, for reports and emitted code
 //! alike. Keys therefore fold every analysis input bit-exactly (`f64`s by
 //! bit pattern), cached values carry everything the report rebuild needs
 //! (including the flags that regenerate diagnostics), and anything
-//! environmental — a contained panic, an analysis deadline — is never
-//! stored. `tests/incremental_equivalence.rs` pins the contract over the
-//! whole benchmark suite.
+//! environmental — a contained panic — is never stored.
+//! `tests/incremental_equivalence.rs` pins the contract over the whole
+//! benchmark suite.
 
 use spt_ir::{FuncId, Function, LoopForest, Module};
 use spt_profile::ProfileCollector;
@@ -36,33 +30,6 @@ use spt_trace::codec::Fnv;
 use spt_trace::FuncAnalysisUnit;
 
 use crate::config::CompilerConfig;
-
-/// The outcome of one loop's SPT emission, cache-stable. `Emitted` carries
-/// no tag: tags are globally sequential over successful emissions, so the
-/// splice path re-derives them from its running counter — which also makes
-/// a unit reusable only from the same starting tag (the tag participates in
-/// the cache key).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum EmitEvent {
-    /// The loop was transformed; it consumed the next loop tag.
-    Emitted,
-    /// Emission declined with this message; the loop stayed sequential.
-    Declined(String),
-    /// The selected loop was no longer present at emission time.
-    Vanished,
-}
-
-/// The emission product of one function: its post-emission IR and the
-/// per-selected-loop events needed to rebuild records, diagnostics and the
-/// selected-loop list byte-identically.
-#[derive(Clone, Debug)]
-pub struct EmitUnit {
-    /// The function after all of its selected loops were emitted (before
-    /// the pipeline's final cleanup pass, which still runs on splice).
-    pub func: Function,
-    /// One event per selected loop, in selection order.
-    pub events: Vec<EmitEvent>,
-}
 
 /// Streams `Debug` renderings into an FNV fold without materialising them.
 struct FnvWrite(Fnv);

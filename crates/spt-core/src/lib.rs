@@ -40,7 +40,6 @@ pub mod store;
 
 pub use config::{CompilerConfig, ResourceBudget, TraceSettings};
 pub use diag::{Diagnostic, Severity, Stage};
-pub use incremental::{EmitEvent, EmitUnit};
 pub use pipeline::{
     compile_and_transform, transform_module, transform_module_timed, transform_module_timed_with,
     PipelineError, ProfilingInput, SptCompilation, StageTimings,

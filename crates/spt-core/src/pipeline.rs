@@ -24,9 +24,9 @@
 
 use crate::config::CompilerConfig;
 use crate::diag::{panic_message, Diagnostic, Severity, Stage};
-use crate::incremental::{unit_matches_forest, EmitEvent, EmitUnit, ModuleContext};
+use crate::incremental::{unit_matches_forest, ModuleContext};
 use crate::report::{CompilationReport, LoopOutcome, LoopRecord, SelectedLoop};
-use crate::store::{emit_unit_key, func_unit_key, Store};
+use crate::store::{func_unit_key, Store};
 use spt_cost::dep_graph::{DepGraph, DepGraphConfig, NodeClass, Profiles};
 use spt_cost::LoopCostModel;
 use spt_ir::loops::LoopId;
@@ -132,9 +132,9 @@ struct LoopAnalysis {
     /// The partition search hit its visited-node budget; `cost` and the
     /// move/replicate sets describe the best partition found so far.
     search_budget_exhausted: bool,
-    /// Pass-1 analysis did not complete for this loop (contained panic or
-    /// analysis deadline); every analysis field is a conservative default
-    /// and the loop must not be speculated.
+    /// Pass-1 analysis did not complete for this loop (contained panic);
+    /// every analysis field is a conservative default and the loop must not
+    /// be speculated.
     failed: bool,
 }
 
@@ -232,10 +232,6 @@ pub struct StageTimings {
     /// Pass-1 analysis units that had to be computed (and, when clean, were
     /// stored for the next compile).
     pub func_analysis_misses: u64,
-    /// Emission units spliced verbatim from the function-granular cache.
-    pub func_emit_hits: u64,
-    /// Emission units that ran the full per-loop SPT emission.
-    pub func_emit_misses: u64,
 }
 
 /// Runs preprocessing, analysis, selection and transformation on an
@@ -273,12 +269,12 @@ pub fn transform_module_timed(
 /// [`transform_module_timed`] compiling through a caller-owned artifact
 /// [`Store`], the function-granular incremental entry point.
 ///
-/// With `Some(store)`, functions whose content hash and analysis/emission
-/// context match a stored unit skip pass 1 (and SPT emission) entirely and
-/// splice the stored results back in; the report and emitted code are
-/// byte-identical to a cold compile (pinned by
-/// `tests/incremental_equivalence.rs`), and the hit/miss counters land in
-/// [`StageTimings`]. With `None` every function is analyzed and emitted.
+/// With `Some(store)`, functions whose content hash and analysis context
+/// match a stored unit skip pass 1 entirely and splice the stored analyses
+/// back in; the report and emitted code are byte-identical to a cold
+/// compile (pinned by `tests/incremental_equivalence.rs`), and the hit/miss
+/// counters land in [`StageTimings`]. With `None` every function is
+/// analyzed.
 /// [`transform_module_timed`] passes an ephemeral disk-backed store when
 /// the artifact store is enabled with a `cache_dir` (so edit-recompile
 /// cycles reuse analysis units across processes); the daemon passes its
@@ -381,7 +377,7 @@ fn transform_scratch(
     }
     timings.search_visited = analyses.iter().map(|a| a.search_visited).sum();
 
-    // --- Stage 6: pass 2 selection.
+    // --- Stage 6: pass 2 selection and emission.
     let t_select = std::time::Instant::now();
     let mut records = select(
         module,
@@ -391,39 +387,7 @@ fn transform_scratch(
         &unroll_factors,
         &mut diags,
     );
-
-    // --- Emission. Selected loops are processed grouped by owning function
-    // so a whole function's emission — the transformed IR plus every
-    // per-loop outcome — can be served from the incremental cache and
-    // spliced back verbatim. Analyses are function-contiguous, so the
-    // grouping preserves the exact loop order (and the globally sequential
-    // tag assignment) of the flat loop it replaces.
-    let mut selected_out: Vec<SelectedLoop> = Vec::new();
-    let mut next_tag: u32 = 1;
-    let mut groups: Vec<(FuncId, Vec<usize>)> = Vec::new();
-    for (idx, a) in analyses.iter().enumerate() {
-        if records[idx].outcome != LoopOutcome::Selected {
-            continue;
-        }
-        match groups.last_mut() {
-            Some((f, idxs)) if *f == a.func => idxs.push(idx),
-            _ => groups.push((a.func, vec![idx])),
-        }
-    }
-    for (fid, idxs) in groups {
-        emit_func_group(
-            module,
-            fid,
-            &idxs,
-            &analyses,
-            &mut records,
-            cache,
-            &mut next_tag,
-            &mut selected_out,
-            &mut timings,
-            &mut diags,
-        );
-    }
+    let selected_out = emit_selected(module, &analyses, &mut records, &mut diags);
 
     // --- Stage 7: cleanup and verification.
     for func in &mut module.funcs {
@@ -447,104 +411,28 @@ fn transform_scratch(
     ))
 }
 
-/// Emits every selected loop of one function, through the incremental
-/// emission cache when one is available.
+/// Pass 2's emission: transforms every `Selected` loop in analysis order,
+/// numbering the successful emissions with sequential tags from 1.
 ///
-/// The cache key pins the function's exact IR at emission entry, the
-/// starting loop tag, and every selected loop's partition sets, so a hit
-/// replays the recorded per-loop events — tags re-derived from the running
-/// counter, records and diagnostics regenerated bit-identically — and
-/// splices the cached post-emission IR in place of re-running the
-/// transformation. On a miss the per-loop path below is exactly the
-/// pre-cache pipeline: each loop's emission is fault-isolated (the function
-/// is snapshotted first, and a contained panic restores it and degrades the
-/// loop instead of failing or corrupting the whole compile); units that
-/// contained a panic are never stored, since a panic is environmental, not
-/// a property of the inputs.
-#[allow(clippy::too_many_arguments)]
-fn emit_func_group(
+/// Each loop's emission is fault-isolated: the function is snapshotted
+/// first, and a contained panic restores it and degrades the loop instead
+/// of failing or corrupting the whole compile. A loop the transformation
+/// declines, or one that no longer exists, becomes `NotCanonical` with a
+/// warning.
+fn emit_selected(
     module: &mut Module,
-    fid: FuncId,
-    idxs: &[usize],
     analyses: &[LoopAnalysis],
     records: &mut [LoopRecord],
-    cache: Option<&Store>,
-    next_tag: &mut u32,
-    selected_out: &mut Vec<SelectedLoop>,
-    timings: &mut StageTimings,
     diags: &mut Vec<Diagnostic>,
-) {
-    let start_tag = *next_tag;
-    let key = cache.map(|_| {
-        let func = module.func(fid);
-        let selected: Vec<(u32, Vec<u32>, Vec<u32>)> = idxs
-            .iter()
-            .map(|&idx| {
-                let a = &analyses[idx];
-                let mut mv: Vec<u32> = a.move_insts.iter().map(|i| i.index() as u32).collect();
-                mv.sort_unstable();
-                let mut rep: Vec<u32> =
-                    a.replicate_insts.iter().map(|i| i.index() as u32).collect();
-                rep.sort_unstable();
-                (a.header.index() as u32, mv, rep)
-            })
-            .collect();
-        emit_unit_key(func, fid, start_tag, &selected)
-    });
-    if let (Some(cache), Some(key)) = (cache, key) {
-        if let Some((unit, _)) = cache.get::<EmitUnit>(key) {
-            if unit.events.len() == idxs.len() {
-                timings.func_emit_hits += 1;
-                *module.func_mut(fid) = unit.func.clone();
-                for (&idx, event) in idxs.iter().zip(&unit.events) {
-                    let a = &analyses[idx];
-                    match event {
-                        EmitEvent::Emitted => {
-                            selected_out.push(SelectedLoop {
-                                func: a.func,
-                                header: a.header,
-                                loop_tag: *next_tag,
-                                est_cost: a.cost,
-                                prefork_size: a.prefork_size,
-                                body_size: a.body_size,
-                            });
-                            *next_tag += 1;
-                        }
-                        EmitEvent::Declined(msg) => {
-                            records[idx].outcome = LoopOutcome::NotCanonical;
-                            diags.push(Diagnostic::for_loop(
-                                Stage::Emission,
-                                Severity::Warning,
-                                a.func,
-                                a.header,
-                                format!("SPT emission declined: {msg}; loop left sequential"),
-                            ));
-                        }
-                        EmitEvent::Vanished => {
-                            records[idx].outcome = LoopOutcome::NotCanonical;
-                            diags.push(Diagnostic::for_loop(
-                                Stage::Emission,
-                                Severity::Warning,
-                                a.func,
-                                a.header,
-                                "selected loop no longer present at emission time; \
-                                 not transformed",
-                            ));
-                        }
-                    }
-                }
-                return;
-            }
+) -> Vec<SelectedLoop> {
+    let mut selected_out: Vec<SelectedLoop> = Vec::new();
+    let mut next_tag: u32 = 1;
+    for (idx, a) in analyses.iter().enumerate() {
+        if records[idx].outcome != LoopOutcome::Selected {
+            continue;
         }
-        timings.func_emit_misses += 1;
-    }
-
-    let mut events: Vec<EmitEvent> = Vec::with_capacity(idxs.len());
-    let mut panicked = false;
-    for &idx in idxs {
-        let a = &analyses[idx];
         // Re-locate the loop by header in the current forest.
-        let func = module.func_mut(fid);
+        let func = module.func_mut(a.func);
         let loop_id = {
             let cfg = Cfg::compute(func);
             let dom = DomTree::compute(&cfg);
@@ -553,7 +441,6 @@ fn emit_func_group(
             found
         };
         let Some(loop_id) = loop_id else {
-            events.push(EmitEvent::Vanished);
             records[idx].outcome = LoopOutcome::NotCanonical;
             diags.push(Diagnostic::for_loop(
                 Stage::Emission,
@@ -568,7 +455,7 @@ fn emit_func_group(
             loop_id,
             move_insts: a.move_insts.clone(),
             replicate_insts: a.replicate_insts.clone(),
-            loop_tag: *next_tag,
+            loop_tag: next_tag,
         };
         let snapshot = func.clone();
         let emitted = catch_unwind(AssertUnwindSafe(|| {
@@ -577,19 +464,17 @@ fn emit_func_group(
         }));
         match emitted {
             Ok(Ok(_info)) => {
-                events.push(EmitEvent::Emitted);
                 selected_out.push(SelectedLoop {
                     func: a.func,
                     header: a.header,
-                    loop_tag: *next_tag,
+                    loop_tag: next_tag,
                     est_cost: a.cost,
                     prefork_size: a.prefork_size,
                     body_size: a.body_size,
                 });
-                *next_tag += 1;
+                next_tag += 1;
             }
             Ok(Err(e)) => {
-                events.push(EmitEvent::Declined(e.to_string()));
                 records[idx].outcome = LoopOutcome::NotCanonical;
                 diags.push(Diagnostic::for_loop(
                     Stage::Emission,
@@ -601,7 +486,6 @@ fn emit_func_group(
             }
             Err(payload) => {
                 *func = snapshot;
-                panicked = true;
                 records[idx].outcome = LoopOutcome::AnalysisFailed;
                 diags.push(Diagnostic::for_loop(
                     Stage::Emission,
@@ -616,15 +500,7 @@ fn emit_func_group(
             }
         }
     }
-    if let (Some(cache), Some(key), false) = (cache, key, panicked) {
-        cache.put(
-            key,
-            Arc::new(EmitUnit {
-                func: module.func(fid).clone(),
-                events,
-            }),
-        );
-    }
+    selected_out
 }
 
 /// Total instruction count of a function (the unroll growth-cap metric).
@@ -764,8 +640,7 @@ fn collect_profile(
 /// — and every report built from it — identical to a sequential run.
 ///
 /// Fault isolation: each loop's analysis runs under
-/// [`catch_unwind`], so a panic (or the optional analysis deadline)
-/// degrades that single loop to [`LoopAnalysis::failed`] — with a
+/// [`catch_unwind`], so a panic degrades that single loop to [`LoopAnalysis::failed`] — with a
 /// deterministic [`Diagnostic`] — while every other loop's analysis is
 /// unaffected. Per-loop diagnostics travel with the per-item results and are
 /// merged in item order, never through a shared sink, keeping the stream
@@ -831,10 +706,6 @@ fn analyze_module(
         }
         plans.push(plan);
     }
-    let deadline = config
-        .budget
-        .analysis_deadline_ms
-        .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
     let results = crate::parallel::parallel_map(&items, |&(ctx_idx, lid)| {
         let (func_id, ref cfg, ref forest) = contexts[ctx_idx];
         let l = forest.get(lid);
@@ -842,21 +713,6 @@ fn analyze_module(
         let depth = l.depth;
         let parent_header = l.parent.map(|p| forest.get(p).header);
         let mut item_diags: Vec<Diagnostic> = Vec::new();
-        if let Some(deadline) = deadline {
-            if std::time::Instant::now() >= deadline {
-                item_diags.push(Diagnostic::for_loop(
-                    Stage::Analysis,
-                    Severity::Error,
-                    func_id,
-                    header,
-                    "analysis deadline exceeded before this loop started; loop not speculated",
-                ));
-                return (
-                    LoopAnalysis::failed(func_id, lid, header, depth, parent_header),
-                    item_diags,
-                );
-            }
-        }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             crate::fail_point!(
                 "pipeline::analysis",
@@ -902,9 +758,9 @@ fn analyze_module(
     // diagnostics alike) is byte-identical to an all-miss run. Hits decode
     // their fragments, regenerating the budget-exhausted warnings from the
     // stored flags; misses consume their computed results in item order
-    // and, when every loop's analysis completed (a panic or deadline is
-    // environmental, not a property of the inputs), store the fresh unit
-    // for the next compile.
+    // and, when every loop's analysis completed (a panic is environmental,
+    // not a property of the inputs), store the fresh unit for the next
+    // compile.
     let mut results = results.into_iter();
     let mut analyses: Vec<LoopAnalysis> = Vec::new();
     for (ctx_idx, plan) in plans.into_iter().enumerate() {

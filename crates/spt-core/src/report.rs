@@ -33,9 +33,8 @@ pub enum LoopOutcome {
     /// The loop shape is not canonical (no dedicated preheader/latch), so
     /// the transformation cannot apply.
     NotCanonical,
-    /// Analysis or emission of this loop failed (a contained panic, or the
-    /// analysis budget/deadline cut it off before it ran). The loop is
-    /// simply not speculated; the compile itself still succeeds.
+    /// Analysis or emission of this loop failed (a contained panic). The
+    /// loop is simply not speculated; the compile itself still succeeds.
     AnalysisFailed,
 }
 

@@ -1,12 +1,12 @@
 //! The artifact store: the one memo behind the pipeline, the simulation
 //! harnesses and the compile daemon.
 //!
-//! Every product it holds — a function's pass-1 analysis or emitted code, a
-//! whole compiled program, a simulation result — is a pure function of IR
-//! content and inputs, so its key is a content address built in this module
-//! ([`sim_key`], [`func_unit_key`], [`emit_unit_key`], [`unit_key`]), each
-//! folding its kind tag and format version first. Entries are immutable: a
-//! changed input is a new key, and nothing is ever invalidated.
+//! Every product it holds — a function's pass-1 analysis, a whole compiled
+//! program, a simulation result — is a pure function of IR content and
+//! inputs, so its key is a content address built in this module
+//! ([`sim_key`], [`func_unit_key`], [`unit_key`]), each folding its kind
+//! tag and format version first. Entries are immutable: a changed input is
+//! a new key, and nothing is ever invalidated.
 //!
 //! Two tiers. **Memory** is a sharded LRU under one byte budget for every
 //! kind: a key's high bits pick its shard, and each shard evicts its
@@ -34,7 +34,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::SystemTime;
 
-use spt_ir::{FuncId, Function};
 use spt_sim::{LoopSimStats, MachineConfig, SimResult};
 use spt_trace::codec::Fnv;
 use spt_trace::{
@@ -42,18 +41,17 @@ use spt_trace::{
 };
 
 use crate::config::CompilerConfig;
-use crate::incremental::{EmitEvent, EmitUnit};
 
 /// The store under the name the function-granular pipeline API first used
 /// (`sptbench` still compiles against it).
 pub type IncrementalCache = Store;
 
-/// Format version of the memory-only kinds' keys (emission and compiled
-/// units): their values never outlive the process.
+/// Format version of the memory-only kind's keys (compiled units): their
+/// values never outlive the process.
 const MEMORY_ONLY_FORMAT_VERSION: u32 = 1;
 
 /// Number of [`Kind`]s.
-const KINDS: usize = 4;
+const KINDS: usize = 3;
 
 /// The kinds of artifact the store holds; each has one counter row.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,13 +62,11 @@ pub enum Kind {
     Sim,
     /// One function's pass-1 analysis ([`FuncAnalysisUnit`]); persists.
     FuncAnalysis,
-    /// One function's emitted code ([`EmitUnit`]); memory-only.
-    FuncEmit,
 }
 
 impl Kind {
     /// Every kind, in counter-row order.
-    pub const ALL: [Kind; KINDS] = [Kind::Unit, Kind::Sim, Kind::FuncAnalysis, Kind::FuncEmit];
+    pub const ALL: [Kind; KINDS] = [Kind::Unit, Kind::Sim, Kind::FuncAnalysis];
 
     /// The kind's name in `stats` keys.
     pub fn name(self) -> &'static str {
@@ -78,7 +74,6 @@ impl Kind {
             Kind::Unit => "unit",
             Kind::Sim => "sim",
             Kind::FuncAnalysis => "func_analysis",
-            Kind::FuncEmit => "func_emit",
         }
     }
 
@@ -86,7 +81,6 @@ impl Kind {
     fn tag(self) -> &'static str {
         match self {
             Kind::FuncAnalysis => "func",
-            Kind::FuncEmit => "emit",
             k => k.name(),
         }
     }
@@ -136,22 +130,6 @@ impl Artifact for FuncAnalysisUnit {
             .map(|f| 96 + 4 * (f.move_insts.len() + f.replicate_insts.len()) as u64)
             .sum::<u64>()
             + 32
-    }
-}
-
-impl Artifact for EmitUnit {
-    const KIND: Kind = Kind::FuncEmit;
-    fn billed_bytes(&self) -> u64 {
-        let ir = (self.func.insts.len() * 48 + self.func.blocks.len() * 32) as u64;
-        let msgs: u64 = self
-            .events
-            .iter()
-            .map(|e| match e {
-                EmitEvent::Declined(m) => 16 + m.len() as u64,
-                _ => 16,
-            })
-            .sum();
-        ir + msgs + 64
     }
 }
 
@@ -560,34 +538,6 @@ pub fn func_unit_key(function_hash: u64, func_index: u64, context_hash: u64) -> 
     h.finish()
 }
 
-/// Key of a function's emission unit: its IR at emission entry, its index,
-/// the starting loop tag, and each selected loop's header and partition
-/// sets. Any upstream change — different selection, shifted tags,
-/// different pre-fork sets — lands on a different key, so a hit can always
-/// be spliced verbatim.
-pub fn emit_unit_key(
-    func: &Function,
-    func_id: FuncId,
-    start_tag: u32,
-    selected: &[(u32, Vec<u32>, Vec<u32>)],
-) -> u64 {
-    let mut h = key_hasher(Kind::FuncEmit, MEMORY_ONLY_FORMAT_VERSION);
-    h.update_u64(func.content_hash());
-    h.update_u64(func_id.index() as u64);
-    h.update_u64(start_tag as u64);
-    h.update_u64(selected.len() as u64);
-    for (header, move_insts, replicate_insts) in selected {
-        h.update_u64(*header as u64);
-        for set in [move_insts, replicate_insts] {
-            h.update_u64(set.len() as u64);
-            for &i in set {
-                h.update_u64(i as u64);
-            }
-        }
-    }
-    h.finish()
-}
-
 /// Key of the daemon's compiled unit: the compile request itself — source
 /// text, configuration id, entry and training input — so a warm request
 /// costs one pass over its source and no IR hashing.
@@ -618,11 +568,11 @@ mod tests {
         }
     }
 
-    /// A second test kind (`FuncEmit`), to mix kinds in one budget.
+    /// A second test kind (`FuncAnalysis`), to mix kinds in one budget.
     struct Other(u64);
 
     impl Artifact for Other {
-        const KIND: Kind = Kind::FuncEmit;
+        const KIND: Kind = Kind::FuncAnalysis;
         fn billed_bytes(&self) -> u64 {
             self.0
         }
@@ -690,7 +640,7 @@ mod tests {
         store.put(5, Arc::new(Blob(8)));
         assert!(store.get::<Other>(5).is_none());
         assert!(store.get::<SimResult>(5).is_none());
-        assert_eq!(store.stats(Kind::FuncEmit).misses, 1);
+        assert_eq!(store.stats(Kind::FuncAnalysis).misses, 1);
         assert_eq!(store.stats(Kind::Sim).misses, 1);
         assert_eq!(store.get::<Blob>(5).map(|(b, _)| b.0), Some(8));
     }
@@ -699,7 +649,7 @@ mod tests {
     fn one_budget_evicts_the_coldest_entry_of_any_kind() {
         let store = Store::in_memory(100, 1); // one shard: exact arithmetic
         let resident = |store: &Store| {
-            let (u, e) = (store.stats(Kind::Unit), store.stats(Kind::FuncEmit));
+            let (u, e) = (store.stats(Kind::Unit), store.stats(Kind::FuncAnalysis));
             (u.bytes + e.bytes, u.entries + e.entries)
         };
         store.put(1, Arc::new(Blob(30)));
@@ -709,7 +659,7 @@ mod tests {
         assert!(store.get::<Blob>(1).is_some());
         store.put(4, Arc::new(Other(30)));
         assert!(store.get::<Other>(2).is_none(), "coldest entry survived");
-        assert_eq!(store.stats(Kind::FuncEmit).evictions, 1);
+        assert_eq!(store.stats(Kind::FuncAnalysis).evictions, 1);
         // Now 3 is the coldest: an `Other` insertion evicts a `Blob`.
         store.put(5, Arc::new(Other(30)));
         assert!(store.get::<Blob>(3).is_none());
@@ -721,7 +671,7 @@ mod tests {
         }
         assert_eq!(resident(&store), (90, 3));
         assert_eq!(
-            store.stats(Kind::Unit).evictions + store.stats(Kind::FuncEmit).evictions,
+            store.stats(Kind::Unit).evictions + store.stats(Kind::FuncAnalysis).evictions,
             12
         );
     }
@@ -785,12 +735,9 @@ mod tests {
         let dir = temp_dir("memonly");
         let store = Store::new(1 << 20, 2, Some(dir.clone()), None);
         store.put(1, Arc::new(Blob(8)));
-        let events = vec![EmitEvent::Emitted, EmitEvent::Declined("no".into())];
-        let func = Function::new("f", vec![], None);
-        store.put(2, Arc::new(EmitUnit { func, events }));
-        assert_eq!(store.get::<EmitUnit>(2).unwrap().0.events.len(), 2);
+        assert_eq!(store.get::<Blob>(1).map(|(b, _)| b.0), Some(8));
         assert_eq!(file_count(&dir), 0);
-        assert!(disk_only(&dir, None).get::<EmitUnit>(2).is_none());
+        assert!(disk_only(&dir, None).get::<Blob>(1).is_none());
         assert_eq!(store.disk_bytes(), Some(0));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -903,13 +850,6 @@ mod tests {
         let m1 = MachineConfig::default();
         let mut m2 = MachineConfig::default();
         m2.fork_overhead += 1;
-        let (f, g) = (
-            Function::new("f", vec![], None),
-            Function::new("g", vec![], None),
-        );
-        let emit = |func: &Function, id: usize, tag: u32, sel: (u32, Vec<u32>, Vec<u32>)| {
-            emit_unit_key(func, FuncId::new(id), tag, &[sel])
-        };
         let groups = [
             vec![
                 sim_key(1, "main", &[5], &m1),
@@ -921,15 +861,6 @@ mod tests {
             ],
             vec![func_unit_key(10, 0, 99), func_unit_key(11, 0, 99)],
             vec![func_unit_key(10, 1, 99), func_unit_key(10, 0, 98)],
-            vec![
-                emit(&f, 0, 0, (1, vec![2], vec![])),
-                emit(&g, 0, 0, (1, vec![2], vec![])),
-                emit(&f, 1, 0, (1, vec![2], vec![])),
-                emit(&f, 0, 1, (1, vec![2], vec![])),
-                emit(&f, 0, 0, (3, vec![2], vec![])),
-                emit(&f, 0, 0, (1, vec![], vec![2])),
-                emit_unit_key(&f, FuncId::new(0), 0, &[]),
-            ],
             vec![
                 unit_key("src", 1, "main", 40),
                 unit_key("src2", 1, "main", 40),

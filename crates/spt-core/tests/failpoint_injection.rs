@@ -174,6 +174,37 @@ fn panic_in_one_loops_analysis_degrades_only_that_loop() {
     }
 }
 
+/// An unkeyed rule matches every loop: with every analysis panicking, every
+/// loop degrades to `AnalysisFailed` with a diagnostic, nothing is
+/// selected, and the compile still succeeds with baseline semantics.
+#[test]
+fn panic_in_every_loops_analysis_degrades_every_loop_but_compiles() {
+    let _lock = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = failpoint::scoped();
+
+    failpoint::set(
+        "pipeline::analysis",
+        Action::panic("injected analysis fault"),
+    );
+    let injected = with_quiet_panics(compile);
+    assert!(!injected.report.loops.is_empty());
+    for r in &injected.report.loops {
+        assert_eq!(r.outcome, LoopOutcome::AnalysisFailed, "{r:?}");
+        assert!(
+            !injected.report.diagnostics_for(r.func, r.header).is_empty(),
+            "degraded loop {} must carry a diagnostic",
+            loop_key(r)
+        );
+    }
+    assert!(injected.report.selected.is_empty());
+    for n in [0i64, 33, 600] {
+        assert_eq!(
+            run_module(&injected.module, n),
+            run_module(&injected.baseline, n)
+        );
+    }
+}
+
 #[test]
 fn panic_in_one_loops_emission_degrades_only_that_loop() {
     let _lock = SERIAL.lock().unwrap_or_else(|e| e.into_inner());

@@ -8,7 +8,7 @@
 //! transactional: it commits a scratch clone only on success).
 
 use spt_core::pipeline::transform_module;
-use spt_core::{compile_and_transform, CompilerConfig, LoopOutcome, PipelineError, ProfilingInput};
+use spt_core::{compile_and_transform, CompilerConfig, PipelineError, ProfilingInput};
 use spt_profile::InterpError;
 
 const PROGRAM: &str = "
@@ -82,39 +82,6 @@ fn missing_entry_function_is_a_clean_interp_error() {
         &CompilerConfig::best(),
     );
     assert!(matches!(e, InterpError::NoSuchFunction(_)), "got {e:?}");
-}
-
-#[test]
-fn expired_analysis_deadline_degrades_every_loop_but_compiles() {
-    let mut config = CompilerConfig::best();
-    config.budget.analysis_deadline_ms = Some(0); // already expired
-    let input = ProfilingInput::new("main", [400]);
-    let result = compile_and_transform(PROGRAM, &input, &config).expect("compile still succeeds");
-    assert!(!result.report.loops.is_empty());
-    for r in &result.report.loops {
-        assert_eq!(r.outcome, LoopOutcome::AnalysisFailed, "{r:?}");
-        assert!(
-            !result.report.diagnostics_for(r.func, r.header).is_empty(),
-            "degraded loop must carry a diagnostic"
-        );
-    }
-    assert!(result.report.selected.is_empty());
-    // Nothing was speculated, so the module is semantically the baseline.
-    let run = |m: &spt_ir::Module, n: i64| {
-        spt_profile::Interp::new(m)
-            .run(
-                "main",
-                &[spt_profile::Val::from_i64(n)],
-                &mut spt_profile::NoProfiler,
-            )
-            .expect("runs")
-            .ret
-            .expect("returns")
-            .as_i64()
-    };
-    for n in [0i64, 33, 400] {
-        assert_eq!(run(&result.module, n), run(&result.baseline, n));
-    }
 }
 
 #[test]

@@ -94,14 +94,6 @@ pub struct DepGraphConfig {
     pub call_dep_prob: f64,
     /// Static probability of taking either arm of an unprofiled branch.
     pub static_branch_prob: f64,
-    /// Cross-iteration dependences to suppress, keyed by the producing
-    /// instruction: used by software value prediction (§7.2, the predicted
-    /// definition's violations are repaired in-thread) and privatization.
-    pub suppressed_sources: HashSet<InstId>,
-    /// Per-instruction execution-probability overrides. Software value
-    /// prediction registers its recovery store here with the measured
-    /// misprediction rate, since the profile predates the rewrite.
-    pub exec_prob_overrides: HashMap<InstId, f64>,
 }
 
 impl Default for DepGraphConfig {
@@ -111,8 +103,6 @@ impl Default for DepGraphConfig {
             static_intra_prob: 1.0,
             call_dep_prob: 1.0,
             static_branch_prob: 0.5,
-            suppressed_sources: HashSet::new(),
-            exec_prob_overrides: HashMap::new(),
         }
     }
 }
@@ -206,15 +196,10 @@ impl DepGraph {
             profiles.edges.map(|e| (func_id, e)),
             config.static_branch_prob,
         );
-        let mut exec_prob: Vec<f64> = node_block
+        let exec_prob: Vec<f64> = node_block
             .iter()
             .map(|bb| exec_prob_block.get(bb).copied().unwrap_or(1.0))
             .collect();
-        for (k, &i) in nodes.iter().enumerate() {
-            if let Some(&p) = config.exec_prob_overrides.get(&i) {
-                exec_prob[k] = p.clamp(0.0, 1.0);
-            }
-        }
 
         // --- Cost and class.
         let summaries = module.effect_summaries();
@@ -328,14 +313,12 @@ impl DepGraph {
                     // Use of a header phi: value produced by `carrier` in
                     // the previous iteration — a cross-iteration dependence.
                     if let Some(&src) = index.get(&carrier) {
-                        if !config.suppressed_sources.contains(&carrier) {
-                            cross_edges.push(DepEdge {
-                                src,
-                                dst,
-                                prob: exec_prob[dst].clamp(0.0, 1.0),
-                                kind: DepEdgeKind::Register,
-                            });
-                        }
+                        cross_edges.push(DepEdge {
+                            src,
+                            dst,
+                            prob: exec_prob[dst].clamp(0.0, 1.0),
+                            kind: DepEdgeKind::Register,
+                        });
                     }
                 }
             });
@@ -379,7 +362,7 @@ impl DepGraph {
                         kind: DepEdgeKind::Memory,
                     });
                 }
-                if cross_adj > 0 && !config.suppressed_sources.contains(&store) {
+                if cross_adj > 0 {
                     cross_edges.push(DepEdge {
                         src,
                         dst,
@@ -393,9 +376,6 @@ impl DepGraph {
             // either unknown.
             let alias = |a: RegionId, b: RegionId| a == b || a.is_unknown() || b.is_unknown();
             for &(s, rs) in &stores {
-                if config.suppressed_sources.contains(&nodes[s]) {
-                    continue;
-                }
                 for &(ld, rl) in &loads {
                     if !alias(rs, rl) {
                         continue;
@@ -479,14 +459,12 @@ impl DepGraph {
                             kind: DepEdgeKind::CallEffect,
                         });
                     }
-                    if !config.suppressed_sources.contains(&nodes[c]) {
-                        cross_edges.push(DepEdge {
-                            src: c,
-                            dst: ld,
-                            prob: config.call_dep_prob,
-                            kind: DepEdgeKind::CallEffect,
-                        });
-                    }
+                    cross_edges.push(DepEdge {
+                        src: c,
+                        dst: ld,
+                        prob: config.call_dep_prob,
+                        kind: DepEdgeKind::CallEffect,
+                    });
                 }
             }
             if reads {
@@ -499,20 +477,18 @@ impl DepGraph {
                             kind: DepEdgeKind::CallEffect,
                         });
                     }
-                    if !config.suppressed_sources.contains(&nodes[s]) {
-                        cross_edges.push(DepEdge {
-                            src: s,
-                            dst: c,
-                            prob: config.call_dep_prob,
-                            kind: DepEdgeKind::CallEffect,
-                        });
-                    }
+                    cross_edges.push(DepEdge {
+                        src: s,
+                        dst: c,
+                        prob: config.call_dep_prob,
+                        kind: DepEdgeKind::CallEffect,
+                    });
                 }
             }
             // Calls both reading and writing depend on each other across
             // iterations.
             for &(c2, reads2, _w2) in &effect_calls {
-                if writes && reads2 && c != c2 && !config.suppressed_sources.contains(&nodes[c]) {
+                if writes && reads2 && c != c2 {
                     cross_edges.push(DepEdge {
                         src: c,
                         dst: c2,
@@ -761,28 +737,6 @@ fn block_exec_probs(
         }
     }
     out
-}
-
-/// The fraction of cross-iteration dependence mass (`Σ prob·exec(src)`) that
-/// a set of violation candidates accounts for; a diagnostic used by SVP
-/// target selection.
-pub fn cross_mass(graph: &DepGraph, sources: &[usize]) -> f64 {
-    let src_set: HashSet<usize> = sources.iter().copied().collect();
-    let total: f64 = graph
-        .cross_edges
-        .iter()
-        .map(|e| e.prob * graph.exec_prob[e.src])
-        .sum();
-    if total <= 0.0 {
-        return 0.0;
-    }
-    let covered: f64 = graph
-        .cross_edges
-        .iter()
-        .filter(|e| src_set.contains(&e.src))
-        .map(|e| e.prob * graph.exec_prob[e.src])
-        .sum();
-    covered / total
 }
 
 #[cfg(test)]
@@ -1120,35 +1074,5 @@ mod tests {
             "profiled rare branch ~0.1: {:?}",
             g.exec_prob
         );
-    }
-
-    #[test]
-    fn suppressed_sources_drop_cross_edges() {
-        let (_m, g) = build(INDUCTION, "f");
-        let vcs = g.violation_candidates();
-        assert!(!vcs.is_empty());
-        // Rebuild with every VC suppressed (as SVP would).
-        let src_insts: HashSet<InstId> = vcs.iter().map(|&v| g.nodes[v]).collect();
-        let module = spt_frontend::compile(INDUCTION).unwrap();
-        let func = module.func_by_name("f").unwrap();
-        let g2 = DepGraph::build(
-            &module,
-            func,
-            LoopId::new(0),
-            Profiles::default(),
-            &DepGraphConfig {
-                suppressed_sources: src_insts,
-                ..DepGraphConfig::default()
-            },
-        );
-        assert!(g2.cross_edges.is_empty());
-    }
-
-    #[test]
-    fn cross_mass_fraction() {
-        let (_m, g) = build(INDUCTION, "f");
-        let vcs = g.violation_candidates();
-        assert!((cross_mass(&g, &vcs) - 1.0).abs() < 1e-9);
-        assert!(cross_mass(&g, &[]) < 1e-9);
     }
 }

@@ -1,11 +1,10 @@
 //! Additional cost-model integration tests: ordering-dependence legality,
-//! execution-probability overrides, static branch probabilities, and the
-//! call-conservatism story behind Figure 19.
+//! static branch probabilities, and the call-conservatism story behind
+//! Figure 19.
 
 use spt_cost::dep_graph::{DepEdgeKind, DepGraph, DepGraphConfig, Profiles};
 use spt_cost::{LoopCostModel, Partition};
 use spt_ir::loops::LoopId;
-use std::collections::HashMap;
 
 fn graph_for(src: &str, fname: &str, config: &DepGraphConfig) -> (spt_ir::Module, DepGraph) {
     let module = spt_frontend::compile(src).unwrap();
@@ -52,49 +51,6 @@ fn order_edges_keep_stores_after_aliasing_loads() {
     assert!(
         closure.contains(&load_node),
         "moving the store must move the load: {closure:?}"
-    );
-}
-
-#[test]
-fn exec_prob_overrides_reprice_violations() {
-    let src = "
-        global cell: int;
-        fn f(n: int) -> int {
-            let s = 0;
-            for (let i = 0; i < n; i = i + 1) {
-                s = s + cell;
-                cell = s % 97;
-            }
-            return s;
-        }
-    ";
-    let (module, base_graph) = graph_for(src, "f", &DepGraphConfig::default());
-    let base_cost =
-        LoopCostModel::new(base_graph.clone()).misspeculation_cost(&Partition::empty(&base_graph));
-
-    // Override the store's execution probability down to 1%: the violation
-    // almost never fires, so the cost collapses.
-    let func = module.func(module.func_by_name("f").unwrap());
-    let store_inst = base_graph
-        .nodes
-        .iter()
-        .copied()
-        .find(|&i| matches!(func.inst(i).kind, spt_ir::InstKind::Store { .. }))
-        .expect("store");
-    let mut overrides = HashMap::new();
-    overrides.insert(store_inst, 0.01);
-    let cfg = DepGraphConfig {
-        exec_prob_overrides: overrides,
-        ..DepGraphConfig::default()
-    };
-    let module2 = spt_frontend::compile(src).unwrap();
-    let fid = module2.func_by_name("f").unwrap();
-    let g2 = DepGraph::build(&module2, fid, LoopId::new(0), Profiles::default(), &cfg);
-    let overridden_cost =
-        LoopCostModel::new(g2.clone()).misspeculation_cost(&Partition::empty(&g2));
-    assert!(
-        overridden_cost < base_cost * 0.5,
-        "override must cut the memory-dep cost: {base_cost} -> {overridden_cost}"
     );
 }
 
@@ -192,45 +148,4 @@ fn impure_call_conservatism_is_the_fig19_outlier_mechanism() {
         "conservatism keeps the estimate high: {best_possible} vs body {}",
         model.body_size()
     );
-}
-
-#[test]
-fn suppressing_memory_sources_models_privatization() {
-    let src = "
-        global scratch[64]: int;
-        fn f(n: int) -> int {
-            let s = 0;
-            for (let i = 0; i < n; i = i + 1) {
-                scratch[i % 64] = i * 3;
-                s = s + scratch[i % 64] % 5;
-            }
-            return s;
-        }
-    ";
-    let (module, g) = graph_for(src, "f", &DepGraphConfig::default());
-    let func = module.func(module.func_by_name("f").unwrap());
-    let store = g
-        .nodes
-        .iter()
-        .copied()
-        .find(|&i| matches!(func.inst(i).kind, spt_ir::InstKind::Store { .. }))
-        .expect("store");
-    let mem_cross_before = g
-        .cross_edges
-        .iter()
-        .filter(|e| e.kind == DepEdgeKind::Memory)
-        .count();
-    assert!(mem_cross_before > 0);
-
-    let cfg = DepGraphConfig {
-        suppressed_sources: [store].into_iter().collect(),
-        ..DepGraphConfig::default()
-    };
-    let (_m2, g2) = graph_for(src, "f", &cfg);
-    let mem_cross_after = g2
-        .cross_edges
-        .iter()
-        .filter(|e| e.kind == DepEdgeKind::Memory)
-        .count();
-    assert_eq!(mem_cross_after, 0, "privatized store carries nothing");
 }

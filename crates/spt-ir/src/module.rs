@@ -294,6 +294,21 @@ impl Module {
         (bases, next)
     }
 
+    /// The memory image a run starts from: [`Module::memory_layout`]'s
+    /// cells, zeroed, with every global's initializer applied.
+    pub fn initial_memory(&self) -> Vec<u64> {
+        let (bases, size) = self.memory_layout();
+        let mut memory = vec![0u64; size];
+        for (g, base) in self.globals.iter().zip(bases) {
+            if let Some(init) = &g.init {
+                for (k, &bits) in init.iter().take(g.size).enumerate() {
+                    memory[base + k] = bits;
+                }
+            }
+        }
+        memory
+    }
+
     /// Computes a conservative memory-effect summary for every function by a
     /// fixed-point walk over the call graph.
     pub fn effect_summaries(&self) -> Vec<EffectSummary> {
@@ -482,10 +497,15 @@ mod tests {
         let mut m = Module::new();
         m.add_global("a", 4, Ty::I64);
         m.add_global("b", 8, Ty::F64);
-        m.add_global("c", 1, Ty::I64);
+        let c = m.add_global("c", 1, Ty::I64);
         let (bases, total) = m.memory_layout();
         assert_eq!(bases, vec![0, 4, 12]);
         assert_eq!(total, 13);
+        // Initializers land at their global's base; extra cells are dropped.
+        m.globals[c.index()].init = Some(vec![7, 8]);
+        let mut want = vec![0u64; 13];
+        want[12] = 7;
+        assert_eq!(m.initial_memory(), want);
     }
 
     #[test]

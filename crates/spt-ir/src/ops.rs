@@ -265,7 +265,9 @@ impl CmpOp {
         }
     }
 
-    /// The comparison with swapped operand order (`a op b` == `b op.swap() a`).
+    /// The comparison with swapped operand order (`a op b` == `b op.swapped()
+    /// a`). Exact for integers and floats alike, NaN operands included: every
+    /// ordered comparison with a NaN is false in both orders.
     pub fn swapped(self) -> CmpOp {
         match self {
             CmpOp::Eq => CmpOp::Eq,
@@ -373,7 +375,18 @@ mod tests {
         ] {
             for (a, b) in [(1, 2), (2, 2), (3, 2)] {
                 assert_eq!(op.eval_i64(a, b), !op.negated().eval_i64(a, b));
-                assert_eq!(op.eval_i64(a, b), op.swapped().eval_i64(b, a));
+            }
+            let ints = [-3, 0, 2, 7, i64::MIN];
+            for a in ints {
+                for b in ints {
+                    assert_eq!(op.eval_i64(a, b), op.swapped().eval_i64(b, a));
+                }
+            }
+            let floats = [-1.5, 0.0, 2.25, f64::NAN, f64::INFINITY];
+            for a in floats {
+                for b in floats {
+                    assert_eq!(op.eval_f64(a, b), op.swapped().eval_f64(b, a));
+                }
             }
         }
     }

@@ -152,12 +152,12 @@ pub enum SOpc {
     /// Integer comparison: `dst = cmp(a, b)` as 0/1.
     CmpRR,
     /// Integer comparison: `dst = cmp(a, imm)` as 0/1. A constant left
-    /// operand is canonicalized here via [`cmp_swapped`].
+    /// operand is canonicalized here via [`CmpOp::swapped`].
     CmpImm,
     /// Float comparison: `dst = cmp(a, b)` as 0/1.
     CmpF64RR,
     /// Float comparison: `dst = cmp(a, imm)` as 0/1 (left constants
-    /// canonicalized via [`cmp_swapped`]; exact for NaN, which compares
+    /// canonicalized via [`CmpOp::swapped`]; exact for NaN, which compares
     /// false under every ordering either way).
     CmpF64Imm,
     /// Memory load from address slot `a`.
@@ -498,21 +498,6 @@ impl SuperblockModule {
     }
 }
 
-/// The comparison that computes `cmp(a, b)` as `swapped(b, a)`. Exact for
-/// integers and floats alike: `Eq`/`Ne` are symmetric and the orderings
-/// mirror (`<` ↔ `>`), including NaN operands, for which every ordered
-/// comparison is false in both orders.
-pub fn cmp_swapped(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Eq => CmpOp::Eq,
-        CmpOp::Ne => CmpOp::Ne,
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-    }
-}
-
 fn lower_func(func: &Function, region_bases: &[usize]) -> SuperblockFunc {
     let cfg = Cfg::compute(func);
     let dom = DomTree::compute(&cfg);
@@ -784,7 +769,7 @@ impl Lower<'_> {
                     }
                     (DVal::Bits(c), DVal::Slot(y)) => {
                         s.opc = imm;
-                        s.cmp = cmp_swapped(*op);
+                        s.cmp = op.swapped();
                         s.a = y;
                         s.imm = c;
                     }
@@ -1246,30 +1231,5 @@ mod tests {
         assert_eq!(op(SOpc::RetVal, 1, 0, 0).ret_value(&vals), Some(3));
         assert_eq!(op(SOpc::RetImm, 1, 0, 4).ret_value(&vals), Some(4));
         assert_eq!(op(SOpc::RetVoid, 1, 0, 4).ret_value(&vals), None);
-    }
-
-    #[test]
-    fn swapped_comparisons_stay_exact() {
-        let vals: [i64; 4] = [-3, 0, 7, i64::MIN];
-        for op in [
-            CmpOp::Eq,
-            CmpOp::Ne,
-            CmpOp::Lt,
-            CmpOp::Le,
-            CmpOp::Gt,
-            CmpOp::Ge,
-        ] {
-            for &a in &vals {
-                for &b in &vals {
-                    assert_eq!(op.eval_i64(a, b), cmp_swapped(op).eval_i64(b, a));
-                }
-            }
-            let fvals = [-1.5, 0.0, 2.25, f64::NAN, f64::INFINITY];
-            for &a in &fvals {
-                for &b in &fvals {
-                    assert_eq!(op.eval_f64(a, b), cmp_swapped(op).eval_f64(b, a));
-                }
-            }
-        }
     }
 }

@@ -195,9 +195,6 @@ impl Profiler for NoProfiler {
 pub struct Interp<'m> {
     pub(crate) module: &'m Module,
     sup: SuperblockModule,
-    /// Base cell address of each region.
-    pub region_bases: Vec<usize>,
-    memory_size: usize,
     /// Maximum instructions to retire before aborting (default 500M).
     pub fuel: u64,
     /// Maximum call depth (default 256).
@@ -224,12 +221,9 @@ impl<'m> Interp<'m> {
     /// Prepares an interpreter for `module`: its superblock code, lowered
     /// once and shared by every run.
     pub fn new(module: &'m Module) -> Self {
-        let (region_bases, memory_size) = module.memory_layout();
         Interp {
             module,
             sup: SuperblockModule::build(module),
-            region_bases,
-            memory_size,
             fuel: 500_000_000,
             max_depth: 256,
         }
@@ -238,20 +232,6 @@ impl<'m> Interp<'m> {
     /// The module's superblock code, which every run executes.
     pub fn superblock(&self) -> &SuperblockModule {
         &self.sup
-    }
-
-    /// Builds the initial memory image (globals' initializers applied).
-    pub fn initial_memory(&self) -> Vec<u64> {
-        let mut memory = vec![0u64; self.memory_size];
-        for (gi, g) in self.module.globals.iter().enumerate() {
-            if let Some(init) = &g.init {
-                let base = self.region_bases[gi];
-                for (k, &bits) in init.iter().take(g.size).enumerate() {
-                    memory[base + k] = bits;
-                }
-            }
-        }
-        memory
     }
 
     /// Runs function `name` with `args`, profiling into `profiler`.
@@ -266,7 +246,7 @@ impl<'m> Interp<'m> {
         args: &[Val],
         profiler: &mut P,
     ) -> Result<InterpResult, InterpError> {
-        self.run_with_memory(name, args, self.initial_memory(), profiler)
+        self.run_with_memory(name, args, self.module.initial_memory(), profiler)
     }
 
     /// Runs with a caller-provided initial memory image (used by workload

@@ -14,9 +14,7 @@ use spt_ir::{BlockId, Cfg, DomTree, FuncId, InstId, InstKind, LoopForest, Module
 /// Per-function static analysis cache used by the reference interpreter.
 #[derive(Clone, Debug)]
 pub struct FuncInfo {
-    /// The function's CFG.
-    pub cfg: Cfg,
-    /// Its loop forest.
+    /// The function's loop forest.
     pub forest: LoopForest,
 }
 
@@ -52,8 +50,9 @@ impl<'m> ReferenceInterp<'m> {
             .map(|f| {
                 let cfg = Cfg::compute(f);
                 let dom = DomTree::compute(&cfg);
-                let forest = LoopForest::compute(f, &cfg, &dom);
-                FuncInfo { cfg, forest }
+                FuncInfo {
+                    forest: LoopForest::compute(f, &cfg, &dom),
+                }
             })
             .collect();
         let (region_bases, memory_size) = module.memory_layout();

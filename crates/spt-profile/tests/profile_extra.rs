@@ -19,7 +19,7 @@ fn run_with_memory_seeds_inputs_from_host() {
     ";
     let module = spt_frontend::compile(src).unwrap();
     let interp = Interp::new(&module);
-    let mut memory = interp.initial_memory();
+    let mut memory = module.initial_memory();
     for (k, cell) in memory.iter_mut().enumerate() {
         *cell = (k as u64) * 10;
     }

@@ -3,7 +3,9 @@
 //! One [`Client`] owns one connection and issues one request at a time
 //! (send frame, read frame), so correlation ids are checked but never
 //! ambiguous. Concurrency comes from using several clients — each `loadgen`
-//! worker thread, for instance, holds its own.
+//! worker thread, for instance, holds its own. There is no batch call: K
+//! variants of one module are K [`Client::compile`] calls, and the daemon
+//! analyzes the functions they share once.
 
 use std::fmt;
 use std::io;
@@ -112,26 +114,6 @@ impl Client {
         }
     }
 
-    /// Compiles several variants in one round trip. The daemon dedups the
-    /// work through its shared caches (identical modules via single-flight,
-    /// shared functions via the function-granular cache) and returns one
-    /// result per item in submission order; per-item failures come back as
-    /// `Err` entries instead of failing the whole batch.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError`] on transport or protocol failure; per-item compile
-    /// failures are in the returned vector, not here.
-    pub fn compile_batch(
-        &mut self,
-        reqs: Vec<CompileReq>,
-    ) -> Result<Vec<Result<CompileResp, String>>, ClientError> {
-        match self.call(ReqBody::CompileBatch(reqs))? {
-            OkBody::CompileBatch(items) => Ok(items),
-            other => Err(unexpected("compile batch response", &other)),
-        }
-    }
-
     /// Compiles and simulates (baseline + SPT) on the daemon.
     ///
     /// # Errors
@@ -173,7 +155,6 @@ fn unexpected(wanted: &str, got: &OkBody) -> ClientError {
     let kind = match got {
         OkBody::Pong => "pong",
         OkBody::Compile(_) => "compile response",
-        OkBody::CompileBatch(_) => "compile batch response",
         OkBody::Sim(_) => "sim response",
         OkBody::Stats(_) => "stats",
         OkBody::ShuttingDown => "shutdown ack",

@@ -7,7 +7,7 @@
 //! artifacts resident instead of re-deriving them per process:
 //!
 //! * [`proto`] — the length-framed Unix-socket protocol (requests: ping /
-//!   compile / compile-batch / sim / stats / shutdown);
+//!   compile / sim / stats / shutdown);
 //! * [`sim`] — the one simulation path ([`sim_with_cache`]): a memo probe
 //!   in the artifact store, a simulation on a miss, a store;
 //! * [`service`] — [`CompileService`]: one artifact store

@@ -10,8 +10,8 @@
 //! their fixed 8-byte little-endian bit patterns so timings round-trip
 //! exactly.
 //!
-//! The protocol is deliberately tiny — six request kinds (`Ping`,
-//! `Compile`, `CompileBatch`, `Sim`, `Stats`, `Shutdown`) — and versioned
+//! The protocol is deliberately tiny — five request kinds (`Ping`,
+//! `Compile`, `Sim`, `Stats`, `Shutdown`) — and versioned
 //! by [`PROTO_VERSION`], which is folded into every frame's first byte so a
 //! stale client fails loudly instead of misparsing. Oversized frames are
 //! rejected at [`MAX_FRAME`] before allocation; a short read mid-frame is
@@ -25,10 +25,13 @@ use spt_trace::codec::{get_varint, put_varint, unzigzag, zigzag};
 
 /// Bumped on any incompatible change to the frame payloads.
 /// v2: [`StageTimings`] gained the function-granular incremental-compile
-/// counters, and the `CompileBatch` request kind was added.
+/// counters, and a batch-compile request kind (5) was added.
 /// v3: [`StageTimings`]' `trace_*` fields, which always read 0, are no
 /// longer sent.
-pub const PROTO_VERSION: u8 = 3;
+/// v4: the batch-compile kind is gone (several `Compile` requests share
+/// analysis units through the daemon's store), and so are the emission
+/// counters of [`StageTimings`].
+pub const PROTO_VERSION: u8 = 4;
 
 /// Upper bound on a single frame's payload. Large enough for any report +
 /// module text + simulation memo this repo produces (the biggest corpus
@@ -36,12 +39,6 @@ pub const PROTO_VERSION: u8 = 3;
 /// length prefix cannot drive an allocation-of-doom.
 pub const MAX_FRAME: usize = 64 << 20;
 
-/// Smallest encoding of a [`CompileReq`], in bytes: two empty strings, a
-/// one-byte varint and two flag bytes.
-const MIN_COMPILE_REQ: usize = 5;
-/// Smallest encoding of a batch-response item: a status byte and an empty
-/// error string.
-const MIN_BATCH_ITEM: usize = 2;
 /// Smallest encoding of a stats entry: an empty name and a one-byte value.
 const MIN_STATS_ENTRY: usize = 2;
 
@@ -68,11 +65,6 @@ pub enum ReqBody {
     Ping,
     /// Compile `source` and return the report renderings.
     Compile(CompileReq),
-    /// Compile several variants in one request. The daemon runs the items
-    /// through one worker against its shared function-granular cache, so
-    /// functions common to multiple variants are analyzed once and spliced
-    /// into the rest; per-item results come back in submission order.
-    CompileBatch(Vec<CompileReq>),
     /// Compile `source`, then simulate baseline and SPT binaries.
     Sim(SimReq),
     /// Snapshot the server's global counters.
@@ -140,10 +132,6 @@ pub enum OkBody {
     Pong,
     /// Answer to [`ReqBody::Compile`].
     Compile(CompileResp),
-    /// Answer to [`ReqBody::CompileBatch`]: one result per submitted item,
-    /// in submission order. Per-item failures are carried as `Err` entries
-    /// so one bad variant never sinks its batch-mates.
-    CompileBatch(Vec<Result<CompileResp, String>>),
     /// Answer to [`ReqBody::Sim`].
     Sim(SimResp),
     /// Answer to [`ReqBody::Stats`]: counter name/value pairs, sorted by
@@ -193,7 +181,6 @@ const KIND_COMPILE: u8 = 1;
 const KIND_SIM: u8 = 2;
 const KIND_STATS: u8 = 3;
 const KIND_SHUTDOWN: u8 = 4;
-const KIND_COMPILE_BATCH: u8 = 5;
 
 const STATUS_OK: u8 = 0;
 const STATUS_ERR: u8 = 1;
@@ -351,8 +338,6 @@ fn put_timings(out: &mut Vec<u8>, t: &StageTimings) {
     put_varint(out, t.func_units_total);
     put_varint(out, t.func_analysis_hits);
     put_varint(out, t.func_analysis_misses);
-    put_varint(out, t.func_emit_hits);
-    put_varint(out, t.func_emit_misses);
 }
 
 fn get_timings(buf: &[u8], pos: &mut usize) -> Result<StageTimings, String> {
@@ -366,8 +351,6 @@ fn get_timings(buf: &[u8], pos: &mut usize) -> Result<StageTimings, String> {
         func_units_total: need(buf, pos)?,
         func_analysis_hits: need(buf, pos)?,
         func_analysis_misses: need(buf, pos)?,
-        func_emit_hits: need(buf, pos)?,
-        func_emit_misses: need(buf, pos)?,
         ..StageTimings::default()
     })
 }
@@ -421,13 +404,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             out.push(KIND_COMPILE);
             put_compile_req(&mut out, c);
         }
-        ReqBody::CompileBatch(items) => {
-            out.push(KIND_COMPILE_BATCH);
-            put_varint(&mut out, items.len() as u64);
-            for c in items {
-                put_compile_req(&mut out, c);
-            }
-        }
         ReqBody::Sim(s) => {
             out.push(KIND_SIM);
             put_string(&mut out, &s.source);
@@ -452,17 +428,6 @@ pub fn decode_request(buf: &[u8]) -> Result<Request, String> {
     let body = match kind {
         KIND_PING => ReqBody::Ping,
         KIND_COMPILE => ReqBody::Compile(get_compile_req(buf, &mut pos)?),
-        KIND_COMPILE_BATCH => {
-            let n = need(buf, &mut pos)? as usize;
-            if n > buf.len() {
-                return Err("batch count exceeds payload".to_string());
-            }
-            let mut items = Vec::with_capacity(bounded(n, buf.len() - pos, MIN_COMPILE_REQ));
-            for _ in 0..n {
-                items.push(get_compile_req(buf, &mut pos)?);
-            }
-            ReqBody::CompileBatch(items)
-        }
         KIND_SIM => ReqBody::Sim(SimReq {
             source: get_string(buf, &mut pos)?,
             entry: get_string(buf, &mut pos)?,
@@ -498,22 +463,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                 OkBody::Compile(c) => {
                     out.push(KIND_COMPILE);
                     put_compile_resp(&mut out, c);
-                }
-                OkBody::CompileBatch(items) => {
-                    out.push(KIND_COMPILE_BATCH);
-                    put_varint(&mut out, items.len() as u64);
-                    for item in items {
-                        match item {
-                            Ok(c) => {
-                                out.push(STATUS_OK);
-                                put_compile_resp(&mut out, c);
-                            }
-                            Err(msg) => {
-                                out.push(STATUS_ERR);
-                                put_string(&mut out, msg);
-                            }
-                        }
-                    }
                 }
                 OkBody::Sim(s) => {
                     out.push(KIND_SIM);
@@ -551,21 +500,6 @@ pub fn decode_response(buf: &[u8]) -> Result<Response, String> {
             let ok = match kind {
                 KIND_PING => OkBody::Pong,
                 KIND_COMPILE => OkBody::Compile(get_compile_resp(buf, &mut pos)?),
-                KIND_COMPILE_BATCH => {
-                    let n = need(buf, &mut pos)? as usize;
-                    if n > buf.len() {
-                        return Err("batch count exceeds payload".to_string());
-                    }
-                    let mut items = Vec::with_capacity(bounded(n, buf.len() - pos, MIN_BATCH_ITEM));
-                    for _ in 0..n {
-                        items.push(match get_u8(buf, &mut pos)? {
-                            STATUS_OK => Ok(get_compile_resp(buf, &mut pos)?),
-                            STATUS_ERR => Err(get_string(buf, &mut pos)?),
-                            other => return Err(format!("unknown batch item status {other}")),
-                        });
-                    }
-                    OkBody::CompileBatch(items)
-                }
                 KIND_SIM => OkBody::Sim(SimResp {
                     report_debug: get_string(buf, &mut pos)?,
                     timings: get_timings(buf, &mut pos)?,
@@ -657,29 +591,6 @@ mod tests {
             }),
         });
         round_trip_request(Request {
-            id: 44,
-            body: ReqBody::CompileBatch(vec![]),
-        });
-        round_trip_request(Request {
-            id: 45,
-            body: ReqBody::CompileBatch(vec![
-                CompileReq {
-                    source: "fn main() -> int { return 1; }".to_string(),
-                    entry: "main".to_string(),
-                    train: 10,
-                    config_id: 1,
-                    want_module_text: false,
-                },
-                CompileReq {
-                    source: "fn main() -> int { return 2; }".to_string(),
-                    entry: "main".to_string(),
-                    train: -3,
-                    config_id: 0,
-                    want_module_text: true,
-                },
-            ]),
-        });
-        round_trip_request(Request {
             id: 43,
             body: ReqBody::Sim(SimReq {
                 source: "x".to_string(),
@@ -718,34 +629,10 @@ mod tests {
                     func_units_total: 12,
                     func_analysis_hits: 11,
                     func_analysis_misses: 1,
-                    func_emit_hits: 4,
-                    func_emit_misses: 1,
                     ..StageTimings::default()
                 },
                 served_from_memory: true,
             })),
-        });
-        round_trip_response(Response {
-            id: 30,
-            body: RespBody::Ok(OkBody::CompileBatch(vec![
-                Ok(CompileResp {
-                    report_debug: "r1".to_string(),
-                    analyze_text: "t1".to_string(),
-                    module_text: String::new(),
-                    timings: StageTimings {
-                        func_units_total: 3,
-                        func_analysis_hits: 2,
-                        func_analysis_misses: 1,
-                        ..StageTimings::default()
-                    },
-                    served_from_memory: false,
-                }),
-                Err("compile error: bad variant".to_string()),
-            ])),
-        });
-        round_trip_response(Response {
-            id: 31,
-            body: RespBody::Ok(OkBody::CompileBatch(vec![])),
         });
         round_trip_response(Response {
             id: 4,

@@ -276,7 +276,6 @@ fn kind_name(body: &ReqBody) -> &'static str {
     match body {
         ReqBody::Ping => "ping",
         ReqBody::Compile(_) => "compile",
-        ReqBody::CompileBatch(_) => "compile_batch",
         ReqBody::Sim(_) => "sim",
         ReqBody::Stats => "stats",
         ReqBody::Shutdown => "shutdown",

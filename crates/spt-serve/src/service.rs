@@ -7,10 +7,12 @@
 //!   units** (transformed module, baseline, report renderings, stage
 //!   timings) keyed by the compile request itself, **`SimResult`s** keyed
 //!   by module hash + entry + args + machine, and the pipeline's
-//!   function-granular analysis and emission units. Its optional disk tier
-//!   (`.spt-cache/`, byte-budgeted) persists simulation memos and analysis
-//!   units, shared with the one-shot CLI, so a daemon warm-up also warms
-//!   `sptc` and a restarted daemon serves warm from disk;
+//!   function-granular analysis units, which every `Compile` request shares:
+//!   variants of one module analyze their common functions once. Its
+//!   optional disk tier (`.spt-cache/`, byte-budgeted) persists simulation
+//!   memos and analysis units, shared with the one-shot CLI, so a daemon
+//!   warm-up also warms `sptc` and a restarted daemon serves warm from
+//!   disk;
 //! * a **single-flight** table: concurrent requests for the same unit key
 //!   elect one leader to run the frontend and the pipeline while the rest
 //!   block on its result, so N identical cold requests cost exactly one
@@ -34,6 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use spt_core::diag::panic_message;
 use spt_core::pipeline::transform_module_timed_with;
 use spt_core::store::{unit_key, Artifact, Kind, KindStats, Store, Tier};
 use spt_core::{CompilerConfig, ProfilingInput, StageTimings};
@@ -54,8 +57,8 @@ pub struct ServiceConfig {
     /// one-shot CLI behavior).
     pub disk_budget_bytes: Option<u64>,
     /// Byte bound on the store's memory tier, shared by every kind —
-    /// compiled units, simulation results, and the pipeline's analysis and
-    /// emission units — with least-recently-used eviction across kinds.
+    /// compiled units, simulation results, and the pipeline's analysis
+    /// units — with least-recently-used eviction across kinds.
     pub mem_budget_bytes: u64,
     /// Shard count of the memory tier.
     pub shards: usize,
@@ -124,7 +127,6 @@ struct Counters {
     requests_total: AtomicU64,
     requests_ping: AtomicU64,
     requests_compile: AtomicU64,
-    requests_compile_batch: AtomicU64,
     requests_sim: AtomicU64,
     requests_stats: AtomicU64,
     requests_shutdown: AtomicU64,
@@ -142,7 +144,6 @@ impl Default for Counters {
             requests_total: AtomicU64::new(0),
             requests_ping: AtomicU64::new(0),
             requests_compile: AtomicU64::new(0),
-            requests_compile_batch: AtomicU64::new(0),
             requests_sim: AtomicU64::new(0),
             requests_stats: AtomicU64::new(0),
             requests_shutdown: AtomicU64::new(0),
@@ -199,7 +200,6 @@ impl CompileService {
         let resp = match body {
             ReqBody::Ping => RespBody::Ok(OkBody::Pong),
             ReqBody::Compile(c) => self.compile_resp(c),
-            ReqBody::CompileBatch(items) => self.compile_batch_resp(items),
             ReqBody::Sim(s) => self.sim_resp(s),
             ReqBody::Stats => RespBody::Ok(OkBody::Stats(self.stats())),
             ReqBody::Shutdown => RespBody::Ok(OkBody::ShuttingDown),
@@ -214,7 +214,6 @@ impl CompileService {
         match body {
             ReqBody::Ping => &c.requests_ping,
             ReqBody::Compile(_) => &c.requests_compile,
-            ReqBody::CompileBatch(_) => &c.requests_compile_batch,
             ReqBody::Sim(_) => &c.requests_sim,
             ReqBody::Stats => &c.requests_stats,
             ReqBody::Shutdown => &c.requests_shutdown,
@@ -268,7 +267,7 @@ impl CompileService {
                 self.counters.flights_led.fetch_add(1, Ordering::Relaxed);
                 let result = catch_unwind(AssertUnwindSafe(|| self.compute_unit(req)))
                     .unwrap_or_else(|payload| {
-                        Err(format!("compile panicked: {}", panic_message(&payload)))
+                        Err(format!("compile panicked: {}", panic_message(&*payload)))
                     });
                 if let Ok(unit) = &result {
                     self.store.put(key, unit.clone());
@@ -321,9 +320,12 @@ impl CompileService {
         }))
     }
 
-    fn compile_one(&self, req: &CompileReq) -> Result<CompileResp, String> {
-        let (unit, from_mem) = self.unit_for(req)?;
-        Ok(CompileResp {
+    fn compile_resp(&self, req: &CompileReq) -> RespBody {
+        let (unit, from_mem) = match self.unit_for(req) {
+            Ok(found) => found,
+            Err(e) => return RespBody::Err(e),
+        };
+        RespBody::Ok(OkBody::Compile(CompileResp {
             report_debug: unit.report_debug.clone(),
             analyze_text: unit.analyze_text.clone(),
             module_text: if req.want_module_text {
@@ -333,28 +335,7 @@ impl CompileService {
             },
             timings: unit.timings,
             served_from_memory: from_mem,
-        })
-    }
-
-    fn compile_resp(&self, req: &CompileReq) -> RespBody {
-        match self.compile_one(req) {
-            Ok(resp) => RespBody::Ok(OkBody::Compile(resp)),
-            Err(e) => RespBody::Err(e),
-        }
-    }
-
-    /// Batch compile: the items run sequentially in this worker, each
-    /// through the ordinary unit path. Deduplication happens at two levels
-    /// — identical *requests* collapse through the compiled units and the
-    /// single-flight table (also against concurrent non-batch requests),
-    /// and *functions shared across distinct variants* collapse through the
-    /// store's function-granular units, so a batch of K variants of one module
-    /// costs roughly one full compile plus K splices. Per-item failures
-    /// come back as `Err` entries; the batch itself always succeeds.
-    fn compile_batch_resp(&self, items: &[CompileReq]) -> RespBody {
-        RespBody::Ok(OkBody::CompileBatch(
-            items.iter().map(|req| self.compile_one(req)).collect(),
-        ))
+        }))
     }
 
     fn sim_resp(&self, req: &SimReq) -> RespBody {
@@ -431,10 +412,6 @@ impl CompileService {
                 "requests_compile",
                 c.requests_compile.load(Ordering::Relaxed),
             ),
-            (
-                "requests_compile_batch",
-                c.requests_compile_batch.load(Ordering::Relaxed),
-            ),
             ("requests_sim", c.requests_sim.load(Ordering::Relaxed)),
             ("requests_stats", c.requests_stats.load(Ordering::Relaxed)),
             (
@@ -489,17 +466,5 @@ impl CompileService {
         out.push(("mem_budget_bytes".to_string(), self.cfg.mem_budget_bytes));
         out.sort();
         out
-    }
-}
-
-/// Best-effort panic payload rendering (`&str` and `String` payloads; the
-/// pipeline only ever panics with those).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }

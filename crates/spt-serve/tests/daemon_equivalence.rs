@@ -262,23 +262,23 @@ fn first_helper_name(source: &str, entry: &str) -> String {
     panic!("no helper function in source");
 }
 
-/// A cold `CompileBatch` of near-identical variants returns exactly the
-/// bytes that individual `Compile` requests produce, reports per-item
-/// failures without failing the batch, and dedups the variants' shared
-/// functions through the function-granular cache.
+/// Near-identical variants sent as ordinary `Compile` requests to one
+/// cold daemon return exactly the bytes of a cold local compile each, share
+/// their common functions through the daemon's analysis units, and a bad
+/// source fails with the frontend's message.
 #[test]
-fn batched_variant_compiles_equal_individual_compiles() {
+fn variant_compiles_share_analysis_units_and_equal_local_compiles() {
     let bench = spt_bench_suite::benchmark("gzip_s").expect("exists");
     let helper = first_helper_name(bench.source, bench.entry);
     // Variants share every function except one renamed helper. Renaming
-    // changes only that function's IR (calls lower to FuncIds), so a batch
-    // of K variants should cost ~1 module analysis plus K splices.
+    // changes only that function's IR (calls lower to FuncIds), so every
+    // variant after the first finds the other functions' analyses stored.
     let sources = [
         bench.source.to_string(),
         rename_ident(bench.source, &helper, &format!("{helper}_va")),
         rename_ident(bench.source, &helper, &format!("{helper}_vb")),
     ];
-    let bad_source = "fn main(n: int) -> int { return oops; }".to_string();
+    let bad_source = "fn main(n: int) -> int { return oops; }";
     let req_for = |source: &str| CompileReq {
         source: source.to_string(),
         entry: bench.entry.to_string(),
@@ -286,75 +286,51 @@ fn batched_variant_compiles_equal_individual_compiles() {
         config_id: 1,
         want_module_text: true,
     };
+    let input = ProfilingInput::new(bench.entry, [bench.train_arg]);
 
-    // Reference daemon: one individual compile per variant.
-    let dir_a = temp_dir("batch-ref");
+    let dir = temp_dir("variants");
     let service = Arc::new(CompileService::new(ServiceConfig {
-        cache_dir: Some(dir_a.join("cache")),
+        cache_dir: None,
         ..ServiceConfig::default()
     }));
-    let handle = serve(service, dir_a.join("sptd.sock"), 2).expect("daemon starts");
+    let handle = serve(service, dir.join("sptd.sock"), 2).expect("daemon starts");
     let mut client = Client::connect(handle.socket_path()).expect("connects");
-    let individual: Vec<_> = sources
-        .iter()
-        .map(|s| client.compile(req_for(s)).expect("individual compile"))
-        .collect();
-    let bad_err = match client.compile(req_for(&bad_source)) {
-        Err(spt_serve::ClientError::Server(msg)) => msg,
-        other => panic!("bad source should fail server-side, got {other:?}"),
-    };
-    client.shutdown().expect("shutdown ack");
-    handle.join();
-    let _ = std::fs::remove_dir_all(&dir_a);
-
-    // Fresh daemon: the same work as one cold batch.
-    let dir_b = temp_dir("batch-cold");
-    let service = Arc::new(CompileService::new(ServiceConfig {
-        cache_dir: Some(dir_b.join("cache")),
-        ..ServiceConfig::default()
-    }));
-    let handle = serve(service, dir_b.join("sptd.sock"), 2).expect("daemon starts");
-    let mut client = Client::connect(handle.socket_path()).expect("connects");
-    let mut reqs: Vec<_> = sources.iter().map(|s| req_for(s)).collect();
-    reqs.push(req_for(&bad_source));
-    let batch = client.compile_batch(reqs).expect("batch call");
-    assert_eq!(batch.len(), 4, "one result per submitted item");
-
-    for (i, (item, reference)) in batch.iter().zip(&individual).enumerate() {
-        let resp = item
-            .as_ref()
-            .unwrap_or_else(|e| panic!("item {i} failed: {e}"));
+    for (i, source) in sources.iter().enumerate() {
+        let local = compile_and_transform(source, &input, &CompilerConfig::best())
+            .unwrap_or_else(|e| panic!("variant {i}: local compile failed: {e}"));
+        let resp = client.compile(req_for(source)).expect("daemon compile");
         assert_eq!(
-            resp.report_debug, reference.report_debug,
-            "variant {i}: batch report differs from individual compile"
+            resp.report_debug,
+            format!("{:?}", local.report),
+            "variant {i}: report"
         );
         assert_eq!(
-            resp.analyze_text, reference.analyze_text,
-            "variant {i}: batch analyze text differs"
+            resp.analyze_text,
+            local.report.analyze_text(),
+            "variant {i}: analyze"
         );
         assert_eq!(
-            resp.module_text, reference.module_text,
-            "variant {i}: batch module text differs"
+            resp.module_text,
+            spt_ir::printer::print_module(&local.module),
+            "variant {i}: module text"
         );
     }
-    match &batch[3] {
-        Err(msg) => assert_eq!(msg, &bad_err, "per-item error text differs"),
-        Ok(_) => panic!("bad item must fail inside the batch"),
+    let local_err = compile_and_transform(bad_source, &input, &CompilerConfig::best())
+        .expect_err("bad source fails locally")
+        .to_string();
+    match client.compile(req_for(bad_source)) {
+        Err(spt_serve::ClientError::Server(msg)) => assert_eq!(msg, local_err),
+        other => panic!("bad source should fail server-side, got {other:?}"),
     }
 
     let stats: HashMap<String, u64> = client.stats().expect("stats").into_iter().collect();
-    assert_eq!(
-        stats.get("requests_compile_batch"),
-        Some(&1),
-        "batch counter: {stats:?}"
-    );
     assert!(
         stats.get("mem_func_analysis_hits").copied().unwrap_or(0) > 0,
-        "variants must dedup shared functions through the func cache: {stats:?}"
+        "variants must share functions through analysis units: {stats:?}"
     );
     client.shutdown().expect("shutdown ack");
     handle.join();
-    let _ = std::fs::remove_dir_all(&dir_b);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// N clients racing for the same cold unit: every response bit-identical,

@@ -3,8 +3,7 @@
 //! Every request and response kind is encoded, then decoded again after
 //! every truncation, every single-bit flip and every splice of an inflated
 //! varint (the shape of a corrupt length or count field) at every offset;
-//! large frames that claim millions of batch items or stats entries are
-//! decoded too. Each decode must return `Ok` or `Err` — never panic — and a
+//! a large frame that claims millions of stats entries is decoded too. Each decode must return `Ok` or `Err` — never panic — and a
 //! counting global allocator checks that no single allocation exceeds
 //! `MAX_FRAME`: a corrupt count must not reserve more than a real payload of
 //! that size could need.
@@ -67,7 +66,12 @@ fn requests() -> Vec<Request> {
     let bodies = vec![
         ReqBody::Ping,
         ReqBody::Compile(compile_req(7)),
-        ReqBody::CompileBatch(vec![compile_req(1), compile_req(-2), compile_req(300)]),
+        ReqBody::Compile(CompileReq {
+            source: "fn helper(x: int) -> int { return x * 2; }\n\
+                     fn main(n: int) -> int { return helper(n) + 1; }"
+                .to_string(),
+            ..compile_req(-300)
+        }),
         ReqBody::Sim(SimReq {
             source: "fn main() -> int { return 3; }".to_string(),
             entry: "main".to_string(),
@@ -94,11 +98,6 @@ fn responses() -> Vec<RespBody> {
         RespBody::Err("no such entry".to_string()),
         RespBody::Ok(OkBody::Pong),
         RespBody::Ok(OkBody::Compile(compile_resp(1))),
-        RespBody::Ok(OkBody::CompileBatch(vec![
-            Ok(compile_resp(2)),
-            Err("parse error".to_string()),
-            Ok(compile_resp(3)),
-        ])),
         RespBody::Ok(OkBody::Sim(SimResp {
             report_debug: "sim".to_string(),
             timings: Default::default(),
@@ -109,6 +108,8 @@ fn responses() -> Vec<RespBody> {
         RespBody::Ok(OkBody::Stats(vec![
             ("requests".to_string(), 12),
             ("mem_hits".to_string(), 1 << 40),
+            ("mem_func_analysis_entries".to_string(), 300),
+            ("latency_p99_us".to_string(), u64::MAX),
         ])),
         RespBody::Ok(OkBody::ShuttingDown),
     ]
@@ -204,37 +205,13 @@ fn corrupt_frames_never_panic_or_over_allocate() {
         }
     }
 
-    // Large frames whose count varint claims one item per payload byte:
+    // A large frame whose count varint claims one entry per payload byte:
     // the shape that used to reserve several times `MAX_FRAME`.
-    let header = |kind: Vec<u8>, n: usize| {
-        let mut h = encode_request(&Request {
-            id: 1,
-            body: ReqBody::Ping,
-        });
-        h.truncate(h.len() - 1);
-        h.extend(kind);
-        h.extend(varint(n as u64));
-        h
-    };
-    let compile_batch_kind = encode_request(&Request {
+    let mut stats = encode_response(&spt_serve::proto::Response {
         id: 1,
-        body: ReqBody::CompileBatch(vec![]),
+        body: RespBody::Ok(OkBody::Stats(vec![])),
     });
-    let kind_byte = compile_batch_kind[compile_batch_kind.len() - 2];
-    let big_req = padded(header(vec![kind_byte], 2 << 20), 2 << 20);
-    decode_never_panics("large request batch", &big_req, decode_req);
-    assert!(decode_request(&big_req).is_err());
-
-    let resp_prefix = |body: RespBody| {
-        let p = encode_response(&spt_serve::proto::Response { id: 1, body });
-        // Drop the trailing empty-collection count varint.
-        p[..p.len() - 1].to_vec()
-    };
-    let mut batch = resp_prefix(RespBody::Ok(OkBody::CompileBatch(vec![])));
-    batch.extend(varint(512 << 10));
-    let big_batch = padded(batch, 512 << 10);
-    decode_never_panics("large response batch", &big_batch, decode_resp);
-    let mut stats = resp_prefix(RespBody::Ok(OkBody::Stats(vec![])));
+    stats.pop(); // the empty list's count varint
     stats.extend(varint(3 << 20));
     let big_stats = padded(stats, 3 << 20);
     decode_never_panics("large stats response", &big_stats, decode_resp);

@@ -39,7 +39,8 @@ fn gap_compile() -> CompileReq {
 
 /// Arm `serve::request` to panic for `ping` only: the ping comes back as an
 /// error response, while the same connection, other request kinds, and
-/// other clients keep working — and disarming restores ping.
+/// other clients keep working — and disarming restores ping. A panic inside
+/// a compile comes back as an error that carries the panic's message.
 #[test]
 fn panic_in_one_request_degrades_only_that_request() {
     let _serial = SERIAL
@@ -89,6 +90,24 @@ fn panic_in_one_request_degrades_only_that_request() {
 
     failpoint::clear("serve::request");
     client.ping().expect("ping works again once disarmed");
+
+    failpoint::set_keyed(
+        "serve::compile",
+        "main",
+        Action::panic("injected compile fault"),
+    );
+    // Another configuration: a new unit key, so the compile runs.
+    let cold = CompileReq {
+        config_id: 0,
+        ..gap_compile()
+    };
+    match other.compile(cold) {
+        Err(ClientError::Server(msg)) => assert!(
+            msg.contains("compile panicked") && msg.contains("injected compile fault"),
+            "error should carry the panic's message: {msg}"
+        ),
+        got => panic!("expected a server error for the panicking compile, got {got:?}"),
+    }
 
     client.shutdown().expect("shutdown ack");
     handle.join();

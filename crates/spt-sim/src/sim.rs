@@ -121,16 +121,7 @@ impl SptSimulator {
     /// Returns [`SimError`] on unknown entry, program faults or fuel
     /// exhaustion.
     pub fn run(&self, module: &Module, entry: &str, args: &[i64]) -> Result<SimResult, SimError> {
-        let (bases, size) = module.memory_layout();
-        let mut memory = vec![0u64; size];
-        for (gi, g) in module.globals.iter().enumerate() {
-            if let Some(init) = &g.init {
-                for (k, &b) in init.iter().take(g.size).enumerate() {
-                    memory[bases[gi] + k] = b;
-                }
-            }
-        }
-        self.run_with_memory(module, entry, args, memory)
+        self.run_with_memory(module, entry, args, module.initial_memory())
     }
 
     /// Runs with a caller-provided memory image. Every core executes the

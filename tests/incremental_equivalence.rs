@@ -1,8 +1,7 @@
 //! Function-granular incremental recompilation must be invisible: a warm
-//! recompile that splices cached per-function analysis and emission units
-//! must produce a report and module byte-identical to a cold compile of the
-//! same source, and editing one function must invalidate only that
-//! function's units.
+//! recompile that splices cached per-function analysis units must produce a
+//! report and module byte-identical to a cold compile of the same source,
+//! and editing one function must invalidate only that function's units.
 
 use spt::pipeline::{
     transform_module_timed_with, CompilerConfig, ProfilingInput, StageTimings, Store,
@@ -139,7 +138,6 @@ fn warm_recompile_of_identical_source_hits_everything_and_matches_cold() {
             "{}: warm analysis miss",
             b.name
         );
-        assert_eq!(warm_t.func_emit_misses, 0, "{}: warm emission miss", b.name);
     }
 }
 
