@@ -15,7 +15,9 @@
 //! - **incremental variants**: K cold compile variants differing in one
 //!   function, sent as K `Compile` requests to one service versus compiled
 //!   by a fresh service each — the service's analysis units dedup the
-//!   shared functions (memory only: neither side has a disk tier);
+//!   shared functions (memory only: neither side has a disk tier); each
+//!   side's median and range over five alternating rounds, and the ratio
+//!   of the medians;
 //! - **cache behaviour**: the store's memory hit/miss/eviction counters
 //!   summed over kinds, and the disk tier's memo hits and budget
 //!   evictions, straight from the daemon's `stats` request;
@@ -298,14 +300,38 @@ fn first_helper_name(source: &str, entry: &str) -> String {
     spt_bench::die("no helper function in source")
 }
 
+/// Timed rounds of the incremental scenario per side.
+const VARIANT_ROUNDS: usize = 5;
+
+/// One side's round times in microseconds: median and range.
+struct RoundTimes {
+    median: u64,
+    min: u64,
+    max: u64,
+}
+
+impl RoundTimes {
+    fn of(mut us: Vec<u64>) -> Self {
+        us.sort_unstable();
+        RoundTimes {
+            median: us[us.len() / 2],
+            min: us[0],
+            max: us[us.len() - 1],
+        }
+    }
+}
+
 /// The incremental scenario: K compile variants that share every function
 /// except one renamed helper, sent cold as K `Compile` requests to one
 /// service versus compiled by a fresh service each (no socket). The one
 /// service analyzes the shared functions once, through its analysis units.
 /// Neither side has a disk tier, so only that in-memory sharing differs
-/// and nothing is written to disk. Returns the shared-service time, the
-/// fresh-services time and K.
-fn incremental_variant_comparison(suite: &[spt_bench_suite::Benchmark]) -> (u64, u64, usize) {
+/// and nothing is written to disk. Each side is timed over
+/// [`VARIANT_ROUNDS`] rounds, alternating which side goes first. Returns
+/// the shared-service times, the fresh-services times and K.
+fn incremental_variant_comparison(
+    suite: &[spt_bench_suite::Benchmark],
+) -> (RoundTimes, RoundTimes, usize) {
     const VARIANTS: usize = 6;
     let bench = &suite[2]; // the smallest train input in the suite
     let helper = first_helper_name(bench.source, bench.entry);
@@ -336,23 +362,39 @@ fn incremental_variant_comparison(suite: &[spt_bench_suite::Benchmark]) -> (u64,
             ..ServiceConfig::default()
         })
     };
-
     // Cold individual compiles: a fresh service per variant, so nothing is
     // shared between them (the no-daemon, one-CLI-invocation-each world).
-    let t = Instant::now();
-    for req in &reqs {
-        compile(&fresh_service(), req.clone());
-    }
-    let individual_us = t.elapsed().as_micros() as u64;
-
+    let individual = || {
+        let t = Instant::now();
+        for req in &reqs {
+            compile(&fresh_service(), req.clone());
+        }
+        t.elapsed().as_micros() as u64
+    };
     // The same variants, cold, through one service.
-    let service = fresh_service();
-    let t = Instant::now();
-    for req in reqs {
-        compile(&service, req);
+    let shared = || {
+        let service = fresh_service();
+        let t = Instant::now();
+        for req in &reqs {
+            compile(&service, req.clone());
+        }
+        t.elapsed().as_micros() as u64
+    };
+    let (mut shared_us, mut individual_us) = (Vec::new(), Vec::new());
+    for round in 0..VARIANT_ROUNDS {
+        if round % 2 == 0 {
+            individual_us.push(individual());
+            shared_us.push(shared());
+        } else {
+            shared_us.push(shared());
+            individual_us.push(individual());
+        }
     }
-    let shared_us = t.elapsed().as_micros() as u64;
-    (shared_us, individual_us, VARIANTS)
+    (
+        RoundTimes::of(shared_us),
+        RoundTimes::of(individual_us),
+        VARIANTS,
+    )
 }
 
 fn main() {
@@ -527,16 +569,19 @@ fn main() {
     println!("warm hit (median service time): memory {mem_warm_us}us vs disk {disk_warm_us}us");
 
     // The BENCH keys keep their `batch_*` names so history entries stay
-    // comparable.
-    let (batch_us, individual_us, batch_variants) = incremental_variant_comparison(&suite);
+    // comparable; `batch_cold_us` and `batch_individual_us` are medians.
+    let (shared, individual, batch_variants) = incremental_variant_comparison(&suite);
+    let (batch_us, individual_us) = (shared.median, individual.median);
     let batch_speedup = if batch_us > 0 {
         individual_us as f64 / batch_us as f64
     } else {
         0.0
     };
     println!(
-        "incremental variants: {batch_variants} cold variants through one service {batch_us}us \
-         vs {individual_us}us with a fresh service each ({batch_speedup:.2}x)"
+        "incremental variants: {batch_variants} cold variants, median of {VARIANT_ROUNDS} rounds: \
+         through one service {batch_us}us ({}..{}us) vs {individual_us}us ({}..{}us) with a \
+         fresh service each ({batch_speedup:.2}x)",
+        shared.min, shared.max, individual.min, individual.max
     );
 
     if opts.shutdown || in_process.is_some() {
@@ -570,8 +615,10 @@ fn main() {
          \"mem_hit_rate\": {mem_hit_rate:.4}, \"mem_evictions\": {mem_evictions}, \
          \"flights_led\": {}, \"flights_joined\": {}, \"disk_memo_hits\": {}, \
          \"errors\": {errors}, \"mem_warm_us\": {mem_warm_us}, \"disk_warm_us\": {disk_warm_us}, \
-         \"batch_variants\": {batch_variants}, \"batch_cold_us\": {batch_us}, \
-         \"batch_individual_us\": {individual_us}, \"batch_speedup\": {batch_speedup:.2}, \
+         \"batch_variants\": {batch_variants}, \"batch_rounds\": {VARIANT_ROUNDS}, \
+         \"batch_cold_us\": {batch_us}, \"batch_cold_min_us\": {}, \"batch_cold_max_us\": {}, \
+         \"batch_individual_us\": {individual_us}, \"batch_individual_min_us\": {}, \
+         \"batch_individual_max_us\": {}, \"batch_speedup\": {batch_speedup:.2}, \
          \"peak_rss_kb\": {}}}",
         next_entry_index(&history),
         git_revision(),
@@ -586,6 +633,10 @@ fn main() {
         stat(&stats, "flights_led"),
         stat(&stats, "flights_joined"),
         stat(&stats, "disk_memo_hits"),
+        shared.min,
+        shared.max,
+        individual.min,
+        individual.max,
         peak_rss_kb()
     );
     history.push(entry);

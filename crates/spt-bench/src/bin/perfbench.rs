@@ -55,10 +55,11 @@ struct Totals {
     select_emit_s: f64,
     sim_s: f64,
     search_visited: u64,
-    /// Artifact-store hits: `SimResult` memos plus pass-1 analysis units
-    /// loaded instead of computed.
+    /// Artifact-store hits: `SimResult` memos, pass-1 analysis units and
+    /// profiling runs loaded instead of computed.
     store_hits: u64,
-    /// Simulations and analysis units the store could not serve.
+    /// Simulations, analysis units and profiling runs the store could not
+    /// serve.
     store_misses: u64,
 }
 
@@ -77,8 +78,10 @@ impl Totals {
             t.select_emit_s += r.stages.select_emit_s;
             t.sim_s += r.sim_baseline_s + r.sim_spt_s;
             t.search_visited += r.stages.search_visited;
-            t.store_hits += r.sim_trace.hits() + r.stages.func_analysis_hits;
-            t.store_misses += r.sim_trace.misses() + r.stages.func_analysis_misses;
+            t.store_hits +=
+                r.sim_trace.hits() + r.stages.func_analysis_hits + r.stages.profile_hits;
+            t.store_misses +=
+                r.sim_trace.misses() + r.stages.func_analysis_misses + r.stages.profile_misses;
         }
         t
     }

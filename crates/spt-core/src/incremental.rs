@@ -41,7 +41,8 @@ impl std::fmt::Write for FnvWrite {
     }
 }
 
-fn fold_debug<T: std::fmt::Debug + ?Sized>(h: &mut Fnv, v: &T) {
+/// Folds `v`'s `Debug` rendering into `h`.
+pub(crate) fn fold_debug<T: std::fmt::Debug + ?Sized>(h: &mut Fnv, v: &T) {
     use std::fmt::Write as _;
     let mut w = FnvWrite(std::mem::replace(h, Fnv::new()));
     let _ = write!(w, "{v:?}");

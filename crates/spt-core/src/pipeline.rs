@@ -9,7 +9,8 @@
 //!    configuration) and promote global scalars (*anticipated*);
 //! 3. **profile** the preprocessed program: control-flow edges, data
 //!    dependences, loop statistics and (*best* and up) the value patterns
-//!    of every SVP carrier candidate, all in one interpreter run;
+//!    of every SVP carrier candidate, all in one interpreter run — or none,
+//!    when a disk-backed store holds that run's result;
 //! 4. **pass 1**: for every loop candidate (every nest level), build the
 //!    annotated dependence graph and cost model and search for the optimal
 //!    partition — tentatively, without changing the program;
@@ -26,7 +27,7 @@ use crate::config::CompilerConfig;
 use crate::diag::{panic_message, Diagnostic, Severity, Stage};
 use crate::incremental::{unit_matches_forest, ModuleContext};
 use crate::report::{CompilationReport, LoopOutcome, LoopRecord, SelectedLoop};
-use crate::store::{func_unit_key, Store};
+use crate::store::{func_unit_key, profile_key, Store};
 use spt_cost::dep_graph::{DepGraph, DepGraphConfig, NodeClass, Profiles};
 use spt_cost::LoopCostModel;
 use spt_ir::loops::LoopId;
@@ -232,6 +233,13 @@ pub struct StageTimings {
     /// Pass-1 analysis units that had to be computed (and, when clean, were
     /// stored for the next compile).
     pub func_analysis_misses: u64,
+    /// Profiling runs (stage 3 and the SVP re-profile) served from the
+    /// store's disk tier, so no interpreter started. Zero without a
+    /// disk-backed [`Store`].
+    pub profile_hits: u64,
+    /// Profiling runs the store could not serve: each ran, and was stored
+    /// when it succeeded.
+    pub profile_misses: u64,
 }
 
 /// Runs preprocessing, analysis, selection and transformation on an
@@ -271,14 +279,16 @@ pub fn transform_module_timed(
 ///
 /// With `Some(store)`, functions whose content hash and analysis context
 /// match a stored unit skip pass 1 entirely and splice the stored analyses
-/// back in; the report and emitted code are byte-identical to a cold
-/// compile (pinned by `tests/incremental_equivalence.rs`), and the hit/miss
-/// counters land in [`StageTimings`]. With `None` every function is
-/// analyzed.
+/// back in, and when the store has a disk tier, a profiling run it holds
+/// is loaded instead of run; the report and emitted code are
+/// byte-identical to a cold compile (pinned by
+/// `tests/incremental_equivalence.rs` and `tests/trace_equivalence.rs`),
+/// and the hit/miss counters land in [`StageTimings`]. With `None` every
+/// function is profiled and analyzed.
 /// [`transform_module_timed`] passes an ephemeral disk-backed store when
 /// the artifact store is enabled with a `cache_dir` (so edit-recompile
-/// cycles reuse analysis units across processes); the daemon passes its
-/// long-lived shared store.
+/// cycles reuse profiles and analysis units across processes); the daemon
+/// passes its long-lived shared store.
 ///
 /// # Errors
 ///
@@ -322,15 +332,11 @@ fn transform_scratch(
     } else {
         Vec::new()
     };
-    let mut collector = {
-        let mut interp = Interp::new(module);
-        interp.fuel = config.budget.interp_fuel;
-        let mut collector = ProfileCollector::with_value_targets(
-            carriers.iter().map(|c| (c.func, c.carrier, Ty::I64)),
-        );
-        collect_profile(&interp, input, &mut collector)?;
-        collector
-    };
+    let targets: Vec<(FuncId, InstId, Ty)> = carriers
+        .iter()
+        .map(|c| (c.func, c.carrier, Ty::I64))
+        .collect();
+    let mut collector = profile(module, input, config, &targets, cache, &mut timings)?;
     collector.values.threshold = config.svp_threshold;
     timings.profile_s = t.elapsed().as_secs_f64();
 
@@ -360,12 +366,11 @@ fn transform_scratch(
             }
             spt_ir::verify::verify_module(module)
                 .map_err(|e| PipelineError::Verify(e.to_string()))?;
+            // The stage-3 profile is stale; free it, with the dependence
+            // profiler's shadow memory, before the new run allocates its own.
+            drop(collector);
             let t = std::time::Instant::now();
-            let mut reinterp = Interp::new(module);
-            reinterp.fuel = config.budget.interp_fuel;
-            collector = ProfileCollector::new();
-            collect_profile(&reinterp, input, &mut collector)?;
-            drop(reinterp);
+            collector = profile(module, input, config, &[], cache, &mut timings)?;
             timings.profile_s += t.elapsed().as_secs_f64();
             let t = std::time::Instant::now();
             analyses = analyze_module(module, &collector, config, cache, &mut timings, &mut diags);
@@ -617,21 +622,58 @@ fn preprocess(
     }
 }
 
-/// One profiling run of `input` into `profiler` against an already-built
-/// interpreter.
-fn collect_profile(
-    interp: &Interp<'_>,
+/// One profiling run of `input` over `module`, value-profiling `targets`:
+/// stage 3, and the re-profile after SVP rewrites.
+///
+/// With a disk-backed store the run's result is looked up first, so a hit
+/// starts no interpreter, and a successful miss is stored. A store without
+/// a disk tier never computes the key: profiles are disk-only (see
+/// [`crate::store::Kind::Profile`]).
+fn profile(
+    module: &Module,
     input: &ProfilingInput,
-    profiler: &mut ProfileCollector,
-) -> Result<(), PipelineError> {
+    config: &CompilerConfig,
+    targets: &[(FuncId, InstId, Ty)],
+    cache: Option<&Store>,
+    timings: &mut StageTimings,
+) -> Result<ProfileCollector, PipelineError> {
     crate::fail_point!("pipeline::profile", &input.entry, |msg: String| {
         PipelineError::Interp(InterpError::Malformed(format!("failpoint: {msg}")))
     });
+    let fuel = config.budget.interp_fuel;
+    let stored = cache.filter(|store| store.has_disk()).map(|store| {
+        let key = profile_key(
+            module.content_hash(),
+            input,
+            targets,
+            fuel,
+            spt_profile::interp::DEFAULT_MAX_DEPTH,
+        );
+        (store, key)
+    });
+    if let Some((store, key)) = stored {
+        if let Some((hit, _)) = store.get::<ProfileCollector>(key) {
+            timings.profile_hits += 1;
+            return Ok(Arc::unwrap_or_clone(hit));
+        }
+        timings.profile_misses += 1;
+    }
+    let mut interp = Interp::new(module);
+    interp.fuel = fuel;
+    let mut collector = ProfileCollector::with_value_targets(targets.iter().copied());
     match &input.memory {
-        Some(mem) => interp.run_with_memory(&input.entry, &input.args, mem.clone(), profiler)?,
-        None => interp.run(&input.entry, &input.args, profiler)?,
+        Some(mem) => {
+            interp.run_with_memory(&input.entry, &input.args, mem.clone(), &mut collector)?
+        }
+        None => interp.run(&input.entry, &input.args, &mut collector)?,
     };
-    Ok(())
+    if let Some((store, key)) = stored {
+        let run = Arc::new(collector);
+        store.put(key, Arc::clone(&run));
+        // The store keeps no reference to a disk-only kind.
+        collector = Arc::unwrap_or_clone(run);
+    }
+    Ok(collector)
 }
 
 /// Pass 1 over every loop of every function. Loop analyses are mutually
@@ -1549,20 +1591,28 @@ mod tests {
             preprocess(&mut module, &config, &mut HashMap::new(), &mut diags);
 
             let carriers = svp_carriers(&module);
-            let interp = Interp::new(&module);
-            let mut folded = ProfileCollector::with_value_targets(
-                carriers.iter().map(|c| (c.func, c.carrier, Ty::I64)),
-            );
-            collect_profile(&interp, &input, &mut folded).expect("profiles");
-            folded.values.threshold = config.svp_threshold;
+            let folded_targets: Vec<_> = carriers
+                .iter()
+                .map(|c| (c.func, c.carrier, Ty::I64))
+                .collect();
             let mut timings = StageTimings::default();
+            let mut folded = profile(
+                &module,
+                &input,
+                &config,
+                &folded_targets,
+                None,
+                &mut timings,
+            )
+            .expect("profiles");
+            folded.values.threshold = config.svp_threshold;
             let analyses =
                 analyze_module(&module, &folded, &config, None, &mut timings, &mut diags);
             let targets = svp_targets(&config, &analyses, &carriers);
 
             let mut alone = ValueProfile::new(targets.iter().map(|c| (c.func, c.carrier, Ty::I64)));
             alone.threshold = config.svp_threshold;
-            interp
+            Interp::new(&module)
                 .run(&input.entry, &input.args, &mut alone)
                 .expect("value-profiling run");
             for c in &targets {
@@ -1587,5 +1637,203 @@ mod tests {
             pinned += targets.len();
         }
         assert!(pinned > 0, "no suite program has an SVP target");
+    }
+
+    /// Every query the pipeline makes of a profile, answered by `got` as by
+    /// `want` over `module`'s functions, loops and value `targets`.
+    fn assert_same_answers(
+        what: &str,
+        module: &Module,
+        targets: &[(FuncId, InstId, Ty)],
+        got: &ProfileCollector,
+        want: &ProfileCollector,
+    ) {
+        for f in module.func_ids() {
+            let func = module.func(f);
+            let at = |thing: String| format!("{what}: {} {thing}", func.name);
+            assert_eq!(
+                got.edges.entry_count(f),
+                want.edges.entry_count(f),
+                "{}",
+                at("entries".into())
+            );
+            for bb in func.block_ids() {
+                let (g, w) = (got.edges.block_count(f, bb), want.edges.block_count(f, bb));
+                assert_eq!(g, w, "{}", at(format!("count of {bb}")));
+                for succ in func.successors(bb) {
+                    let (g, w) = (
+                        got.edges.edge_count(f, bb, succ),
+                        want.edges.edge_count(f, bb, succ),
+                    );
+                    assert_eq!(g, w, "{}", at(format!("edge {bb}->{succ}")));
+                }
+                for &i in &func.block(bb).insts {
+                    let (gd, wd) = (&got.deps, &want.deps);
+                    assert_eq!(
+                        gd.store_count(f, i),
+                        wd.store_count(f, i),
+                        "{}",
+                        at(format!("stores at {i}"))
+                    );
+                    assert_eq!(
+                        gd.load_count(f, i),
+                        wd.load_count(f, i),
+                        "{}",
+                        at(format!("loads at {i}"))
+                    );
+                }
+            }
+            let cfg = Cfg::compute(func);
+            let forest = LoopForest::compute(func, &cfg, &DomTree::compute(&cfg));
+            for lid in forest.ids() {
+                let header = forest.get(lid).header;
+                let loop_at = at(format!("loop at {header}"));
+                assert_eq!(
+                    got.deps.pairs_for_loop(f, lid),
+                    want.deps.pairs_for_loop(f, lid),
+                    "{loop_at}"
+                );
+                assert_eq!(
+                    got.loops.stats(f, lid),
+                    want.loops.stats(f, lid),
+                    "{loop_at}"
+                );
+                let (g, w) = (got.loops.coverage(f, lid), want.loops.coverage(f, lid));
+                assert_eq!(g.to_bits(), w.to_bits(), "{loop_at}");
+            }
+        }
+        assert_eq!(got.edges.is_empty(), want.edges.is_empty(), "{what}");
+        assert_eq!(
+            got.deps.dep_counts_map(),
+            want.deps.dep_counts_map(),
+            "{what}"
+        );
+        assert_eq!(got.deps.is_empty(), want.deps.is_empty(), "{what}");
+        assert_eq!(got.deps.interproc_deps, want.deps.interproc_deps, "{what}");
+        assert_eq!(got.loops.iter(), want.loops.iter(), "{what}");
+        assert_eq!(got.loops.total_insts, want.loops.total_insts, "{what}");
+        assert_eq!(got.loops.total_cycles, want.loops.total_cycles, "{what}");
+        for &(f, i, _) in targets {
+            let (gp, gr) = got.values.pattern(f, i);
+            let (wp, wr) = want.values.pattern(f, i);
+            assert_eq!(
+                (gp, gr.to_bits()),
+                (wp, wr.to_bits()),
+                "{what}: pattern of {i}"
+            );
+            assert_eq!(
+                got.values.samples(f, i),
+                want.values.samples(f, i),
+                "{what}: samples of {i}"
+            );
+        }
+    }
+
+    /// Through the disk codec and back, `got` must answer like `want`.
+    fn assert_round_trips(
+        what: &str,
+        module: &Module,
+        targets: &[(FuncId, InstId, Ty)],
+        want: &ProfileCollector,
+        threshold: f64,
+    ) {
+        let bytes = spt_trace::profile_to_bytes(want);
+        let mut got = spt_trace::profile_from_bytes(&bytes).expect("decodes");
+        got.values.threshold = threshold;
+        assert_same_answers(what, module, targets, &got, want);
+        assert_eq!(
+            spt_trace::profile_to_bytes(&got),
+            bytes,
+            "{what}: re-encoding differs"
+        );
+    }
+
+    /// A stored profile — stage 3's and the post-SVP re-profile's — answers
+    /// every query the pipeline makes as the run that wrote it.
+    #[test]
+    fn stored_profiles_answer_like_their_runs_on_every_program() {
+        let config = CompilerConfig::best();
+        let mut reprofiled = 0usize;
+        for b in spt_bench_suite::suite() {
+            let mut module = spt_frontend::compile(b.source).expect("compiles");
+            let input = ProfilingInput::new(b.entry, [b.train_arg]);
+            let mut diags = Vec::new();
+            let mut timings = StageTimings::default();
+            preprocess(&mut module, &config, &mut HashMap::new(), &mut diags);
+            let carriers = svp_carriers(&module);
+            let targets: Vec<_> = carriers
+                .iter()
+                .map(|c| (c.func, c.carrier, Ty::I64))
+                .collect();
+            let mut run =
+                profile(&module, &input, &config, &targets, None, &mut timings).expect("profiles");
+            run.values.threshold = config.svp_threshold;
+            let what = format!("{} stage 3", b.name);
+            assert_round_trips(&what, &module, &targets, &run, config.svp_threshold);
+
+            let analyses = analyze_module(&module, &run, &config, None, &mut timings, &mut diags);
+            let svp = svp_targets(&config, &analyses, &carriers);
+            if !svp_rewrite(
+                &mut module,
+                svp,
+                &run.values,
+                &mut HashSet::new(),
+                &mut diags,
+            ) {
+                continue;
+            }
+            for func in &mut module.funcs {
+                spt_ir::passes::cleanup(func);
+                spt_ir::passes::loop_simplify(func);
+            }
+            let rerun =
+                profile(&module, &input, &config, &[], None, &mut timings).expect("re-profiles");
+            let what = format!("{} post-SVP", b.name);
+            assert_round_trips(&what, &module, &[], &rerun, rerun.values.threshold);
+            reprofiled += 1;
+        }
+        assert!(reprofiled > 0, "no suite program was re-profiled after SVP");
+    }
+
+    /// Building one loop's dependence graph again yields the same edges in
+    /// the same order: the cost graph multiplies survival factors in edge
+    /// order, so a cold compile and a stored unit must agree on it.
+    #[test]
+    fn dependence_graphs_rebuild_in_one_edge_order() {
+        let config = CompilerConfig::best();
+        let mut checked: HashSet<String> = HashSet::new();
+        for b in spt_bench_suite::suite() {
+            let mut module = spt_frontend::compile(b.source).expect("compiles");
+            let input = ProfilingInput::new(b.entry, [b.train_arg]);
+            preprocess(&mut module, &config, &mut HashMap::new(), &mut Vec::new());
+            let mut timings = StageTimings::default();
+            let run = profile(&module, &input, &config, &[], None, &mut timings).expect("profiles");
+            let profiles = Profiles {
+                edges: Some(&run.edges),
+                deps: Some(&run.deps),
+            };
+            for f in module.func_ids() {
+                let func = module.func(f);
+                let cfg = Cfg::compute(func);
+                let forest = LoopForest::compute(func, &cfg, &DomTree::compute(&cfg));
+                for lid in forest.ids() {
+                    let build = || {
+                        let g =
+                            DepGraph::build(&module, f, lid, profiles, &DepGraphConfig::default());
+                        (g.intra_edges, g.cross_edges)
+                    };
+                    let first = build();
+                    let name = format!("{}@{}", func.name, forest.get(lid).header);
+                    for _ in 0..8 {
+                        assert_eq!(build(), first, "{}: {name} rebuilt differently", b.name);
+                    }
+                    checked.insert(name);
+                }
+            }
+        }
+        // The two loops whose edge order once varied between builds.
+        for name in ["deflate@bb1", "anneal@bb1"] {
+            assert!(checked.contains(name), "{name} was not checked");
+        }
     }
 }

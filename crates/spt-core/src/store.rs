@@ -2,23 +2,25 @@
 //! harnesses and the compile daemon.
 //!
 //! Every product it holds — a function's pass-1 analysis, a whole compiled
-//! program, a simulation result — is a pure function of IR content and
-//! inputs, so its key is a content address built in this module
-//! ([`sim_key`], [`func_unit_key`], [`unit_key`]), each folding its kind
-//! tag and format version first. Entries are immutable: a changed input is
-//! a new key, and nothing is ever invalidated.
+//! program, a simulation result, a profiling run's result — is a pure
+//! function of IR content and inputs, so its key is a content address
+//! built in this module ([`sim_key`], [`func_unit_key`], [`unit_key`],
+//! [`profile_key`]), each folding its kind tag and format version first.
+//! Entries are immutable: a changed input is a new key, and nothing is ever
+//! invalidated.
 //!
 //! Two tiers. **Memory** is a sharded LRU under one byte budget for every
-//! kind: a key's high bits pick its shard, and each shard evicts its
-//! least-recently-used entries, of any kind, until it fits `budget /
-//! shards`; a value larger than a whole shard is refused (an oversize
-//! rejection). **Disk** (optional) is a directory of immutable
-//! `{kind}-{key:016x}.bin` files for the kinds with a [`Codec`]. Stores are
-//! atomic (temp file, then rename); a file that fails to read or decode is
-//! deleted and reads as a miss, since a content-addressed file can only
-//! hold bad bytes after a torn or damaged write; an optional byte budget
-//! deletes the least recently used files (a hit renews a file's mtime).
-//! Only files with the store's own names are counted or deleted.
+//! kind but the disk-only [`Kind::Profile`]: a key's high bits pick its
+//! shard, and each shard evicts its least-recently-used entries, of any
+//! kind, until it fits `budget / shards`; a value larger than a whole shard
+//! is refused (an oversize rejection). **Disk** (optional) is a directory
+//! of immutable `{kind}-{key:016x}.bin` files for the kinds with a
+//! [`Codec`]. Stores are atomic (temp file, then rename); a file that fails
+//! to read or decode is deleted and reads as a miss, since a
+//! content-addressed file can only hold bad bytes after a torn or damaged
+//! write; an optional byte budget deletes the least recently used files (a
+//! hit renews a file's mtime). Only files with the store's own names are
+//! counted or deleted.
 //!
 //! The store is an accelerator, not a source of truth: no I/O error
 //! surfaces, and every answer is byte-identical with it on, off, cold or
@@ -34,13 +36,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::SystemTime;
 
+use spt_ir::{FuncId, InstId, Ty};
+use spt_profile::ProfileCollector;
 use spt_sim::{LoopSimStats, MachineConfig, SimResult};
 use spt_trace::codec::Fnv;
 use spt_trace::{
-    sim_from_bytes, sim_to_bytes, FuncAnalysisUnit, FUNC_UNIT_FORMAT_VERSION, SIM_FORMAT_VERSION,
+    profile_from_bytes, profile_to_bytes, sim_from_bytes, sim_to_bytes, FuncAnalysisUnit,
+    FUNC_UNIT_FORMAT_VERSION, PROFILE_FORMAT_VERSION, SIM_FORMAT_VERSION,
 };
 
 use crate::config::CompilerConfig;
+use crate::incremental::fold_debug;
+use crate::pipeline::ProfilingInput;
 
 /// The store under the name the function-granular pipeline API first used
 /// (`sptbench` still compiles against it).
@@ -51,7 +58,7 @@ pub type IncrementalCache = Store;
 const MEMORY_ONLY_FORMAT_VERSION: u32 = 1;
 
 /// Number of [`Kind`]s.
-const KINDS: usize = 3;
+const KINDS: usize = 4;
 
 /// The kinds of artifact the store holds; each has one counter row.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,11 +69,16 @@ pub enum Kind {
     Sim,
     /// One function's pass-1 analysis ([`FuncAnalysisUnit`]); persists.
     FuncAnalysis,
+    /// The result of one profiling run (a [`ProfileCollector`]); disk-only.
+    /// A profile only repeats across processes — inside one, the daemon's
+    /// compiled units already serve repeats — so holding one in memory
+    /// would only grow a long-lived store on every edit.
+    Profile,
 }
 
 impl Kind {
     /// Every kind, in counter-row order.
-    pub const ALL: [Kind; KINDS] = [Kind::Unit, Kind::Sim, Kind::FuncAnalysis];
+    pub const ALL: [Kind; KINDS] = [Kind::Unit, Kind::Sim, Kind::FuncAnalysis, Kind::Profile];
 
     /// The kind's name in `stats` keys.
     pub fn name(self) -> &'static str {
@@ -74,7 +86,15 @@ impl Kind {
             Kind::Unit => "unit",
             Kind::Sim => "sim",
             Kind::FuncAnalysis => "func_analysis",
+            Kind::Profile => "profile",
         }
+    }
+
+    /// Whether the memory tier never holds values of this kind: they are
+    /// read from and written to disk only, and without a disk tier the
+    /// store neither holds nor computes them.
+    pub fn disk_only(self) -> bool {
+        self == Kind::Profile
     }
 
     /// The kind tag of its keys and the prefix of its file names.
@@ -130,6 +150,18 @@ impl Artifact for FuncAnalysisUnit {
             .map(|f| 96 + 4 * (f.move_insts.len() + f.replicate_insts.len()) as u64)
             .sum::<u64>()
             + 32
+    }
+}
+
+impl Artifact for ProfileCollector {
+    const KIND: Kind = Kind::Profile;
+    const CODEC: Option<Codec<Self>> = Some(Codec {
+        encode: profile_to_bytes,
+        decode: profile_from_bytes,
+    });
+    /// Never billed: the memory tier does not hold profiles.
+    fn billed_bytes(&self) -> u64 {
+        0
     }
 }
 
@@ -387,25 +419,38 @@ impl Store {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Whether the store has a disk tier, the only home of disk-only kinds.
+    pub fn has_disk(&self) -> bool {
+        self.disk.is_some()
+    }
+
     /// Looks `key` up as kind `A`: memory first, then disk for kinds with a
-    /// codec. A disk hit is promoted into memory.
+    /// codec. A disk hit is promoted into memory, unless the kind is
+    /// disk-only, which never touches the memory tier.
     pub fn get<A: Artifact>(&self, key: u64) -> Option<(Arc<A>, Tier)> {
-        if let Some(hit) = self.mem_get(key) {
-            return Some((hit, Tier::Memory));
+        let memory = !A::KIND.disk_only();
+        if memory {
+            if let Some(hit) = self.mem_get(key) {
+                return Some((hit, Tier::Memory));
+            }
         }
         let codec = A::CODEC?;
         let value = Arc::new(self.disk.as_ref()?.load(A::KIND, key, codec.decode)?);
-        self.mem_insert(key, value.clone());
+        if memory {
+            self.mem_insert(key, value.clone());
+        }
         Some((value, Tier::Disk))
     }
 
-    /// Stores `value` under `key`: in memory, and on disk for kinds with a
-    /// codec.
+    /// Stores `value` under `key`: on disk for kinds with a codec, and in
+    /// memory unless the kind is disk-only.
     pub fn put<A: Artifact>(&self, key: u64, value: Arc<A>) {
         if let (Some(codec), Some(disk)) = (A::CODEC, &self.disk) {
             disk.store(A::KIND, key, &(codec.encode)(&value));
         }
-        self.mem_insert(key, value);
+        if !A::KIND.disk_only() {
+            self.mem_insert(key, value);
+        }
     }
 
     fn mem_get<A: Artifact>(&self, key: u64) -> Option<Arc<A>> {
@@ -535,6 +580,23 @@ pub fn func_unit_key(function_hash: u64, func_index: u64, context_hash: u64) -> 
     h.update_u64(function_hash);
     h.update_u64(func_index);
     h.update_u64(context_hash);
+    h.finish()
+}
+
+/// Key of one profiling run's result: the profiled module's content hash,
+/// the input (entry, arguments, initial-memory image), the value-profiling
+/// targets, and the interpreter's fuel and call-depth limits. All but the
+/// hash enter through their canonical `Debug` rendering, streamed.
+pub fn profile_key(
+    module_hash: u64,
+    input: &ProfilingInput,
+    targets: &[(FuncId, InstId, Ty)],
+    fuel: u64,
+    max_depth: usize,
+) -> u64 {
+    let mut h = key_hasher(Kind::Profile, PROFILE_FORMAT_VERSION);
+    h.update_u64(module_hash);
+    fold_debug(&mut h, &(input, targets, fuel, max_depth));
     h.finish()
 }
 
@@ -743,6 +805,36 @@ mod tests {
     }
 
     #[test]
+    fn profiles_live_on_disk_only() {
+        let profile = Arc::new(ProfileCollector::new());
+        let none = Store::in_memory(1 << 20, 2);
+        assert!(!none.has_disk());
+        none.put(3, profile.clone());
+        assert!(none.get::<ProfileCollector>(3).is_none());
+        assert_eq!(none.stats(Kind::Profile), KindStats::default());
+
+        let dir = temp_dir("profile");
+        let store = Store::new(1 << 20, 2, Some(dir.clone()), None);
+        store.put(3, profile);
+        let s = store.stats(Kind::Profile);
+        assert_eq!(
+            (s.insertions, s.entries, s.bytes, s.disk_stores),
+            (0, 0, 0, 1)
+        );
+        assert!(dir.join(format!("profile-{:016x}.bin", 3)).exists());
+        // Every probe reads the file; none is promoted into memory.
+        for _ in 0..2 {
+            assert_eq!(
+                store.get::<ProfileCollector>(3).map(|(_, t)| t),
+                Some(Tier::Disk)
+            );
+        }
+        let s = store.stats(Kind::Profile);
+        assert_eq!((s.hits, s.misses, s.entries, s.disk_hits), (0, 0, 0, 2));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn corrupt_files_are_evicted_and_then_miss_cleanly() {
         let dir = temp_dir("corrupt");
         let r = sample_sim();
@@ -859,6 +951,27 @@ mod tests {
                 sim_key(1, "main", &[5, 0], &m1),
                 sim_key(1, "main", &[5], &m2),
             ],
+            {
+                let input = |entry: &str, arg: i64| ProfilingInput::new(entry, [arg]);
+                let mut preset = input("main", 5);
+                preset.memory = Some(vec![0; 4]);
+                let t = |inst: usize, ty: Ty| (FuncId::new(0), InstId::new(inst), ty);
+                let key = |input: &ProfilingInput, targets: &[(FuncId, InstId, Ty)]| {
+                    profile_key(1, input, targets, 100, 256)
+                };
+                vec![
+                    key(&input("main", 5), &[]),
+                    profile_key(2, &input("main", 5), &[], 100, 256),
+                    key(&input("other", 5), &[]),
+                    key(&input("main", 6), &[]),
+                    key(&preset, &[]),
+                    key(&input("main", 5), &[t(3, Ty::I64)]),
+                    key(&input("main", 5), &[t(4, Ty::I64)]),
+                    key(&input("main", 5), &[t(3, Ty::F64)]),
+                    profile_key(1, &input("main", 5), &[], 101, 256),
+                    profile_key(1, &input("main", 5), &[], 100, 255),
+                ]
+            },
             vec![func_unit_key(10, 0, 99), func_unit_key(11, 0, 99)],
             vec![func_unit_key(10, 1, 99), func_unit_key(10, 0, 98)],
             vec![

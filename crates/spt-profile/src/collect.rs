@@ -12,7 +12,7 @@ use crate::value_profile::ValueProfile;
 use spt_ir::{BlockId, FuncId, InstId, Ty};
 
 /// Collects every profile kind in one run.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ProfileCollector {
     /// Control-flow edge profile.
     pub edges: EdgeProfile,

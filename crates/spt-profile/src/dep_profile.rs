@@ -31,7 +31,7 @@
 use crate::interp::{LoopActivation, Profiler, Val};
 use spt_ir::loops::LoopId;
 use spt_ir::{FuncId, InstId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Dependence classification relative to one loop level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -159,7 +159,7 @@ impl SnapPool {
 }
 
 /// Open-addressed `(DepKey, count)` table with linear probing; the hot-path
-/// `bump` is one hash plus a short probe, with no double lookups.
+/// `add` is one hash plus a short probe, with no double lookups.
 #[derive(Clone, Debug, Default)]
 struct DepTable {
     slots: Vec<Option<(DepKey, u64)>>,
@@ -180,7 +180,7 @@ fn hash_key(k: &DepKey) -> u64 {
 
 impl DepTable {
     #[inline]
-    fn bump(&mut self, key: DepKey) {
+    fn add(&mut self, key: DepKey, n: u64) {
         if self.len * 4 >= self.slots.len() * 3 {
             self.grow();
         }
@@ -189,11 +189,11 @@ impl DepTable {
         loop {
             match &mut self.slots[idx] {
                 Some((k, c)) if *k == key => {
-                    *c += 1;
+                    *c += n;
                     return;
                 }
                 slot @ None => {
-                    *slot = Some((key, 1));
+                    *slot = Some((key, n));
                     self.len += 1;
                     return;
                 }
@@ -292,13 +292,14 @@ impl DepProfile {
     }
 
     /// All profiled pairs for one loop, aggregated over classifications:
-    /// `(store, load) -> (intra, cross_adjacent, cross_far)` counts.
+    /// `(store, load) -> (intra, cross_adjacent, cross_far)` counts, in
+    /// `(store, load)` order.
     pub fn pairs_for_loop(
         &self,
         func: FuncId,
         loop_id: LoopId,
-    ) -> HashMap<(InstId, InstId), (u64, u64, u64)> {
-        let mut out: HashMap<(InstId, InstId), (u64, u64, u64)> = HashMap::new();
+    ) -> BTreeMap<(InstId, InstId), (u64, u64, u64)> {
+        let mut out: BTreeMap<(InstId, InstId), (u64, u64, u64)> = BTreeMap::new();
         for (key, count) in self.dep_counts.iter() {
             if key.func == func && key.loop_id == loop_id {
                 let entry = out.entry((key.store, key.load)).or_insert((0, 0, 0));
@@ -313,8 +314,8 @@ impl DepProfile {
     }
 
     /// The full dependence-count map, in the shape the pre-dense profiler
-    /// stored internally. Query-time conversion; intended for dumps and
-    /// differential tests.
+    /// stored internally. Query-time conversion, for the artifact store's
+    /// codec, dumps and differential tests.
     pub fn dep_counts_map(&self) -> HashMap<DepKey, u64> {
         self.dep_counts.iter().map(|(k, c)| (*k, c)).collect()
     }
@@ -322,6 +323,35 @@ impl DepProfile {
     /// Returns `true` if no dependences were recorded.
     pub fn is_empty(&self) -> bool {
         self.dep_counts.len == 0
+    }
+
+    /// The per-site execution rows, indexed by function then instruction:
+    /// `(stores, loads)`.
+    pub fn site_counts(&self) -> (&[Vec<u64>], &[Vec<u64>]) {
+        (&self.store_exec.rows, &self.load_exec.rows)
+    }
+
+    /// A profile holding exactly these counts — matched pairs (see
+    /// [`DepProfile::dep_counts_map`]), per-site rows (see
+    /// [`DepProfile::site_counts`]) and interprocedural matches — and none
+    /// of a run's shadow memory: the decoded form of a stored profile. It
+    /// answers every query as the run that counted them did.
+    pub fn from_parts(
+        pairs: impl IntoIterator<Item = (DepKey, u64)>,
+        store_rows: Vec<Vec<u64>>,
+        load_rows: Vec<Vec<u64>>,
+        interproc_deps: u64,
+    ) -> Self {
+        let mut prof = DepProfile {
+            store_exec: CountTable { rows: store_rows },
+            load_exec: CountTable { rows: load_rows },
+            interproc_deps,
+            ..Self::default()
+        };
+        for (key, count) in pairs {
+            prof.dep_counts.add(key, count);
+        }
+        prof
     }
 
     #[inline]
@@ -412,7 +442,7 @@ impl Profiler for DepProfile {
                     load: inst,
                     kind,
                 };
-                self.dep_counts.bump(key);
+                self.dep_counts.add(key, 1);
             }
         }
     }

@@ -14,13 +14,17 @@
 use crate::interp::{LoopActivation, Profiler};
 use spt_ir::{BlockId, FuncId};
 
+/// One function's edge counts: `rows[from]` is a `(to, count)` adjacency
+/// list.
+pub type EdgeRows = Vec<Vec<(u32, u64)>>;
+
 /// Block and edge execution counts for a whole module run.
 #[derive(Clone, Debug, Default)]
 pub struct EdgeProfile {
     /// `block_counts[func][block]`, lazily grown.
     block_counts: Vec<Vec<u64>>,
-    /// `edge_counts[func][from]` is a `(to, count)` adjacency list.
-    edge_counts: Vec<Vec<Vec<(u32, u64)>>>,
+    /// `edge_counts[func]`, lazily grown.
+    edge_counts: Vec<EdgeRows>,
     func_entries: Vec<u64>,
 }
 
@@ -91,6 +95,26 @@ impl EdgeProfile {
     /// Returns `true` if the profile saw no events at all.
     pub fn is_empty(&self) -> bool {
         self.block_counts.is_empty()
+    }
+
+    /// Every counter as stored: block counts, edge adjacency lists and
+    /// entry counts, each indexed by function. [`EdgeProfile::from_parts`]
+    /// restores them.
+    pub fn parts(&self) -> (&[Vec<u64>], &[EdgeRows], &[u64]) {
+        (&self.block_counts, &self.edge_counts, &self.func_entries)
+    }
+
+    /// A profile holding exactly these counters (see [`EdgeProfile::parts`]).
+    pub fn from_parts(
+        block_counts: Vec<Vec<u64>>,
+        edge_counts: Vec<EdgeRows>,
+        func_entries: Vec<u64>,
+    ) -> Self {
+        EdgeProfile {
+            block_counts,
+            edge_counts,
+            func_entries,
+        }
     }
 }
 

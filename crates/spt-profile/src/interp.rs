@@ -190,6 +190,9 @@ impl Profiler for NoProfiler {
     const OBSERVES: bool = false;
 }
 
+/// [`Interp::max_depth`] of a new interpreter.
+pub const DEFAULT_MAX_DEPTH: usize = 256;
+
 /// The interpreter. Holds the module's superblock code; reusable across
 /// runs of the same module.
 pub struct Interp<'m> {
@@ -197,7 +200,7 @@ pub struct Interp<'m> {
     sup: SuperblockModule,
     /// Maximum instructions to retire before aborting (default 500M).
     pub fuel: u64,
-    /// Maximum call depth (default 256).
+    /// Maximum call depth (default [`DEFAULT_MAX_DEPTH`]).
     pub max_depth: usize,
 }
 
@@ -225,7 +228,7 @@ impl<'m> Interp<'m> {
             module,
             sup: SuperblockModule::build(module),
             fuel: 500_000_000,
-            max_depth: 256,
+            max_depth: DEFAULT_MAX_DEPTH,
         }
     }
 

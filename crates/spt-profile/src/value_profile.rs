@@ -14,7 +14,6 @@
 
 use crate::interp::{LoopActivation, Profiler, Val};
 use spt_ir::{FuncId, InstId, Ty};
-use std::collections::HashMap;
 
 /// A detected value pattern with its hit ratio over the profiled run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -29,14 +28,30 @@ pub enum ValuePattern {
     Unpredictable,
 }
 
+/// Most distinct deltas [`SeqStats`] tracks per target; later new deltas
+/// go uncounted.
+const MAX_DELTAS: usize = 64;
+
+/// The observation statistics of one target's value sequence: everything
+/// [`ValuePattern`] classification reads.
 #[derive(Clone, Debug, Default)]
-struct SeqStats {
-    count: u64,
-    first: Option<u64>,
-    last: Option<u64>,
-    const_hits: u64,
-    repeat_hits: u64,
-    delta_counts: HashMap<i64, u64>,
+pub struct SeqStats {
+    /// Observations.
+    pub count: u64,
+    /// The first value's bits.
+    pub first: Option<u64>,
+    /// The latest value's bits.
+    pub last: Option<u64>,
+    /// Observations after the first that equalled it.
+    pub const_hits: u64,
+    /// Observations that equalled their predecessor.
+    pub repeat_hits: u64,
+    /// `(delta, transitions)` of integer targets, in first-seen order, at
+    /// most 64 entries.
+    pub deltas: Vec<(i64, u64)>,
+    /// Index in `deltas` of the last matched delta: a strided sequence
+    /// matches it on every observation.
+    last_delta: usize,
 }
 
 impl SeqStats {
@@ -53,14 +68,28 @@ impl SeqStats {
                 self.repeat_hits += 1;
             }
             if !is_float {
-                let delta = (bits as i64).wrapping_sub(last as i64);
-                if self.delta_counts.len() < 64 || self.delta_counts.contains_key(&delta) {
-                    *self.delta_counts.entry(delta).or_insert(0) += 1;
-                }
+                self.count_delta((bits as i64).wrapping_sub(last as i64));
             }
         }
         self.last = Some(bits);
         self.count += 1;
+    }
+
+    #[inline]
+    fn count_delta(&mut self, delta: i64) {
+        if let Some((d, hits)) = self.deltas.get_mut(self.last_delta) {
+            if *d == delta {
+                *hits += 1;
+                return;
+            }
+        }
+        if let Some(i) = self.deltas.iter().position(|&(d, _)| d == delta) {
+            self.deltas[i].1 += 1;
+            self.last_delta = i;
+        } else if self.deltas.len() < MAX_DELTAS {
+            self.deltas.push((delta, 1));
+            self.last_delta = self.deltas.len() - 1;
+        }
     }
 
     fn classify(&self, threshold: f64) -> (ValuePattern, f64) {
@@ -76,8 +105,15 @@ impl SeqStats {
                 const_ratio,
             );
         }
-        // Stride: the dominant delta (non-zero) covers most transitions.
-        if let Some((&delta, &hits)) = self.delta_counts.iter().max_by_key(|(_, &hits)| hits) {
+        // Stride: the dominant delta (non-zero) covers most transitions; of
+        // tied deltas, the first seen.
+        let mut dominant: Option<(i64, u64)> = None;
+        for &(delta, hits) in &self.deltas {
+            if dominant.is_none_or(|(_, most)| hits > most) {
+                dominant = Some((delta, hits));
+            }
+        }
+        if let Some((delta, hits)) = dominant {
             let ratio = hits as f64 / transitions;
             if delta != 0 && ratio >= threshold {
                 return (ValuePattern::Stride(delta), ratio);
@@ -170,6 +206,30 @@ impl ValueProfile {
         self.slot_of(func, inst).map_or(0, |s| self.stats[s].count)
     }
 
+    /// Every target in `(func, inst)` order with its float flag and
+    /// statistics: the whole observed state, which
+    /// [`ValueProfile::from_parts`] restores.
+    pub fn target_stats(&self) -> impl Iterator<Item = (FuncId, InstId, bool, &SeqStats)> + '_ {
+        self.targets.iter().filter_map(|&(f, i)| {
+            let s = self.slot_of(f, i)?;
+            Some((f, i, self.is_float[s], &self.stats[s]))
+        })
+    }
+
+    /// A profile of `targets` that has already observed their statistics
+    /// (the decoded form of a stored profile), at the default threshold.
+    pub fn from_parts(targets: impl IntoIterator<Item = (FuncId, InstId, bool, SeqStats)>) -> Self {
+        let targets: Vec<_> = targets.into_iter().collect();
+        let ty = |float: bool| if float { Ty::F64 } else { Ty::I64 };
+        let mut prof = Self::new(targets.iter().map(|&(f, i, float, _)| (f, i, ty(float))));
+        for (f, i, _, stats) in targets {
+            if let Some(s) = prof.slot_of(f, i) {
+                prof.stats[s] = stats;
+            }
+        }
+        prof
+    }
+
     /// Iterates over all targets with a predictable pattern.
     pub fn predictable(&self) -> Vec<(FuncId, InstId, ValuePattern, f64)> {
         let mut out = Vec::new();
@@ -231,6 +291,16 @@ mod tests {
         vals[51] = 510;
         let (p, _) = feed(&vals, 0.9);
         assert_eq!(p, ValuePattern::Stride(10));
+    }
+
+    #[test]
+    fn tied_deltas_classify_the_same_in_every_profile() {
+        // Deltas alternate +1, +3: each covers exactly half the transitions,
+        // so at threshold 0.5 both qualify and the first seen must win.
+        let vals: Vec<i64> = (0..41).map(|i| 4 * (i / 2) + i % 2).collect();
+        for _ in 0..64 {
+            assert_eq!(feed(&vals, 0.5), (ValuePattern::Stride(1), 0.5));
+        }
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!   function-granular analysis units, which every `Compile` request shares:
 //!   variants of one module analyze their common functions once. Its
 //!   optional disk tier (`.spt-cache/`, byte-budgeted) persists simulation
-//!   memos and analysis units, shared with the one-shot CLI, so a daemon
-//!   warm-up also warms `sptc` and a restarted daemon serves warm from
-//!   disk;
+//!   memos, analysis units and profiling runs' results (those on disk
+//!   only), shared with the one-shot CLI, so a daemon warm-up also warms
+//!   `sptc` and a restarted daemon serves warm from disk without starting
+//!   a profiling interpreter;
 //! * a **single-flight** table: concurrent requests for the same unit key
 //!   elect one leader to run the frontend and the pipeline while the rest
 //!   block on its result, so N identical cold requests cost exactly one
@@ -435,8 +436,8 @@ impl CompileService {
         .into_iter()
         .map(|(k, v)| (k.to_string(), v))
         .collect();
-        let rows = Kind::ALL.map(|kind| (kind.name(), self.store.stats(kind)));
-        for (name, k) in rows {
+        let rows = Kind::ALL.map(|kind| (kind, self.store.stats(kind)));
+        for (kind, k) in rows.iter().filter(|(kind, _)| !kind.disk_only()) {
             for (field, n) in [
                 ("hits", k.hits),
                 ("misses", k.misses),
@@ -446,13 +447,13 @@ impl CompileService {
                 ("bytes", k.bytes),
                 ("entries", k.entries),
             ] {
-                out.push((format!("mem_{name}_{field}"), n));
+                out.push((format!("mem_{}_{field}", kind.name()), n));
             }
         }
         if let Some(bytes) = self.store.disk_bytes() {
             let sum = |field: fn(&KindStats) -> u64| rows.iter().map(|(_, k)| field(k)).sum();
-            for (name, k) in rows {
-                out.push((format!("disk_{name}_hits"), k.disk_hits));
+            for (kind, k) in &rows {
+                out.push((format!("disk_{}_hits", kind.name()), k.disk_hits));
             }
             for (key, n) in [
                 ("disk_budget_evictions", sum(|k| k.disk_budget_evictions)),

@@ -4,7 +4,7 @@
 //! the same unit cost exactly one pipeline run.
 
 use spt_core::pipeline::compile_and_transform;
-use spt_core::{CompilerConfig, ProfilingInput};
+use spt_core::{CompilerConfig, ProfilingInput, StageTimings};
 use spt_serve::{
     serve, Client, CompileReq, CompileService, OkBody, ReqBody, RespBody, ServiceConfig, SimReq,
 };
@@ -153,8 +153,8 @@ fn a_restarted_daemon_serves_warm_from_disk() {
         RespBody::Err(e) => panic!("request failed: {e}"),
     };
     // Every payload byte of a compile and a sim of each program, plus the
-    // compile's pass-1 analysis misses.
-    let answers = |service: &CompileService| -> Vec<(Vec<String>, Vec<Vec<u8>>, u64)> {
+    // compile's stage timings and store counters.
+    let answers = |service: &CompileService| -> Vec<(Vec<String>, Vec<Vec<u8>>, StageTimings)> {
         PROGRAMS
             .iter()
             .map(|name| {
@@ -173,11 +173,7 @@ fn a_restarted_daemon_serves_warm_from_disk() {
                     c.module_text,
                     s.report_debug,
                 ];
-                (
-                    texts,
-                    vec![s.baseline, s.spt],
-                    c.timings.func_analysis_misses,
-                )
+                (texts, vec![s.baseline, s.spt], c.timings)
             })
             .collect()
     };
@@ -208,15 +204,26 @@ fn a_restarted_daemon_serves_warm_from_disk() {
             "{name}: restarted answer differs"
         );
         assert_eq!(
-            w.2, 0,
+            w.2.func_analysis_misses, 0,
             "{name}: the restarted daemon re-analyzed a function"
         );
+        assert_eq!(
+            (w.2.profile_hits, w.2.profile_misses),
+            (c.2.profile_misses, 0),
+            "{name}: the restarted daemon started an interpreter"
+        );
+        assert!(w.2.profile_hits > 0, "{name}: no profile was stored");
     }
     assert_eq!(after["disk_direct_runs"], 0, "a simulation ran: {after:?}");
     assert_eq!(after["disk_memo_hits"], 2 * PROGRAMS.len() as u64);
     assert!(
         after["disk_func_analysis_hits"] > 0,
         "function-unit disk hits must reach stats: {after:?}"
+    );
+    let profile_hits: u64 = warm.iter().map(|w| w.2.profile_hits).sum();
+    assert_eq!(
+        after["disk_profile_hits"], profile_hits,
+        "profile disk hits must reach stats: {after:?}"
     );
     assert_eq!(after["disk_stores"], 0, "nothing new to store: {after:?}");
     let _ = std::fs::remove_dir_all(&dir);

@@ -46,6 +46,38 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
+/// Appends the FNV-1a checksum of everything in `out`: the trailer of
+/// every stored encoding.
+pub fn seal(out: &mut Vec<u8>) {
+    let mut h = Fnv::new();
+    h.update(out);
+    out.extend_from_slice(&h.finish().to_le_bytes());
+}
+
+/// The body of a [`seal`]ed encoding that starts with `magic` (everything
+/// before the checksum, magic included), or why the bytes are not one;
+/// `what` names the encoding in the error.
+///
+/// # Errors
+///
+/// A buffer too short for magic and checksum, another magic, or a
+/// checksum mismatch.
+pub fn unseal<'a>(buf: &'a [u8], magic: &[u8; 8], what: &str) -> Result<&'a [u8], String> {
+    if buf.len() < magic.len() + 8 {
+        return Err(format!("{what} truncated"));
+    }
+    if &buf[..magic.len()] != magic {
+        return Err(format!("bad {what} magic"));
+    }
+    let (body, tail) = buf.split_at(buf.len() - 8);
+    let mut h = Fnv::new();
+    h.update(body);
+    if h.finish().to_le_bytes() != tail {
+        return Err(format!("{what} checksum mismatch"));
+    }
+    Ok(body)
+}
+
 /// Map a signed value onto an unsigned one so that small magnitudes (of
 /// either sign) become small varints.
 pub fn zigzag(v: i64) -> u64 {

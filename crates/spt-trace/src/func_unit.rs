@@ -16,7 +16,7 @@
 //! to an error, which the artifact store treats as a miss (evict and
 //! recompute, never a panic).
 
-use crate::codec::{get_varint, put_varint, Fnv};
+use crate::codec::{get_varint, put_varint, seal, unseal};
 
 /// Magic prefix of function-analysis-unit artifact files.
 const FUNC_UNIT_MAGIC: &[u8; 8] = b"SPTFUNCA";
@@ -103,9 +103,7 @@ impl FuncAnalysisUnit {
             out.push(flags);
             put_varint(&mut out, f.search_visited);
         }
-        let mut h = Fnv::new();
-        h.update(&out);
-        out.extend_from_slice(&h.finish().to_le_bytes());
+        seal(&mut out);
         out
     }
 
@@ -115,21 +113,7 @@ impl FuncAnalysisUnit {
     ///
     /// Returns a description of the first framing/checksum/version problem.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, String> {
-        if buf.len() < FUNC_UNIT_MAGIC.len() + 8 {
-            return Err("function unit truncated".into());
-        }
-        if &buf[..FUNC_UNIT_MAGIC.len()] != FUNC_UNIT_MAGIC {
-            return Err("bad function unit magic".into());
-        }
-        let (body, tail) = buf.split_at(buf.len() - 8);
-        let mut h = Fnv::new();
-        h.update(body);
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(tail);
-        if h.finish() != u64::from_le_bytes(raw) {
-            return Err("function unit checksum mismatch".into());
-        }
-
+        let body = unseal(buf, FUNC_UNIT_MAGIC, "function unit")?;
         let mut pos = FUNC_UNIT_MAGIC.len();
         let take = |pos: &mut usize| get_varint(body, pos).ok_or("function unit truncated");
         let version = take(&mut pos)?;

@@ -7,7 +7,7 @@
 
 use spt_sim::{LoopSimStats, SimResult};
 
-use crate::codec::{get_varint, put_varint, Fnv};
+use crate::codec::{get_varint, put_varint, seal, unseal};
 
 /// Magic prefix of an encoded simulation memo.
 const SIM_MAGIC: &[u8; 8] = b"SPTSIMRS";
@@ -58,9 +58,7 @@ pub fn sim_to_bytes(r: &SimResult) -> Vec<u8> {
     }
     out.extend_from_slice(&r.cache_hit_rate.to_bits().to_le_bytes());
     out.extend_from_slice(&r.branch_miss_rate.to_bits().to_le_bytes());
-    let mut h = Fnv::new();
-    h.update(&out);
-    out.extend_from_slice(&h.finish().to_le_bytes());
+    seal(&mut out);
     out
 }
 
@@ -70,21 +68,7 @@ pub fn sim_to_bytes(r: &SimResult) -> Vec<u8> {
 ///
 /// Returns a description of the first framing/checksum/version problem.
 pub fn sim_from_bytes(buf: &[u8]) -> Result<SimResult, String> {
-    if buf.len() < SIM_MAGIC.len() + 8 {
-        return Err("sim memo truncated".into());
-    }
-    if &buf[..SIM_MAGIC.len()] != SIM_MAGIC {
-        return Err("bad sim memo magic".into());
-    }
-    let (body, tail) = buf.split_at(buf.len() - 8);
-    let mut h = Fnv::new();
-    h.update(body);
-    let mut raw = [0u8; 8];
-    raw.copy_from_slice(tail);
-    if h.finish() != u64::from_le_bytes(raw) {
-        return Err("sim memo checksum mismatch".into());
-    }
-
+    let body = unseal(buf, SIM_MAGIC, "sim memo")?;
     let mut pos = SIM_MAGIC.len();
     let take = |pos: &mut usize| get_varint(body, pos).ok_or("sim memo truncated");
     let version = take(&mut pos)?;

@@ -19,11 +19,12 @@
 //! ```
 //!
 //! By default the pipeline commands (`analyze`, `compile`, `sim`) use the
-//! `.spt-cache/` artifact store in the working directory: pass-1 analysis
-//! units are stored there, so re-invoking `sptc` on the same file reuses
-//! them instead of re-running the partition searches. Results are
-//! bit-identical either way; `--no-cache` computes everything and writes
-//! nothing.
+//! `.spt-cache/` artifact store in the working directory: each profiling
+//! run's result, the pass-1 analysis units and (`sim`) the simulation
+//! results are stored there, so re-invoking `sptc` on the same file starts
+//! no profiling interpreter, re-runs no partition search and simulates
+//! nothing. Results are bit-identical either way; `--no-cache` computes
+//! everything and writes nothing.
 //!
 //! With `--daemon SOCKET` the pipeline commands become thin clients of a
 //! running `sptd`: the compile happens (at most once) in the daemon, and
@@ -35,8 +36,8 @@
 use spt::pipeline::{compile_and_transform, CompilerConfig, ProfilingInput};
 use spt::profile::{Interp, NoProfiler, Val};
 use spt::serve::proto::{CompileReq, SimReq};
-use spt::serve::Client;
-use spt::sim::{MachineConfig, SimResult, SptSimulator};
+use spt::serve::{sim_with_cache, Client, SimTraceStats};
+use spt::sim::{MachineConfig, SimResult};
 use std::process::ExitCode;
 
 struct Options {
@@ -235,15 +236,26 @@ fn cmd_sim(source: &str, opts: &Options) -> ExitCode {
         Ok(c) => c,
         Err(code) => return code,
     };
-    let sim = SptSimulator::new();
-    let base = match sim.run(&compiled.baseline, &opts.entry, &[opts.arg]) {
+    let machine = MachineConfig::default();
+    let sim = |module| {
+        let mut stats = SimTraceStats::default();
+        sim_with_cache(
+            module,
+            &opts.entry,
+            opts.arg,
+            &machine,
+            &opts.config.trace,
+            &mut stats,
+        )
+    };
+    let base = match sim(&compiled.baseline) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("sptc: baseline simulation failed: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let spt = match sim.run(&compiled.module, &opts.entry, &[opts.arg]) {
+    let spt = match sim(&compiled.module) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("sptc: SPT simulation failed: {e}");

@@ -1,66 +1,85 @@
 //! Integration tests for the `sptc` command-line driver.
 
-use std::io::Write;
+use std::collections::BTreeSet;
+use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicU32, Ordering};
 
-fn sptc() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_sptc"))
+/// A private working directory holding the demo program. `sptc` runs
+/// inside it, so the `.spt-cache/` artifact store it uses by default lands
+/// there, never in the repository; the directory is removed on drop.
+struct Demo {
+    dir: PathBuf,
+    path: PathBuf,
 }
 
-fn demo_file() -> tempfile_lite::TempPath {
-    let mut f = tempfile_lite::TempPath::new("sptc_demo", ".mc");
-    writeln!(
-        f.file,
-        "global a[256]: int;
-         fn main(n: int) -> int {{
-             let s = 0;
-             for (let i = 0; i < n; i = i + 1) {{
-                 let x = (i * 131 + 7) % 256;
-                 a[x] = x % 31;
-                 s = s + (x * x) % 17 + a[(x + 3) % 256] % 5;
-             }}
-             return s;
-         }}"
-    )
-    .expect("write demo");
-    f.file.flush().expect("flush");
-    f
+impl Demo {
+    fn new() -> Self {
+        static NEXT: AtomicU32 = AtomicU32::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "sptc_cli_{}_{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let path = dir.join("demo.mc");
+        std::fs::write(
+            &path,
+            "global a[256]: int;
+             fn main(n: int) -> int {
+                 let s = 0;
+                 for (let i = 0; i < n; i = i + 1) {
+                     let x = (i * 131 + 7) % 256;
+                     a[x] = x % 31;
+                     s = s + (x * x) % 17 + a[(x + 3) % 256] % 5;
+                 }
+                 return s;
+             }
+",
+        )
+        .expect("write demo");
+        Demo { dir, path }
+    }
+
+    /// `sptc` with the demo directory as its working directory.
+    fn sptc(&self) -> Command {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_sptc"));
+        cmd.current_dir(&self.dir);
+        cmd
+    }
+
+    /// The kind prefixes (`func`, `profile`, `sim`) of the store's files.
+    fn store_kinds(&self) -> BTreeSet<String> {
+        std::fs::read_dir(self.dir.join(".spt-cache"))
+            .map(|entries| {
+                entries
+                    .flatten()
+                    .filter_map(|e| {
+                        let name = e.file_name().to_string_lossy().into_owned();
+                        name.split_once('-').map(|(kind, _)| kind.to_string())
+                    })
+                    .collect()
+            })
+            .unwrap_or_default()
+    }
 }
 
-/// Minimal self-cleaning temp file (no external crate needed).
-mod tempfile_lite {
-    use std::fs::File;
-    use std::path::PathBuf;
-
-    pub struct TempPath {
-        pub path: PathBuf,
-        pub file: File,
-    }
-
-    impl TempPath {
-        pub fn new(prefix: &str, suffix: &str) -> Self {
-            let pid = std::process::id();
-            let nanos = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .expect("clock")
-                .subsec_nanos();
-            let path = std::env::temp_dir().join(format!("{prefix}_{pid}_{nanos}{suffix}"));
-            let file = File::create(&path).expect("create temp file");
-            TempPath { path, file }
-        }
-    }
-
-    impl Drop for TempPath {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_file(&self.path);
-        }
+impl Drop for Demo {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 
 #[test]
 fn ir_prints_ssa() {
-    let demo = demo_file();
-    let out = sptc().args(["ir"]).arg(&demo.path).output().expect("runs");
+    let demo = Demo::new();
+    let out = demo
+        .sptc()
+        .args(["ir"])
+        .arg(&demo.path)
+        .output()
+        .expect("runs");
     assert!(
         out.status.success(),
         "{}",
@@ -73,8 +92,9 @@ fn ir_prints_ssa() {
 
 #[test]
 fn run_executes_program() {
-    let demo = demo_file();
-    let out = sptc()
+    let demo = Demo::new();
+    let out = demo
+        .sptc()
         .args(["run"])
         .arg(&demo.path)
         .args(["--arg", "10"])
@@ -98,8 +118,9 @@ fn run_executes_program() {
 
 #[test]
 fn analyze_reports_loops() {
-    let demo = demo_file();
-    let out = sptc()
+    let demo = Demo::new();
+    let out = demo
+        .sptc()
         .args(["analyze"])
         .arg(&demo.path)
         .args(["--arg", "300"])
@@ -117,8 +138,9 @@ fn analyze_reports_loops() {
 
 #[test]
 fn sim_shows_speedup_and_matching_results() {
-    let demo = demo_file();
-    let out = sptc()
+    let demo = Demo::new();
+    let out = demo
+        .sptc()
         .args(["sim"])
         .arg(&demo.path)
         .args(["--arg", "1500", "--train", "300"])
@@ -136,8 +158,9 @@ fn sim_shows_speedup_and_matching_results() {
 
 #[test]
 fn compile_emits_fork_markers() {
-    let demo = demo_file();
-    let out = sptc()
+    let demo = Demo::new();
+    let out = demo
+        .sptc()
         .args(["compile"])
         .arg(&demo.path)
         .args(["--arg", "300"])
@@ -150,10 +173,39 @@ fn compile_emits_fork_markers() {
 }
 
 #[test]
+fn sim_twice_in_one_directory_is_served_from_the_store_unchanged() {
+    let demo = Demo::new();
+    let sim = || {
+        let out = demo
+            .sptc()
+            .args(["sim"])
+            .arg(&demo.path)
+            .args(["--arg", "1500", "--train", "300"])
+            .output()
+            .expect("runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let cold = sim();
+    let kinds = demo.store_kinds();
+    assert!(
+        kinds.contains("profile") && kinds.contains("sim"),
+        "the first run stored no profile or sim memo: {kinds:?}"
+    );
+    assert_eq!(sim(), cold, "the store changed sptc sim's output");
+}
+
+#[test]
 fn bad_usage_exits_nonzero() {
-    let out = sptc().output().expect("runs");
+    let demo = Demo::new();
+    let out = demo.sptc().output().expect("runs");
     assert!(!out.status.success());
-    let out = sptc()
+    let out = demo
+        .sptc()
         .args(["bogus", "/nonexistent.mc"])
         .output()
         .expect("runs");
@@ -162,8 +214,9 @@ fn bad_usage_exits_nonzero() {
 
 #[test]
 fn basic_config_flag_accepted() {
-    let demo = demo_file();
-    let out = sptc()
+    let demo = Demo::new();
+    let out = demo
+        .sptc()
         .args(["analyze"])
         .arg(&demo.path)
         .args(["--config", "basic", "--arg", "200"])

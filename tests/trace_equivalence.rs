@@ -1,7 +1,8 @@
 //! Differential oracle for the artifact store (`.spt-cache/`).
 //!
-//! The store keeps function-granular pass-1 analysis units and whole
-//! `SimResult` memos. It may only ever change speed: over every
+//! The store keeps function-granular pass-1 analysis units, profiling
+//! runs' results and whole `SimResult` memos. It may only ever change
+//! speed: over every
 //! `spt-bench-suite` program, compiles and simulations with the store off,
 //! cold, warm, or damaged must produce byte-identical reports, modules and
 //! `SimResult`s, and a damaged store must come out of the next run
@@ -177,18 +178,32 @@ fn pipeline_reports_are_unchanged_by_tracing_cold_or_warm() {
     for b in spt::bench_suite::suite() {
         let plain = run(&b, &CompilerConfig::best());
 
-        // Cold: empty store — every analysis unit and simulation computed.
+        // Cold: empty store — every profile, analysis unit and simulation
+        // computed.
         let cold = run(&b, &stored);
         assert!(
             cold.timings.func_analysis_misses > 0,
             "{}: cold run analyzed nothing",
             b.name
         );
+        assert_eq!(
+            (cold.timings.profile_hits, cold.timings.profile_misses > 0),
+            (0, true),
+            "{}: cold profiling runs",
+            b.name
+        );
         assert_eq!(cold.sims.memo_hits, 0, "{}: cold sim hit the store", b.name);
         assert_eq!(cold.sims.direct_runs, 2, "{}: cold sim runs", b.name);
 
-        // Warm: every analysis unit and both simulations come from the store.
+        // Warm: every profile, analysis unit and both simulations come from
+        // the store: no interpreter starts.
         let warm = run(&b, &stored);
+        assert_eq!(
+            (warm.timings.profile_hits, warm.timings.profile_misses),
+            (cold.timings.profile_misses, 0),
+            "{}: warm profiling runs",
+            b.name
+        );
         assert!(
             warm.timings.func_analysis_hits > 0,
             "{}: warm run missed every analysis unit",
@@ -223,9 +238,10 @@ fn a_damaged_store_is_repaired_without_changing_any_result() {
     let cold: Vec<Run> = suite.iter().map(|b| run(b, &stored)).collect();
     let warm_store = snapshot(&dir);
     assert!(
-        warm_store.keys().any(|n| n.starts_with("func-"))
-            && warm_store.keys().any(|n| n.starts_with("sim-")),
-        "store lacks analysis units or sim memos: {:?}",
+        ["func-", "profile-", "sim-"]
+            .iter()
+            .all(|kind| warm_store.keys().any(|n| n.starts_with(kind))),
+        "store lacks analysis units, profiles or sim memos: {:?}",
         warm_store.keys().collect::<Vec<_>>()
     );
 
@@ -243,6 +259,11 @@ fn a_damaged_store_is_repaired_without_changing_any_result() {
         assert_eq!(
             got.sims.memo_hits, 0,
             "{}: a damaged memo was served",
+            b.name
+        );
+        assert_eq!(
+            got.timings.profile_hits, 0,
+            "{}: a damaged profile was served",
             b.name
         );
     }
