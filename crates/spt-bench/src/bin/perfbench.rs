@@ -18,7 +18,7 @@
 //! revision it measured (`"rev"`). Cache state is controllable: `--cold`
 //! clears `.spt-cache/` first so every stage runs from scratch, `--warm`
 //! primes the store with an untimed pass so the measured run loads every
-//! analysis unit and simulation result instead of computing it.
+//! compile and simulation result instead of computing it.
 //!
 //! `--incremental` switches to the incremental-recompile scenario: a
 //! synthetic analysis-heavy module (see `spt_bench::incremental_workload`)
@@ -56,10 +56,9 @@ struct Totals {
     sim_s: f64,
     search_visited: u64,
     /// Artifact-store hits: `SimResult` memos, pass-1 analysis units and
-    /// profiling runs loaded instead of computed.
+    /// whole compiles loaded instead of computed.
     store_hits: u64,
-    /// Simulations, analysis units and profiling runs the store could not
-    /// serve.
+    /// Simulations, analysis units and compiles the store could not serve.
     store_misses: u64,
 }
 
@@ -79,9 +78,9 @@ impl Totals {
             t.sim_s += r.sim_baseline_s + r.sim_spt_s;
             t.search_visited += r.stages.search_visited;
             t.store_hits +=
-                r.sim_trace.hits() + r.stages.func_analysis_hits + r.stages.profile_hits;
+                r.sim_trace.hits() + r.stages.func_analysis_hits + r.stages.compile_hits;
             t.store_misses +=
-                r.sim_trace.misses() + r.stages.func_analysis_misses + r.stages.profile_misses;
+                r.sim_trace.misses() + r.stages.func_analysis_misses + r.stages.compile_misses;
         }
         t
     }
@@ -359,7 +358,7 @@ fn main() {
         println!("cache mode: cold (.spt-cache/ cleared)");
     } else if warm {
         // Prime the store with a throwaway pass; the measured run below then
-        // loads every analysis unit and simulation result.
+        // loads every compile and simulation result.
         set_thread_count_override(Some(1));
         let _ = run_suite_timed(&config);
         set_thread_count_override(None);
@@ -384,7 +383,10 @@ fn main() {
             seq.store_hits, seq.store_misses
         );
         println!("report digest: {:016x}", report_digest(&seq_runs));
-        assert!(seq.wall_s > 0.0 && seq.profile_s > 0.0 && seq.sim_s > 0.0);
+        assert!(seq.wall_s > 0.0 && seq.sim_s > 0.0);
+        // Only a pass the store served whole (every compile decoded from
+        // its memo) profiles nothing.
+        assert!(seq.profile_s > 0.0 || seq.store_misses == 0);
         if let Some(prev) = last_stage_entry(&load_history("BENCH_pipeline.json")) {
             print_deltas(prev, &seq);
         }

@@ -28,6 +28,7 @@
 // may use them freely.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod compile_memo;
 pub mod config;
 pub mod diag;
 #[cfg(feature = "failpoints")]

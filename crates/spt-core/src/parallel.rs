@@ -2,22 +2,25 @@
 //!
 //! Pass-1 loop analyses and the bench harness's per-benchmark runs are
 //! mutually independent, so they fan out over [`std::thread::scope`] workers
-//! pulling from a shared atomic cursor. Results are merged back **by item
-//! index**, so output order — and therefore every report derived from it —
-//! is identical to a sequential run regardless of scheduling.
+//! — the calling thread among them — pulling from a shared atomic cursor.
+//! Results are merged back **by item index**, so output order — and
+//! therefore every report derived from it — is identical to a sequential
+//! run regardless of scheduling.
 //!
 //! The worker count comes from [`thread_count`]: a process-wide programmatic
 //! override ([`set_thread_count_override`]) when one is installed, else the
 //! `SPT_THREADS` environment variable (a positive integer; `1` forces the
 //! sequential path), else [`std::thread::available_parallelism`]. The
-//! environment is consulted **once** per process and cached — `thread_count`
-//! sits on the hot path of every fan-out, and runtime environment mutation
-//! is unsound in multithreaded programs anyway; harnesses that switch
-//! thread counts mid-process (perfbench, the determinism tests) use the
-//! override. No thread pool is kept alive between calls — workloads here
-//! are coarse enough (whole-loop analysis, whole-benchmark pipelines) that
-//! spawn cost is noise, but at one worker `parallel_map` runs inline with
-//! no spawn, no cursor, and (post-cache) no environment read at all.
+//! environment and the machine are each consulted **once** per process and
+//! cached — `thread_count` sits on the hot path of every fan-out (an
+//! `available_parallelism` query costs tens of microseconds), and runtime
+//! environment mutation is unsound in multithreaded programs anyway;
+//! harnesses that switch thread counts mid-process (perfbench, the
+//! determinism tests) use the override. No thread pool is kept alive
+//! between calls — workloads here are coarse enough (whole-loop analysis,
+//! whole-benchmark pipelines) that spawn cost is noise, but at one worker
+//! `parallel_map` runs inline with no spawn, no cursor, and no environment
+//! read at all.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -43,27 +46,35 @@ fn env_thread_count() -> Option<usize> {
     })
 }
 
+/// The machine's available parallelism at first use (1 if unknown), cached
+/// for the process lifetime.
+fn machine_thread_count() -> usize {
+    static MACHINE: OnceLock<usize> = OnceLock::new();
+    *MACHINE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
 /// Worker threads to use: the [`set_thread_count_override`] value if one is
-/// installed, else `SPT_THREADS` if set to a positive integer (read once per
-/// process), otherwise the machine's available parallelism (1 if unknown).
+/// installed, else `SPT_THREADS` if set to a positive integer, otherwise the
+/// machine's available parallelism (1 if unknown); the last two are read
+/// once per process.
 pub fn thread_count() -> usize {
     match THREAD_OVERRIDE.load(Ordering::Relaxed) {
         0 => {}
         n => return n,
     }
-    if let Some(n) = env_thread_count() {
-        return n;
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    env_thread_count().unwrap_or_else(machine_thread_count)
 }
 
 /// Applies `f` to every item, in parallel, returning results in item order.
 ///
 /// Scheduling is dynamic (workers race on an atomic cursor) but the merge is
-/// by index, so the output is bit-identical to `items.iter().map(f)`. With
-/// one worker (or one item) no thread is spawned at all.
+/// by index, so the output is bit-identical to `items.iter().map(f)`. The
+/// calling thread is one of the workers, so `n` workers spawn `n - 1`
+/// threads; with one worker (or one item) no thread is spawned at all.
 ///
 /// # Panics
 ///
@@ -79,30 +90,28 @@ where
         return items.iter().map(f).collect();
     }
     let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut local: Vec<(usize, R)> = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                return local;
+            }
+            local.push((i, f(&items[i])));
+        }
+    };
     let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        local.push((i, f(&items[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
+        let handles: Vec<_> = (1..threads).map(|_| s.spawn(work)).collect();
+        let mut place = |local: Vec<(usize, R)>| {
+            for (i, r) in local {
+                slots[i] = Some(r);
+            }
+        };
+        place(work());
         for h in handles {
             match h.join() {
-                Ok(local) => {
-                    for (i, r) in local {
-                        slots[i] = Some(r);
-                    }
-                }
+                Ok(local) => place(local),
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }

@@ -9,8 +9,7 @@
 //!    configuration) and promote global scalars (*anticipated*);
 //! 3. **profile** the preprocessed program: control-flow edges, data
 //!    dependences, loop statistics and (*best* and up) the value patterns
-//!    of every SVP carrier candidate, all in one interpreter run — or none,
-//!    when a disk-backed store holds that run's result;
+//!    of every SVP carrier candidate, all in one interpreter run;
 //! 4. **pass 1**: for every loop candidate (every nest level), build the
 //!    annotated dependence graph and cost model and search for the optimal
 //!    partition — tentatively, without changing the program;
@@ -22,12 +21,18 @@
 //! 6. **pass 2**: select the good SPT loops (§6.1 criteria; one loop per
 //!    nest) and emit the SPT transformation for each;
 //! 7. cleanup and verification.
+//!
+//! With a disk-backed artifact store, the whole run is memoized: a compile
+//! of the same module, input and configuration decodes the stored SPT
+//! module and report ([`crate::store::Kind::Compile`]) and runs none of
+//! stages 2–7.
 
+use crate::compile_memo::CompileMemo;
 use crate::config::CompilerConfig;
 use crate::diag::{panic_message, Diagnostic, Severity, Stage};
-use crate::incremental::{unit_matches_forest, ModuleContext};
+use crate::incremental::{config_context_hash, unit_matches_forest, ModuleContext};
 use crate::report::{CompilationReport, LoopOutcome, LoopRecord, SelectedLoop};
-use crate::store::{func_unit_key, profile_key, Store};
+use crate::store::{compile_key, func_unit_key, Store};
 use spt_cost::dep_graph::{DepGraph, DepGraphConfig, NodeClass, Profiles};
 use spt_cost::LoopCostModel;
 use spt_ir::loops::LoopId;
@@ -233,13 +238,13 @@ pub struct StageTimings {
     /// Pass-1 analysis units that had to be computed (and, when clean, were
     /// stored for the next compile).
     pub func_analysis_misses: u64,
-    /// Profiling runs (stage 3 and the SVP re-profile) served from the
-    /// store's disk tier, so no interpreter started. Zero without a
-    /// disk-backed [`Store`].
-    pub profile_hits: u64,
-    /// Profiling runs the store could not serve: each ran, and was stored
-    /// when it succeeded.
-    pub profile_misses: u64,
+    /// 1 when the whole compile was served from the store's disk tier
+    /// (stages 2–7 did not run; `search_visited` is summed from the stored
+    /// report), else 0. Zero without a disk-backed [`Store`].
+    pub compile_hits: u64,
+    /// 1 when a disk-backed store could not serve the compile: it ran, and
+    /// was stored when no contained panic degraded it.
+    pub compile_misses: u64,
 }
 
 /// Runs preprocessing, analysis, selection and transformation on an
@@ -279,16 +284,20 @@ pub fn transform_module_timed(
 ///
 /// With `Some(store)`, functions whose content hash and analysis context
 /// match a stored unit skip pass 1 entirely and splice the stored analyses
-/// back in, and when the store has a disk tier, a profiling run it holds
-/// is loaded instead of run; the report and emitted code are
-/// byte-identical to a cold compile (pinned by
+/// back in. When the store has a disk tier, the whole compile is probed
+/// first ([`compile_key`] over the input module's content hash, `input`,
+/// the configuration and the interpreter's call-depth limit): a hit
+/// decodes the stored module and report and runs no stage at all, and a
+/// miss that no contained panic degraded is stored. A store without a disk
+/// tier never computes that key. The report and emitted code are
+/// byte-identical to a cold compile either way (pinned by
 /// `tests/incremental_equivalence.rs` and `tests/trace_equivalence.rs`),
 /// and the hit/miss counters land in [`StageTimings`]. With `None` every
 /// function is profiled and analyzed.
 /// [`transform_module_timed`] passes an ephemeral disk-backed store when
-/// the artifact store is enabled with a `cache_dir` (so edit-recompile
-/// cycles reuse profiles and analysis units across processes); the daemon
-/// passes its long-lived shared store.
+/// the artifact store is enabled with a `cache_dir` (so repeated and
+/// edit-recompile compiles reuse whole compiles and analysis units across
+/// processes); the daemon passes its long-lived shared store.
 ///
 /// # Errors
 ///
@@ -300,10 +309,51 @@ pub fn transform_module_timed_with(
     config: &CompilerConfig,
     cache: Option<&Store>,
 ) -> Result<(CompilationReport, StageTimings), PipelineError> {
+    let memo = cache.filter(|store| store.has_disk()).map(|store| {
+        let key = compile_key(
+            module.content_hash(),
+            input,
+            config_context_hash(config),
+            spt_profile::interp::DEFAULT_MAX_DEPTH,
+        );
+        (store, key)
+    });
+    if let Some((store, key)) = memo {
+        if let Some((hit, _)) = store.get::<CompileMemo>(key) {
+            let CompileMemo {
+                module: stored,
+                report,
+            } = Arc::unwrap_or_clone(hit);
+            *module = stored;
+            let timings = StageTimings {
+                compile_hits: 1,
+                search_visited: report.loops.iter().map(|l| l.search_visited).sum(),
+                ..StageTimings::default()
+            };
+            return Ok((report, timings));
+        }
+    }
     let mut scratch = module.clone();
-    let out = transform_scratch(&mut scratch, input, config, cache)?;
+    let (mut report, mut timings) = transform_scratch(&mut scratch, input, config, cache)?;
+    if let Some((store, key)) = memo {
+        timings.compile_misses = 1;
+        // A contained panic is environmental, not a property of the
+        // inputs: its degraded result is never stored.
+        if report.max_severity() != Some(Severity::Error) {
+            let memo = Arc::new(CompileMemo {
+                module: scratch,
+                report,
+            });
+            store.put(key, Arc::clone(&memo));
+            // The store keeps no reference to a disk-only kind.
+            CompileMemo {
+                module: scratch,
+                report,
+            } = Arc::unwrap_or_clone(memo);
+        }
+    }
     *module = scratch;
-    Ok(out)
+    Ok((report, timings))
 }
 
 /// The pipeline proper, free to leave `module` half-transformed on error —
@@ -336,7 +386,7 @@ fn transform_scratch(
         .iter()
         .map(|c| (c.func, c.carrier, Ty::I64))
         .collect();
-    let mut collector = profile(module, input, config, &targets, cache, &mut timings)?;
+    let mut collector = profile(module, input, config, &targets)?;
     collector.values.threshold = config.svp_threshold;
     timings.profile_s = t.elapsed().as_secs_f64();
 
@@ -370,7 +420,7 @@ fn transform_scratch(
             // profiler's shadow memory, before the new run allocates its own.
             drop(collector);
             let t = std::time::Instant::now();
-            collector = profile(module, input, config, &[], cache, &mut timings)?;
+            collector = profile(module, input, config, &[])?;
             timings.profile_s += t.elapsed().as_secs_f64();
             let t = std::time::Instant::now();
             analyses = analyze_module(module, &collector, config, cache, &mut timings, &mut diags);
@@ -515,48 +565,37 @@ fn func_inst_count(func: &spt_ir::Function) -> usize {
         .sum::<usize>()
 }
 
-/// Stage 2: unrolling and global promotion. Functions are preprocessed
-/// independently — the only cross-function input, the globals table, is
-/// snapshotted first — so they fan out over
-/// [`crate::parallel::parallel_map`]. Per-function results (the rewritten
-/// function, its unroll factors, its diagnostics) merge back in function
-/// order, keeping the module and the diagnostic stream byte-identical to a
-/// sequential run at any `SPT_THREADS` setting.
+/// Stage 2: unrolling and global promotion, one function after another.
+/// Functions are independent (the only cross-function input is the
+/// globals table), but one function's preprocessing is too small to repay
+/// a thread: on the benchmark suite's cold compiles, fanning the stage out
+/// over two workers made it about six times slower than one.
 fn preprocess(
     module: &mut Module,
     config: &CompilerConfig,
     unroll_factors: &mut HashMap<(FuncId, BlockId), usize>,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let globals = module.globals.clone();
-    let items: Vec<(usize, spt_ir::Function)> = std::mem::take(&mut module.funcs)
-        .into_iter()
-        .enumerate()
-        .collect();
-    let results = crate::parallel::parallel_map(&items, |(fi, original)| {
-        let func_id = FuncId::new(*fi);
-        let mut func = original.clone();
-        let mut item_factors: Vec<((FuncId, BlockId), usize)> = Vec::new();
-        let mut item_diags: Vec<Diagnostic> = Vec::new();
-
+    for (fi, func) in module.funcs.iter_mut().enumerate() {
+        let func_id = FuncId::new(fi);
         if config.promote_globals {
-            spt_transform::promote_global_scalars(&globals, &mut func);
-            spt_ir::passes::cleanup(&mut func);
-            spt_ir::passes::loop_simplify(&mut func);
+            spt_transform::promote_global_scalars(&module.globals, func);
+            spt_ir::passes::cleanup(func);
+            spt_ir::passes::loop_simplify(func);
         }
 
         if config.unroll_counted || config.unroll_while {
             // Per-function code-growth budget: unrolling may not blow the
             // function up past `unroll_growth_cap` times its pre-unroll size.
-            let base_insts = func_inst_count(&func).max(1);
+            let base_insts = func_inst_count(func).max(1);
             let growth_limit =
                 ((base_insts as f64) * config.budget.unroll_growth_cap).ceil() as usize;
             // Attempt each loop once (identified by header).
             let mut attempted: HashSet<BlockId> = HashSet::new();
             loop {
-                let cfg = Cfg::compute(&func);
+                let cfg = Cfg::compute(func);
                 let dom = DomTree::compute(&cfg);
-                let forest = LoopForest::compute(&func, &cfg, &dom);
+                let forest = LoopForest::compute(func, &cfg, &dom);
                 let mut did = false;
                 for lid in forest.ids() {
                     let header = forest.get(lid).header;
@@ -564,7 +603,7 @@ fn preprocess(
                         continue;
                     }
                     attempted.insert(header);
-                    let kind = classify_loop(&func, &forest, lid);
+                    let kind = classify_loop(func, &forest, lid);
                     let allowed = match kind {
                         UnrollKind::Counted => config.unroll_counted,
                         UnrollKind::While => config.unroll_while,
@@ -572,7 +611,7 @@ fn preprocess(
                     if !allowed {
                         continue;
                     }
-                    let body = static_body_size(&func, &forest, lid);
+                    let body = static_body_size(func, &forest, lid);
                     let factor =
                         choose_unroll_factor(body, config.min_body_size, config.unroll_max_factor);
                     if factor < 2 {
@@ -586,9 +625,9 @@ fn preprocess(
                         .iter()
                         .map(|&bb| func.block(bb).insts.len())
                         .sum();
-                    let projected = func_inst_count(&func) + body_insts * (factor - 1);
+                    let projected = func_inst_count(func) + body_insts * (factor - 1);
                     if projected > growth_limit {
-                        item_diags.push(Diagnostic::for_loop(
+                        diags.push(Diagnostic::for_loop(
                             Stage::Preprocess,
                             Severity::Warning,
                             func_id,
@@ -600,10 +639,10 @@ fn preprocess(
                         ));
                         continue;
                     }
-                    if unroll_loop(&mut func, lid, factor).is_ok() {
-                        item_factors.push(((func_id, header), factor));
-                        spt_ir::passes::cleanup(&mut func);
-                        spt_ir::passes::loop_simplify(&mut func);
+                    if unroll_loop(func, lid, factor).is_ok() {
+                        unroll_factors.insert((func_id, header), factor);
+                        spt_ir::passes::cleanup(func);
+                        spt_ir::passes::loop_simplify(func);
                         did = true;
                         break; // forest invalidated
                     }
@@ -613,53 +652,22 @@ fn preprocess(
                 }
             }
         }
-        (func, item_factors, item_diags)
-    });
-    for (func, item_factors, item_diags) in results {
-        module.funcs.push(func);
-        unroll_factors.extend(item_factors);
-        diags.extend(item_diags);
     }
 }
 
 /// One profiling run of `input` over `module`, value-profiling `targets`:
 /// stage 3, and the re-profile after SVP rewrites.
-///
-/// With a disk-backed store the run's result is looked up first, so a hit
-/// starts no interpreter, and a successful miss is stored. A store without
-/// a disk tier never computes the key: profiles are disk-only (see
-/// [`crate::store::Kind::Profile`]).
 fn profile(
     module: &Module,
     input: &ProfilingInput,
     config: &CompilerConfig,
     targets: &[(FuncId, InstId, Ty)],
-    cache: Option<&Store>,
-    timings: &mut StageTimings,
 ) -> Result<ProfileCollector, PipelineError> {
     crate::fail_point!("pipeline::profile", &input.entry, |msg: String| {
         PipelineError::Interp(InterpError::Malformed(format!("failpoint: {msg}")))
     });
-    let fuel = config.budget.interp_fuel;
-    let stored = cache.filter(|store| store.has_disk()).map(|store| {
-        let key = profile_key(
-            module.content_hash(),
-            input,
-            targets,
-            fuel,
-            spt_profile::interp::DEFAULT_MAX_DEPTH,
-        );
-        (store, key)
-    });
-    if let Some((store, key)) = stored {
-        if let Some((hit, _)) = store.get::<ProfileCollector>(key) {
-            timings.profile_hits += 1;
-            return Ok(Arc::unwrap_or_clone(hit));
-        }
-        timings.profile_misses += 1;
-    }
     let mut interp = Interp::new(module);
-    interp.fuel = fuel;
+    interp.fuel = config.budget.interp_fuel;
     let mut collector = ProfileCollector::with_value_targets(targets.iter().copied());
     match &input.memory {
         Some(mem) => {
@@ -667,12 +675,6 @@ fn profile(
         }
         None => interp.run(&input.entry, &input.args, &mut collector)?,
     };
-    if let Some((store, key)) = stored {
-        let run = Arc::new(collector);
-        store.put(key, Arc::clone(&run));
-        // The store keeps no reference to a disk-only kind.
-        collector = Arc::unwrap_or_clone(run);
-    }
     Ok(collector)
 }
 
@@ -1596,15 +1598,7 @@ mod tests {
                 .map(|c| (c.func, c.carrier, Ty::I64))
                 .collect();
             let mut timings = StageTimings::default();
-            let mut folded = profile(
-                &module,
-                &input,
-                &config,
-                &folded_targets,
-                None,
-                &mut timings,
-            )
-            .expect("profiles");
+            let mut folded = profile(&module, &input, &config, &folded_targets).expect("profiles");
             folded.values.threshold = config.svp_threshold;
             let analyses =
                 analyze_module(&module, &folded, &config, None, &mut timings, &mut diags);
@@ -1639,162 +1633,6 @@ mod tests {
         assert!(pinned > 0, "no suite program has an SVP target");
     }
 
-    /// Every query the pipeline makes of a profile, answered by `got` as by
-    /// `want` over `module`'s functions, loops and value `targets`.
-    fn assert_same_answers(
-        what: &str,
-        module: &Module,
-        targets: &[(FuncId, InstId, Ty)],
-        got: &ProfileCollector,
-        want: &ProfileCollector,
-    ) {
-        for f in module.func_ids() {
-            let func = module.func(f);
-            let at = |thing: String| format!("{what}: {} {thing}", func.name);
-            assert_eq!(
-                got.edges.entry_count(f),
-                want.edges.entry_count(f),
-                "{}",
-                at("entries".into())
-            );
-            for bb in func.block_ids() {
-                let (g, w) = (got.edges.block_count(f, bb), want.edges.block_count(f, bb));
-                assert_eq!(g, w, "{}", at(format!("count of {bb}")));
-                for succ in func.successors(bb) {
-                    let (g, w) = (
-                        got.edges.edge_count(f, bb, succ),
-                        want.edges.edge_count(f, bb, succ),
-                    );
-                    assert_eq!(g, w, "{}", at(format!("edge {bb}->{succ}")));
-                }
-                for &i in &func.block(bb).insts {
-                    let (gd, wd) = (&got.deps, &want.deps);
-                    assert_eq!(
-                        gd.store_count(f, i),
-                        wd.store_count(f, i),
-                        "{}",
-                        at(format!("stores at {i}"))
-                    );
-                    assert_eq!(
-                        gd.load_count(f, i),
-                        wd.load_count(f, i),
-                        "{}",
-                        at(format!("loads at {i}"))
-                    );
-                }
-            }
-            let cfg = Cfg::compute(func);
-            let forest = LoopForest::compute(func, &cfg, &DomTree::compute(&cfg));
-            for lid in forest.ids() {
-                let header = forest.get(lid).header;
-                let loop_at = at(format!("loop at {header}"));
-                assert_eq!(
-                    got.deps.pairs_for_loop(f, lid),
-                    want.deps.pairs_for_loop(f, lid),
-                    "{loop_at}"
-                );
-                assert_eq!(
-                    got.loops.stats(f, lid),
-                    want.loops.stats(f, lid),
-                    "{loop_at}"
-                );
-                let (g, w) = (got.loops.coverage(f, lid), want.loops.coverage(f, lid));
-                assert_eq!(g.to_bits(), w.to_bits(), "{loop_at}");
-            }
-        }
-        assert_eq!(got.edges.is_empty(), want.edges.is_empty(), "{what}");
-        assert_eq!(
-            got.deps.dep_counts_map(),
-            want.deps.dep_counts_map(),
-            "{what}"
-        );
-        assert_eq!(got.deps.is_empty(), want.deps.is_empty(), "{what}");
-        assert_eq!(got.deps.interproc_deps, want.deps.interproc_deps, "{what}");
-        assert_eq!(got.loops.iter(), want.loops.iter(), "{what}");
-        assert_eq!(got.loops.total_insts, want.loops.total_insts, "{what}");
-        assert_eq!(got.loops.total_cycles, want.loops.total_cycles, "{what}");
-        for &(f, i, _) in targets {
-            let (gp, gr) = got.values.pattern(f, i);
-            let (wp, wr) = want.values.pattern(f, i);
-            assert_eq!(
-                (gp, gr.to_bits()),
-                (wp, wr.to_bits()),
-                "{what}: pattern of {i}"
-            );
-            assert_eq!(
-                got.values.samples(f, i),
-                want.values.samples(f, i),
-                "{what}: samples of {i}"
-            );
-        }
-    }
-
-    /// Through the disk codec and back, `got` must answer like `want`.
-    fn assert_round_trips(
-        what: &str,
-        module: &Module,
-        targets: &[(FuncId, InstId, Ty)],
-        want: &ProfileCollector,
-        threshold: f64,
-    ) {
-        let bytes = spt_trace::profile_to_bytes(want);
-        let mut got = spt_trace::profile_from_bytes(&bytes).expect("decodes");
-        got.values.threshold = threshold;
-        assert_same_answers(what, module, targets, &got, want);
-        assert_eq!(
-            spt_trace::profile_to_bytes(&got),
-            bytes,
-            "{what}: re-encoding differs"
-        );
-    }
-
-    /// A stored profile — stage 3's and the post-SVP re-profile's — answers
-    /// every query the pipeline makes as the run that wrote it.
-    #[test]
-    fn stored_profiles_answer_like_their_runs_on_every_program() {
-        let config = CompilerConfig::best();
-        let mut reprofiled = 0usize;
-        for b in spt_bench_suite::suite() {
-            let mut module = spt_frontend::compile(b.source).expect("compiles");
-            let input = ProfilingInput::new(b.entry, [b.train_arg]);
-            let mut diags = Vec::new();
-            let mut timings = StageTimings::default();
-            preprocess(&mut module, &config, &mut HashMap::new(), &mut diags);
-            let carriers = svp_carriers(&module);
-            let targets: Vec<_> = carriers
-                .iter()
-                .map(|c| (c.func, c.carrier, Ty::I64))
-                .collect();
-            let mut run =
-                profile(&module, &input, &config, &targets, None, &mut timings).expect("profiles");
-            run.values.threshold = config.svp_threshold;
-            let what = format!("{} stage 3", b.name);
-            assert_round_trips(&what, &module, &targets, &run, config.svp_threshold);
-
-            let analyses = analyze_module(&module, &run, &config, None, &mut timings, &mut diags);
-            let svp = svp_targets(&config, &analyses, &carriers);
-            if !svp_rewrite(
-                &mut module,
-                svp,
-                &run.values,
-                &mut HashSet::new(),
-                &mut diags,
-            ) {
-                continue;
-            }
-            for func in &mut module.funcs {
-                spt_ir::passes::cleanup(func);
-                spt_ir::passes::loop_simplify(func);
-            }
-            let rerun =
-                profile(&module, &input, &config, &[], None, &mut timings).expect("re-profiles");
-            let what = format!("{} post-SVP", b.name);
-            assert_round_trips(&what, &module, &[], &rerun, rerun.values.threshold);
-            reprofiled += 1;
-        }
-        assert!(reprofiled > 0, "no suite program was re-profiled after SVP");
-    }
-
     /// Building one loop's dependence graph again yields the same edges in
     /// the same order: the cost graph multiplies survival factors in edge
     /// order, so a cold compile and a stored unit must agree on it.
@@ -1806,8 +1644,7 @@ mod tests {
             let mut module = spt_frontend::compile(b.source).expect("compiles");
             let input = ProfilingInput::new(b.entry, [b.train_arg]);
             preprocess(&mut module, &config, &mut HashMap::new(), &mut Vec::new());
-            let mut timings = StageTimings::default();
-            let run = profile(&module, &input, &config, &[], None, &mut timings).expect("profiles");
+            let run = profile(&module, &input, &config, &[]).expect("profiles");
             let profiles = Profiles {
                 edges: Some(&run.edges),
                 deps: Some(&run.deps),

@@ -1,16 +1,16 @@
 //! The artifact store: the one memo behind the pipeline, the simulation
 //! harnesses and the compile daemon.
 //!
-//! Every product it holds — a function's pass-1 analysis, a whole compiled
-//! program, a simulation result, a profiling run's result — is a pure
-//! function of IR content and inputs, so its key is a content address
-//! built in this module ([`sim_key`], [`func_unit_key`], [`unit_key`],
-//! [`profile_key`]), each folding its kind tag and format version first.
+//! Every product it holds — a function's pass-1 analysis, a whole compile,
+//! the daemon's compiled program, a simulation result — is a pure function
+//! of IR content and inputs, so its key is a content address built in this
+//! module ([`sim_key`], [`func_unit_key`], [`compile_key`], [`unit_key`]),
+//! each folding its kind tag and format version first.
 //! Entries are immutable: a changed input is a new key, and nothing is ever
 //! invalidated.
 //!
 //! Two tiers. **Memory** is a sharded LRU under one byte budget for every
-//! kind but the disk-only [`Kind::Profile`]: a key's high bits pick its
+//! kind but the disk-only [`Kind::Compile`]: a key's high bits pick its
 //! shard, and each shard evicts its least-recently-used entries, of any
 //! kind, until it fits `budget / shards`; a value larger than a whole shard
 //! is refused (an oversize rejection). **Disk** (optional) is a directory
@@ -36,15 +36,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::SystemTime;
 
-use spt_ir::{FuncId, InstId, Ty};
-use spt_profile::ProfileCollector;
 use spt_sim::{LoopSimStats, MachineConfig, SimResult};
 use spt_trace::codec::Fnv;
 use spt_trace::{
-    profile_from_bytes, profile_to_bytes, sim_from_bytes, sim_to_bytes, FuncAnalysisUnit,
-    FUNC_UNIT_FORMAT_VERSION, PROFILE_FORMAT_VERSION, SIM_FORMAT_VERSION,
+    sim_from_bytes, sim_to_bytes, FuncAnalysisUnit, FUNC_UNIT_FORMAT_VERSION, SIM_FORMAT_VERSION,
 };
 
+use crate::compile_memo::{CompileMemo, COMPILE_FORMAT_VERSION};
 use crate::config::CompilerConfig;
 use crate::incremental::fold_debug;
 use crate::pipeline::ProfilingInput;
@@ -63,22 +61,24 @@ const KINDS: usize = 4;
 /// The kinds of artifact the store holds; each has one counter row.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Kind {
-    /// A whole compiled program (the daemon's `CompiledUnit`); memory-only.
+    /// The daemon's compiled program (its `CompiledUnit`, keyed by the
+    /// request); memory-only.
     Unit,
     /// A [`SimResult`] memo; persists.
     Sim,
     /// One function's pass-1 analysis ([`FuncAnalysisUnit`]); persists.
     FuncAnalysis,
-    /// The result of one profiling run (a [`ProfileCollector`]); disk-only.
-    /// A profile only repeats across processes — inside one, the daemon's
-    /// compiled units already serve repeats — so holding one in memory
-    /// would only grow a long-lived store on every edit.
-    Profile,
+    /// One whole compile (a [`CompileMemo`]: the SPT module and its
+    /// report); disk-only. A compile only repeats across processes —
+    /// inside one, the daemon's compiled units already serve repeats — so
+    /// holding one in memory would only grow a long-lived store on every
+    /// edit.
+    Compile,
 }
 
 impl Kind {
     /// Every kind, in counter-row order.
-    pub const ALL: [Kind; KINDS] = [Kind::Unit, Kind::Sim, Kind::FuncAnalysis, Kind::Profile];
+    pub const ALL: [Kind; KINDS] = [Kind::Unit, Kind::Sim, Kind::FuncAnalysis, Kind::Compile];
 
     /// The kind's name in `stats` keys.
     pub fn name(self) -> &'static str {
@@ -86,7 +86,7 @@ impl Kind {
             Kind::Unit => "unit",
             Kind::Sim => "sim",
             Kind::FuncAnalysis => "func_analysis",
-            Kind::Profile => "profile",
+            Kind::Compile => "compile",
         }
     }
 
@@ -94,7 +94,7 @@ impl Kind {
     /// read from and written to disk only, and without a disk tier the
     /// store neither holds nor computes them.
     pub fn disk_only(self) -> bool {
-        self == Kind::Profile
+        self == Kind::Compile
     }
 
     /// The kind tag of its keys and the prefix of its file names.
@@ -153,13 +153,13 @@ impl Artifact for FuncAnalysisUnit {
     }
 }
 
-impl Artifact for ProfileCollector {
-    const KIND: Kind = Kind::Profile;
+impl Artifact for CompileMemo {
+    const KIND: Kind = Kind::Compile;
     const CODEC: Option<Codec<Self>> = Some(Codec {
-        encode: profile_to_bytes,
-        decode: profile_from_bytes,
+        encode: CompileMemo::to_bytes,
+        decode: CompileMemo::from_bytes,
     });
-    /// Never billed: the memory tier does not hold profiles.
+    /// Never billed: the memory tier does not hold compiles.
     fn billed_bytes(&self) -> u64 {
         0
     }
@@ -583,20 +583,22 @@ pub fn func_unit_key(function_hash: u64, func_index: u64, context_hash: u64) -> 
     h.finish()
 }
 
-/// Key of one profiling run's result: the profiled module's content hash,
-/// the input (entry, arguments, initial-memory image), the value-profiling
-/// targets, and the interpreter's fuel and call-depth limits. All but the
-/// hash enter through their canonical `Debug` rendering, streamed.
-pub fn profile_key(
+/// Key of a whole compile ([`Kind::Compile`]): the input module's content
+/// hash, the profiling input (entry, arguments and initial-memory image,
+/// through their canonical `Debug` rendering, streamed), the
+/// configuration's [`crate::incremental::config_context_hash`] and the
+/// interpreter's call-depth limit — everything a compile reads.
+pub fn compile_key(
     module_hash: u64,
     input: &ProfilingInput,
-    targets: &[(FuncId, InstId, Ty)],
-    fuel: u64,
+    config_hash: u64,
     max_depth: usize,
 ) -> u64 {
-    let mut h = key_hasher(Kind::Profile, PROFILE_FORMAT_VERSION);
+    let mut h = key_hasher(Kind::Compile, COMPILE_FORMAT_VERSION);
     h.update_u64(module_hash);
-    fold_debug(&mut h, &(input, targets, fuel, max_depth));
+    fold_debug(&mut h, input);
+    h.update_u64(config_hash);
+    h.update_u64(max_depth as u64);
     h.finish()
 }
 
@@ -804,32 +806,45 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    fn sample_compile() -> Arc<CompileMemo> {
+        let mut module = spt_ir::Module::new();
+        module.add_global("g", 2, spt_ir::Ty::I64);
+        Arc::new(CompileMemo {
+            module,
+            report: crate::CompilationReport {
+                config_name: "best".into(),
+                profile_total_cycles: 7,
+                ..Default::default()
+            },
+        })
+    }
+
     #[test]
-    fn profiles_live_on_disk_only() {
-        let profile = Arc::new(ProfileCollector::new());
+    fn compiles_live_on_disk_only() {
+        let compile = sample_compile();
         let none = Store::in_memory(1 << 20, 2);
         assert!(!none.has_disk());
-        none.put(3, profile.clone());
-        assert!(none.get::<ProfileCollector>(3).is_none());
-        assert_eq!(none.stats(Kind::Profile), KindStats::default());
+        none.put(3, compile.clone());
+        assert!(none.get::<CompileMemo>(3).is_none());
+        assert_eq!(none.stats(Kind::Compile), KindStats::default());
 
-        let dir = temp_dir("profile");
+        let dir = temp_dir("compile");
         let store = Store::new(1 << 20, 2, Some(dir.clone()), None);
-        store.put(3, profile);
-        let s = store.stats(Kind::Profile);
+        store.put(3, compile.clone());
+        let s = store.stats(Kind::Compile);
         assert_eq!(
             (s.insertions, s.entries, s.bytes, s.disk_stores),
             (0, 0, 0, 1)
         );
-        assert!(dir.join(format!("profile-{:016x}.bin", 3)).exists());
+        assert!(dir.join(format!("compile-{:016x}.bin", 3)).exists());
         // Every probe reads the file; none is promoted into memory.
         for _ in 0..2 {
-            assert_eq!(
-                store.get::<ProfileCollector>(3).map(|(_, t)| t),
-                Some(Tier::Disk)
-            );
+            let (got, tier) = store.get::<CompileMemo>(3).expect("stored");
+            assert_eq!(tier, Tier::Disk);
+            assert_eq!(got.module, compile.module);
+            assert_eq!(format!("{:?}", got.report), format!("{:?}", compile.report));
         }
-        let s = store.stats(Kind::Profile);
+        let s = store.stats(Kind::Compile);
         assert_eq!((s.hits, s.misses, s.entries, s.disk_hits), (0, 0, 0, 2));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -955,21 +970,19 @@ mod tests {
                 let input = |entry: &str, arg: i64| ProfilingInput::new(entry, [arg]);
                 let mut preset = input("main", 5);
                 preset.memory = Some(vec![0; 4]);
-                let t = |inst: usize, ty: Ty| (FuncId::new(0), InstId::new(inst), ty);
-                let key = |input: &ProfilingInput, targets: &[(FuncId, InstId, Ty)]| {
-                    profile_key(1, input, targets, 100, 256)
-                };
+                let mut other_preset = input("main", 5);
+                other_preset.memory = Some(vec![0, 0, 1, 0]);
+                let key = |input: &ProfilingInput| compile_key(1, input, 100, 256);
                 vec![
-                    key(&input("main", 5), &[]),
-                    profile_key(2, &input("main", 5), &[], 100, 256),
-                    key(&input("other", 5), &[]),
-                    key(&input("main", 6), &[]),
-                    key(&preset, &[]),
-                    key(&input("main", 5), &[t(3, Ty::I64)]),
-                    key(&input("main", 5), &[t(4, Ty::I64)]),
-                    key(&input("main", 5), &[t(3, Ty::F64)]),
-                    profile_key(1, &input("main", 5), &[], 101, 256),
-                    profile_key(1, &input("main", 5), &[], 100, 255),
+                    key(&input("main", 5)),
+                    compile_key(2, &input("main", 5), 100, 256),
+                    key(&input("other", 5)),
+                    key(&input("main", 6)),
+                    key(&ProfilingInput::new("main", [5, 0])),
+                    key(&preset),
+                    key(&other_preset),
+                    compile_key(1, &input("main", 5), 101, 256),
+                    compile_key(1, &input("main", 5), 100, 255),
                 ]
             },
             vec![func_unit_key(10, 0, 99), func_unit_key(11, 0, 99)],

@@ -12,8 +12,9 @@
 
 use spt_core::failpoint::{self, Action};
 use spt_core::{
-    compile_and_transform, pipeline::transform_module, CompilerConfig, LoopOutcome, LoopRecord,
-    PipelineError, ProfilingInput, Severity, SptCompilation, Stage,
+    compile_and_transform, pipeline::transform_module, transform_module_timed_with,
+    CompilationReport, CompilerConfig, LoopOutcome, LoopRecord, PipelineError, ProfilingInput,
+    Severity, SptCompilation, Stage, StageTimings, Store,
 };
 use spt_profile::{Interp, Val};
 use std::sync::Mutex;
@@ -329,4 +330,58 @@ fn svp_panic_is_contained_and_rolled_back() {
     }
     // No loop may claim an SVP rewrite that was rolled back.
     assert!(injected.report.loops.iter().all(|r| !r.svp_applied));
+}
+
+/// The whole-compile memo of a disk-backed store: a compile that a
+/// contained panic degraded is never stored, and a stored compile is served
+/// whole — with the profiling site armed to fail, the warm compile still
+/// succeeds, because no pipeline stage runs.
+#[test]
+fn degraded_compiles_are_never_stored_and_stored_ones_run_no_stage() {
+    let _lock = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = failpoint::scoped();
+    let dir = std::env::temp_dir().join(format!("spt-failpoint-memo-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let compile_through_store =
+        || -> Result<(spt_ir::Module, CompilationReport, StageTimings), PipelineError> {
+            let store = Store::new(0, 1, Some(dir.clone()), None);
+            let mut module = spt_frontend::compile(PROGRAM).expect("compiles");
+            let (report, timings) =
+                transform_module_timed_with(&mut module, &input(), &config(), Some(&store))?;
+            Ok((module, report, timings))
+        };
+    let compile_files = || {
+        std::fs::read_dir(&dir)
+            .map(|entries| {
+                entries
+                    .flatten()
+                    .filter(|e| e.file_name().to_string_lossy().starts_with("compile-"))
+                    .count()
+            })
+            .unwrap_or(0)
+    };
+
+    failpoint::set(
+        "pipeline::analysis",
+        Action::panic("injected analysis fault"),
+    );
+    let (_, degraded, t) = with_quiet_panics(compile_through_store).expect("degrades");
+    assert_eq!(degraded.max_severity(), Some(Severity::Error));
+    assert_eq!((t.compile_hits, t.compile_misses), (0, 1));
+    assert_eq!(compile_files(), 0, "a degraded compile was stored");
+    failpoint::clear("pipeline::analysis");
+
+    let (cold_module, cold, t) = compile_through_store().expect("compiles");
+    assert_eq!((t.compile_hits, t.compile_misses), (0, 1));
+    assert_eq!(compile_files(), 1, "the clean compile was not stored");
+
+    failpoint::set(
+        "pipeline::profile",
+        Action::error("injected profile failure"),
+    );
+    let (warm_module, warm, t) = compile_through_store().expect("served whole from the store");
+    assert_eq!((t.compile_hits, t.compile_misses), (1, 0));
+    assert_eq!(warm_module, cold_module);
+    assert_eq!(format!("{warm:?}"), format!("{cold:?}"));
+    let _ = std::fs::remove_dir_all(&dir);
 }

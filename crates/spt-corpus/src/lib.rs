@@ -13,7 +13,7 @@
 //!   hardening;
 //! * [`oracle`] — the five differential oracles checked per module: no
 //!   escaped panic, baseline-vs-transformed semantics, engine-versus-reference
-//!   bit-identity, cache-off/cold/warm report identity, and
+//!   bit-identity, cache-off/cold/warm/function-unit report identity, and
 //!   worker-count-invariant reports;
 //! * [`runner`] — shards thousands of modules over
 //!   [`spt_core::parallel::parallel_map`] and folds deterministic

@@ -30,12 +30,12 @@ use crate::gen::GeneratedProgram;
 use spt_core::diag::panic_message;
 use spt_core::parallel::set_thread_count_override;
 use spt_core::pipeline::{transform_module_timed, PipelineError, ProfilingInput, StageTimings};
-use spt_core::{CompilationReport, CompilerConfig};
+use spt_core::{CompilationReport, CompilerConfig, Severity};
 use spt_ir::Module;
 use spt_profile::{Interp, NoProfiler, ProfileCollector, ReferenceInterp, Val};
 use spt_sim::{MachineConfig, ReferenceSimulator, SptSimulator};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Serializes every mutation of process-global execution state
@@ -376,14 +376,19 @@ pub fn check_program(p: &ProgramUnderTest, opts: &CheckOptions) -> Vec<Failure> 
         }
     }
 
-    // Oracle 5b: cache-off / cold / warm report identity.
+    // Oracle 5b: cache-off / cold / warm report identity. The warm compile
+    // must be served whole from its stored compile, and a third compile,
+    // with the compile memos deleted, from the stored function units.
     if let Some(root) = &opts.cache_root {
         let dir = root.join(&p.tag);
         let _ = std::fs::remove_dir_all(&dir);
         let mut stored = opts.config.clone();
         stored.trace.enabled = true;
         stored.trace.cache_dir = Some(dir.clone());
-        for (mode, expect_hits) in [("cold", false), ("warm", true)] {
+        for mode in ["cold", "warm", "unit"] {
+            if mode == "unit" {
+                remove_compile_memos(&dir);
+            }
             match compile(p, &stored) {
                 Ok(Ok(c)) => {
                     let r = format!("{:?}", c.report);
@@ -393,14 +398,23 @@ pub fn check_program(p: &ProgramUnderTest, opts: &CheckOptions) -> Vec<Failure> 
                             detail: format!("{mode}-cache report differs from cache-off"),
                         });
                     }
-                    if expect_hits
-                        && c.timings.func_analysis_hits == 0
-                        && c.timings.func_analysis_misses > 0
-                    {
+                    let t = &c.timings;
+                    // A compile a contained panic degraded is never stored.
+                    let storable = c.report.max_severity() != Some(Severity::Error);
+                    let missed = match mode {
+                        "warm" if storable && t.compile_hits != 1 => {
+                            Some("warm compile was not served from its stored compile")
+                        }
+                        "unit" if t.func_analysis_hits == 0 && t.func_analysis_misses > 0 => Some(
+                            "recompile without its compile memo re-analyzed every function \
+                             (store never hit)",
+                        ),
+                        _ => None,
+                    };
+                    if let Some(detail) = missed {
                         failures.push(Failure {
                             kind: OracleKind::CacheDivergence,
-                            detail: "warm compile re-analyzed every function (store never hit)"
-                                .to_string(),
+                            detail: detail.to_string(),
                         });
                     }
                 }
@@ -418,4 +432,14 @@ pub fn check_program(p: &ProgramUnderTest, opts: &CheckOptions) -> Vec<Failure> 
     }
 
     failures
+}
+
+/// Deletes the whole-compile memos (`compile-*` files) of the store in
+/// `dir`, leaving its function units and simulation memos.
+fn remove_compile_memos(dir: &Path) {
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        if entry.file_name().to_string_lossy().starts_with("compile-") {
+            let _ = std::fs::remove_file(entry.path());
+        }
+    }
 }

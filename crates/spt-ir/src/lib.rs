@@ -14,7 +14,8 @@
 //! * the cleanup passes the paper applies after its SPT transformation
 //!   (copy propagation, dead-code elimination, CFG simplification; see
 //!   [`passes`]),
-//! * an IR verifier ([`verify`]) and a textual printer ([`printer`]).
+//! * an IR verifier ([`verify`]) and a textual printer ([`printer`]),
+//! * the canonical byte encoding that is the IR's identity ([`codec`]).
 //!
 //! The IR models memory as a set of *regions* (arrays/globals); loads and
 //! stores carry a region attribution used for type-based disambiguation, the
@@ -38,6 +39,7 @@
 
 pub mod builder;
 pub mod cfg;
+pub mod codec;
 pub mod dom;
 pub mod ids;
 pub mod inst;

@@ -162,13 +162,14 @@ impl Function {
         params.into_iter().flatten().collect()
     }
 
-    /// A content hash of this function alone (FNV-1a over its canonical
-    /// `Debug` rendering): two functions hash equal exactly when they are
-    /// structurally equal. This is the Merkle *leaf* of
+    /// A content hash of this function alone ([`crate::codec::word_hash`]
+    /// over its canonical encoding, [`crate::codec::encode_function`]): two
+    /// functions hash equal exactly when they are structurally equal, up to
+    /// 64-bit collisions. This is the Merkle *leaf* of
     /// [`Module::content_hash`] and the key half of every function-granular
     /// cache entry — editing one function changes only its own leaf.
     pub fn content_hash(&self) -> u64 {
-        fnv_debug_hash(self)
+        crate::codec::hash_encoding(|out| crate::codec::encode_function(out, self))
     }
 }
 
@@ -352,54 +353,23 @@ impl Module {
 
     /// A content hash of the whole module: a Merkle root folding every
     /// function's [`Function::content_hash`] (in index order) with a hash of
-    /// the globals table. Two modules hash equal exactly when they are
-    /// structurally equal, and — the property the incremental pipeline
-    /// relies on — editing one function perturbs only that function's leaf
-    /// hash, so per-function cache keys derived from the leaves survive the
-    /// edit while the root (and every whole-module artifact key) changes.
+    /// the globals table's canonical encoding. Two modules hash equal
+    /// exactly when they are structurally equal, and — the property the
+    /// incremental pipeline relies on — editing one function perturbs only
+    /// that function's leaf hash, so per-function cache keys derived from
+    /// the leaves survive the edit while the root (and every whole-module
+    /// artifact key) changes.
     pub fn content_hash(&self) -> u64 {
-        let mut h = FnvHasher::new();
-        h.write_u64(self.funcs.len() as u64);
+        let globals =
+            crate::codec::hash_encoding(|out| crate::codec::encode_globals(out, &self.globals));
+        let mut words = Vec::with_capacity(8 * (self.funcs.len() + 2));
+        words.extend_from_slice(&(self.funcs.len() as u64).to_le_bytes());
         for func in &self.funcs {
-            h.write_u64(func.content_hash());
+            words.extend_from_slice(&func.content_hash().to_le_bytes());
         }
-        h.write_u64(fnv_debug_hash(&self.globals));
-        h.0
+        words.extend_from_slice(&globals.to_le_bytes());
+        crate::codec::word_hash(&words)
     }
-}
-
-/// The same incremental FNV-1a fold the trace codec uses, exposed here as a
-/// `fmt::Write` sink so content hashing never materialises the `Debug`
-/// rendering it consumes.
-struct FnvHasher(u64);
-
-impl FnvHasher {
-    fn new() -> Self {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        use std::fmt::Write as _;
-        let _ = write!(self, "{v:016x}");
-    }
-}
-
-impl std::fmt::Write for FnvHasher {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for b in s.bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-        Ok(())
-    }
-}
-
-/// FNV-1a over a value's `Debug` rendering, streamed (never allocated).
-fn fnv_debug_hash<T: std::fmt::Debug + ?Sized>(v: &T) -> u64 {
-    use std::fmt::Write as _;
-    let mut h = FnvHasher::new();
-    let _ = write!(h, "{v:?}");
-    h.0
 }
 
 /// Convenience helper: an operand referring to instruction `id`.
@@ -448,6 +418,83 @@ mod tests {
         // around them.
         let solo = Function::new("a", vec![], None);
         assert_eq!(solo.content_hash(), after_leaves[0]);
+    }
+
+    /// Changing any one field of a function or a global changes the module
+    /// hash; a function-level change also changes exactly that function's
+    /// leaf, and a global-level change none.
+    #[test]
+    fn content_hash_sees_every_field() {
+        let mut m = Module::new();
+        let g = m.add_global("g", 4, Ty::I64);
+        m.globals[0].init = Some(vec![1, 2]);
+        let mut b = FuncBuilder::new("main", vec![("n".into(), Ty::I64)], Some(Ty::I64));
+        let n = b.param(0);
+        let base = b.region_base(g);
+        let x = b.binary(BinOp::Add, n, Operand::const_i64(3));
+        let y = b.binary(BinOp::Mul, x, Operand::const_f64(0.5));
+        b.store(base, y, g);
+        b.ret(Some(x));
+        m.add_func(b.finish());
+        m.add_func(Function::new("other", vec![], None));
+        let leaves = |m: &Module| {
+            m.funcs
+                .iter()
+                .map(Function::content_hash)
+                .collect::<Vec<_>>()
+        };
+        let (root, before) = (m.content_hash(), leaves(&m));
+
+        type Edit = fn(&mut Module);
+        let func_edits: [(&str, Edit); 11] = [
+            ("name", |m| m.funcs[0].name.push('2')),
+            ("param name", |m| m.funcs[0].params[0].0.push('2')),
+            ("param type", |m| m.funcs[0].params[0].1 = Ty::F64),
+            ("ret_ty", |m| m.funcs[0].ret_ty = None),
+            ("operand", |m| {
+                m.funcs[0].insts[2].kind.map_operands(|op| match op {
+                    Operand::Inst(_) => Operand::Inst(InstId::new(1)),
+                    other => other,
+                })
+            }),
+            ("integer immediate", |m| {
+                m.funcs[0].insts[2].kind.map_operands(|op| match op {
+                    Operand::ConstI64(v) => Operand::ConstI64(v + 1),
+                    other => other,
+                })
+            }),
+            ("float immediate bits", |m| {
+                m.funcs[0].insts[3].kind.map_operands(|op| match op {
+                    Operand::ConstF64Bits(bits) => Operand::ConstF64Bits(bits ^ 1),
+                    other => other,
+                })
+            }),
+            ("instruction order", |m| {
+                m.funcs[0].blocks[0].insts.swap(2, 3)
+            }),
+            ("entry", |m| {
+                m.funcs[0].add_block();
+                m.funcs[0].entry = BlockId::new(1);
+            }),
+            ("num_vars", |m| m.funcs[0].num_vars += 1),
+            ("result type", |m| m.funcs[0].insts[2].ty = Some(Ty::F64)),
+        ];
+        let global_edits: [(&str, Edit); 4] = [
+            ("global size", |m| m.globals[0].size += 1),
+            ("global type", |m| m.globals[0].elem_ty = Ty::F64),
+            ("global init word", |m| m.globals[0].init = Some(vec![1, 3])),
+            ("global name", |m| m.globals[0].name.push('2')),
+        ];
+        for (what, edit) in func_edits.iter().chain(&global_edits) {
+            let mut changed = m.clone();
+            edit(&mut changed);
+            assert_ne!(changed, m, "{what}: the edit changed nothing");
+            assert_ne!(changed.content_hash(), root, "{what}: module hash");
+            let after = leaves(&changed);
+            let moved = (0..2).filter(|&i| after[i] != before[i]).count();
+            let want = usize::from(func_edits.iter().any(|(w, _)| w == what));
+            assert_eq!(moved, want, "{what}: leaves that changed");
+        }
     }
 
     #[test]

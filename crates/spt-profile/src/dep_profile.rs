@@ -325,35 +325,6 @@ impl DepProfile {
         self.dep_counts.len == 0
     }
 
-    /// The per-site execution rows, indexed by function then instruction:
-    /// `(stores, loads)`.
-    pub fn site_counts(&self) -> (&[Vec<u64>], &[Vec<u64>]) {
-        (&self.store_exec.rows, &self.load_exec.rows)
-    }
-
-    /// A profile holding exactly these counts — matched pairs (see
-    /// [`DepProfile::dep_counts_map`]), per-site rows (see
-    /// [`DepProfile::site_counts`]) and interprocedural matches — and none
-    /// of a run's shadow memory: the decoded form of a stored profile. It
-    /// answers every query as the run that counted them did.
-    pub fn from_parts(
-        pairs: impl IntoIterator<Item = (DepKey, u64)>,
-        store_rows: Vec<Vec<u64>>,
-        load_rows: Vec<Vec<u64>>,
-        interproc_deps: u64,
-    ) -> Self {
-        let mut prof = DepProfile {
-            store_exec: CountTable { rows: store_rows },
-            load_exec: CountTable { rows: load_rows },
-            interproc_deps,
-            ..Self::default()
-        };
-        for (key, count) in pairs {
-            prof.dep_counts.add(key, count);
-        }
-        prof
-    }
-
     #[inline]
     fn last_writer(&self, addr: i64) -> Option<&ShadowRec> {
         if addr >= 0 {

@@ -96,26 +96,6 @@ impl EdgeProfile {
     pub fn is_empty(&self) -> bool {
         self.block_counts.is_empty()
     }
-
-    /// Every counter as stored: block counts, edge adjacency lists and
-    /// entry counts, each indexed by function. [`EdgeProfile::from_parts`]
-    /// restores them.
-    pub fn parts(&self) -> (&[Vec<u64>], &[EdgeRows], &[u64]) {
-        (&self.block_counts, &self.edge_counts, &self.func_entries)
-    }
-
-    /// A profile holding exactly these counters (see [`EdgeProfile::parts`]).
-    pub fn from_parts(
-        block_counts: Vec<Vec<u64>>,
-        edge_counts: Vec<EdgeRows>,
-        func_entries: Vec<u64>,
-    ) -> Self {
-        EdgeProfile {
-            block_counts,
-            edge_counts,
-            func_entries,
-        }
-    }
 }
 
 impl Profiler for EdgeProfile {

@@ -115,26 +115,6 @@ impl LoopProfile {
         }
     }
 
-    /// A profile holding exactly these per-loop stats and run totals, with
-    /// no active loop context: the decoded form of a stored profile, whose
-    /// [`LoopProfile::iter`] and totals are the stored run's.
-    pub fn from_parts(
-        entries: impl IntoIterator<Item = (FuncId, LoopId, LoopStats)>,
-        total_insts: u64,
-        total_cycles: u64,
-    ) -> Self {
-        let mut prof = LoopProfile {
-            total_insts,
-            total_cycles,
-            ..Self::default()
-        };
-        for (f, l, stats) in entries {
-            let slot = prof.slot(f, l);
-            prof.arena[slot as usize] = stats;
-        }
-        prof
-    }
-
     /// Iterates over all `(func, loop, stats)` entries, sorted.
     pub fn iter(&self) -> Vec<(FuncId, LoopId, LoopStats)> {
         let mut out: Vec<_> = self

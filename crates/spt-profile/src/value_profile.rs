@@ -206,30 +206,6 @@ impl ValueProfile {
         self.slot_of(func, inst).map_or(0, |s| self.stats[s].count)
     }
 
-    /// Every target in `(func, inst)` order with its float flag and
-    /// statistics: the whole observed state, which
-    /// [`ValueProfile::from_parts`] restores.
-    pub fn target_stats(&self) -> impl Iterator<Item = (FuncId, InstId, bool, &SeqStats)> + '_ {
-        self.targets.iter().filter_map(|&(f, i)| {
-            let s = self.slot_of(f, i)?;
-            Some((f, i, self.is_float[s], &self.stats[s]))
-        })
-    }
-
-    /// A profile of `targets` that has already observed their statistics
-    /// (the decoded form of a stored profile), at the default threshold.
-    pub fn from_parts(targets: impl IntoIterator<Item = (FuncId, InstId, bool, SeqStats)>) -> Self {
-        let targets: Vec<_> = targets.into_iter().collect();
-        let ty = |float: bool| if float { Ty::F64 } else { Ty::I64 };
-        let mut prof = Self::new(targets.iter().map(|&(f, i, float, _)| (f, i, ty(float))));
-        for (f, i, _, stats) in targets {
-            if let Some(s) = prof.slot_of(f, i) {
-                prof.stats[s] = stats;
-            }
-        }
-        prof
-    }
-
     /// Iterates over all targets with a predictable pattern.
     pub fn predictable(&self) -> Vec<(FuncId, InstId, ValuePattern, f64)> {
         let mut out = Vec::new();

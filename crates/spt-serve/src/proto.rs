@@ -32,7 +32,10 @@ use spt_trace::codec::{get_varint, put_varint, unzigzag, zigzag};
 /// analysis units through the daemon's store), and so are the emission
 /// counters of [`StageTimings`].
 /// v5: [`StageTimings`] gained the stored-profile hit/miss counters.
-pub const PROTO_VERSION: u8 = 5;
+/// v6: the stored-profile counters gave way to the whole-compile memo's
+/// (`compile_hits`, `compile_misses`), and the sim replies' encoding
+/// carries the store's word-wise checksum.
+pub const PROTO_VERSION: u8 = 6;
 
 /// Upper bound on a single frame's payload. Large enough for any report +
 /// module text + simulation memo this repo produces (the biggest corpus
@@ -339,8 +342,8 @@ fn put_timings(out: &mut Vec<u8>, t: &StageTimings) {
     put_varint(out, t.func_units_total);
     put_varint(out, t.func_analysis_hits);
     put_varint(out, t.func_analysis_misses);
-    put_varint(out, t.profile_hits);
-    put_varint(out, t.profile_misses);
+    put_varint(out, t.compile_hits);
+    put_varint(out, t.compile_misses);
 }
 
 fn get_timings(buf: &[u8], pos: &mut usize) -> Result<StageTimings, String> {
@@ -354,8 +357,8 @@ fn get_timings(buf: &[u8], pos: &mut usize) -> Result<StageTimings, String> {
         func_units_total: need(buf, pos)?,
         func_analysis_hits: need(buf, pos)?,
         func_analysis_misses: need(buf, pos)?,
-        profile_hits: need(buf, pos)?,
-        profile_misses: need(buf, pos)?,
+        compile_hits: need(buf, pos)?,
+        compile_misses: need(buf, pos)?,
         ..StageTimings::default()
     })
 }
@@ -634,8 +637,8 @@ mod tests {
                     func_units_total: 12,
                     func_analysis_hits: 11,
                     func_analysis_misses: 1,
-                    profile_hits: 2,
-                    profile_misses: 3,
+                    compile_hits: 2,
+                    compile_misses: 3,
                     ..StageTimings::default()
                 },
                 served_from_memory: true,

@@ -10,10 +10,10 @@
 //!   function-granular analysis units, which every `Compile` request shares:
 //!   variants of one module analyze their common functions once. Its
 //!   optional disk tier (`.spt-cache/`, byte-budgeted) persists simulation
-//!   memos, analysis units and profiling runs' results (those on disk
-//!   only), shared with the one-shot CLI, so a daemon warm-up also warms
-//!   `sptc` and a restarted daemon serves warm from disk without starting
-//!   a profiling interpreter;
+//!   memos, analysis units and the pipeline's whole-compile memos (those on
+//!   disk only), shared with the one-shot CLI, so a daemon warm-up also
+//!   warms `sptc` and a restarted daemon serves a repeated request from
+//!   disk by decoding one stored compile, running no pipeline stage;
 //! * a **single-flight** table: concurrent requests for the same unit key
 //!   elect one leader to run the frontend and the pipeline while the rest
 //!   block on its result, so N identical cold requests cost exactly one

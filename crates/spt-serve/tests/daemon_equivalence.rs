@@ -136,15 +136,18 @@ fn daemon_responses_are_byte_identical_to_local_compiles() {
 }
 
 /// A daemon restarted on the first one's `cache_dir` serves warm from disk:
-/// byte-identical answers, every simulation a disk memo hit (no simulator
-/// run), every function analysis from disk. `stats` accounts for every file
-/// the store writes, function units included.
+/// byte-identical answers, every compile decoded whole from its stored
+/// memo and every simulation a disk memo hit (no pipeline stage, no
+/// simulator run). Restarted again without the compile memos, it serves
+/// every function analysis from disk. `stats` accounts for every file the
+/// store writes and every disk hit of each kind.
 #[test]
 fn a_restarted_daemon_serves_warm_from_disk() {
     let dir = temp_dir("restart");
+    let cache = dir.join("cache");
     let service = || {
         CompileService::new(ServiceConfig {
-            cache_dir: Some(dir.join("cache")),
+            cache_dir: Some(cache.clone()),
             ..ServiceConfig::default()
         })
     };
@@ -184,9 +187,7 @@ fn a_restarted_daemon_serves_warm_from_disk() {
     let first = service();
     let cold = answers(&first);
     let before = stats(&first);
-    let files = std::fs::read_dir(dir.join("cache"))
-        .expect("cache dir")
-        .count() as u64;
+    let files = std::fs::read_dir(&cache).expect("cache dir").count() as u64;
     assert!(files > 0, "the first daemon stored nothing");
     assert_eq!(
         before["disk_stores"], files,
@@ -204,28 +205,64 @@ fn a_restarted_daemon_serves_warm_from_disk() {
             "{name}: restarted answer differs"
         );
         assert_eq!(
-            w.2.func_analysis_misses, 0,
-            "{name}: the restarted daemon re-analyzed a function"
+            (c.2.compile_hits, c.2.compile_misses),
+            (0, 1),
+            "{name}: the first daemon's compile"
         );
         assert_eq!(
-            (w.2.profile_hits, w.2.profile_misses),
-            (c.2.profile_misses, 0),
-            "{name}: the restarted daemon started an interpreter"
+            (w.2.compile_hits, w.2.compile_misses, w.2.func_units_total),
+            (1, 0, 0),
+            "{name}: the restarted daemon ran the pipeline"
         );
-        assert!(w.2.profile_hits > 0, "{name}: no profile was stored");
     }
     assert_eq!(after["disk_direct_runs"], 0, "a simulation ran: {after:?}");
     assert_eq!(after["disk_memo_hits"], 2 * PROGRAMS.len() as u64);
+    assert_eq!(
+        after["disk_compile_hits"],
+        PROGRAMS.len() as u64,
+        "compile disk hits must reach stats: {after:?}"
+    );
+    assert_eq!(after["disk_stores"], 0, "nothing new to store: {after:?}");
+    drop(second);
+
+    // Without the compile memos, every compile runs again from the stored
+    // function analyses and stores its memo anew.
+    for entry in std::fs::read_dir(&cache).expect("cache dir") {
+        let path = entry.expect("dir entry").path();
+        let name = path
+            .file_name()
+            .expect("name")
+            .to_string_lossy()
+            .into_owned();
+        if name.starts_with("compile-") {
+            std::fs::remove_file(&path).expect("removable");
+        }
+    }
+    let third = service();
+    let units = answers(&third);
+    let after = stats(&third);
+    for (name, (c, u)) in PROGRAMS.iter().zip(cold.iter().zip(&units)) {
+        assert_eq!(
+            (&u.0, &u.1),
+            (&c.0, &c.1),
+            "{name}: answer from stored units differs"
+        );
+        assert_eq!(
+            (u.2.compile_misses, u.2.func_analysis_misses),
+            (1, 0),
+            "{name}: the recompile re-analyzed a function"
+        );
+        assert!(u.2.func_analysis_hits > 0, "{name}: no unit was stored");
+    }
     assert!(
         after["disk_func_analysis_hits"] > 0,
         "function-unit disk hits must reach stats: {after:?}"
     );
-    let profile_hits: u64 = warm.iter().map(|w| w.2.profile_hits).sum();
     assert_eq!(
-        after["disk_profile_hits"], profile_hits,
-        "profile disk hits must reach stats: {after:?}"
+        after["disk_stores"],
+        PROGRAMS.len() as u64,
+        "only the compile memos are stored again: {after:?}"
     );
-    assert_eq!(after["disk_stores"], 0, "nothing new to store: {after:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

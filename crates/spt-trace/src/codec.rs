@@ -1,7 +1,11 @@
 //! Byte-level encoding primitives shared by the artifact store and the
-//! daemon's wire protocol: LEB128 varints, zigzag mapping for signed
-//! values, and an FNV-1a running hash used both as the artifact-key mixer
-//! and as the file checksum.
+//! daemon's wire protocol: the LEB128 varint and zigzag primitives (one
+//! copy, in `spt_ir::codec`, re-exported here), the FNV-1a running hash
+//! that mixes artifact keys, and the framing of every stored encoding
+//! ([`seal`]/[`unseal`]), whose checksum is `spt_ir`'s word-wise hash.
+
+use spt_ir::codec::word_hash;
+pub use spt_ir::codec::{get_varint, put_varint, unzigzag, zigzag};
 
 /// FNV-1a offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -46,12 +50,12 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Appends the FNV-1a checksum of everything in `out`: the trailer of
+/// Appends the checksum of everything in `out` (its
+/// [`spt_ir::codec::word_hash`], one 8-byte word per step): the trailer of
 /// every stored encoding.
 pub fn seal(out: &mut Vec<u8>) {
-    let mut h = Fnv::new();
-    h.update(out);
-    out.extend_from_slice(&h.finish().to_le_bytes());
+    let sum = word_hash(out);
+    out.extend_from_slice(&sum.to_le_bytes());
 }
 
 /// The body of a [`seal`]ed encoding that starts with `magic` (everything
@@ -70,55 +74,10 @@ pub fn unseal<'a>(buf: &'a [u8], magic: &[u8; 8], what: &str) -> Result<&'a [u8]
         return Err(format!("bad {what} magic"));
     }
     let (body, tail) = buf.split_at(buf.len() - 8);
-    let mut h = Fnv::new();
-    h.update(body);
-    if h.finish().to_le_bytes() != tail {
+    if word_hash(body).to_le_bytes() != tail {
         return Err(format!("{what} checksum mismatch"));
     }
     Ok(body)
-}
-
-/// Map a signed value onto an unsigned one so that small magnitudes (of
-/// either sign) become small varints.
-pub fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// Append `v` to `out` as an LEB128 varint (1..=10 bytes).
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Decode one LEB128 varint from `buf` starting at `*pos`, advancing `*pos`.
-/// Returns `None` on truncation or a varint longer than 10 bytes.
-pub fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let &byte = buf.get(*pos)?;
-        *pos += 1;
-        if shift >= 64 {
-            return None;
-        }
-        v |= ((byte & 0x7f) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-    }
 }
 
 #[cfg(test)]
@@ -126,46 +85,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn varint_round_trip() {
-        let samples = [
-            0u64,
-            1,
-            127,
-            128,
-            255,
-            16_384,
-            u32::MAX as u64,
-            u64::MAX,
-            0x8000_0000_0000_0000,
-        ];
-        let mut buf = Vec::new();
-        for &s in &samples {
-            put_varint(&mut buf, s);
+    fn sealed_bytes_reject_any_flipped_byte() {
+        let mut sealed = b"SPTTESTS".to_vec();
+        sealed.extend((0..41u8).map(|b| b.wrapping_mul(37)));
+        seal(&mut sealed);
+        let body_len = sealed.len() - 8;
+        assert_eq!(
+            unseal(&sealed, b"SPTTESTS", "test").map(<[u8]>::len),
+            Ok(body_len)
+        );
+        for i in 0..sealed.len() {
+            let mut damaged = sealed.clone();
+            damaged[i] ^= 0x40;
+            assert!(unseal(&damaged, b"SPTTESTS", "test").is_err(), "byte {i}");
         }
-        let mut pos = 0;
-        for &s in &samples {
-            assert_eq!(get_varint(&buf, &mut pos), Some(s));
-        }
-        assert_eq!(pos, buf.len());
-    }
-
-    #[test]
-    fn varint_truncated_is_none() {
-        let mut buf = Vec::new();
-        put_varint(&mut buf, u64::MAX);
-        buf.pop();
-        let mut pos = 0;
-        assert_eq!(get_varint(&buf, &mut pos), None);
-    }
-
-    #[test]
-    fn zigzag_round_trip() {
-        for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN, 123_456, -987_654] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
-        // Small magnitudes stay small.
-        assert!(zigzag(-1) <= 2);
-        assert!(zigzag(1) <= 2);
+        assert!(unseal(&sealed[..sealed.len() - 1], b"SPTTESTS", "test").is_err());
     }
 
     #[test]

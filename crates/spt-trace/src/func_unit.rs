@@ -12,7 +12,7 @@
 //! a recompute → report path.
 //!
 //! Encoding follows the sim-memo codec's conventions: magic, format
-//! version, varint fields, and a trailing FNV checksum; any damage decodes
+//! version, varint fields, and a trailing checksum; any damage decodes
 //! to an error, which the artifact store treats as a miss (evict and
 //! recompute, never a panic).
 
@@ -23,7 +23,7 @@ const FUNC_UNIT_MAGIC: &[u8; 8] = b"SPTFUNCA";
 
 /// Bumped on any change to [`LoopFragment`]'s meaning or encoding; folded
 /// into every function-unit cache key so stale-format entries simply miss.
-pub const FUNC_UNIT_FORMAT_VERSION: u32 = 1;
+pub const FUNC_UNIT_FORMAT_VERSION: u32 = 2;
 
 /// The analysis result of one loop, in cache-stable form. Fields mirror the
 /// pipeline's internal per-loop analysis record (headers/instructions by

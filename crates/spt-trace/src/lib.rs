@@ -8,10 +8,8 @@
 //!   for simulation memos on disk and for the daemon's sim replies;
 //! * [`func_unit`] — function-granular pass-1 analysis units
 //!   ([`FuncAnalysisUnit`]) and their encoding;
-//! * [`profile_codec`] — the result of one profiling run (a
-//!   `ProfileCollector` without its run-only state);
-//! * [`codec`] — the varint/zigzag/FNV primitives every on-disk and
-//!   on-wire encoding in the workspace shares.
+//! * [`codec`] — the key hash and the sealed framing every stored encoding
+//!   shares, and a re-export of `spt_ir::codec`'s varint primitives.
 //!
 //! The crate keeps its historical name: it once also captured and replayed
 //! execution traces, a layer that measured no faster than direct execution
@@ -21,9 +19,7 @@
 
 pub mod codec;
 pub mod func_unit;
-pub mod profile_codec;
 pub mod sim_codec;
 
 pub use func_unit::{FuncAnalysisUnit, LoopFragment, FUNC_UNIT_FORMAT_VERSION};
-pub use profile_codec::{profile_from_bytes, profile_to_bytes, PROFILE_FORMAT_VERSION};
 pub use sim_codec::{sim_from_bytes, sim_to_bytes, SIM_FORMAT_VERSION};

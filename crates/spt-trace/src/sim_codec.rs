@@ -3,7 +3,8 @@
 //! daemon-served result is byte-comparable to a local one.
 //!
 //! Framing: magic, format version, varint fields, `f64` rates by bit
-//! pattern, and a trailing FNV checksum; any damage decodes to an error.
+//! pattern, and a trailing checksum ([`crate::codec::seal`]); any damage
+//! decodes to an error.
 
 use spt_sim::{LoopSimStats, SimResult};
 
@@ -14,7 +15,7 @@ const SIM_MAGIC: &[u8; 8] = b"SPTSIMRS";
 
 /// Bumped on any change to the `SimResult` encoding; folded into every
 /// sim-memo key and written into every memo, so stale-format entries miss.
-pub const SIM_FORMAT_VERSION: u32 = 1;
+pub const SIM_FORMAT_VERSION: u32 = 2;
 
 /// Serializes a [`SimResult`] bit-exactly (f64 rates via `to_bits`, loop
 /// stats sorted by tag so the encoding is canonical).
@@ -62,6 +63,34 @@ pub fn sim_to_bytes(r: &SimResult) -> Vec<u8> {
     out
 }
 
+/// `n` varints from `buf` at `*pos`, advancing `*pos`: the memory image,
+/// most of a memo, decoded in one loop over a byte iterator (no bounds
+/// check or position store per byte). The capacity is capped by the bytes
+/// left, since every word takes at least one.
+fn varints(buf: &[u8], pos: &mut usize, n: usize) -> Option<Vec<u64>> {
+    let mut bytes = buf.get(*pos..)?.iter();
+    let mut out = Vec::with_capacity(n.min(bytes.len()));
+    let start = bytes.len();
+    for _ in 0..n {
+        let mut v = 0u64;
+        let mut shift = 0u32;
+        loop {
+            let b = *bytes.next()?;
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                break;
+            }
+            shift += 7;
+            if shift >= 64 {
+                return None;
+            }
+        }
+        out.push(v);
+    }
+    *pos += start - bytes.len();
+    Some(out)
+}
+
 /// Inverse of [`sim_to_bytes`].
 ///
 /// # Errors
@@ -91,10 +120,7 @@ pub fn sim_from_bytes(buf: &[u8]) -> Result<SimResult, String> {
     let cycles = take(&mut pos)?;
     let insts = take(&mut pos)?;
     let mem_len = take(&mut pos)? as usize;
-    let mut memory = Vec::with_capacity(mem_len.min(1 << 24));
-    for _ in 0..mem_len {
-        memory.push(take(&mut pos)?);
-    }
+    let memory = varints(body, &mut pos, mem_len).ok_or("sim memo truncated")?;
     let nloops = take(&mut pos)? as usize;
     let mut loops = std::collections::HashMap::with_capacity(nloops.min(1 << 16));
     for _ in 0..nloops {
@@ -181,6 +207,26 @@ mod tests {
             && a.loops == b.loops
             && a.cache_hit_rate.to_bits() == b.cache_hit_rate.to_bits()
             && a.branch_miss_rate.to_bits() == b.branch_miss_rate.to_bits()
+    }
+
+    #[test]
+    fn memory_images_of_every_word_width_round_trip() {
+        let mut r = sample_sim();
+        r.memory = (0..64)
+            .map(|b| 1u64 << b)
+            .chain([0, 127, u64::MAX])
+            .collect();
+        let bytes = sim_to_bytes(&r);
+        assert!(sim_eq(&r, &sim_from_bytes(&bytes).unwrap()));
+        // A truncated image, or a word running past 64 bits, is rejected.
+        assert_eq!(varints(&[0x80, 0x80], &mut 0, 1), None);
+        assert_eq!(varints(&[0xff; 11], &mut 0, 1), None);
+        let mut pos = 1;
+        assert_eq!(
+            varints(&[9, 0xac, 0x02, 7], &mut pos, 2),
+            Some(vec![300, 7])
+        );
+        assert_eq!(pos, 4);
     }
 
     #[test]

@@ -339,17 +339,18 @@ pub fn emit_spt_loop(
     // (inside a replicated branch), it does not statically dominate the
     // post-fork region, even though the replicated branch makes the dynamic
     // paths agree. This is the paper's overlapping-live-range problem
-    // (Figs. 10–11); the value-SSA equivalent of its temporaries is a phi at
-    // the fork block merging the pre-fork paths. Arms on which the clone is
-    // unavailable get a type-correct placeholder — dynamically dead, because
-    // the post-fork region re-takes the same branch decisions.
+    // (Figs. 10–11); its value-SSA equivalent is a phi wherever pre-fork
+    // paths that computed the clone merge with paths that did not — at the
+    // join of the replicated branch's arms, or at the fork block — carrying
+    // a type-correct placeholder from the paths that did not. Only the
+    // placeholder is dynamically dead: the post-fork region re-takes the
+    // same branch decisions, so a use that reads it never executes.
     let clone_blocks: HashSet<BlockId> = block_map.values().copied().collect();
+    let region: HashSet<BlockId> = clone_blocks.iter().copied().chain([fork_block]).collect();
     let cfg2 = Cfg::compute(func);
     let dom2 = DomTree::compute(&cfg2);
-    let fork_preds: Vec<BlockId> = cfg2.preds(fork_block).to_vec();
     let inst_blocks2 = func.inst_blocks();
     let mut replacement: HashMap<InstId, Operand> = HashMap::new();
-    let mut fork_phis: Vec<InstId> = Vec::new();
     let mut ordered: Vec<(InstId, InstId)> = inst_map.iter().map(|(&o, &c)| (o, c)).collect();
     ordered.sort_by_key(|&(o, _)| o);
     for (orig, c) in ordered {
@@ -359,30 +360,13 @@ pub fn emit_spt_loop(
         let Some(&cb) = inst_blocks2.get(&c) else {
             continue;
         };
-        if dom2.dominates(cb, fork_block) {
-            replacement.insert(orig, Operand::Inst(c));
+        let value = if dom2.dominates(cb, fork_block) {
+            Operand::Inst(c)
         } else {
-            let ty = func.inst(c).ty;
-            let default = match ty {
-                Some(spt_ir::Ty::F64) => Operand::const_f64(0.0),
-                _ => Operand::const_i64(0),
-            };
-            let args = fork_preds
-                .iter()
-                .map(|&p| {
-                    let v = if dom2.dominates(cb, p) {
-                        Operand::Inst(c)
-                    } else {
-                        default
-                    };
-                    (p, v)
-                })
-                .collect();
-            let f = func.add_inst(Inst::new(InstKind::Phi { args }, ty));
-            func.block_mut(fork_block).insts.insert(0, f);
-            fork_phis.push(f);
-            replacement.insert(orig, Operand::Inst(f));
-        }
+            let mut repair = Repair::new(func, &cfg2, &dom2, &region, new_header, cb, c);
+            repair.value_at_entry(func, fork_block)
+        };
+        replacement.insert(orig, value);
     }
     let apply = |op: Operand, replacement: &HashMap<InstId, Operand>| -> Operand {
         match op {
@@ -476,6 +460,117 @@ pub fn emit_spt_loop(
         inst_map,
         loop_tag: spec.loop_tag,
     })
+}
+
+/// The pre-fork value of one moved definition, block by block through the
+/// pre-fork region (the clone blocks and the fork block): its clone `c` (in
+/// block `cb`) where every path from the region entry `new_header` computed
+/// it, the placeholder where none did, and a phi where both kinds of path
+/// merge. Phis are created on demand and memoized per block.
+struct Repair<'a> {
+    cfg: &'a Cfg,
+    dom: &'a DomTree,
+    new_header: BlockId,
+    cb: BlockId,
+    c: InstId,
+    ty: Option<spt_ir::Ty>,
+    placeholder: Operand,
+    /// Blocks of the pre-fork region (and the fork block) whose end the
+    /// clone may reach, and those the placeholder may reach.
+    clone_reaches: HashSet<BlockId>,
+    placeholder_reaches: HashSet<BlockId>,
+    phis: HashMap<BlockId, Operand>,
+}
+
+impl<'a> Repair<'a> {
+    fn new(
+        func: &Function,
+        cfg: &'a Cfg,
+        dom: &'a DomTree,
+        region: &HashSet<BlockId>,
+        new_header: BlockId,
+        cb: BlockId,
+        c: InstId,
+    ) -> Self {
+        let ty = func.inst(c).ty;
+        let placeholder = match ty {
+            Some(spt_ir::Ty::F64) => Operand::const_f64(0.0),
+            _ => Operand::const_i64(0),
+        };
+        // Forward reachability from `start` inside the region, never
+        // through `stop` or back into `new_header`.
+        let reach = |start: BlockId, stop: BlockId| {
+            let mut seen: HashSet<BlockId> = HashSet::new();
+            let mut work = vec![start];
+            while let Some(bb) = work.pop() {
+                if seen.insert(bb) {
+                    work.extend(
+                        cfg.succs(bb)
+                            .iter()
+                            .copied()
+                            .filter(|&s| region.contains(&s) && s != new_header && s != stop),
+                    );
+                }
+            }
+            seen
+        };
+        Repair {
+            cfg,
+            dom,
+            new_header,
+            cb,
+            c,
+            ty,
+            placeholder,
+            clone_reaches: reach(cb, new_header),
+            placeholder_reaches: reach(new_header, cb),
+            phis: HashMap::new(),
+        }
+    }
+
+    /// The value at the end of `bb`.
+    fn value_at_end(&mut self, func: &mut Function, bb: BlockId) -> Operand {
+        if bb == self.cb {
+            Operand::Inst(self.c)
+        } else {
+            self.value_at_entry(func, bb)
+        }
+    }
+
+    /// The value on entry to `bb`.
+    fn value_at_entry(&mut self, func: &mut Function, bb: BlockId) -> Operand {
+        if !self.cfg.is_reachable(bb) {
+            return self.placeholder;
+        }
+        let preds = self.cfg.preds(bb);
+        let from_clone =
+            bb != self.new_header && preds.iter().any(|p| self.clone_reaches.contains(p));
+        let from_placeholder =
+            bb == self.new_header || preds.iter().any(|p| self.placeholder_reaches.contains(p));
+        if !from_placeholder && self.dom.dominates(self.cb, bb) {
+            return Operand::Inst(self.c);
+        }
+        if !from_clone {
+            return self.placeholder;
+        }
+        if let [single] = *preds {
+            return self.value_at_end(func, single);
+        }
+        if let Some(&phi) = self.phis.get(&bb) {
+            return phi;
+        }
+        // Memoize before filling the arguments: a cycle through an inner
+        // loop of the region comes back to this phi.
+        let phi = func.add_inst(Inst::new(InstKind::Phi { args: Vec::new() }, self.ty));
+        self.phis.insert(bb, Operand::Inst(phi));
+        let args = preds
+            .iter()
+            .map(|&p| (p, self.value_at_end(func, p)))
+            .collect();
+        func.inst_mut(phi).kind = InstKind::Phi { args };
+        func.block_mut(bb).insts.insert(0, phi);
+        Operand::Inst(phi)
+    }
 }
 
 fn remap(op: Operand, inst_map: &HashMap<InstId, InstId>) -> Operand {

@@ -10,11 +10,7 @@ echo "== build (release) =="
 cargo build --release --workspace --bins --benches
 
 echo "== tests =="
-# spt-transform's `review_repro` target is a set of deliberately-failing
-# repros for open transformation bugs ("not part of the suite" per its
-# header); every other test target in the workspace must pass.
-cargo test -q --workspace --exclude spt-transform
-cargo test -q -p spt-transform --lib --test transform_extra
+cargo test -q --workspace
 
 echo "== engine equivalence (engine versus reference, bit-identical) =="
 cargo test -q --release --test engine_equivalence
@@ -50,10 +46,12 @@ cargo test -q --test corpus_regressions
 
 echo "== perfbench smoke: cold vs warm artifact-store determinism =="
 # Two consecutive runs from an empty artifact store: the first computes and
-# stores every analysis unit and simulation result, the second loads them
-# from `.spt-cache/`. The results-only report digests must be byte-identical
-# (the store can never change an answer) and the warm run must be served
-# entirely from the store.
+# stores every compile, analysis unit and simulation result, the second
+# loads each compile and simulation whole from `.spt-cache/`. The
+# results-only report digests must be byte-identical (the store can never
+# change an answer) and the warm run must be served entirely from the
+# store: its line counts compile memos and sim memos, so "0 misses" means
+# no compile ran a pipeline stage.
 rm -rf .spt-cache
 cold_out=$(cargo run --release -q -p spt-bench --bin perfbench -- --smoke)
 warm_out=$(cargo run --release -q -p spt-bench --bin perfbench -- --smoke)

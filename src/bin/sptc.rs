@@ -19,12 +19,13 @@
 //! ```
 //!
 //! By default the pipeline commands (`analyze`, `compile`, `sim`) use the
-//! `.spt-cache/` artifact store in the working directory: each profiling
-//! run's result, the pass-1 analysis units and (`sim`) the simulation
-//! results are stored there, so re-invoking `sptc` on the same file starts
-//! no profiling interpreter, re-runs no partition search and simulates
-//! nothing. Results are bit-identical either way; `--no-cache` computes
-//! everything and writes nothing.
+//! `.spt-cache/` artifact store in the working directory: each whole
+//! compile (the SPT module and its report), the pass-1 analysis units and
+//! (`sim`) the simulation results are stored there, so re-invoking `sptc`
+//! on the same file and configuration decodes one stored compile instead
+//! of running the pipeline, and simulates nothing; after an edit, only the
+//! edited functions are analyzed again. Results are bit-identical either
+//! way; `--no-cache` computes everything and writes nothing.
 //!
 //! With `--daemon SOCKET` the pipeline commands become thin clients of a
 //! running `sptd`: the compile happens (at most once) in the daemon, and

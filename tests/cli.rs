@@ -49,7 +49,7 @@ impl Demo {
         cmd
     }
 
-    /// The kind prefixes (`func`, `profile`, `sim`) of the store's files.
+    /// The kind prefixes (`compile`, `func`, `sim`) of the store's files.
     fn store_kinds(&self) -> BTreeSet<String> {
         std::fs::read_dir(self.dir.join(".spt-cache"))
             .map(|entries| {
@@ -193,8 +193,8 @@ fn sim_twice_in_one_directory_is_served_from_the_store_unchanged() {
     let cold = sim();
     let kinds = demo.store_kinds();
     assert!(
-        kinds.contains("profile") && kinds.contains("sim"),
-        "the first run stored no profile or sim memo: {kinds:?}"
+        kinds.contains("compile") && kinds.contains("sim"),
+        "the first run stored no compile or sim memo: {kinds:?}"
     );
     assert_eq!(sim(), cold, "the store changed sptc sim's output");
 }

@@ -1,8 +1,7 @@
 //! Differential oracle for the artifact store (`.spt-cache/`).
 //!
-//! The store keeps function-granular pass-1 analysis units, profiling
-//! runs' results and whole `SimResult` memos. It may only ever change
-//! speed: over every
+//! The store keeps function-granular pass-1 analysis units, whole compiles
+//! and whole `SimResult` memos. It may only ever change speed: over every
 //! `spt-bench-suite` program, compiles and simulations with the store off,
 //! cold, warm, or damaged must produce byte-identical reports, modules and
 //! `SimResult`s, and a damaged store must come out of the next run
@@ -98,6 +97,13 @@ fn assert_same_results(name: &str, got: &Run, want: &Run) {
     assert_sim_eq(&format!("{name} SPT"), &got.spt, &want.spt);
 }
 
+/// Deletes the store's files whose names start with `prefix`.
+fn remove_files(dir: &Path, prefix: &str) {
+    for name in snapshot(dir).into_keys().filter(|n| n.starts_with(prefix)) {
+        std::fs::remove_file(dir.join(name)).expect("removable");
+    }
+}
+
 /// Every artifact file in the store, by name.
 fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     std::fs::read_dir(dir)
@@ -178,8 +184,8 @@ fn pipeline_reports_are_unchanged_by_tracing_cold_or_warm() {
     for b in spt::bench_suite::suite() {
         let plain = run(&b, &CompilerConfig::best());
 
-        // Cold: empty store — every profile, analysis unit and simulation
-        // computed.
+        // Cold: empty store — the compile, every analysis unit and both
+        // simulations computed.
         let cold = run(&b, &stored);
         assert!(
             cold.timings.func_analysis_misses > 0,
@@ -187,31 +193,32 @@ fn pipeline_reports_are_unchanged_by_tracing_cold_or_warm() {
             b.name
         );
         assert_eq!(
-            (cold.timings.profile_hits, cold.timings.profile_misses > 0),
-            (0, true),
-            "{}: cold profiling runs",
+            (cold.timings.compile_hits, cold.timings.compile_misses),
+            (0, 1),
+            "{}: cold compile memo",
             b.name
         );
         assert_eq!(cold.sims.memo_hits, 0, "{}: cold sim hit the store", b.name);
         assert_eq!(cold.sims.direct_runs, 2, "{}: cold sim runs", b.name);
 
-        // Warm: every profile, analysis unit and both simulations come from
-        // the store: no interpreter starts.
+        // Warm: the compile and both simulations come from the store whole:
+        // no stage runs, no interpreter starts and no unit is probed.
         let warm = run(&b, &stored);
         assert_eq!(
-            (warm.timings.profile_hits, warm.timings.profile_misses),
-            (cold.timings.profile_misses, 0),
-            "{}: warm profiling runs",
-            b.name
-        );
-        assert!(
-            warm.timings.func_analysis_hits > 0,
-            "{}: warm run missed every analysis unit",
+            (warm.timings.compile_hits, warm.timings.compile_misses),
+            (1, 0),
+            "{}: warm compile memo",
             b.name
         );
         assert_eq!(
-            warm.timings.func_analysis_misses, 0,
-            "{}: warm run re-analyzed a function",
+            (warm.timings.func_units_total, warm.timings.profile_s),
+            (0, 0.0),
+            "{}: the warm run probed a unit or profiled",
+            b.name
+        );
+        assert_eq!(
+            warm.timings.search_visited, cold.timings.search_visited,
+            "{}: search nodes of the stored report",
             b.name
         );
         assert_eq!(warm.sims.memo_hits, 2, "{}: warm sim memo hits", b.name);
@@ -221,9 +228,31 @@ fn pipeline_reports_are_unchanged_by_tracing_cold_or_warm() {
             b.name
         );
 
+        // Without its compile memo, the compile runs again and every
+        // function's analysis comes from the store's disk tier.
+        remove_files(&dir, "compile-");
+        let units = run(&b, &stored);
+        assert_eq!(
+            (units.timings.compile_hits, units.timings.compile_misses),
+            (0, 1),
+            "{}: compile memo after its removal",
+            b.name
+        );
+        assert!(
+            units.timings.func_analysis_hits > 0,
+            "{}: the recompile missed every analysis unit",
+            b.name
+        );
+        assert_eq!(
+            units.timings.func_analysis_misses, 0,
+            "{}: the recompile re-analyzed a function",
+            b.name
+        );
+
         // The store is a pure speed change.
         assert_same_results(&format!("{} cold", b.name), &cold, &plain);
         assert_same_results(&format!("{} warm", b.name), &warm, &plain);
+        assert_same_results(&format!("{} from units", b.name), &units, &plain);
     }
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -238,10 +267,10 @@ fn a_damaged_store_is_repaired_without_changing_any_result() {
     let cold: Vec<Run> = suite.iter().map(|b| run(b, &stored)).collect();
     let warm_store = snapshot(&dir);
     assert!(
-        ["func-", "profile-", "sim-"]
+        ["compile-", "func-", "sim-"]
             .iter()
             .all(|kind| warm_store.keys().any(|n| n.starts_with(kind))),
-        "store lacks analysis units, profiles or sim memos: {:?}",
+        "store lacks compiles, analysis units or sim memos: {:?}",
         warm_store.keys().collect::<Vec<_>>()
     );
 
@@ -262,8 +291,8 @@ fn a_damaged_store_is_repaired_without_changing_any_result() {
             b.name
         );
         assert_eq!(
-            got.timings.profile_hits, 0,
-            "{}: a damaged profile was served",
+            got.timings.compile_hits, 0,
+            "{}: a damaged compile was served",
             b.name
         );
     }
