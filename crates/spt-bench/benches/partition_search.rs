@@ -1,6 +1,6 @@
 //! Criterion benchmarks for the branch-and-bound optimal-partition search
-//! (§5), measuring the effect of the two pruning heuristics — the search
-//! cost the paper bounds with the 30-violation-candidate limit.
+//! (§5), measuring the effect of the pruning heuristics — the search cost
+//! the paper bounds with the 30-violation-candidate limit.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spt_cost::dep_graph::{DepGraph, DepGraphConfig, Profiles};
@@ -63,11 +63,14 @@ fn bench_search_scaling(c: &mut Criterion) {
 /// The worst case the paper's 30-VC limit admits: 28 violation candidates,
 /// capped at a fixed number of visited search nodes so the incremental
 /// evaluator and the from-scratch reference time the *same* tree and the
-/// ratio is pure per-node evaluation throughput.
+/// ratio is pure per-node evaluation throughput. Bound pruning is off:
+/// with it, the incremental search's budget-aware bound walks a different
+/// (smaller) tree than the reference's.
 fn bench_incremental_vs_reference(c: &mut Criterion) {
     let model = many_vc_model(28);
     let config = SearchConfig {
         max_visited: 20_000,
+        prune_bound: false,
         ..SearchConfig::default()
     };
     let mut group = c.benchmark_group("bnb_search_28vc");
@@ -77,6 +80,33 @@ fn bench_incremental_vs_reference(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("reference", 28), &model, |b, m| {
         b.iter(|| black_box(optimal_partition_reference(black_box(m), &config)))
     });
+    group.finish();
+}
+
+/// The edit-recompile kernel (`spt_bench::incremental_workload::kernel_loop`)
+/// at 19, 25 and 30 candidates under the `best` pre-fork threshold, which
+/// binds: the search uncapped, and the reference (the paper's two
+/// heuristics) at 19, where it still finishes in about a second.
+fn bench_edit_kernel(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bnb_search_edit_kernel");
+    for candidates in [19usize, 25, 30] {
+        let (model, budget) = spt_bench::incremental_workload::kernel_loop(candidates - 1);
+        let config = SearchConfig {
+            max_prefork_size: budget,
+            max_visited: u64::MAX,
+            ..SearchConfig::default()
+        };
+        group.bench_with_input(
+            BenchmarkId::new("incremental", candidates),
+            &model,
+            |b, m| b.iter(|| black_box(optimal_partition(black_box(m), &config))),
+        );
+        if candidates == 19 {
+            group.bench_with_input(BenchmarkId::new("reference", candidates), &model, |b, m| {
+                b.iter(|| black_box(optimal_partition_reference(black_box(m), &config)))
+            });
+        }
+    }
     group.finish();
 }
 
@@ -105,6 +135,6 @@ fn bench_suite_loop(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15).measurement_time(std::time::Duration::from_secs(3));
-    targets = bench_search_scaling, bench_incremental_vs_reference, bench_suite_loop
+    targets = bench_search_scaling, bench_incremental_vs_reference, bench_edit_kernel, bench_suite_loop
 }
 criterion_main!(benches);

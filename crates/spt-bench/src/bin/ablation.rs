@@ -2,7 +2,9 @@
 //!
 //! 1. branch-and-bound pruning heuristics (§5.2.1) — search-tree nodes
 //!    visited with both heuristics, size-only, bound-only, and neither; the
-//!    optima must be identical (the heuristics are exact);
+//!    optima must be identical (the heuristics are exact). Over the suite's
+//!    loops, and on the edit-recompile kernel at 19 and 25 candidates,
+//!    where the size threshold binds and the bound's budget charge matters;
 //! 2. optimal search vs a greedy baseline — cost achieved;
 //! 3. cost-driven selection vs "select everything transformable" — program
 //!    speedup with the cost threshold disabled, demonstrating why the paper
@@ -109,6 +111,39 @@ fn main() {
         visited[3] as f64 / visited[0].max(1) as f64
     );
     println!("  greedy found a worse partition on {greedy_worse}/{loops_analyzed} loops");
+
+    // The edit-recompile kernel, where the pre-fork threshold binds. A mode
+    // that hits the node cap is marked and left out of the exactness check.
+    println!("  edit-recompile kernel (35% pre-fork threshold):");
+    for candidates in [19usize, 25] {
+        let (model, budget) = spt_bench::incremental_workload::kernel_loop(candidates - 1);
+        let modes =
+            [(true, true), (true, false), (false, true), (false, false)].map(|(size, bound)| {
+                optimal_partition(
+                    &model,
+                    &SearchConfig {
+                        max_prefork_size: budget,
+                        prune_size: size,
+                        prune_bound: bound,
+                        ..SearchConfig::default()
+                    },
+                )
+            });
+        let shown = modes.each_ref().map(|r| {
+            let cap = if r.budget_exhausted { " (cap)" } else { "" };
+            format!("{}{cap}", r.visited)
+        });
+        for r in modes.iter().filter(|r| !r.budget_exhausted) {
+            assert!(
+                r.cost.to_bits() == modes[0].cost.to_bits() && r.chosen == modes[0].chosen,
+                "pruning must be exact"
+            );
+        }
+        println!(
+            "    {candidates} candidates: both={} size-only={} bound-only={} none={}",
+            shown[0], shown[1], shown[2], shown[3]
+        );
+    }
 
     // --- 3: cost-driven vs indiscriminate selection.
     println!("\n-- cost-driven selection vs select-everything (program speedups)");

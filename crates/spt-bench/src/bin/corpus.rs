@@ -2,7 +2,7 @@
 //! differential fuzzing of the whole pipeline.
 //!
 //! Default mode pushes `--count` generated modules (seeds starting at
-//! `--seed`) through the five-oracle battery, prints a bucketed triage
+//! `--seed`) through the six-oracle battery, prints a bucketed triage
 //! summary, and exits non-zero if anything failed. With `--reduce`, each
 //! bucket's first failing module is delta-debugged to a minimal repro and
 //! written under `--out` (default `tests/corpus-regressions/`).

@@ -1,6 +1,7 @@
 //! Synthetic analysis-heavy workload for the incremental-recompile
 //! benchmarks (`perfbench --incremental` and the `incremental_recompile`
-//! criterion group).
+//! criterion group), and its kernel loop at any size for the partition
+//! search's bench and ablation ([`kernel_loop`]).
 //!
 //! The module is shaped so that per-function **analysis** dominates compile
 //! time while everything else stays cheap: many kernel functions, each with
@@ -11,6 +12,10 @@
 //! exactly one function's units, which is the scenario the
 //! function-granular cache exists for.
 
+use spt_cost::dep_graph::{DepGraph, DepGraphConfig, Profiles};
+use spt_cost::LoopCostModel;
+use spt_ir::loops::LoopId;
+use spt_profile::{Interp, ProfileCollector, Val};
 use std::fmt::Write as _;
 
 /// Number of kernel functions in the generated module.
@@ -38,12 +43,17 @@ const SCALARS: usize = 20;
 /// identical, not that it matters for caching — cache keys include the
 /// function index.
 fn kernel(idx: usize) -> String {
+    kernel_with(idx, SCALARS)
+}
+
+/// [`kernel`] with `scalars` recurrences.
+fn kernel_with(idx: usize, scalars: usize) -> String {
     let mut f = format!("fn k{idx}(n: int) -> int {{\n");
-    for j in 0..SCALARS {
+    for j in 0..scalars {
         let _ = writeln!(f, "    let a{j} = {};", 1 + idx + j);
     }
     f.push_str("    for (let i = 0; i < n; i = i + 1) {\n");
-    for j in 0..SCALARS {
+    for j in 0..scalars {
         let _ = writeln!(
             f,
             "        a{j} = (a{j} * {} + i) % {};",
@@ -52,7 +62,7 @@ fn kernel(idx: usize) -> String {
         );
     }
     f.push_str("    }\n    let t = 0;\n");
-    for j in 0..SCALARS {
+    for j in 0..scalars {
         let _ = writeln!(f, "    t = t + a{j};");
     }
     f.push_str("    return t;\n}\n");
@@ -79,6 +89,37 @@ pub fn source_with(kernels: usize) -> String {
     }
     src.push_str("    return t;\n}\n");
     src
+}
+
+/// The loop of one kernel with `scalars` recurrences (so `scalars + 1`
+/// partition candidates, the induction update included), profiled on
+/// [`TRAIN_ARG`] with the dependence profile, and the `best`
+/// configuration's pre-fork threshold for it (35% of the body): the search
+/// the `partition_search` bench and the pruning ablation time, where the
+/// threshold binds.
+pub fn kernel_loop(scalars: usize) -> (LoopCostModel, u64) {
+    let src = format!(
+        "{}fn {ENTRY}(n: int) -> int {{ return k0(n); }}\n",
+        kernel_with(0, scalars)
+    );
+    let module = spt_frontend::compile(&src).expect("the kernel compiles");
+    let mut profile = ProfileCollector::new();
+    Interp::new(&module)
+        .run(ENTRY, &[Val::from_i64(TRAIN_ARG)], &mut profile)
+        .expect("the kernel runs");
+    let func = module.func_by_name("k0").expect("k0 exists");
+    let graph = DepGraph::build(
+        &module,
+        func,
+        LoopId::new(0),
+        Profiles {
+            edges: Some(&profile.edges),
+            deps: Some(&profile.deps),
+        },
+        &DepGraphConfig::default(),
+    );
+    let budget = (graph.body_size as f64 * 0.35) as u64;
+    (LoopCostModel::new(graph), budget)
 }
 
 /// The edit-one-function mutation for round `round`: rename kernel

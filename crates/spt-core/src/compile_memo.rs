@@ -24,8 +24,9 @@ const COMPILE_MAGIC: &[u8; 8] = b"SPTCOMPL";
 
 /// Bumped on any change to the encoding, or to what a compile produces for
 /// the same inputs; folded into every compile key and written into every
-/// file, so stale entries miss.
-pub const COMPILE_FORMAT_VERSION: u32 = 1;
+/// file, so stale entries miss. (2: reports count the budget-bounded
+/// partition search's visited nodes.)
+pub const COMPILE_FORMAT_VERSION: u32 = 2;
 
 /// One whole compile: what [`crate::transform_module_timed_with`] returns
 /// for an input module, a profiling input and a configuration.

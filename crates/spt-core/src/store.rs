@@ -13,7 +13,9 @@
 //! kind but the disk-only [`Kind::Compile`]: a key's high bits pick its
 //! shard, and each shard evicts its least-recently-used entries, of any
 //! kind, until it fits `budget / shards`; a value larger than a whole shard
-//! is refused (an oversize rejection). **Disk** (optional) is a directory
+//! is refused (an oversize rejection). Kinds with a packed form
+//! ([`Artifact::PACKED`], the function units) are held as those bytes and
+//! decoded on every hit. **Disk** (optional) is a directory
 //! of immutable `{kind}-{key:016x}.bin` files for the kinds with a
 //! [`Codec`]. Stores are atomic (temp file, then rename); a file that fails
 //! to read or decode is deleted and reads as a miss, since a
@@ -112,8 +114,14 @@ pub trait Artifact: Any + Send + Sync + Sized {
     const KIND: Kind;
     /// The disk encoding; kinds without one stay memory-only.
     const CODEC: Option<Codec<Self>> = None;
-    /// Bytes billed against the memory budget: the resident size to within
-    /// a small factor, which is all a budget needs.
+    /// The memory tier's byte form, for kinds whose resident values should
+    /// cost little more than their encoding: each value is held as one
+    /// allocation of these bytes (billed at their length) and decoded on
+    /// every hit. Kinds without one are held as the shared value itself.
+    const PACKED: Option<Codec<Self>> = None;
+    /// Bytes billed against the memory budget for a value held as itself:
+    /// the resident size to within a small factor, which is all a budget
+    /// needs.
     fn billed_bytes(&self) -> u64;
 }
 
@@ -138,18 +146,22 @@ impl Artifact for SimResult {
     }
 }
 
+/// A long-lived store (the daemon's, an edit-recompile loop's) gains two
+/// units per edit and keeps them, so units are held packed: its memory
+/// grows by about the encoded size per edit, and each hit decodes one.
 impl Artifact for FuncAnalysisUnit {
     const KIND: Kind = Kind::FuncAnalysis;
     const CODEC: Option<Codec<Self>> = Some(Codec {
         encode: FuncAnalysisUnit::to_bytes,
         decode: FuncAnalysisUnit::from_bytes,
     });
+    const PACKED: Option<Codec<Self>> = Some(Codec {
+        encode: FuncAnalysisUnit::to_packed,
+        decode: FuncAnalysisUnit::from_packed,
+    });
+    /// Never billed: the memory tier holds the packed bytes.
     fn billed_bytes(&self) -> u64 {
-        self.fragments
-            .iter()
-            .map(|f| 96 + 4 * (f.move_insts.len() + f.replicate_insts.len()) as u64)
-            .sum::<u64>()
-            + 32
+        0
     }
 }
 
@@ -202,9 +214,17 @@ pub struct KindStats {
     pub disk_corrupt_evictions: u64,
 }
 
+/// How the memory tier holds a value.
+enum Held {
+    /// The shared value itself.
+    Shared(Arc<dyn Any + Send + Sync>),
+    /// The kind's [`Artifact::PACKED`] bytes.
+    Packed(Box<[u8]>),
+}
+
 /// One resident value and its accounting.
 struct Entry {
-    value: Arc<dyn Any + Send + Sync>,
+    value: Held,
     kind: Kind,
     bytes: u64,
     last_used: u64,
@@ -458,7 +478,13 @@ impl Store {
         shard.clock += 1;
         let clock = shard.clock;
         let hit = shard.map.get_mut(&key).and_then(|entry| {
-            let value = entry.value.clone().downcast::<A>().ok()?;
+            let value = match (&entry.value, A::PACKED) {
+                (Held::Shared(value), _) => value.clone().downcast::<A>().ok()?,
+                (Held::Packed(bytes), Some(packed)) if entry.kind == A::KIND => {
+                    Arc::new((packed.decode)(bytes).ok()?)
+                }
+                _ => return None,
+            };
             entry.last_used = clock;
             Some(value)
         });
@@ -475,7 +501,17 @@ impl Store {
     /// until the shard fits. Re-inserting a key replaces its value (keys are
     /// content addresses, so only the accounting can differ).
     fn mem_insert<A: Artifact>(&self, key: u64, value: Arc<A>) {
-        let bytes = value.billed_bytes();
+        let (value, bytes) = match A::PACKED {
+            Some(packed) => {
+                let bytes = (packed.encode)(&value).into_boxed_slice();
+                let len = bytes.len() as u64;
+                (Held::Packed(bytes), len)
+            }
+            None => {
+                let bytes = value.billed_bytes();
+                (Held::Shared(value), bytes)
+            }
+        };
         let mut shard = self.shard(key);
         if bytes > self.shard_budget {
             shard.rows[A::KIND as usize].oversize_rejections += 1;
@@ -795,6 +831,29 @@ mod tests {
     }
 
     #[test]
+    fn packed_kinds_are_held_as_their_bytes() {
+        let unit = FuncAnalysisUnit {
+            fragments: vec![LoopFragment {
+                header: 4,
+                move_insts: vec![1, 2, 300],
+                search_visited: 112,
+                ..Default::default()
+            }],
+        };
+        let store = Store::in_memory(1 << 20, 2);
+        store.put(9, Arc::new(unit.clone()));
+        let s = store.stats(Kind::FuncAnalysis);
+        assert_eq!((s.entries, s.bytes), (1, unit.to_packed().len() as u64));
+        for _ in 0..2 {
+            let (got, tier) = store.get::<FuncAnalysisUnit>(9).expect("held");
+            assert_eq!((&*got, tier), (&unit, Tier::Memory));
+        }
+        // The bytes decode only as their own kind.
+        assert!(store.get::<Other>(9).is_none());
+        assert!(store.get::<Blob>(9).is_none());
+    }
+
+    #[test]
     fn memory_only_kinds_never_write_a_file() {
         let dir = temp_dir("memonly");
         let store = Store::new(1 << 20, 2, Some(dir.clone()), None);
@@ -952,6 +1011,16 @@ mod tests {
         }
     }
 
+    /// The format version each kind's keys fold.
+    fn version(kind: Kind) -> u32 {
+        match kind {
+            Kind::Unit => MEMORY_ONLY_FORMAT_VERSION,
+            Kind::Sim => SIM_FORMAT_VERSION,
+            Kind::FuncAnalysis => FUNC_UNIT_FORMAT_VERSION,
+            Kind::Compile => COMPILE_FORMAT_VERSION,
+        }
+    }
+
     #[test]
     fn keys_separate_every_input_and_every_kind() {
         let m1 = MachineConfig::default();
@@ -995,9 +1064,14 @@ mod tests {
                 unit_key("src", 1, "main", 41),
                 unit_key("srcm", 1, "ain", 40),
             ],
-            // Every kind tag and format version starts from its own state.
-            Kind::ALL.map(|k| key_hasher(k, 1).finish()).to_vec(),
-            vec![key_hasher(Kind::Sim, 2).finish()],
+            // Every kind tag and format version starts from its own state,
+            // so a store written before a format bump serves nothing after.
+            Kind::ALL
+                .map(|k| key_hasher(k, version(k)).finish())
+                .to_vec(),
+            Kind::ALL
+                .map(|k| key_hasher(k, version(k) - 1).finish())
+                .to_vec(),
         ];
         let mut all: Vec<u64> = groups.concat();
         let n = all.len();

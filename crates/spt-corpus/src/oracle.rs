@@ -1,4 +1,4 @@
-//! The five differential oracles every corpus module must satisfy.
+//! The six differential oracles every corpus module must satisfy.
 //!
 //! For one module the battery checks, in order:
 //!
@@ -20,6 +20,12 @@
 //!    rendering, diagnostics included) is byte-identical across
 //!    `SPT_THREADS=1` vs. multi-threaded compiles, and across
 //!    cache-off/cold-cache/warm-cache compiles.
+//! 6. **Search exactness** — every loop of the baseline, under its training
+//!    profile with the dependence profile on and off and at pre-fork
+//!    budgets from 2% to all of the body, gets bit-for-bit the same
+//!    partition from `optimal_partition` as from the from-scratch
+//!    `optimal_partition_reference` (cost bits, chosen set, pre-fork mask
+//!    and size), in no more visited nodes.
 //!
 //! The worker-count knob is process-global, so the battery serializes that
 //! sub-oracle through [`global_state_lock`]; racing *observers* in other
@@ -65,6 +71,8 @@ pub enum OracleKind {
     CacheDivergence,
     /// Report diverged across worker counts.
     ThreadDivergence,
+    /// The partition search diverged from its from-scratch reference.
+    SearchDivergence,
 }
 
 impl OracleKind {
@@ -77,6 +85,7 @@ impl OracleKind {
             OracleKind::EngineDivergence => "engine-divergence",
             OracleKind::CacheDivergence => "cache-divergence",
             OracleKind::ThreadDivergence => "thread-divergence",
+            OracleKind::SearchDivergence => "search-divergence",
         }
     }
 
@@ -89,6 +98,7 @@ impl OracleKind {
             OracleKind::EngineDivergence,
             OracleKind::CacheDivergence,
             OracleKind::ThreadDivergence,
+            OracleKind::SearchDivergence,
         ]
         .into_iter()
         .find(|k| k.label() == s)
@@ -262,6 +272,89 @@ fn engine_divergence(module: &Module, entry: &str, arg: i64) -> Option<String> {
     })
 }
 
+/// Pre-fork budgets the search oracle tries, as fractions of the body.
+const SEARCH_BUDGETS: [f64; 7] = [0.02, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0];
+
+/// Node cap of the search oracle's reference runs. The reference walks
+/// every set from scratch, so a loop whose reference search needs more is
+/// not compared.
+const SEARCH_REFERENCE_CAP: u64 = 200_000;
+
+/// Searches every loop of `module` both ways (see oracle 6 in the module
+/// docs), containing panics, and describes the first divergence.
+fn search_divergence(module: &Module, entry: &str, train_arg: i64) -> Option<String> {
+    use spt_cost::dep_graph::{DepGraph, DepGraphConfig, Profiles};
+    use spt_cost::LoopCostModel;
+    use spt_ir::{Cfg, DomTree, LoopForest};
+    use spt_partition::{optimal_partition, optimal_partition_reference, SearchConfig};
+    catch_unwind(AssertUnwindSafe(|| {
+        // A run that stops early (fuel) still leaves a usable profile.
+        let mut profile = ProfileCollector::new();
+        let mut interp = Interp::new(module);
+        interp.fuel = 50_000_000;
+        let _ = interp.run(entry, &[Val::from_i64(train_arg)], &mut profile);
+        for func_id in module.func_ids() {
+            let func = module.func(func_id);
+            let cfg = Cfg::compute(func);
+            let forest = LoopForest::compute(func, &cfg, &DomTree::compute(&cfg));
+            for lid in forest.ids() {
+                for dep_profile in [false, true] {
+                    let profiles = Profiles {
+                        edges: Some(&profile.edges),
+                        deps: dep_profile.then_some(&profile.deps),
+                    };
+                    let graph =
+                        DepGraph::build(module, func_id, lid, profiles, &DepGraphConfig::default());
+                    let model = LoopCostModel::new(graph);
+                    for frac in SEARCH_BUDGETS {
+                        let config = SearchConfig {
+                            max_prefork_size: (model.body_size() as f64 * frac) as u64,
+                            max_visited: SEARCH_REFERENCE_CAP,
+                            ..SearchConfig::default()
+                        };
+                        let refr = optimal_partition_reference(&model, &config);
+                        if refr.budget_exhausted {
+                            continue;
+                        }
+                        let fast = optimal_partition(&model, &config);
+                        let same = fast.cost.to_bits() == refr.cost.to_bits()
+                            && fast.chosen == refr.chosen
+                            && fast.partition.mask() == refr.partition.mask()
+                            && fast.partition.size() == refr.partition.size()
+                            && fast.visited <= refr.visited;
+                        if !same {
+                            return Some(format!(
+                                "search of {}'s loop at block {} (dependence profile {}, \
+                                 budget {}) diverged: chosen {:?} cost {} size {} in {} \
+                                 nodes vs the reference's {:?} {} {} in {}",
+                                func.name,
+                                forest.get(lid).header.index(),
+                                if dep_profile { "on" } else { "off" },
+                                config.max_prefork_size,
+                                fast.chosen,
+                                fast.cost,
+                                fast.partition.size(),
+                                fast.visited,
+                                refr.chosen,
+                                refr.cost,
+                                refr.partition.size(),
+                                refr.visited,
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+        None
+    }))
+    .unwrap_or_else(|payload| {
+        Some(format!(
+            "panic during search comparison: {}",
+            panic_message(payload.as_ref())
+        ))
+    })
+}
+
 /// Restores the worker-count override on drop.
 struct ThreadRestore;
 impl Drop for ThreadRestore {
@@ -429,6 +522,14 @@ pub fn check_program(p: &ProgramUnderTest, opts: &CheckOptions) -> Vec<Failure> 
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // Oracle 6: the partition search is exact on every loop.
+    if let Some(detail) = search_divergence(&base.baseline, &p.entry, p.train_arg) {
+        failures.push(Failure {
+            kind: OracleKind::SearchDivergence,
+            detail,
+        });
     }
 
     failures

@@ -326,6 +326,15 @@ pub struct CostEvaluator {
     reach: Vec<u64>,
 }
 
+impl CostEvaluator {
+    /// The per-node re-execution probabilities of the latest evaluation
+    /// ([`CostGraph::reexec_probs_into`] or
+    /// [`CostGraph::misspeculation_cost_with`]); all zero before the first.
+    pub fn probs(&self) -> &[f64] {
+        &self.v
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

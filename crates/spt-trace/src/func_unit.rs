@@ -23,7 +23,9 @@ const FUNC_UNIT_MAGIC: &[u8; 8] = b"SPTFUNCA";
 
 /// Bumped on any change to [`LoopFragment`]'s meaning or encoding; folded
 /// into every function-unit cache key so stale-format entries simply miss.
-pub const FUNC_UNIT_FORMAT_VERSION: u32 = 2;
+/// (3: `search_visited` counts the budget-bounded partition search's
+/// nodes.)
+pub const FUNC_UNIT_FORMAT_VERSION: u32 = 3;
 
 /// The analysis result of one loop, in cache-stable form. Fields mirror the
 /// pipeline's internal per-loop analysis record (headers/instructions by
@@ -74,35 +76,7 @@ impl FuncAnalysisUnit {
         let mut out = Vec::with_capacity(32 + self.fragments.len() * 64);
         out.extend_from_slice(FUNC_UNIT_MAGIC);
         put_varint(&mut out, FUNC_UNIT_FORMAT_VERSION as u64);
-        put_varint(&mut out, self.fragments.len() as u64);
-        for f in &self.fragments {
-            put_varint(&mut out, f.header as u64);
-            put_varint(&mut out, f.depth);
-            match f.parent_header {
-                Some(p) => {
-                    out.push(1);
-                    put_varint(&mut out, p as u64);
-                }
-                None => out.push(0),
-            }
-            put_varint(&mut out, f.body_size);
-            put_varint(&mut out, f.num_vcs);
-            put_varint(&mut out, f.cost_bits);
-            put_varint(&mut out, f.prefork_size);
-            put_varint(&mut out, f.move_insts.len() as u64);
-            for &i in &f.move_insts {
-                put_varint(&mut out, i as u64);
-            }
-            put_varint(&mut out, f.replicate_insts.len() as u64);
-            for &i in &f.replicate_insts {
-                put_varint(&mut out, i as u64);
-            }
-            let flags = (f.skipped_too_many_vcs as u8)
-                | ((f.canonical as u8) << 1)
-                | ((f.search_budget_exhausted as u8) << 2);
-            out.push(flags);
-            put_varint(&mut out, f.search_visited);
-        }
+        self.pack_into(&mut out);
         seal(&mut out);
         out
     }
@@ -115,13 +89,63 @@ impl FuncAnalysisUnit {
     pub fn from_bytes(buf: &[u8]) -> Result<Self, String> {
         let body = unseal(buf, FUNC_UNIT_MAGIC, "function unit")?;
         let mut pos = FUNC_UNIT_MAGIC.len();
-        let take = |pos: &mut usize| get_varint(body, pos).ok_or("function unit truncated");
-        let version = take(&mut pos)?;
+        let version = get_varint(body, &mut pos).ok_or("function unit truncated")?;
         if version != FUNC_UNIT_FORMAT_VERSION as u64 {
             return Err(format!(
                 "stale function unit version {version} (expected {FUNC_UNIT_FORMAT_VERSION})"
             ));
         }
+        Self::from_packed(&body[pos..])
+    }
+
+    /// The fields alone, without magic, version or checksum: the artifact
+    /// store's in-memory form, which never leaves the process.
+    pub fn to_packed(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(16 + self.fragments.len() * 48);
+        self.pack_into(&mut out);
+        out
+    }
+
+    fn pack_into(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.fragments.len() as u64);
+        for f in &self.fragments {
+            put_varint(out, f.header as u64);
+            put_varint(out, f.depth);
+            match f.parent_header {
+                Some(p) => {
+                    out.push(1);
+                    put_varint(out, p as u64);
+                }
+                None => out.push(0),
+            }
+            put_varint(out, f.body_size);
+            put_varint(out, f.num_vcs);
+            put_varint(out, f.cost_bits);
+            put_varint(out, f.prefork_size);
+            put_varint(out, f.move_insts.len() as u64);
+            for &i in &f.move_insts {
+                put_varint(out, i as u64);
+            }
+            put_varint(out, f.replicate_insts.len() as u64);
+            for &i in &f.replicate_insts {
+                put_varint(out, i as u64);
+            }
+            let flags = (f.skipped_too_many_vcs as u8)
+                | ((f.canonical as u8) << 1)
+                | ((f.search_budget_exhausted as u8) << 2);
+            out.push(flags);
+            put_varint(out, f.search_visited);
+        }
+    }
+
+    /// Inverse of [`FuncAnalysisUnit::to_packed`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first malformed field.
+    pub fn from_packed(body: &[u8]) -> Result<Self, String> {
+        let mut pos = 0;
+        let take = |pos: &mut usize| get_varint(body, pos).ok_or("function unit truncated");
         let nfrags = take(&mut pos)? as usize;
         let mut fragments = Vec::with_capacity(nfrags.min(1 << 16));
         for _ in 0..nfrags {
@@ -231,6 +255,17 @@ mod tests {
             FuncAnalysisUnit::from_bytes(&empty.to_bytes()).as_ref(),
             Ok(&empty)
         );
+    }
+
+    #[test]
+    fn packed_form_round_trips_without_framing() {
+        let u = sample();
+        let packed = u.to_packed();
+        assert_eq!(FuncAnalysisUnit::from_packed(&packed).as_ref(), Ok(&u));
+        // The framed encoding is magic, version, the packed fields, checksum.
+        let framed = u.to_bytes();
+        assert_eq!(&framed[9..framed.len() - 8], &packed[..]);
+        assert!(FuncAnalysisUnit::from_packed(&packed[..packed.len() - 1]).is_err());
     }
 
     #[test]
