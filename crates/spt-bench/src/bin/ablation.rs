@@ -12,7 +12,7 @@
 //!
 //! Run: `cargo run --release -p spt-bench --bin ablation`
 
-use spt_bench::{geomean, run_matrix, with_trace};
+use spt_bench::{geomean, run_matrix, with_store};
 use spt_core::CompilerConfig;
 use spt_cost::dep_graph::{DepGraph, DepGraphConfig, Profiles};
 use spt_cost::LoopCostModel;
@@ -147,8 +147,8 @@ fn main() {
 
     // --- 3: cost-driven vs indiscriminate selection.
     println!("\n-- cost-driven selection vs select-everything (program speedups)");
-    let best = with_trace(CompilerConfig::best());
-    let mut all = with_trace(CompilerConfig::best());
+    let best = with_store(CompilerConfig::best());
+    let mut all = with_store(CompilerConfig::best());
     all.cost_frac = 1e9;
     all.name = "no-cost-model";
     let mut s_best = Vec::new();

@@ -8,7 +8,7 @@
 //!
 //! Run: `cargo run --release -p spt-bench --bin fig15`
 
-use spt_bench::{run_suite, with_trace};
+use spt_bench::{run_suite, with_store};
 use spt_core::{CompilerConfig, LoopOutcome};
 use std::collections::HashMap;
 
@@ -43,8 +43,8 @@ fn main() {
         LoopOutcome::AnalysisFailed.label(),
     ];
 
-    let (best_hist, best_total) = histogram(&with_trace(CompilerConfig::best()));
-    let (ant_hist, ant_total) = histogram(&with_trace(CompilerConfig::anticipated()));
+    let (best_hist, best_total) = histogram(&with_store(CompilerConfig::best()));
+    let (ant_hist, ant_total) = histogram(&with_store(CompilerConfig::anticipated()));
 
     println!("{:<22} {:>12} {:>14}", "outcome", "best", "anticipated");
     for label in order {

@@ -382,7 +382,7 @@ fn main() {
     );
     // `best` with the artifact store at `.spt-cache/`: the production setup
     // this tool measures. Run it twice to see warm-store numbers.
-    let config = spt_bench::with_trace(CompilerConfig::best());
+    let config = spt_bench::with_store(CompilerConfig::best());
 
     if cold {
         // Start from an empty artifact cache: every stage pays full cost.

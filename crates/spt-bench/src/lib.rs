@@ -175,9 +175,9 @@ pub fn die(msg: impl std::fmt::Display) -> ! {
 /// `config` with the artifact store switched on over the shared
 /// `.spt-cache/` directory. Results are bit-identical to the store-off path
 /// (pinned by `tests/trace_equivalence.rs`); repeated harness runs reuse
-/// stored function analysis units and `SimResult` memos instead of
-/// re-analyzing and re-simulating.
-pub fn with_trace(mut config: CompilerConfig) -> CompilerConfig {
+/// stored compiles, function analysis units and `SimResult` memos instead
+/// of recompiling and re-simulating.
+pub fn with_store(mut config: CompilerConfig) -> CompilerConfig {
     config.trace = TraceSettings {
         enabled: true,
         cache_dir: Some(".spt-cache".into()),

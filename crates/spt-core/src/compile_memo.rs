@@ -8,25 +8,17 @@
 //! The encoding is exact: the module through `spt_ir`'s canonical codec,
 //! the report field by field with every `f64` by bit pattern, so a decoded
 //! compile is `==` to the module and `Debug`-identical to the report it
-//! was encoded from. Framing: magic, format version, module, report, and a
-//! trailing checksum; any damage decodes to an error.
+//! was encoded from. It is a body in `spt_ir::codec`'s byte format, with no
+//! magic, version or checksum: the store frames it.
 
-use spt_ir::codec::{decode_module, encode_module, put_str, put_varint, Reader};
+use spt_ir::codec::{
+    decode_module, encode_module, put_f64, put_opt_u32, put_str, put_varint, Reader,
+};
 use spt_ir::loops::LoopId;
 use spt_ir::{BlockId, FuncId, Module};
-use spt_trace::codec::{seal, unseal};
 
 use crate::diag::{Diagnostic, Severity, Stage};
 use crate::report::{CompilationReport, LoopOutcome, LoopRecord, SelectedLoop};
-
-/// Magic prefix of an encoded compile.
-const COMPILE_MAGIC: &[u8; 8] = b"SPTCOMPL";
-
-/// Bumped on any change to the encoding, or to what a compile produces for
-/// the same inputs; folded into every compile key and written into every
-/// file, so stale entries miss. (2: reports count the budget-bounded
-/// partition search's visited nodes.)
-pub const COMPILE_FORMAT_VERSION: u32 = 2;
 
 /// One whole compile: what [`crate::transform_module_timed_with`] returns
 /// for an input module, a profiling input and a configuration.
@@ -63,20 +55,6 @@ const STAGES: [Stage; 7] = [
 ];
 const SEVERITIES: [Severity; 3] = [Severity::Info, Severity::Warning, Severity::Error];
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_varint(out, v.to_bits());
-}
-
-fn put_opt(out: &mut Vec<u8>, v: Option<u32>) {
-    match v {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            put_varint(out, v as u64);
-        }
-    }
-}
-
 fn encode_report(out: &mut Vec<u8>, r: &CompilationReport) {
     put_str(out, &r.config_name);
     put_varint(out, r.loops.len() as u64);
@@ -111,25 +89,9 @@ fn encode_report(out: &mut Vec<u8>, r: &CompilationReport) {
     put_varint(out, r.diagnostics.len() as u64);
     for d in &r.diagnostics {
         out.extend_from_slice(&[d.stage as u8, d.severity as u8]);
-        put_opt(out, d.func.map(|f| f.0));
-        put_opt(out, d.header.map(|h| h.0));
+        put_opt_u32(out, d.func.map(|f| f.0));
+        put_opt_u32(out, d.header.map(|h| h.0));
         put_str(out, &d.message);
-    }
-}
-
-fn get_f64(r: &mut Reader<'_>) -> Option<f64> {
-    r.varint().map(f64::from_bits)
-}
-
-fn get_usize(r: &mut Reader<'_>) -> Option<usize> {
-    usize::try_from(r.varint()?).ok()
-}
-
-fn get_opt(r: &mut Reader<'_>) -> Option<Option<u32>> {
-    match r.byte()? {
-        0 => Some(None),
-        1 => Some(Some(r.u32()?)),
-        _ => None,
     }
 }
 
@@ -143,16 +105,16 @@ fn decode_report(r: &mut Reader<'_>) -> Option<CompilationReport> {
             func_name: r.str()?,
             loop_id: LoopId(r.u32()?),
             header: BlockId(r.u32()?),
-            depth: get_usize(r)?,
+            depth: r.usize()?,
             body_size: r.varint()?,
-            num_vcs: get_usize(r)?,
-            cost: get_f64(r)?,
+            num_vcs: r.usize()?,
+            cost: r.f64()?,
             prefork_size: r.varint()?,
-            avg_trip_count: get_f64(r)?,
-            dyn_body_insts: get_f64(r)?,
-            coverage: get_f64(r)?,
+            avg_trip_count: r.f64()?,
+            dyn_body_insts: r.f64()?,
+            coverage: r.f64()?,
             svp_applied: r.bool()?,
-            unroll_factor: get_usize(r)?,
+            unroll_factor: r.usize()?,
             search_visited: r.varint()?,
             outcome: *OUTCOMES.get(r.byte()? as usize)?,
         });
@@ -164,7 +126,7 @@ fn decode_report(r: &mut Reader<'_>) -> Option<CompilationReport> {
             func: FuncId(r.u32()?),
             header: BlockId(r.u32()?),
             loop_tag: r.u32()?,
-            est_cost: get_f64(r)?,
+            est_cost: r.f64()?,
             prefork_size: r.varint()?,
             body_size: r.varint()?,
         });
@@ -176,8 +138,8 @@ fn decode_report(r: &mut Reader<'_>) -> Option<CompilationReport> {
         diagnostics.push(Diagnostic {
             stage: *STAGES.get(r.byte()? as usize)?,
             severity: *SEVERITIES.get(r.byte()? as usize)?,
-            func: get_opt(r)?.map(FuncId),
-            header: get_opt(r)?.map(BlockId),
+            func: r.opt_u32()?.map(FuncId),
+            header: r.opt_u32()?.map(BlockId),
             message: r.str()?,
         });
     }
@@ -191,38 +153,19 @@ fn decode_report(r: &mut Reader<'_>) -> Option<CompilationReport> {
 }
 
 impl CompileMemo {
-    /// Serializes the compile exactly (see the module docs for framing).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 << 10);
-        out.extend_from_slice(COMPILE_MAGIC);
-        put_varint(&mut out, COMPILE_FORMAT_VERSION as u64);
-        encode_module(&mut out, &self.module);
-        encode_report(&mut out, &self.report);
-        seal(&mut out);
-        out
+    /// Appends the compile's encoding (see the module docs).
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        encode_module(out, &self.module);
+        encode_report(out, &self.report);
     }
 
-    /// Inverse of [`CompileMemo::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// A description of the first framing, checksum, version or field
-    /// problem.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, String> {
-        let body = unseal(buf, COMPILE_MAGIC, "compile memo")?;
-        let mut r = Reader::new(body, COMPILE_MAGIC.len());
-        let version = r.varint().ok_or("compile memo truncated")?;
-        if version != COMPILE_FORMAT_VERSION as u64 {
-            return Err(format!(
-                "stale compile memo version {version} (expected {COMPILE_FORMAT_VERSION})"
-            ));
-        }
-        let module = decode_module(&mut r).ok_or("bad module in compile memo")?;
-        let report = decode_report(&mut r).ok_or("bad report in compile memo")?;
-        if r.pos != body.len() {
-            return Err("trailing bytes in compile memo".into());
-        }
-        Ok(CompileMemo { module, report })
+    /// Inverse of [`CompileMemo::encode`]; `None` when the bytes are not
+    /// an encoding.
+    pub fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        Some(CompileMemo {
+            module: decode_module(r)?,
+            report: decode_report(r)?,
+        })
     }
 }
 
@@ -230,13 +173,27 @@ impl CompileMemo {
 mod tests {
     use super::*;
     use crate::pipeline::{compile_and_transform, ProfilingInput};
+    use crate::store::{Kind, Store};
     use crate::CompilerConfig;
+    use std::sync::Arc;
 
     #[test]
     fn enum_tables_are_in_tag_order() {
         assert!(OUTCOMES.iter().enumerate().all(|(i, &o)| o as usize == i));
         assert!(STAGES.iter().enumerate().all(|(i, &s)| s as usize == i));
         assert!(SEVERITIES.iter().enumerate().all(|(i, &s)| s as usize == i));
+    }
+
+    fn encoded(memo: &CompileMemo) -> Vec<u8> {
+        let mut out = Vec::new();
+        memo.encode(&mut out);
+        out
+    }
+
+    /// Decodes `bytes` whole: a trailing byte rejects them.
+    fn decoded(bytes: &[u8]) -> Option<CompileMemo> {
+        let mut r = Reader::new(bytes, 0);
+        CompileMemo::decode(&mut r).filter(|_| r.at_end())
     }
 
     /// Every suite program's compile under every preset decodes to the
@@ -260,9 +217,8 @@ mod tests {
                     module: cold.module,
                     report: cold.report,
                 };
-                let bytes = memo.to_bytes();
-                let back =
-                    CompileMemo::from_bytes(&bytes).unwrap_or_else(|e| panic!("{what}: {e}"));
+                let bytes = encoded(&memo);
+                let back = decoded(&bytes).unwrap_or_else(|| panic!("{what}: undecodable"));
                 assert_eq!(back.module, memo.module, "{what}: module");
                 assert_eq!(
                     back.module.content_hash(),
@@ -274,31 +230,48 @@ mod tests {
                     format!("{:?}", memo.report),
                     "{what}: report"
                 );
-                assert_eq!(back.to_bytes(), bytes, "{what}: re-encoding");
+                assert_eq!(encoded(&back), bytes, "{what}: re-encoding");
                 diagnostics += back.report.diagnostics.len();
             }
         }
         assert!(diagnostics > 0, "no diagnostic was round-tripped");
     }
 
+    /// A real compile's body rejects every truncation; stored, every
+    /// flipped byte of its file reads as a miss, and the store evicts it.
     #[test]
     fn damage_is_rejected() {
         let b = spt_bench_suite::benchmark("gzip_s").expect("exists");
         let input = ProfilingInput::new(b.entry, [b.train_arg]);
         let cold = compile_and_transform(b.source, &input, &CompilerConfig::best()).expect("ok");
-        let bytes = CompileMemo {
+        let memo = Arc::new(CompileMemo {
             module: cold.module,
             report: cold.report,
+        });
+        let bytes = encoded(&memo);
+        for cut in 0..bytes.len() {
+            assert!(decoded(&bytes[..cut]).is_none(), "cut {cut}");
         }
-        .to_bytes();
-        let mut flipped = bytes.clone();
-        flipped[bytes.len() / 2] ^= 0x10;
-        for bad in [
-            flipped,
-            bytes[..bytes.len() - 1].to_vec(),
-            b"SPTCOMPL".to_vec(),
-        ] {
-            assert!(CompileMemo::from_bytes(&bad).is_err());
+
+        let dir =
+            std::env::temp_dir().join(format!("spt-compile-memo-damage-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Store::new(0, 1, Some(dir.clone()), None);
+        store.put(1, memo);
+        let path = dir.join(format!("compile-{:016x}.bin", 1));
+        let good = std::fs::read(&path).expect("stored");
+        for i in 0..good.len() {
+            let mut flipped = good.clone();
+            flipped[i] ^= 1 << (i % 8);
+            std::fs::write(&path, &flipped).expect("writable");
+            assert!(store.get::<CompileMemo>(1).is_none(), "byte {i} was served");
+            assert!(!path.exists(), "byte {i} was not evicted");
         }
+        let s = store.stats(Kind::Compile);
+        assert_eq!(
+            (s.disk_hits, s.disk_corrupt_evictions),
+            (0, good.len() as u64)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

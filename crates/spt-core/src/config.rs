@@ -3,16 +3,37 @@
 
 use std::path::PathBuf;
 
+/// Minimum static loop body size (latency units) for an SPT loop (§6.1
+/// criterion 3, lower bound): smaller bodies cannot amortize the fork
+/// overhead, and counted loops below it are unrolled towards it.
+pub const MIN_BODY_SIZE: u64 = 40;
+
+/// Minimum average trip count of an SPT loop (§6.1 criterion 4: below 2,
+/// the next iteration rarely exists and speculative threads die).
+pub const MIN_TRIP_COUNT: f64 = 2.0;
+
+/// Cap on the unroll factor.
+pub const UNROLL_MAX_FACTOR: usize = 8;
+
+/// Cap on a function's code growth from unrolling, as a multiple of its
+/// pre-unroll instruction count; an unroll that would exceed it is skipped
+/// with a diagnostic.
+pub const UNROLL_GROWTH_CAP: f64 = 64.0;
+
+/// Confidence bar for SVP value patterns (§7.2).
+pub const SVP_THRESHOLD: f64 = 0.9;
+
 /// Artifact-store settings for the pipeline and the simulation harnesses.
 ///
 /// The name is historical (the store once also held execution traces).
-/// Enabled with a `cache_dir`, compiles persist their function-granular
-/// pass-1 analysis units, and `spt_serve::sim_with_cache` its whole
-/// `SimResult` memos, in a content-addressed directory keyed by
-/// IR content hash + inputs + format version, so an exact repeat skips the
-/// work. The store never changes an answer: reports and results are
-/// byte-identical with it on, off, cold or warm, and a damaged entry is
-/// evicted and recomputed.
+/// Enabled with a `cache_dir`, compiles persist their whole result (the
+/// SPT module and its report) and their function-granular pass-1 analysis
+/// units, and `spt_serve::sim_with_cache` its whole `SimResult` memos, in
+/// a content-addressed directory keyed by IR content hash + inputs +
+/// format version, so an exact repeat skips the work: a repeated compile
+/// decodes one file and runs no pipeline stage. The store never changes an
+/// answer: reports and results are byte-identical with it on, off, cold or
+/// warm, and a damaged entry is evicted and recomputed.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TraceSettings {
     /// Use the on-disk store (off by default). Without a `cache_dir` it
@@ -26,7 +47,7 @@ pub struct TraceSettings {
 /// Unified resource limits for one pipeline run, with explicit
 /// graceful-degradation semantics: hitting a budget never fails the
 /// compile — the affected component degrades (search keeps its
-/// best-so-far, unroll skipped) and a
+/// best-so-far, unroll skipped past [`UNROLL_GROWTH_CAP`]) and a
 /// [`crate::Diagnostic`] records the degradation. The single exception is
 /// [`ResourceBudget::interp_fuel`]: profiling is the pipeline's *input*, so
 /// a profiling run that exhausts its fuel surfaces as
@@ -42,10 +63,6 @@ pub struct ResourceBudget {
     /// `SearchResult::budget_exhausted`, reported as a diagnostic) instead
     /// of being indistinguishable from an optimal result.
     pub search_max_visited: u64,
-    /// Cap on per-function code growth from unrolling, as a multiple of the
-    /// function's pre-unroll instruction count. Unrolls that would exceed
-    /// it are skipped with a diagnostic.
-    pub unroll_growth_cap: f64,
 }
 
 impl Default for ResourceBudget {
@@ -53,7 +70,6 @@ impl Default for ResourceBudget {
         ResourceBudget {
             interp_fuel: 500_000_000,
             search_max_visited: 1_000_000,
-            unroll_growth_cap: 64.0,
         }
     }
 }
@@ -69,19 +85,13 @@ pub struct CompilerConfig {
     pub use_dep_profile: bool,
     /// Apply software value prediction (§7.2; *best* and up).
     pub use_svp: bool,
-    /// Unroll counted (DO) loops whose bodies are too small (§7.1; always on
-    /// in the paper's experiments).
-    pub unroll_counted: bool,
-    /// Also unroll general `while` loops (the *anticipated* enabling
-    /// technique; ORC could not).
+    /// Besides counted (DO) loops, which every configuration unrolls when
+    /// their bodies are too small (§7.1), also unroll general `while` loops
+    /// (the *anticipated* enabling technique; ORC could not).
     pub unroll_while: bool,
     /// Promote global scalars to registers across loops ("export of global
     /// variables"; *anticipated*).
     pub promote_globals: bool,
-    /// Minimum static loop body size (latency units) for an SPT loop
-    /// (§6.1 criterion 3, lower bound); small bodies cannot amortize the
-    /// fork overhead.
-    pub min_body_size: u64,
     /// Maximum loop body size (machine-dependent; the paper's experiments
     /// use 1000).
     pub max_body_size: u64,
@@ -91,16 +101,9 @@ pub struct CompilerConfig {
     /// Misspeculation cost threshold, as a fraction of the body size
     /// (§6.1 criterion 1).
     pub cost_frac: f64,
-    /// Minimum average trip count (§6.1 criterion 4: below 2, the next
-    /// iteration rarely exists and speculative threads die).
-    pub min_trip_count: f64,
     /// Skip loops with more violation candidates than this (§5.2.1; the
     /// paper uses 30).
     pub max_vcs: usize,
-    /// Cap on the unroll factor.
-    pub unroll_max_factor: usize,
-    /// Confidence bar for SVP value patterns.
-    pub svp_threshold: f64,
     /// Resource limits with graceful-degradation semantics.
     pub budget: ResourceBudget,
     /// Artifact-store settings (see [`TraceSettings`]).
@@ -116,17 +119,12 @@ impl CompilerConfig {
             name: "basic",
             use_dep_profile: false,
             use_svp: false,
-            unroll_counted: true,
             unroll_while: false,
             promote_globals: false,
-            min_body_size: 40,
             max_body_size: 1000,
             prefork_frac: 0.35,
             cost_frac: 0.15,
-            min_trip_count: 2.0,
             max_vcs: 30,
-            unroll_max_factor: 8,
-            svp_threshold: 0.9,
             budget: ResourceBudget::default(),
             trace: TraceSettings::default(),
         }

@@ -112,22 +112,6 @@ impl Diagnostic {
         }
     }
 
-    /// A function-scoped diagnostic (no specific loop).
-    pub fn for_func(
-        stage: Stage,
-        severity: Severity,
-        func: FuncId,
-        message: impl Into<String>,
-    ) -> Self {
-        Diagnostic {
-            stage,
-            severity,
-            func: Some(func),
-            header: None,
-            message: message.into(),
-        }
-    }
-
     /// A module-scoped diagnostic.
     pub fn global(stage: Stage, severity: Severity, message: impl Into<String>) -> Self {
         Diagnostic {

@@ -28,7 +28,10 @@
 //! stages 2–7.
 
 use crate::compile_memo::CompileMemo;
-use crate::config::CompilerConfig;
+use crate::config::{
+    CompilerConfig, MIN_BODY_SIZE, MIN_TRIP_COUNT, SVP_THRESHOLD, UNROLL_GROWTH_CAP,
+    UNROLL_MAX_FACTOR,
+};
 use crate::diag::{panic_message, Diagnostic, Severity, Stage};
 use crate::incremental::{config_context_hash, unit_matches_forest, ModuleContext};
 use crate::report::{CompilationReport, LoopOutcome, LoopRecord, SelectedLoop};
@@ -56,8 +59,6 @@ pub struct ProfilingInput {
     pub entry: String,
     /// Arguments passed to the entry function.
     pub args: Vec<Val>,
-    /// Initial memory image (defaults to the module's global initializers).
-    pub memory: Option<Vec<u64>>,
 }
 
 impl ProfilingInput {
@@ -66,7 +67,6 @@ impl ProfilingInput {
         ProfilingInput {
             entry: entry.into(),
             args: args.into_iter().map(Val::from_i64).collect(),
-            memory: None,
         }
     }
 }
@@ -387,7 +387,7 @@ fn transform_scratch(
         .map(|c| (c.func, c.carrier, Ty::I64))
         .collect();
     let mut collector = profile(module, input, config, &targets)?;
-    collector.values.threshold = config.svp_threshold;
+    collector.values.threshold = SVP_THRESHOLD;
     timings.profile_s = t.elapsed().as_secs_f64();
 
     // --- Stage 4: pass 1 analysis.
@@ -584,72 +584,63 @@ fn preprocess(
             spt_ir::passes::loop_simplify(func);
         }
 
-        if config.unroll_counted || config.unroll_while {
-            // Per-function code-growth budget: unrolling may not blow the
-            // function up past `unroll_growth_cap` times its pre-unroll size.
-            let base_insts = func_inst_count(func).max(1);
-            let growth_limit =
-                ((base_insts as f64) * config.budget.unroll_growth_cap).ceil() as usize;
-            // Attempt each loop once (identified by header).
-            let mut attempted: HashSet<BlockId> = HashSet::new();
-            loop {
-                let cfg = Cfg::compute(func);
-                let dom = DomTree::compute(&cfg);
-                let forest = LoopForest::compute(func, &cfg, &dom);
-                let mut did = false;
-                for lid in forest.ids() {
-                    let header = forest.get(lid).header;
-                    if attempted.contains(&header) {
-                        continue;
-                    }
-                    attempted.insert(header);
-                    let kind = classify_loop(func, &forest, lid);
-                    let allowed = match kind {
-                        UnrollKind::Counted => config.unroll_counted,
-                        UnrollKind::While => config.unroll_while,
-                    };
-                    if !allowed {
-                        continue;
-                    }
-                    let body = static_body_size(func, &forest, lid);
-                    let factor =
-                        choose_unroll_factor(body, config.min_body_size, config.unroll_max_factor);
-                    if factor < 2 {
-                        continue;
-                    }
-                    // Growth-cap check: unrolling by `factor` adds roughly
-                    // `factor - 1` extra copies of the loop body.
-                    let body_insts: usize = forest
-                        .get(lid)
-                        .blocks
-                        .iter()
-                        .map(|&bb| func.block(bb).insts.len())
-                        .sum();
-                    let projected = func_inst_count(func) + body_insts * (factor - 1);
-                    if projected > growth_limit {
-                        diags.push(Diagnostic::for_loop(
-                            Stage::Preprocess,
-                            Severity::Warning,
-                            func_id,
-                            header,
-                            format!(
-                                "unroll x{factor} skipped: projected {projected} insts exceeds \
-                                 code-growth cap of {growth_limit}"
-                            ),
-                        ));
-                        continue;
-                    }
-                    if unroll_loop(func, lid, factor).is_ok() {
-                        unroll_factors.insert((func_id, header), factor);
-                        spt_ir::passes::cleanup(func);
-                        spt_ir::passes::loop_simplify(func);
-                        did = true;
-                        break; // forest invalidated
-                    }
+        // Per-function code-growth budget: unrolling may not blow the
+        // function up past `UNROLL_GROWTH_CAP` times its pre-unroll size.
+        let base_insts = func_inst_count(func).max(1);
+        let growth_limit = ((base_insts as f64) * UNROLL_GROWTH_CAP).ceil() as usize;
+        // Attempt each loop once (identified by header).
+        let mut attempted: HashSet<BlockId> = HashSet::new();
+        loop {
+            let cfg = Cfg::compute(func);
+            let dom = DomTree::compute(&cfg);
+            let forest = LoopForest::compute(func, &cfg, &dom);
+            let mut did = false;
+            for lid in forest.ids() {
+                let header = forest.get(lid).header;
+                if attempted.contains(&header) {
+                    continue;
                 }
-                if !did {
-                    break;
+                attempted.insert(header);
+                if classify_loop(func, &forest, lid) == UnrollKind::While && !config.unroll_while {
+                    continue;
                 }
+                let body = static_body_size(func, &forest, lid);
+                let factor = choose_unroll_factor(body, MIN_BODY_SIZE, UNROLL_MAX_FACTOR);
+                if factor < 2 {
+                    continue;
+                }
+                // Growth-cap check: unrolling by `factor` adds roughly
+                // `factor - 1` extra copies of the loop body.
+                let body_insts: usize = forest
+                    .get(lid)
+                    .blocks
+                    .iter()
+                    .map(|&bb| func.block(bb).insts.len())
+                    .sum();
+                let projected = func_inst_count(func) + body_insts * (factor - 1);
+                if projected > growth_limit {
+                    diags.push(Diagnostic::for_loop(
+                        Stage::Preprocess,
+                        Severity::Warning,
+                        func_id,
+                        header,
+                        format!(
+                            "unroll x{factor} skipped: projected {projected} insts exceeds \
+                             code-growth cap of {growth_limit}"
+                        ),
+                    ));
+                    continue;
+                }
+                if unroll_loop(func, lid, factor).is_ok() {
+                    unroll_factors.insert((func_id, header), factor);
+                    spt_ir::passes::cleanup(func);
+                    spt_ir::passes::loop_simplify(func);
+                    did = true;
+                    break; // forest invalidated
+                }
+            }
+            if !did {
+                break;
             }
         }
     }
@@ -669,12 +660,7 @@ fn profile(
     let mut interp = Interp::new(module);
     interp.fuel = config.budget.interp_fuel;
     let mut collector = ProfileCollector::with_value_targets(targets.iter().copied());
-    match &input.memory {
-        Some(mem) => {
-            interp.run_with_memory(&input.entry, &input.args, mem.clone(), &mut collector)?
-        }
-        None => interp.run(&input.entry, &input.args, &mut collector)?,
-    };
+    interp.run(&input.entry, &input.args, &mut collector)?;
     Ok(collector)
 }
 
@@ -1101,7 +1087,7 @@ fn svp_targets(
         if !a.canonical || a.skipped_too_many_vcs {
             continue;
         }
-        if a.body_size < config.min_body_size || a.body_size > config.max_body_size {
+        if a.body_size < MIN_BODY_SIZE || a.body_size > config.max_body_size {
             continue;
         }
         let needs_help = a.cost > config.cost_frac * a.body_size as f64
@@ -1249,11 +1235,11 @@ fn select(
             LoopOutcome::TooManyVcs
         } else if stats.invocations == 0 {
             LoopOutcome::NotProfiled
-        } else if a.body_size < config.min_body_size {
+        } else if a.body_size < MIN_BODY_SIZE {
             LoopOutcome::BodyTooSmall
         } else if a.body_size > config.max_body_size {
             LoopOutcome::BodyTooLarge
-        } else if stats.avg_trip_count() < config.min_trip_count {
+        } else if stats.avg_trip_count() < MIN_TRIP_COUNT {
             LoopOutcome::TripCountTooSmall
         } else if (a.prefork_size as f64) > config.prefork_frac * a.body_size as f64 {
             LoopOutcome::PreForkTooLarge
@@ -1599,13 +1585,13 @@ mod tests {
                 .collect();
             let mut timings = StageTimings::default();
             let mut folded = profile(&module, &input, &config, &folded_targets).expect("profiles");
-            folded.values.threshold = config.svp_threshold;
+            folded.values.threshold = SVP_THRESHOLD;
             let analyses =
                 analyze_module(&module, &folded, &config, None, &mut timings, &mut diags);
             let targets = svp_targets(&config, &analyses, &carriers);
 
             let mut alone = ValueProfile::new(targets.iter().map(|c| (c.func, c.carrier, Ty::I64)));
-            alone.threshold = config.svp_threshold;
+            alone.threshold = SVP_THRESHOLD;
             Interp::new(&module)
                 .run(&input.entry, &input.args, &mut alone)
                 .expect("value-profiling run");

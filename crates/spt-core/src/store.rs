@@ -5,7 +5,8 @@
 //! the daemon's compiled program, a simulation result — is a pure function
 //! of IR content and inputs, so its key is a content address built in this
 //! module ([`sim_key`], [`func_unit_key`], [`compile_key`], [`unit_key`]),
-//! each folding its kind tag and format version first.
+//! each folding its kind tag first and, for a kind that persists, its
+//! format version.
 //! Entries are immutable: a changed input is a new key, and nothing is ever
 //! invalidated.
 //!
@@ -13,12 +14,16 @@
 //! kind but the disk-only [`Kind::Compile`]: a key's high bits pick its
 //! shard, and each shard evicts its least-recently-used entries, of any
 //! kind, until it fits `budget / shards`; a value larger than a whole shard
-//! is refused (an oversize rejection). Kinds with a packed form
-//! ([`Artifact::PACKED`], the function units) are held as those bytes and
-//! decoded on every hit. **Disk** (optional) is a directory
-//! of immutable `{kind}-{key:016x}.bin` files for the kinds with a
-//! [`Codec`]. Stores are atomic (temp file, then rename); a file that fails
-//! to read or decode is deleted and reads as a miss, since a
+//! is refused (an oversize rejection). Kinds flagged
+//! [`Artifact::HELD_ENCODED`] (the function units) are held as their
+//! codec's body bytes and decoded on every hit. **Disk** (optional) is a
+//! directory of immutable `{kind}-{key:016x}.bin` files for the kinds with
+//! a [`Codec`]. The store is their one framer: each file is the kind tag,
+//! the kind's format version, the body its codec writes in
+//! `spt_ir::codec`'s byte format, and a checksum
+//! ([`spt_trace::codec::seal`]). Stores are atomic (temp file, then
+//! rename); a file that fails to read, to match its kind, version and
+//! checksum, or to decode is deleted and reads as a miss, since a
 //! content-addressed file can only hold bad bytes after a torn or damaged
 //! write; an optional byte budget deletes the least recently used files (a
 //! hit renews a file's mtime). Only files with the store's own names are
@@ -38,13 +43,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::SystemTime;
 
+use spt_ir::codec::Reader;
 use spt_sim::{LoopSimStats, MachineConfig, SimResult};
-use spt_trace::codec::Fnv;
-use spt_trace::{
-    sim_from_bytes, sim_to_bytes, FuncAnalysisUnit, FUNC_UNIT_FORMAT_VERSION, SIM_FORMAT_VERSION,
-};
+use spt_trace::codec::{seal, unseal, Fnv};
+use spt_trace::{decode_sim, encode_sim, FuncAnalysisUnit};
 
-use crate::compile_memo::{CompileMemo, COMPILE_FORMAT_VERSION};
+use crate::compile_memo::CompileMemo;
 use crate::config::CompilerConfig;
 use crate::incremental::fold_debug;
 use crate::pipeline::ProfilingInput;
@@ -52,10 +56,6 @@ use crate::pipeline::ProfilingInput;
 /// The store under the name the function-granular pipeline API first used
 /// (`sptbench` still compiles against it).
 pub type IncrementalCache = Store;
-
-/// Format version of the memory-only kind's keys (compiled units): their
-/// values never outlive the process.
-const MEMORY_ONLY_FORMAT_VERSION: u32 = 1;
 
 /// Number of [`Kind`]s.
 const KINDS: usize = 4;
@@ -99,7 +99,8 @@ impl Kind {
         self == Kind::Compile
     }
 
-    /// The kind tag of its keys and the prefix of its file names.
+    /// The kind tag of its keys and frames, and the prefix of its file
+    /// names.
     fn tag(self) -> &'static str {
         match self {
             Kind::FuncAnalysis => "func",
@@ -112,33 +113,50 @@ impl Kind {
 pub trait Artifact: Any + Send + Sync + Sized {
     /// The kind's counter row and key tag.
     const KIND: Kind;
-    /// The disk encoding; kinds without one stay memory-only.
+    /// The kind's byte form; kinds without one stay in memory.
     const CODEC: Option<Codec<Self>> = None;
-    /// The memory tier's byte form, for kinds whose resident values should
-    /// cost little more than their encoding: each value is held as one
-    /// allocation of these bytes (billed at their length) and decoded on
-    /// every hit. Kinds without one are held as the shared value itself.
-    const PACKED: Option<Codec<Self>> = None;
+    /// Whether the memory tier holds values as their [`Artifact::CODEC`]
+    /// body, for kinds whose resident values should cost little more than
+    /// their encoding: one allocation of those bytes, billed at their
+    /// length and decoded on every hit. Other kinds are held as the shared
+    /// value itself.
+    const HELD_ENCODED: bool = false;
     /// Bytes billed against the memory budget for a value held as itself:
     /// the resident size to within a small factor, which is all a budget
     /// needs.
     fn billed_bytes(&self) -> u64;
 }
 
-/// The disk encoding of a kind that persists. Encodings carry their own
-/// magic, format version and checksum, so `decode` rejects any damage.
+/// The byte form of a kind that persists: a body in `spt_ir::codec`'s
+/// format, with no magic, version or checksum of its own.
 pub struct Codec<A> {
-    /// Serializes a value.
-    pub encode: fn(&A) -> Vec<u8>,
-    /// Parses a value, or describes why the bytes are not one.
-    pub decode: fn(&[u8]) -> Result<A, String>,
+    /// The body's format version. Bump it on any change to the encoding,
+    /// or to what the kind's producer computes for the same inputs: the
+    /// kind's keys fold it and its frames carry it, so files written before
+    /// a bump are never probed again.
+    pub version: u32,
+    /// Appends a value's body.
+    pub encode: fn(&A, &mut Vec<u8>),
+    /// Reads a body; `None` when the bytes are not one.
+    pub decode: fn(&mut Reader<'_>) -> Option<A>,
+}
+
+impl<A> Codec<A> {
+    /// Decodes `body` whole: bytes left over reject it.
+    fn decode_all(&self, body: &[u8]) -> Option<A> {
+        let mut r = Reader::new(body, 0);
+        (self.decode)(&mut r).filter(|_| r.at_end())
+    }
 }
 
 impl Artifact for SimResult {
     const KIND: Kind = Kind::Sim;
+    /// 3: the body lost its magic, version and checksum to the store's
+    /// frame.
     const CODEC: Option<Codec<Self>> = Some(Codec {
-        encode: sim_to_bytes,
-        decode: sim_from_bytes,
+        version: 3,
+        encode: encode_sim,
+        decode: decode_sim,
     });
     fn billed_bytes(&self) -> u64 {
         let loop_bytes = std::mem::size_of::<(u32, LoopSimStats)>() * self.loops.len();
@@ -147,19 +165,20 @@ impl Artifact for SimResult {
 }
 
 /// A long-lived store (the daemon's, an edit-recompile loop's) gains two
-/// units per edit and keeps them, so units are held packed: its memory
+/// units per edit and keeps them, so units are held encoded: its memory
 /// grows by about the encoded size per edit, and each hit decodes one.
 impl Artifact for FuncAnalysisUnit {
     const KIND: Kind = Kind::FuncAnalysis;
+    /// 3: `search_visited` counts the budget-bounded partition search's
+    /// nodes. 4: the body lost its magic, version and checksum to the
+    /// store's frame.
     const CODEC: Option<Codec<Self>> = Some(Codec {
-        encode: FuncAnalysisUnit::to_bytes,
-        decode: FuncAnalysisUnit::from_bytes,
+        version: 4,
+        encode: FuncAnalysisUnit::encode,
+        decode: FuncAnalysisUnit::decode,
     });
-    const PACKED: Option<Codec<Self>> = Some(Codec {
-        encode: FuncAnalysisUnit::to_packed,
-        decode: FuncAnalysisUnit::from_packed,
-    });
-    /// Never billed: the memory tier holds the packed bytes.
+    const HELD_ENCODED: bool = true;
+    /// Never billed: the memory tier holds the encoded bytes.
     fn billed_bytes(&self) -> u64 {
         0
     }
@@ -167,9 +186,13 @@ impl Artifact for FuncAnalysisUnit {
 
 impl Artifact for CompileMemo {
     const KIND: Kind = Kind::Compile;
+    /// 2: reports count the budget-bounded partition search's visited
+    /// nodes. 3: the body lost its magic, version and checksum to the
+    /// store's frame, and report floats are 8-byte bit patterns.
     const CODEC: Option<Codec<Self>> = Some(Codec {
-        encode: CompileMemo::to_bytes,
-        decode: CompileMemo::from_bytes,
+        version: 3,
+        encode: CompileMemo::encode,
+        decode: CompileMemo::decode,
     });
     /// Never billed: the memory tier does not hold compiles.
     fn billed_bytes(&self) -> u64 {
@@ -218,8 +241,13 @@ pub struct KindStats {
 enum Held {
     /// The shared value itself.
     Shared(Arc<dyn Any + Send + Sync>),
-    /// The kind's [`Artifact::PACKED`] bytes.
-    Packed(Box<[u8]>),
+    /// The body its kind's codec writes ([`Artifact::HELD_ENCODED`]).
+    Encoded(Box<[u8]>),
+}
+
+/// The codec a kind's memory-tier values are held in, if any.
+fn held_codec<A: Artifact>() -> Option<Codec<A>> {
+    A::CODEC.filter(|_| A::HELD_ENCODED)
 }
 
 /// One resident value and its accounting.
@@ -279,16 +307,21 @@ impl Disk {
         counter(&self.rows[kind as usize]).fetch_add(1, Ordering::Relaxed);
     }
 
-    fn load<A>(&self, kind: Kind, key: u64, decode: fn(&[u8]) -> Result<A, String>) -> Option<A> {
-        let path = self.path(kind, key);
-        let decoded = match std::fs::read(&path) {
+    /// The value of `A` stored under `key`: its file must hold a frame of
+    /// `A`'s kind and version around a body `codec` decodes whole. A file
+    /// that does not is deleted.
+    fn load<A: Artifact>(&self, key: u64, codec: &Codec<A>) -> Option<A> {
+        let path = self.path(A::KIND, key);
+        let bytes = match std::fs::read(&path) {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
-            read => read
-                .map_err(|e| e.to_string())
-                .and_then(|bytes| decode(&bytes)),
+            read => read.ok(),
         };
-        match decoded {
-            Ok(value) => {
+        let value = bytes
+            .as_deref()
+            .and_then(|frame| unseal(frame, A::KIND.tag(), codec.version))
+            .and_then(|body| codec.decode_all(body));
+        match value {
+            Some(value) => {
                 // Renew the file's lease, so the budget's oldest-mtime order is
                 // least-recently-used, not creation order. A read-only
                 // directory degrades to FIFO eviction.
@@ -296,12 +329,12 @@ impl Disk {
                     .append(true)
                     .open(&path)
                     .and_then(|f| f.set_modified(SystemTime::now()));
-                self.count(kind, |r| &r.hits);
+                self.count(A::KIND, |r| &r.hits);
                 Some(value)
             }
-            Err(_) => {
+            None => {
                 if std::fs::remove_file(&path).is_ok() {
-                    self.count(kind, |r| &r.corrupt_evictions);
+                    self.count(A::KIND, |r| &r.corrupt_evictions);
                 }
                 None
             }
@@ -455,18 +488,22 @@ impl Store {
             }
         }
         let codec = A::CODEC?;
-        let value = Arc::new(self.disk.as_ref()?.load(A::KIND, key, codec.decode)?);
+        let value = Arc::new(self.disk.as_ref()?.load(key, &codec)?);
         if memory {
             self.mem_insert(key, value.clone());
         }
         Some((value, Tier::Disk))
     }
 
-    /// Stores `value` under `key`: on disk for kinds with a codec, and in
+    /// Stores `value` under `key`: on disk for kinds with a codec, framed
+    /// with the body written straight into the frame's buffer, and in
     /// memory unless the kind is disk-only.
     pub fn put<A: Artifact>(&self, key: u64, value: Arc<A>) {
         if let (Some(codec), Some(disk)) = (A::CODEC, &self.disk) {
-            disk.store(A::KIND, key, &(codec.encode)(&value));
+            let frame = seal(A::KIND.tag(), codec.version, |out| {
+                (codec.encode)(&value, out)
+            });
+            disk.store(A::KIND, key, &frame);
         }
         if !A::KIND.disk_only() {
             self.mem_insert(key, value);
@@ -478,10 +515,10 @@ impl Store {
         shard.clock += 1;
         let clock = shard.clock;
         let hit = shard.map.get_mut(&key).and_then(|entry| {
-            let value = match (&entry.value, A::PACKED) {
+            let value = match (&entry.value, held_codec::<A>()) {
                 (Held::Shared(value), _) => value.clone().downcast::<A>().ok()?,
-                (Held::Packed(bytes), Some(packed)) if entry.kind == A::KIND => {
-                    Arc::new((packed.decode)(bytes).ok()?)
+                (Held::Encoded(body), Some(codec)) if entry.kind == A::KIND => {
+                    Arc::new(codec.decode_all(body)?)
                 }
                 _ => return None,
             };
@@ -501,11 +538,12 @@ impl Store {
     /// until the shard fits. Re-inserting a key replaces its value (keys are
     /// content addresses, so only the accounting can differ).
     fn mem_insert<A: Artifact>(&self, key: u64, value: Arc<A>) {
-        let (value, bytes) = match A::PACKED {
-            Some(packed) => {
-                let bytes = (packed.encode)(&value).into_boxed_slice();
-                let len = bytes.len() as u64;
-                (Held::Packed(bytes), len)
+        let (value, bytes) = match held_codec::<A>() {
+            Some(codec) => {
+                let mut body = Vec::new();
+                (codec.encode)(&value, &mut body);
+                let len = body.len() as u64;
+                (Held::Encoded(body.into_boxed_slice()), len)
             }
             None => {
                 let bytes = value.billed_bytes();
@@ -581,13 +619,20 @@ impl Store {
     }
 }
 
-/// A hasher that has folded `kind`'s tag and `version`: the start of every
-/// key.
-fn key_hasher(kind: Kind, version: u32) -> Fnv {
+/// A hasher that has folded `kind`'s tag and, for a kind that persists,
+/// its format `version`: the start of every key.
+fn kind_hasher(kind: Kind, version: Option<u32>) -> Fnv {
     let mut h = Fnv::new();
     h.update(kind.tag().as_bytes());
-    h.update_u64(version as u64);
+    if let Some(version) = version {
+        h.update_u64(version as u64);
+    }
     h
+}
+
+/// [`kind_hasher`] of `A`, with its codec's version.
+fn key_hasher<A: Artifact>() -> Fnv {
+    kind_hasher(A::KIND, A::CODEC.map(|codec| codec.version))
 }
 
 /// Key of a [`SimResult`] memo: the simulated module's content hash, the
@@ -595,7 +640,7 @@ fn key_hasher(kind: Kind, version: u32) -> Fnv {
 /// canonical `Debug` rendering, so any parameter change — future fields
 /// included — changes the key.
 pub fn sim_key(module_hash: u64, entry: &str, args: &[i64], machine: &MachineConfig) -> u64 {
-    let mut h = key_hasher(Kind::Sim, SIM_FORMAT_VERSION);
+    let mut h = key_hasher::<SimResult>();
     h.update_u64(module_hash);
     h.update(entry.as_bytes());
     h.update_u64(args.len() as u64);
@@ -612,7 +657,7 @@ pub fn sim_key(module_hash: u64, entry: &str, args: &[i64], machine: &MachineCon
 /// everything else the analysis reads
 /// ([`crate::incremental::ModuleContext::func_context_hash`]).
 pub fn func_unit_key(function_hash: u64, func_index: u64, context_hash: u64) -> u64 {
-    let mut h = key_hasher(Kind::FuncAnalysis, FUNC_UNIT_FORMAT_VERSION);
+    let mut h = key_hasher::<FuncAnalysisUnit>();
     h.update_u64(function_hash);
     h.update_u64(func_index);
     h.update_u64(context_hash);
@@ -620,8 +665,8 @@ pub fn func_unit_key(function_hash: u64, func_index: u64, context_hash: u64) -> 
 }
 
 /// Key of a whole compile ([`Kind::Compile`]): the input module's content
-/// hash, the profiling input (entry, arguments and initial-memory image,
-/// through their canonical `Debug` rendering, streamed), the
+/// hash, the profiling input (entry and arguments, through their canonical
+/// `Debug` rendering, streamed), the
 /// configuration's [`crate::incremental::config_context_hash`] and the
 /// interpreter's call-depth limit — everything a compile reads.
 pub fn compile_key(
@@ -630,7 +675,7 @@ pub fn compile_key(
     config_hash: u64,
     max_depth: usize,
 ) -> u64 {
-    let mut h = key_hasher(Kind::Compile, COMPILE_FORMAT_VERSION);
+    let mut h = key_hasher::<CompileMemo>();
     h.update_u64(module_hash);
     fold_debug(&mut h, input);
     h.update_u64(config_hash);
@@ -640,9 +685,10 @@ pub fn compile_key(
 
 /// Key of the daemon's compiled unit: the compile request itself — source
 /// text, configuration id, entry and training input — so a warm request
-/// costs one pass over its source and no IR hashing.
+/// costs one pass over its source and no IR hashing. The kind never
+/// outlives the process, so its keys fold no format version.
 pub fn unit_key(source: &str, config_id: u8, entry: &str, train: i64) -> u64 {
-    let mut h = key_hasher(Kind::Unit, MEMORY_ONLY_FORMAT_VERSION);
+    let mut h = kind_hasher(Kind::Unit, None);
     h.update_u64(source.len() as u64);
     h.update(source.as_bytes());
     h.update(&[config_id]);
@@ -655,7 +701,7 @@ pub fn unit_key(source: &str, config_id: u8, entry: &str, train: i64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spt_trace::LoopFragment;
+    use spt_trace::{sim_to_bytes, LoopFragment};
     use std::path::Path;
 
     /// A test value of kind `Unit` billed at its payload.
@@ -705,6 +751,25 @@ mod tests {
             cache_hit_rate: 0.987654321,
             branch_miss_rate: 0.0123456789,
         })
+    }
+
+    fn sample_unit() -> FuncAnalysisUnit {
+        FuncAnalysisUnit {
+            fragments: vec![LoopFragment {
+                header: 2,
+                canonical: true,
+                cost_bits: 1.25f64.to_bits(),
+                move_insts: vec![0, 3],
+                ..Default::default()
+            }],
+        }
+    }
+
+    /// The body `A`'s codec writes for `value`.
+    fn body<A: Artifact>(value: &A) -> Vec<u8> {
+        let mut out = Vec::new();
+        (A::CODEC.expect("a persisted kind").encode)(value, &mut out);
+        out
     }
 
     fn sim_path(dir: &Path, key: u64) -> PathBuf {
@@ -805,15 +870,7 @@ mod tests {
     #[test]
     fn disk_hits_are_promoted_into_memory() {
         let dir = temp_dir("funcunit");
-        let unit = Arc::new(FuncAnalysisUnit {
-            fragments: vec![LoopFragment {
-                header: 2,
-                canonical: true,
-                cost_bits: 1.25f64.to_bits(),
-                move_insts: vec![0, 3],
-                ..Default::default()
-            }],
-        });
+        let unit = Arc::new(sample_unit());
         let key = func_unit_key(0xabcd, 1, 0x1234);
         let warm = Store::new(1 << 20, 2, Some(dir.clone()), None);
         assert!(warm.get::<FuncAnalysisUnit>(key).is_none());
@@ -843,7 +900,7 @@ mod tests {
         let store = Store::in_memory(1 << 20, 2);
         store.put(9, Arc::new(unit.clone()));
         let s = store.stats(Kind::FuncAnalysis);
-        assert_eq!((s.entries, s.bytes), (1, unit.to_packed().len() as u64));
+        assert_eq!((s.entries, s.bytes), (1, body(&unit).len() as u64));
         for _ in 0..2 {
             let (got, tier) = store.get::<FuncAnalysisUnit>(9).expect("held");
             assert_eq!((&*got, tier), (&unit, Tier::Memory));
@@ -941,7 +998,9 @@ mod tests {
     fn disk_budget_evicts_least_recently_used_first() {
         let dir = temp_dir("budget");
         let r = sample_sim();
-        let one = sim_to_bytes(&r).len() as u64;
+        disk_only(&dir, None).put(0, r.clone());
+        let one = std::fs::metadata(sim_path(&dir, 0)).unwrap().len();
+        std::fs::remove_file(sim_path(&dir, 0)).unwrap();
         let budget = one * 2 + one / 2; // room for two memos
         let store = disk_only(&dir, Some(budget));
         let tick = || std::thread::sleep(std::time::Duration::from_millis(20));
@@ -1011,14 +1070,81 @@ mod tests {
         }
     }
 
-    /// The format version each kind's keys fold.
-    fn version(kind: Kind) -> u32 {
+    /// The format version of each persisted kind.
+    fn version(kind: Kind) -> Option<u32> {
         match kind {
-            Kind::Unit => MEMORY_ONLY_FORMAT_VERSION,
-            Kind::Sim => SIM_FORMAT_VERSION,
-            Kind::FuncAnalysis => FUNC_UNIT_FORMAT_VERSION,
-            Kind::Compile => COMPILE_FORMAT_VERSION,
+            Kind::Unit => None,
+            Kind::Sim => SimResult::CODEC.map(|c| c.version),
+            Kind::FuncAnalysis => FuncAnalysisUnit::CODEC.map(|c| c.version),
+            Kind::Compile => CompileMemo::CODEC.map(|c| c.version),
         }
+    }
+
+    /// The persisted kinds.
+    const PERSISTED: [Kind; 3] = [Kind::Sim, Kind::FuncAnalysis, Kind::Compile];
+
+    /// Whether `store` serves `key` as `kind`'s value.
+    fn hit(store: &Store, kind: Kind, key: u64) -> bool {
+        match kind {
+            Kind::Sim => store.get::<SimResult>(key).is_some(),
+            Kind::FuncAnalysis => store.get::<FuncAnalysisUnit>(key).is_some(),
+            Kind::Compile => store.get::<CompileMemo>(key).is_some(),
+            Kind::Unit => unreachable!("memory-only"),
+        }
+    }
+
+    /// For each persisted kind, a file with any byte flipped, cut short,
+    /// holding another kind's sound frame, or carrying the kind's previous
+    /// version reads as a miss and is evicted, and a re-store writes the
+    /// original bytes back.
+    #[test]
+    fn every_persisted_kind_evicts_damaged_foreign_and_stale_frames() {
+        let dir = temp_dir("frames");
+        let store = disk_only(&dir, None);
+        let key = 0x5eed;
+        let path = |kind: Kind| dir.join(format!("{}-{key:016x}.bin", kind.tag()));
+        let put = |kind: Kind| match kind {
+            Kind::Sim => store.put(key, sample_sim()),
+            Kind::FuncAnalysis => store.put(key, Arc::new(sample_unit())),
+            Kind::Compile => store.put(key, sample_compile()),
+            Kind::Unit => unreachable!("memory-only"),
+        };
+        for kind in PERSISTED {
+            put(kind);
+            let good = std::fs::read(path(kind)).unwrap();
+            let version = version(kind).unwrap();
+            let mut bad: Vec<Vec<u8>> = (0..good.len())
+                .map(|i| {
+                    let mut flipped = good.clone();
+                    flipped[i] ^= 1 << (i % 8);
+                    flipped
+                })
+                .collect();
+            bad.extend((0..good.len()).map(|cut| good[..cut].to_vec()));
+            let body = unseal(&good, kind.tag(), version).expect("a sound frame");
+            bad.push(seal(kind.tag(), version - 1, |out| {
+                out.extend_from_slice(body)
+            }));
+            for other in PERSISTED.into_iter().filter(|&k| k != kind) {
+                put(other);
+                bad.push(std::fs::read(path(other)).unwrap());
+                std::fs::remove_file(path(other)).unwrap();
+            }
+            for (n, bytes) in bad.iter().enumerate() {
+                std::fs::write(path(kind), bytes).unwrap();
+                assert!(!hit(&store, kind, key), "{kind:?}: bad file {n} was served");
+                assert!(!path(kind).exists(), "{kind:?}: bad file {n} was kept");
+                put(kind);
+                assert_eq!(std::fs::read(path(kind)).unwrap(), good, "{kind:?}");
+            }
+            let s = store.stats(kind);
+            assert_eq!(
+                (s.disk_hits, s.disk_corrupt_evictions),
+                (0, bad.len() as u64)
+            );
+            assert!(hit(&store, kind, key), "{kind:?}: the re-store is unsound");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1037,10 +1163,6 @@ mod tests {
             ],
             {
                 let input = |entry: &str, arg: i64| ProfilingInput::new(entry, [arg]);
-                let mut preset = input("main", 5);
-                preset.memory = Some(vec![0; 4]);
-                let mut other_preset = input("main", 5);
-                other_preset.memory = Some(vec![0, 0, 1, 0]);
                 let key = |input: &ProfilingInput| compile_key(1, input, 100, 256);
                 vec![
                     key(&input("main", 5)),
@@ -1048,8 +1170,6 @@ mod tests {
                     key(&input("other", 5)),
                     key(&input("main", 6)),
                     key(&ProfilingInput::new("main", [5, 0])),
-                    key(&preset),
-                    key(&other_preset),
                     compile_key(1, &input("main", 5), 101, 256),
                     compile_key(1, &input("main", 5), 100, 255),
                 ]
@@ -1066,11 +1186,14 @@ mod tests {
             ],
             // Every kind tag and format version starts from its own state,
             // so a store written before a format bump serves nothing after.
-            Kind::ALL
-                .map(|k| key_hasher(k, version(k)).finish())
-                .to_vec(),
-            Kind::ALL
-                .map(|k| key_hasher(k, version(k) - 1).finish())
+            vec![
+                kind_hasher(Kind::Unit, None).finish(),
+                key_hasher::<SimResult>().finish(),
+                key_hasher::<FuncAnalysisUnit>().finish(),
+                key_hasher::<CompileMemo>().finish(),
+            ],
+            PERSISTED
+                .map(|k| kind_hasher(k, version(k).map(|v| v - 1)).finish())
                 .to_vec(),
         ];
         let mut all: Vec<u64> = groups.concat();

@@ -88,21 +88,6 @@ impl OracleKind {
             OracleKind::SearchDivergence => "search-divergence",
         }
     }
-
-    /// The inverse of [`label`](OracleKind::label), for repro headers.
-    pub fn from_label(s: &str) -> Option<OracleKind> {
-        [
-            OracleKind::EscapedPanic,
-            OracleKind::CleanFailure,
-            OracleKind::Semantics,
-            OracleKind::EngineDivergence,
-            OracleKind::CacheDivergence,
-            OracleKind::ThreadDivergence,
-            OracleKind::SearchDivergence,
-        ]
-        .into_iter()
-        .find(|k| k.label() == s)
-    }
 }
 
 /// One oracle violation.

@@ -97,11 +97,6 @@ impl FuncBuilder {
         self.current = block;
     }
 
-    /// The block currently being appended to.
-    pub fn current_block(&self) -> BlockId {
-        self.current
-    }
-
     /// The entry block.
     pub fn entry(&self) -> BlockId {
         self.func.entry

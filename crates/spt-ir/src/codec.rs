@@ -10,9 +10,14 @@
 //! [`Function::content_hash`] and [`Module::content_hash`] hash them with
 //! [`word_hash`].
 //!
-//! Integers are LEB128 varints ([`put_varint`]), signed ones zigzag-mapped
-//! first ([`zigzag`]); enums are one tag byte. The encoding carries no
-//! magic, version or checksum: the formats that store it frame it.
+//! It is also the one byte format of the workspace: every stored artifact
+//! body and every wire payload is written with the `put_*` functions here
+//! and read back through one [`Reader`]. Integers are LEB128 varints
+//! ([`put_varint`]), signed ones zigzag-mapped first ([`zigzag`]); floats
+//! are their 8-byte bit patterns ([`put_f64`]); strings and byte strings
+//! carry a varint length; enums are one tag byte. No encoding carries a
+//! magic, version or checksum: the artifact store and the daemon's
+//! protocol frame what they send.
 
 use crate::ids::{BlockId, FuncId, InstId, RegionId, VarId};
 use crate::inst::{Inst, InstKind, Operand};
@@ -47,7 +52,7 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 /// Decode one LEB128 varint from `buf` starting at `*pos`, advancing `*pos`.
 /// Returns `None` on truncation or a varint longer than 10 bytes.
 #[inline]
-pub fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
+fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
@@ -106,11 +111,24 @@ impl<'a> Reader<'a> {
         Reader { buf, pos }
     }
 
+    /// Whether every byte has been read.
+    pub fn at_end(&self) -> bool {
+        self.pos >= self.buf.len()
+    }
+
     /// One byte.
     pub fn byte(&mut self) -> Option<u8> {
         let b = *self.buf.get(self.pos)?;
         self.pos += 1;
         Some(b)
+    }
+
+    /// The next `n` bytes, raw.
+    pub fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+        let end = self.pos.checked_add(n)?;
+        let bytes = self.buf.get(self.pos..end)?;
+        self.pos = end;
+        Some(bytes)
     }
 
     /// One varint.
@@ -124,11 +142,38 @@ impl<'a> Reader<'a> {
         u32::try_from(self.varint()?).ok()
     }
 
-    /// A varint used as an element count: at most one element per
-    /// remaining byte, so a damaged count cannot demand a huge allocation.
+    /// A varint that fits a `usize`.
+    pub fn usize(&mut self) -> Option<usize> {
+        usize::try_from(self.varint()?).ok()
+    }
+
+    /// An optional `u32` ([`put_opt_u32`]).
+    pub fn opt_u32(&mut self) -> Option<Option<u32>> {
+        match self.byte()? {
+            0 => Some(None),
+            1 => Some(Some(self.u32()?)),
+            _ => None,
+        }
+    }
+
+    /// An `f64` by its bit pattern ([`put_f64`]).
+    pub fn f64(&mut self) -> Option<f64> {
+        let raw = self.bytes(8)?.try_into().ok()?;
+        Some(f64::from_bits(u64::from_le_bytes(raw)))
+    }
+
+    /// A varint used as a count of elements whose smallest encoding is
+    /// `min_len` bytes: at most as many as the remaining bytes could hold,
+    /// so a damaged count cannot demand a huge allocation.
+    pub fn count_of(&mut self, min_len: usize) -> Option<usize> {
+        let n = self.usize()?;
+        let left = self.buf.len().saturating_sub(self.pos);
+        (n <= left / min_len.max(1)).then_some(n)
+    }
+
+    /// A count of elements of at least one byte each ([`Reader::count_of`]).
     pub fn count(&mut self) -> Option<usize> {
-        let n = usize::try_from(self.varint()?).ok()?;
-        (n <= self.buf.len() - self.pos).then_some(n)
+        self.count_of(1)
     }
 
     /// A boolean byte (0 or 1).
@@ -143,16 +188,64 @@ impl<'a> Reader<'a> {
     /// A length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Option<String> {
         let n = self.count()?;
-        let bytes = self.buf.get(self.pos..self.pos + n)?;
-        self.pos += n;
-        String::from_utf8(bytes.to_vec()).ok()
+        String::from_utf8(self.bytes(n)?.to_vec()).ok()
     }
+
+    /// `n` varints, as a bulk payload (a memory image) is read: one loop
+    /// over a byte iterator, with no bounds check or position store per
+    /// byte. The capacity is capped by the bytes left, since every varint
+    /// takes at least one.
+    pub fn varints(&mut self, n: usize) -> Option<Vec<u64>> {
+        let mut bytes = self.buf.get(self.pos..)?.iter();
+        let start = bytes.len();
+        let mut out = Vec::with_capacity(n.min(start));
+        for _ in 0..n {
+            let mut v = 0u64;
+            let mut shift = 0u32;
+            loop {
+                let b = *bytes.next()?;
+                v |= u64::from(b & 0x7f) << shift;
+                if b < 0x80 {
+                    break;
+                }
+                shift += 7;
+                if shift >= 64 {
+                    return None;
+                }
+            }
+            out.push(v);
+        }
+        self.pos += start - bytes.len();
+        Some(out)
+    }
+}
+
+/// Appends a length-prefixed byte string.
+pub fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+    put_varint(out, b.len() as u64);
+    out.extend_from_slice(b);
 }
 
 /// Appends a length-prefixed string.
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
+    put_bytes(out, s.as_bytes());
+}
+
+/// Appends `v`'s bit pattern as 8 little-endian bytes, so every float
+/// round-trips exactly.
+pub fn put_f64(out: &mut Vec<u8>, v: f64) {
+    out.extend_from_slice(&v.to_bits().to_le_bytes());
+}
+
+/// Appends an optional `u32`: a 0/1 tag byte, then the value's varint.
+pub fn put_opt_u32(out: &mut Vec<u8>, v: Option<u32>) {
+    match v {
+        None => out.push(0),
+        Some(v) => {
+            out.push(1);
+            put_varint(out, v as u64);
+        }
+    }
 }
 
 // Operator tags are declaration-order discriminants (`op as u8`); these
@@ -355,9 +448,7 @@ fn put_kind(out: &mut Vec<u8>, kind: &InstKind) {
 
 fn get_kind(r: &mut Reader<'_>) -> Option<InstKind> {
     Some(match r.byte()? {
-        0 => InstKind::Param {
-            index: usize::try_from(r.varint()?).ok()?,
-        },
+        0 => InstKind::Param { index: r.usize()? },
         1 => InstKind::Binary {
             op: *BIN_OPS.get(r.byte()? as usize)?,
             lhs: get_operand(r)?,
@@ -494,7 +585,7 @@ fn decode_function(r: &mut Reader<'_>) -> Option<Function> {
         insts,
         blocks,
         entry: BlockId(r.u32()?),
-        num_vars: usize::try_from(r.varint()?).ok()?,
+        num_vars: r.usize()?,
     })
 }
 
@@ -523,7 +614,7 @@ fn decode_globals(r: &mut Reader<'_>) -> Option<Vec<Global>> {
     let mut globals = Vec::with_capacity(n);
     for _ in 0..n {
         let name = r.str()?;
-        let size = usize::try_from(r.varint()?).ok()?;
+        let size = r.usize()?;
         let elem_ty = get_ty(r)?;
         let init = match r.byte()? {
             0 => None,
@@ -614,6 +705,54 @@ mod tests {
         buf.pop();
         let mut pos = 0;
         assert_eq!(get_varint(&buf, &mut pos), None);
+    }
+
+    #[test]
+    fn reader_reads_what_the_put_functions_write() {
+        let mut buf = Vec::new();
+        put_f64(&mut buf, -0.0);
+        put_f64(&mut buf, f64::from_bits(f64::NAN.to_bits() | 1));
+        put_opt_u32(&mut buf, None);
+        put_opt_u32(&mut buf, Some(u32::MAX));
+        put_bytes(&mut buf, &[7, 0, 255]);
+        put_str(&mut buf, "é");
+        let mut r = Reader::new(&buf, 0);
+        assert_eq!(r.f64().map(f64::to_bits), Some((-0.0f64).to_bits()));
+        assert_eq!(r.f64().map(f64::to_bits), Some(f64::NAN.to_bits() | 1));
+        assert_eq!(r.opt_u32(), Some(None));
+        assert_eq!(r.opt_u32(), Some(Some(u32::MAX)));
+        let n = r.count().expect("a count");
+        assert_eq!(r.bytes(n), Some(&[7, 0, 255][..]));
+        assert_eq!(r.str().as_deref(), Some("é"));
+        assert!(r.at_end());
+        for cut in 0..buf.len() {
+            let mut r = Reader::new(&buf[..cut], 0);
+            let whole = (|| {
+                r.f64()?;
+                r.f64()?;
+                r.opt_u32()?;
+                r.opt_u32()?;
+                let n = r.count()?;
+                r.bytes(n)?;
+                r.str()
+            })();
+            assert!(whole.is_none(), "cut {cut}");
+        }
+        assert_eq!(Reader::new(&[2], 0).opt_u32(), None, "bad option tag");
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_bytes_left() {
+        // Three bytes after the count hold at most three one-byte
+        // elements, or one element of three bytes.
+        assert_eq!(Reader::new(&[3, 0, 0, 0], 0).count(), Some(3));
+        assert_eq!(Reader::new(&[4, 0, 0, 0], 0).count(), None);
+        assert_eq!(Reader::new(&[1, 0, 0, 0], 0).count_of(3), Some(1));
+        assert_eq!(Reader::new(&[2, 0, 0, 0], 0).count_of(3), None);
+        assert_eq!(Reader::new(&[1, 0, 0, 0], 0).count_of(4), None);
+        let mut huge = Vec::new();
+        put_varint(&mut huge, u64::MAX);
+        assert_eq!(Reader::new(&huge, 0).count(), None);
     }
 
     #[test]

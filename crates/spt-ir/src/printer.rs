@@ -1,6 +1,6 @@
 //! Textual IR printer for debugging and golden tests.
 
-use crate::inst::{InstKind, Operand};
+use crate::inst::InstKind;
 use crate::module::{Function, Module};
 use std::fmt::Write as _;
 
@@ -108,16 +108,11 @@ pub fn print_module(module: &Module) -> String {
     out
 }
 
-/// Renders one operand (mirrors its `Display`); exposed for diagnostics in
-/// other crates.
-pub fn operand_str(op: Operand) -> String {
-    op.to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::FuncBuilder;
+    use crate::inst::Operand;
     use crate::ops::BinOp;
     use crate::types::Ty;
 

@@ -50,15 +50,6 @@ impl LoopStats {
             self.insts as f64 / self.total_iters as f64
         }
     }
-
-    /// Average dynamic body size in cycles per iteration.
-    pub fn body_cycles_per_iter(&self) -> f64 {
-        if self.total_iters == 0 {
-            0.0
-        } else {
-            self.cycles as f64 / self.total_iters as f64
-        }
-    }
 }
 
 /// Loop statistics for a whole run. Cycles spent in callees are attributed

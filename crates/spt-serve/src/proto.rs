@@ -4,11 +4,11 @@
 //! little-endian payload length followed by the payload. Frames are
 //! independent — a client may pipeline several requests and the daemon may
 //! answer them out of order, so every request carries a caller-chosen `id`
-//! that its response echoes. Payloads reuse the artifact store's codec
-//! primitives ([`spt_trace::codec`]): LEB128 varints, zigzag for signed values,
-//! varint-length-prefixed UTF-8 strings and byte blobs; `f64`s travel as
-//! their fixed 8-byte little-endian bit patterns so timings round-trip
-//! exactly.
+//! that its response echoes. Payloads are written in the workspace's one
+//! byte format, `spt_ir::codec` (LEB128 varints, zigzag for signed values,
+//! varint-length-prefixed UTF-8 strings and byte strings, `f64`s as their
+//! 8-byte bit patterns so timings round-trip exactly), and read through its
+//! `Reader`.
 //!
 //! The protocol is deliberately tiny — five request kinds (`Ping`,
 //! `Compile`, `Sim`, `Stats`, `Shutdown`) — and versioned
@@ -20,8 +20,8 @@
 use std::io::{self, Read, Write};
 
 use spt_core::StageTimings;
+use spt_ir::codec::{put_bytes, put_f64, put_str, put_varint, unzigzag, zigzag, Reader};
 use spt_sim::{CacheConfig, MachineConfig};
-use spt_trace::codec::{get_varint, put_varint, unzigzag, zigzag};
 
 /// Bumped on any incompatible change to the frame payloads.
 /// v2: [`StageTimings`] gained the function-granular incremental-compile
@@ -35,7 +35,9 @@ use spt_trace::codec::{get_varint, put_varint, unzigzag, zigzag};
 /// v6: the stored-profile counters gave way to the whole-compile memo's
 /// (`compile_hits`, `compile_misses`), and the sim replies' encoding
 /// carries the store's word-wise checksum.
-pub const PROTO_VERSION: u8 = 6;
+/// v7: the sim replies carry the bare `SimResult` body, with no magic,
+/// version or checksum: the versioned frame carries them.
+pub const PROTO_VERSION: u8 = 7;
 
 /// Upper bound on a single frame's payload. Large enough for any report +
 /// module text + simulation memo this repo produces (the biggest corpus
@@ -45,13 +47,6 @@ pub const MAX_FRAME: usize = 64 << 20;
 
 /// Smallest encoding of a stats entry: an empty name and a one-byte value.
 const MIN_STATS_ENTRY: usize = 2;
-
-/// Capacity to reserve for `n` claimed items of at least `min` bytes each,
-/// given the `left` payload bytes that must encode them: a corrupt count
-/// can reserve no more items than the frame could hold.
-fn bounded(n: usize, left: usize, min: usize) -> usize {
-    n.min(left / min)
-}
 
 /// A client request: caller-chosen correlation id plus the operation.
 #[derive(Clone, Debug, PartialEq)]
@@ -172,9 +167,10 @@ pub struct SimResp {
     pub report_debug: String,
     /// Timings of the compile that produced (or cached) the unit.
     pub timings: StageTimings,
-    /// Baseline simulation, `spt_trace::sim_to_bytes` encoded.
+    /// Baseline simulation, `spt_trace::sim_to_bytes` encoded (the bare
+    /// body; `spt_trace::sim_from_bytes` decodes it).
     pub baseline: Vec<u8>,
-    /// SPT simulation, `spt_trace::sim_to_bytes` encoded.
+    /// SPT simulation, encoded the same way.
     pub spt: Vec<u8>,
     /// True when both simulation results were in-memory hits.
     pub served_from_memory: bool,
@@ -237,57 +233,11 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 }
 
 // ---------------------------------------------------------------------------
-// Payload primitives
+// Payload fields
 
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    put_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn get_string(buf: &[u8], pos: &mut usize) -> Result<String, String> {
-    let bytes = get_bytes(buf, pos)?;
-    String::from_utf8(bytes).map_err(|_| "invalid utf-8 in string field".to_string())
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_varint(out, b.len() as u64);
-    out.extend_from_slice(b);
-}
-
-fn get_bytes(buf: &[u8], pos: &mut usize) -> Result<Vec<u8>, String> {
-    let len = need(buf, pos)? as usize;
-    let end = pos
-        .checked_add(len)
-        .filter(|&e| e <= buf.len())
-        .ok_or("truncated byte field")?;
-    let out = buf[*pos..end].to_vec();
-    *pos = end;
-    Ok(out)
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn get_f64(buf: &[u8], pos: &mut usize) -> Result<f64, String> {
-    let end = pos
-        .checked_add(8)
-        .filter(|&e| e <= buf.len())
-        .ok_or("truncated f64")?;
-    let mut raw = [0u8; 8];
-    raw.copy_from_slice(&buf[*pos..end]);
-    *pos = end;
-    Ok(f64::from_bits(u64::from_le_bytes(raw)))
-}
-
-fn need(buf: &[u8], pos: &mut usize) -> Result<u64, String> {
-    get_varint(buf, pos).ok_or_else(|| "truncated varint".to_string())
-}
-
-fn get_u8(buf: &[u8], pos: &mut usize) -> Result<u8, String> {
-    let b = *buf.get(*pos).ok_or("truncated byte")?;
-    *pos += 1;
-    Ok(b)
+fn get_blob(r: &mut Reader<'_>) -> Option<Vec<u8>> {
+    let n = r.count()?;
+    Some(r.bytes(n)?.to_vec())
 }
 
 fn put_machine(out: &mut Vec<u8>, m: &MachineConfig) {
@@ -309,25 +259,25 @@ fn put_machine(out: &mut Vec<u8>, m: &MachineConfig) {
     put_varint(out, m.cache.memory_latency);
 }
 
-fn get_machine(buf: &[u8], pos: &mut usize) -> Result<MachineConfig, String> {
-    Ok(MachineConfig {
-        fork_overhead: need(buf, pos)?,
-        commit_overhead: need(buf, pos)?,
-        branch_mispredict_penalty: need(buf, pos)?,
-        max_spec_ops: need(buf, pos)? as usize,
-        spec_buffer_entries: need(buf, pos)? as usize,
-        fuel: need(buf, pos)?,
-        max_depth: need(buf, pos)? as usize,
+fn get_machine(r: &mut Reader<'_>) -> Option<MachineConfig> {
+    Some(MachineConfig {
+        fork_overhead: r.varint()?,
+        commit_overhead: r.varint()?,
+        branch_mispredict_penalty: r.varint()?,
+        max_spec_ops: r.usize()?,
+        spec_buffer_entries: r.usize()?,
+        fuel: r.varint()?,
+        max_depth: r.usize()?,
         cache: CacheConfig {
-            l1_line_cells: need(buf, pos)? as usize,
-            l1_sets: need(buf, pos)? as usize,
-            l1_ways: need(buf, pos)? as usize,
-            l1_latency: need(buf, pos)?,
-            l2_line_cells: need(buf, pos)? as usize,
-            l2_sets: need(buf, pos)? as usize,
-            l2_ways: need(buf, pos)? as usize,
-            l2_latency: need(buf, pos)?,
-            memory_latency: need(buf, pos)?,
+            l1_line_cells: r.usize()?,
+            l1_sets: r.usize()?,
+            l1_ways: r.usize()?,
+            l1_latency: r.varint()?,
+            l2_line_cells: r.usize()?,
+            l2_sets: r.usize()?,
+            l2_ways: r.usize()?,
+            l2_latency: r.varint()?,
+            memory_latency: r.varint()?,
         },
     })
 }
@@ -346,56 +296,56 @@ fn put_timings(out: &mut Vec<u8>, t: &StageTimings) {
     put_varint(out, t.compile_misses);
 }
 
-fn get_timings(buf: &[u8], pos: &mut usize) -> Result<StageTimings, String> {
-    Ok(StageTimings {
-        preprocess_s: get_f64(buf, pos)?,
-        profile_s: get_f64(buf, pos)?,
-        analysis_s: get_f64(buf, pos)?,
-        svp_s: get_f64(buf, pos)?,
-        select_emit_s: get_f64(buf, pos)?,
-        search_visited: need(buf, pos)?,
-        func_units_total: need(buf, pos)?,
-        func_analysis_hits: need(buf, pos)?,
-        func_analysis_misses: need(buf, pos)?,
-        compile_hits: need(buf, pos)?,
-        compile_misses: need(buf, pos)?,
+fn get_timings(r: &mut Reader<'_>) -> Option<StageTimings> {
+    Some(StageTimings {
+        preprocess_s: r.f64()?,
+        profile_s: r.f64()?,
+        analysis_s: r.f64()?,
+        svp_s: r.f64()?,
+        select_emit_s: r.f64()?,
+        search_visited: r.varint()?,
+        func_units_total: r.varint()?,
+        func_analysis_hits: r.varint()?,
+        func_analysis_misses: r.varint()?,
+        compile_hits: r.varint()?,
+        compile_misses: r.varint()?,
         ..StageTimings::default()
     })
 }
 
 fn put_compile_req(out: &mut Vec<u8>, c: &CompileReq) {
-    put_string(out, &c.source);
-    put_string(out, &c.entry);
+    put_str(out, &c.source);
+    put_str(out, &c.entry);
     put_varint(out, zigzag(c.train));
     out.push(c.config_id);
     out.push(c.want_module_text as u8);
 }
 
-fn get_compile_req(buf: &[u8], pos: &mut usize) -> Result<CompileReq, String> {
-    Ok(CompileReq {
-        source: get_string(buf, pos)?,
-        entry: get_string(buf, pos)?,
-        train: unzigzag(need(buf, pos)?),
-        config_id: get_u8(buf, pos)?,
-        want_module_text: get_u8(buf, pos)? != 0,
+fn get_compile_req(r: &mut Reader<'_>) -> Option<CompileReq> {
+    Some(CompileReq {
+        source: r.str()?,
+        entry: r.str()?,
+        train: unzigzag(r.varint()?),
+        config_id: r.byte()?,
+        want_module_text: r.byte()? != 0,
     })
 }
 
 fn put_compile_resp(out: &mut Vec<u8>, c: &CompileResp) {
-    put_string(out, &c.report_debug);
-    put_string(out, &c.analyze_text);
-    put_string(out, &c.module_text);
+    put_str(out, &c.report_debug);
+    put_str(out, &c.analyze_text);
+    put_str(out, &c.module_text);
     put_timings(out, &c.timings);
     out.push(c.served_from_memory as u8);
 }
 
-fn get_compile_resp(buf: &[u8], pos: &mut usize) -> Result<CompileResp, String> {
-    Ok(CompileResp {
-        report_debug: get_string(buf, pos)?,
-        analyze_text: get_string(buf, pos)?,
-        module_text: get_string(buf, pos)?,
-        timings: get_timings(buf, pos)?,
-        served_from_memory: get_u8(buf, pos)? != 0,
+fn get_compile_resp(r: &mut Reader<'_>) -> Option<CompileResp> {
+    Some(CompileResp {
+        report_debug: r.str()?,
+        analyze_text: r.str()?,
+        module_text: r.str()?,
+        timings: get_timings(r)?,
+        served_from_memory: r.byte()? != 0,
     })
 }
 
@@ -414,8 +364,8 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         }
         ReqBody::Sim(s) => {
             out.push(KIND_SIM);
-            put_string(&mut out, &s.source);
-            put_string(&mut out, &s.entry);
+            put_str(&mut out, &s.source);
+            put_str(&mut out, &s.entry);
             put_varint(&mut out, zigzag(s.train));
             put_varint(&mut out, zigzag(s.arg));
             out.push(s.config_id);
@@ -428,28 +378,36 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 }
 
 /// Parses a frame payload into a [`Request`].
+///
+/// # Errors
+///
+/// Another protocol version, a malformed payload, or trailing bytes.
 pub fn decode_request(buf: &[u8]) -> Result<Request, String> {
-    let mut pos = 0;
-    check_version(buf, &mut pos)?;
-    let id = need(buf, &mut pos)?;
-    let kind = get_u8(buf, &mut pos)?;
-    let body = match kind {
+    let mut r = Reader::new(buf, 0);
+    check_version(&mut r)?;
+    let req = get_request(&mut r).ok_or("malformed request payload")?;
+    expect_end(&r, buf.len(), "request")?;
+    Ok(req)
+}
+
+fn get_request(r: &mut Reader<'_>) -> Option<Request> {
+    let id = r.varint()?;
+    let body = match r.byte()? {
         KIND_PING => ReqBody::Ping,
-        KIND_COMPILE => ReqBody::Compile(get_compile_req(buf, &mut pos)?),
+        KIND_COMPILE => ReqBody::Compile(get_compile_req(r)?),
         KIND_SIM => ReqBody::Sim(SimReq {
-            source: get_string(buf, &mut pos)?,
-            entry: get_string(buf, &mut pos)?,
-            train: unzigzag(need(buf, &mut pos)?),
-            arg: unzigzag(need(buf, &mut pos)?),
-            config_id: get_u8(buf, &mut pos)?,
-            machine: get_machine(buf, &mut pos)?,
+            source: r.str()?,
+            entry: r.str()?,
+            train: unzigzag(r.varint()?),
+            arg: unzigzag(r.varint()?),
+            config_id: r.byte()?,
+            machine: get_machine(r)?,
         }),
         KIND_STATS => ReqBody::Stats,
         KIND_SHUTDOWN => ReqBody::Shutdown,
-        other => return Err(format!("unknown request kind {other}")),
+        _ => return None,
     };
-    expect_end(buf, pos, "request")?;
-    Ok(Request { id, body })
+    Some(Request { id, body })
 }
 
 // ---------------------------------------------------------------------------
@@ -462,7 +420,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
     match &resp.body {
         RespBody::Err(msg) => {
             out.push(STATUS_ERR);
-            put_string(&mut out, msg);
+            put_str(&mut out, msg);
         }
         RespBody::Ok(ok) => {
             out.push(STATUS_OK);
@@ -474,7 +432,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                 }
                 OkBody::Sim(s) => {
                     out.push(KIND_SIM);
-                    put_string(&mut out, &s.report_debug);
+                    put_str(&mut out, &s.report_debug);
                     put_timings(&mut out, &s.timings);
                     put_bytes(&mut out, &s.baseline);
                     put_bytes(&mut out, &s.spt);
@@ -484,7 +442,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                     out.push(KIND_STATS);
                     put_varint(&mut out, entries.len() as u64);
                     for (name, value) in entries {
-                        put_string(&mut out, name);
+                        put_str(&mut out, name);
                         put_varint(&mut out, *value);
                     }
                 }
@@ -496,52 +454,50 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 }
 
 /// Parses a frame payload into a [`Response`].
+///
+/// # Errors
+///
+/// Another protocol version, a malformed payload, or trailing bytes.
 pub fn decode_response(buf: &[u8]) -> Result<Response, String> {
-    let mut pos = 0;
-    check_version(buf, &mut pos)?;
-    let id = need(buf, &mut pos)?;
-    let status = get_u8(buf, &mut pos)?;
-    let body = match status {
-        STATUS_ERR => RespBody::Err(get_string(buf, &mut pos)?),
-        STATUS_OK => {
-            let kind = get_u8(buf, &mut pos)?;
-            let ok = match kind {
-                KIND_PING => OkBody::Pong,
-                KIND_COMPILE => OkBody::Compile(get_compile_resp(buf, &mut pos)?),
-                KIND_SIM => OkBody::Sim(SimResp {
-                    report_debug: get_string(buf, &mut pos)?,
-                    timings: get_timings(buf, &mut pos)?,
-                    baseline: get_bytes(buf, &mut pos)?,
-                    spt: get_bytes(buf, &mut pos)?,
-                    served_from_memory: get_u8(buf, &mut pos)? != 0,
-                }),
-                KIND_STATS => {
-                    let n = need(buf, &mut pos)? as usize;
-                    if n > buf.len() {
-                        return Err("stats count exceeds payload".to_string());
-                    }
-                    let mut entries =
-                        Vec::with_capacity(bounded(n, buf.len() - pos, MIN_STATS_ENTRY));
-                    for _ in 0..n {
-                        let name = get_string(buf, &mut pos)?;
-                        let value = need(buf, &mut pos)?;
-                        entries.push((name, value));
-                    }
-                    OkBody::Stats(entries)
-                }
-                KIND_SHUTDOWN => OkBody::ShuttingDown,
-                other => return Err(format!("unknown response kind {other}")),
-            };
-            RespBody::Ok(ok)
-        }
-        other => return Err(format!("unknown response status {other}")),
-    };
-    expect_end(buf, pos, "response")?;
-    Ok(Response { id, body })
+    let mut r = Reader::new(buf, 0);
+    check_version(&mut r)?;
+    let resp = get_response(&mut r).ok_or("malformed response payload")?;
+    expect_end(&r, buf.len(), "response")?;
+    Ok(resp)
 }
 
-fn check_version(buf: &[u8], pos: &mut usize) -> Result<(), String> {
-    let v = get_u8(buf, pos)?;
+fn get_response(r: &mut Reader<'_>) -> Option<Response> {
+    let id = r.varint()?;
+    let body = match r.byte()? {
+        STATUS_ERR => RespBody::Err(r.str()?),
+        STATUS_OK => RespBody::Ok(match r.byte()? {
+            KIND_PING => OkBody::Pong,
+            KIND_COMPILE => OkBody::Compile(get_compile_resp(r)?),
+            KIND_SIM => OkBody::Sim(SimResp {
+                report_debug: r.str()?,
+                timings: get_timings(r)?,
+                baseline: get_blob(r)?,
+                spt: get_blob(r)?,
+                served_from_memory: r.byte()? != 0,
+            }),
+            KIND_STATS => {
+                let n = r.count_of(MIN_STATS_ENTRY)?;
+                let mut entries = Vec::with_capacity(n);
+                for _ in 0..n {
+                    entries.push((r.str()?, r.varint()?));
+                }
+                OkBody::Stats(entries)
+            }
+            KIND_SHUTDOWN => OkBody::ShuttingDown,
+            _ => return None,
+        }),
+        _ => return None,
+    };
+    Some(Response { id, body })
+}
+
+fn check_version(r: &mut Reader<'_>) -> Result<(), String> {
+    let v = r.byte().ok_or("empty payload")?;
     if v != PROTO_VERSION {
         return Err(format!(
             "protocol version mismatch: peer speaks v{v}, this build v{PROTO_VERSION}"
@@ -550,12 +506,9 @@ fn check_version(buf: &[u8], pos: &mut usize) -> Result<(), String> {
     Ok(())
 }
 
-fn expect_end(buf: &[u8], pos: usize, what: &str) -> Result<(), String> {
-    if pos != buf.len() {
-        return Err(format!(
-            "{what} payload has {} trailing bytes",
-            buf.len() - pos
-        ));
+fn expect_end(r: &Reader<'_>, len: usize, what: &str) -> Result<(), String> {
+    if !r.at_end() {
+        return Err(format!("{what} payload has {} trailing bytes", len - r.pos));
     }
     Ok(())
 }

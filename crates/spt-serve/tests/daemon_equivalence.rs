@@ -3,10 +3,11 @@
 //! single-process CLI compile produces, and N concurrent clients asking for
 //! the same unit cost exactly one pipeline run.
 
-use spt_core::pipeline::compile_and_transform;
-use spt_core::{CompilerConfig, ProfilingInput, StageTimings};
+use spt_core::pipeline::{compile_and_transform, transform_module_timed_with};
+use spt_core::{CompilerConfig, ProfilingInput, StageTimings, Store, TraceSettings};
 use spt_serve::{
-    serve, Client, CompileReq, CompileService, OkBody, ReqBody, RespBody, ServiceConfig, SimReq,
+    serve, sim_with_cache, Client, CompileReq, CompileService, OkBody, ReqBody, RespBody,
+    ServiceConfig, SimReq, SimTraceStats,
 };
 use spt_sim::{MachineConfig, SptSimulator};
 use std::collections::HashMap;
@@ -263,6 +264,79 @@ fn a_restarted_daemon_serves_warm_from_disk() {
         PROGRAMS.len() as u64,
         "only the compile memos are stored again: {after:?}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A daemon warm-up also warms `sptc`: after the daemon served a `Sim`
+/// request for every suite program, each program compiled and simulated
+/// the way `sptc sim` does over the same directory decodes its stored
+/// compile, hits both simulation memos, and returns exactly the daemon's
+/// report and simulation bytes.
+#[test]
+fn a_daemon_warm_up_warms_sptc() {
+    let dir = temp_dir("warms-sptc");
+    let cache = dir.join("cache");
+    let service = CompileService::new(ServiceConfig {
+        cache_dir: Some(cache.clone()),
+        ..ServiceConfig::default()
+    });
+    let suite = spt_bench_suite::suite();
+    let served: Vec<_> = suite
+        .iter()
+        .map(|b| match service.execute(&ReqBody::Sim(sim_req(b))) {
+            RespBody::Ok(OkBody::Sim(s)) => s,
+            other => panic!("{}: not a sim response: {other:?}", b.name),
+        })
+        .collect();
+    drop(service);
+
+    // `sptc sim`'s configuration: `best` over the store in `cache`.
+    let mut config = CompilerConfig::best();
+    config.trace = TraceSettings {
+        enabled: true,
+        cache_dir: Some(cache),
+    };
+    let machine = MachineConfig::default();
+    for (b, daemon) in suite.iter().zip(&served) {
+        let input = ProfilingInput::new(b.entry, [b.train_arg]);
+        let baseline = spt_frontend::compile(b.source).expect("compiles");
+        let mut module = baseline.clone();
+        let store = Store::from_config(&config);
+        let (report, timings) =
+            transform_module_timed_with(&mut module, &input, &config, store.as_ref())
+                .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+        assert_eq!(
+            (timings.compile_hits, timings.compile_misses),
+            (1, 0),
+            "{}: the compile was not served from the daemon's store",
+            b.name
+        );
+        assert_eq!(
+            format!("{report:?}"),
+            daemon.report_debug,
+            "{}: report",
+            b.name
+        );
+        let mut stats = SimTraceStats::default();
+        let mut sim = |m| {
+            sim_with_cache(m, b.entry, SIM_ARG, &machine, &config.trace, &mut stats)
+                .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", b.name))
+        };
+        let (base, spt) = (sim(&baseline), sim(&module));
+        assert_eq!(
+            (stats.memo_hits, stats.direct_runs),
+            (2, 0),
+            "{}: a simulation was not served from the daemon's store",
+            b.name
+        );
+        assert_eq!(
+            spt_trace::sim_to_bytes(&base),
+            daemon.baseline,
+            "{}: baseline",
+            b.name
+        );
+        assert_eq!(spt_trace::sim_to_bytes(&spt), daemon.spt, "{}: SPT", b.name);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

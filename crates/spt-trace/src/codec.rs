@@ -1,11 +1,10 @@
-//! Byte-level encoding primitives shared by the artifact store and the
-//! daemon's wire protocol: the LEB128 varint and zigzag primitives (one
-//! copy, in `spt_ir::codec`, re-exported here), the FNV-1a running hash
-//! that mixes artifact keys, and the framing of every stored encoding
-//! ([`seal`]/[`unseal`]), whose checksum is `spt_ir`'s word-wise hash.
+//! The artifact store's key hash and frame. Keys mix with a running FNV-1a
+//! hash ([`Fnv`]). Every stored file is one frame: the kind tag and the
+//! kind's format version, then a body in `spt_ir::codec`'s byte format
+//! that the kind's codec alone writes, then a checksum of all of it,
+//! `spt_ir`'s word-wise hash ([`seal`]/[`unseal`]).
 
-use spt_ir::codec::word_hash;
-pub use spt_ir::codec::{get_varint, put_varint, unzigzag, zigzag};
+use spt_ir::codec::{put_str, put_varint, word_hash};
 
 /// FNV-1a offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -50,34 +49,34 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Appends the checksum of everything in `out` (its
-/// [`spt_ir::codec::word_hash`], one 8-byte word per step): the trailer of
-/// every stored encoding.
-pub fn seal(out: &mut Vec<u8>) {
-    let sum = word_hash(out);
-    out.extend_from_slice(&sum.to_le_bytes());
+/// The bytes a frame of kind `tag` at `version` starts with.
+fn header(tag: &str, version: u32) -> Vec<u8> {
+    let mut out = Vec::with_capacity(16);
+    put_str(&mut out, tag);
+    put_varint(&mut out, version as u64);
+    out
 }
 
-/// The body of a [`seal`]ed encoding that starts with `magic` (everything
-/// before the checksum, magic included), or why the bytes are not one;
-/// `what` names the encoding in the error.
-///
-/// # Errors
-///
-/// A buffer too short for magic and checksum, another magic, or a
-/// checksum mismatch.
-pub fn unseal<'a>(buf: &'a [u8], magic: &[u8; 8], what: &str) -> Result<&'a [u8], String> {
-    if buf.len() < magic.len() + 8 {
-        return Err(format!("{what} truncated"));
+/// A stored artifact's frame: the kind `tag` (length-prefixed), its format
+/// `version` (a varint), the body that `body` appends in place, and the
+/// 8-byte little-endian [`word_hash`] of everything before it.
+pub fn seal(tag: &str, version: u32, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = header(tag, version);
+    body(&mut out);
+    let sum = word_hash(&out);
+    out.extend_from_slice(&sum.to_le_bytes());
+    out
+}
+
+/// The body of a frame that [`seal`] wrote for `tag` at `version`; `None`
+/// for a frame of another kind or version, and for any bytes that differ
+/// from such a frame's in length or in one word.
+pub fn unseal<'a>(frame: &'a [u8], tag: &str, version: u32) -> Option<&'a [u8]> {
+    let (framed, sum) = frame.split_at(frame.len().checked_sub(8)?);
+    if word_hash(framed).to_le_bytes() != sum {
+        return None;
     }
-    if &buf[..magic.len()] != magic {
-        return Err(format!("bad {what} magic"));
-    }
-    let (body, tail) = buf.split_at(buf.len() - 8);
-    if word_hash(body).to_le_bytes() != tail {
-        return Err(format!("{what} checksum mismatch"));
-    }
-    Ok(body)
+    framed.strip_prefix(&header(tag, version)[..])
 }
 
 #[cfg(test)]
@@ -86,20 +85,24 @@ mod tests {
 
     #[test]
     fn sealed_bytes_reject_any_flipped_byte() {
-        let mut sealed = b"SPTTESTS".to_vec();
-        sealed.extend((0..41u8).map(|b| b.wrapping_mul(37)));
-        seal(&mut sealed);
-        let body_len = sealed.len() - 8;
-        assert_eq!(
-            unseal(&sealed, b"SPTTESTS", "test").map(<[u8]>::len),
-            Ok(body_len)
-        );
+        let body: Vec<u8> = (0..41u8).map(|b| b.wrapping_mul(37)).collect();
+        let sealed = seal("test", 3, |out| out.extend_from_slice(&body));
+        assert_eq!(unseal(&sealed, "test", 3), Some(&body[..]));
         for i in 0..sealed.len() {
-            let mut damaged = sealed.clone();
-            damaged[i] ^= 0x40;
-            assert!(unseal(&damaged, b"SPTTESTS", "test").is_err(), "byte {i}");
+            for bit in 0..8 {
+                let mut damaged = sealed.clone();
+                damaged[i] ^= 1 << bit;
+                assert_eq!(unseal(&damaged, "test", 3), None, "byte {i} bit {bit}");
+            }
         }
-        assert!(unseal(&sealed[..sealed.len() - 1], b"SPTTESTS", "test").is_err());
+        for cut in 0..sealed.len() {
+            assert_eq!(unseal(&sealed[..cut], "test", 3), None, "cut {cut}");
+        }
+        // A sound frame of another kind or version is no frame of this one.
+        assert_eq!(unseal(&sealed, "tess", 3), None);
+        assert_eq!(unseal(&sealed, "test", 2), None);
+        let empty = seal("test", 3, |_| ());
+        assert_eq!(unseal(&empty, "test", 3), Some(&[][..]));
     }
 
     #[test]

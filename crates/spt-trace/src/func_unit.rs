@@ -11,21 +11,14 @@
 //! costs carried as bit patterns so a decode → report path is byte-equal to
 //! a recompute → report path.
 //!
-//! Encoding follows the sim-memo codec's conventions: magic, format
-//! version, varint fields, and a trailing checksum; any damage decodes
-//! to an error, which the artifact store treats as a miss (evict and
-//! recompute, never a panic).
+//! The encoding is a body in `spt_ir::codec`'s byte format, with no magic,
+//! version or checksum: the artifact store frames it on disk and holds it
+//! as is in memory, and decodes it on every hit.
 
-use crate::codec::{get_varint, put_varint, seal, unseal};
+use spt_ir::codec::{put_opt_u32, put_varint, Reader};
 
-/// Magic prefix of function-analysis-unit artifact files.
-const FUNC_UNIT_MAGIC: &[u8; 8] = b"SPTFUNCA";
-
-/// Bumped on any change to [`LoopFragment`]'s meaning or encoding; folded
-/// into every function-unit cache key so stale-format entries simply miss.
-/// (3: `search_visited` counts the budget-bounded partition search's
-/// nodes.)
-pub const FUNC_UNIT_FORMAT_VERSION: u32 = 3;
+/// Smallest encoding of one [`LoopFragment`]: eleven one-byte fields.
+const MIN_FRAGMENT_LEN: usize = 11;
 
 /// The analysis result of one loop, in cache-stable form. Fields mirror the
 /// pipeline's internal per-loop analysis record (headers/instructions by
@@ -71,53 +64,13 @@ pub struct FuncAnalysisUnit {
 }
 
 impl FuncAnalysisUnit {
-    /// Serializes the unit bit-exactly (see the module docs for framing).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.fragments.len() * 64);
-        out.extend_from_slice(FUNC_UNIT_MAGIC);
-        put_varint(&mut out, FUNC_UNIT_FORMAT_VERSION as u64);
-        self.pack_into(&mut out);
-        seal(&mut out);
-        out
-    }
-
-    /// Inverse of [`FuncAnalysisUnit::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first framing/checksum/version problem.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, String> {
-        let body = unseal(buf, FUNC_UNIT_MAGIC, "function unit")?;
-        let mut pos = FUNC_UNIT_MAGIC.len();
-        let version = get_varint(body, &mut pos).ok_or("function unit truncated")?;
-        if version != FUNC_UNIT_FORMAT_VERSION as u64 {
-            return Err(format!(
-                "stale function unit version {version} (expected {FUNC_UNIT_FORMAT_VERSION})"
-            ));
-        }
-        Self::from_packed(&body[pos..])
-    }
-
-    /// The fields alone, without magic, version or checksum: the artifact
-    /// store's in-memory form, which never leaves the process.
-    pub fn to_packed(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.fragments.len() * 48);
-        self.pack_into(&mut out);
-        out
-    }
-
-    fn pack_into(&self, out: &mut Vec<u8>) {
+    /// Appends the unit's encoding, bit-exactly.
+    pub fn encode(&self, out: &mut Vec<u8>) {
         put_varint(out, self.fragments.len() as u64);
         for f in &self.fragments {
             put_varint(out, f.header as u64);
             put_varint(out, f.depth);
-            match f.parent_header {
-                Some(p) => {
-                    out.push(1);
-                    put_varint(out, p as u64);
-                }
-                None => out.push(0),
-            }
+            put_opt_u32(out, f.parent_header);
             put_varint(out, f.body_size);
             put_varint(out, f.num_vcs);
             put_varint(out, f.cost_bits);
@@ -138,50 +91,25 @@ impl FuncAnalysisUnit {
         }
     }
 
-    /// Inverse of [`FuncAnalysisUnit::to_packed`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed field.
-    pub fn from_packed(body: &[u8]) -> Result<Self, String> {
-        let mut pos = 0;
-        let take = |pos: &mut usize| get_varint(body, pos).ok_or("function unit truncated");
-        let nfrags = take(&mut pos)? as usize;
-        let mut fragments = Vec::with_capacity(nfrags.min(1 << 16));
-        for _ in 0..nfrags {
-            let header = take(&mut pos)? as u32;
-            let depth = take(&mut pos)?;
-            let parent_header = match body.get(pos).copied().ok_or("function unit truncated")? {
-                0 => {
-                    pos += 1;
-                    None
-                }
-                1 => {
-                    pos += 1;
-                    Some(take(&mut pos)? as u32)
-                }
-                _ => return Err("bad parent tag in function unit".into()),
-            };
-            let body_size = take(&mut pos)?;
-            let num_vcs = take(&mut pos)?;
-            let cost_bits = take(&mut pos)?;
-            let prefork_size = take(&mut pos)?;
-            let nmove = take(&mut pos)? as usize;
-            let mut move_insts = Vec::with_capacity(nmove.min(1 << 20));
-            for _ in 0..nmove {
-                move_insts.push(take(&mut pos)? as u32);
-            }
-            let nrep = take(&mut pos)? as usize;
-            let mut replicate_insts = Vec::with_capacity(nrep.min(1 << 20));
-            for _ in 0..nrep {
-                replicate_insts.push(take(&mut pos)? as u32);
-            }
-            let flags = body.get(pos).copied().ok_or("function unit truncated")?;
-            pos += 1;
+    /// Inverse of [`FuncAnalysisUnit::encode`]; `None` when the bytes are
+    /// not an encoding.
+    pub fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        let n = r.count_of(MIN_FRAGMENT_LEN)?;
+        let mut fragments = Vec::with_capacity(n);
+        for _ in 0..n {
+            let header = r.u32()?;
+            let depth = r.varint()?;
+            let parent_header = r.opt_u32()?;
+            let body_size = r.varint()?;
+            let num_vcs = r.varint()?;
+            let cost_bits = r.varint()?;
+            let prefork_size = r.varint()?;
+            let move_insts = insts(r)?;
+            let replicate_insts = insts(r)?;
+            let flags = r.byte()?;
             if flags > 0b111 {
-                return Err("bad flags byte in function unit".into());
+                return None;
             }
-            let search_visited = take(&mut pos)?;
             fragments.push(LoopFragment {
                 header,
                 depth,
@@ -194,15 +122,18 @@ impl FuncAnalysisUnit {
                 replicate_insts,
                 skipped_too_many_vcs: flags & 1 != 0,
                 canonical: flags & 2 != 0,
-                search_visited,
+                search_visited: r.varint()?,
                 search_budget_exhausted: flags & 4 != 0,
             });
         }
-        if pos != body.len() {
-            return Err("function unit has trailing bytes".into());
-        }
-        Ok(FuncAnalysisUnit { fragments })
+        Some(FuncAnalysisUnit { fragments })
     }
+}
+
+/// A counted list of instruction indices.
+fn insts(r: &mut Reader<'_>) -> Option<Vec<u32>> {
+    let n = r.count()?;
+    (0..n).map(|_| r.u32()).collect()
 }
 
 #[cfg(test)]
@@ -246,36 +177,54 @@ mod tests {
         }
     }
 
+    fn encoded(u: &FuncAnalysisUnit) -> Vec<u8> {
+        let mut out = Vec::new();
+        u.encode(&mut out);
+        out
+    }
+
+    /// Decodes `bytes` whole: a trailing byte rejects them.
+    fn decoded(bytes: &[u8]) -> Option<FuncAnalysisUnit> {
+        let mut r = Reader::new(bytes, 0);
+        FuncAnalysisUnit::decode(&mut r).filter(|_| r.at_end())
+    }
+
     #[test]
     fn round_trip_is_exact() {
         let u = sample();
-        assert_eq!(FuncAnalysisUnit::from_bytes(&u.to_bytes()).as_ref(), Ok(&u));
+        assert_eq!(decoded(&encoded(&u)).as_ref(), Some(&u));
         let empty = FuncAnalysisUnit::default();
-        assert_eq!(
-            FuncAnalysisUnit::from_bytes(&empty.to_bytes()).as_ref(),
-            Ok(&empty)
-        );
+        assert_eq!(decoded(&encoded(&empty)).as_ref(), Some(&empty));
     }
 
     #[test]
     fn packed_form_round_trips_without_framing() {
+        // The one encoding is also the memory tier's form: no magic,
+        // version or checksum, so it starts with the fragment count.
         let u = sample();
-        let packed = u.to_packed();
-        assert_eq!(FuncAnalysisUnit::from_packed(&packed).as_ref(), Ok(&u));
-        // The framed encoding is magic, version, the packed fields, checksum.
-        let framed = u.to_bytes();
-        assert_eq!(&framed[9..framed.len() - 8], &packed[..]);
-        assert!(FuncAnalysisUnit::from_packed(&packed[..packed.len() - 1]).is_err());
+        let bytes = encoded(&u);
+        assert_eq!(bytes[0], 2);
+        assert_eq!(encoded(&decoded(&bytes).expect("decodes")), bytes);
     }
 
     #[test]
     fn corruption_is_detected() {
-        let mut bytes = sample().to_bytes();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x5a;
-        assert!(FuncAnalysisUnit::from_bytes(&bytes).is_err());
-        let whole = sample().to_bytes();
-        assert!(FuncAnalysisUnit::from_bytes(&whole[..whole.len() - 3]).is_err());
-        assert!(FuncAnalysisUnit::from_bytes(b"junk").is_err());
+        // Damage inside a sound frame is the store's checksum's to catch;
+        // the body alone rejects every truncation, a bad tag or flags
+        // byte, and a count the bytes cannot hold.
+        let bytes = encoded(&sample());
+        for cut in 0..bytes.len() {
+            assert_eq!(decoded(&bytes[..cut]), None, "cut {cut}");
+        }
+        let parent_tag = 3;
+        let mut bad_tag = bytes.clone();
+        bad_tag[parent_tag] = 2;
+        assert_eq!(decoded(&bad_tag), None);
+        let mut bad_flags = bytes.clone();
+        let flags = bytes.len() - 11; // before a 10-byte `search_visited`
+        bad_flags[flags] = 0b1000;
+        assert_eq!(decoded(&bad_flags), None);
+        assert_eq!(decoded(b"junk"), None);
+        assert_eq!(decoded(&[0xff, 0xff, 0x03]), None);
     }
 }

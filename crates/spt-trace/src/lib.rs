@@ -2,14 +2,16 @@
 //! protocol.
 //!
 //! The store itself (memory tier, disk directory, keys, counters) is
-//! `spt_core::store`; this crate holds what it writes:
+//! `spt_core::store`; this crate holds what it writes, every body in
+//! `spt_ir::codec`'s one byte format:
 //!
-//! * [`sim_codec`] — the canonical encoding of a whole `SimResult`, used
-//!   for simulation memos on disk and for the daemon's sim replies;
+//! * [`sim_codec`] — the canonical encoding of a whole `SimResult`, the
+//!   body of simulation memos on disk and of the daemon's sim replies;
 //! * [`func_unit`] — function-granular pass-1 analysis units
 //!   ([`FuncAnalysisUnit`]) and their encoding;
-//! * [`codec`] — the key hash and the sealed framing every stored encoding
-//!   shares, and a re-export of `spt_ir::codec`'s varint primitives.
+//! * [`codec`] — the key hash and the frame ([`codec::seal`]) the store
+//!   puts around every body it writes to disk: kind tag, format version and
+//!   checksum.
 //!
 //! The crate keeps its historical name: it once also captured and replayed
 //! execution traces, a layer that measured no faster than direct execution
@@ -21,5 +23,5 @@ pub mod codec;
 pub mod func_unit;
 pub mod sim_codec;
 
-pub use func_unit::{FuncAnalysisUnit, LoopFragment, FUNC_UNIT_FORMAT_VERSION};
-pub use sim_codec::{sim_from_bytes, sim_to_bytes, SIM_FORMAT_VERSION};
+pub use func_unit::{FuncAnalysisUnit, LoopFragment};
+pub use sim_codec::{decode_sim, encode_sim, sim_from_bytes, sim_to_bytes};

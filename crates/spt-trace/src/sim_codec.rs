@@ -1,47 +1,38 @@
-//! The canonical byte encoding of a [`SimResult`]: the format of the
-//! artifact store's simulation memos and of the daemon's sim replies, so a
+//! The canonical byte encoding of a [`SimResult`]: the body of the artifact
+//! store's simulation memos and of the daemon's sim replies, so a
 //! daemon-served result is byte-comparable to a local one.
 //!
-//! Framing: magic, format version, varint fields, `f64` rates by bit
-//! pattern, and a trailing checksum ([`crate::codec::seal`]); any damage
-//! decodes to an error.
+//! Varint fields, loop stats sorted by tag so the encoding is canonical,
+//! and the two rates by bit pattern. The body carries no magic, version or
+//! checksum: the store's frame and the protocol's versioned frame do.
 
+use spt_ir::codec::{put_f64, put_varint, Reader};
 use spt_sim::{LoopSimStats, SimResult};
 
-use crate::codec::{get_varint, put_varint, seal, unseal};
+/// Smallest encoding of one loop's stats: a tag and ten counters.
+const MIN_LOOP_LEN: usize = 11;
 
-/// Magic prefix of an encoded simulation memo.
-const SIM_MAGIC: &[u8; 8] = b"SPTSIMRS";
-
-/// Bumped on any change to the `SimResult` encoding; folded into every
-/// sim-memo key and written into every memo, so stale-format entries miss.
-pub const SIM_FORMAT_VERSION: u32 = 2;
-
-/// Serializes a [`SimResult`] bit-exactly (f64 rates via `to_bits`, loop
-/// stats sorted by tag so the encoding is canonical).
-pub fn sim_to_bytes(r: &SimResult) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + r.memory.len() * 3);
-    out.extend_from_slice(SIM_MAGIC);
-    put_varint(&mut out, SIM_FORMAT_VERSION as u64);
+/// Appends the encoding of `r`, bit-exactly.
+pub fn encode_sim(r: &SimResult, out: &mut Vec<u8>) {
     match r.ret {
         Some(v) => {
             out.push(1);
-            put_varint(&mut out, v);
+            put_varint(out, v);
         }
         None => out.push(0),
     }
-    put_varint(&mut out, r.cycles);
-    put_varint(&mut out, r.insts);
-    put_varint(&mut out, r.memory.len() as u64);
+    put_varint(out, r.cycles);
+    put_varint(out, r.insts);
+    put_varint(out, r.memory.len() as u64);
     for &w in &r.memory {
-        put_varint(&mut out, w);
+        put_varint(out, w);
     }
     let mut tags: Vec<u32> = r.loops.keys().copied().collect();
     tags.sort_unstable();
-    put_varint(&mut out, tags.len() as u64);
+    put_varint(out, tags.len() as u64);
     for tag in tags {
         let s = r.loops[&tag];
-        put_varint(&mut out, tag as u64);
+        put_varint(out, tag as u64);
         for f in [
             s.forks,
             s.commits,
@@ -54,80 +45,32 @@ pub fn sim_to_bytes(r: &SimResult) -> Vec<u8> {
             s.seq_cycles,
             s.wasted_insts,
         ] {
-            put_varint(&mut out, f);
+            put_varint(out, f);
         }
     }
-    out.extend_from_slice(&r.cache_hit_rate.to_bits().to_le_bytes());
-    out.extend_from_slice(&r.branch_miss_rate.to_bits().to_le_bytes());
-    seal(&mut out);
-    out
+    put_f64(out, r.cache_hit_rate);
+    put_f64(out, r.branch_miss_rate);
 }
 
-/// `n` varints from `buf` at `*pos`, advancing `*pos`: the memory image,
-/// most of a memo, decoded in one loop over a byte iterator (no bounds
-/// check or position store per byte). The capacity is capped by the bytes
-/// left, since every word takes at least one.
-fn varints(buf: &[u8], pos: &mut usize, n: usize) -> Option<Vec<u64>> {
-    let mut bytes = buf.get(*pos..)?.iter();
-    let mut out = Vec::with_capacity(n.min(bytes.len()));
-    let start = bytes.len();
-    for _ in 0..n {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = *bytes.next()?;
-            v |= u64::from(b & 0x7f) << shift;
-            if b < 0x80 {
-                break;
-            }
-            shift += 7;
-            if shift >= 64 {
-                return None;
-            }
-        }
-        out.push(v);
-    }
-    *pos += start - bytes.len();
-    Some(out)
-}
-
-/// Inverse of [`sim_to_bytes`].
-///
-/// # Errors
-///
-/// Returns a description of the first framing/checksum/version problem.
-pub fn sim_from_bytes(buf: &[u8]) -> Result<SimResult, String> {
-    let body = unseal(buf, SIM_MAGIC, "sim memo")?;
-    let mut pos = SIM_MAGIC.len();
-    let take = |pos: &mut usize| get_varint(body, pos).ok_or("sim memo truncated");
-    let version = take(&mut pos)?;
-    if version != SIM_FORMAT_VERSION as u64 {
-        return Err(format!(
-            "stale sim memo version {version} (expected {SIM_FORMAT_VERSION})"
-        ));
-    }
-    let ret = match body.get(pos).copied().ok_or("sim memo truncated")? {
-        0 => {
-            pos += 1;
-            None
-        }
-        1 => {
-            pos += 1;
-            Some(take(&mut pos)?)
-        }
-        _ => return Err("bad ret tag in sim memo".into()),
+/// Inverse of [`encode_sim`]; `None` when the bytes are not an encoding.
+/// The memory image, most of the bytes, is read in one bulk pass.
+pub fn decode_sim(r: &mut Reader<'_>) -> Option<SimResult> {
+    let ret = match r.byte()? {
+        0 => None,
+        1 => Some(r.varint()?),
+        _ => return None,
     };
-    let cycles = take(&mut pos)?;
-    let insts = take(&mut pos)?;
-    let mem_len = take(&mut pos)? as usize;
-    let memory = varints(body, &mut pos, mem_len).ok_or("sim memo truncated")?;
-    let nloops = take(&mut pos)? as usize;
-    let mut loops = std::collections::HashMap::with_capacity(nloops.min(1 << 16));
-    for _ in 0..nloops {
-        let tag = take(&mut pos)? as u32;
+    let cycles = r.varint()?;
+    let insts = r.varint()?;
+    let n = r.count()?;
+    let memory = r.varints(n)?;
+    let n = r.count_of(MIN_LOOP_LEN)?;
+    let mut loops = std::collections::HashMap::with_capacity(n);
+    for _ in 0..n {
+        let tag = r.u32()?;
         let mut f = [0u64; 10];
         for slot in &mut f {
-            *slot = take(&mut pos)?;
+            *slot = r.varint()?;
         }
         loops.insert(
             tag,
@@ -145,25 +88,34 @@ pub fn sim_from_bytes(buf: &[u8]) -> Result<SimResult, String> {
             },
         );
     }
-    let need = pos + 16;
-    if body.len() != need {
-        return Err("sim memo truncated".into());
-    }
-    let mut raw = [0u8; 8];
-    raw.copy_from_slice(&body[pos..pos + 8]);
-    let cache_hit_rate = f64::from_bits(u64::from_le_bytes(raw));
-    raw.copy_from_slice(&body[pos + 8..pos + 16]);
-    let branch_miss_rate = f64::from_bits(u64::from_le_bytes(raw));
-
-    Ok(SimResult {
+    Some(SimResult {
         ret,
         cycles,
         insts,
         memory,
         loops,
-        cache_hit_rate,
-        branch_miss_rate,
+        cache_hit_rate: r.f64()?,
+        branch_miss_rate: r.f64()?,
     })
+}
+
+/// [`encode_sim`] into a fresh buffer: the bytes of a daemon sim reply.
+pub fn sim_to_bytes(r: &SimResult) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64 + r.memory.len() * 3);
+    encode_sim(r, &mut out);
+    out
+}
+
+/// Inverse of [`sim_to_bytes`].
+///
+/// # Errors
+///
+/// The bytes are not exactly one encoding.
+pub fn sim_from_bytes(buf: &[u8]) -> Result<SimResult, String> {
+    let mut r = Reader::new(buf, 0);
+    decode_sim(&mut r)
+        .filter(|_| r.at_end())
+        .ok_or_else(|| "malformed SimResult encoding".to_string())
 }
 
 #[cfg(test)]
@@ -219,14 +171,11 @@ mod tests {
         let bytes = sim_to_bytes(&r);
         assert!(sim_eq(&r, &sim_from_bytes(&bytes).unwrap()));
         // A truncated image, or a word running past 64 bits, is rejected.
-        assert_eq!(varints(&[0x80, 0x80], &mut 0, 1), None);
-        assert_eq!(varints(&[0xff; 11], &mut 0, 1), None);
-        let mut pos = 1;
-        assert_eq!(
-            varints(&[9, 0xac, 0x02, 7], &mut pos, 2),
-            Some(vec![300, 7])
-        );
-        assert_eq!(pos, 4);
+        assert_eq!(Reader::new(&[0x80, 0x80], 0).varints(1), None);
+        assert_eq!(Reader::new(&[0xff; 11], 0).varints(1), None);
+        let mut reader = Reader::new(&[9, 0xac, 0x02, 7], 1);
+        assert_eq!(reader.varints(2), Some(vec![300, 7]));
+        assert!(reader.at_end());
     }
 
     #[test]
@@ -235,6 +184,14 @@ mod tests {
         let bytes = sim_to_bytes(&r);
         let decoded = sim_from_bytes(&bytes).unwrap();
         assert!(sim_eq(&r, &decoded));
-        assert!(sim_from_bytes(&bytes[..bytes.len() - 2]).is_err());
+        assert_eq!(sim_to_bytes(&decoded), bytes);
+        // The body rejects every truncation and any trailing byte.
+        for cut in 0..bytes.len() {
+            assert!(sim_from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+        }
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert!(sim_from_bytes(&longer).is_err());
+        assert!(sim_from_bytes(b"\x02").is_err(), "bad ret tag");
     }
 }

@@ -149,18 +149,14 @@ fn artifact_cache_round_trips_and_rejects_damage() {
         other => panic!("expected a disk hit, got {other:?}"),
     }
 
-    // Corruption, truncation and a bare magic must all read as a miss
+    // Corruption, truncation and a bare kind tag must all read as a miss
     // (never a panic) and evict the file, so the next probe is a clean miss.
     let path = dir.join(format!("sim-{key:016x}.bin"));
     let good = std::fs::read(&path).expect("memo file exists");
     let mut corrupt = good.clone();
     let mid = corrupt.len() / 2;
     corrupt[mid] ^= 0xff;
-    for damaged in [
-        corrupt,
-        good[..good.len() / 4].to_vec(),
-        b"SPTSIMRS".to_vec(),
-    ] {
+    for damaged in [corrupt, good[..good.len() / 4].to_vec(), b"sim".to_vec()] {
         std::fs::write(&path, &damaged).expect("write");
         let probe = store();
         assert!(probe.get::<SimResult>(key).is_none());
