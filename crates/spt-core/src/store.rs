@@ -149,18 +149,20 @@ impl<A> Codec<A> {
     }
 }
 
+/// A memo holds the final memory as its digest (the memo path stores
+/// nothing else), so it bills only its counters and loop stats.
 impl Artifact for SimResult {
     const KIND: Kind = Kind::Sim;
     /// 3: the body lost its magic, version and checksum to the store's
-    /// frame.
+    /// frame. 4: the final memory image gave way to its digest.
     const CODEC: Option<Codec<Self>> = Some(Codec {
-        version: 3,
+        version: 4,
         encode: encode_sim,
         decode: decode_sim,
     });
     fn billed_bytes(&self) -> u64 {
         let loop_bytes = std::mem::size_of::<(u32, LoopSimStats)>() * self.loops.len();
-        (std::mem::size_of::<SimResult>() + 8 * self.memory.len() + loop_bytes) as u64
+        (std::mem::size_of::<SimResult>() + loop_bytes) as u64
     }
 }
 
@@ -701,6 +703,7 @@ pub fn unit_key(source: &str, config_id: u8, entry: &str, train: i64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spt_sim::FinalMemory;
     use spt_trace::{sim_to_bytes, LoopFragment};
     use std::path::Path;
 
@@ -746,7 +749,7 @@ mod tests {
             ret: Some(42),
             cycles: 1000,
             insts: 500,
-            memory: vec![1, 2, 3, u64::MAX],
+            memory: FinalMemory::Digest(0x5eed_d16e_57ed),
             loops: [(3, stats), (1, LoopSimStats::default())].into(),
             cache_hit_rate: 0.987654321,
             branch_miss_rate: 0.0123456789,

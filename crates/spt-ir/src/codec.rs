@@ -72,6 +72,22 @@ fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
 /// Multiplier of [`word_hash`]'s step (odd, so each step is a bijection).
 const WORD_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
+/// One step of [`word_hash`]: a bijection of the running state `h` for a
+/// fixed word `w`.
+#[inline]
+fn word_step(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(WORD_MUL).rotate_left(29)
+}
+
+/// [`word_hash`]'s last step, after the tail word: an avalanche of `h`.
+fn word_finish(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
 /// A 64-bit hash of `bytes` that consumes one 8-byte word per step (the
 /// tail zero-padded, the length folded in first), then avalanches the
 /// result. Each step is a bijection of the running state for a fixed
@@ -79,22 +95,28 @@ const WORD_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 /// hash differently: a checksum catches any damage confined to one word,
 /// and a wider one with probability 1 − 2⁻⁶⁴.
 pub fn word_hash(bytes: &[u8]) -> u64 {
-    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(WORD_MUL).rotate_left(29);
     let mut h = (bytes.len() as u64).wrapping_mul(WORD_MUL);
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
         let mut word = [0u8; 8];
         word.copy_from_slice(w);
-        h = step(h, u64::from_le_bytes(word));
+        h = word_step(h, u64::from_le_bytes(word));
     }
     let mut tail = [0u8; 8];
     tail[..words.remainder().len()].copy_from_slice(words.remainder());
-    h = step(h, u64::from_le_bytes(tail));
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    h ^ (h >> 33)
+    word_finish(word_step(h, u64::from_le_bytes(tail)))
+}
+
+/// [`word_hash`] of `words`' little-endian bytes, computed a word at a
+/// time with no byte copy: the digest of a memory image. Two images of
+/// one length that differ in a single word always hash differently.
+pub fn word_hash_words(words: &[u64]) -> u64 {
+    let len = (words.len() as u64).wrapping_mul(8);
+    let h = words
+        .iter()
+        .fold(len.wrapping_mul(WORD_MUL), |h, &w| word_step(h, w));
+    // Whole words leave an empty tail, which `word_hash` steps as zero.
+    word_finish(word_step(h, 0))
 }
 
 /// A cursor over encoded bytes; every read is `None` past the end or on a
@@ -156,10 +178,15 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// A fixed-width word ([`put_word`]).
+    pub fn word(&mut self) -> Option<u64> {
+        let raw = self.bytes(8)?.try_into().ok()?;
+        Some(u64::from_le_bytes(raw))
+    }
+
     /// An `f64` by its bit pattern ([`put_f64`]).
     pub fn f64(&mut self) -> Option<f64> {
-        let raw = self.bytes(8)?.try_into().ok()?;
-        Some(f64::from_bits(u64::from_le_bytes(raw)))
+        self.word().map(f64::from_bits)
     }
 
     /// A varint used as a count of elements whose smallest encoding is
@@ -190,34 +217,6 @@ impl<'a> Reader<'a> {
         let n = self.count()?;
         String::from_utf8(self.bytes(n)?.to_vec()).ok()
     }
-
-    /// `n` varints, as a bulk payload (a memory image) is read: one loop
-    /// over a byte iterator, with no bounds check or position store per
-    /// byte. The capacity is capped by the bytes left, since every varint
-    /// takes at least one.
-    pub fn varints(&mut self, n: usize) -> Option<Vec<u64>> {
-        let mut bytes = self.buf.get(self.pos..)?.iter();
-        let start = bytes.len();
-        let mut out = Vec::with_capacity(n.min(start));
-        for _ in 0..n {
-            let mut v = 0u64;
-            let mut shift = 0u32;
-            loop {
-                let b = *bytes.next()?;
-                v |= u64::from(b & 0x7f) << shift;
-                if b < 0x80 {
-                    break;
-                }
-                shift += 7;
-                if shift >= 64 {
-                    return None;
-                }
-            }
-            out.push(v);
-        }
-        self.pos += start - bytes.len();
-        Some(out)
-    }
 }
 
 /// Appends a length-prefixed byte string.
@@ -231,10 +230,16 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
     put_bytes(out, s.as_bytes());
 }
 
-/// Appends `v`'s bit pattern as 8 little-endian bytes, so every float
+/// Appends `w` as 8 little-endian bytes: the form of a value whose bits
+/// are uniformly spread (a hash), which a varint would only lengthen.
+pub fn put_word(out: &mut Vec<u8>, w: u64) {
+    out.extend_from_slice(&w.to_le_bytes());
+}
+
+/// Appends `v`'s bit pattern as a word ([`put_word`]), so every float
 /// round-trips exactly.
 pub fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
+    put_word(out, v.to_bits());
 }
 
 /// Appends an optional `u32`: a 0/1 tag byte, then the value's varint.
@@ -710,6 +715,7 @@ mod tests {
     #[test]
     fn reader_reads_what_the_put_functions_write() {
         let mut buf = Vec::new();
+        put_word(&mut buf, 0x0123_4567_89ab_cdef);
         put_f64(&mut buf, -0.0);
         put_f64(&mut buf, f64::from_bits(f64::NAN.to_bits() | 1));
         put_opt_u32(&mut buf, None);
@@ -717,6 +723,7 @@ mod tests {
         put_bytes(&mut buf, &[7, 0, 255]);
         put_str(&mut buf, "é");
         let mut r = Reader::new(&buf, 0);
+        assert_eq!(r.word(), Some(0x0123_4567_89ab_cdef));
         assert_eq!(r.f64().map(f64::to_bits), Some((-0.0f64).to_bits()));
         assert_eq!(r.f64().map(f64::to_bits), Some(f64::NAN.to_bits() | 1));
         assert_eq!(r.opt_u32(), Some(None));
@@ -728,6 +735,7 @@ mod tests {
         for cut in 0..buf.len() {
             let mut r = Reader::new(&buf[..cut], 0);
             let whole = (|| {
+                r.word()?;
                 r.f64()?;
                 r.f64()?;
                 r.opt_u32()?;
@@ -786,6 +794,27 @@ mod tests {
         assert_ne!(word_hash(&padded), h);
         assert_ne!(word_hash(&base[..36]), h);
         assert_ne!(word_hash(&[]), word_hash(&[0]));
+    }
+
+    #[test]
+    fn word_hash_words_is_word_hash_of_the_little_endian_bytes() {
+        let long: Vec<u64> = (0..37u64).map(|i| i.wrapping_mul(WORD_MUL)).collect();
+        let images: [&[u64]; 4] = [&[], &[0], &[1, u64::MAX, 0x0123_4567_89ab_cdef], &long];
+        for words in images {
+            let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            assert_eq!(word_hash_words(words), word_hash(&bytes), "{words:?}");
+        }
+        // Any change to one word, and any change of length, moves the hash.
+        let h = word_hash_words(&long);
+        for i in 0..long.len() {
+            for flip in [1, 1 << 63, u64::MAX] {
+                let mut changed = long.clone();
+                changed[i] ^= flip;
+                assert_ne!(word_hash_words(&changed), h, "word {i} ^ {flip:#x}");
+            }
+        }
+        assert_ne!(word_hash_words(&long[..36]), h);
+        assert_ne!(word_hash_words(&[]), word_hash_words(&[0]));
     }
 
     /// A module using every instruction kind, operand form and global shape.

@@ -362,13 +362,11 @@ impl Module {
     pub fn content_hash(&self) -> u64 {
         let globals =
             crate::codec::hash_encoding(|out| crate::codec::encode_globals(out, &self.globals));
-        let mut words = Vec::with_capacity(8 * (self.funcs.len() + 2));
-        words.extend_from_slice(&(self.funcs.len() as u64).to_le_bytes());
-        for func in &self.funcs {
-            words.extend_from_slice(&func.content_hash().to_le_bytes());
-        }
-        words.extend_from_slice(&globals.to_le_bytes());
-        crate::codec::word_hash(&words)
+        let mut words = Vec::with_capacity(self.funcs.len() + 2);
+        words.push(self.funcs.len() as u64);
+        words.extend(self.funcs.iter().map(Function::content_hash));
+        words.push(globals);
+        crate::codec::word_hash_words(&words)
     }
 }
 

@@ -37,12 +37,15 @@ use spt_sim::{CacheConfig, MachineConfig};
 /// carries the store's word-wise checksum.
 /// v7: the sim replies carry the bare `SimResult` body, with no magic,
 /// version or checksum: the versioned frame carries them.
-pub const PROTO_VERSION: u8 = 7;
+/// v8: a `SimResult` body carries its final memory's digest instead of the
+/// image, so a sim reply is its report plus two bodies of about a hundred
+/// bytes.
+pub const PROTO_VERSION: u8 = 8;
 
 /// Upper bound on a single frame's payload. Large enough for any report +
-/// module text + simulation memo this repo produces (the biggest corpus
-/// artifacts are low single-digit megabytes); small enough that a corrupt
-/// length prefix cannot drive an allocation-of-doom.
+/// module text this repo produces (the biggest corpus artifacts are low
+/// single-digit megabytes); small enough that a corrupt length prefix
+/// cannot drive an allocation-of-doom.
 pub const MAX_FRAME: usize = 64 << 20;
 
 /// Smallest encoding of a stats entry: an empty name and a one-byte value.
@@ -160,7 +163,8 @@ pub struct CompileResp {
 }
 
 /// Sim result: the compile rendering plus both simulation outcomes,
-/// encoded with the artifact store's `SimResult` codec.
+/// encoded with the artifact store's `SimResult` codec (the final memory
+/// as its digest).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimResp {
     /// `format!("{:?}", CompilationReport)` for the unit that was simulated.

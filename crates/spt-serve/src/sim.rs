@@ -5,13 +5,18 @@
 //! [`sim_with_cache`] runs it against a transient disk-only store for the
 //! one-shot tools; the daemon's service runs the same `memo_sim` against
 //! its long-lived two-tier store.
+//!
+//! Both return the final memory as its digest ([`FinalMemory::Digest`]),
+//! hit or miss, store on or off: nothing past the simulator reads the
+//! image, and without it a memo or reply body is about a hundred bytes.
+//! Tests that compare images run [`SptSimulator`] directly.
 
 use std::sync::Arc;
 
 use spt_core::store::{sim_key, Store, Tier};
 use spt_core::TraceSettings;
 use spt_ir::Module;
-use spt_sim::{MachineConfig, SimError, SimResult, SptSimulator};
+use spt_sim::{FinalMemory, MachineConfig, SimError, SimResult, SptSimulator};
 
 /// Artifact-store statistics of the simulation side of a run. The name and
 /// the `capture_s`/`replay_s` fields, which always read 0, stay only
@@ -51,8 +56,8 @@ impl SimTraceStats {
 /// Simulates `entry(arg)` of `module` under `machine`. With
 /// `settings.enabled`, the store's `SimResult` memo in `cache_dir` (if any)
 /// is probed first — an exact repeat costs one file read — and a miss runs
-/// the simulator and stores its result. Otherwise this is exactly a direct
-/// [`SptSimulator`] run.
+/// the simulator and stores its result. Otherwise this is a direct
+/// [`SptSimulator`] run. Either way the memory comes back as its digest.
 ///
 /// # Errors
 ///
@@ -67,7 +72,7 @@ pub fn sim_with_cache(
     stats: &mut SimTraceStats,
 ) -> Result<SimResult, SimError> {
     if !settings.enabled {
-        return SptSimulator::with_config(machine.clone()).run(module, entry, &[arg]);
+        return simulate(module, entry, arg, machine);
     }
     let store = Store::new(0, 1, settings.cache_dir.clone(), None);
     let out = memo_sim(&store, module, module.content_hash(), entry, arg, machine);
@@ -82,7 +87,7 @@ pub fn sim_with_cache(
 
 /// Memo probe → simulate → store for `entry(arg)` of `module`, whose
 /// content hash is `module_hash`. The tier is `None` when the simulator
-/// ran.
+/// ran; the memory is a digest either way, so the store holds no image.
 ///
 /// # Errors
 ///
@@ -99,7 +104,19 @@ pub(crate) fn memo_sim(
     if let Some((hit, tier)) = store.get::<SimResult>(key) {
         return Ok((hit, Some(tier)));
     }
-    let result = Arc::new(SptSimulator::with_config(machine.clone()).run(module, entry, &[arg])?);
+    let result = Arc::new(simulate(module, entry, arg, machine)?);
     store.put(key, result.clone());
     Ok((result, None))
+}
+
+/// A direct [`SptSimulator`] run, its memory image replaced by the digest.
+fn simulate(
+    module: &Module,
+    entry: &str,
+    arg: i64,
+    machine: &MachineConfig,
+) -> Result<SimResult, SimError> {
+    let mut result = SptSimulator::with_config(machine.clone()).run(module, entry, &[arg])?;
+    result.memory = FinalMemory::Digest(result.memory.digest());
+    Ok(result)
 }

@@ -42,6 +42,6 @@ pub use cache::{Cache, CacheConfig};
 pub use machine::MachineConfig;
 pub use predictor::BranchPredictor;
 pub use reference::ReferenceSimulator;
-pub use sim::{SimError, SimResult, SptSimulator};
+pub use sim::{FinalMemory, SimError, SimResult, SptSimulator};
 pub use stats::LoopSimStats;
 pub use thread::SpecBuf;

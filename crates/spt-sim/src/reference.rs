@@ -13,7 +13,7 @@
 
 use crate::cache::CacheConfig;
 use crate::machine::MachineConfig;
-use crate::sim::{SimError, SimResult};
+use crate::sim::{FinalMemory, SimError, SimResult};
 use crate::stats::LoopSimStats;
 use crate::thread::{ExecError, ExecRecord, StepEvent};
 use spt_ir::{BlockId, Cfg, DomTree, FuncId, InstId, InstKind, Module, Operand, Ty};
@@ -716,7 +716,7 @@ impl Run<'_> {
             ret,
             cycles: self.cycle,
             insts: self.insts,
-            memory: self.memory,
+            memory: FinalMemory::Image(self.memory),
             loops: self.loops,
             cache_hit_rate: self.cache.hit_rate(),
             branch_miss_rate: self.predictor.miss_rate(),

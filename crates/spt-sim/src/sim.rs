@@ -56,6 +56,37 @@ impl From<ExecError> for SimError {
     }
 }
 
+/// The final memory of a run, in one of two forms. The simulators return
+/// the whole image; past them — in a store memo, in a daemon reply — only
+/// its digest travels, since nothing that reads a result past the
+/// simulator reads the image.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum FinalMemory {
+    /// Every word of the final memory, as a direct run returns it.
+    Image(Vec<u64>),
+    /// The image's [`FinalMemory::digest`].
+    Digest(u64),
+}
+
+impl FinalMemory {
+    /// `spt_ir::codec::word_hash` of the image's little-endian bytes,
+    /// whichever form this holds.
+    pub fn digest(&self) -> u64 {
+        match self {
+            FinalMemory::Image(words) => spt_ir::codec::word_hash_words(words),
+            FinalMemory::Digest(digest) => *digest,
+        }
+    }
+
+    /// The image, when this holds one.
+    pub fn image(&self) -> Option<&[u64]> {
+        match self {
+            FinalMemory::Image(words) => Some(words),
+            FinalMemory::Digest(_) => None,
+        }
+    }
+}
+
 /// The outcome of a simulated run.
 #[derive(Clone, Debug)]
 pub struct SimResult {
@@ -65,8 +96,8 @@ pub struct SimResult {
     pub cycles: u64,
     /// Instructions retired (committed), including free speculative ones.
     pub insts: u64,
-    /// Final memory image.
-    pub memory: Vec<u64>,
+    /// Final memory: an image from the simulators, a digest from a memo.
+    pub memory: FinalMemory,
     /// Per-loop-tag statistics.
     pub loops: HashMap<u32, LoopSimStats>,
     /// Shared-cache hit rate over the run.
@@ -283,7 +314,7 @@ impl Run<'_> {
             ret,
             cycles: self.cycle,
             insts: self.insts,
-            memory: self.memory,
+            memory: FinalMemory::Image(self.memory),
             loops: self.loops.into_iter().collect(),
             cache_hit_rate: self.cache.hit_rate(),
             branch_miss_rate: self.predictor.miss_rate(),
@@ -455,7 +486,7 @@ mod tests {
         assert_eq!(r.ret.unwrap(), expected.ret.unwrap().0);
         assert!(r.cycles > 0);
         assert!(r.ipc() > 0.0);
-        assert_eq!(r.memory, expected.memory);
+        assert_eq!(r.memory, FinalMemory::Image(expected.memory));
     }
 
     #[test]

@@ -447,12 +447,12 @@ mod tests {
     use super::*;
     use spt_ir::Module;
 
-    fn run_to_end(module: &Module, entry: &str, args: Vec<u64>) -> (Option<u64>, u64, Vec<u64>) {
+    fn run_to_end(module: &Module, entry: &str, args: Vec<u64>) -> (Option<u64>, u64) {
         let args: Vec<i64> = args.into_iter().map(|a| a as i64).collect();
         let r = crate::SptSimulator::new()
             .run(module, entry, &args)
             .expect("no faults");
-        (r.ret, r.cycles, r.memory)
+        (r.ret, r.cycles)
     }
 
     #[test]
@@ -470,7 +470,7 @@ mod tests {
             }
         ";
         let module = spt_frontend::compile(src).unwrap();
-        let (val, cycles, _mem) = run_to_end(&module, "main", vec![20]);
+        let (val, cycles) = run_to_end(&module, "main", vec![20]);
         // Cross-check against the reference interpreter.
         let interp = spt_profile::Interp::new(&module);
         let expected = interp
@@ -500,8 +500,8 @@ mod tests {
             }
         ";
         let module = spt_frontend::compile(src).unwrap();
-        let (_, seq_cycles, _) = run_to_end(&module, "scan", vec![4000, 1]);
-        let (_, rand_cycles, _) = run_to_end(&module, "scan", vec![4000, 97]);
+        let (_, seq_cycles) = run_to_end(&module, "scan", vec![4000, 1]);
+        let (_, rand_cycles) = run_to_end(&module, "scan", vec![4000, 97]);
         assert!(
             rand_cycles > seq_cycles,
             "strided access must cost more: {rand_cycles} vs {seq_cycles}"

@@ -46,11 +46,9 @@ fn spt_execution_matches_baseline_results() {
         assert_eq!(spt.ret, base.ret, "n={n}");
         // The SPT module may have extra predictor cells; compare the shared
         // prefix (the original globals).
-        let shared = base.memory.len();
-        assert_eq!(
-            &spt.memory[..shared.min(spt.memory.len())],
-            &base.memory[..shared]
-        );
+        let (base, spt) = (base.memory.image().unwrap(), spt.memory.image().unwrap());
+        let shared = base.len();
+        assert_eq!(&spt[..shared.min(spt.len())], &base[..shared]);
     }
 }
 

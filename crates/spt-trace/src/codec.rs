@@ -4,7 +4,7 @@
 //! that the kind's codec alone writes, then a checksum of all of it,
 //! `spt_ir`'s word-wise hash ([`seal`]/[`unseal`]).
 
-use spt_ir::codec::{put_str, put_varint, word_hash};
+use spt_ir::codec::{put_str, put_varint, put_word, word_hash};
 
 /// FNV-1a offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -64,7 +64,7 @@ pub fn seal(tag: &str, version: u32, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8>
     let mut out = header(tag, version);
     body(&mut out);
     let sum = word_hash(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
+    put_word(&mut out, sum);
     out
 }
 

@@ -2,12 +2,16 @@
 //! store's simulation memos and of the daemon's sim replies, so a
 //! daemon-served result is byte-comparable to a local one.
 //!
-//! Varint fields, loop stats sorted by tag so the encoding is canonical,
-//! and the two rates by bit pattern. The body carries no magic, version or
-//! checksum: the store's frame and the protocol's versioned frame do.
+//! Varint fields, the final memory's digest as one word, loop stats sorted
+//! by tag so the encoding is canonical, and the two rates by bit pattern.
+//! The memory goes as its digest whichever form the result holds, so a
+//! direct run encodes to the same bytes as its memo, and a body's size
+//! grows with its loop count, not with the program's memory. The body carries no
+//! magic, version or checksum: the store's frame and the protocol's
+//! versioned frame do.
 
-use spt_ir::codec::{put_f64, put_varint, Reader};
-use spt_sim::{LoopSimStats, SimResult};
+use spt_ir::codec::{put_f64, put_varint, put_word, Reader};
+use spt_sim::{FinalMemory, LoopSimStats, SimResult};
 
 /// Smallest encoding of one loop's stats: a tag and ten counters.
 const MIN_LOOP_LEN: usize = 11;
@@ -23,10 +27,7 @@ pub fn encode_sim(r: &SimResult, out: &mut Vec<u8>) {
     }
     put_varint(out, r.cycles);
     put_varint(out, r.insts);
-    put_varint(out, r.memory.len() as u64);
-    for &w in &r.memory {
-        put_varint(out, w);
-    }
+    put_word(out, r.memory.digest());
     let mut tags: Vec<u32> = r.loops.keys().copied().collect();
     tags.sort_unstable();
     put_varint(out, tags.len() as u64);
@@ -52,8 +53,8 @@ pub fn encode_sim(r: &SimResult, out: &mut Vec<u8>) {
     put_f64(out, r.branch_miss_rate);
 }
 
-/// Inverse of [`encode_sim`]; `None` when the bytes are not an encoding.
-/// The memory image, most of the bytes, is read in one bulk pass.
+/// Inverse of [`encode_sim`], up to the memory's form: the result holds
+/// [`FinalMemory::Digest`]. `None` when the bytes are not an encoding.
 pub fn decode_sim(r: &mut Reader<'_>) -> Option<SimResult> {
     let ret = match r.byte()? {
         0 => None,
@@ -62,8 +63,7 @@ pub fn decode_sim(r: &mut Reader<'_>) -> Option<SimResult> {
     };
     let cycles = r.varint()?;
     let insts = r.varint()?;
-    let n = r.count()?;
-    let memory = r.varints(n)?;
+    let memory = FinalMemory::Digest(r.word()?);
     let n = r.count_of(MIN_LOOP_LEN)?;
     let mut loops = std::collections::HashMap::with_capacity(n);
     for _ in 0..n {
@@ -101,7 +101,7 @@ pub fn decode_sim(r: &mut Reader<'_>) -> Option<SimResult> {
 
 /// [`encode_sim`] into a fresh buffer: the bytes of a daemon sim reply.
 pub fn sim_to_bytes(r: &SimResult) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + r.memory.len() * 3);
+    let mut out = Vec::new();
     encode_sim(r, &mut out);
     out
 }
@@ -144,38 +144,40 @@ mod tests {
             ret: Some(42),
             cycles: 1000,
             insts: 500,
-            memory: vec![1, 2, 3, u64::MAX],
+            memory: FinalMemory::Image(vec![1, 2, 3, u64::MAX]),
             loops,
             cache_hit_rate: 0.987654321,
             branch_miss_rate: 0.0123456789,
         }
     }
 
+    /// Field-wise equality, the memory by digest.
     fn sim_eq(a: &SimResult, b: &SimResult) -> bool {
         a.ret == b.ret
             && a.cycles == b.cycles
             && a.insts == b.insts
-            && a.memory == b.memory
+            && a.memory.digest() == b.memory.digest()
             && a.loops == b.loops
             && a.cache_hit_rate.to_bits() == b.cache_hit_rate.to_bits()
             && a.branch_miss_rate.to_bits() == b.branch_miss_rate.to_bits()
     }
 
     #[test]
-    fn memory_images_of_every_word_width_round_trip() {
-        let mut r = sample_sim();
-        r.memory = (0..64)
-            .map(|b| 1u64 << b)
-            .chain([0, 127, u64::MAX])
-            .collect();
-        let bytes = sim_to_bytes(&r);
-        assert!(sim_eq(&r, &sim_from_bytes(&bytes).unwrap()));
-        // A truncated image, or a word running past 64 bits, is rejected.
-        assert_eq!(Reader::new(&[0x80, 0x80], 0).varints(1), None);
-        assert_eq!(Reader::new(&[0xff; 11], 0).varints(1), None);
-        let mut reader = Reader::new(&[9, 0xac, 0x02, 7], 1);
-        assert_eq!(reader.varints(2), Some(vec![300, 7]));
-        assert!(reader.at_end());
+    fn an_image_and_its_digest_encode_alike() {
+        for image in [vec![], vec![0], vec![1, 2, 3, u64::MAX], vec![7; 4096]] {
+            let mut r = sample_sim();
+            r.memory = FinalMemory::Image(image.clone());
+            let digest = r.memory.digest();
+            let bytes: Vec<u8> = image.iter().flat_map(|w| w.to_le_bytes()).collect();
+            assert_eq!(digest, spt_ir::codec::word_hash(&bytes));
+            let from_image = sim_to_bytes(&r);
+            r.memory = FinalMemory::Digest(digest);
+            assert_eq!(sim_to_bytes(&r), from_image, "{} words", image.len());
+            // The body is the same size whatever the image's.
+            assert_eq!(from_image.len(), sim_to_bytes(&sample_sim()).len());
+            let decoded = sim_from_bytes(&from_image).unwrap();
+            assert_eq!(decoded.memory, FinalMemory::Digest(digest));
+        }
     }
 
     #[test]

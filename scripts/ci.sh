@@ -118,10 +118,13 @@ daemon_digest_run() {
 daemon_digest_run
 
 echo "== sptd daemon: the same digest while both store tiers evict =="
-# Budgets far below the suite's working set (compiled units are 10-15 KB
-# each; mcf_s's sim memo alone is larger than the disk budget), so answers
-# are checked while memory and disk evictions happen.
-daemon_digest_run --mem-budget 262144 --disk-budget 65536 --shards 2
+# Budgets below the batch's working set, so answers are checked while
+# memory and disk evictions happen. In memory, compiled units are 10-15 KB
+# each and the batch compiles about 70 of them. On disk, the batch stores
+# about 47 KB: compile memos of up to 2.2 KB, and function units and sim
+# memos (the final memory as a digest) of under 150 bytes each. A 32 KiB
+# budget evicts, yet still serves some sim memos from disk.
+daemon_digest_run --mem-budget 262144 --disk-budget 32768 --shards 2
 if ! grep -Eq '^memory tiers: .*, [1-9][0-9]* evictions$' <<<"$loadgen_out"; then
   echo "FAIL: the tight-budget daemon run evicted nothing from memory" >&2
   exit 1

@@ -272,7 +272,8 @@ fn cmd_sim(source: &str, opts: &Options) -> ExitCode {
 }
 
 /// The shared `sim` rendering: the local and daemon paths both feed their
-/// `SimResult` pair through here, so their stdout is byte-identical.
+/// `SimResult` pair through here, so their stdout is byte-identical
+/// (`tests/cli.rs` pins it).
 fn print_sim(base: &SimResult, spt: &SimResult) {
     println!(
         "result: {}",

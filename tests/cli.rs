@@ -4,6 +4,7 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 /// A private working directory holding the demo program. `sptc` runs
 /// inside it, so the `.spt-cache/` artifact store it uses by default lands
@@ -197,6 +198,41 @@ fn sim_twice_in_one_directory_is_served_from_the_store_unchanged() {
         "the first run stored no compile or sim memo: {kinds:?}"
     );
     assert_eq!(sim(), cold, "the store changed sptc sim's output");
+}
+
+/// `sptc --daemon SOCKET sim` renders the daemon's reply through the same
+/// `print_sim` as a local run: its stdout is byte-identical, whether the
+/// daemon computes the answer or serves it from memory.
+#[test]
+fn daemon_sim_prints_exactly_what_local_sim_prints() {
+    let demo = Demo::new();
+    let service = spt::serve::CompileService::new(spt::serve::ServiceConfig {
+        cache_dir: Some(demo.dir.join("daemon-cache")),
+        ..spt::serve::ServiceConfig::default()
+    });
+    let socket = demo.dir.join("sptd.sock");
+    let handle = spt::serve::serve(Arc::new(service), &socket, 1).expect("daemon starts");
+    let sim = |daemon: bool| {
+        let mut cmd = demo.sptc();
+        cmd.args(["sim"])
+            .arg(&demo.path)
+            .args(["--arg", "1500", "--train", "300"]);
+        if daemon {
+            cmd.arg("--daemon").arg(&socket);
+        }
+        let out = cmd.output().expect("runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("utf-8")
+    };
+    let local = sim(false);
+    assert!(local.contains("loop #1"), "{local}");
+    assert_eq!(sim(true), local, "a daemon-computed sim");
+    assert_eq!(sim(true), local, "a daemon sim served from memory");
+    handle.shutdown_and_join();
 }
 
 #[test]

@@ -20,7 +20,11 @@ fn simulator_matches_interpreter_on_baselines() {
             .run(b.entry, &[Val::from_i64(arg)], &mut NoProfiler)
             .expect("interp runs");
         assert_eq!(sim_r.ret, int_r.ret.map(|v| v.0), "{name} result");
-        assert_eq!(sim_r.memory, int_r.memory, "{name} memory");
+        assert_eq!(
+            sim_r.memory.image(),
+            Some(&int_r.memory[..]),
+            "{name} memory"
+        );
         assert!(
             sim_r.cycles >= sim_r.insts,
             "{name}: cycles bound below by insts"
@@ -40,11 +44,8 @@ fn speculative_execution_is_invisible_to_results() {
         let base = sim.run(&compiled.baseline, b.entry, &[arg]).expect("base");
         let spt = sim.run(&compiled.module, b.entry, &[arg]).expect("spt");
         assert_eq!(base.ret, spt.ret, "{name}");
-        assert_eq!(
-            &spt.memory[..base.memory.len()],
-            &base.memory[..],
-            "{name} memory"
-        );
+        let (base, spt) = (base.memory.image().unwrap(), spt.memory.image().unwrap());
+        assert_eq!(&spt[..base.len()], base, "{name} memory");
     }
 }
 

@@ -1,12 +1,14 @@
 //! Differential oracle for the artifact store (`.spt-cache/`).
 //!
 //! The store keeps function-granular pass-1 analysis units, whole compiles
-//! and whole `SimResult` memos. It may only ever change speed: over every
+//! and `SimResult` memos. It may only ever change speed: over every
 //! `spt-bench-suite` program, compiles and simulations with the store off,
-//! cold, warm, or damaged must produce byte-identical reports, modules and
-//! `SimResult`s, and a damaged store must come out of the next run
-//! repaired. The file keeps its historical name; it once pinned trace
-//! replay against direct execution.
+//! cold, warm, or damaged must produce byte-identical reports and modules,
+//! and `SimResult`s equal to a direct simulator run's, the final memory by
+//! its digest (a memo carries the digest, a direct run the image); a
+//! damaged store must come out of the next run repaired. The file keeps
+//! its historical name; it once pinned trace replay against direct
+//! execution.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -19,14 +21,20 @@ use spt::pipeline::{
     compile_and_transform, transform_module_timed, CompilerConfig, ProfilingInput, StageTimings,
     Store, TraceSettings,
 };
-use spt::serve::{sim_with_cache, SimTraceStats};
-use spt::sim::{MachineConfig, SimResult, SptSimulator};
+use spt::serve::{
+    sim_with_cache, CompileService, OkBody, ReqBody, RespBody, ServiceConfig, SimReq, SimTraceStats,
+};
+use spt::sim::{FinalMemory, MachineConfig, SimResult, SptSimulator};
 
 fn assert_sim_eq(name: &str, got: &SimResult, want: &SimResult) {
     assert_eq!(got.ret, want.ret, "{name}: return bits");
     assert_eq!(got.cycles, want.cycles, "{name}: cycles");
     assert_eq!(got.insts, want.insts, "{name}: insts");
-    assert_eq!(got.memory, want.memory, "{name}: memory image");
+    assert_eq!(
+        got.memory.digest(),
+        want.memory.digest(),
+        "{name}: memory digest"
+    );
     assert_eq!(got.loops, want.loops, "{name}: per-loop sim stats");
     assert_eq!(
         got.cache_hit_rate.to_bits(),
@@ -56,7 +64,9 @@ fn store_config(dir: &Path) -> CompilerConfig {
 }
 
 /// What one `sptc sim`-style run of a benchmark produces. Simulations use
-/// the training input to keep the test quick.
+/// the training input to keep the test quick. With the store off they run
+/// the simulator directly, so the results keep their memory images: the
+/// reference the memo-served runs are compared against.
 struct Run {
     report: String,
     module: String,
@@ -75,8 +85,12 @@ fn run(b: &Benchmark, config: &CompilerConfig) -> Run {
     let machine = MachineConfig::default();
     let mut sims = SimTraceStats::default();
     let mut sim = |m: &Module| {
-        sim_with_cache(m, b.entry, b.train_arg, &machine, &config.trace, &mut sims)
-            .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", b.name))
+        if config.trace.enabled {
+            sim_with_cache(m, b.entry, b.train_arg, &machine, &config.trace, &mut sims)
+        } else {
+            SptSimulator::with_config(machine.clone()).run(m, b.entry, &[b.train_arg])
+        }
+        .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", b.name))
     };
     let base = sim(&baseline);
     let spt = sim(&module);
@@ -179,6 +193,11 @@ fn pipeline_reports_are_unchanged_by_tracing_cold_or_warm() {
 
     for b in spt::bench_suite::suite() {
         let plain = run(&b, &CompilerConfig::best());
+        assert!(
+            plain.base.memory.image().is_some() && plain.spt.memory.image().is_some(),
+            "{}: a direct run lost its image",
+            b.name
+        );
 
         // Cold: empty store — the compile, every analysis unit and both
         // simulations computed.
@@ -245,6 +264,16 @@ fn pipeline_reports_are_unchanged_by_tracing_cold_or_warm() {
             b.name
         );
 
+        // Memo-served results carry the digest alone, hit or miss.
+        for (what, r) in [("cold", &cold), ("warm", &warm)] {
+            assert!(
+                matches!(r.base.memory, FinalMemory::Digest(_))
+                    && matches!(r.spt.memory, FinalMemory::Digest(_)),
+                "{}: a {what} memo carried an image",
+                b.name
+            );
+        }
+
         // The store is a pure speed change.
         assert_same_results(&format!("{} cold", b.name), &cold, &plain);
         assert_same_results(&format!("{} warm", b.name), &warm, &plain);
@@ -297,5 +326,71 @@ fn a_damaged_store_is_repaired_without_changing_any_result() {
     // exactly the files, byte for byte, it held before the damage.
     assert_eq!(snapshot(&dir), warm_store, "store not repaired");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every suite program at its reference input under `best`: each stored
+/// `sim-*.bin` file and each `Sim` reply body is at most 1 KiB, and the
+/// digest each one carries is that of a direct simulator run's image.
+#[test]
+fn memos_and_sim_replies_carry_the_final_memory_as_a_digest() {
+    const MAX_BODY: u64 = 1 << 10;
+    let dir = temp_store("digest");
+    let service = CompileService::new(ServiceConfig {
+        cache_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    });
+    let machine = MachineConfig::default();
+    let probe = Store::new(0, 1, Some(dir.clone()), None);
+    for b in spt::bench_suite::suite() {
+        let req = SimReq {
+            source: b.source.to_string(),
+            entry: b.entry.to_string(),
+            train: b.train_arg,
+            arg: b.ref_arg,
+            config_id: 1,
+            machine: machine.clone(),
+        };
+        let reply = match service.execute(&ReqBody::Sim(req)) {
+            RespBody::Ok(OkBody::Sim(s)) => s,
+            other => panic!("{}: not a sim reply: {other:?}", b.name),
+        };
+        let input = ProfilingInput::new(b.entry, [b.train_arg]);
+        let compiled = compile_and_transform(b.source, &input, &CompilerConfig::best())
+            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+        for (what, module, body) in [
+            ("baseline", &compiled.baseline, &reply.baseline),
+            ("SPT", &compiled.module, &reply.spt),
+        ] {
+            let name = format!("{} {what}", b.name);
+            let direct = SptSimulator::with_config(machine.clone())
+                .run(module, b.entry, &[b.ref_arg])
+                .expect("sim runs");
+            let image = direct.memory.image().expect("a direct run keeps its image");
+            assert!(!image.is_empty(), "{name}: no memory");
+            let want = direct.memory.digest();
+
+            assert!(
+                body.len() as u64 <= MAX_BODY,
+                "{name}: reply body of {} bytes",
+                body.len()
+            );
+            let replied = spt::trace::sim_from_bytes(body).expect("decodes");
+            assert_eq!(replied.memory, FinalMemory::Digest(want), "{name}: reply");
+            assert_sim_eq(&format!("{name} reply"), &replied, &direct);
+
+            let key = sim_key(module.content_hash(), b.entry, &[b.ref_arg], &machine);
+            let path = dir.join(format!("sim-{key:016x}.bin"));
+            let len = std::fs::metadata(&path).expect("memo stored").len();
+            assert!(len <= MAX_BODY, "{name}: memo file of {len} bytes");
+            let (memo, _) = probe.get::<SimResult>(key).expect("memo decodes");
+            assert_eq!(memo.memory, FinalMemory::Digest(want), "{name}: memo");
+        }
+    }
+    let memos = snapshot(&dir)
+        .into_keys()
+        .filter(|n| n.starts_with("sim-"))
+        .count();
+    assert_eq!(memos, 20, "one memo per program and module");
     let _ = std::fs::remove_dir_all(&dir);
 }
