@@ -1,17 +1,18 @@
-//! Lexer for `minic`.
+//! Lexer for `minic`: one pass over the source bytes, with every
+//! identifier token a slice of the source.
 
 use crate::CompileError;
 use std::fmt;
 
 /// A token kind with payload.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Tok {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Tok<'a> {
     /// Integer literal.
     Int(i64),
     /// Float literal.
     Float(f64),
-    /// Identifier or keyword candidate.
-    Ident(String),
+    /// Identifier (never a keyword).
+    Ident(&'a str),
     /// `fn`
     Fn,
     /// `global`
@@ -102,7 +103,7 @@ pub enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Int(v) => write!(f, "{v}"),
@@ -113,7 +114,7 @@ impl fmt::Display for Tok {
     }
 }
 
-impl Tok {
+impl Tok<'_> {
     fn symbol(&self) -> &'static str {
         match self {
             Tok::Fn => "fn",
@@ -166,13 +167,13 @@ impl Tok {
 }
 
 /// A token with its source position.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Token {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Token<'a> {
     /// The token.
-    pub tok: Tok,
+    pub tok: Tok<'a>,
     /// 1-based line.
     pub line: usize,
-    /// 1-based column.
+    /// 1-based column, in characters.
     pub col: usize,
 }
 
@@ -182,100 +183,111 @@ pub struct Token {
 ///
 /// Returns a [`CompileError`] on unterminated comments, malformed numbers or
 /// unexpected characters.
-pub fn lex(source: &str) -> Result<Vec<Token>, CompileError> {
-    let chars: Vec<char> = source.chars().collect();
-    let mut tokens = Vec::new();
+pub(crate) fn lex(source: &str) -> Result<Vec<Token<'_>>, CompileError> {
+    let bytes = source.as_bytes();
+    let mut tokens = Vec::with_capacity(bytes.len() / 4 + 1);
     let mut i = 0;
     let mut line = 1usize;
     let mut col = 1usize;
 
-    macro_rules! push {
-        ($tok:expr, $l:expr, $c:expr) => {
-            tokens.push(Token {
-                tok: $tok,
-                line: $l,
-                col: $c,
-            })
-        };
-    }
+    // A column per character: only the first byte of a UTF-8 sequence
+    // starts one.
+    let starts_char = |b: u8| b & 0xC0 != 0x80;
+    // Moves past byte `i`.
+    let step = |i: &mut usize, line: &mut usize, col: &mut usize| {
+        if bytes[*i] == b'\n' {
+            *line += 1;
+            *col = 1;
+        } else if starts_char(bytes[*i]) {
+            *col += 1;
+        }
+        *i += 1;
+    };
+    // Moves past an ASCII run that holds no newline.
+    let skip = |n: usize, i: &mut usize, col: &mut usize| {
+        *i += n;
+        *col += n;
+    };
 
-    while i < chars.len() {
-        let c = chars[i];
+    while i < bytes.len() {
+        let c = bytes[i];
         let (tl, tc) = (line, col);
-        let advance = |n: usize, i: &mut usize, line: &mut usize, col: &mut usize| {
-            for k in 0..n {
-                if chars[*i + k] == '\n' {
-                    *line += 1;
-                    *col = 1;
-                } else {
-                    *col += 1;
-                }
+        let tok = match c {
+            b' ' | b'\t' | b'\r' => {
+                let n = bytes[i..]
+                    .iter()
+                    .take_while(|b| matches!(b, b' ' | b'\t' | b'\r'))
+                    .count();
+                skip(n, &mut i, &mut col);
+                continue;
             }
-            *i += n;
-        };
-
-        match c {
-            ' ' | '\t' | '\r' | '\n' => advance(1, &mut i, &mut line, &mut col),
-            '/' if chars.get(i + 1) == Some(&'/') => {
-                while i < chars.len() && chars[i] != '\n' {
-                    advance(1, &mut i, &mut line, &mut col);
-                }
+            b'\n' => {
+                step(&mut i, &mut line, &mut col);
+                continue;
             }
-            '/' if chars.get(i + 1) == Some(&'*') => {
-                advance(2, &mut i, &mut line, &mut col);
+            b'/' if bytes.get(i + 1) == Some(&b'/') => {
+                let n = bytes[i..].iter().take_while(|&&b| b != b'\n').count();
+                col += bytes[i..i + n].iter().filter(|&&b| starts_char(b)).count();
+                i += n;
+                continue;
+            }
+            b'/' if bytes.get(i + 1) == Some(&b'*') => {
+                skip(2, &mut i, &mut col);
                 let mut closed = false;
-                while i + 1 < chars.len() {
-                    if chars[i] == '*' && chars[i + 1] == '/' {
-                        advance(2, &mut i, &mut line, &mut col);
+                while i + 1 < bytes.len() {
+                    if bytes[i] == b'*' && bytes[i + 1] == b'/' {
+                        skip(2, &mut i, &mut col);
                         closed = true;
                         break;
                     }
-                    advance(1, &mut i, &mut line, &mut col);
+                    step(&mut i, &mut line, &mut col);
                 }
                 if !closed {
                     return Err(CompileError::new("unterminated block comment", tl, tc));
                 }
+                continue;
             }
-            '0'..='9' => {
+            b'0'..=b'9' => {
                 let start = i;
-                while i < chars.len() && chars[i].is_ascii_digit() {
-                    advance(1, &mut i, &mut line, &mut col);
-                }
+                let digits = |i: &mut usize, col: &mut usize| {
+                    let n = bytes[*i..]
+                        .iter()
+                        .take_while(|b| b.is_ascii_digit())
+                        .count();
+                    skip(n, i, col);
+                };
+                digits(&mut i, &mut col);
                 let is_float =
-                    i + 1 < chars.len() && chars[i] == '.' && chars[i + 1].is_ascii_digit();
+                    i + 1 < bytes.len() && bytes[i] == b'.' && bytes[i + 1].is_ascii_digit();
                 if is_float {
-                    advance(1, &mut i, &mut line, &mut col);
-                    while i < chars.len() && chars[i].is_ascii_digit() {
-                        advance(1, &mut i, &mut line, &mut col);
-                    }
-                    let text: String = chars[start..i].iter().collect();
-                    let v: f64 = text
+                    skip(1, &mut i, &mut col);
+                    digits(&mut i, &mut col);
+                    let v: f64 = source[start..i]
                         .parse()
                         .map_err(|_| CompileError::new("malformed float literal", tl, tc))?;
-                    push!(Tok::Float(v), tl, tc);
-                } else if i < chars.len() && chars[i] == '.' {
+                    Tok::Float(v)
+                } else if bytes.get(i) == Some(&b'.') {
                     // `1.` style float
-                    advance(1, &mut i, &mut line, &mut col);
-                    let text: String = chars[start..i - 1].iter().collect();
-                    let v: f64 = text
+                    skip(1, &mut i, &mut col);
+                    let v: f64 = source[start..i - 1]
                         .parse()
                         .map_err(|_| CompileError::new("malformed float literal", tl, tc))?;
-                    push!(Tok::Float(v), tl, tc);
+                    Tok::Float(v)
                 } else {
-                    let text: String = chars[start..i].iter().collect();
-                    let v: i64 = text
+                    let v: i64 = source[start..i]
                         .parse()
                         .map_err(|_| CompileError::new("integer literal overflow", tl, tc))?;
-                    push!(Tok::Int(v), tl, tc);
+                    Tok::Int(v)
                 }
             }
-            'a'..='z' | 'A'..='Z' | '_' => {
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
                 let start = i;
-                while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
-                    advance(1, &mut i, &mut line, &mut col);
-                }
-                let text: String = chars[start..i].iter().collect();
-                let tok = match text.as_str() {
+                let n = bytes[i..]
+                    .iter()
+                    .take_while(|b| b.is_ascii_alphanumeric() || **b == b'_')
+                    .count();
+                skip(n, &mut i, &mut col);
+                match &source[start..i] {
                     "fn" => Tok::Fn,
                     "global" => Tok::Global,
                     "let" => Tok::Let,
@@ -288,67 +300,68 @@ pub fn lex(source: &str) -> Result<Vec<Token>, CompileError> {
                     "continue" => Tok::Continue,
                     "int" => Tok::KwInt,
                     "float" => Tok::KwFloat,
-                    _ => Tok::Ident(text),
-                };
-                push!(tok, tl, tc);
+                    text => Tok::Ident(text),
+                }
             }
             _ => {
-                let two: Option<Tok> = if i + 1 < chars.len() {
-                    match (c, chars[i + 1]) {
-                        ('-', '>') => Some(Tok::Arrow),
-                        ('=', '=') => Some(Tok::EqEq),
-                        ('!', '=') => Some(Tok::NotEq),
-                        ('<', '=') => Some(Tok::Le),
-                        ('>', '=') => Some(Tok::Ge),
-                        ('<', '<') => Some(Tok::Shl),
-                        ('>', '>') => Some(Tok::Shr),
-                        ('&', '&') => Some(Tok::AndAnd),
-                        ('|', '|') => Some(Tok::OrOr),
-                        _ => None,
-                    }
-                } else {
-                    None
+                let two = match (c, bytes.get(i + 1)) {
+                    (b'-', Some(b'>')) => Some(Tok::Arrow),
+                    (b'=', Some(b'=')) => Some(Tok::EqEq),
+                    (b'!', Some(b'=')) => Some(Tok::NotEq),
+                    (b'<', Some(b'=')) => Some(Tok::Le),
+                    (b'>', Some(b'=')) => Some(Tok::Ge),
+                    (b'<', Some(b'<')) => Some(Tok::Shl),
+                    (b'>', Some(b'>')) => Some(Tok::Shr),
+                    (b'&', Some(b'&')) => Some(Tok::AndAnd),
+                    (b'|', Some(b'|')) => Some(Tok::OrOr),
+                    _ => None,
                 };
                 if let Some(t) = two {
-                    push!(t, tl, tc);
-                    advance(2, &mut i, &mut line, &mut col);
+                    skip(2, &mut i, &mut col);
+                    t
                 } else {
                     let one = match c {
-                        '(' => Tok::LParen,
-                        ')' => Tok::RParen,
-                        '{' => Tok::LBrace,
-                        '}' => Tok::RBrace,
-                        '[' => Tok::LBracket,
-                        ']' => Tok::RBracket,
-                        ',' => Tok::Comma,
-                        ';' => Tok::Semi,
-                        ':' => Tok::Colon,
-                        '=' => Tok::Assign,
-                        '+' => Tok::Plus,
-                        '-' => Tok::Minus,
-                        '*' => Tok::Star,
-                        '/' => Tok::Slash,
-                        '%' => Tok::Percent,
-                        '&' => Tok::Amp,
-                        '|' => Tok::Pipe,
-                        '^' => Tok::Caret,
-                        '~' => Tok::Tilde,
-                        '<' => Tok::Lt,
-                        '>' => Tok::Gt,
-                        '!' => Tok::Bang,
-                        other => {
+                        b'(' => Tok::LParen,
+                        b')' => Tok::RParen,
+                        b'{' => Tok::LBrace,
+                        b'}' => Tok::RBrace,
+                        b'[' => Tok::LBracket,
+                        b']' => Tok::RBracket,
+                        b',' => Tok::Comma,
+                        b';' => Tok::Semi,
+                        b':' => Tok::Colon,
+                        b'=' => Tok::Assign,
+                        b'+' => Tok::Plus,
+                        b'-' => Tok::Minus,
+                        b'*' => Tok::Star,
+                        b'/' => Tok::Slash,
+                        b'%' => Tok::Percent,
+                        b'&' => Tok::Amp,
+                        b'|' => Tok::Pipe,
+                        b'^' => Tok::Caret,
+                        b'~' => Tok::Tilde,
+                        b'<' => Tok::Lt,
+                        b'>' => Tok::Gt,
+                        b'!' => Tok::Bang,
+                        _ => {
+                            let other = source[i..].chars().next().unwrap_or('\u{fffd}');
                             return Err(CompileError::new(
                                 format!("unexpected character `{other}`"),
                                 tl,
                                 tc,
-                            ))
+                            ));
                         }
                     };
-                    push!(one, tl, tc);
-                    advance(1, &mut i, &mut line, &mut col);
+                    skip(1, &mut i, &mut col);
+                    one
                 }
             }
-        }
+        };
+        tokens.push(Token {
+            tok,
+            line: tl,
+            col: tc,
+        });
     }
     tokens.push(Token {
         tok: Tok::Eof,
@@ -362,7 +375,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, CompileError> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
+    fn toks(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.tok).collect()
     }
 
@@ -372,9 +385,9 @@ mod tests {
             toks("fn foo while whilex"),
             vec![
                 Tok::Fn,
-                Tok::Ident("foo".into()),
+                Tok::Ident("foo"),
                 Tok::While,
-                Tok::Ident("whilex".into()),
+                Tok::Ident("whilex"),
                 Tok::Eof
             ]
         );
@@ -438,6 +451,20 @@ mod tests {
         let e = lex("a $ b").unwrap_err();
         assert!(e.message.contains("unexpected character"));
         assert_eq!(e.col, 3);
+    }
+
+    /// Columns count characters, not bytes, through comments too.
+    #[test]
+    fn columns_count_characters() {
+        let e = lex("/* é */ $").unwrap_err();
+        assert_eq!((e.line, e.col), (1, 9));
+        let e = lex("// é\n  é").unwrap_err();
+        assert_eq!((e.line, e.col), (2, 3));
+        assert_eq!(e.message, "unexpected character `é`");
+        let tokens = lex("a // ü\n").unwrap();
+        assert_eq!((tokens[1].line, tokens[1].col), (2, 1));
+        let tokens = lex("a /* ü */").unwrap();
+        assert_eq!((tokens[1].line, tokens[1].col), (1, 10));
     }
 
     #[test]

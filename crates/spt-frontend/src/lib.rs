@@ -37,10 +37,10 @@
 // therefore may not unwrap/expect; tests are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod ast;
-pub mod lexer;
-pub mod lower;
-pub mod parser;
+mod ast;
+mod lexer;
+mod lower;
+mod parser;
 
 use spt_ir::Module;
 use std::fmt;
@@ -83,9 +83,7 @@ impl std::error::Error for CompileError {}
 ///
 /// Returns a [`CompileError`] on any lexical, syntactic or type error.
 pub fn compile(source: &str) -> Result<Module, CompileError> {
-    let tokens = lexer::lex(source)?;
-    let program = parser::parse(&tokens)?;
-    let mut module = lower::lower(&program)?;
+    let mut module = compile_raw(source)?;
     for func in &mut module.funcs {
         spt_ir::ssa::mem2reg(func);
         spt_ir::passes::cleanup(func);
@@ -104,7 +102,8 @@ pub fn compile(source: &str) -> Result<Module, CompileError> {
 ///
 /// Returns a [`CompileError`] on any lexical, syntactic or type error.
 pub fn compile_raw(source: &str) -> Result<Module, CompileError> {
-    let tokens = lexer::lex(source)?;
-    let program = parser::parse(&tokens)?;
+    // The tokens go as soon as the AST is built, and the AST with this
+    // frame, so neither is alive while `compile` runs the IR passes.
+    let program = parser::parse(&lexer::lex(source)?)?;
     lower::lower(&program)
 }

@@ -18,13 +18,13 @@ use std::collections::HashMap;
 ///
 /// Returns a [`CompileError`] on type errors, unknown names, duplicate
 /// definitions or call-arity mismatches.
-pub fn lower(program: &Program) -> Result<Module, CompileError> {
+pub(crate) fn lower(program: &Program<'_>) -> Result<Module, CompileError> {
     let mut module = Module::new();
 
     // Globals.
-    let mut globals: HashMap<String, (RegionId, Ty, usize)> = HashMap::new();
+    let mut globals: HashMap<&str, (RegionId, Ty)> = HashMap::with_capacity(program.globals.len());
     for g in &program.globals {
-        if globals.contains_key(&g.name) {
+        if globals.contains_key(g.name) {
             return Err(CompileError::new(
                 format!("duplicate global `{}`", g.name),
                 g.line,
@@ -32,7 +32,7 @@ pub fn lower(program: &Program) -> Result<Module, CompileError> {
             ));
         }
         let ty = conv_ty(g.ty);
-        let region = module.add_global(g.name.clone(), g.size, ty);
+        let region = module.add_global(g.name, g.size, ty);
         if let Some(v) = g.init {
             let bits = match ty {
                 Ty::I64 => (v as i64) as u64,
@@ -40,26 +40,26 @@ pub fn lower(program: &Program) -> Result<Module, CompileError> {
             };
             module.globals[region.index()].init = Some(vec![bits]);
         }
-        globals.insert(g.name.clone(), (region, ty, g.size));
+        globals.insert(g.name, (region, ty));
     }
 
-    // Signatures (two-pass for forward references).
-    let mut sigs: HashMap<String, (FuncId, Vec<Ty>, Option<Ty>)> = HashMap::new();
+    // Signatures (two-pass for forward references): a function's id is its
+    // index in `program.funcs`.
+    let mut sigs: HashMap<&str, FuncId> = HashMap::with_capacity(program.funcs.len());
     for (i, f) in program.funcs.iter().enumerate() {
-        if sigs.contains_key(&f.name) || INTRINSICS.contains(&f.name.as_str()) {
+        if sigs.contains_key(f.name) || INTRINSICS.contains(&f.name) {
             return Err(CompileError::new(
                 format!("duplicate or reserved function name `{}`", f.name),
                 f.line,
                 1,
             ));
         }
-        let params: Vec<Ty> = f.params.iter().map(|(_, t)| conv_ty(*t)).collect();
-        sigs.insert(f.name.clone(), (FuncId::new(i), params, f.ret.map(conv_ty)));
+        sigs.insert(f.name, FuncId::new(i));
     }
 
     // Bodies.
     for f in &program.funcs {
-        let func = lower_func(f, &globals, &sigs)?;
+        let func = lower_func(f, program, &globals, &sigs)?;
         module.add_func(func);
     }
     Ok(module)
@@ -79,30 +79,38 @@ struct LoopCtx {
     break_target: BlockId,
 }
 
-struct Lowerer<'a> {
+struct Lowerer<'p, 'a> {
     b: FuncBuilder,
-    scopes: Vec<HashMap<String, (VarId, Ty)>>,
-    globals: &'a HashMap<String, (RegionId, Ty, usize)>,
-    sigs: &'a HashMap<String, (FuncId, Vec<Ty>, Option<Ty>)>,
+    /// Each local name's innermost binding in scope.
+    locals: HashMap<&'a str, (VarId, Ty)>,
+    /// Every binding made in an open scope, with the one it hid: closing a
+    /// scope undoes its suffix, last first.
+    bound: Vec<(&'a str, Option<(VarId, Ty)>)>,
+    program: &'p Program<'a>,
+    globals: &'p HashMap<&'a str, (RegionId, Ty)>,
+    sigs: &'p HashMap<&'a str, FuncId>,
     loop_stack: Vec<LoopCtx>,
     ret_ty: Option<Ty>,
     terminated: bool,
 }
 
-fn lower_func(
-    f: &FuncDef,
-    globals: &HashMap<String, (RegionId, Ty, usize)>,
-    sigs: &HashMap<String, (FuncId, Vec<Ty>, Option<Ty>)>,
+fn lower_func<'a>(
+    f: &FuncDef<'a>,
+    program: &Program<'a>,
+    globals: &HashMap<&'a str, (RegionId, Ty)>,
+    sigs: &HashMap<&'a str, FuncId>,
 ) -> Result<spt_ir::Function, CompileError> {
-    let params: Vec<(String, Ty)> = f
-        .params
+    let params: Vec<(String, Ty)> = program
+        .params(f.params)
         .iter()
-        .map(|(n, t)| (n.clone(), conv_ty(*t)))
+        .map(|&(n, t)| (n.to_string(), conv_ty(t)))
         .collect();
     let ret_ty = f.ret.map(conv_ty);
     let mut lw = Lowerer {
-        b: FuncBuilder::new(f.name.clone(), params.clone(), ret_ty),
-        scopes: vec![HashMap::new()],
+        b: FuncBuilder::new(f.name, params, ret_ty),
+        locals: HashMap::new(),
+        bound: Vec::new(),
+        program,
         globals,
         sigs,
         loop_stack: Vec::new(),
@@ -111,14 +119,15 @@ fn lower_func(
     };
 
     // Copy parameters into mutable slots so they can be reassigned.
-    for (i, (name, ty)) in params.iter().enumerate() {
-        let slot = lw.b.declare_var(*ty);
+    for (i, &(name, ty)) in program.params(f.params).iter().enumerate() {
+        let ty = conv_ty(ty);
+        let slot = lw.b.declare_var(ty);
         let val = lw.b.param(i);
         lw.b.var_store(slot, val);
-        lw.scopes[0].insert(name.clone(), (slot, *ty));
+        lw.bind(name, slot, ty);
     }
 
-    lw.stmts(&f.body)?;
+    lw.stmts(f.body)?;
     if !lw.terminated {
         match ret_ty {
             None => {
@@ -135,18 +144,28 @@ fn lower_func(
     Ok(lw.b.finish())
 }
 
-impl<'a> Lowerer<'a> {
+impl<'a> Lowerer<'_, 'a> {
     fn err(&self, msg: impl Into<String>, line: usize, col: usize) -> CompileError {
         CompileError::new(msg, line, col)
     }
 
     fn lookup_var(&self, name: &str) -> Option<(VarId, Ty)> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(&entry) = scope.get(name) {
-                return Some(entry);
-            }
+        self.locals.get(name).copied()
+    }
+
+    fn bind(&mut self, name: &'a str, slot: VarId, ty: Ty) {
+        let hidden = self.locals.insert(name, (slot, ty));
+        self.bound.push((name, hidden));
+    }
+
+    /// Closes the scopes opened since `bound` was `scope` long.
+    fn close_scope(&mut self, scope: usize) {
+        for (name, hidden) in self.bound.drain(scope..).rev() {
+            match hidden {
+                Some(binding) => self.locals.insert(name, binding),
+                None => self.locals.remove(name),
+            };
         }
-        None
     }
 
     /// Starts a fresh block after a terminator so that subsequent (dead)
@@ -157,35 +176,24 @@ impl<'a> Lowerer<'a> {
         self.terminated = true;
     }
 
-    fn stmts(&mut self, body: &[Stmt]) -> Result<(), CompileError> {
-        self.scopes.push(HashMap::new());
-        for s in body {
+    fn stmts(&mut self, body: Span) -> Result<(), CompileError> {
+        let scope = self.bound.len();
+        for s in self.program.body(body) {
             self.stmt(s)?;
         }
-        self.scopes.pop();
+        self.close_scope(scope);
         Ok(())
     }
 
-    fn stmt(&mut self, s: &Stmt) -> Result<(), CompileError> {
-        match &s.kind {
+    fn stmt(&mut self, s: &Stmt<'a>) -> Result<(), CompileError> {
+        match s.kind {
             StmtKind::Let(name, ann, e) => {
                 let (val, ty) = self.expr(e)?;
                 let want = ann.map(conv_ty).unwrap_or(ty);
                 let val = self.coerce(val, ty, want, s.line, s.col)?;
                 let slot = self.b.declare_var(want);
                 self.b.var_store(slot, val);
-                match self.scopes.last_mut() {
-                    Some(scope) => scope.insert(name.clone(), (slot, want)),
-                    // Unreachable: `stmt` is only called inside `block`,
-                    // which pushes a scope around its statements.
-                    None => {
-                        return Err(self.err(
-                            format!("`let {name}` outside any scope"),
-                            s.line,
-                            s.col,
-                        ))
-                    }
-                };
+                self.bind(name, slot, want);
                 self.terminated = false;
             }
             StmtKind::Assign(name, e) => {
@@ -193,7 +201,7 @@ impl<'a> Lowerer<'a> {
                 if let Some((slot, want)) = self.lookup_var(name) {
                     let val = self.coerce(val, ty, want, s.line, s.col)?;
                     self.b.var_store(slot, val);
-                } else if let Some(&(region, want, _)) = self.globals.get(name) {
+                } else if let Some(&(region, want)) = self.globals.get(name) {
                     let val = self.coerce(val, ty, want, s.line, s.col)?;
                     let base = self.b.region_base(region);
                     self.b.store(base, val, region);
@@ -203,7 +211,7 @@ impl<'a> Lowerer<'a> {
                 self.terminated = false;
             }
             StmtKind::StoreIndex(name, idx, e) => {
-                let Some(&(region, want, _size)) = self.globals.get(name) else {
+                let Some(&(region, want)) = self.globals.get(name) else {
                     return Err(self.err(format!("unknown array `{name}`"), s.line, s.col));
                 };
                 let (iv, ity) = self.expr(idx)?;
@@ -269,8 +277,8 @@ impl<'a> Lowerer<'a> {
             }
             StmtKind::For(init, cond, step, body) => {
                 // Scope for the induction variable.
-                self.scopes.push(HashMap::new());
-                self.stmt(init)?;
+                let scope = self.bound.len();
+                self.stmt(self.program.stmt(init))?;
                 let header = self.b.add_block();
                 let body_bb = self.b.add_block();
                 let step_bb = self.b.add_block();
@@ -296,14 +304,14 @@ impl<'a> Lowerer<'a> {
 
                 self.b.switch_to(step_bb);
                 self.terminated = false;
-                self.stmt(step)?;
+                self.stmt(self.program.stmt(step))?;
                 if !self.terminated {
                     self.b.jump(header);
                 }
 
                 self.b.switch_to(exit);
                 self.terminated = false;
-                self.scopes.pop();
+                self.close_scope(scope);
             }
             StmtKind::Return(e) => {
                 match (e, self.ret_ty) {
@@ -344,9 +352,10 @@ impl<'a> Lowerer<'a> {
             }
             StmtKind::ExprStmt(e) => {
                 // Void calls are only legal as statements.
-                if let ExprKind::Call(name, args) = &e.kind {
-                    if !INTRINSICS.contains(&name.as_str()) {
-                        self.user_call(name, args, e.line, e.col)?;
+                let call = self.program.expr(e);
+                if let ExprKind::Call(name, args) = call.kind {
+                    if !INTRINSICS.contains(&name) {
+                        self.user_call(name, self.program.args(args), call.line, call.col)?;
                         self.terminated = false;
                         return Ok(());
                     }
@@ -359,11 +368,16 @@ impl<'a> Lowerer<'a> {
     }
 
     /// Lowers an expression used as a branch condition into an `i64` value.
-    fn cond_value(&mut self, e: &Expr) -> Result<Operand, CompileError> {
+    fn cond_value(&mut self, e: ExprId) -> Result<Operand, CompileError> {
         let (v, ty) = self.expr(e)?;
+        Ok(self.truth(v, ty))
+    }
+
+    /// A value as a boolean `i64` (non-zero = true).
+    fn truth(&mut self, v: Operand, ty: Ty) -> Operand {
         match ty {
-            Ty::I64 => Ok(v),
-            Ty::F64 => Ok(self.b.cmp(CmpOp::Ne, Ty::F64, v, Operand::const_f64(0.0))),
+            Ty::I64 => v,
+            Ty::F64 => self.b.cmp(CmpOp::Ne, Ty::F64, v, Operand::const_f64(0.0)),
         }
     }
 
@@ -385,14 +399,15 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    fn expr(&mut self, e: &Expr) -> Result<(Operand, Ty), CompileError> {
-        match &e.kind {
-            ExprKind::IntLit(v) => Ok((Operand::const_i64(*v), Ty::I64)),
-            ExprKind::FloatLit(v) => Ok((Operand::const_f64(*v), Ty::F64)),
+    fn expr(&mut self, id: ExprId) -> Result<(Operand, Ty), CompileError> {
+        let e = self.program.expr(id);
+        match e.kind {
+            ExprKind::IntLit(v) => Ok((Operand::const_i64(v), Ty::I64)),
+            ExprKind::FloatLit(v) => Ok((Operand::const_f64(v), Ty::F64)),
             ExprKind::Name(name) => {
                 if let Some((slot, ty)) = self.lookup_var(name) {
                     Ok((self.b.var_load(slot, ty), ty))
-                } else if let Some(&(region, ty, _)) = self.globals.get(name) {
+                } else if let Some(&(region, ty)) = self.globals.get(name) {
                     let base = self.b.region_base(region);
                     Ok((self.b.load_ty(base, region, ty), ty))
                 } else {
@@ -400,7 +415,7 @@ impl<'a> Lowerer<'a> {
                 }
             }
             ExprKind::Index(name, idx) => {
-                let Some(&(region, ty, _)) = self.globals.get(name) else {
+                let Some(&(region, ty)) = self.globals.get(name) else {
                     return Err(self.err(format!("unknown array `{name}`"), e.line, e.col));
                 };
                 let (iv, ity) = self.expr(idx)?;
@@ -430,42 +445,71 @@ impl<'a> Lowerer<'a> {
                     }
                 }
             }
-            ExprKind::Binary(op, lhs, rhs) => self.binary(*op, lhs, rhs, e.line, e.col),
-            ExprKind::Call(name, args) => self.call(name, args, e.line, e.col),
+            ExprKind::Binary(first, links) => self.chain(first, self.program.links(links)),
+            ExprKind::Call(name, args) => self.call(name, self.program.args(args), e.line, e.col),
         }
     }
 
+    /// Lowers an operator chain left to right, exactly as the recursion
+    /// over the equivalent left-leaning tree would: that recursion declares
+    /// a short-circuit operator's slot before it lowers the operator's left
+    /// operand, so all of a chain's `&&`/`||` slots come first, the last
+    /// operator's first.
+    fn chain(&mut self, first: ExprId, links: &[BinLink]) -> Result<(Operand, Ty), CompileError> {
+        let is_short = |op| matches!(op, AstBinOp::LogAnd | AstBinOp::LogOr);
+        // Slot ids are consecutive, so the leftmost operator's slot is the
+        // last one declared, and each next one is one lower.
+        let mut slot = VarId::new(0);
+        for _ in links.iter().filter(|l| is_short(l.op)) {
+            slot = self.b.declare_var(Ty::I64);
+        }
+        let (mut acc, mut acc_ty) = self.expr(first)?;
+        let mut shorts_done = 0;
+        for link in links {
+            (acc, acc_ty) = if is_short(link.op) {
+                let slot = VarId::new(slot.index() - shorts_done);
+                shorts_done += 1;
+                self.short_circuit(link, slot, acc, acc_ty)?
+            } else {
+                self.binary(link, acc, acc_ty)?
+            };
+        }
+        Ok((acc, acc_ty))
+    }
+
+    /// `lhs && rhs` / `lhs || rhs` as control flow through `slot`.
+    fn short_circuit(
+        &mut self,
+        link: &BinLink,
+        slot: VarId,
+        lhs: Operand,
+        lty: Ty,
+    ) -> Result<(Operand, Ty), CompileError> {
+        let lv = self.truth(lhs, lty);
+        self.b.var_store(slot, lv);
+        let rhs_bb = self.b.add_block();
+        let join = self.b.add_block();
+        if link.op == AstBinOp::LogAnd {
+            self.b.branch(lv, rhs_bb, join);
+        } else {
+            self.b.branch(lv, join, rhs_bb);
+        }
+        self.b.switch_to(rhs_bb);
+        let rv = self.cond_value(link.rhs)?;
+        self.b.var_store(slot, rv);
+        self.b.jump(join);
+        self.b.switch_to(join);
+        Ok((self.b.var_load(slot, Ty::I64), Ty::I64))
+    }
+
+    /// `lhs op rhs` for an arithmetic, bitwise or comparison operator.
     fn binary(
         &mut self,
-        op: AstBinOp,
-        lhs: &Expr,
-        rhs: &Expr,
-        line: usize,
-        col: usize,
+        link: &BinLink,
+        mut lv: Operand,
+        lty: Ty,
     ) -> Result<(Operand, Ty), CompileError> {
-        // Short-circuit forms expand into control flow through a slot.
-        if matches!(op, AstBinOp::LogAnd | AstBinOp::LogOr) {
-            let slot = self.b.declare_var(Ty::I64);
-            let lv = self.cond_from(lhs)?;
-            self.b.var_store(slot, lv);
-            let rhs_bb = self.b.add_block();
-            let join = self.b.add_block();
-            match op {
-                AstBinOp::LogAnd => self.b.branch(lv, rhs_bb, join),
-                AstBinOp::LogOr => self.b.branch(lv, join, rhs_bb),
-                _ => unreachable!(),
-            };
-            self.b.switch_to(rhs_bb);
-            let rv = self.cond_from(rhs)?;
-            self.b.var_store(slot, rv);
-            self.b.jump(join);
-            self.b.switch_to(join);
-            let out = self.b.var_load(slot, Ty::I64);
-            return Ok((out, Ty::I64));
-        }
-
-        let (mut lv, lty) = self.expr(lhs)?;
-        let (mut rv, rty) = self.expr(rhs)?;
+        let (mut rv, rty) = self.expr(link.rhs)?;
         // Promote int to float when mixing.
         let ty = if lty == rty {
             lty
@@ -478,20 +522,20 @@ impl<'a> Lowerer<'a> {
             Ty::F64
         };
 
-        let cmp = |o: CmpOp| -> Option<CmpOp> { Some(o) };
-        if let Some(c) = match op {
-            AstBinOp::Eq => cmp(CmpOp::Eq),
-            AstBinOp::Ne => cmp(CmpOp::Ne),
-            AstBinOp::Lt => cmp(CmpOp::Lt),
-            AstBinOp::Le => cmp(CmpOp::Le),
-            AstBinOp::Gt => cmp(CmpOp::Gt),
-            AstBinOp::Ge => cmp(CmpOp::Ge),
+        let cmp = match link.op {
+            AstBinOp::Eq => Some(CmpOp::Eq),
+            AstBinOp::Ne => Some(CmpOp::Ne),
+            AstBinOp::Lt => Some(CmpOp::Lt),
+            AstBinOp::Le => Some(CmpOp::Le),
+            AstBinOp::Gt => Some(CmpOp::Gt),
+            AstBinOp::Ge => Some(CmpOp::Ge),
             _ => None,
-        } {
+        };
+        if let Some(c) = cmp {
             return Ok((self.b.cmp(c, ty, lv, rv), Ty::I64));
         }
 
-        let bop = match op {
+        let bop = match link.op {
             AstBinOp::Add => BinOp::Add,
             AstBinOp::Sub => BinOp::Sub,
             AstBinOp::Mul => BinOp::Mul,
@@ -502,23 +546,22 @@ impl<'a> Lowerer<'a> {
             AstBinOp::Xor => BinOp::Xor,
             AstBinOp::Shl => BinOp::Shl,
             AstBinOp::Shr => BinOp::Shr,
-            _ => unreachable!("comparison handled above"),
+            _ => unreachable!("comparisons and short-circuit forms are handled above"),
         };
         if !bop.supports(ty) {
-            return Err(self.err(format!("operator `{bop}` requires int operands"), line, col));
+            return Err(self.err(
+                format!("operator `{bop}` requires int operands"),
+                link.line,
+                link.col,
+            ));
         }
         Ok((self.b.binary_ty(bop, ty, lv, rv), ty))
-    }
-
-    /// Evaluates an expression as a boolean `i64` (non-zero = true).
-    fn cond_from(&mut self, e: &Expr) -> Result<Operand, CompileError> {
-        self.cond_value(e)
     }
 
     fn call(
         &mut self,
         name: &str,
-        args: &[Expr],
+        args: &[ExprId],
         line: usize,
         col: usize,
     ) -> Result<(Operand, Ty), CompileError> {
@@ -555,8 +598,8 @@ impl<'a> Lowerer<'a> {
                 if args.len() != 2 {
                     return Err(self.err(format!("`{name}` takes 2 arguments"), line, col));
                 }
-                let (mut a, aty) = self.expr(&args[0])?;
-                let (mut b, bty) = self.expr(&args[1])?;
+                let (mut a, aty) = self.expr(args[0])?;
+                let (mut b, bty) = self.expr(args[1])?;
                 let ty = if aty == bty {
                     aty
                 } else {
@@ -590,7 +633,7 @@ impl<'a> Lowerer<'a> {
 
     fn unary_arg(
         &mut self,
-        args: &[Expr],
+        args: &[ExprId],
         name: &str,
         line: usize,
         col: usize,
@@ -598,24 +641,27 @@ impl<'a> Lowerer<'a> {
         if args.len() != 1 {
             return Err(self.err(format!("`{name}` takes 1 argument"), line, col));
         }
-        self.expr(&args[0])
+        self.expr(args[0])
     }
 
     fn user_call(
         &mut self,
         name: &str,
-        args: &[Expr],
+        args: &[ExprId],
         line: usize,
         col: usize,
     ) -> Result<(Option<Operand>, Option<Ty>), CompileError> {
-        let Some((id, param_tys, ret_ty)) = self.sigs.get(name).cloned() else {
+        let Some(&id) = self.sigs.get(name) else {
             return Err(self.err(format!("unknown function `{name}`"), line, col));
         };
-        if args.len() != param_tys.len() {
+        let callee = &self.program.funcs[id.index()];
+        let params = self.program.params(callee.params);
+        let ret_ty = callee.ret.map(conv_ty);
+        if args.len() != params.len() {
             return Err(self.err(
                 format!(
                     "`{name}` takes {} arguments, {} given",
-                    param_tys.len(),
+                    params.len(),
                     args.len()
                 ),
                 line,
@@ -623,9 +669,9 @@ impl<'a> Lowerer<'a> {
             ));
         }
         let mut lowered = Vec::with_capacity(args.len());
-        for (arg, want) in args.iter().zip(param_tys.iter()) {
+        for (&arg, &(_, want)) in args.iter().zip(params) {
             let (v, ty) = self.expr(arg)?;
-            lowered.push(self.coerce(v, ty, *want, line, col)?);
+            lowered.push(self.coerce(v, ty, conv_ty(want), line, col)?);
         }
         let val = self.b.call(id, lowered, ret_ty);
         Ok((val, ret_ty))

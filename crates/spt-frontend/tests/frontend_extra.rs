@@ -223,3 +223,52 @@ fn for_loop_scoping() {
     let e = err("fn f() -> int { for (let i = 0; i < 3; i = i + 1) {} return i; }");
     assert!(e.message.contains("unknown name"), "{e}");
 }
+
+/// `fn f(n) = n + 1 + … + 1` with `terms` ones, then `tail`.
+fn long_chain(terms: usize, tail: &str) -> String {
+    let mut src = String::from("fn f(n: int) -> int { return n");
+    for _ in 0..terms {
+        src.push_str(" + 1");
+    }
+    src.push_str(tail);
+    src
+}
+
+/// Runs `f` on a thread with a 2 MiB stack, the size of a test or daemon
+/// worker thread.
+fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(f)
+        .expect("spawns")
+        .join()
+        .expect("no stack overflow")
+}
+
+/// An operator chain stays flat in the AST and lowers in a loop, so its
+/// length costs no stack: parsing, lowering and dropping a 100,000-term
+/// chain fit a 2 MiB thread, and the code computes the sum.
+#[test]
+fn a_long_operator_chain_compiles_on_a_small_stack() {
+    let module = on_small_stack(|| compile(&long_chain(100_000, "; }")).map_err(|e| e.to_string()))
+        .expect("compiles");
+    let r = spt_profile::Interp::new(&module)
+        .run(
+            "f",
+            &[spt_profile::Val::from_i64(5)],
+            &mut spt_profile::NoProfiler,
+        )
+        .unwrap();
+    assert_eq!(r.ret.unwrap().as_i64(), 100_005);
+}
+
+/// A syntax error after a long chain drops the parsed chain and returns a
+/// clean error.
+#[test]
+fn a_long_operator_chain_then_a_syntax_error_is_a_clean_error() {
+    let src = long_chain(100_000, " ) ; }");
+    let col = src.len() - 4;
+    let e = on_small_stack(move || compile(&src).unwrap_err());
+    assert_eq!((e.line, e.col), (1, col));
+    assert_eq!(e.message, "expected `;`, found `)`");
+}

@@ -59,9 +59,10 @@ impl FuncBuilder {
     pub fn new(name: impl Into<String>, params: Vec<(String, Ty)>, ret_ty: Option<Ty>) -> Self {
         let mut func = Function::new(name, params, ret_ty);
         let entry = func.entry;
-        let mut param_insts = Vec::new();
-        for (index, (_, ty)) in func.params.clone().iter().enumerate() {
-            let id = func.append_inst(entry, Inst::new(InstKind::Param { index }, Some(*ty)));
+        let mut param_insts = Vec::with_capacity(func.params.len());
+        for index in 0..func.params.len() {
+            let ty = func.params[index].1;
+            let id = func.append_inst(entry, Inst::new(InstKind::Param { index }, Some(ty)));
             param_insts.push(id);
         }
         FuncBuilder {

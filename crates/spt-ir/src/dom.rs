@@ -5,18 +5,18 @@
 //! dominates its source).
 
 use crate::cfg::Cfg;
+use crate::groups::Groups;
 use crate::ids::BlockId;
 
-/// Immediate-dominator tree plus dominance frontiers.
+/// Immediate-dominator tree. The tree's child lists and the dominance
+/// frontiers are derived on request ([`DomTree::children`],
+/// [`DomTree::frontiers`]): SSA construction needs them, the dominance
+/// queries do not.
 #[derive(Clone, Debug)]
 pub struct DomTree {
     /// Immediate dominator per block (`None` for the entry and unreachable
     /// blocks).
     pub idom: Vec<Option<BlockId>>,
-    /// Dominance frontier per block.
-    pub frontier: Vec<Vec<BlockId>>,
-    /// Children in the dominator tree.
-    pub children: Vec<Vec<BlockId>>,
     entry: BlockId,
 }
 
@@ -54,8 +54,18 @@ impl DomTree {
         // By convention the entry has no immediate dominator.
         idom[entry.index()] = None;
 
-        // Dominance frontiers.
-        let mut frontier = vec![Vec::new(); n];
+        DomTree { idom, entry }
+    }
+
+    /// The dominance frontier of every block, each in discovery order.
+    /// `cfg` must be the CFG this tree was computed from.
+    pub fn frontiers(&self, cfg: &Cfg) -> Groups<BlockId, BlockId> {
+        let idom = &self.idom;
+        // (block, frontier member) pairs in discovery order. Every pair
+        // naming `bb` is found while `bb` is the join being walked, so
+        // `last_join` spots a repeat.
+        let mut pairs: Vec<(BlockId, BlockId)> = Vec::new();
+        let mut last_join = vec![u32::MAX; idom.len()];
         for &bb in &cfg.rpo {
             let preds = cfg.preds(bb);
             if preds.len() >= 2 {
@@ -65,9 +75,9 @@ impl DomTree {
                     }
                     let mut runner = p;
                     while Some(runner) != idom[bb.index()] {
-                        let fr = &mut frontier[runner.index()];
-                        if !fr.contains(&bb) {
-                            fr.push(bb);
+                        if last_join[runner.index()] != bb.0 {
+                            last_join[runner.index()] = bb.0;
+                            pairs.push((runner, bb));
                         }
                         match idom[runner.index()] {
                             Some(next) => runner = next,
@@ -77,20 +87,17 @@ impl DomTree {
                 }
             }
         }
+        Groups::new(idom.len(), pairs.iter().copied())
+    }
 
-        let mut children = vec![Vec::new(); n];
-        for (bb, &id) in idom.iter().enumerate() {
-            if let Some(p) = id {
-                children[p.index()].push(BlockId::new(bb));
-            }
-        }
-
-        DomTree {
-            idom,
-            frontier,
-            children,
-            entry,
-        }
+    /// Every block's children in the dominator tree, in block order.
+    pub fn children(&self) -> Groups<BlockId, BlockId> {
+        let children = self
+            .idom
+            .iter()
+            .enumerate()
+            .filter_map(|(bb, &id)| Some((id?, BlockId::new(bb))));
+        Groups::new(self.idom.len(), children)
     }
 
     /// Returns `true` if `a` dominates `b` (reflexively).
@@ -119,11 +126,12 @@ impl DomTree {
 
     /// Dominator-tree preorder of reachable blocks, starting at the entry.
     pub fn preorder(&self) -> Vec<BlockId> {
+        let children = self.children();
         let mut out = Vec::new();
         let mut stack = vec![self.entry];
         while let Some(bb) = stack.pop() {
             out.push(bb);
-            for &c in self.children[bb.index()].iter().rev() {
+            for &c in children.of(bb).iter().rev() {
                 stack.push(c);
             }
         }
@@ -194,13 +202,14 @@ mod tests {
         let f = diamond();
         let cfg = Cfg::compute(&f);
         let dom = DomTree::compute(&cfg);
+        let frontiers = dom.frontiers(&cfg);
         let t = BlockId::new(1);
         let e = BlockId::new(2);
         let j = BlockId::new(3);
-        assert_eq!(dom.frontier[t.index()], vec![j]);
-        assert_eq!(dom.frontier[e.index()], vec![j]);
-        assert!(dom.frontier[f.entry.index()].is_empty());
-        assert!(dom.frontier[j.index()].is_empty());
+        assert_eq!(frontiers.of(t), vec![j]);
+        assert_eq!(frontiers.of(e), vec![j]);
+        assert!(frontiers.of(f.entry).is_empty());
+        assert!(frontiers.of(j).is_empty());
     }
 
     #[test]
@@ -221,9 +230,10 @@ mod tests {
         let f = b.finish();
         let cfg = Cfg::compute(&f);
         let dom = DomTree::compute(&cfg);
+        let frontiers = dom.frontiers(&cfg);
         assert!(dom.dominates(header, body));
-        assert!(dom.frontier[body.index()].contains(&header));
-        assert!(dom.frontier[header.index()].contains(&header));
+        assert!(frontiers.of(body).contains(&header));
+        assert!(frontiers.of(header).contains(&header));
     }
 
     #[test]

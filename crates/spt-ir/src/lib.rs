@@ -41,6 +41,7 @@ pub mod builder;
 pub mod cfg;
 pub mod codec;
 pub mod dom;
+pub mod groups;
 pub mod ids;
 pub mod inst;
 pub mod loops;
@@ -56,10 +57,11 @@ pub mod verify;
 pub use builder::FuncBuilder;
 pub use cfg::Cfg;
 pub use dom::DomTree;
+pub use groups::Groups;
 pub use ids::{BlockId, FuncId, InstId, RegionId, VarId};
 pub use inst::{Inst, InstKind, Operand};
 pub use loops::{Loop, LoopForest, LoopId};
-pub use module::{Block, Function, Global, Module};
+pub use module::{Block, Function, Global, Module, Successors};
 pub use ops::{BinOp, CmpOp, UnOp};
 pub use superblock::{DVal, SBlock, SInst, SOpc, SuperblockFunc, SuperblockModule, NO_SLOT};
 pub use types::Ty;

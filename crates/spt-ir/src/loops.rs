@@ -92,24 +92,17 @@ impl Loop {
     /// The unique block outside the loop that jumps to the header, if there
     /// is exactly one (the preheader).
     pub fn preheader(&self, cfg: &Cfg) -> Option<BlockId> {
-        let inside: HashSet<BlockId> = self.blocks.iter().copied().collect();
-        let outside_preds: Vec<BlockId> = cfg
+        let mut outside_preds = cfg
             .preds(self.header)
             .iter()
             .copied()
-            .filter(|p| !inside.contains(p))
-            .collect();
-        match outside_preds.as_slice() {
-            [single] => {
-                // A true preheader has the header as its only successor.
-                if cfg.succs(*single) == [self.header] {
-                    Some(*single)
-                } else {
-                    None
-                }
-            }
-            _ => None,
+            .filter(|&p| !self.contains(p));
+        let single = outside_preds.next()?;
+        if outside_preds.next().is_some() {
+            return None;
         }
+        // A true preheader has the header as its only successor.
+        (cfg.succs(single) == [self.header]).then_some(single)
     }
 }
 
@@ -148,7 +141,11 @@ impl LoopForest {
         headers.sort_by_key(|h| cfg.rpo_index[h.index()]);
 
         let mut loops: Vec<Loop> = Vec::new();
-        for &header in &headers {
+        // `seen[b] == k + 1` marks block `b` as found for the `k`-th loop.
+        let mut seen = vec![0u32; cfg.num_blocks()];
+        let mut stack: Vec<BlockId> = Vec::new();
+        for (k, &header) in headers.iter().enumerate() {
+            let stamp = k as u32 + 1;
             let latches: Vec<BlockId> = back_edges
                 .iter()
                 .filter(|(_, h)| *h == header)
@@ -157,19 +154,19 @@ impl LoopForest {
             // Standard natural-loop body computation: walk predecessors
             // backwards from each latch until the header.
             let mut body: Vec<BlockId> = vec![header];
-            let mut seen: HashSet<BlockId> = body.iter().copied().collect();
-            let mut stack: Vec<BlockId> = Vec::new();
+            seen[header.index()] = stamp;
+            // A self-loop's latch is the header, already seen.
             for &l in &latches {
-                if seen.insert(l) {
+                if seen[l.index()] != stamp {
+                    seen[l.index()] = stamp;
                     body.push(l);
                     stack.push(l);
-                } else if l == header {
-                    // self-loop; nothing further to walk
                 }
             }
             while let Some(bb) = stack.pop() {
                 for &p in cfg.preds(bb) {
-                    if cfg.is_reachable(p) && seen.insert(p) {
+                    if cfg.is_reachable(p) && seen[p.index()] != stamp {
+                        seen[p.index()] = stamp;
                         body.push(p);
                         stack.push(p);
                     }

@@ -116,8 +116,8 @@ impl Function {
     }
 
     /// Successor blocks of `block` (empty for `ret`-terminated blocks).
-    pub fn successors(&self, block: BlockId) -> Vec<BlockId> {
-        let mut out = Vec::new();
+    pub fn successors(&self, block: BlockId) -> Successors {
+        let mut out = Successors::NONE;
         if let Some(term) = self.terminator(block) {
             match &self.inst(term).kind {
                 InstKind::Jump { target } => out.push(*target),
@@ -170,6 +170,60 @@ impl Function {
     /// cache entry — editing one function changes only its own leaf.
     pub fn content_hash(&self) -> u64 {
         crate::codec::hash_encoding(|out| crate::codec::encode_function(out, self))
+    }
+}
+
+/// The successors of one block, in terminator order: none, one, or a
+/// branch's two distinct targets. A value, so walking them borrows nothing
+/// from the function.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Successors {
+    blocks: [BlockId; 2],
+    len: u8,
+}
+
+impl Successors {
+    const NONE: Successors = Successors {
+        blocks: [BlockId(0); 2],
+        len: 0,
+    };
+
+    fn push(&mut self, bb: BlockId) {
+        self.blocks[usize::from(self.len)] = bb;
+        self.len += 1;
+    }
+
+    /// Keeps only the successors `keep` accepts, in order.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(BlockId) -> bool) {
+        let mut kept = Successors::NONE;
+        for bb in *self {
+            if keep(bb) {
+                kept.push(bb);
+            }
+        }
+        *self = kept;
+    }
+
+    /// The successors as a slice.
+    pub fn as_slice(&self) -> &[BlockId] {
+        &self.blocks[..usize::from(self.len)]
+    }
+}
+
+impl std::ops::Deref for Successors {
+    type Target = [BlockId];
+
+    fn deref(&self) -> &[BlockId] {
+        self.as_slice()
+    }
+}
+
+impl IntoIterator for Successors {
+    type Item = BlockId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<BlockId, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.blocks.into_iter().take(usize::from(self.len))
     }
 }
 
@@ -502,7 +556,7 @@ mod tests {
         assert_eq!(bb, BlockId::new(1));
         let id = f.append_inst(f.entry, Inst::new(InstKind::Jump { target: bb }, None));
         assert_eq!(f.terminator(f.entry), Some(id));
-        assert_eq!(f.successors(f.entry), vec![bb]);
+        assert_eq!(*f.successors(f.entry), [bb]);
         assert_eq!(f.placed_inst_count(), 1);
     }
 
@@ -521,7 +575,7 @@ mod tests {
                 None,
             ),
         );
-        assert_eq!(f.successors(f.entry), vec![bb]);
+        assert_eq!(*f.successors(f.entry), [bb]);
     }
 
     #[test]

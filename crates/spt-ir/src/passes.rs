@@ -12,25 +12,28 @@ use crate::ids::{BlockId, InstId};
 use crate::inst::{Inst, InstKind, Operand};
 use crate::loops::LoopForest;
 use crate::module::Function;
-use std::collections::{HashMap, HashSet};
 
 /// Replaces every use of a `Copy` instruction with the copied operand,
 /// chasing copy chains. The copies themselves become dead and are removed by
 /// [`dce`]. Returns the number of rewritten operands.
 pub fn copy_prop(func: &mut Function) -> usize {
-    // Resolve the final source of each copy (chains are finite in SSA).
-    let mut source: HashMap<InstId, Operand> = HashMap::new();
-    for (idx, inst) in func.insts.iter().enumerate() {
-        if let InstKind::Copy { val } = inst.kind {
-            source.insert(InstId::new(idx), val);
-        }
+    let copies = func
+        .insts
+        .iter()
+        .filter(|inst| matches!(inst.kind, InstKind::Copy { .. }))
+        .count();
+    if copies == 0 {
+        return 0;
     }
-    let resolve = |mut op: Operand| -> Operand {
-        let mut fuel = source.len() + 1;
+    // The final source of an operand (chains are finite in SSA). Copies
+    // themselves are never rewritten below, so every chain reads the same
+    // throughout the pass.
+    let resolve = |insts: &[Inst], mut op: Operand| -> Operand {
+        let mut fuel = copies + 1;
         while let Operand::Inst(id) = op {
-            match source.get(&id) {
-                Some(&next) if fuel > 0 => {
-                    op = next;
+            match insts.get(id.index()).map(|inst| &inst.kind) {
+                Some(&InstKind::Copy { val }) if fuel > 0 => {
+                    op = val;
                     fuel -= 1;
                 }
                 _ => break,
@@ -38,19 +41,37 @@ pub fn copy_prop(func: &mut Function) -> usize {
         }
         op
     };
+    let is_copy = |insts: &[Inst], op: Operand| {
+        op.as_inst().is_some_and(|id| {
+            matches!(
+                insts.get(id.index()).map(|inst| &inst.kind),
+                Some(InstKind::Copy { .. })
+            )
+        })
+    };
 
     let mut rewritten = 0;
-    for inst in &mut func.insts {
-        if matches!(inst.kind, InstKind::Copy { .. }) {
+    for k in 0..func.insts.len() {
+        let kind = &func.insts[k].kind;
+        if matches!(kind, InstKind::Copy { .. }) {
             continue;
         }
-        inst.kind.map_operands(|op| {
-            let new = resolve(op);
+        let mut uses_copy = false;
+        kind.for_each_operand(|op| uses_copy |= is_copy(&func.insts, op));
+        if !uses_copy {
+            continue;
+        }
+        // Take the instruction out while its operands resolve through the
+        // arena; a non-copy stands in, as the instruction itself is one.
+        let mut kind = std::mem::replace(&mut func.insts[k].kind, InstKind::Ret { val: None });
+        kind.map_operands(|op| {
+            let new = resolve(&func.insts, op);
             if new != op {
                 rewritten += 1;
             }
             new
         });
+        func.insts[k].kind = kind;
     }
     rewritten
 }
@@ -60,12 +81,13 @@ pub fn copy_prop(func: &mut Function) -> usize {
 /// terminators, SPT markers) are always live roots. Returns the number of
 /// removed instructions.
 pub fn dce(func: &mut Function) -> usize {
-    let mut live: HashSet<InstId> = HashSet::new();
-    let mut work: Vec<InstId> = Vec::new();
+    let mut live = vec![false; func.insts.len()];
+    let mut work: Vec<InstId> = Vec::with_capacity(func.insts.len());
 
-    for bb in func.block_ids() {
-        for &i in &func.block(bb).insts {
-            if func.inst(i).kind.has_side_effect() && live.insert(i) {
+    for block in &func.blocks {
+        for &i in &block.insts {
+            if func.inst(i).kind.has_side_effect() && !live[i.index()] {
+                live[i.index()] = true;
                 work.push(i);
             }
         }
@@ -73,7 +95,8 @@ pub fn dce(func: &mut Function) -> usize {
     while let Some(i) = work.pop() {
         func.inst(i).kind.for_each_operand(|op| {
             if let Operand::Inst(def) = op {
-                if live.insert(def) {
+                if !live[def.index()] {
+                    live[def.index()] = true;
                     work.push(def);
                 }
             }
@@ -81,10 +104,9 @@ pub fn dce(func: &mut Function) -> usize {
     }
 
     let mut removed = 0;
-    for bb in func.block_ids().collect::<Vec<_>>() {
-        let block = func.block_mut(bb);
+    for block in &mut func.blocks {
         let before = block.insts.len();
-        block.insts.retain(|i| live.contains(i));
+        block.insts.retain(|i| live[i.index()]);
         removed += before - block.insts.len();
     }
     removed
@@ -167,28 +189,31 @@ pub fn const_fold(func: &mut Function) -> usize {
 ///    single successor (keeping loop headers intact is the caller's concern;
 ///    this pass never merges a block that has a phi).
 ///
-/// Returns `true` if anything changed.
+/// After each merge the pass starts over from step 1. Returns `true` if
+/// anything changed.
 pub fn simplify_cfg(func: &mut Function) -> bool {
     let mut changed_any = false;
+    // Kept current: recomputed, in place, after every edit to the CFG.
+    let mut cfg = Cfg::compute(func);
     loop {
         let mut changed = false;
 
         // 1. Fold trivial branches.
-        for bb in func.block_ids().collect::<Vec<_>>() {
+        for bb in (0..func.blocks.len()).map(BlockId::new) {
             let Some(term) = func.terminator(bb) else {
                 continue;
             };
-            let new_kind = match &func.inst(term).kind {
+            let new_kind = match func.inst(term).kind {
                 InstKind::Branch {
                     cond,
                     then_bb,
                     else_bb,
                 } => {
                     if then_bb == else_bb {
-                        Some(InstKind::Jump { target: *then_bb })
+                        Some(InstKind::Jump { target: then_bb })
                     } else if let Operand::ConstI64(c) = cond {
-                        let target = if *c != 0 { *then_bb } else { *else_bb };
-                        let dead = if *c != 0 { *else_bb } else { *then_bb };
+                        let target = if c != 0 { then_bb } else { else_bb };
+                        let dead = if c != 0 { else_bb } else { then_bb };
                         remove_phi_edges(func, dead, bb);
                         Some(InstKind::Jump { target })
                     } else {
@@ -203,29 +228,34 @@ pub fn simplify_cfg(func: &mut Function) -> bool {
             }
         }
 
+        if changed {
+            cfg.recompute(func);
+        }
+
         // 2. Drop unreachable blocks (empty them; remove phi edges from them).
-        let cfg = Cfg::compute(func);
-        for bb in func.block_ids().collect::<Vec<_>>() {
+        let mut dropped = false;
+        for bb in (0..func.blocks.len()).map(BlockId::new) {
             if !cfg.is_reachable(bb) && !func.block(bb).insts.is_empty() {
-                for &succ in &cfg.succs[bb.index()] {
+                for &succ in cfg.succs(bb) {
                     remove_phi_edges(func, succ, bb);
                 }
                 func.block_mut(bb).insts.clear();
-                changed = true;
+                dropped = true;
             }
+        }
+        if dropped {
+            cfg.recompute(func);
+            changed = true;
         }
 
         // 3. Merge straight-line chains: pred --jump--> bb, bb's only pred.
-        let cfg = Cfg::compute(func);
-        for bb in func.block_ids().collect::<Vec<_>>() {
+        for bb in (0..func.blocks.len()).map(BlockId::new) {
             if bb == func.entry || !cfg.is_reachable(bb) {
                 continue;
             }
-            let preds = cfg.preds(bb);
-            if preds.len() != 1 {
+            let &[pred] = cfg.preds(bb) else {
                 continue;
-            }
-            let pred = preds[0];
+            };
             if cfg.succs(pred).len() != 1 || pred == bb {
                 continue;
             }
@@ -252,12 +282,12 @@ pub fn simplify_cfg(func: &mut Function) -> bool {
             pred_block.insts.pop(); // remove jump
             pred_block.insts.append(&mut moved);
             // Successor phis referring to bb must now refer to pred.
-            let succs_of_bb: Vec<BlockId> = func.successors(pred);
-            for s in succs_of_bb {
+            for s in func.successors(pred) {
                 rename_phi_edges(func, s, bb, pred);
             }
+            cfg.recompute(func);
             changed = true;
-            break; // CFG changed; recompute
+            break; // CFG changed; start over
         }
 
         if changed {
@@ -271,17 +301,19 @@ pub fn simplify_cfg(func: &mut Function) -> bool {
 
 /// Removes phi incoming edges in `block` that come from `from_pred`.
 fn remove_phi_edges(func: &mut Function, block: BlockId, from_pred: BlockId) {
-    for &i in &func.block(block).insts.clone() {
-        if let InstKind::Phi { args } = &mut func.inst_mut(i).kind {
+    let Function { blocks, insts, .. } = func;
+    for &i in &blocks[block.index()].insts {
+        if let InstKind::Phi { args } = &mut insts[i.index()].kind {
             args.retain(|(bb, _)| *bb != from_pred);
         }
     }
 }
 
 /// Renames phi incoming edges in `block` from `old_pred` to `new_pred`.
-fn rename_phi_edges(func: &mut Function, block: BlockId, old_pred: BlockId, new_pred: BlockId) {
-    for &i in &func.block(block).insts.clone() {
-        if let InstKind::Phi { args } = &mut func.inst_mut(i).kind {
+pub fn rename_phi_edges(func: &mut Function, block: BlockId, old_pred: BlockId, new_pred: BlockId) {
+    let Function { blocks, insts, .. } = func;
+    for &i in &blocks[block.index()].insts {
+        if let InstKind::Phi { args } = &mut insts[i.index()].kind {
             for (bb, _) in args.iter_mut() {
                 if *bb == old_pred {
                     *bb = new_pred;
@@ -297,26 +329,24 @@ fn rename_phi_edges(func: &mut Function, block: BlockId, old_pred: BlockId, new_
 ///   predecessors or its outside predecessor has other successors;
 /// * merges multiple **latches** into a single latch block.
 ///
-/// The SPT transformation requires both. Returns `true` if the CFG changed.
+/// The SPT transformation requires both. After each edit the pass starts
+/// over on the new CFG. Returns `true` if the CFG changed.
 pub fn loop_simplify(func: &mut Function) -> bool {
     let mut changed_any = false;
+    let mut cfg = Cfg::compute(func);
     loop {
-        let cfg = Cfg::compute(func);
         let dom = DomTree::compute(&cfg);
         let forest = LoopForest::compute(func, &cfg, &dom);
         let mut changed = false;
 
-        for lid in forest.ids() {
-            let l = forest.get(lid).clone();
-            let inside: HashSet<BlockId> = l.blocks.iter().copied().collect();
-
+        for l in &forest.loops {
             // Preheader.
             if l.preheader(&cfg).is_none() {
                 let outside_preds: Vec<BlockId> = cfg
                     .preds(l.header)
                     .iter()
                     .copied()
-                    .filter(|p| !inside.contains(p))
+                    .filter(|&p| !l.contains(p))
                     .collect();
                 if !outside_preds.is_empty() {
                     let pre = func.add_block();
@@ -346,6 +376,7 @@ pub fn loop_simplify(func: &mut Function) -> bool {
         }
 
         if changed {
+            cfg.recompute(func);
             changed_any = true;
         } else {
             break;

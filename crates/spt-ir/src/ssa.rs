@@ -12,11 +12,11 @@
 
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
+use crate::groups::Groups;
 use crate::ids::{BlockId, InstId, VarId};
 use crate::inst::{Inst, InstKind, Operand};
 use crate::module::Function;
 use crate::types::Ty;
-use std::collections::{HashMap, HashSet};
 
 /// Converts all variable slots of `func` into SSA form.
 ///
@@ -24,147 +24,166 @@ use std::collections::{HashMap, HashSet};
 pub fn mem2reg(func: &mut Function) -> usize {
     let cfg = Cfg::compute(func);
     let dom = DomTree::compute(&cfg);
+    let frontiers = dom.frontiers(&cfg);
+    let n = func.blocks.len();
 
-    // Gather variable types and definition sites.
-    let mut var_ty: HashMap<VarId, Ty> = HashMap::new();
-    let mut def_blocks: HashMap<VarId, Vec<BlockId>> = HashMap::new();
+    // Each variable's type, from its first access in block order.
+    let mut var_ty: Vec<Option<Ty>> = vec![None; func.num_vars];
     for bb in func.block_ids() {
         for &i in &func.block(bb).insts {
-            match &func.inst(i).kind {
-                InstKind::VarLoad { var } => {
-                    let ty = func.inst(i).ty.unwrap_or(Ty::I64);
-                    var_ty.entry(*var).or_insert(ty);
-                }
-                InstKind::VarStore { var, val } => {
-                    let ty = operand_ty(func, *val).unwrap_or(Ty::I64);
-                    var_ty.entry(*var).or_insert(ty);
-                    def_blocks.entry(*var).or_default().push(bb);
-                }
-                _ => {}
+            let inst = func.inst(i);
+            let (var, ty) = match inst.kind {
+                InstKind::VarLoad { var } => (var, inst.ty.unwrap_or(Ty::I64)),
+                InstKind::VarStore { var, val } => (var, operand_ty(func, val).unwrap_or(Ty::I64)),
+                _ => continue,
+            };
+            if var.index() >= var_ty.len() {
+                var_ty.resize(var.index() + 1, None);
             }
+            var_ty[var.index()].get_or_insert(ty);
         }
     }
+    // The blocks that store each variable, in block order, one per store.
+    let f: &Function = func;
+    let stores = (0..n).map(BlockId::new).flat_map(|bb| {
+        f.block(bb)
+            .insts
+            .iter()
+            .filter_map(move |&i| match f.inst(i).kind {
+                InstKind::VarStore { var, .. } => Some((var, bb)),
+                _ => None,
+            })
+    });
+    let defs = Groups::new(var_ty.len(), stores);
 
-    // Phi insertion at iterated dominance frontiers.
-    // phi_of[(block, var)] -> phi inst id
-    let mut phi_of: HashMap<(BlockId, VarId), InstId> = HashMap::new();
-    let mut phis_in_block: HashMap<BlockId, Vec<(InstId, VarId)>> = HashMap::new();
-    let mut vars: Vec<VarId> = var_ty.keys().copied().collect();
-    vars.sort();
-    for &var in &vars {
-        let Some(defs) = def_blocks.get(&var) else {
+    // Phi insertion at iterated dominance frontiers, variable by variable.
+    // The phis are new arena entries from `first_phi` on; `phi_var` and
+    // `phi_block` say whose and where each is.
+    let first_phi = func.insts.len();
+    let mut phi_var: Vec<VarId> = Vec::new();
+    let mut phi_block: Vec<BlockId> = Vec::new();
+    // Per block, the last variable that placed a phi there or put the
+    // block on the worklist.
+    let mut placed = vec![u32::MAX; n];
+    let mut ever_on_work = vec![u32::MAX; n];
+    let mut work: Vec<BlockId> = Vec::new();
+    for (v, ty) in var_ty.iter().enumerate() {
+        let defs = defs.of(VarId::new(v));
+        let (Some(ty), false) = (*ty, defs.is_empty()) else {
             continue;
         };
-        let ty = var_ty[&var];
-        let mut work: Vec<BlockId> = defs.clone();
-        let mut placed: HashSet<BlockId> = HashSet::new();
-        let mut ever_on_work: HashSet<BlockId> = work.iter().copied().collect();
+        let stamp = v as u32;
+        work.clear();
+        work.extend_from_slice(defs);
+        for &bb in defs {
+            ever_on_work[bb.index()] = stamp;
+        }
         while let Some(bb) = work.pop() {
             if !cfg.is_reachable(bb) {
                 continue;
             }
-            for &df in &dom.frontier[bb.index()] {
-                if placed.insert(df) {
-                    let phi =
-                        func.add_inst(Inst::new(InstKind::Phi { args: Vec::new() }, Some(ty)));
-                    phi_of.insert((df, var), phi);
-                    phis_in_block.entry(df).or_default().push((phi, var));
-                    if ever_on_work.insert(df) {
+            for &df in frontiers.of(bb) {
+                if placed[df.index()] != stamp {
+                    placed[df.index()] = stamp;
+                    let args = Vec::with_capacity(cfg.preds(df).len());
+                    func.add_inst(Inst::new(InstKind::Phi { args }, Some(ty)));
+                    phi_var.push(VarId::new(v));
+                    phi_block.push(df);
+                    if ever_on_work[df.index()] != stamp {
+                        ever_on_work[df.index()] = stamp;
                         work.push(df);
                     }
                 }
             }
         }
     }
-    let num_phis = phi_of.len();
-    let phi_var: HashMap<InstId, VarId> =
-        phi_of.iter().map(|(&(_, var), &phi)| (phi, var)).collect();
+    let num_phis = phi_var.len();
 
-    // Prepend phis to their blocks (in deterministic var order).
-    for (bb, mut phis) in phis_in_block.clone() {
-        phis.sort_by_key(|&(_, var)| var);
-        let block = func.block_mut(bb);
-        let old = std::mem::take(&mut block.insts);
-        block.insts = phis.iter().map(|&(id, _)| id).collect();
-        block.insts.extend(old);
+    // Each block's phis, in creation order, which is variable order;
+    // prepend them to the block.
+    let new_phis = phi_block
+        .iter()
+        .enumerate()
+        .map(|(k, &bb)| (bb, InstId::new(first_phi + k)));
+    let phis = Groups::new(n, new_phis);
+    for (b, block) in func.blocks.iter_mut().enumerate() {
+        let new = phis.of(BlockId::new(b));
+        if !new.is_empty() {
+            block.insts.splice(0..0, new.iter().copied());
+        }
     }
 
-    // Renaming along the dominator tree.
-    // Per-var stack of current definitions.
-    let mut stacks: HashMap<VarId, Vec<Operand>> = HashMap::new();
-    let default_of = |var: VarId| -> Operand {
-        match var_ty.get(&var) {
+    // Renaming along the dominator tree. `current[v]` is the top of
+    // variable `v`'s definition stack; `undo` logs what each push hid, so
+    // leaving a block pops its definitions by restoring them.
+    let mut current: Vec<Option<Operand>> = vec![None; var_ty.len()];
+    let mut undo: Vec<(VarId, Option<Operand>)> = Vec::new();
+    let reaching = |current: &[Option<Operand>], var: VarId| -> Operand {
+        current[var.index()].unwrap_or(match var_ty[var.index()] {
             Some(Ty::F64) => Operand::const_f64(0.0),
             _ => Operand::const_i64(0),
-        }
+        })
     };
 
     enum Action {
         Enter(BlockId),
-        Exit(Vec<(VarId, usize)>), // pop counts
+        /// Leave a block: undo the log back to this length.
+        Exit(usize),
     }
+    let children = dom.children();
     let mut stack = vec![Action::Enter(dom.entry())];
     while let Some(action) = stack.pop() {
         match action {
-            Action::Exit(pops) => {
-                for (var, count) in pops {
-                    let s = stacks.get_mut(&var).expect("stack exists");
-                    for _ in 0..count {
-                        s.pop();
+            Action::Exit(mark) => {
+                while undo.len() > mark {
+                    if let Some((var, hidden)) = undo.pop() {
+                        current[var.index()] = hidden;
                     }
                 }
             }
             Action::Enter(bb) => {
-                let mut pushed: HashMap<VarId, usize> = HashMap::new();
-                let insts: Vec<InstId> = func.block(bb).insts.clone();
-                let mut to_delete: HashSet<InstId> = HashSet::new();
-                for i in insts {
-                    let kind = func.inst(i).kind.clone();
-                    match kind {
-                        InstKind::Phi { .. } => {
-                            // If this phi belongs to a variable, it becomes
-                            // the current definition.
-                            if let Some(&var) = phi_var.get(&i) {
-                                stacks.entry(var).or_default().push(Operand::Inst(i));
-                                *pushed.entry(var).or_insert(0) += 1;
-                            }
+                let mark = undo.len();
+                let mut stores = false;
+                let Function { blocks, insts, .. } = &mut *func;
+                for &i in &blocks[bb.index()].insts {
+                    let def = match insts[i.index()].kind {
+                        // Only the phis placed above belong to a variable.
+                        InstKind::Phi { .. } if i.index() >= first_phi => {
+                            Some((phi_var[i.index() - first_phi], Operand::Inst(i)))
                         }
                         InstKind::VarLoad { var } => {
-                            let cur = stacks
-                                .get(&var)
-                                .and_then(|s| s.last().copied())
-                                .unwrap_or_else(|| default_of(var));
-                            func.inst_mut(i).kind = InstKind::Copy { val: cur };
+                            let val = reaching(&current, var);
+                            insts[i.index()].kind = InstKind::Copy { val };
+                            None
                         }
                         InstKind::VarStore { var, val } => {
-                            stacks.entry(var).or_default().push(val);
-                            *pushed.entry(var).or_insert(0) += 1;
-                            to_delete.insert(i);
+                            stores = true;
+                            Some((var, val))
                         }
-                        _ => {}
+                        _ => None,
+                    };
+                    if let Some((var, val)) = def {
+                        undo.push((var, current[var.index()].replace(val)));
                     }
                 }
-                if !to_delete.is_empty() {
-                    func.block_mut(bb).insts.retain(|i| !to_delete.contains(i));
+                if stores {
+                    blocks[bb.index()]
+                        .insts
+                        .retain(|i| !matches!(insts[i.index()].kind, InstKind::VarStore { .. }));
                 }
 
                 // Fill phi operands of successors.
                 for &succ in cfg.succs(bb) {
-                    let phi_ids: Vec<(InstId, VarId)> =
-                        phis_in_block.get(&succ).cloned().unwrap_or_default();
-                    for (phi, var) in phi_ids {
-                        let cur = stacks
-                            .get(&var)
-                            .and_then(|s| s.last().copied())
-                            .unwrap_or_else(|| default_of(var));
-                        if let InstKind::Phi { args } = &mut func.inst_mut(phi).kind {
+                    for &phi in phis.of(succ) {
+                        let cur = reaching(&current, phi_var[phi.index() - first_phi]);
+                        if let InstKind::Phi { args } = &mut insts[phi.index()].kind {
                             args.push((bb, cur));
                         }
                     }
                 }
 
-                stack.push(Action::Exit(pushed.into_iter().collect()));
-                for &child in dom.children[bb.index()].iter().rev() {
+                stack.push(Action::Exit(mark));
+                for &child in children.of(bb).iter().rev() {
                     stack.push(Action::Enter(child));
                 }
             }

@@ -21,8 +21,7 @@
 use crate::TransformError;
 use spt_ir::loops::LoopId;
 use spt_ir::{
-    BlockId, Cfg, CmpOp, DomTree, FuncId, Inst, InstId, InstKind, LoopForest, Module, Operand,
-    RegionId, Ty,
+    Cfg, CmpOp, DomTree, FuncId, Inst, InstId, InstKind, LoopForest, Module, Operand, RegionId, Ty,
 };
 use spt_profile::ValuePattern;
 
@@ -298,17 +297,8 @@ pub fn apply_svp(
 
     // Successor phis that referenced the carrier block now come from `cont`
     // (the block holding the original terminator).
-    let succs_of_cont: Vec<BlockId> = func.successors(cont);
-    for s in succs_of_cont {
-        for &i in &func.block(s).insts.clone() {
-            if let InstKind::Phi { args } = &mut func.inst_mut(i).kind {
-                for (pred, _) in args.iter_mut() {
-                    if *pred == carrier_block {
-                        *pred = cont;
-                    }
-                }
-            }
-        }
+    for s in func.successors(cont) {
+        spt_ir::passes::rename_phi_edges(func, s, carrier_block, cont);
     }
 
     Ok(SvpRewrite {

@@ -43,6 +43,12 @@ echo "== corpus: full 1000-module differential run (six oracles) =="
 # oracle checks every loop's partition search against the reference search.
 cargo run --release -q -p spt-bench --bin corpus -- --seed 1 --count 1000
 
+echo "== corpus: frontend mutation fuzz (8,000 token-corrupted mutants) =="
+# Eight mutants of each of the 1000 corpus programs, corrupted token by
+# token: the lexer and parser must answer every one with a module or a
+# clean error, never a panic. The spt-corpus test runs only 200.
+cargo run --release -q -p spt-bench --bin corpus -- --seed 1 --count 1000 --mutate 8
+
 echo "== corpus: failpoint sweep (every site x 20 modules) =="
 cargo run --release -q -p spt-bench --features failpoints --bin corpus -- \
   --seed 1 --count 20 --sweep-failpoints
