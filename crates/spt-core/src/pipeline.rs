@@ -41,7 +41,7 @@ use spt_cost::LoopCostModel;
 use spt_ir::loops::LoopId;
 use spt_ir::{BlockId, Cfg, DomTree, FuncId, InstId, LoopForest, Module, Ty};
 use spt_partition::{optimal_partition, SearchConfig};
-use spt_profile::{Interp, InterpError, ProfileCollector, Val, ValueProfile};
+use spt_profile::{DepProfile, Interp, InterpError, ProfileCollector, Val, ValueProfile};
 use spt_trace::{FuncAnalysisUnit, LoopFragment};
 use spt_transform::{
     classify_loop, emit_spt_loop, unroll::choose_unroll_factor, unroll_loop, SptLoopSpec,
@@ -660,6 +660,8 @@ fn profile(
     let mut interp = Interp::new(module);
     interp.fuel = config.budget.interp_fuel;
     let mut collector = ProfileCollector::with_value_targets(targets.iter().copied());
+    // One shadow cell per memory cell, allocated once.
+    collector.deps = DepProfile::with_cells(module.memory_layout().1);
     interp.run(&input.entry, &input.args, &mut collector)?;
     Ok(collector)
 }

@@ -14,7 +14,8 @@
 //!    baseline prefix must match bit-for-bit).
 //! 4. **Engine identity** — the transformed module runs bit-identically on
 //!    each engine and its retained reference: the interpreter against
-//!    `ReferenceInterp` (result, memory image and every profile summary),
+//!    `ReferenceInterp` (result, memory image and the loop profile), the
+//!    dependence profile against `ReferenceDepProfile`, its definition,
 //!    the simulator against `ReferenceSimulator` (every `SimResult` field).
 //! 5. **Report identity** — the `CompilationReport` (via its `Debug`
 //!    rendering, diagnostics included) is byte-identical across
@@ -38,7 +39,9 @@ use spt_core::parallel::set_thread_count_override;
 use spt_core::pipeline::{transform_module_timed, PipelineError, ProfilingInput, StageTimings};
 use spt_core::{CompilationReport, CompilerConfig, Severity};
 use spt_ir::Module;
-use spt_profile::{Interp, NoProfiler, ProfileCollector, ReferenceInterp, Val};
+use spt_profile::{
+    DepProfile, Interp, NoProfiler, ProfileCollector, ReferenceDepProfile, ReferenceInterp, Val,
+};
 use spt_sim::{MachineConfig, ReferenceSimulator, SptSimulator};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -217,16 +220,21 @@ fn engine_divergence(module: &Module, entry: &str, arg: i64) -> Option<String> {
         let mut reference = ReferenceInterp::new(module);
         reference.fuel = FUEL;
         let args = [Val::from_i64(arg)];
-        let (mut ep, mut rp) = (ProfileCollector::new(), ProfileCollector::new());
+        // The engine profiles as the pipeline does; the reference run adds
+        // the reference dependence profiler.
+        let mut ep = ProfileCollector::new();
+        ep.deps = DepProfile::with_cells(module.memory_layout().1);
+        let mut rp = (ProfileCollector::new(), ReferenceDepProfile::new());
         let e = interp.run(entry, &args, &mut ep);
         let r = reference.run(entry, &args, &mut rp);
         if e != r {
             return Some(format!("interpreter diverged at arg {arg}: {e:?} vs {r:?}"));
         }
-        if ep.loops.iter() != rp.loops.iter()
-            || ep.deps.dep_counts_map() != rp.deps.dep_counts_map()
-        {
-            return Some(format!("profiles diverged at arg {arg}"));
+        if ep.loops.iter() != rp.0.loops.iter() {
+            return Some(format!("loop profiles diverged at arg {arg}"));
+        }
+        if let Some(diff) = rp.1.first_difference(module, &ep.deps) {
+            return Some(format!("dependence profiles diverged at arg {arg}: {diff}"));
         }
         if interp.run(entry, &args, &mut NoProfiler) != r {
             return Some(format!("unprofiled interpreter diverged at arg {arg}"));

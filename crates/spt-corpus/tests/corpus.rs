@@ -54,6 +54,29 @@ fn reports_are_thread_invariant() {
     }
 }
 
+/// Transforming one program repeatedly in one process emits the same
+/// module every time, down to its arena ids: the transformed module's
+/// content hash keys its simulation memo, so it may not follow hash-set
+/// iteration order (which differs between set instances).
+#[test]
+fn transformed_modules_hash_the_same_every_time() {
+    let config = spt_core::CompilerConfig::best();
+    for seed in 0..200 {
+        let p = generate(seed);
+        let baseline = spt_frontend::compile(&p.source).expect("generated program compiles");
+        let input = spt_core::pipeline::ProfilingInput::new(p.entry, [p.train_arg]);
+        let hashes: std::collections::BTreeSet<u64> = (0..8)
+            .map(|_| {
+                let mut module = baseline.clone();
+                spt_core::pipeline::transform_module(&mut module, &input, &config)
+                    .expect("generated program transforms");
+                module.content_hash()
+            })
+            .collect();
+        assert_eq!(hashes.len(), 1, "seed {seed}: {hashes:x?}");
+    }
+}
+
 /// Token-corrupted programs must never panic the frontend: every mutant is
 /// answered with `Ok` or a clean `CompileError`.
 #[test]

@@ -168,6 +168,20 @@ fn verify_func_in(func: &Function, module: Option<&Module>) -> Result<(), Verify
     let dom = DomTree::compute(&cfg);
     for bb in func.block_ids() {
         if !cfg.is_reachable(bb) {
+            // No dominance to check, but the type checks below look up
+            // every operand, reachable or not.
+            for &i in &func.block(bb).insts {
+                let mut bad = None;
+                func.inst(i).kind.for_each_operand(|o| match o {
+                    Operand::Inst(d) if d.index() >= func.insts.len() => {
+                        bad.get_or_insert(d);
+                    }
+                    _ => {}
+                });
+                if let Some(d) = bad {
+                    return Err(err(func, format!("{i} uses out-of-range value {d}")));
+                }
+            }
             continue;
         }
         for &i in &func.block(bb).insts {
@@ -633,6 +647,33 @@ mod tests {
             (
                 module(func(
                     None,
+                    vec![
+                        vec![ret(None)],
+                        vec![
+                            inst(
+                                InstKind::Binary {
+                                    op: BinOp::Add,
+                                    lhs: v(99),
+                                    rhs: c1,
+                                },
+                                Some(Ty::I64),
+                            ),
+                            ret(None),
+                        ],
+                    ],
+                )),
+                "v1 uses out-of-range value v99",
+            ),
+            (
+                module(func(
+                    None,
+                    vec![vec![ret(None)], vec![copy(v(9)), ret(None)]],
+                )),
+                "v1 uses out-of-range value v9",
+            ),
+            (
+                module(func(
+                    None,
                     vec![vec![
                         inst(
                             InstKind::Store {
@@ -922,7 +963,7 @@ mod tests {
                 "v0: unknown region region3",
             ),
         ];
-        assert_eq!(cases.len(), 35);
+        assert_eq!(cases.len(), 37);
         for (m, want) in &cases {
             let e = verify_module(m).expect_err(want);
             assert_eq!(e.func, "f");

@@ -190,6 +190,66 @@ impl Profiler for NoProfiler {
     const OBSERVES: bool = false;
 }
 
+/// Two profilers observing one run: every event goes to the first, then to
+/// the second.
+impl<A: Profiler, B: Profiler> Profiler for (A, B) {
+    const OBSERVES: bool = A::OBSERVES || B::OBSERVES;
+
+    fn on_block(&mut self, func: FuncId, from: Option<BlockId>, to: BlockId) {
+        self.0.on_block(func, from, to);
+        self.1.on_block(func, from, to);
+    }
+
+    fn on_inst(&mut self, func: FuncId, inst: InstId, latency: u64, loops: &[LoopActivation]) {
+        self.0.on_inst(func, inst, latency, loops);
+        self.1.on_inst(func, inst, latency, loops);
+    }
+
+    fn on_load(
+        &mut self,
+        func: FuncId,
+        inst: InstId,
+        addr: i64,
+        value: Val,
+        loops: &[LoopActivation],
+    ) {
+        self.0.on_load(func, inst, addr, value, loops);
+        self.1.on_load(func, inst, addr, value, loops);
+    }
+
+    fn on_store(
+        &mut self,
+        func: FuncId,
+        inst: InstId,
+        addr: i64,
+        value: Val,
+        loops: &[LoopActivation],
+    ) {
+        self.0.on_store(func, inst, addr, value, loops);
+        self.1.on_store(func, inst, addr, value, loops);
+    }
+
+    fn on_def(&mut self, func: FuncId, inst: InstId, value: Val, loops: &[LoopActivation]) {
+        self.0.on_def(func, inst, value, loops);
+        self.1.on_def(func, inst, value, loops);
+    }
+
+    fn on_loop(&mut self, func: FuncId, event: LoopEvent, loops: &[LoopActivation]) {
+        self.0.on_loop(func, event, loops);
+        self.1.on_loop(func, event, loops);
+    }
+
+    fn on_call_enter(&mut self, caller: FuncId, inst: InstId, callee: FuncId) {
+        self.0.on_call_enter(caller, inst, callee);
+        self.1.on_call_enter(caller, inst, callee);
+    }
+
+    fn on_call_exit(&mut self, caller: FuncId, inst: InstId, callee: FuncId) {
+        self.0.on_call_exit(caller, inst, callee);
+        self.1.on_call_exit(caller, inst, callee);
+    }
+}
+
 /// [`Interp::max_depth`] of a new interpreter.
 pub const DEFAULT_MAX_DEPTH: usize = 256;
 

@@ -1,15 +1,19 @@
-//! The retained reference interpreter.
+//! The retained reference interpreter and reference dependence profiler.
 //!
-//! This is the original tree-walking engine, kept verbatim as the oracle the
-//! superblock interpreter in [`crate::interp`] is differentially tested
-//! against (`tests/engine_equivalence.rs` at the workspace root): it
-//! re-inspects [`InstKind`]/[`Operand`]/`Ty` on every step, exactly as before
-//! pre-decoding, and must produce bit-identical [`InterpResult`]s and
-//! profiler event streams. Do not optimize this module — its value is that it
-//! stays slow and obviously faithful to the IR's semantics.
+//! [`ReferenceInterp`] is the original tree-walking engine, kept verbatim as
+//! the oracle the superblock interpreter in [`crate::interp`] is
+//! differentially tested against (`tests/engine_equivalence.rs` at the
+//! workspace root): it re-inspects [`InstKind`]/[`Operand`]/`Ty` on every
+//! step, exactly as before pre-decoding, and must produce bit-identical
+//! [`InterpResult`]s and profiler event streams. [`ReferenceDepProfile`] is
+//! the dependence profile's definition, the oracle of [`DepProfile`]. Do not
+//! optimize this module — its value is that it stays slow and obviously
+//! faithful to the IR's semantics.
 
+use crate::dep_profile::{DepKey, DepKind, DepProfile};
 use crate::interp::{InterpError, InterpResult, LoopActivation, LoopEvent, Profiler, Val};
 use spt_ir::{BlockId, Cfg, DomTree, FuncId, InstId, InstKind, LoopForest, Module, Operand, Ty};
+use std::collections::HashMap;
 
 /// Per-function static analysis cache used by the reference interpreter.
 #[derive(Clone, Debug)]
@@ -397,5 +401,132 @@ impl<'m> ReferenceInterp<'m> {
         } else {
             Ok(addr as usize)
         }
+    }
+}
+
+/// The dependence profiler's definition, kept as the oracle [`DepProfile`]
+/// is differentially tested against (`tests/engine_equivalence.rs` and the
+/// corpus's engine-identity oracle). Every store keeps its frame's whole
+/// loop stack, and a load matches a loop level of its own frame when that
+/// stack holds the same (loop, activation); the iterations between the two
+/// give the classification. Maps instead of dense tables, and nothing
+/// optimized. A profile covers one run, since activation numbers restart
+/// with every run.
+#[derive(Clone, Debug, Default)]
+pub struct ReferenceDepProfile {
+    last_writer: HashMap<i64, (FuncId, InstId, Vec<LoopActivation>)>,
+    dep_counts: HashMap<DepKey, u64>,
+    stores: HashMap<(FuncId, InstId), u64>,
+    loads: HashMap<(FuncId, InstId), u64>,
+    /// Loads whose last writer ran in a different function.
+    pub interproc_deps: u64,
+}
+
+impl ReferenceDepProfile {
+    /// Creates an empty profile.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn store_count(&self, func: FuncId, store: InstId) -> u64 {
+        self.stores.get(&(func, store)).copied().unwrap_or(0)
+    }
+
+    fn load_count(&self, func: FuncId, load: InstId) -> u64 {
+        self.loads.get(&(func, load)).copied().unwrap_or(0)
+    }
+
+    /// The first count in which `profile`, collected over a run of
+    /// `module`, differs from this profile: a pair count, the
+    /// interprocedural tally, or a store or load execution count of one of
+    /// `module`'s instructions. `None` when all agree.
+    pub fn first_difference(&self, module: &Module, profile: &DepProfile) -> Option<String> {
+        let counts = profile.dep_counts_map();
+        if let Some(key) = self
+            .dep_counts
+            .keys()
+            .chain(counts.keys())
+            .find(|k| counts.get(k) != self.dep_counts.get(k))
+        {
+            return Some(format!(
+                "{key:?}: {} matches, reference {}",
+                counts.get(key).unwrap_or(&0),
+                self.dep_counts.get(key).unwrap_or(&0)
+            ));
+        }
+        if profile.interproc_deps != self.interproc_deps {
+            return Some(format!(
+                "interprocedural dependences {} != {}",
+                profile.interproc_deps, self.interproc_deps
+            ));
+        }
+        for func in module.func_ids() {
+            let f = module.func(func);
+            for i in (0..f.insts.len()).map(InstId::new) {
+                let (stores, loads) = (profile.store_count(func, i), profile.load_count(func, i));
+                if (stores, loads) != (self.store_count(func, i), self.load_count(func, i)) {
+                    return Some(format!(
+                        "`{}` {i}: {stores} stores and {loads} loads, reference {} and {}",
+                        f.name,
+                        self.store_count(func, i),
+                        self.load_count(func, i)
+                    ));
+                }
+            }
+        }
+        None
+    }
+}
+
+impl Profiler for ReferenceDepProfile {
+    fn on_load(
+        &mut self,
+        func: FuncId,
+        inst: InstId,
+        addr: i64,
+        _value: Val,
+        loops: &[LoopActivation],
+    ) {
+        *self.loads.entry((func, inst)).or_insert(0) += 1;
+        let Some((writer, store, stack)) = self.last_writer.get(&addr) else {
+            return;
+        };
+        if *writer != func {
+            self.interproc_deps += 1;
+            return;
+        }
+        for cur in loops {
+            let Some(at_store) = stack
+                .iter()
+                .find(|a| a.loop_id == cur.loop_id && a.activation == cur.activation)
+            else {
+                continue;
+            };
+            let kind = match cur.iter.saturating_sub(at_store.iter) {
+                0 => DepKind::Intra,
+                1 => DepKind::CrossAdjacent,
+                _ => DepKind::CrossFar,
+            };
+            let key = DepKey {
+                func,
+                loop_id: cur.loop_id,
+                store: *store,
+                load: inst,
+                kind,
+            };
+            *self.dep_counts.entry(key).or_insert(0) += 1;
+        }
+    }
+
+    fn on_store(
+        &mut self,
+        func: FuncId,
+        inst: InstId,
+        addr: i64,
+        _value: Val,
+        loops: &[LoopActivation],
+    ) {
+        *self.stores.entry((func, inst)).or_insert(0) += 1;
+        self.last_writer.insert(addr, (func, inst, loops.to_vec()));
     }
 }

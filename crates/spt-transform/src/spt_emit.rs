@@ -24,7 +24,7 @@
 use crate::TransformError;
 use spt_ir::loops::LoopId;
 use spt_ir::{BlockId, Cfg, DomTree, Function, Inst, InstId, InstKind, LoopForest, Operand};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// What to transform and how.
 #[derive(Clone, Debug)]
@@ -406,10 +406,11 @@ pub fn emit_spt_loop(
     }
 
     // SPT_KILL at every loop exit target, after its phis; and before any
-    // in-loop return.
-    let exit_targets: HashSet<BlockId> = {
+    // in-loop return. Targets go in block order, so the kills' ids (and the
+    // module's content hash) do not depend on hashing.
+    let exit_targets: BTreeSet<BlockId> = {
         // Recompute: exits of the transformed loop.
-        let mut outs = HashSet::new();
+        let mut outs = BTreeSet::new();
         if let Some((_, e)) = header_exit {
             outs.insert(e);
         }

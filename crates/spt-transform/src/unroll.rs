@@ -385,7 +385,7 @@ fn clone_once(func: &mut Function, loop_id: LoopId) -> Result<Vec<BlockId>, Tran
         }
     }
 
-    Ok(block_map.values().copied().collect())
+    Ok(l.blocks.iter().map(|bb| block_map[bb]).collect())
 }
 
 /// Chooses an unroll factor so the unrolled body reaches `min_size` latency

@@ -6,9 +6,12 @@
 //! original match-per-step engines are retained verbatim as
 //! `ReferenceInterp`/`ReferenceSimulator`. Every observable output must be
 //! **bit-identical** between each engine and its reference: interpreter
-//! results, the full profiler event stream, all four profile summaries, and
-//! every `SimResult` field (floats compared via `f64::to_bits`). Every
-//! `spt-bench-suite` program goes through both, a proptest differential
+//! results, the full profiler event stream, the edge, loop and value
+//! profiles, and every `SimResult` field (floats compared via
+//! `f64::to_bits`); the engine's dependence profile must equal
+//! `ReferenceDepProfile`, the profile's definition, run on the reference
+//! interpreter. Every `spt-bench-suite` program goes through both (its
+//! transformed modules too, for the dependence profile), a proptest differential
 //! replays randomly generated programs through the same pin, and targeted
 //! cases cover the shapes a resumable executor could get wrong: calls
 //! inside speculated loops, validation stopping after any instruction, fuel
@@ -23,8 +26,8 @@ use spt::ir::{
 };
 use spt::pipeline::{compile_and_transform, CompilerConfig, ProfilingInput};
 use spt::profile::{
-    Interp, InterpError, InterpResult, LoopActivation, LoopEvent, NoProfiler, ProfileCollector,
-    Profiler, ReferenceInterp, Val,
+    DepProfile, Interp, InterpError, InterpResult, LoopActivation, LoopEvent, NoProfiler,
+    ProfileCollector, Profiler, ReferenceDepProfile, ReferenceInterp, Val,
 };
 use spt::sim::{MachineConfig, ReferenceSimulator, SimError, SimResult, SptSimulator};
 
@@ -61,7 +64,7 @@ fn assert_profiles_eq(
     module: &Module,
     targets: &[(FuncId, InstId, Ty)],
     engine: &ProfileCollector,
-    reference: &ProfileCollector,
+    (reference, reference_deps): &(ProfileCollector, ReferenceDepProfile),
 ) {
     // Edge profile: entry counts, block counts, and every CFG edge.
     for func_id in module.func_ids() {
@@ -99,34 +102,11 @@ fn assert_profiles_eq(
         }
     }
 
-    // Dependence profile: the full dep-count table, per-instruction
-    // store/load execution counts, and the interprocedural tally.
-    assert_eq!(
-        engine.deps.dep_counts_map(),
-        reference.deps.dep_counts_map(),
-        "{name}: dep counts"
-    );
-    assert_eq!(
-        engine.deps.interproc_deps, reference.deps.interproc_deps,
-        "{name}: interprocedural deps"
-    );
-    for func_id in module.func_ids() {
-        let func = module.func(func_id);
-        for i in 0..func.insts.len() {
-            let inst = InstId::new(i);
-            assert_eq!(
-                engine.deps.store_count(func_id, inst),
-                reference.deps.store_count(func_id, inst),
-                "{name}/{}: store count {inst}",
-                func.name
-            );
-            assert_eq!(
-                engine.deps.load_count(func_id, inst),
-                reference.deps.load_count(func_id, inst),
-                "{name}/{}: load count {inst}",
-                func.name
-            );
-        }
+    // Dependence profile, against the reference profiler's definition:
+    // the full dep-count table, the interprocedural tally, and
+    // per-instruction store/load execution counts.
+    if let Some(diff) = reference_deps.first_difference(module, &engine.deps) {
+        panic!("{name}: {diff}");
     }
 
     // Loop profile: per-loop stats (field-exact) and the global totals.
@@ -457,8 +437,12 @@ fn interpreter_and_profiles_match_reference() {
         let targets = value_targets(&module);
         let args = [Val::from_i64(b.train_arg)];
 
-        // The tree-walking engine, run directly, is the oracle.
-        let mut ref_prof = ProfileCollector::with_value_targets(targets.iter().copied());
+        // The tree-walking engine, run directly, is the oracle, and the
+        // reference dependence profiler rides along.
+        let mut ref_prof = (
+            ProfileCollector::with_value_targets(targets.iter().copied()),
+            ReferenceDepProfile::new(),
+        );
         let ref_r = ReferenceInterp::new(&module)
             .run(b.entry, &args, &mut ref_prof)
             .expect("reference interp runs");
@@ -483,6 +467,48 @@ fn interpreter_and_profiles_match_reference() {
             .run(b.entry, &args, &mut NoProfiler)
             .expect("interp runs unprofiled");
         assert_interp_eq(&format!("{}/noprofile", b.name), &nr, &ref_r);
+    }
+}
+
+/// The profiling run the pipeline makes, on every module it profiles or
+/// emits: each suite program's baseline and its transformed module under
+/// all three configurations, at the train and the ref argument, profiled
+/// with a pre-sized `DepProfile` on the engine and with the reference
+/// dependence profiler on the reference interpreter.
+#[test]
+fn dep_profile_matches_reference_on_compiled_suite() {
+    let configs = [
+        CompilerConfig::basic(),
+        CompilerConfig::anticipated(),
+        CompilerConfig::best(),
+    ];
+    for b in spt::bench_suite::suite() {
+        let mut modules = vec![(
+            "baseline",
+            spt::frontend::compile(b.source).expect("compiles"),
+        )];
+        for config in &configs {
+            let input = ProfilingInput::new(b.entry, [b.train_arg]);
+            let compiled = compile_and_transform(b.source, &input, config)
+                .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+            modules.push((config.name, compiled.module));
+        }
+        for (label, module) in &modules {
+            for arg in [b.train_arg, b.ref_arg] {
+                let args = [Val::from_i64(arg)];
+                let mut engine = DepProfile::with_cells(module.memory_layout().1);
+                Interp::new(module)
+                    .run(b.entry, &args, &mut engine)
+                    .expect("interp runs");
+                let mut reference = ReferenceDepProfile::new();
+                ReferenceInterp::new(module)
+                    .run(b.entry, &args, &mut reference)
+                    .expect("reference interp runs");
+                if let Some(diff) = reference.first_difference(module, &engine) {
+                    panic!("{}/{label} at {arg}: {diff}", b.name);
+                }
+            }
+        }
     }
 }
 
@@ -948,7 +974,10 @@ proptest! {
         let targets = value_targets(&module);
         let args = [Val::from_i64(120)];
 
-        let mut ref_prof = ProfileCollector::with_value_targets(targets.iter().copied());
+        let mut ref_prof = (
+            ProfileCollector::with_value_targets(targets.iter().copied()),
+            ReferenceDepProfile::new(),
+        );
         let ref_r = ReferenceInterp::new(&module)
             .run("main", &args, &mut ref_prof)
             .expect("reference interp runs");
@@ -969,8 +998,13 @@ proptest! {
         prop_assert_eq!(&r.memory, &ref_r.memory, "memory diverged:\n{}", src);
         prop_assert_eq!(
             format!("{:?}", prof.loops.iter()),
-            format!("{:?}", ref_prof.loops.iter()),
+            format!("{:?}", ref_prof.0.loops.iter()),
             "loop profile diverged:\n{}", src
+        );
+        prop_assert_eq!(
+            ref_prof.1.first_difference(&module, &prof.deps),
+            None,
+            "dependence profile diverged:\n{}", src
         );
         let (mut el, mut rl) = (EventLog::default(), EventLog::default());
         Interp::new(&module).run("main", &args, &mut el).expect("interp runs");
