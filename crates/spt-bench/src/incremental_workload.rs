@@ -1,7 +1,6 @@
-//! Synthetic analysis-heavy workload for the incremental-recompile
-//! benchmarks (`perfbench --incremental` and the `incremental_recompile`
-//! criterion group), and its kernel loop at any size for the partition
-//! search's bench and ablation ([`kernel_loop`]).
+//! Synthetic analysis-heavy workload for the incremental-recompile gate
+//! (`tests/incremental_gate.rs`), and its kernel loop at any size for the
+//! partition search's pruning ablation ([`kernel_loop`]).
 //!
 //! The module is shaped so that per-function **analysis** dominates compile
 //! time while everything else stays cheap: many kernel functions, each with
@@ -72,19 +71,13 @@ fn kernel_with(idx: usize, scalars: usize) -> String {
 /// The whole synthetic module: [`KERNELS`] kernels plus a `main` that sums
 /// them.
 pub fn source() -> String {
-    source_with(KERNELS)
-}
-
-/// [`source`] with an explicit kernel count — the criterion bench uses a
-/// smaller module so the cold-compile samples fit its time budget.
-pub fn source_with(kernels: usize) -> String {
     let mut src = String::new();
-    for i in 0..kernels {
+    for i in 0..KERNELS {
         src.push_str(&kernel(i));
         src.push('\n');
     }
     src.push_str("fn main(n: int) -> int {\n    let t = 0;\n");
-    for i in 0..kernels {
+    for i in 0..KERNELS {
         let _ = writeln!(src, "    t = t + k{i}(n);");
     }
     src.push_str("    return t;\n}\n");
@@ -95,8 +88,7 @@ pub fn source_with(kernels: usize) -> String {
 /// partition candidates, the induction update included), profiled on
 /// [`TRAIN_ARG`] with the dependence profile, and the `best`
 /// configuration's pre-fork threshold for it (35% of the body): the search
-/// the `partition_search` bench and the pruning ablation time, where the
-/// threshold binds.
+/// the pruning ablation times, where the threshold binds.
 pub fn kernel_loop(scalars: usize) -> (LoopCostModel, u64) {
     let src = format!(
         "{}fn {ENTRY}(n: int) -> int {{ return k0(n); }}\n",

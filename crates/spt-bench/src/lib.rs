@@ -6,13 +6,12 @@
 //! nothing, keeping every binary self-contained and deterministic.
 
 use spt_bench_suite::Benchmark;
-use spt_core::pipeline::transform_module_timed;
-use spt_core::{CompilationReport, CompilerConfig, ProfilingInput, StageTimings, TraceSettings};
+use spt_core::pipeline::transform_module;
+use spt_core::{CompilationReport, CompilerConfig, ProfilingInput, TraceSettings};
 use spt_serve::{sim_with_cache, SimTraceStats};
 use spt_sim::{LoopSimStats, MachineConfig, SimResult};
 use std::collections::HashMap;
 
-pub mod history;
 pub mod incremental_workload;
 
 /// The measurements from running one benchmark under one configuration.
@@ -45,36 +44,6 @@ impl BenchmarkRun {
     }
 }
 
-/// A [`BenchmarkRun`] plus the wall-clock breakdown of how it was produced.
-pub struct TimedBenchmarkRun {
-    /// The measurements themselves.
-    pub run: BenchmarkRun,
-    /// Frontend (source → SSA) seconds.
-    pub compile_s: f64,
-    /// Per-stage pipeline seconds and search-node counts.
-    pub stages: StageTimings,
-    /// Baseline simulation seconds.
-    pub sim_baseline_s: f64,
-    /// SPT simulation seconds.
-    pub sim_spt_s: f64,
-    /// Artifact-store statistics of the two simulations.
-    pub sim_trace: SimTraceStats,
-}
-
-impl TimedBenchmarkRun {
-    /// End-to-end seconds for this benchmark.
-    pub fn total_s(&self) -> f64 {
-        self.compile_s
-            + self.stages.preprocess_s
-            + self.stages.profile_s
-            + self.stages.analysis_s
-            + self.stages.svp_s
-            + self.stages.select_emit_s
-            + self.sim_baseline_s
-            + self.sim_spt_s
-    }
-}
-
 /// Runs `bench` under `config`: profile-guided compilation on the train
 /// input, simulation of both baseline and SPT code on the reference input.
 ///
@@ -83,65 +52,37 @@ impl TimedBenchmarkRun {
 /// Panics on pipeline or simulation failure — the harness treats any
 /// failure as a broken experiment.
 pub fn run_benchmark(bench: &Benchmark, config: &CompilerConfig) -> BenchmarkRun {
-    run_benchmark_timed(bench, config).run
-}
-
-/// [`run_benchmark`] with per-stage wall times, for the `perfbench` harness.
-///
-/// # Panics
-///
-/// See [`run_benchmark`].
-pub fn run_benchmark_timed(bench: &Benchmark, config: &CompilerConfig) -> TimedBenchmarkRun {
     let input = ProfilingInput::new(bench.entry, [bench.train_arg]);
-    let t = std::time::Instant::now();
     let baseline_module = spt_frontend::compile(bench.source)
         .unwrap_or_else(|e| panic!("{}: compile failed: {e}", bench.name));
-    let compile_s = t.elapsed().as_secs_f64();
     let mut module = baseline_module.clone();
-    let (report, stages) = transform_module_timed(&mut module, &input, config)
+    let report = transform_module(&mut module, &input, config)
         .unwrap_or_else(|e| panic!("{}: pipeline failed: {e}", bench.name));
     let machine = MachineConfig::default();
-    let mut sim_trace = SimTraceStats::default();
-    let t = std::time::Instant::now();
-    let baseline = sim_with_cache(
-        &baseline_module,
-        bench.entry,
-        bench.ref_arg,
-        &machine,
-        &config.trace,
-        &mut sim_trace,
-    )
-    .unwrap_or_else(|e| panic!("{}: baseline sim failed: {e}", bench.name));
-    let sim_baseline_s = t.elapsed().as_secs_f64();
-    let t = std::time::Instant::now();
-    let spt = sim_with_cache(
-        &module,
-        bench.entry,
-        bench.ref_arg,
-        &machine,
-        &config.trace,
-        &mut sim_trace,
-    )
-    .unwrap_or_else(|e| panic!("{}: spt sim failed: {e}", bench.name));
-    let sim_spt_s = t.elapsed().as_secs_f64();
+    let sim = |module| {
+        sim_with_cache(
+            module,
+            bench.entry,
+            bench.ref_arg,
+            &machine,
+            &config.trace,
+            &mut SimTraceStats::default(),
+        )
+    };
+    let baseline = sim(&baseline_module)
+        .unwrap_or_else(|e| panic!("{}: baseline sim failed: {e}", bench.name));
+    let spt = sim(&module).unwrap_or_else(|e| panic!("{}: spt sim failed: {e}", bench.name));
     assert_eq!(
         baseline.ret, spt.ret,
         "{}: SPT execution diverged from baseline",
         bench.name
     );
-    TimedBenchmarkRun {
-        run: BenchmarkRun {
-            name: bench.name,
-            config: config.name,
-            report,
-            baseline,
-            spt,
-        },
-        compile_s,
-        stages,
-        sim_baseline_s,
-        sim_spt_s,
-        sim_trace,
+    BenchmarkRun {
+        name: bench.name,
+        config: config.name,
+        report,
+        baseline,
+        spt,
     }
 }
 
@@ -187,9 +128,9 @@ pub fn with_store(mut config: CompilerConfig) -> CompilerConfig {
 
 /// Folds one benchmark's *computed* results — the report's debug rendering
 /// and the two simulation outcomes, never wall times or cache counters —
-/// into an order-stable FNV-1a digest. `perfbench` and `loadgen` both build
-/// their suite digest from this, so a daemon-served run prints the same
-/// `report digest` as a single-process run exactly when the results match.
+/// into an order-stable FNV-1a digest. `tests/report_identity.rs` folds
+/// the whole suite through this and pins the value, so any change to an
+/// answer moves the digest.
 pub fn fold_report_digest(
     h: &mut spt_trace::codec::Fnv,
     report_debug: &str,

@@ -15,8 +15,8 @@
 //! cached — `thread_count` sits on the hot path of every fan-out (an
 //! `available_parallelism` query costs tens of microseconds), and runtime
 //! environment mutation is unsound in multithreaded programs anyway;
-//! harnesses that switch thread counts mid-process (perfbench, the
-//! determinism tests) use the override. No thread pool is kept alive
+//! harnesses that switch thread counts mid-process (the determinism and
+//! timing tests) use the override. No thread pool is kept alive
 //! between calls — workloads here are coarse enough (whole-loop analysis,
 //! whole-benchmark pipelines) that spawn cost is noise, but at one worker
 //! `parallel_map` runs inline with no spawn, no cursor, and no environment

@@ -263,8 +263,8 @@ pub fn transform_module(
     transform_module_timed(module, input, config).map(|(report, _)| report)
 }
 
-/// [`transform_module`] plus per-stage wall times; the `perfbench` harness
-/// consumes the timings.
+/// [`transform_module`] plus per-stage wall times, which the `sptbench`
+/// benchmark and the incremental-recompile gate read.
 ///
 /// # Errors
 ///

@@ -689,8 +689,7 @@ pub fn optimal_partition(model: &LoopCostModel, config: &SearchConfig) -> Search
 /// The original from-scratch search: every candidate set is evaluated by
 /// re-walking its dependence closure (`Partition::from_seeds`) and running a
 /// full propagation sweep. Retained as the differential oracle for
-/// [`optimal_partition`] and as the baseline of the `partition_search`
-/// criterion benchmark; not used by the compilation pipeline.
+/// [`optimal_partition`]; not used by the compilation pipeline.
 pub fn optimal_partition_reference(model: &LoopCostModel, config: &SearchConfig) -> SearchResult {
     let vc_graph = VcDepGraph::build(model);
     let empty = Partition::empty(&model.graph);

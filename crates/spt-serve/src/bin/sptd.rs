@@ -17,8 +17,8 @@
 //! ```
 //!
 //! The daemon serves until a client sends a `Shutdown` request (e.g.
-//! `loadgen --socket PATH --shutdown`), then drains, removes its socket
-//! file, and exits 0.
+//! `sptc shutdown --daemon PATH`), then drains, removes its socket file,
+//! and exits 0. `sptc stats --daemon PATH` prints its counters.
 
 use std::process::ExitCode;
 use std::sync::Arc;

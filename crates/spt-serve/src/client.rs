@@ -2,10 +2,10 @@
 //!
 //! One [`Client`] owns one connection and issues one request at a time
 //! (send frame, read frame), so correlation ids are checked but never
-//! ambiguous. Concurrency comes from using several clients — each `loadgen`
-//! worker thread, for instance, holds its own. There is no batch call: K
-//! variants of one module are K [`Client::compile`] calls, and the daemon
-//! analyzes the functions they share once.
+//! ambiguous. Concurrency comes from using several clients — each client
+//! thread of `tests/sptd_process.rs`, for instance, holds its own. There is
+//! no batch call: K variants of one module are K [`Client::compile`] calls,
+//! and the daemon analyzes the functions they share once.
 
 use std::fmt;
 use std::io;

@@ -14,8 +14,8 @@
 //!   (`spt_core::store`, memory over an optional `.spt-cache/` disk tier),
 //!   single-flight compile deduplication, and global counters;
 //! * [`server`] — the accept/reader/worker thread machinery behind `sptd`;
-//! * [`client`] — the blocking [`Client`] the CLI (`sptc --daemon`) and
-//!   `loadgen` use.
+//! * [`client`] — the blocking [`Client`] the CLI uses (`sptc --daemon`,
+//!   `sptc stats|shutdown --daemon`).
 //!
 //! The load-bearing property is *byte identity*: a response served from any
 //! tier — memory, disk, or a concurrent request's single-flight result — is

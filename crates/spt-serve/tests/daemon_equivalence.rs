@@ -16,7 +16,7 @@ use std::sync::{Arc, Barrier};
 
 /// A small cross-section of the suite — kept to three programs so the
 /// debug-mode test stays quick; the full suite goes through the same code
-/// path in `loadgen --digest` under CI.
+/// path in `tests/sptd_process.rs`, against the `sptd` binary.
 const PROGRAMS: [&str; 3] = ["gap_s", "mcf_s", "twolf_s"];
 const SIM_ARG: i64 = 60;
 
@@ -505,4 +505,25 @@ fn concurrent_clients_get_identical_responses_from_one_compile() {
         "socket file must be removed on clean shutdown"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `Sim` request whose machine the simulator cannot run gets an error
+/// response that names the field, and the service goes on answering.
+#[test]
+fn a_machine_the_simulator_cannot_run_is_refused_by_field() {
+    let service = CompileService::new(ServiceConfig {
+        cache_dir: None,
+        ..ServiceConfig::default()
+    });
+    let bench = spt_bench_suite::benchmark("gap_s").expect("exists");
+    let mut bad = sim_req(&bench);
+    bad.machine.cache.l1_ways = 0;
+    match service.execute(&ReqBody::Sim(bad)) {
+        RespBody::Err(msg) => assert!(msg.contains("cache.l1_ways"), "{msg}"),
+        RespBody::Ok(body) => panic!("a zero-way L1 was simulated: {body:?}"),
+    }
+    assert!(matches!(
+        service.execute(&ReqBody::Sim(sim_req(&bench))),
+        RespBody::Ok(OkBody::Sim(_))
+    ));
 }

@@ -36,6 +36,9 @@ pub enum SimError {
     Exec(ExecError),
     /// Retired-instruction budget exhausted.
     OutOfFuel,
+    /// The machine configuration is outside what the simulator can run
+    /// ([`MachineConfig::check`]); the message names the field.
+    BadMachine(String),
 }
 
 impl fmt::Display for SimError {
@@ -44,6 +47,7 @@ impl fmt::Display for SimError {
             SimError::NoSuchFunction(n) => write!(f, "no such function `{n}`"),
             SimError::Exec(e) => write!(f, "execution fault: {e}"),
             SimError::OutOfFuel => write!(f, "out of fuel"),
+            SimError::BadMachine(msg) => write!(f, "invalid machine configuration: {msg}"),
         }
     }
 }
@@ -149,7 +153,8 @@ impl SptSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] on unknown entry, program faults or fuel
+    /// Returns [`SimError`] on a machine configuration that fails
+    /// [`MachineConfig::check`], unknown entry, program faults or fuel
     /// exhaustion.
     pub fn run(&self, module: &Module, entry: &str, args: &[i64]) -> Result<SimResult, SimError> {
         self.run_with_memory(module, entry, args, module.initial_memory())
@@ -169,6 +174,7 @@ impl SptSimulator {
         args: &[i64],
         memory: Vec<u64>,
     ) -> Result<SimResult, SimError> {
+        self.config.check()?;
         let func = module
             .func_by_name(entry)
             .ok_or_else(|| SimError::NoSuchFunction(entry.to_string()))?;

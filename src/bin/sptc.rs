@@ -6,6 +6,8 @@
 //! sptc compile <file.mc> [options]           run the pipeline, print SPT IR
 //! sptc run <file.mc> --entry main --arg N    interpret (reference semantics)
 //! sptc sim <file.mc> [options]               simulate baseline vs SPT
+//! sptc stats --daemon SOCKET                 print a running sptd's counters
+//! sptc shutdown --daemon SOCKET              stop a running sptd cleanly
 //!
 //! options:
 //!   --config basic|best|anticipated   compiler configuration (default best)
@@ -32,7 +34,9 @@
 //! repeated invocations are served from its in-memory cache. Output is
 //! byte-identical to the local path — both render through the same library
 //! code, and the daemon's cache tiers are exact
-//! (`crates/spt-serve/tests/daemon_equivalence.rs` pins this).
+//! (`crates/spt-serve/tests/daemon_equivalence.rs` pins this). `stats`
+//! prints the daemon's counters, one `name value` line each; `shutdown`
+//! asks it to drain and exit, which also removes its socket file.
 
 use spt::pipeline::{compile_and_transform, CompilerConfig, ProfilingInput};
 use spt::profile::{Interp, NoProfiler, Val};
@@ -56,13 +60,12 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: sptc <ir|analyze|compile|run|sim> <file.mc> \
          [--config basic|best|anticipated] [--entry NAME] [--arg N] [--train N] [--no-cache] \
-         [--daemon SOCKET]"
+         [--daemon SOCKET]\n       sptc <stats|shutdown> --daemon SOCKET"
     );
     ExitCode::from(2)
 }
 
-fn parse_args() -> Result<Options, ExitCode> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+fn parse_args(argv: &[String]) -> Result<Options, ExitCode> {
     if argv.len() < 2 {
         return Err(usage());
     }
@@ -131,7 +134,14 @@ fn parse_args() -> Result<Options, ExitCode> {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(command @ ("stats" | "shutdown")) = argv.first().map(String::as_str) {
+        return match &argv[1..] {
+            [flag, socket] if flag == "--daemon" => daemon_control(command, socket),
+            _ => usage(),
+        };
+    }
+    let opts = match parse_args(&argv) {
         Ok(o) => o,
         Err(code) => return code,
     };
@@ -365,6 +375,31 @@ fn daemon_cmd(source: &str, opts: &Options) -> ExitCode {
             ExitCode::SUCCESS
         }
         _ => usage(),
+    }
+}
+
+/// `sptc stats|shutdown --daemon SOCKET`: the daemon operations that take
+/// no program.
+fn daemon_control(command: &str, socket: &str) -> ExitCode {
+    let mut client = match Client::connect(socket) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("sptc: cannot connect to daemon at {socket}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let done = if command == "stats" {
+        client.stats().map(|stats| {
+            for (name, value) in stats {
+                println!("{name} {value}");
+            }
+        })
+    } else {
+        client.shutdown()
+    };
+    match done {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => fail(e),
     }
 }
 

@@ -264,3 +264,39 @@ fn basic_config_flag_accepted() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+/// `sptc stats --daemon SOCKET` prints the daemon's counters, and `sptc
+/// shutdown --daemon SOCKET` stops it: the server's `join` returns and the
+/// socket file is gone.
+#[test]
+fn daemon_stats_and_shutdown_commands_reach_the_daemon() {
+    let demo = Demo::new();
+    let service = spt::serve::CompileService::new(spt::serve::ServiceConfig {
+        cache_dir: None,
+        ..spt::serve::ServiceConfig::default()
+    });
+    let socket = demo.dir.join("sptd.sock");
+    let handle = spt::serve::serve(Arc::new(service), &socket, 1).expect("daemon starts");
+    let control = |command: &str| {
+        let out = demo
+            .sptc()
+            .args([command, "--daemon"])
+            .arg(&socket)
+            .output()
+            .expect("runs");
+        assert!(
+            out.status.success(),
+            "sptc {command}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("utf-8")
+    };
+    let stats = control("stats");
+    assert!(
+        stats.lines().any(|l| l.starts_with("requests_total ")),
+        "{stats}"
+    );
+    control("shutdown");
+    handle.join();
+    assert!(!socket.exists(), "the daemon left its socket file behind");
+}
