@@ -29,8 +29,8 @@ pub const SVP_THRESHOLD: f64 = 0.9;
 /// Enabled with a `cache_dir`, compiles persist their whole result (the
 /// SPT module and its report) and their function-granular pass-1 analysis
 /// units, and `spt_serve::sim_with_cache` its whole `SimResult` memos, in
-/// a content-addressed directory keyed by IR content hash + inputs +
-/// format version, so an exact repeat skips the work: a repeated compile
+/// a content-addressed directory keyed by IR content hash + inputs + the
+/// build identity, so an exact repeat skips the work: a repeated compile
 /// decodes one file and runs no pipeline stage. The store never changes an
 /// answer: reports and results are byte-identical with it on, off, cold or
 /// warm, and a damaged entry is evicted and recomputed.

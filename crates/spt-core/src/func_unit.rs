@@ -1,48 +1,51 @@
-//! Function-granular analysis units: the cacheable product of pass-1 loop
-//! analysis for one function.
+//! Pass 1's one record: a [`LoopFragment`] per candidate loop, and a
+//! function's fragments as the artifact store's analysis unit.
 //!
-//! The incremental pipeline (see `spt-core`) keys these on
-//! `Function::content_hash` plus a context hash folding everything an
-//! analysis reads beyond the function's own IR — configuration knobs, the
-//! globals table, callee effect summaries and the function's slice of the
-//! edge/dependence profiles. A [`FuncAnalysisUnit`] therefore reproduces the
-//! analysis results *bit-identically*: every field of a [`LoopFragment`]
-//! maps one-to-one onto the pipeline's per-loop analysis record, with `f64`
-//! costs carried as bit patterns so a decode → report path is byte-equal to
-//! a recompute → report path.
+//! The paper's pass 1 hands pass 2 one thing per candidate loop: its
+//! optimal partition, cost and sizes (§3, §6). The pipeline's loop
+//! analysis returns exactly that as a fragment; SVP targeting, selection
+//! and emission read it; and a function's fragments, in loop-forest
+//! discovery order, are its [`FuncAnalysisUnit`]. The incremental pipeline
+//! keys units on `Function::content_hash` plus a context hash folding
+//! everything an analysis reads beyond the function's own IR
+//! ([`crate::incremental`]), so a unit served from the store yields the
+//! very fragments a fresh analysis would.
 //!
 //! The encoding is a body in `spt_ir::codec`'s byte format, with no magic,
 //! version or checksum: the artifact store frames it on disk and holds it
-//! as is in memory, and decodes it on every hit.
+//! as is in memory, and decodes it on every hit. Blocks and instructions
+//! go by index and the cost by its `f64` bit pattern, so a decoded fragment
+//! is bit-identical to the one encoded.
 
 use spt_ir::codec::{put_opt_u32, put_varint, Reader};
+use spt_ir::{BlockId, InstId};
 
 /// Smallest encoding of one [`LoopFragment`]: eleven one-byte fields.
 const MIN_FRAGMENT_LEN: usize = 11;
 
-/// The analysis result of one loop, in cache-stable form. Fields mirror the
-/// pipeline's internal per-loop analysis record (headers/instructions by
-/// index, cost by `f64` bit pattern, move/replicate sets sorted).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// What pass 1 learned about one loop: its best partition, with the
+/// partition's node sets resolved to instructions (stable across later IR
+/// surgery), its cost and its sizes.
+#[derive(Clone, Debug, PartialEq)]
 pub struct LoopFragment {
-    /// Header block index within the function.
-    pub header: u32,
+    /// Header block.
+    pub header: BlockId,
     /// Nesting depth (0 = outermost).
-    pub depth: u64,
-    /// Header block index of the parent loop, if nested.
-    pub parent_header: Option<u32>,
+    pub depth: usize,
+    /// Header block of the parent loop, if nested.
+    pub parent_header: Option<BlockId>,
     /// Static body size in cost-model units.
     pub body_size: u64,
     /// Number of value communications the dependence graph found.
-    pub num_vcs: u64,
-    /// `f64::to_bits` of the best partition's estimated mis-speculation cost.
-    pub cost_bits: u64,
+    pub num_vcs: usize,
+    /// The best partition's estimated mis-speculation cost.
+    pub cost: f64,
     /// Size of the pre-fork region under the best partition.
     pub prefork_size: u64,
-    /// Instruction indices moved into the pre-fork region, sorted.
-    pub move_insts: Vec<u32>,
-    /// Instruction indices replicated into the pre-fork region, sorted.
-    pub replicate_insts: Vec<u32>,
+    /// Instructions moved into the pre-fork region, sorted.
+    pub move_insts: Vec<InstId>,
+    /// Instructions replicated into the pre-fork region, sorted.
+    pub replicate_insts: Vec<InstId>,
     /// The loop had more VCs than the search admits and was skipped.
     pub skipped_too_many_vcs: bool,
     /// Canonical loop shape (preheader + single latch) and a legal live-out
@@ -50,14 +53,14 @@ pub struct LoopFragment {
     pub canonical: bool,
     /// Partition-search states visited.
     pub search_visited: u64,
-    /// The search hit its visited-state budget (deterministic for a given
-    /// budget, so safe to cache; the warning diagnostic is regenerated from
-    /// this flag on a cache hit).
+    /// The search hit its visited-state budget, so `cost` and the
+    /// instruction sets describe the best partition found so far
+    /// (deterministic for a given budget, so safe to store).
     pub search_budget_exhausted: bool,
 }
 
-/// Every loop analysis of one function, in loop-forest discovery order.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Every loop fragment of one function, in loop-forest discovery order.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FuncAnalysisUnit {
     /// Per-loop fragments, ordered as the function's loop forest iterates.
     pub fragments: Vec<LoopFragment>,
@@ -68,20 +71,18 @@ impl FuncAnalysisUnit {
     pub fn encode(&self, out: &mut Vec<u8>) {
         put_varint(out, self.fragments.len() as u64);
         for f in &self.fragments {
-            put_varint(out, f.header as u64);
-            put_varint(out, f.depth);
-            put_opt_u32(out, f.parent_header);
+            put_varint(out, f.header.0 as u64);
+            put_varint(out, f.depth as u64);
+            put_opt_u32(out, f.parent_header.map(|h| h.0));
             put_varint(out, f.body_size);
-            put_varint(out, f.num_vcs);
-            put_varint(out, f.cost_bits);
+            put_varint(out, f.num_vcs as u64);
+            put_varint(out, f.cost.to_bits());
             put_varint(out, f.prefork_size);
-            put_varint(out, f.move_insts.len() as u64);
-            for &i in &f.move_insts {
-                put_varint(out, i as u64);
-            }
-            put_varint(out, f.replicate_insts.len() as u64);
-            for &i in &f.replicate_insts {
-                put_varint(out, i as u64);
+            for insts in [&f.move_insts, &f.replicate_insts] {
+                put_varint(out, insts.len() as u64);
+                for i in insts {
+                    put_varint(out, i.0 as u64);
+                }
             }
             let flags = (f.skipped_too_many_vcs as u8)
                 | ((f.canonical as u8) << 1)
@@ -97,12 +98,12 @@ impl FuncAnalysisUnit {
         let n = r.count_of(MIN_FRAGMENT_LEN)?;
         let mut fragments = Vec::with_capacity(n);
         for _ in 0..n {
-            let header = r.u32()?;
-            let depth = r.varint()?;
-            let parent_header = r.opt_u32()?;
+            let header = BlockId(r.u32()?);
+            let depth = r.usize()?;
+            let parent_header = r.opt_u32()?.map(BlockId);
             let body_size = r.varint()?;
-            let num_vcs = r.varint()?;
-            let cost_bits = r.varint()?;
+            let num_vcs = r.usize()?;
+            let cost = f64::from_bits(r.varint()?);
             let prefork_size = r.varint()?;
             let move_insts = insts(r)?;
             let replicate_insts = insts(r)?;
@@ -116,7 +117,7 @@ impl FuncAnalysisUnit {
                 parent_header,
                 body_size,
                 num_vcs,
-                cost_bits,
+                cost,
                 prefork_size,
                 move_insts,
                 replicate_insts,
@@ -131,9 +132,9 @@ impl FuncAnalysisUnit {
 }
 
 /// A counted list of instruction indices.
-fn insts(r: &mut Reader<'_>) -> Option<Vec<u32>> {
+fn insts(r: &mut Reader<'_>) -> Option<Vec<InstId>> {
     let n = r.count()?;
-    (0..n).map(|_| r.u32()).collect()
+    (0..n).map(|_| r.u32().map(InstId)).collect()
 }
 
 #[cfg(test)]
@@ -141,30 +142,31 @@ mod tests {
     use super::*;
 
     fn sample() -> FuncAnalysisUnit {
+        let insts = |ids: &[u32]| ids.iter().map(|&i| InstId(i)).collect();
         FuncAnalysisUnit {
             fragments: vec![
                 LoopFragment {
-                    header: 3,
+                    header: BlockId(3),
                     depth: 0,
                     parent_header: None,
                     body_size: 120,
                     num_vcs: 7,
-                    cost_bits: 3.5f64.to_bits(),
+                    cost: 3.5,
                     prefork_size: 11,
-                    move_insts: vec![1, 4, 9],
-                    replicate_insts: vec![2],
+                    move_insts: insts(&[1, 4, 9]),
+                    replicate_insts: insts(&[2]),
                     skipped_too_many_vcs: false,
                     canonical: true,
                     search_visited: 4096,
                     search_budget_exhausted: false,
                 },
                 LoopFragment {
-                    header: 7,
+                    header: BlockId(7),
                     depth: 1,
-                    parent_header: Some(3),
+                    parent_header: Some(BlockId(3)),
                     body_size: 0,
                     num_vcs: 0,
-                    cost_bits: f64::INFINITY.to_bits(),
+                    cost: f64::INFINITY,
                     prefork_size: 0,
                     move_insts: vec![],
                     replicate_insts: vec![],

@@ -11,15 +11,15 @@
 //! (the Merkle leaf of [`spt_ir::Module::content_hash`]) plus a context
 //! hash folding exactly those inputs — so editing one function of an
 //! N-function module invalidates one analysis unit, not N. The analysis
-//! units ([`FuncAnalysisUnit`]) persist on the store's disk tier when it
+//! units (`FuncAnalysisUnit`s) persist on the store's disk tier when it
 //! has one, so edit-recompile cycles survive process boundaries. Pass 2
 //! (selection and SPT emission) always runs in full.
 //!
 //! The skip-and-splice contract: a decode-and-splice path must be
 //! *byte-identical* to a recompute path, for reports and emitted code
 //! alike. Keys therefore fold every analysis input bit-exactly (`f64`s by
-//! bit pattern), cached values carry everything the report rebuild needs
-//! (including the flags that regenerate diagnostics), and anything
+//! bit pattern), a cached unit holds the very fragments pass 1 returned
+//! (including the flags that diagnostics are built from), and anything
 //! environmental — a contained panic — is never stored.
 //! `tests/incremental_equivalence.rs` pins the contract over the whole
 //! benchmark suite.
@@ -27,9 +27,9 @@
 use spt_ir::{FuncId, Function, LoopForest, Module};
 use spt_profile::ProfileCollector;
 use spt_trace::codec::Fnv;
-use spt_trace::FuncAnalysisUnit;
 
 use crate::config::CompilerConfig;
+use crate::func_unit::FuncAnalysisUnit;
 
 /// Streams `Debug` renderings into an FNV fold without materialising them.
 struct FnvWrite(Fnv);
@@ -168,17 +168,9 @@ impl ModuleContext {
 /// forest (same loop count, same headers in discovery order). Content
 /// addressing makes a mismatch all but impossible; treating it as a miss
 /// keeps even a hash collision from splicing garbage.
-pub fn unit_matches_forest(unit: &FuncAnalysisUnit, forest: &LoopForest) -> bool {
-    let mut ids = forest.ids();
-    let mut n = 0usize;
-    for frag in &unit.fragments {
-        let Some(lid) = ids.next() else { return false };
-        if forest.get(lid).header.index() as u32 != frag.header {
-            return false;
-        }
-        n += 1;
-    }
-    n == unit.fragments.len() && ids.next().is_none()
+pub(crate) fn unit_matches_forest(unit: &FuncAnalysisUnit, forest: &LoopForest) -> bool {
+    let headers = forest.ids().map(|lid| forest.get(lid).header);
+    unit.fragments.iter().map(|frag| frag.header).eq(headers)
 }
 
 #[cfg(test)]
@@ -198,5 +190,50 @@ mod tests {
             config_context_hash(&CompilerConfig::basic()),
             config_context_hash(&CompilerConfig::anticipated())
         );
+    }
+
+    #[test]
+    fn a_unit_matches_only_its_forest_s_headers_in_order() {
+        let module = spt_frontend::compile(
+            "fn main(n: int) -> int {
+                 let s = 0;
+                 for (let i = 0; i < n; i = i + 1) {
+                     for (let j = 0; j < i; j = j + 1) { s = s + j; }
+                 }
+                 return s;
+             }",
+        )
+        .expect("compiles");
+        let func = &module.funcs[0];
+        let cfg = spt_ir::Cfg::compute(func);
+        let forest = LoopForest::compute(func, &cfg, &spt_ir::DomTree::compute(&cfg));
+        let headers: Vec<_> = forest.ids().map(|lid| forest.get(lid).header).collect();
+        assert_eq!(headers.len(), 2);
+        let unit = |headers: &[spt_ir::BlockId]| FuncAnalysisUnit {
+            fragments: headers
+                .iter()
+                .map(|&header| crate::func_unit::LoopFragment {
+                    header,
+                    depth: 0,
+                    parent_header: None,
+                    body_size: 0,
+                    num_vcs: 0,
+                    cost: 0.0,
+                    prefork_size: 0,
+                    move_insts: Vec::new(),
+                    replicate_insts: Vec::new(),
+                    skipped_too_many_vcs: false,
+                    canonical: true,
+                    search_visited: 0,
+                    search_budget_exhausted: false,
+                })
+                .collect(),
+        };
+        assert!(unit_matches_forest(&unit(&headers), &forest));
+        let reversed = [headers[1], headers[0]];
+        let longer = [headers[0], headers[1], headers[1]];
+        for other in [&headers[..1], &reversed[..], &longer[..], &[]] {
+            assert!(!unit_matches_forest(&unit(other), &forest), "{other:?}");
+        }
     }
 }

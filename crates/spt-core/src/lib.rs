@@ -33,6 +33,7 @@ pub mod config;
 pub mod diag;
 #[cfg(feature = "failpoints")]
 pub mod failpoint;
+mod func_unit;
 pub mod incremental;
 pub mod parallel;
 pub mod pipeline;

@@ -33,6 +33,7 @@ use crate::config::{
     UNROLL_MAX_FACTOR,
 };
 use crate::diag::{panic_message, Diagnostic, Severity, Stage};
+use crate::func_unit::{FuncAnalysisUnit, LoopFragment};
 use crate::incremental::{config_context_hash, unit_matches_forest, ModuleContext};
 use crate::report::{CompilationReport, LoopOutcome, LoopRecord, SelectedLoop};
 use crate::store::{compile_key, func_unit_key, Store};
@@ -42,7 +43,6 @@ use spt_ir::loops::LoopId;
 use spt_ir::{BlockId, Cfg, DomTree, FuncId, InstId, LoopForest, Module, Ty};
 use spt_partition::{optimal_partition, SearchConfig};
 use spt_profile::{DepProfile, Interp, InterpError, ProfileCollector, Val, ValueProfile};
-use spt_trace::{FuncAnalysisUnit, LoopFragment};
 use spt_transform::{
     classify_loop, emit_spt_loop, unroll::choose_unroll_factor, unroll_loop, SptLoopSpec,
     UnrollKind,
@@ -117,63 +117,20 @@ pub struct SptCompilation {
     pub report: CompilationReport,
 }
 
-/// Everything pass 1 learned about one candidate, with instruction-level
-/// move/replicate sets resolved (stable across later IR surgery).
-struct LoopAnalysis {
+/// One candidate loop between the passes: pass 1's [`LoopFragment`] and
+/// what the pipeline keeps beside it.
+struct Candidate {
     func: FuncId,
+    /// The loop's id in its function's forest at analysis time, which is
+    /// also its id in the profile the analysis read.
     loop_id: LoopId,
-    header: BlockId,
-    depth: usize,
-    parent_header: Option<BlockId>,
-    body_size: u64,
-    num_vcs: usize,
-    cost: f64,
-    prefork_size: u64,
-    move_insts: HashSet<InstId>,
-    replicate_insts: HashSet<InstId>,
-    skipped_too_many_vcs: bool,
-    canonical: bool,
-    search_visited: u64,
+    frag: LoopFragment,
+    /// Stage 5 rewrote one of the loop's carriers.
     svp_applied: bool,
-    /// The partition search hit its visited-node budget; `cost` and the
-    /// move/replicate sets describe the best partition found so far.
-    search_budget_exhausted: bool,
-    /// Pass-1 analysis did not complete for this loop (contained panic);
-    /// every analysis field is a conservative default and the loop must not
-    /// be speculated.
+    /// Pass-1 analysis did not complete for this loop (contained panic):
+    /// `frag` is the conservative stand-in, and the loop must not be
+    /// speculated.
     failed: bool,
-}
-
-impl LoopAnalysis {
-    /// The conservative stand-in for a loop whose analysis was cut short:
-    /// non-canonical (never transformable), infinite cost, empty partition.
-    fn failed(
-        func: FuncId,
-        loop_id: LoopId,
-        header: BlockId,
-        depth: usize,
-        parent_header: Option<BlockId>,
-    ) -> Self {
-        LoopAnalysis {
-            func,
-            loop_id,
-            header,
-            depth,
-            parent_header,
-            body_size: 0,
-            num_vcs: 0,
-            cost: f64::INFINITY,
-            prefork_size: 0,
-            move_insts: HashSet::new(),
-            replicate_insts: HashSet::new(),
-            skipped_too_many_vcs: false,
-            canonical: false,
-            search_visited: 0,
-            svp_applied: false,
-            search_budget_exhausted: false,
-            failed: true,
-        }
-    }
 }
 
 /// Runs the full pipeline on `source`.
@@ -285,8 +242,8 @@ pub fn transform_module_timed(
 /// With `Some(store)`, functions whose content hash and analysis context
 /// match a stored unit skip pass 1 entirely and splice the stored analyses
 /// back in. When the store has a disk tier, the whole compile is probed
-/// first ([`compile_key`] over the input module's content hash, `input`,
-/// the configuration and the interpreter's call-depth limit): a hit
+/// first ([`compile_key`] over the input module's content hash, `input`
+/// and the configuration): a hit
 /// decodes the stored module and report and runs no stage at all, and a
 /// miss that no contained panic degraded is stored. A store without a disk
 /// tier never computes that key. The report and emitted code are
@@ -310,12 +267,7 @@ pub fn transform_module_timed_with(
     cache: Option<&Store>,
 ) -> Result<(CompilationReport, StageTimings), PipelineError> {
     let memo = cache.filter(|store| store.has_disk()).map(|store| {
-        let key = compile_key(
-            module.content_hash(),
-            input,
-            config_context_hash(config),
-            spt_profile::interp::DEFAULT_MAX_DEPTH,
-        );
+        let key = compile_key(module.content_hash(), input, config_context_hash(config));
         (store, key)
     });
     if let Some((store, key)) = memo {
@@ -377,8 +329,9 @@ fn transform_scratch(
     // value-profiles every SVP carrier candidate, so stage 5 needs no run
     // of its own.
     let t = std::time::Instant::now();
+    let forests = loop_forests(module);
     let carriers = if config.use_svp {
-        svp_carriers(module)
+        svp_carriers(module, &forests)
     } else {
         Vec::new()
     };
@@ -392,14 +345,22 @@ fn transform_scratch(
 
     // --- Stage 4: pass 1 analysis.
     let t = std::time::Instant::now();
-    let mut analyses = analyze_module(module, &collector, config, cache, &mut timings, &mut diags);
+    let mut loops = analyze_module(
+        module,
+        &forests,
+        &collector,
+        config,
+        cache,
+        &mut timings,
+        &mut diags,
+    );
     timings.analysis_s = t.elapsed().as_secs_f64();
 
     // --- Stage 5: software value prediction.
     let mut svp_headers: HashSet<(FuncId, BlockId)> = HashSet::new();
     if config.use_svp {
         let t = std::time::Instant::now();
-        let loop_phis = svp_targets(config, &analyses, &carriers);
+        let loop_phis = svp_targets(config, &loops, &carriers);
         let rewrote = !loop_phis.is_empty()
             && svp_rewrite(
                 module,
@@ -423,14 +384,23 @@ fn transform_scratch(
             collector = profile(module, input, config, &[])?;
             timings.profile_s += t.elapsed().as_secs_f64();
             let t = std::time::Instant::now();
-            analyses = analyze_module(module, &collector, config, cache, &mut timings, &mut diags);
+            let forests = loop_forests(module);
+            loops = analyze_module(
+                module,
+                &forests,
+                &collector,
+                config,
+                cache,
+                &mut timings,
+                &mut diags,
+            );
             timings.analysis_s += t.elapsed().as_secs_f64();
         }
     }
-    for a in &mut analyses {
-        a.svp_applied = svp_headers.contains(&(a.func, a.header));
+    for c in &mut loops {
+        c.svp_applied = svp_headers.contains(&(c.func, c.frag.header));
     }
-    timings.search_visited = analyses.iter().map(|a| a.search_visited).sum();
+    timings.search_visited = loops.iter().map(|c| c.frag.search_visited).sum();
 
     // --- Stage 6: pass 2 selection and emission.
     let t_select = std::time::Instant::now();
@@ -438,11 +408,11 @@ fn transform_scratch(
         module,
         config,
         &collector,
-        &mut analyses,
+        &loops,
         &unroll_factors,
         &mut diags,
     );
-    let selected_out = emit_selected(module, &analyses, &mut records, &mut diags);
+    let selected_out = emit_selected(module, &loops, &mut records, &mut diags);
 
     // --- Stage 7: cleanup and verification.
     for func in &mut module.funcs {
@@ -476,18 +446,20 @@ fn transform_scratch(
 /// warning.
 fn emit_selected(
     module: &mut Module,
-    analyses: &[LoopAnalysis],
+    loops: &[Candidate],
     records: &mut [LoopRecord],
     diags: &mut Vec<Diagnostic>,
 ) -> Vec<SelectedLoop> {
     let mut selected_out: Vec<SelectedLoop> = Vec::new();
     let mut next_tag: u32 = 1;
-    for (idx, a) in analyses.iter().enumerate() {
+    for (idx, c) in loops.iter().enumerate() {
         if records[idx].outcome != LoopOutcome::Selected {
             continue;
         }
-        // Re-locate the loop by header in the current forest.
-        let func = module.func_mut(a.func);
+        let (func_id, a) = (c.func, &c.frag);
+        // Re-locate the loop by header in the current forest: earlier
+        // emissions restructured the function.
+        let func = module.func_mut(func_id);
         let loop_id = {
             let cfg = Cfg::compute(func);
             let dom = DomTree::compute(&cfg);
@@ -500,7 +472,7 @@ fn emit_selected(
             diags.push(Diagnostic::for_loop(
                 Stage::Emission,
                 Severity::Warning,
-                a.func,
+                func_id,
                 a.header,
                 "selected loop no longer present at emission time; not transformed",
             ));
@@ -508,8 +480,8 @@ fn emit_selected(
         };
         let spec = SptLoopSpec {
             loop_id,
-            move_insts: a.move_insts.clone(),
-            replicate_insts: a.replicate_insts.clone(),
+            move_insts: a.move_insts.iter().copied().collect(),
+            replicate_insts: a.replicate_insts.iter().copied().collect(),
             loop_tag: next_tag,
         };
         let snapshot = func.clone();
@@ -520,7 +492,7 @@ fn emit_selected(
         match emitted {
             Ok(Ok(_info)) => {
                 selected_out.push(SelectedLoop {
-                    func: a.func,
+                    func: func_id,
                     header: a.header,
                     loop_tag: next_tag,
                     est_cost: a.cost,
@@ -534,7 +506,7 @@ fn emit_selected(
                 diags.push(Diagnostic::for_loop(
                     Stage::Emission,
                     Severity::Warning,
-                    a.func,
+                    func_id,
                     a.header,
                     format!("SPT emission declined: {e}; loop left sequential"),
                 ));
@@ -545,7 +517,7 @@ fn emit_selected(
                 diags.push(Diagnostic::for_loop(
                     Stage::Emission,
                     Severity::Error,
-                    a.func,
+                    func_id,
                     a.header,
                     format!(
                         "recovered panic during SPT emission: {}; function restored, loop left sequential",
@@ -666,35 +638,42 @@ fn profile(
     Ok(collector)
 }
 
-/// Pass 1 over every loop of every function. Loop analyses are mutually
-/// independent, so they fan out over [`crate::parallel::parallel_map`];
-/// results come back in (function, loop) discovery order, making the output
-/// — and every report built from it — identical to a sequential run.
+/// Each function's CFG and loop forest, in function order: built once per
+/// analysis pass and shared by the SVP carrier search and every loop's
+/// analysis.
+fn loop_forests(module: &Module) -> Vec<(Cfg, LoopForest)> {
+    module
+        .funcs
+        .iter()
+        .map(|func| {
+            let cfg = Cfg::compute(func);
+            let forest = LoopForest::compute(func, &cfg, &DomTree::compute(&cfg));
+            (cfg, forest)
+        })
+        .collect()
+}
+
+/// Pass 1 over every loop of every function, against the functions'
+/// [`loop_forests`]. Loop analyses are mutually independent, so they fan
+/// out over [`crate::parallel::parallel_map`]; results come back in
+/// (function, loop) discovery order, making the output — and every report
+/// built from it — identical to a sequential run.
 ///
-/// Fault isolation: each loop's analysis runs under
-/// [`catch_unwind`], so a panic degrades that single loop to [`LoopAnalysis::failed`] — with a
+/// Fault isolation: each loop's analysis runs under [`catch_unwind`], so a
+/// panic degrades that single loop to a failed [`Candidate`] — with a
 /// deterministic [`Diagnostic`] — while every other loop's analysis is
-/// unaffected. Per-loop diagnostics travel with the per-item results and are
-/// merged in item order, never through a shared sink, keeping the stream
-/// byte-identical across `SPT_THREADS` settings.
+/// unaffected. Diagnostics are built at the merge, in item order, never
+/// through a shared sink, keeping the stream byte-identical across
+/// `SPT_THREADS` settings.
 fn analyze_module(
     module: &Module,
+    forests: &[(Cfg, LoopForest)],
     collector: &ProfileCollector,
     config: &CompilerConfig,
     cache: Option<&Store>,
     timings: &mut StageTimings,
     diags: &mut Vec<Diagnostic>,
-) -> Vec<LoopAnalysis> {
-    // CFG/dominators/loop forest once per function, shared by its loops.
-    let mut contexts: Vec<(FuncId, Cfg, LoopForest)> = Vec::new();
-    for func_id in module.func_ids() {
-        let func = module.func(func_id);
-        let cfg = Cfg::compute(func);
-        let dom = DomTree::compute(&cfg);
-        let forest = LoopForest::compute(func, &cfg, &dom);
-        contexts.push((func_id, cfg, forest));
-    }
-
+) -> Vec<Candidate> {
     // Function-granular cache probe: each function's unit is keyed by its
     // own content hash (the Merkle leaf) plus the analysis context — the
     // configuration, every function's effect summary, and this function's
@@ -706,17 +685,17 @@ fn analyze_module(
         Miss { key: Option<u64> },
     }
     let module_ctx = cache.map(|_| ModuleContext::new(module, collector, config));
-    let mut plans: Vec<Plan> = Vec::with_capacity(contexts.len());
-    let mut items: Vec<(usize, LoopId)> = Vec::new();
-    for (ctx_idx, (func_id, _, forest)) in contexts.iter().enumerate() {
+    let mut plans: Vec<Plan> = Vec::with_capacity(forests.len());
+    let mut items: Vec<(FuncId, LoopId)> = Vec::new();
+    for (func_id, (_, forest)) in module.func_ids().zip(forests) {
         let plan = match (cache, &module_ctx) {
             (Some(cache), Some(ctx)) => {
                 timings.func_units_total += 1;
-                let func = module.func(*func_id);
+                let func = module.func(func_id);
                 let key = func_unit_key(
                     func.content_hash(),
                     func_id.index() as u64,
-                    ctx.func_context_hash(func, *func_id, collector),
+                    ctx.func_context_hash(func, func_id, collector),
                 );
                 match cache.get::<FuncAnalysisUnit>(key) {
                     Some((unit, _)) if unit_matches_forest(&unit, forest) => {
@@ -732,173 +711,104 @@ fn analyze_module(
             _ => Plan::Miss { key: None },
         };
         if let Plan::Miss { .. } = plan {
-            for lid in forest.ids() {
-                items.push((ctx_idx, lid));
-            }
+            items.extend(forest.ids().map(|lid| (func_id, lid)));
         }
         plans.push(plan);
     }
-    let results = crate::parallel::parallel_map(&items, |&(ctx_idx, lid)| {
-        let (func_id, ref cfg, ref forest) = contexts[ctx_idx];
+    let results = crate::parallel::parallel_map(&items, |&(func_id, lid)| {
+        let (cfg, forest) = &forests[func_id.index()];
         let l = forest.get(lid);
-        let header = l.header;
-        let depth = l.depth;
-        let parent_header = l.parent.map(|p| forest.get(p).header);
-        let mut item_diags: Vec<Diagnostic> = Vec::new();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             crate::fail_point!(
                 "pipeline::analysis",
-                &format!("{}@{}", module.func(func_id).name, header)
+                &format!("{}@{}", module.func(func_id).name, l.header)
             );
             analyze_loop(module, func_id, cfg, forest, lid, collector, config)
         }));
-        let analysis = match outcome {
-            Ok(a) => {
-                if a.search_budget_exhausted {
-                    item_diags.push(Diagnostic::for_loop(
-                        Stage::Analysis,
-                        Severity::Warning,
-                        func_id,
-                        header,
-                        format!(
-                            "partition search budget exhausted after {} visited states; \
-                             keeping best partition found so far",
-                            a.search_visited
-                        ),
-                    ));
-                }
-                a
-            }
+        match outcome {
+            Ok(frag) => (frag, None),
             Err(payload) => {
-                item_diags.push(Diagnostic::for_loop(
+                // The conservative stand-in: non-canonical (never
+                // transformable), infinite cost, empty partition.
+                let frag = LoopFragment {
+                    header: l.header,
+                    depth: l.depth,
+                    parent_header: l.parent.map(|p| forest.get(p).header),
+                    body_size: 0,
+                    num_vcs: 0,
+                    cost: f64::INFINITY,
+                    prefork_size: 0,
+                    move_insts: Vec::new(),
+                    replicate_insts: Vec::new(),
+                    skipped_too_many_vcs: false,
+                    canonical: false,
+                    search_visited: 0,
+                    search_budget_exhausted: false,
+                };
+                (frag, Some(panic_message(&*payload)))
+            }
+        }
+    });
+
+    // Merge per function, in function order, so the output (candidates and
+    // diagnostics alike) is byte-identical to an all-miss run. Hits yield
+    // their stored fragments; misses consume their computed results in item
+    // order and, when every loop's analysis completed (a panic is
+    // environmental, not a property of the inputs), store the fresh unit
+    // for the next compile.
+    let mut results = results.into_iter();
+    let mut loops: Vec<Candidate> = Vec::new();
+    for ((func_id, (_, forest)), plan) in module.func_ids().zip(forests).zip(plans) {
+        let fragments: Vec<(LoopFragment, Option<String>)> = match plan {
+            Plan::Hit(unit) => Arc::unwrap_or_clone(unit)
+                .fragments
+                .into_iter()
+                .map(|frag| (frag, None))
+                .collect(),
+            Plan::Miss { key } => {
+                let fresh: Vec<_> = results.by_ref().take(forest.ids().count()).collect();
+                if let (Some(cache), Some(key)) = (cache, key) {
+                    if fresh.iter().all(|(_, panic)| panic.is_none()) {
+                        let fragments = fresh.iter().map(|(frag, _)| frag.clone()).collect();
+                        cache.put(key, Arc::new(FuncAnalysisUnit { fragments }));
+                    }
+                }
+                fresh
+            }
+        };
+        for (loop_id, (frag, panic)) in forest.ids().zip(fragments) {
+            if let Some(msg) = &panic {
+                diags.push(Diagnostic::for_loop(
                     Stage::Analysis,
                     Severity::Error,
                     func_id,
-                    header,
+                    frag.header,
+                    format!("recovered panic during loop analysis: {msg}; loop not speculated"),
+                ));
+            }
+            if frag.search_budget_exhausted {
+                diags.push(Diagnostic::for_loop(
+                    Stage::Analysis,
+                    Severity::Warning,
+                    func_id,
+                    frag.header,
                     format!(
-                        "recovered panic during loop analysis: {}; loop not speculated",
-                        panic_message(&*payload)
+                        "partition search budget exhausted after {} visited states; \
+                         keeping best partition found so far",
+                        frag.search_visited
                     ),
                 ));
-                LoopAnalysis::failed(func_id, lid, header, depth, parent_header)
             }
-        };
-        (analysis, item_diags)
-    });
-
-    // Merge per function, in function order — so the output (analyses and
-    // diagnostics alike) is byte-identical to an all-miss run. Hits decode
-    // their fragments, regenerating the budget-exhausted warnings from the
-    // stored flags; misses consume their computed results in item order
-    // and, when every loop's analysis completed (a panic is environmental,
-    // not a property of the inputs), store the fresh unit for the next
-    // compile.
-    let mut results = results.into_iter();
-    let mut analyses: Vec<LoopAnalysis> = Vec::new();
-    for (ctx_idx, plan) in plans.into_iter().enumerate() {
-        let (func_id, _, forest) = &contexts[ctx_idx];
-        match plan {
-            Plan::Hit(unit) => {
-                for (lid, frag) in forest.ids().zip(&unit.fragments) {
-                    if frag.search_budget_exhausted {
-                        diags.push(Diagnostic::for_loop(
-                            Stage::Analysis,
-                            Severity::Warning,
-                            *func_id,
-                            BlockId::new(frag.header as usize),
-                            format!(
-                                "partition search budget exhausted after {} visited states; \
-                                 keeping best partition found so far",
-                                frag.search_visited
-                            ),
-                        ));
-                    }
-                    analyses.push(analysis_from_fragment(*func_id, lid, frag));
-                }
-            }
-            Plan::Miss { key } => {
-                let n = forest.ids().count();
-                let start = analyses.len();
-                for _ in 0..n {
-                    let Some((a, item_diags)) = results.next() else {
-                        break;
-                    };
-                    diags.extend(item_diags);
-                    analyses.push(a);
-                }
-                if let (Some(cache), Some(key)) = (cache, key) {
-                    let fresh = &analyses[start..];
-                    if fresh.len() == n && fresh.iter().all(|a| !a.failed) {
-                        let unit = FuncAnalysisUnit {
-                            fragments: fresh.iter().map(fragment_from_analysis).collect(),
-                        };
-                        cache.put(key, Arc::new(unit));
-                    }
-                }
-            }
+            loops.push(Candidate {
+                func: func_id,
+                loop_id,
+                frag,
+                svp_applied: false,
+                failed: panic.is_some(),
+            });
         }
     }
-    analyses
-}
-
-/// Reconstructs pass 1's in-memory analysis record from a cached fragment.
-/// `loop_id` comes from the *current* forest — identical function content
-/// means identical discovery order (checked by
-/// [`unit_matches_forest`]) — so downstream stages can use the record
-/// exactly as if the analysis had just run.
-fn analysis_from_fragment(func_id: FuncId, loop_id: LoopId, frag: &LoopFragment) -> LoopAnalysis {
-    LoopAnalysis {
-        func: func_id,
-        loop_id,
-        header: BlockId::new(frag.header as usize),
-        depth: frag.depth as usize,
-        parent_header: frag.parent_header.map(|h| BlockId::new(h as usize)),
-        body_size: frag.body_size,
-        num_vcs: frag.num_vcs as usize,
-        cost: f64::from_bits(frag.cost_bits),
-        prefork_size: frag.prefork_size,
-        move_insts: frag
-            .move_insts
-            .iter()
-            .map(|&i| InstId::new(i as usize))
-            .collect(),
-        replicate_insts: frag
-            .replicate_insts
-            .iter()
-            .map(|&i| InstId::new(i as usize))
-            .collect(),
-        skipped_too_many_vcs: frag.skipped_too_many_vcs,
-        canonical: frag.canonical,
-        search_visited: frag.search_visited,
-        svp_applied: false,
-        search_budget_exhausted: frag.search_budget_exhausted,
-        failed: false,
-    }
-}
-
-/// Inverse of [`analysis_from_fragment`]: the cache-stable form of a fresh
-/// analysis (`f64` cost by bit pattern, instruction sets sorted).
-fn fragment_from_analysis(a: &LoopAnalysis) -> LoopFragment {
-    let mut move_insts: Vec<u32> = a.move_insts.iter().map(|i| i.index() as u32).collect();
-    move_insts.sort_unstable();
-    let mut replicate_insts: Vec<u32> =
-        a.replicate_insts.iter().map(|i| i.index() as u32).collect();
-    replicate_insts.sort_unstable();
-    LoopFragment {
-        header: a.header.index() as u32,
-        depth: a.depth as u64,
-        parent_header: a.parent_header.map(|h| h.index() as u32),
-        body_size: a.body_size,
-        num_vcs: a.num_vcs as u64,
-        cost_bits: a.cost.to_bits(),
-        prefork_size: a.prefork_size,
-        move_insts,
-        replicate_insts,
-        skipped_too_many_vcs: a.skipped_too_many_vcs,
-        canonical: a.canonical,
-        search_visited: a.search_visited,
-        search_budget_exhausted: a.search_budget_exhausted,
-    }
+    loops
 }
 
 /// Builds the cost model and searches the optimal partition for one loop.
@@ -910,7 +820,7 @@ fn analyze_loop(
     loop_id: LoopId,
     collector: &ProfileCollector,
     config: &CompilerConfig,
-) -> LoopAnalysis {
+) -> LoopFragment {
     let func = module.func(func_id);
     let l = forest.get(loop_id);
     let header = l.header;
@@ -945,8 +855,6 @@ fn analyze_loop(
     // loop: after the transformation the loop exits from the *cloned*
     // header, so the exiting iteration's value of such a definition only
     // exists if the pre-fork region computes it.
-    let mut move_insts: HashSet<InstId> = HashSet::new();
-    let mut replicate_insts: HashSet<InstId> = HashSet::new();
     let mut effective_nodes: Vec<usize> = result.partition.nodes();
     let mut forced: Vec<usize> = Vec::new();
     if let Some(term) = func.terminator(header) {
@@ -987,19 +895,21 @@ fn analyze_loop(
             }
         }
     }
+    let mut move_insts: Vec<InstId> = Vec::new();
+    let mut replicate_insts: Vec<InstId> = Vec::new();
     for &n in &effective_nodes {
         let inst = model.graph.nodes[n];
         if model.graph.class[n] == NodeClass::Branch {
-            replicate_insts.insert(inst);
+            replicate_insts.push(inst);
         } else {
-            move_insts.insert(inst);
+            move_insts.push(inst);
         }
     }
+    move_insts.sort_unstable();
+    replicate_insts.sort_unstable();
     let prefork_size = model.graph.set_size(&effective_nodes);
 
-    LoopAnalysis {
-        func: func_id,
-        loop_id,
+    LoopFragment {
         header,
         depth: l.depth,
         parent_header: l.parent.map(|p| forest.get(p).header),
@@ -1012,9 +922,7 @@ fn analyze_loop(
         skipped_too_many_vcs: result.skipped_too_many_vcs,
         canonical: canonical && live_out_closure_legal,
         search_visited: result.visited,
-        svp_applied: false,
         search_budget_exhausted: result.budget_exhausted,
-        failed: false,
     }
 }
 
@@ -1033,16 +941,14 @@ struct SvpCarrier {
     carrier: InstId,
 }
 
-/// Every SVP candidate of `module`, in function, loop-forest and header
-/// instruction order. Stage 3 value-profiles all of them in its one
-/// profiling run; stage 5 ([`svp_targets`]) narrows them by cost.
-fn svp_carriers(module: &Module) -> Vec<SvpCarrier> {
+/// Every SVP candidate of `module`, whose [`loop_forests`] are `forests`,
+/// in function, loop-forest and header instruction order. Stage 3
+/// value-profiles all of them in its one profiling run; stage 5
+/// ([`svp_targets`]) narrows them by cost.
+fn svp_carriers(module: &Module, forests: &[(Cfg, LoopForest)]) -> Vec<SvpCarrier> {
     let mut out = Vec::new();
-    for fid in module.func_ids() {
+    for (fid, (_, forest)) in module.func_ids().zip(forests) {
         let func = module.func(fid);
-        let cfg = Cfg::compute(func);
-        let dom = DomTree::compute(&cfg);
-        let forest = LoopForest::compute(func, &cfg, &dom);
         for lid in forest.ids() {
             let l = forest.get(lid);
             let latch = match l.latches.as_slice() {
@@ -1077,7 +983,7 @@ fn svp_carriers(module: &Module) -> Vec<SvpCarrier> {
 /// to remove exactly those residual dependences — in analysis order.
 fn svp_targets(
     config: &CompilerConfig,
-    analyses: &[LoopAnalysis],
+    loops: &[Candidate],
     carriers: &[SvpCarrier],
 ) -> Vec<SvpCarrier> {
     let mut by_loop: HashMap<(FuncId, BlockId), Vec<SvpCarrier>> = HashMap::new();
@@ -1085,7 +991,7 @@ fn svp_targets(
         by_loop.entry((c.func, c.header)).or_default().push(*c);
     }
     let mut out = Vec::new();
-    for a in analyses {
+    for Candidate { func, frag: a, .. } in loops {
         if !a.canonical || a.skipped_too_many_vcs {
             continue;
         }
@@ -1094,7 +1000,7 @@ fn svp_targets(
         }
         let needs_help = a.cost > config.cost_frac * a.body_size as f64
             || a.prefork_size as f64 > config.prefork_frac * a.body_size as f64;
-        if let (true, Some(cs)) = (needs_help, by_loop.get(&(a.func, a.header))) {
+        if let (true, Some(cs)) = (needs_help, by_loop.get(&(*func, a.header))) {
             out.extend_from_slice(cs);
         }
     }
@@ -1194,42 +1100,21 @@ fn svp_rewrite(
 }
 
 /// Pass 2: apply the §6.1 selection criteria and resolve nest conflicts.
+/// The candidates and `collector` describe the same module, so a
+/// candidate's loop id is also its id in the loop profile.
 fn select(
     module: &Module,
     config: &CompilerConfig,
     collector: &ProfileCollector,
-    analyses: &mut [LoopAnalysis],
+    loops: &[Candidate],
     unroll_factors: &HashMap<(FuncId, BlockId), usize>,
     diags: &mut Vec<Diagnostic>,
 ) -> Vec<LoopRecord> {
-    // Loop-profile lookup keyed by (func, header): recompute forest per
-    // function to map headers to loop-profile ids.
-    let mut stats_by_header: HashMap<(FuncId, BlockId), spt_profile::loop_profile::LoopStats> =
-        HashMap::new();
-    let mut coverage_by_header: HashMap<(FuncId, BlockId), f64> = HashMap::new();
-    for func_id in module.func_ids() {
-        let func = module.func(func_id);
-        let cfg = Cfg::compute(func);
-        let dom = DomTree::compute(&cfg);
-        let forest = LoopForest::compute(func, &cfg, &dom);
-        for lid in forest.ids() {
-            let header = forest.get(lid).header;
-            stats_by_header.insert((func_id, header), collector.loops.stats(func_id, lid));
-            coverage_by_header.insert((func_id, header), collector.loops.coverage(func_id, lid));
-        }
-    }
-
-    let mut records: Vec<LoopRecord> = Vec::with_capacity(analyses.len());
-    for a in analyses.iter() {
-        let stats = stats_by_header
-            .get(&(a.func, a.header))
-            .copied()
-            .unwrap_or_default();
-        let coverage = coverage_by_header
-            .get(&(a.func, a.header))
-            .copied()
-            .unwrap_or(0.0);
-        let outcome = if a.failed {
+    let mut records: Vec<LoopRecord> = Vec::with_capacity(loops.len());
+    for c in loops {
+        let a = &c.frag;
+        let stats = collector.loops.stats(c.func, c.loop_id);
+        let outcome = if c.failed {
             LoopOutcome::AnalysisFailed
         } else if !a.canonical {
             LoopOutcome::NotCanonical
@@ -1251,9 +1136,9 @@ fn select(
             LoopOutcome::Selected
         };
         records.push(LoopRecord {
-            func: a.func,
-            func_name: module.func(a.func).name.clone(),
-            loop_id: a.loop_id,
+            func: c.func,
+            func_name: module.func(c.func).name.clone(),
+            loop_id: c.loop_id,
             header: a.header,
             depth: a.depth,
             body_size: a.body_size,
@@ -1262,10 +1147,10 @@ fn select(
             prefork_size: a.prefork_size,
             avg_trip_count: stats.avg_trip_count(),
             dyn_body_insts: stats.body_insts_per_iter(),
-            coverage,
-            svp_applied: a.svp_applied,
+            coverage: collector.loops.coverage(c.func, c.loop_id),
+            svp_applied: c.svp_applied,
             unroll_factor: unroll_factors
-                .get(&(a.func, a.header))
+                .get(&(c.func, a.header))
                 .copied()
                 .unwrap_or(1),
             search_visited: a.search_visited,
@@ -1279,9 +1164,9 @@ fn select(
         r.coverage * ((body - r.prefork_size as f64 - r.cost).max(0.0) / body)
     };
     // Ancestor relation via parent chains captured at analysis time.
-    let parent_of: HashMap<(FuncId, BlockId), Option<BlockId>> = analyses
+    let parent_of: HashMap<(FuncId, BlockId), Option<BlockId>> = loops
         .iter()
-        .map(|a| ((a.func, a.header), a.parent_header))
+        .map(|c| ((c.func, c.frag.header), c.frag.parent_header))
         .collect();
     let is_ancestor = |anc: (FuncId, BlockId), desc: (FuncId, BlockId)| -> bool {
         if anc.0 != desc.0 {
@@ -1580,7 +1465,8 @@ mod tests {
             let mut diags = Vec::new();
             preprocess(&mut module, &config, &mut HashMap::new(), &mut diags);
 
-            let carriers = svp_carriers(&module);
+            let forests = loop_forests(&module);
+            let carriers = svp_carriers(&module, &forests);
             let folded_targets: Vec<_> = carriers
                 .iter()
                 .map(|c| (c.func, c.carrier, Ty::I64))
@@ -1588,9 +1474,16 @@ mod tests {
             let mut timings = StageTimings::default();
             let mut folded = profile(&module, &input, &config, &folded_targets).expect("profiles");
             folded.values.threshold = SVP_THRESHOLD;
-            let analyses =
-                analyze_module(&module, &folded, &config, None, &mut timings, &mut diags);
-            let targets = svp_targets(&config, &analyses, &carriers);
+            let loops = analyze_module(
+                &module,
+                &forests,
+                &folded,
+                &config,
+                None,
+                &mut timings,
+                &mut diags,
+            );
+            let targets = svp_targets(&config, &loops, &carriers);
 
             let mut alone = ValueProfile::new(targets.iter().map(|c| (c.func, c.carrier, Ty::I64)));
             alone.threshold = SVP_THRESHOLD;

@@ -3,11 +3,11 @@
 //!
 //! Every product it holds — a function's pass-1 analysis, a whole compile,
 //! the daemon's compiled program, a simulation result — is a pure function
-//! of IR content and inputs, so its key is a content address built in this
-//! module ([`sim_key`], [`func_unit_key`], [`compile_key`], [`unit_key`]),
-//! each folding its kind tag first and, for a kind that persists, its
-//! format version.
-//! Entries are immutable: a changed input is a new key, and nothing is ever
+//! of IR content, inputs and the code that computed it, so its key is a
+//! content address built in this module ([`sim_key`], [`func_unit_key`],
+//! [`compile_key`], [`unit_key`]), each folding its kind tag and the build
+//! identity first (`BUILD_ID`). Entries are immutable: a changed input or
+//! a rebuild from changed sources is a new key, and nothing is ever
 //! invalidated.
 //!
 //! Two tiers. **Memory** is a sharded LRU under one byte budget for every
@@ -19,10 +19,9 @@
 //! codec's body bytes and decoded on every hit. **Disk** (optional) is a
 //! directory of immutable `{kind}-{key:016x}.bin` files for the kinds with
 //! a [`Codec`]. The store is their one framer: each file is the kind tag,
-//! the kind's format version, the body its codec writes in
-//! `spt_ir::codec`'s byte format, and a checksum
-//! ([`spt_trace::codec::seal`]). Stores are atomic (temp file, then
-//! rename); a file that fails to read, to match its kind, version and
+//! the body its codec writes in `spt_ir::codec`'s byte format, and a
+//! checksum ([`spt_trace::codec::seal`]). Stores are atomic (temp file,
+//! then rename); a file that fails to read, to match its kind and
 //! checksum, or to decode is deleted and reads as a miss, since a
 //! content-addressed file can only hold bad bytes after a torn or damaged
 //! write; an optional byte budget deletes the least recently used files (a
@@ -46,10 +45,11 @@ use std::time::SystemTime;
 use spt_ir::codec::Reader;
 use spt_sim::{LoopSimStats, MachineConfig, SimResult};
 use spt_trace::codec::{seal, unseal, Fnv};
-use spt_trace::{decode_sim, encode_sim, FuncAnalysisUnit};
+use spt_trace::{decode_sim, encode_sim};
 
 use crate::compile_memo::CompileMemo;
 use crate::config::CompilerConfig;
+use crate::func_unit::FuncAnalysisUnit;
 use crate::incremental::fold_debug;
 use crate::pipeline::ProfilingInput;
 
@@ -68,7 +68,7 @@ pub enum Kind {
     Unit,
     /// A [`SimResult`] memo; persists.
     Sim,
-    /// One function's pass-1 analysis ([`FuncAnalysisUnit`]); persists.
+    /// One function's pass-1 analysis (a `FuncAnalysisUnit`); persists.
     FuncAnalysis,
     /// One whole compile (a [`CompileMemo`]: the SPT module and its
     /// report); disk-only. A compile only repeats across processes —
@@ -128,13 +128,11 @@ pub trait Artifact: Any + Send + Sync + Sized {
 }
 
 /// The byte form of a kind that persists: a body in `spt_ir::codec`'s
-/// format, with no magic, version or checksum of its own.
+/// format, with no magic, version or checksum of its own. A change to the
+/// encoding, or to what the kind's producer computes for the same inputs,
+/// is a change to the build identity every key folds (`BUILD_ID`), so
+/// files written by another build are never probed.
 pub struct Codec<A> {
-    /// The body's format version. Bump it on any change to the encoding,
-    /// or to what the kind's producer computes for the same inputs: the
-    /// kind's keys fold it and its frames carry it, so files written before
-    /// a bump are never probed again.
-    pub version: u32,
     /// Appends a value's body.
     pub encode: fn(&A, &mut Vec<u8>),
     /// Reads a body; `None` when the bytes are not one.
@@ -153,10 +151,7 @@ impl<A> Codec<A> {
 /// nothing else), so it bills only its counters and loop stats.
 impl Artifact for SimResult {
     const KIND: Kind = Kind::Sim;
-    /// 3: the body lost its magic, version and checksum to the store's
-    /// frame. 4: the final memory image gave way to its digest.
     const CODEC: Option<Codec<Self>> = Some(Codec {
-        version: 4,
         encode: encode_sim,
         decode: decode_sim,
     });
@@ -171,11 +166,7 @@ impl Artifact for SimResult {
 /// grows by about the encoded size per edit, and each hit decodes one.
 impl Artifact for FuncAnalysisUnit {
     const KIND: Kind = Kind::FuncAnalysis;
-    /// 3: `search_visited` counts the budget-bounded partition search's
-    /// nodes. 4: the body lost its magic, version and checksum to the
-    /// store's frame.
     const CODEC: Option<Codec<Self>> = Some(Codec {
-        version: 4,
         encode: FuncAnalysisUnit::encode,
         decode: FuncAnalysisUnit::decode,
     });
@@ -188,11 +179,7 @@ impl Artifact for FuncAnalysisUnit {
 
 impl Artifact for CompileMemo {
     const KIND: Kind = Kind::Compile;
-    /// 2: reports count the budget-bounded partition search's visited
-    /// nodes. 3: the body lost its magic, version and checksum to the
-    /// store's frame, and report floats are 8-byte bit patterns.
     const CODEC: Option<Codec<Self>> = Some(Codec {
-        version: 3,
         encode: CompileMemo::encode,
         decode: CompileMemo::decode,
     });
@@ -310,8 +297,8 @@ impl Disk {
     }
 
     /// The value of `A` stored under `key`: its file must hold a frame of
-    /// `A`'s kind and version around a body `codec` decodes whole. A file
-    /// that does not is deleted.
+    /// `A`'s kind around a body `codec` decodes whole. A file that does not
+    /// is deleted.
     fn load<A: Artifact>(&self, key: u64, codec: &Codec<A>) -> Option<A> {
         let path = self.path(A::KIND, key);
         let bytes = match std::fs::read(&path) {
@@ -320,7 +307,7 @@ impl Disk {
         };
         let value = bytes
             .as_deref()
-            .and_then(|frame| unseal(frame, A::KIND.tag(), codec.version))
+            .and_then(|frame| unseal(frame, A::KIND.tag()))
             .and_then(|body| codec.decode_all(body));
         match value {
             Some(value) => {
@@ -502,9 +489,7 @@ impl Store {
     /// memory unless the kind is disk-only.
     pub fn put<A: Artifact>(&self, key: u64, value: Arc<A>) {
         if let (Some(codec), Some(disk)) = (A::CODEC, &self.disk) {
-            let frame = seal(A::KIND.tag(), codec.version, |out| {
-                (codec.encode)(&value, out)
-            });
+            let frame = seal(A::KIND.tag(), |out| (codec.encode)(&value, out));
             disk.store(A::KIND, key, &frame);
         }
         if !A::KIND.disk_only() {
@@ -621,20 +606,32 @@ impl Store {
     }
 }
 
-/// A hasher that has folded `kind`'s tag and, for a kind that persists,
-/// its format `version`: the start of every key.
-fn kind_hasher(kind: Kind, version: Option<u32>) -> Fnv {
-    let mut h = Fnv::new();
-    h.update(kind.tag().as_bytes());
-    if let Some(version) = version {
-        h.update_u64(version as u64);
-    }
-    h
+/// The identity of the code behind every stored artifact: a hash of the
+/// sources of each crate that computes, encodes or decodes one, derived by
+/// spt-core's build script. Every key folds it, so a store written by
+/// another build serves nothing to this one, and no codec carries a format
+/// version of its own.
+const BUILD_ID: u64 = include!(concat!(env!("OUT_DIR"), "/build_id.rs"));
+
+/// The build identity keys fold: [`BUILD_ID`], or in this module's tests
+/// the calling thread's stand-in for another build's.
+#[cfg(not(test))]
+fn build_id() -> u64 {
+    BUILD_ID
 }
 
-/// [`kind_hasher`] of `A`, with its codec's version.
-fn key_hasher<A: Artifact>() -> Fnv {
-    kind_hasher(A::KIND, A::CODEC.map(|codec| codec.version))
+#[cfg(test)]
+fn build_id() -> u64 {
+    tests::OTHER_BUILD.with(|b| b.get()).unwrap_or(BUILD_ID)
+}
+
+/// A hasher that has folded `kind`'s tag and the build identity: the start
+/// of every key.
+fn kind_hasher(kind: Kind) -> Fnv {
+    let mut h = Fnv::new();
+    h.update(kind.tag().as_bytes());
+    h.update_u64(build_id());
+    h
 }
 
 /// Key of a [`SimResult`] memo: the simulated module's content hash, the
@@ -642,7 +639,7 @@ fn key_hasher<A: Artifact>() -> Fnv {
 /// canonical `Debug` rendering, so any parameter change — future fields
 /// included — changes the key.
 pub fn sim_key(module_hash: u64, entry: &str, args: &[i64], machine: &MachineConfig) -> u64 {
-    let mut h = key_hasher::<SimResult>();
+    let mut h = kind_hasher(Kind::Sim);
     h.update_u64(module_hash);
     h.update(entry.as_bytes());
     h.update_u64(args.len() as u64);
@@ -659,7 +656,7 @@ pub fn sim_key(module_hash: u64, entry: &str, args: &[i64], machine: &MachineCon
 /// everything else the analysis reads
 /// ([`crate::incremental::ModuleContext::func_context_hash`]).
 pub fn func_unit_key(function_hash: u64, func_index: u64, context_hash: u64) -> u64 {
-    let mut h = key_hasher::<FuncAnalysisUnit>();
+    let mut h = kind_hasher(Kind::FuncAnalysis);
     h.update_u64(function_hash);
     h.update_u64(func_index);
     h.update_u64(context_hash);
@@ -668,29 +665,22 @@ pub fn func_unit_key(function_hash: u64, func_index: u64, context_hash: u64) -> 
 
 /// Key of a whole compile ([`Kind::Compile`]): the input module's content
 /// hash, the profiling input (entry and arguments, through their canonical
-/// `Debug` rendering, streamed), the
-/// configuration's [`crate::incremental::config_context_hash`] and the
-/// interpreter's call-depth limit — everything a compile reads.
-pub fn compile_key(
-    module_hash: u64,
-    input: &ProfilingInput,
-    config_hash: u64,
-    max_depth: usize,
-) -> u64 {
-    let mut h = key_hasher::<CompileMemo>();
+/// `Debug` rendering, streamed) and the configuration's
+/// [`crate::incremental::config_context_hash`] — everything a compile
+/// reads that the build identity does not cover.
+pub fn compile_key(module_hash: u64, input: &ProfilingInput, config_hash: u64) -> u64 {
+    let mut h = kind_hasher(Kind::Compile);
     h.update_u64(module_hash);
     fold_debug(&mut h, input);
     h.update_u64(config_hash);
-    h.update_u64(max_depth as u64);
     h.finish()
 }
 
 /// Key of the daemon's compiled unit: the compile request itself — source
 /// text, configuration id, entry and training input — so a warm request
-/// costs one pass over its source and no IR hashing. The kind never
-/// outlives the process, so its keys fold no format version.
+/// costs one pass over its source and no IR hashing.
 pub fn unit_key(source: &str, config_id: u8, entry: &str, train: i64) -> u64 {
-    let mut h = kind_hasher(Kind::Unit, None);
+    let mut h = kind_hasher(Kind::Unit);
     h.update_u64(source.len() as u64);
     h.update(source.as_bytes());
     h.update(&[config_id]);
@@ -703,9 +693,26 @@ pub fn unit_key(source: &str, config_id: u8, entry: &str, train: i64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::func_unit::LoopFragment;
+    use spt_ir::{BlockId, InstId};
     use spt_sim::FinalMemory;
-    use spt_trace::{sim_to_bytes, LoopFragment};
+    use spt_trace::sim_to_bytes;
+    use std::cell::Cell;
     use std::path::Path;
+
+    thread_local! {
+        /// The build identity this thread's keys fold instead of
+        /// [`BUILD_ID`], standing in for another build's.
+        pub(super) static OTHER_BUILD: Cell<Option<u64>> = const { Cell::new(None) };
+    }
+
+    /// `f`'s result with keys folding `build` instead of [`BUILD_ID`].
+    fn under_build<T>(build: u64, f: impl FnOnce() -> T) -> T {
+        OTHER_BUILD.with(|b| b.set(Some(build)));
+        let out = f();
+        OTHER_BUILD.with(|b| b.set(None));
+        out
+    }
 
     /// A test value of kind `Unit` billed at its payload.
     struct Blob(u64);
@@ -727,10 +734,27 @@ mod tests {
         }
     }
 
-    fn temp_dir(tag: &str) -> PathBuf {
+    /// A test's private directory, removed when the test ends, pass or
+    /// fail.
+    struct TempDir(PathBuf);
+
+    impl std::ops::Deref for TempDir {
+        type Target = PathBuf;
+        fn deref(&self) -> &PathBuf {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn temp_dir(tag: &str) -> TempDir {
         let dir = std::env::temp_dir().join(format!("spt-store-test-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        dir
+        TempDir(dir)
     }
 
     /// A store over `dir` with no memory tier, so every probe reads disk.
@@ -756,16 +780,29 @@ mod tests {
         })
     }
 
-    fn sample_unit() -> FuncAnalysisUnit {
+    /// A one-loop unit: a canonical loop at `header` moving `moved`.
+    fn unit_of(header: u32, moved: &[u32], search_visited: u64) -> FuncAnalysisUnit {
         FuncAnalysisUnit {
             fragments: vec![LoopFragment {
-                header: 2,
+                header: BlockId(header),
+                depth: 0,
+                parent_header: None,
+                body_size: 40,
+                num_vcs: 2,
+                cost: 1.25,
+                prefork_size: 6,
+                move_insts: moved.iter().map(|&i| InstId(i)).collect(),
+                replicate_insts: Vec::new(),
+                skipped_too_many_vcs: false,
                 canonical: true,
-                cost_bits: 1.25f64.to_bits(),
-                move_insts: vec![0, 3],
-                ..Default::default()
+                search_visited,
+                search_budget_exhausted: false,
             }],
         }
+    }
+
+    fn sample_unit() -> FuncAnalysisUnit {
+        unit_of(2, &[0, 3], 0)
     }
 
     /// The body `A`'s codec writes for `value`.
@@ -887,19 +924,11 @@ mod tests {
         let s = cold.stats(Kind::FuncAnalysis);
         assert_eq!((s.disk_hits, s.hits, s.misses, s.entries), (1, 1, 1, 1));
         assert_eq!(file_count(&dir), 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn packed_kinds_are_held_as_their_bytes() {
-        let unit = FuncAnalysisUnit {
-            fragments: vec![LoopFragment {
-                header: 4,
-                move_insts: vec![1, 2, 300],
-                search_visited: 112,
-                ..Default::default()
-            }],
-        };
+        let unit = unit_of(4, &[1, 2, 300], 112);
         let store = Store::in_memory(1 << 20, 2);
         store.put(9, Arc::new(unit.clone()));
         let s = store.stats(Kind::FuncAnalysis);
@@ -922,7 +951,6 @@ mod tests {
         assert_eq!(file_count(&dir), 0);
         assert!(disk_only(&dir, None).get::<Blob>(1).is_none());
         assert_eq!(store.disk_bytes(), Some(0));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn sample_compile() -> Arc<CompileMemo> {
@@ -965,7 +993,6 @@ mod tests {
         }
         let s = store.stats(Kind::Compile);
         assert_eq!((s.hits, s.misses, s.entries, s.disk_hits), (0, 0, 0, 2));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -994,7 +1021,6 @@ mod tests {
             store.put(7, r.clone());
             assert_eq!(std::fs::read(sim_path(&dir, 7)).unwrap(), good);
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1020,13 +1046,12 @@ mod tests {
         assert_eq!(store.stats(Kind::Sim).disk_budget_evictions, 1);
         assert!(store.get::<SimResult>(2).is_none());
         assert!(store.get::<SimResult>(1).is_some() && store.get::<SimResult>(3).is_some());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn no_budget_never_evicts_and_foreign_files_are_never_touched() {
         let dir = temp_dir("foreign");
-        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::create_dir_all(&*dir).unwrap();
         let foreign = [
             "notes.txt",
             "sim-123.bin",
@@ -1051,7 +1076,6 @@ mod tests {
         let s = bounded.stats(Kind::Sim);
         assert_eq!((s.disk_stores, s.disk_budget_evictions), (1, 0));
         assert_eq!(unbounded.stats(Kind::Sim).disk_budget_evictions, 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1063,23 +1087,12 @@ mod tests {
         store.put(4, sample_sim());
         assert_eq!(store.stats(Kind::Sim).disk_stores, 0);
         assert_eq!(file_count(&dir), 1, "a temp file was left behind");
-        let _ = std::fs::remove_dir_all(&dir);
         // The temp write fails: procfs refuses new files, even to root.
         #[cfg(target_os = "linux")]
         {
             let store = disk_only(Path::new("/proc/self"), None);
             store.put(4, sample_sim());
             assert_eq!(store.stats(Kind::Sim).disk_stores, 0);
-        }
-    }
-
-    /// The format version of each persisted kind.
-    fn version(kind: Kind) -> Option<u32> {
-        match kind {
-            Kind::Unit => None,
-            Kind::Sim => SimResult::CODEC.map(|c| c.version),
-            Kind::FuncAnalysis => FuncAnalysisUnit::CODEC.map(|c| c.version),
-            Kind::Compile => CompileMemo::CODEC.map(|c| c.version),
         }
     }
 
@@ -1096,12 +1109,11 @@ mod tests {
         }
     }
 
-    /// For each persisted kind, a file with any byte flipped, cut short,
-    /// holding another kind's sound frame, or carrying the kind's previous
-    /// version reads as a miss and is evicted, and a re-store writes the
-    /// original bytes back.
+    /// For each persisted kind, a file with any byte flipped, cut short, or
+    /// holding another kind's sound frame reads as a miss and is evicted,
+    /// and a re-store writes the original bytes back.
     #[test]
-    fn every_persisted_kind_evicts_damaged_foreign_and_stale_frames() {
+    fn every_persisted_kind_evicts_damaged_and_foreign_frames() {
         let dir = temp_dir("frames");
         let store = disk_only(&dir, None);
         let key = 0x5eed;
@@ -1115,7 +1127,6 @@ mod tests {
         for kind in PERSISTED {
             put(kind);
             let good = std::fs::read(path(kind)).unwrap();
-            let version = version(kind).unwrap();
             let mut bad: Vec<Vec<u8>> = (0..good.len())
                 .map(|i| {
                     let mut flipped = good.clone();
@@ -1124,10 +1135,6 @@ mod tests {
                 })
                 .collect();
             bad.extend((0..good.len()).map(|cut| good[..cut].to_vec()));
-            let body = unseal(&good, kind.tag(), version).expect("a sound frame");
-            bad.push(seal(kind.tag(), version - 1, |out| {
-                out.extend_from_slice(body)
-            }));
             for other in PERSISTED.into_iter().filter(|&k| k != kind) {
                 put(other);
                 bad.push(std::fs::read(path(other)).unwrap());
@@ -1147,7 +1154,6 @@ mod tests {
             );
             assert!(hit(&store, kind, key), "{kind:?}: the re-store is unsound");
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1166,15 +1172,14 @@ mod tests {
             ],
             {
                 let input = |entry: &str, arg: i64| ProfilingInput::new(entry, [arg]);
-                let key = |input: &ProfilingInput| compile_key(1, input, 100, 256);
+                let key = |input: &ProfilingInput| compile_key(1, input, 100);
                 vec![
                     key(&input("main", 5)),
-                    compile_key(2, &input("main", 5), 100, 256),
+                    compile_key(2, &input("main", 5), 100),
                     key(&input("other", 5)),
                     key(&input("main", 6)),
                     key(&ProfilingInput::new("main", [5, 0])),
-                    compile_key(1, &input("main", 5), 101, 256),
-                    compile_key(1, &input("main", 5), 100, 255),
+                    compile_key(1, &input("main", 5), 101),
                 ]
             },
             vec![func_unit_key(10, 0, 99), func_unit_key(11, 0, 99)],
@@ -1187,22 +1192,63 @@ mod tests {
                 unit_key("src", 1, "main", 41),
                 unit_key("srcm", 1, "ain", 40),
             ],
-            // Every kind tag and format version starts from its own state,
-            // so a store written before a format bump serves nothing after.
-            vec![
-                kind_hasher(Kind::Unit, None).finish(),
-                key_hasher::<SimResult>().finish(),
-                key_hasher::<FuncAnalysisUnit>().finish(),
-                key_hasher::<CompileMemo>().finish(),
-            ],
-            PERSISTED
-                .map(|k| kind_hasher(k, version(k).map(|v| v - 1)).finish())
-                .to_vec(),
+            // Every kind tag starts from its own state.
+            Kind::ALL.map(|k| kind_hasher(k).finish()).to_vec(),
         ];
         let mut all: Vec<u64> = groups.concat();
         let n = all.len();
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), n, "two inputs share a key");
+    }
+
+    /// Every kind's keys, over one set of inputs each.
+    fn one_key_per_kind() -> [u64; KINDS] {
+        [
+            unit_key("src", 1, "main", 40),
+            sim_key(1, "main", &[5], &MachineConfig::default()),
+            func_unit_key(10, 0, 99),
+            compile_key(1, &ProfilingInput::new("main", [5]), 100),
+        ]
+    }
+
+    #[test]
+    fn every_kind_s_key_moves_with_the_build_identity() {
+        let here = one_key_per_kind();
+        for other in [BUILD_ID ^ 1, BUILD_ID.wrapping_add(1 << 40), !BUILD_ID] {
+            let there = under_build(other, one_key_per_kind);
+            for (kind, (a, b)) in Kind::ALL.iter().zip(here.iter().zip(&there)) {
+                assert_ne!(a, b, "{kind:?}: the key ignores the build identity");
+            }
+        }
+        assert_eq!(one_key_per_kind(), here, "the stand-in outlived its call");
+    }
+
+    /// A store file another build wrote under the same inputs is never
+    /// served, for any persisted kind, and stays where it was.
+    #[test]
+    fn a_file_another_build_wrote_is_never_served() {
+        let dir = temp_dir("other-build");
+        let store = disk_only(&dir, None);
+        let [_, sim, func, compile] = one_key_per_kind();
+        under_build(!BUILD_ID, || {
+            let [_, sim, func, compile] = one_key_per_kind();
+            store.put(sim, sample_sim());
+            store.put(func, Arc::new(sample_unit()));
+            store.put(compile, sample_compile());
+            assert!(hit(&store, Kind::Sim, sim) && hit(&store, Kind::Compile, compile));
+            assert!(hit(&store, Kind::FuncAnalysis, func));
+        });
+        for (kind, key) in [
+            (Kind::Sim, sim),
+            (Kind::FuncAnalysis, func),
+            (Kind::Compile, compile),
+        ] {
+            assert!(
+                !hit(&store, kind, key),
+                "{kind:?}: another build's file was served"
+            );
+        }
+        assert_eq!(file_count(&dir), PERSISTED.len());
     }
 }

@@ -7,8 +7,8 @@
 //! the input module observably unchanged (`transform_module` is
 //! transactional: it commits a scratch clone only on success).
 
-use spt_core::pipeline::transform_module;
-use spt_core::{compile_and_transform, CompilerConfig, PipelineError, ProfilingInput};
+use spt_core::pipeline::{transform_module, transform_module_timed_with};
+use spt_core::{compile_and_transform, CompilerConfig, PipelineError, ProfilingInput, Store};
 use spt_profile::InterpError;
 
 const PROGRAM: &str = "
@@ -99,4 +99,62 @@ fn search_budget_exhaustion_degrades_gracefully() {
         .diagnostics
         .iter()
         .all(|d| d.severity != spt_core::Severity::Error));
+}
+
+/// The budget warning is built from the loop's fragment, fresh or stored:
+/// a compile whose searches all exhaust their budget reports byte-identical
+/// diagnostics, in the same order, cold and served entirely from stored
+/// function units.
+#[test]
+fn budget_warnings_are_identical_when_served_from_stored_units() {
+    let mut config = CompilerConfig::best();
+    config.budget.search_max_visited = 1;
+    let mut warnings = 0;
+    for b in spt_bench_suite::suite() {
+        let store = Store::in_memory(64 << 20, 4);
+        let input = ProfilingInput::new(b.entry, [b.train_arg]);
+        let compile = || {
+            let mut module = spt_frontend::compile(b.source).expect("compiles");
+            let (report, timings) =
+                transform_module_timed_with(&mut module, &input, &config, Some(&store))
+                    .expect("compile succeeds");
+            (
+                format!("{report:?}"),
+                format!("{module:?}"),
+                report,
+                timings,
+            )
+        };
+        let (cold_text, cold_module, cold, cold_timings) = compile();
+        let (warm_text, warm_module, warm, warm_timings) = compile();
+        assert!(
+            cold_timings.func_analysis_misses > 0,
+            "{}: nothing analyzed",
+            b.name
+        );
+        assert_eq!(
+            (
+                warm_timings.func_analysis_hits,
+                warm_timings.func_analysis_misses
+            ),
+            (cold_timings.func_units_total, 0),
+            "{}: the warm compile was not served from stored units",
+            b.name
+        );
+        assert_eq!(warm_text, cold_text, "{}: report", b.name);
+        assert_eq!(warm_module, cold_module, "{}: module", b.name);
+        let budget = |r: &spt_core::CompilationReport| -> Vec<String> {
+            r.diagnostics
+                .iter()
+                .filter(|d| d.message.contains("budget exhausted"))
+                .map(|d| format!("{d:?}"))
+                .collect()
+        };
+        assert_eq!(budget(&warm), budget(&cold), "{}: warnings", b.name);
+        warnings += budget(&cold).len();
+    }
+    assert!(
+        warnings > 10,
+        "only {warnings} budget warnings: no search hit the budget"
+    );
 }

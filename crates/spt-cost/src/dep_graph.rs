@@ -81,17 +81,18 @@ pub struct Profiles<'a> {
     pub deps: Option<&'a DepProfile>,
 }
 
+/// Probability of a may-alias store→load pair, within an iteration or
+/// across iterations, when no dependence profile is available: certain, as
+/// type-based analysis alone can tell no more.
+const STATIC_ALIAS_PROB: f64 = 1.0;
+
+/// Probability of a call-effect edge. The dependence profiler sees no
+/// callee accesses, so these stay certain in both modes.
+const CALL_DEP_PROB: f64 = 1.0;
+
 /// Tunables for static (profile-less) dependence estimation.
 #[derive(Clone, Debug)]
 pub struct DepGraphConfig {
-    /// Probability assigned to a may-alias cross-iteration store→load pair
-    /// when no dependence profile is available (conservative default 1.0,
-    /// mirroring type-based analysis only).
-    pub static_cross_prob: f64,
-    /// Probability for static intra-iteration may-alias pairs.
-    pub static_intra_prob: f64,
-    /// Probability for call-effect edges.
-    pub call_dep_prob: f64,
     /// Static probability of taking either arm of an unprofiled branch.
     pub static_branch_prob: f64,
 }
@@ -99,9 +100,6 @@ pub struct DepGraphConfig {
 impl Default for DepGraphConfig {
     fn default() -> Self {
         DepGraphConfig {
-            static_cross_prob: 1.0,
-            static_intra_prob: 1.0,
-            call_dep_prob: 1.0,
             static_branch_prob: 0.5,
         }
     }
@@ -384,14 +382,14 @@ impl DepGraph {
                         intra_edges.push(DepEdge {
                             src: s,
                             dst: ld,
-                            prob: config.static_intra_prob,
+                            prob: STATIC_ALIAS_PROB,
                             kind: DepEdgeKind::Memory,
                         });
                     }
                     cross_edges.push(DepEdge {
                         src: s,
                         dst: ld,
-                        prob: config.static_cross_prob,
+                        prob: STATIC_ALIAS_PROB,
                         kind: DepEdgeKind::Memory,
                     });
                 }
@@ -455,14 +453,14 @@ impl DepGraph {
                         intra_edges.push(DepEdge {
                             src: c,
                             dst: ld,
-                            prob: config.call_dep_prob,
+                            prob: CALL_DEP_PROB,
                             kind: DepEdgeKind::CallEffect,
                         });
                     }
                     cross_edges.push(DepEdge {
                         src: c,
                         dst: ld,
-                        prob: config.call_dep_prob,
+                        prob: CALL_DEP_PROB,
                         kind: DepEdgeKind::CallEffect,
                     });
                 }
@@ -473,14 +471,14 @@ impl DepGraph {
                         intra_edges.push(DepEdge {
                             src: s,
                             dst: c,
-                            prob: config.call_dep_prob,
+                            prob: CALL_DEP_PROB,
                             kind: DepEdgeKind::CallEffect,
                         });
                     }
                     cross_edges.push(DepEdge {
                         src: s,
                         dst: c,
-                        prob: config.call_dep_prob,
+                        prob: CALL_DEP_PROB,
                         kind: DepEdgeKind::CallEffect,
                     });
                 }
@@ -492,7 +490,7 @@ impl DepGraph {
                     cross_edges.push(DepEdge {
                         src: c,
                         dst: c2,
-                        prob: config.call_dep_prob,
+                        prob: CALL_DEP_PROB,
                         kind: DepEdgeKind::CallEffect,
                     });
                 }

@@ -72,7 +72,6 @@ fn static_branch_probability_scales_costs() {
     let cost_at = |p: f64| {
         let cfg = DepGraphConfig {
             static_branch_prob: p,
-            ..DepGraphConfig::default()
         };
         let (_m, g) = graph_for(src, "f", &cfg);
         LoopCostModel::new(g.clone()).misspeculation_cost(&Partition::empty(&g))

@@ -19,11 +19,27 @@ use std::sync::{Arc, Barrier, Mutex};
 /// so one test's `scoped()` clear cannot disarm another's rules mid-flight.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-fn temp_socket(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("spt-serve-fp-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir.join("sptd.sock")
+/// A test's private directory holding its daemon socket. Dropping it
+/// removes the directory, so no test leaves it behind, pass or fail.
+struct SocketDir {
+    dir: PathBuf,
+    socket: PathBuf,
+}
+
+impl SocketDir {
+    fn new(tag: &str) -> SocketDir {
+        let dir = std::env::temp_dir().join(format!("spt-serve-fp-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let socket = dir.join("sptd.sock");
+        SocketDir { dir, socket }
+    }
+}
+
+impl Drop for SocketDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
 }
 
 fn gap_compile() -> CompileReq {
@@ -47,13 +63,14 @@ fn panic_in_one_request_degrades_only_that_request() {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let _guard = failpoint::scoped();
-    let socket = temp_socket("panic");
+    let dir = SocketDir::new("panic");
+    let socket = &dir.socket;
     let service = Arc::new(CompileService::new(ServiceConfig {
         cache_dir: None,
         ..ServiceConfig::default()
     }));
-    let handle = serve(service, &socket, 2).expect("daemon starts");
-    let mut client = Client::connect(&socket).expect("connects");
+    let handle = serve(service, socket, 2).expect("daemon starts");
+    let mut client = Client::connect(socket).expect("connects");
 
     failpoint::set_keyed(
         "serve::request",
@@ -82,7 +99,7 @@ fn panic_in_one_request_degrades_only_that_request() {
         "the panic never reached the service"
     );
     // A second client's compile is untouched too.
-    let mut other = Client::connect(&socket).expect("connects");
+    let mut other = Client::connect(socket).expect("connects");
     let resp = other
         .compile(gap_compile())
         .expect("compile unaffected by the armed ping fault");
@@ -123,12 +140,13 @@ fn delayed_compile_forces_a_single_flight_join() {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let _guard = failpoint::scoped();
-    let socket = temp_socket("join");
+    let dir = SocketDir::new("join");
+    let socket = &dir.socket;
     let service = Arc::new(CompileService::new(ServiceConfig {
         cache_dir: None,
         ..ServiceConfig::default()
     }));
-    let handle = serve(service, &socket, 3).expect("daemon starts");
+    let handle = serve(service, socket, 3).expect("daemon starts");
 
     failpoint::set_keyed("serve::compile", "main", Action::Delay(400));
     let barrier = Arc::new(Barrier::new(2));
@@ -137,7 +155,7 @@ fn delayed_compile_forces_a_single_flight_join() {
             let socket = socket.clone();
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
-                let mut client = Client::connect(&socket).expect("connects");
+                let mut client = Client::connect(socket).expect("connects");
                 barrier.wait();
                 client.compile(gap_compile()).expect("compile succeeds")
             })
@@ -149,7 +167,7 @@ fn delayed_compile_forces_a_single_flight_join() {
         .collect();
     assert_eq!(responses[0].report_debug, responses[1].report_debug);
 
-    let mut control = Client::connect(&socket).expect("connects");
+    let mut control = Client::connect(socket).expect("connects");
     let stats: HashMap<String, u64> = control.stats().expect("stats").into_iter().collect();
     assert_eq!(
         stats.get("pipeline_runs"),

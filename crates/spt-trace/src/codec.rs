@@ -1,10 +1,12 @@
 //! The artifact store's key hash and frame. Keys mix with a running FNV-1a
-//! hash ([`Fnv`]). Every stored file is one frame: the kind tag and the
-//! kind's format version, then a body in `spt_ir::codec`'s byte format
-//! that the kind's codec alone writes, then a checksum of all of it,
-//! `spt_ir`'s word-wise hash ([`seal`]/[`unseal`]).
+//! hash ([`Fnv`]). Every stored file is one frame: the kind tag, then a
+//! body in `spt_ir::codec`'s byte format that the kind's codec alone
+//! writes, then a checksum of all of it, `spt_ir`'s word-wise hash
+//! ([`seal`]/[`unseal`]). The frame carries no format version: the store's
+//! keys fold the identity of the build that wrote the body, so a file is
+//! only ever read by the code that wrote it.
 
-use spt_ir::codec::{put_str, put_varint, put_word, word_hash};
+use spt_ir::codec::{put_str, put_word, word_hash};
 
 /// FNV-1a offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -49,34 +51,33 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// The bytes a frame of kind `tag` at `version` starts with.
-fn header(tag: &str, version: u32) -> Vec<u8> {
+/// The bytes a frame of kind `tag` starts with.
+fn header(tag: &str) -> Vec<u8> {
     let mut out = Vec::with_capacity(16);
     put_str(&mut out, tag);
-    put_varint(&mut out, version as u64);
     out
 }
 
-/// A stored artifact's frame: the kind `tag` (length-prefixed), its format
-/// `version` (a varint), the body that `body` appends in place, and the
-/// 8-byte little-endian [`word_hash`] of everything before it.
-pub fn seal(tag: &str, version: u32, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut out = header(tag, version);
+/// A stored artifact's frame: the kind `tag` (length-prefixed), the body
+/// that `body` appends in place, and the 8-byte little-endian
+/// [`word_hash`] of everything before it.
+pub fn seal(tag: &str, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = header(tag);
     body(&mut out);
     let sum = word_hash(&out);
     put_word(&mut out, sum);
     out
 }
 
-/// The body of a frame that [`seal`] wrote for `tag` at `version`; `None`
-/// for a frame of another kind or version, and for any bytes that differ
-/// from such a frame's in length or in one word.
-pub fn unseal<'a>(frame: &'a [u8], tag: &str, version: u32) -> Option<&'a [u8]> {
+/// The body of a frame that [`seal`] wrote for `tag`; `None` for a frame
+/// of another kind, and for any bytes that differ from such a frame's in
+/// length or in one word.
+pub fn unseal<'a>(frame: &'a [u8], tag: &str) -> Option<&'a [u8]> {
     let (framed, sum) = frame.split_at(frame.len().checked_sub(8)?);
     if word_hash(framed).to_le_bytes() != sum {
         return None;
     }
-    framed.strip_prefix(&header(tag, version)[..])
+    framed.strip_prefix(&header(tag)[..])
 }
 
 #[cfg(test)]
@@ -86,23 +87,22 @@ mod tests {
     #[test]
     fn sealed_bytes_reject_any_flipped_byte() {
         let body: Vec<u8> = (0..41u8).map(|b| b.wrapping_mul(37)).collect();
-        let sealed = seal("test", 3, |out| out.extend_from_slice(&body));
-        assert_eq!(unseal(&sealed, "test", 3), Some(&body[..]));
+        let sealed = seal("test", |out| out.extend_from_slice(&body));
+        assert_eq!(unseal(&sealed, "test"), Some(&body[..]));
         for i in 0..sealed.len() {
             for bit in 0..8 {
                 let mut damaged = sealed.clone();
                 damaged[i] ^= 1 << bit;
-                assert_eq!(unseal(&damaged, "test", 3), None, "byte {i} bit {bit}");
+                assert_eq!(unseal(&damaged, "test"), None, "byte {i} bit {bit}");
             }
         }
         for cut in 0..sealed.len() {
-            assert_eq!(unseal(&sealed[..cut], "test", 3), None, "cut {cut}");
+            assert_eq!(unseal(&sealed[..cut], "test"), None, "cut {cut}");
         }
-        // A sound frame of another kind or version is no frame of this one.
-        assert_eq!(unseal(&sealed, "tess", 3), None);
-        assert_eq!(unseal(&sealed, "test", 2), None);
-        let empty = seal("test", 3, |_| ());
-        assert_eq!(unseal(&empty, "test", 3), Some(&[][..]));
+        // A sound frame of another kind is no frame of this one.
+        assert_eq!(unseal(&sealed, "tess"), None);
+        let empty = seal("test", |_| ());
+        assert_eq!(unseal(&empty, "test"), Some(&[][..]));
     }
 
     #[test]

@@ -6,6 +6,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every step runs under a private temp directory, so the last step can
+# see any `spt-*` entry a test or tool left behind.
+TMPDIR=$(mktemp -d "${TMPDIR:-/tmp}/spt-ci.XXXXXX")
+export TMPDIR
+trap 'rm -rf "$TMPDIR"' EXIT
+
 echo "== build (release) =="
 cargo build --release --workspace --bins
 
@@ -97,5 +103,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== rustfmt =="
 cargo fmt --all --check
+
+echo "== leftover temp files =="
+leftovers=$(find "$TMPDIR" -mindepth 1 -maxdepth 1 -name 'spt-*')
+if [ -n "$leftovers" ]; then
+  echo "left behind in the temp directory:"
+  echo "$leftovers"
+  exit 1
+fi
 
 echo "CI OK"
