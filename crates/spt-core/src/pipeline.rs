@@ -355,6 +355,7 @@ fn transform_scratch(
         &mut diags,
     );
     timings.analysis_s = t.elapsed().as_secs_f64();
+    let mut forests = LiveForests::new(forests);
 
     // --- Stage 5: software value prediction.
     let mut svp_headers: HashSet<(FuncId, BlockId)> = HashSet::new();
@@ -364,6 +365,7 @@ fn transform_scratch(
         let rewrote = !loop_phis.is_empty()
             && svp_rewrite(
                 module,
+                &mut forests,
                 loop_phis,
                 &collector.values,
                 &mut svp_headers,
@@ -384,16 +386,17 @@ fn transform_scratch(
             collector = profile(module, input, config, &[])?;
             timings.profile_s += t.elapsed().as_secs_f64();
             let t = std::time::Instant::now();
-            let forests = loop_forests(module);
+            let rebuilt = loop_forests(module);
             loops = analyze_module(
                 module,
-                &forests,
+                &rebuilt,
                 &collector,
                 config,
                 cache,
                 &mut timings,
                 &mut diags,
             );
+            forests = LiveForests::new(rebuilt);
             timings.analysis_s += t.elapsed().as_secs_f64();
         }
     }
@@ -412,7 +415,7 @@ fn transform_scratch(
         &unroll_factors,
         &mut diags,
     );
-    let selected_out = emit_selected(module, &loops, &mut records, &mut diags);
+    let selected_out = emit_selected(module, &mut forests, &loops, &mut records, &mut diags);
 
     // --- Stage 7: cleanup and verification.
     for func in &mut module.funcs {
@@ -443,9 +446,11 @@ fn transform_scratch(
 /// first, and a contained panic restores it and degrades the loop instead
 /// of failing or corrupting the whole compile. A loop the transformation
 /// declines, or one that no longer exists, becomes `NotCanonical` with a
-/// warning.
+/// warning. `forests` holds `module`'s loop forests and is kept current as
+/// loops are emitted.
 fn emit_selected(
     module: &mut Module,
+    forests: &mut LiveForests,
     loops: &[Candidate],
     records: &mut [LoopRecord],
     diags: &mut Vec<Diagnostic>,
@@ -459,14 +464,8 @@ fn emit_selected(
         let (func_id, a) = (c.func, &c.frag);
         // Re-locate the loop by header in the current forest: earlier
         // emissions restructured the function.
+        let loop_id = forests.loop_headed_by(module, func_id, a.header);
         let func = module.func_mut(func_id);
-        let loop_id = {
-            let cfg = Cfg::compute(func);
-            let dom = DomTree::compute(&cfg);
-            let forest = LoopForest::compute(func, &cfg, &dom);
-            let found = forest.ids().find(|&l| forest.get(l).header == a.header);
-            found
-        };
         let Some(loop_id) = loop_id else {
             records[idx].outcome = LoopOutcome::NotCanonical;
             diags.push(Diagnostic::for_loop(
@@ -489,6 +488,10 @@ fn emit_selected(
             crate::fail_point!("pipeline::emission", &format!("{}@{}", func.name, a.header));
             emit_spt_loop(func, &spec)
         }));
+        // A contained panic restores the snapshot, whose forest still holds.
+        if emitted.is_ok() {
+            forests.changed(func_id);
+        }
         match emitted {
             Ok(Ok(_info)) => {
                 selected_out.push(SelectedLoop {
@@ -639,18 +642,49 @@ fn profile(
 }
 
 /// Each function's CFG and loop forest, in function order: built once per
-/// analysis pass and shared by the SVP carrier search and every loop's
-/// analysis.
+/// analysis pass and shared by the SVP carrier search, every loop's
+/// analysis, and the rewrites after it ([`LiveForests`]).
 fn loop_forests(module: &Module) -> Vec<(Cfg, LoopForest)> {
-    module
-        .funcs
-        .iter()
-        .map(|func| {
-            let cfg = Cfg::compute(func);
-            let forest = LoopForest::compute(func, &cfg, &DomTree::compute(&cfg));
-            (cfg, forest)
-        })
-        .collect()
+    module.funcs.iter().map(cfg_and_forest).collect()
+}
+
+fn cfg_and_forest(func: &spt_ir::Function) -> (Cfg, LoopForest) {
+    let cfg = Cfg::compute(func);
+    let forest = LoopForest::compute(func, &cfg, &DomTree::compute(&cfg));
+    (cfg, forest)
+}
+
+/// An analysis pass's [`loop_forests`], kept current while SVP and
+/// emission rewrite functions one loop at a time: a function's forest
+/// serves every lookup until a rewrite changes the function, and is rebuilt
+/// once, at the next lookup after that.
+struct LiveForests {
+    funcs: Vec<(Cfg, LoopForest)>,
+    /// Functions rewritten since their forest was built.
+    stale: Vec<bool>,
+}
+
+impl LiveForests {
+    fn new(funcs: Vec<(Cfg, LoopForest)>) -> Self {
+        let stale = vec![false; funcs.len()];
+        LiveForests { funcs, stale }
+    }
+
+    /// The loop `header` heads in `func` as the function stands now.
+    fn loop_headed_by(&mut self, module: &Module, func: FuncId, header: BlockId) -> Option<LoopId> {
+        let i = func.index();
+        if self.stale[i] {
+            self.funcs[i] = cfg_and_forest(module.func(func));
+            self.stale[i] = false;
+        }
+        let forest = &self.funcs[i].1;
+        forest.ids().find(|&l| forest.get(l).header == header)
+    }
+
+    /// Records that a rewrite may have changed `func`.
+    fn changed(&mut self, func: FuncId) {
+        self.stale[func.index()] = true;
+    }
 }
 
 /// Pass 1 over every loop of every function, against the functions'
@@ -1014,8 +1048,11 @@ fn svp_targets(
 /// against a snapshot of the function (and of the global table, since the
 /// predictor cell is a new global), so a contained panic rolls that one
 /// loop back and records a diagnostic instead of failing the compile.
+/// `forests` holds `module`'s loop forests and is kept current as loops are
+/// rewritten.
 fn svp_rewrite(
     module: &mut Module,
+    forests: &mut LiveForests,
     targets: Vec<SvpCarrier>,
     vp: &ValueProfile,
     svp_headers: &mut HashSet<(FuncId, BlockId)>,
@@ -1038,15 +1075,7 @@ fn svp_rewrite(
             continue; // not enough evidence
         }
         // Re-locate the loop (earlier rewrites may have restructured).
-        let lid = {
-            let func = module.func(func_id);
-            let cfg = Cfg::compute(func);
-            let dom = DomTree::compute(&cfg);
-            let forest = LoopForest::compute(func, &cfg, &dom);
-            let found = forest.ids().find(|&l| forest.get(l).header == header);
-            found
-        };
-        let Some(lid) = lid else {
+        let Some(lid) = forests.loop_headed_by(module, func_id, header) else {
             diags.push(Diagnostic::for_loop(
                 Stage::Svp,
                 Severity::Warning,
@@ -1066,6 +1095,10 @@ fn svp_rewrite(
             );
             spt_transform::apply_svp(module, func_id, lid, phi, pattern, miss)
         }));
+        // A contained panic restores the snapshot, whose forest still holds.
+        if applied.is_ok() {
+            forests.changed(func_id);
+        }
         match applied {
             Ok(Ok(_)) => {
                 svp_headers.insert((func_id, header));

@@ -15,8 +15,9 @@
 //! 4. **Engine identity** — the transformed module runs bit-identically on
 //!    each engine and its retained reference: the interpreter against
 //!    `ReferenceInterp` (result, memory image and the loop profile), the
-//!    dependence profile against `ReferenceDepProfile`, its definition,
-//!    the simulator against `ReferenceSimulator` (every `SimResult` field).
+//!    dependence and loop profiles against `ReferenceDepProfile` and
+//!    `ReferenceLoopProfile`, their definitions, the simulator against
+//!    `ReferenceSimulator` (every `SimResult` field).
 //! 5. **Report identity** — the `CompilationReport` (via its `Debug`
 //!    rendering, diagnostics included) is byte-identical across
 //!    `SPT_THREADS=1` vs. multi-threaded compiles, and across
@@ -40,7 +41,8 @@ use spt_core::pipeline::{transform_module_timed, PipelineError, ProfilingInput, 
 use spt_core::{CompilationReport, CompilerConfig, Severity};
 use spt_ir::Module;
 use spt_profile::{
-    DepProfile, Interp, NoProfiler, ProfileCollector, ReferenceDepProfile, ReferenceInterp, Val,
+    DepProfile, Interp, NoProfiler, ProfileCollector, ReferenceDepProfile, ReferenceInterp,
+    ReferenceLoopProfile, Val,
 };
 use spt_sim::{MachineConfig, ReferenceSimulator, SptSimulator};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -221,10 +223,13 @@ fn engine_divergence(module: &Module, entry: &str, arg: i64) -> Option<String> {
         reference.fuel = FUEL;
         let args = [Val::from_i64(arg)];
         // The engine profiles as the pipeline does; the reference run adds
-        // the reference dependence profiler.
+        // the reference dependence and loop profilers.
         let mut ep = ProfileCollector::new();
         ep.deps = DepProfile::with_cells(module.memory_layout().1);
-        let mut rp = (ProfileCollector::new(), ReferenceDepProfile::new());
+        let mut rp = (
+            ProfileCollector::new(),
+            (ReferenceDepProfile::new(), ReferenceLoopProfile::new()),
+        );
         let e = interp.run(entry, &args, &mut ep);
         let r = reference.run(entry, &args, &mut rp);
         if e != r {
@@ -233,7 +238,12 @@ fn engine_divergence(module: &Module, entry: &str, arg: i64) -> Option<String> {
         if ep.loops.iter() != rp.0.loops.iter() {
             return Some(format!("loop profiles diverged at arg {arg}"));
         }
-        if let Some(diff) = rp.1.first_difference(module, &ep.deps) {
+        if let Some(diff) = rp.1 .1.first_difference(&ep.loops) {
+            return Some(format!(
+                "loop profile diverged from its definition at arg {arg}: {diff}"
+            ));
+        }
+        if let Some(diff) = rp.1 .0.first_difference(module, &ep.deps) {
             return Some(format!("dependence profiles diverged at arg {arg}: {diff}"));
         }
         if interp.run(entry, &args, &mut NoProfiler) != r {

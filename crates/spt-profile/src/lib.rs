@@ -35,5 +35,5 @@ pub use interp::{
     Interp, InterpError, InterpResult, LoopActivation, LoopEvent, NoProfiler, Profiler, Val,
 };
 pub use loop_profile::LoopProfile;
-pub use reference::{ReferenceDepProfile, ReferenceInterp};
+pub use reference::{ReferenceDepProfile, ReferenceInterp, ReferenceLoopProfile};
 pub use value_profile::{ValuePattern, ValueProfile};

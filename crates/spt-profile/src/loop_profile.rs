@@ -9,10 +9,14 @@
 //! * Figure 17 — average dynamic loop body size (instructions per
 //!   iteration).
 //!
-//! Stats live in a flat arena; the active loop context carries arena indices
-//! so the per-instruction hot path ([`Profiler::on_inst`]) is a plain slice
-//! walk with direct indexing — the `(FuncId, LoopId)` map is consulted only
-//! on loop-enter events.
+//! Stats live in a flat arena, and loop work is attributed by running
+//! totals: each entry of the active loop context records the run's
+//! instruction and cycle totals when it is pushed, and the difference is
+//! added to its loop when it leaves the context. The per-instruction hook
+//! ([`Profiler::on_inst`]) is two adds, and the `(FuncId, LoopId)` map is
+//! consulted only on loop-enter events.
+//! [`ReferenceLoopProfile`](crate::reference::ReferenceLoopProfile) keeps
+//! the per-instruction attribution as the profile's definition.
 
 use crate::interp::{LoopActivation, LoopEvent, Profiler};
 use spt_ir::loops::LoopId;
@@ -63,14 +67,24 @@ pub struct LoopProfile {
     /// `(func, loop) -> arena index`; touched only on loop events.
     index: HashMap<(FuncId, LoopId), u32>,
     /// Active loop context across frames: loops of the current frame are
-    /// pushed/popped by loop events, a call pushes a frame marker. Each
-    /// entry carries its arena index for the `on_inst` fast path.
-    context: Vec<(FuncId, LoopId, u32)>,
+    /// pushed/popped by loop events, a call pushes a frame marker.
+    context: Vec<Open>,
     frame_marks: Vec<usize>,
     /// Total instructions retired in the run.
     pub total_insts: u64,
     /// Total latency-weighted cycles in the run.
     pub total_cycles: u64,
+}
+
+/// An entry of the active loop context: its loop, that loop's arena index,
+/// and the run's totals when the entry was pushed.
+#[derive(Clone, Copy, Debug)]
+struct Open {
+    func: FuncId,
+    loop_id: LoopId,
+    slot: u32,
+    insts: u64,
+    cycles: u64,
 }
 
 impl LoopProfile {
@@ -88,11 +102,29 @@ impl LoopProfile {
         })
     }
 
+    /// Adds the work retired since `open` was pushed to its loop.
+    fn settle(&mut self, open: Open) {
+        let s = &mut self.arena[open.slot as usize];
+        s.insts += self.total_insts - open.insts;
+        s.cycles += self.total_cycles - open.cycles;
+    }
+
+    /// The stats in arena slot `slot`, with the work of its still-open
+    /// context entries (a run that stopped early leaves some) included.
+    fn settled(&self, slot: usize) -> LoopStats {
+        let mut s = self.arena[slot];
+        for open in self.context.iter().filter(|o| o.slot as usize == slot) {
+            s.insts += self.total_insts - open.insts;
+            s.cycles += self.total_cycles - open.cycles;
+        }
+        s
+    }
+
     /// Stats for one loop.
     pub fn stats(&self, func: FuncId, loop_id: LoopId) -> LoopStats {
         self.index
             .get(&(func, loop_id))
-            .map(|&i| self.arena[i as usize])
+            .map(|&i| self.settled(i as usize))
             .unwrap_or_default()
     }
 
@@ -111,8 +143,8 @@ impl LoopProfile {
         let mut out: Vec<_> = self
             .keys
             .iter()
-            .zip(&self.arena)
-            .map(|(&(f, l), &s)| (f, l, s))
+            .enumerate()
+            .map(|(slot, &(f, l))| (f, l, self.settled(slot)))
             .collect();
         out.sort_by_key(|&(f, l, _)| (f, l));
         out
@@ -123,18 +155,19 @@ impl Profiler for LoopProfile {
     fn on_inst(&mut self, _func: FuncId, _inst: InstId, latency: u64, _loops: &[LoopActivation]) {
         self.total_insts += 1;
         self.total_cycles += latency;
-        for &(_, _, idx) in &self.context {
-            let s = &mut self.arena[idx as usize];
-            s.insts += 1;
-            s.cycles += latency;
-        }
     }
 
     fn on_loop(&mut self, func: FuncId, event: LoopEvent, _loops: &[LoopActivation]) {
         match event {
             LoopEvent::Enter(l) => {
                 let idx = self.slot(func, l);
-                self.context.push((func, l, idx));
+                self.context.push(Open {
+                    func,
+                    loop_id: l,
+                    slot: idx,
+                    insts: self.total_insts,
+                    cycles: self.total_cycles,
+                });
                 // `total_iters` counts Iterate events only: for a loop that
                 // exits at its header after t body executions, the header
                 // runs t+1 times — one Enter plus t Iterates — so Iterates
@@ -145,7 +178,7 @@ impl Profiler for LoopProfile {
                 // The iterating loop is the innermost active one in almost
                 // every case; fall back to the map otherwise.
                 let idx = match self.context.last() {
-                    Some(&(f, ll, idx)) if f == func && ll == l => idx,
+                    Some(open) if open.func == func && open.loop_id == l => open.slot,
                     _ => self.slot(func, l),
                 };
                 self.arena[idx as usize].total_iters += 1;
@@ -156,9 +189,10 @@ impl Profiler for LoopProfile {
                 if let Some(pos) = self
                     .context
                     .iter()
-                    .rposition(|&(f, ll, _)| f == func && ll == l)
+                    .rposition(|o| o.func == func && o.loop_id == l)
                 {
-                    self.context.remove(pos);
+                    let open = self.context.remove(pos);
+                    self.settle(open);
                 }
             }
         }
@@ -172,7 +206,11 @@ impl Profiler for LoopProfile {
         // Defensive: drop any loop context the callee leaked (it exits its
         // loops on return, so normally a no-op).
         if let Some(mark) = self.frame_marks.pop() {
-            self.context.truncate(mark);
+            while self.context.len() > mark {
+                if let Some(open) = self.context.pop() {
+                    self.settle(open);
+                }
+            }
         }
     }
 }
@@ -254,6 +292,56 @@ mod tests {
         );
         // Dynamic body size per iteration is large because of the callee.
         assert!(stats.body_insts_per_iter() > 300.0);
+    }
+
+    /// The same hand-built event stream into the profile and its
+    /// definition: a callee leaks a loop entry past its return, and the run
+    /// stops with the caller's loop still open.
+    #[test]
+    fn leaked_and_open_entries_match_the_reference() {
+        use crate::reference::ReferenceLoopProfile;
+        fn feed<P: Profiler>(p: &mut P) {
+            let (caller, callee) = (FuncId::new(0), FuncId::new(1));
+            let (outer, inner) = (LoopId::new(0), LoopId::new(1));
+            let call = InstId::new(7);
+            let inst = |p: &mut P, lat: u64| p.on_inst(caller, call, lat, &[]);
+            inst(p, 1);
+            p.on_loop(caller, LoopEvent::Enter(outer), &[]);
+            inst(p, 2);
+            for _ in 0..2 {
+                p.on_call_enter(caller, call, callee);
+                inst(p, 3);
+                // The callee enters two loops and exits only one of them.
+                p.on_loop(callee, LoopEvent::Enter(outer), &[]);
+                p.on_loop(callee, LoopEvent::Enter(inner), &[]);
+                inst(p, 4);
+                p.on_loop(callee, LoopEvent::Iterate(inner), &[]);
+                inst(p, 5);
+                p.on_loop(callee, LoopEvent::Exit(inner), &[]);
+                inst(p, 6);
+                p.on_call_exit(caller, call, callee);
+                inst(p, 7);
+                p.on_loop(caller, LoopEvent::Iterate(outer), &[]);
+            }
+            inst(p, 8);
+        }
+        let mut prof = LoopProfile::new();
+        let mut reference = ReferenceLoopProfile::new();
+        feed(&mut prof);
+        feed(&mut reference);
+        assert_eq!(reference.first_difference(&prof), None);
+        assert_eq!(prof.iter(), reference.iter());
+        // The leaked entry counts up to the return; the caller's still-open
+        // loop counts everything after its entry.
+        let (caller, callee, outer) = (FuncId::new(0), FuncId::new(1), LoopId::new(0));
+        let leaked = prof.stats(callee, outer);
+        assert_eq!(
+            (leaked.invocations, leaked.insts, leaked.cycles),
+            (2, 6, 30)
+        );
+        let open = prof.stats(caller, outer);
+        assert_eq!((open.insts, open.cycles, open.total_iters), (12, 60, 2));
+        assert_eq!((prof.total_insts, prof.total_cycles), (13, 61));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The retained reference interpreter and reference dependence profiler.
+//! The retained reference interpreter and reference profilers.
 //!
 //! [`ReferenceInterp`] is the original tree-walking engine, kept verbatim as
 //! the oracle the superblock interpreter in [`crate::interp`] is
@@ -6,12 +6,15 @@
 //! workspace root): it re-inspects [`InstKind`]/[`Operand`]/`Ty` on every
 //! step, exactly as before pre-decoding, and must produce bit-identical
 //! [`InterpResult`]s and profiler event streams. [`ReferenceDepProfile`] is
-//! the dependence profile's definition, the oracle of [`DepProfile`]. Do not
-//! optimize this module — its value is that it stays slow and obviously
-//! faithful to the IR's semantics.
+//! the dependence profile's definition, the oracle of [`DepProfile`], and
+//! [`ReferenceLoopProfile`] the loop profile's, the oracle of
+//! [`LoopProfile`]. Do not optimize this module — its value is that it
+//! stays slow and obviously faithful to the IR's semantics.
 
 use crate::dep_profile::{DepKey, DepKind, DepProfile};
 use crate::interp::{InterpError, InterpResult, LoopActivation, LoopEvent, Profiler, Val};
+use crate::loop_profile::{LoopProfile, LoopStats};
+use spt_ir::loops::LoopId;
 use spt_ir::{BlockId, Cfg, DomTree, FuncId, InstId, InstKind, LoopForest, Module, Operand, Ty};
 use std::collections::HashMap;
 
@@ -528,5 +531,91 @@ impl Profiler for ReferenceDepProfile {
     ) {
         *self.stores.entry((func, inst)).or_insert(0) += 1;
         self.last_writer.insert(addr, (func, inst, loops.to_vec()));
+    }
+}
+
+/// The loop profile's definition, kept as the oracle [`LoopProfile`] is
+/// differentially tested against (`tests/engine_equivalence.rs` and the
+/// corpus's engine-identity oracle). Every retired instruction is added to
+/// the loop of each entry of the active loop context, callers' entries
+/// included; a loop enters the context on its `Enter` event and leaves it on
+/// its `Exit` event, or when the call it was entered in returns.
+#[derive(Clone, Debug, Default)]
+pub struct ReferenceLoopProfile {
+    stats: HashMap<(FuncId, LoopId), LoopStats>,
+    context: Vec<(FuncId, LoopId)>,
+    frame_marks: Vec<usize>,
+    /// Total instructions retired in the run.
+    pub total_insts: u64,
+    /// Total latency-weighted cycles in the run.
+    pub total_cycles: u64,
+}
+
+impl ReferenceLoopProfile {
+    /// Creates an empty profile.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Every `(func, loop, stats)` entry, sorted, as [`LoopProfile::iter`]
+    /// lists them.
+    pub fn iter(&self) -> Vec<(FuncId, LoopId, LoopStats)> {
+        let mut out: Vec<_> = self.stats.iter().map(|(&(f, l), &s)| (f, l, s)).collect();
+        out.sort_by_key(|&(f, l, _)| (f, l));
+        out
+    }
+
+    /// The first entry or total in which `profile`, collected over the same
+    /// run, differs from this profile. `None` when all agree.
+    pub fn first_difference(&self, profile: &LoopProfile) -> Option<String> {
+        let totals = (profile.total_insts, profile.total_cycles);
+        if totals != (self.total_insts, self.total_cycles) {
+            return Some(format!(
+                "run totals {totals:?}, reference {:?}",
+                (self.total_insts, self.total_cycles)
+            ));
+        }
+        let (got, want) = (profile.iter(), self.iter());
+        if let Some((g, w)) = got.iter().zip(&want).find(|(g, w)| g != w) {
+            return Some(format!("{g:?}, reference {w:?}"));
+        }
+        (got.len() != want.len()).then(|| format!("{} loops, reference {}", got.len(), want.len()))
+    }
+}
+
+impl Profiler for ReferenceLoopProfile {
+    fn on_inst(&mut self, _func: FuncId, _inst: InstId, latency: u64, _loops: &[LoopActivation]) {
+        self.total_insts += 1;
+        self.total_cycles += latency;
+        for key in &self.context {
+            let s = self.stats.entry(*key).or_default();
+            s.insts += 1;
+            s.cycles += latency;
+        }
+    }
+
+    fn on_loop(&mut self, func: FuncId, event: LoopEvent, _loops: &[LoopActivation]) {
+        match event {
+            LoopEvent::Enter(l) => {
+                self.context.push((func, l));
+                self.stats.entry((func, l)).or_default().invocations += 1;
+            }
+            LoopEvent::Iterate(l) => self.stats.entry((func, l)).or_default().total_iters += 1,
+            LoopEvent::Exit(l) => {
+                if let Some(pos) = self.context.iter().rposition(|&k| k == (func, l)) {
+                    self.context.remove(pos);
+                }
+            }
+        }
+    }
+
+    fn on_call_enter(&mut self, _caller: FuncId, _inst: InstId, _callee: FuncId) {
+        self.frame_marks.push(self.context.len());
+    }
+
+    fn on_call_exit(&mut self, _caller: FuncId, _inst: InstId, _callee: FuncId) {
+        if let Some(mark) = self.frame_marks.pop() {
+            self.context.truncate(mark);
+        }
     }
 }

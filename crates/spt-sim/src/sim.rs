@@ -124,6 +124,8 @@ impl SimResult {
 
 struct Episode {
     tag: u32,
+    /// The tag's stats slot in [`Run::loops`].
+    slot: usize,
     spawn_func: FuncId,
     spawn_target: BlockId,
     depth: usize,
@@ -188,6 +190,8 @@ impl SptSimulator {
             cache: Cache::new(self.config.cache.clone()),
             predictor: BranchPredictor::new(),
             loops: Vec::new(),
+            main_insts: 0,
+            seq_cycles: 0,
             active_tags: Vec::new(),
             spec_buf: SpecBuf::new(self.config.spec_buffer_entries),
             trace_pool: Vec::new(),
@@ -213,15 +217,19 @@ pub(crate) struct Run<'m> {
     pub(crate) cache: Cache,
     pub(crate) predictor: BranchPredictor,
     /// Per-tag loop stats. Tags are few (one per SPT loop), so a
-    /// linear-scanned vector beats a hash map in the per-instruction
-    /// accounting paths; the final [`SimResult`] map is built once at the
-    /// end.
+    /// linear-scanned vector beats a hash map; a tag's slot is found once
+    /// per activation and travels with its episodes (slots are stable:
+    /// `loops` only appends). The final [`SimResult`] map is built once at
+    /// the end.
     pub(crate) loops: Vec<(u32, LoopSimStats)>,
-    /// `(tag, entry cycle, stats slot)` of loops the main thread is
-    /// currently inside. The cached slot index into `loops` makes the
-    /// per-instruction attribution a direct indexed add (slots are stable:
-    /// `loops` only appends).
-    pub(crate) active_tags: Vec<(u32, u64, u32)>,
+    /// Main-thread instructions retired so far (validation replays
+    /// excluded): the running total loop attribution reads.
+    pub(crate) main_insts: u64,
+    /// Sequential-equivalent cycles so far: main-thread latency plus the
+    /// latency of every replayed instruction.
+    pub(crate) seq_cycles: u64,
+    /// Loops the main thread is currently inside.
+    pub(crate) active_tags: Vec<Active>,
     /// The speculative store buffer, reset and reused across episodes.
     pub(crate) spec_buf: SpecBuf,
     /// Retired episode traces, recycled to avoid a fresh allocation (and
@@ -232,15 +240,27 @@ pub(crate) struct Run<'m> {
     pub(crate) spec_thread: Option<Thread>,
 }
 
+/// A loop tag the main thread is inside: its stats slot, and the clock and
+/// the run's attribution totals when it was activated. The loop's stats
+/// take the differences when it leaves ([`Run::deactivate`]).
+#[derive(Clone, Copy)]
+pub(crate) struct Active {
+    tag: u32,
+    slot: u32,
+    cycle: u64,
+    main_insts: u64,
+    seq_cycles: u64,
+}
+
 impl Run<'_> {
     /// Stats slot for `tag`, created on first touch (insertion-ordered, like
     /// the map it replaced — the final HashMap conversion erases order).
-    fn loop_stats(&mut self, tag: u32) -> &mut LoopSimStats {
+    fn slot_of(&mut self, tag: u32) -> usize {
         match self.loops.iter().position(|&(t, _)| t == tag) {
-            Some(i) => &mut self.loops[i].1,
+            Some(i) => i,
             None => {
                 self.loops.push((tag, LoopSimStats::default()));
-                &mut self.loops.last_mut().expect("just pushed").1
+                self.loops.len() - 1
             }
         }
     }
@@ -278,17 +298,16 @@ impl Run<'_> {
                 StepEvent::Continue => {}
                 StepEvent::Fork { tag, target, func } => {
                     if episode.is_none() {
-                        self.activate(tag);
-                        episode = Some(self.spawn(&thread, func, target, tag));
+                        let slot = self.activate(tag);
+                        episode = Some(self.spawn(&thread, func, target, tag, slot));
                     }
                 }
                 StepEvent::Kill { tag } => {
                     if episode.as_ref().is_some_and(|ep| ep.tag == tag) {
                         let ep = episode.take().expect("matched episode");
-                        let wasted = ep.trace.len() as u64;
-                        let s = self.loop_stats(tag);
+                        let s = &mut self.loops[ep.slot].1;
                         s.kills += 1;
-                        s.wasted_insts += wasted;
+                        s.wasted_insts += ep.trace.len() as u64;
                         self.recycle_trace(ep.trace);
                     }
                     self.deactivate(tag);
@@ -311,9 +330,8 @@ impl Run<'_> {
         };
 
         // Close any still-active loop attributions.
-        let cycle = self.cycle;
-        while let Some((_, entered, slot)) = self.active_tags.pop() {
-            self.loops[slot as usize].1.loop_cycles += cycle - entered;
+        while let Some(active) = self.active_tags.pop() {
+            self.settle(active);
         }
 
         Ok(SimResult {
@@ -327,31 +345,38 @@ impl Run<'_> {
         })
     }
 
-    fn activate(&mut self, tag: u32) {
-        if !self.active_tags.iter().any(|&(t, _, _)| t == tag) {
-            self.loop_stats(tag);
-            let slot = self
-                .loops
-                .iter()
-                .position(|&(t, _)| t == tag)
-                .expect("slot just touched") as u32;
-            self.active_tags.push((tag, self.cycle, slot));
+    /// Marks `tag` active unless it already is, and returns its stats slot.
+    fn activate(&mut self, tag: u32) -> usize {
+        if let Some(active) = self.active_tags.iter().find(|a| a.tag == tag) {
+            return active.slot as usize;
         }
+        let slot = self.slot_of(tag);
+        self.active_tags.push(Active {
+            tag,
+            slot: slot as u32,
+            cycle: self.cycle,
+            main_insts: self.main_insts,
+            seq_cycles: self.seq_cycles,
+        });
+        slot
     }
 
+    /// Ends `tag`'s activation, if it is active. The run's totals must be
+    /// flushed: the loop takes what they grew by while it was active.
     pub(crate) fn deactivate(&mut self, tag: u32) {
-        if let Some(pos) = self.active_tags.iter().position(|&(t, _, _)| t == tag) {
-            let (_, entered, slot) = self.active_tags.remove(pos);
-            self.loops[slot as usize].1.loop_cycles += self.cycle - entered;
+        if let Some(pos) = self.active_tags.iter().position(|a| a.tag == tag) {
+            let active = self.active_tags.remove(pos);
+            self.settle(active);
         }
     }
 
-    /// Adds validated (free or re-executed) work to active loops.
-    #[inline]
-    pub(crate) fn attribute_committed(&mut self, latency: u64) {
-        for &(_, _, slot) in &self.active_tags {
-            self.loops[slot as usize].1.seq_cycles += latency;
-        }
+    /// Adds the wall-clock time and the attribution totals accrued since
+    /// `active` began to its loop's stats.
+    fn settle(&mut self, active: Active) {
+        let s = &mut self.loops[active.slot as usize].1;
+        s.loop_cycles += self.cycle - active.cycle;
+        s.main_insts += self.main_insts - active.main_insts;
+        s.seq_cycles += self.seq_cycles - active.seq_cycles;
     }
 
     /// Finds the latch predecessor of `header` in `func` (the in-loop
@@ -364,9 +389,16 @@ impl Run<'_> {
     /// Spawns an episode: runs the speculative core eagerly against the
     /// current memory snapshot through [`Run::spawn_super`](crate::specexec),
     /// producing its trace on its own clock.
-    fn spawn(&mut self, main: &Thread, func: FuncId, target: BlockId, tag: u32) -> Episode {
+    fn spawn(
+        &mut self,
+        main: &Thread,
+        func: FuncId,
+        target: BlockId,
+        tag: u32,
+        slot: usize,
+    ) -> Episode {
         self.cycle += self.config.fork_overhead;
-        self.loop_stats(tag).forks += 1;
+        self.loops[slot].1.forks += 1;
 
         let main_depth = main.depth();
         let (context, args) = main.context_ref();
@@ -379,21 +411,13 @@ impl Run<'_> {
         spec.max_depth = self.config.max_depth;
 
         self.spec_buf.reset(self.config.spec_buffer_entries);
-        let mut spec_cycle = self.cycle;
         let mut trace: Vec<ExecRecord> = self.trace_pool.pop().unwrap_or_default();
         let depth0 = spec.depth();
-        self.spawn_super(
-            &mut spec,
-            func,
-            target,
-            depth0,
-            tag,
-            &mut spec_cycle,
-            &mut trace,
-        );
+        self.spawn_super(&mut spec, func, target, depth0, tag, &mut trace);
         self.spec_thread = Some(spec);
         Episode {
             tag,
+            slot,
             spawn_func: func,
             spawn_target: target,
             depth: main_depth,
@@ -412,16 +436,10 @@ impl Run<'_> {
         thread: &mut Thread,
         ep: Episode,
     ) -> Result<(Option<Episode>, Option<Option<u64>>), SimError> {
-        self.loop_stats(ep.tag).commits += 1;
+        self.loops[ep.slot].1.commits += 1;
         let mut rp = ReplayState {
             k: 0,
-            // Slot index of `ep.tag`, valid for the whole replay: the stats
-            // vector only ever appends.
-            ti: self
-                .loops
-                .iter()
-                .position(|&(t, _)| t == ep.tag)
-                .expect("slot just touched"),
+            ti: ep.slot,
             arrival: self.cycle,
             tag: ep.tag,
             pending_fork: false,
@@ -451,7 +469,7 @@ impl Run<'_> {
             && thread.depth() == ep.depth
             && thread.current_func() == ep.spawn_func
         {
-            let ep2 = self.spawn(thread, ep.spawn_func, ep.spawn_target, ep.tag);
+            let ep2 = self.spawn(thread, ep.spawn_func, ep.spawn_target, ep.tag, ep.slot);
             return Ok((Some(ep2), None));
         }
         Ok((None, None))

@@ -13,6 +13,13 @@
 //! frame's arguments), the evaluator the main thread's walk and the
 //! interpreter share.
 //!
+//! Their bookkeeping stays off the per-instruction path. The speculative
+//! core's clock is a local of the spawn walk. It never decreases, so the
+//! records a validation may replay — those finished by the main core's
+//! arrival — are a prefix of the trace, cut once before the replay starts.
+//! The replay counts its instructions, free commits and committed latency
+//! in locals and flushes them at every exit and before a `deactivate`.
+//!
 //! **Exactness contract** (same as [`superexec`](crate::superexec)): every
 //! instruction produces the record fields, memory/cache/predictor accesses,
 //! cycle charges and stat attributions of the reference simulator, in the
@@ -55,48 +62,16 @@ fn def_of(s: &SInst, frame: &Frame) -> u64 {
 }
 
 impl Run<'_> {
-    /// One replay comparison against `trace[rp.k]`: exactly the accounting
-    /// of one reference validation step (free commit on a matching record,
-    /// re-execution charge on a value mismatch, trace discard on a control
-    /// divergence). The caller has already checked the arrival guard.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn replay_commit(
-        &mut self,
-        trace: &[ExecRecord],
-        rp: &mut ReplayState,
-        func: FuncId,
-        inst: InstId,
-        result: Option<u64>,
-        store: Option<(i64, u64)>,
-        latency: u64,
-    ) {
-        let expected = &trace[rp.k];
-        self.insts += 1;
-        let same_site = func == expected.func && inst == expected.inst;
-        if same_site {
-            let equal = result == expected.result && store == expected.store;
-            let s = &mut self.loops[rp.ti].1;
-            if equal {
-                s.free_insts += 1;
-            } else {
-                s.reexec_insts += 1;
-                s.reexec_cycles += expected.latency.max(1);
-                self.cycle += expected.latency.max(1);
-            }
-            self.attribute_committed(expected.latency.max(1));
-            rp.k += 1;
-        } else {
-            // Control divergence: this instruction and everything after is
-            // executed non-speculatively.
-            let s = &mut self.loops[rp.ti].1;
-            s.reexec_insts += 1;
-            s.reexec_cycles += latency.max(1);
-            s.wasted_insts += (trace.len() - rp.k) as u64;
-            self.cycle += latency.max(1);
-            self.attribute_committed(latency.max(1));
-            rp.k = trace.len();
-        }
+    /// A replayed instruction that re-executes at `latency` cycles and
+    /// discards the `wasted` trace records after it: a value mismatch, or a
+    /// control divergence.
+    #[cold]
+    fn reexec(&mut self, slot: usize, latency: u64, wasted: u64) {
+        let s = &mut self.loops[slot].1;
+        s.reexec_insts += 1;
+        s.reexec_cycles += latency;
+        s.wasted_insts += wasted;
+        self.cycle += latency;
     }
 
     /// Runs the speculative core, pushing one record per executed
@@ -106,8 +81,8 @@ impl Run<'_> {
     /// a fault, or the trace hits `max_spec_ops`.
     ///
     /// `bfunc`/`btarget`/`depth0` identify the iteration boundary (the spawn
-    /// header at the spawn depth); `tag` is the episode's loop tag.
-    #[allow(clippy::too_many_arguments)]
+    /// header at the spawn depth); `tag` is the episode's loop tag. The
+    /// speculative core's clock starts at the main core's.
     pub(crate) fn spawn_super(
         &mut self,
         spec: &mut Thread,
@@ -115,9 +90,9 @@ impl Run<'_> {
         btarget: BlockId,
         depth0: usize,
         tag: u32,
-        spec_cycle: &mut u64,
         trace: &mut Vec<ExecRecord>,
     ) {
+        let mut clock = self.cycle;
         let mut view = MemView {
             base: &self.memory,
             buf: &mut self.spec_buf,
@@ -143,14 +118,14 @@ impl Run<'_> {
             macro_rules! record {
                 ($inst:expr, $result:expr, $store:expr, $lat:expr) => {{
                     let lat: u64 = $lat;
-                    *spec_cycle += lat;
+                    clock += lat;
                     trace.push(ExecRecord {
                         func: func_id,
                         inst: $inst,
                         result: $result,
                         store: $store,
                         latency: lat,
-                        cycle_end: *spec_cycle,
+                        cycle_end: clock,
                     });
                 }};
             }
@@ -293,20 +268,59 @@ impl Run<'_> {
         trace: &[ExecRecord],
         rp: &mut ReplayState,
     ) -> Result<(), ExecError> {
+        debug_assert!(trace.windows(2).all(|w| w[0].cycle_end <= w[1].cycle_end));
+        let cut = trace.partition_point(|r| r.cycle_end <= rp.arrival);
+        let mut k = rp.k;
+        // Replayed instructions, free commits and committed latency.
+        let (mut insts, mut free, mut seq) = (0u64, 0u64, 0u64);
+        macro_rules! flush {
+            () => {
+                rp.k = k;
+                self.insts += insts;
+                self.loops[rp.ti].1.free_insts += free;
+                self.seq_cycles += seq;
+            };
+        }
         // Checked before every replayed instruction.
         macro_rules! guard {
             () => {
-                if rp.finished.is_some()
-                    || rp.k >= trace.len()
-                    || trace[rp.k].cycle_end > rp.arrival
-                {
+                if k >= cut {
+                    flush!();
                     return Ok(());
                 }
             };
         }
+        // One comparison against `trace[k]`: exactly the accounting of one
+        // reference validation step (free commit on a matching record,
+        // re-execution on a value mismatch, trace discard on a control
+        // divergence).
+        macro_rules! commit {
+            ($func:expr, $inst:expr, $result:expr, $store:expr, $lat:expr) => {{
+                let expected = &trace[k];
+                insts += 1;
+                if $func == expected.func && $inst == expected.inst {
+                    let lat = expected.latency.max(1);
+                    seq += lat;
+                    if $result == expected.result && $store == expected.store {
+                        free += 1;
+                    } else {
+                        self.reexec(rp.ti, lat, 0);
+                    }
+                    k += 1;
+                } else {
+                    // Control divergence: this instruction and everything
+                    // after is executed non-speculatively.
+                    let lat = u64::max($lat, 1);
+                    seq += lat;
+                    self.reexec(rp.ti, lat, (trace.len() - k) as u64);
+                    k = trace.len();
+                }
+            }};
+        }
         'outer: loop {
             guard!();
             let Some(frame) = thread.frames.last_mut() else {
+                flush!();
                 return Ok(());
             };
             let func_id = frame.func;
@@ -317,7 +331,7 @@ impl Run<'_> {
                 let (phi, bits) = frame.pending[frame.pending_head];
                 frame.pending_head += 1;
                 frame.values[phi.index()] = bits;
-                self.replay_commit(trace, rp, func_id, phi, Some(bits), None, 0);
+                commit!(func_id, phi, Some(bits), None, 0);
             }
             let mut idx = sf.op_at(frame.block, frame.pos);
             loop {
@@ -330,7 +344,7 @@ impl Run<'_> {
                         let def = def_of(s, frame);
                         frame.values[m.inst.index()] = def;
                         frame.pos += 1;
-                        self.replay_commit(trace, rp, func_id, m.inst, Some(def), None, lat);
+                        commit!(func_id, m.inst, Some(def), None, lat);
                         idx += 1;
                     }
                     SOpc::Load | SOpc::LoadImm => {
@@ -338,33 +352,25 @@ impl Run<'_> {
                         let v = self.read(cell)?;
                         frame.values[m.inst.index()] = v;
                         frame.pos += 1;
-                        self.replay_commit(trace, rp, func_id, m.inst, Some(v), None, lat);
+                        commit!(func_id, m.inst, Some(v), None, lat);
                         idx += 1;
                     }
                     SOpc::StoreRR | SOpc::StoreRI | SOpc::StoreIR | SOpc::StoreII => {
                         let (cell, bits) = s.store(&frame.values);
                         self.write(cell, bits)?;
                         frame.pos += 1;
-                        self.replay_commit(
-                            trace,
-                            rp,
-                            func_id,
-                            m.inst,
-                            None,
-                            Some((cell, bits)),
-                            lat,
-                        );
+                        commit!(func_id, m.inst, None, Some((cell, bits)), lat);
                         idx += 1;
                     }
                     SOpc::Jump => {
                         transfer(frame, sf, s.t1);
-                        self.replay_commit(trace, rp, func_id, m.inst, None, None, lat);
+                        commit!(func_id, m.inst, None, None, lat);
                         continue 'outer;
                     }
                     SOpc::Branch | SOpc::BranchImm => {
                         let taken = s.taken(&frame.values);
                         transfer(frame, sf, if taken { s.t1 } else { s.t2 });
-                        self.replay_commit(trace, rp, func_id, m.inst, None, None, lat);
+                        commit!(func_id, m.inst, None, None, lat);
                         continue 'outer;
                     }
                     SOpc::RetVal | SOpc::RetImm | SOpc::RetVoid => {
@@ -382,9 +388,11 @@ impl Run<'_> {
                             }
                             None => true,
                         };
-                        self.replay_commit(trace, rp, func_id, m.inst, None, None, lat);
+                        commit!(func_id, m.inst, None, None, lat);
                         if finished {
                             rp.finished = Some(bits);
+                            flush!();
+                            return Ok(());
                         }
                         continue 'outer;
                     }
@@ -392,12 +400,12 @@ impl Run<'_> {
                         frame.pos += 1;
                         let args = &sf.args[s.a as usize..(s.a + s.b) as usize];
                         thread.push_call(self.sup, FuncId(s.aux), args, InstId(s.dst))?;
-                        self.replay_commit(trace, rp, func_id, m.inst, None, None, lat);
+                        commit!(func_id, m.inst, None, None, lat);
                         continue 'outer;
                     }
                     SOpc::SptFork => {
                         frame.pos += 1;
-                        self.replay_commit(trace, rp, func_id, m.inst, None, None, lat);
+                        commit!(func_id, m.inst, None, None, lat);
                         if s.imm as u32 == rp.tag {
                             rp.pending_fork = true;
                         }
@@ -405,13 +413,16 @@ impl Run<'_> {
                     }
                     SOpc::SptKill => {
                         frame.pos += 1;
-                        self.replay_commit(trace, rp, func_id, m.inst, None, None, lat);
+                        commit!(func_id, m.inst, None, None, lat);
                         let kt = s.imm as u32;
+                        // The deactivated loop takes the run's totals.
+                        flush!();
+                        (insts, free, seq) = (0, 0, 0);
                         self.deactivate(kt);
                         if kt == rp.tag {
                             rp.killed = true;
-                            self.loops[rp.ti].1.wasted_insts += (trace.len() - rp.k) as u64;
-                            rp.k = trace.len();
+                            self.loops[rp.ti].1.wasted_insts += (trace.len() - k) as u64;
+                            k = trace.len();
                         }
                         idx += 1;
                     }

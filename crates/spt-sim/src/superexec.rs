@@ -18,13 +18,20 @@
 //! predictor accesses, in the same order, as the reference simulator's
 //! per-instruction stepper — the shared cache and predictor are stateful, so
 //! identical access sequences are what make the engines produce
-//! bit-identical [`SimResult`](crate::SimResult)s. Each walk runs one of two
-//! ways:
+//! bit-identical [`SimResult`](crate::SimResult)s. Loop attribution is by
+//! running totals: a charge adds to the run's `main_insts` and `seq_cycles`
+//! totals, and each active loop tag takes the difference when it leaves
+//! (see [`Run::deactivate`](crate::sim)). Each walk runs one of two ways:
 //!
 //! * **batched**, when the block's full retire count fits under the fuel
-//!   budget: cycle/retire/attribution charges accumulate per walk and are
-//!   flushed at every exit (event, call, transfer). Nothing the walk
-//!   executes reads the global clock, so the batch is unobservable;
+//!   budget: cycle/retire charges accumulate per walk and are flushed at
+//!   every exit (event, call, return, a transfer that leaves the walk).
+//!   Nothing the walk executes reads the global clock, so the batch is
+//!   unobservable. A transfer to a block the episode does not watch enters
+//!   it in place — its phis written at once and charged at latency 0 — as
+//!   long as those phis plus the block's retire count still fit under the
+//!   remaining fuel, which is exactly when the driver would have walked that
+//!   block batched too;
 //! * **stepwise** otherwise: every instruction charges immediately, so an
 //!   out-of-fuel stop lands on exactly the instruction it would in the
 //!   reference.
@@ -48,27 +55,22 @@ pub(crate) enum SuperStop {
 
 impl Run<'_> {
     /// Per-retired-instruction accounting: one main-thread instruction of
-    /// `latency` cycles, attributed to every active loop. Returns `true`
-    /// when the fuel budget is now crossed.
+    /// `latency` cycles. Returns `true` when the fuel budget is now crossed.
     #[inline(always)]
     fn charge(&mut self, latency: u64) -> bool {
         self.flush_charges(latency, 1);
         self.insts > self.config.fuel
     }
 
-    /// Flushes a batched walk's accounting: `dinsts` retired instructions
-    /// summing `dcycle` cycles, attributed exactly as `dinsts` individual
-    /// [`Run::charge`] calls (the active-tag set cannot change mid-walk —
-    /// fork/kill events end the walk).
+    /// Flushes a batched walk's accounting: `dinsts` retired main-thread
+    /// instructions summing `dcycle` cycles, added to the clock, the retire
+    /// count and the run's attribution totals.
     #[inline(always)]
-    pub(crate) fn flush_charges(&mut self, dcycle: u64, dinsts: u64) {
+    fn flush_charges(&mut self, dcycle: u64, dinsts: u64) {
         self.cycle += dcycle;
         self.insts += dinsts;
-        for &(_, _, slot) in &self.active_tags {
-            let s = &mut self.loops[slot as usize].1;
-            s.main_insts += dinsts;
-            s.seq_cycles += dcycle;
-        }
+        self.main_insts += dinsts;
+        self.seq_cycles += dcycle;
     }
 
     /// Advances the main thread until a driver-visible event or fuel
@@ -115,8 +117,9 @@ impl Run<'_> {
     }
 
     /// Runs the innermost frame from its current position to the next
-    /// block transfer, call or return (`Ok(None)`: the caller continues
-    /// with the new position) or driver-visible stop.
+    /// call, return or block transfer it does not enter in place
+    /// (`Ok(None)`: the caller continues with the new position) or
+    /// driver-visible stop.
     #[inline(always)]
     fn walk_main<const STEP: bool>(
         &mut self,
@@ -159,11 +162,26 @@ impl Run<'_> {
                 }
             };
         }
-        // A block transfer: events first, then the fuel stop.
+        // A block transfer: events first, then the fuel stop. A batched walk
+        // enters an unwatched target in place while it fits the fuel left.
         macro_rules! goto {
             ($target:expr, $lat:expr) => {{
                 let target = $target;
                 transfer(frame, sf, target);
+                if !STEP && watch != Some((func_id, target, depth)) {
+                    dcycle += $lat;
+                    dinsts += 1;
+                    let sb = &sf.blocks[target.index()];
+                    let phis = frame.pending_phis();
+                    if self.insts + dinsts + phis + sb.retires <= self.config.fuel {
+                        frame.write_pending();
+                        dinsts += phis;
+                        idx = sb.range.0 as usize;
+                        continue;
+                    }
+                    self.flush_charges(dcycle, dinsts);
+                    return Ok(None);
+                }
                 let crossed = settle!($lat);
                 if watch == Some((func_id, target, depth)) {
                     return Ok(Some(SuperStop::Event(StepEvent::Transfer {

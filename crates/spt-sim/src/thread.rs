@@ -431,6 +431,22 @@ impl Frame {
             None => self.pending.extend(block.phis.iter().map(|&phi| (phi, 0))),
         }
     }
+
+    /// Phi writes scheduled and not yet delivered.
+    #[inline(always)]
+    pub(crate) fn pending_phis(&self) -> u64 {
+        (self.pending.len() - self.pending_head) as u64
+    }
+
+    /// Delivers every pending phi write at once, for a block a walk enters
+    /// in place.
+    #[inline(always)]
+    pub(crate) fn write_pending(&mut self) {
+        for &(phi, bits) in &self.pending[self.pending_head..] {
+            self.values[phi.index()] = bits;
+        }
+        self.pending_head = self.pending.len();
+    }
 }
 
 /// Performs an intra-function block transfer: schedules the target's phi

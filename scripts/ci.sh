@@ -28,6 +28,10 @@ cargo test -q --workspace
 
 echo "== engine equivalence (engine versus reference, bit-identical) =="
 cargo test -q --release --test engine_equivalence
+# The engines' own walk-versus-reference unit tests (superexec, sim, thread,
+# fused, interp, the loop profile against its definition) with release
+# inlining; the workspace run above builds them in debug only.
+cargo test -q --release -p spt-sim -p spt-profile
 
 echo "== partition search: exact against the reference on large kernels =="
 # The edit-recompile kernel at 19-23 candidates, where the reference search

@@ -8,9 +8,9 @@
 //! **bit-identical** between each engine and its reference: interpreter
 //! results, the full profiler event stream, the edge, loop and value
 //! profiles, and every `SimResult` field (floats compared via
-//! `f64::to_bits`); the engine's dependence profile must equal
-//! `ReferenceDepProfile`, the profile's definition, run on the reference
-//! interpreter. Every `spt-bench-suite` program goes through both (its
+//! `f64::to_bits`); the engine's dependence and loop profiles must equal
+//! `ReferenceDepProfile` and `ReferenceLoopProfile`, the profiles'
+//! definitions, run on the reference interpreter. Every `spt-bench-suite` program goes through both (its
 //! transformed modules too, for the dependence profile), a proptest differential
 //! replays randomly generated programs through the same pin, and targeted
 //! cases cover the shapes a resumable executor could get wrong: calls
@@ -27,7 +27,7 @@ use spt::ir::{
 use spt::pipeline::{compile_and_transform, CompilerConfig, ProfilingInput};
 use spt::profile::{
     DepProfile, Interp, InterpError, InterpResult, LoopActivation, LoopEvent, NoProfiler,
-    ProfileCollector, Profiler, ReferenceDepProfile, ReferenceInterp, Val,
+    ProfileCollector, Profiler, ReferenceDepProfile, ReferenceInterp, ReferenceLoopProfile, Val,
 };
 use spt::sim::{MachineConfig, ReferenceSimulator, SimError, SimResult, SptSimulator};
 
@@ -59,12 +59,26 @@ fn assert_interp_eq(name: &str, engine: &InterpResult, reference: &InterpResult)
     assert_eq!(engine.memory, reference.memory, "{name}: memory image");
 }
 
+/// What the reference interpreter's run feeds: the engine's collectors,
+/// and the dependence and loop profiles' definitions.
+type ReferenceProfiles = (
+    ProfileCollector,
+    (ReferenceDepProfile, ReferenceLoopProfile),
+);
+
+fn reference_profiles(targets: &[(FuncId, InstId, Ty)]) -> ReferenceProfiles {
+    (
+        ProfileCollector::with_value_targets(targets.iter().copied()),
+        (ReferenceDepProfile::new(), ReferenceLoopProfile::new()),
+    )
+}
+
 fn assert_profiles_eq(
     name: &str,
     module: &Module,
     targets: &[(FuncId, InstId, Ty)],
     engine: &ProfileCollector,
-    (reference, reference_deps): &(ProfileCollector, ReferenceDepProfile),
+    (reference, (reference_deps, reference_loops)): &ReferenceProfiles,
 ) {
     // Edge profile: entry counts, block counts, and every CFG edge.
     for func_id in module.func_ids() {
@@ -109,7 +123,12 @@ fn assert_profiles_eq(
         panic!("{name}: {diff}");
     }
 
-    // Loop profile: per-loop stats (field-exact) and the global totals.
+    // Loop profile, against the reference profiler's definition (per-loop
+    // stats and the run totals), then field-exact against the reference
+    // interpreter's run of the same collector.
+    if let Some(diff) = reference_loops.first_difference(&engine.loops) {
+        panic!("{name}: loop profile: {diff}");
+    }
     assert_eq!(
         engine.loops.iter(),
         reference.loops.iter(),
@@ -438,11 +457,8 @@ fn interpreter_and_profiles_match_reference() {
         let args = [Val::from_i64(b.train_arg)];
 
         // The tree-walking engine, run directly, is the oracle, and the
-        // reference dependence profiler rides along.
-        let mut ref_prof = (
-            ProfileCollector::with_value_targets(targets.iter().copied()),
-            ReferenceDepProfile::new(),
-        );
+        // reference dependence and loop profilers ride along.
+        let mut ref_prof = reference_profiles(&targets);
         let ref_r = ReferenceInterp::new(&module)
             .run(b.entry, &args, &mut ref_prof)
             .expect("reference interp runs");
@@ -739,6 +755,39 @@ fn phi_heavy_merges_match_reference() {
     assert!(max_phis >= 17, "only {max_phis} leading phis");
     assert_interp_matches("phis", &module, "f", &[Val::from_i64(50)], u64::MAX);
     assert_sim_matches("phis", &module, "f", &[50], &MachineConfig::default());
+
+    // Fuel running out on every instruction of a short run, baseline and
+    // speculated: among them every fuel value at which the header, entered
+    // with its 19 phis inside a batched walk, stops fitting the budget.
+    let speculated = force_transform(&src, "f");
+    for (label, m) in [("baseline", &module), ("speculated", &speculated)] {
+        let args = [Val::from_i64(5)];
+        let total = ReferenceInterp::new(m)
+            .run("f", &args, &mut NoProfiler)
+            .expect("reference runs")
+            .insts_retired;
+        for fuel in 0..=total + 1 {
+            let name = format!("phis/{label}/interp/fuel{fuel}");
+            assert_interp_matches(&name, m, "f", &args, fuel);
+        }
+        let total = ReferenceSimulator::new()
+            .run(m, "f", &[5])
+            .expect("reference runs")
+            .insts;
+        for fuel in 0..=total + 1 {
+            let config = MachineConfig {
+                fuel,
+                ..MachineConfig::default()
+            };
+            let name = format!("phis/{label}/sim/fuel{fuel}");
+            assert_sim_matches(&name, m, "f", &[5], &config);
+        }
+    }
+    let r = SptSimulator::new()
+        .run(&speculated, "f", &[5])
+        .expect("runs");
+    let stats = &r.loops[&9];
+    assert!(stats.forks > 0 && stats.commits > 0, "{stats:?}");
 }
 
 #[test]
@@ -974,10 +1023,7 @@ proptest! {
         let targets = value_targets(&module);
         let args = [Val::from_i64(120)];
 
-        let mut ref_prof = (
-            ProfileCollector::with_value_targets(targets.iter().copied()),
-            ReferenceDepProfile::new(),
-        );
+        let mut ref_prof = reference_profiles(&targets);
         let ref_r = ReferenceInterp::new(&module)
             .run("main", &args, &mut ref_prof)
             .expect("reference interp runs");
@@ -1002,7 +1048,12 @@ proptest! {
             "loop profile diverged:\n{}", src
         );
         prop_assert_eq!(
-            ref_prof.1.first_difference(&module, &prof.deps),
+            ref_prof.1.1.first_difference(&prof.loops),
+            None,
+            "loop profile diverged from its definition:\n{}", src
+        );
+        prop_assert_eq!(
+            ref_prof.1.0.first_difference(&module, &prof.deps),
             None,
             "dependence profile diverged:\n{}", src
         );
