@@ -10,8 +10,12 @@
 
 use spt_core::CompilerConfig;
 
-/// The digest at which the suite's answers are pinned.
-const REPORT_DIGEST: u64 = 0x3dfd_ced5_6e70_ffa7;
+/// The digest at which the suite's answers are pinned. It moved from
+/// `0x3dfd_ced5_6e70_ffa7` when pass 2 began to settle the SVP trial: the
+/// rewrites of `bzip2_s`'s `rle`, `gap_s`'s `seed` and `main`, `gzip_s`'s
+/// `deflate` and `mcf_s`'s `chase`, which pass 2 rejects, are rolled back,
+/// so those loops' records and the four programs' SPT runs changed.
+const REPORT_DIGEST: u64 = 0xea56_0544_ce8a_4cdc;
 
 #[test]
 fn suite_answers_are_pinned() {

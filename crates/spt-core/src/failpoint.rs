@@ -78,6 +78,11 @@ pub fn sites() -> &'static [SiteInfo] {
             key_shape: "func@header",
         },
         SiteInfo {
+            name: "pipeline::svp_rebuild",
+            kind: SiteKind::Contained,
+            key_shape: "func@header",
+        },
+        SiteInfo {
             name: "pipeline::emission",
             kind: SiteKind::Contained,
             key_shape: "func@header",

@@ -13,13 +13,19 @@
 //! 4. **pass 1**: for every loop candidate (every nest level), build the
 //!    annotated dependence graph and cost model and search for the optimal
 //!    partition — tentatively, without changing the program;
-//! 5. **SVP** (§7.2, *best* and up): among the carried definitions of
-//!    loops whose cost is still too high, rewrite the ones stage 3 found
-//!    predictable through predictor cells, then re-profile and re-run
-//!    pass 1 (the dependence profile of the rewritten code prices the
-//!    predictor's rare recovery store automatically);
+//! 5. **SVP** (§7.2, *best* and up), a trial that pass 2 settles: among
+//!    the carried definitions of loops whose cost is still too high,
+//!    rewrite the ones stage 3 found predictable through predictor cells,
+//!    then re-profile, re-run pass 1 (the dependence profile of the
+//!    rewritten code prices the predictor's rare recovery store
+//!    automatically) and select. A rewrite stays only if its loop is
+//!    selected: when pass 2 rejects some rewritten loops, the module is
+//!    rebuilt from the pre-SVP one with the other rewrites only and
+//!    selected again, and when it keeps none, the pre-SVP module, profile
+//!    and candidates stand, with no further run;
 //! 6. **pass 2**: select the good SPT loops (§6.1 criteria; one loop per
-//!    nest) and emit the SPT transformation for each;
+//!    nest), unless the SVP trial already did, and emit the SPT
+//!    transformation for each;
 //! 7. cleanup and verification.
 //!
 //! With a disk-backed artifact store, the whole run is memoized: a compile
@@ -42,7 +48,9 @@ use spt_cost::LoopCostModel;
 use spt_ir::loops::LoopId;
 use spt_ir::{BlockId, Cfg, DomTree, FuncId, InstId, LoopForest, Module, Ty};
 use spt_partition::{optimal_partition, SearchConfig};
-use spt_profile::{DepProfile, Interp, InterpError, ProfileCollector, Val, ValueProfile};
+use spt_profile::{
+    DepProfile, Interp, InterpError, LoopProfile, ProfileCollector, Val, ValuePattern, ValueProfile,
+};
 use spt_transform::{
     classify_loop, emit_spt_loop, unroll::choose_unroll_factor, unroll_loop, SptLoopSpec,
     UnrollKind,
@@ -125,12 +133,24 @@ struct Candidate {
     /// also its id in the profile the analysis read.
     loop_id: LoopId,
     frag: LoopFragment,
-    /// Stage 5 rewrote one of the loop's carriers.
+    /// One of the loop's carriers is rewritten through a predictor cell in
+    /// the module this candidate was analysed in.
     svp_applied: bool,
     /// Pass-1 analysis did not complete for this loop (contained panic):
     /// `frag` is the conservative stand-in, and the loop must not be
     /// speculated.
     failed: bool,
+}
+
+/// What pass 2, emission and the report read of one module's profiling run
+/// and pass 1.
+struct Pass1 {
+    /// Every loop's candidate, in analysis order.
+    loops: Vec<Candidate>,
+    /// The run's loop profile, which the candidates' loop ids index.
+    profile: LoopProfile,
+    /// The module's [`loop_forests`], which the candidates' loop ids index.
+    forests: Vec<(Cfg, LoopForest)>,
 }
 
 /// Runs the full pipeline on `source`.
@@ -161,16 +181,22 @@ pub fn compile_and_transform(
 pub struct StageTimings {
     /// Stage 2: unrolling and global promotion.
     pub preprocess_s: f64,
-    /// Stage 3 (plus the SVP re-profile when it runs): interpreter profiling.
+    /// Stage 3 plus every profiling run of the SVP trial (one per trial
+    /// round; [`StageTimings::profile_runs`] counts them): interpreter
+    /// profiling.
     pub profile_s: f64,
-    /// Stage 4 (plus the SVP re-analysis): dependence graphs, cost models,
-    /// and the optimal-partition searches.
+    /// Stage 4 (plus the re-analysis of each SVP trial round): dependence
+    /// graphs, cost models, and the optimal-partition searches.
     pub analysis_s: f64,
-    /// Stage 5: SVP target selection and predictor rewriting (the value
-    /// profile itself is collected by stage 3).
+    /// Stage 5: SVP target selection, predictor rewriting, and the
+    /// selections and rollbacks of the trial rounds (the value profile
+    /// itself is collected by stage 3).
     pub svp_s: f64,
-    /// Stage 6: selection plus SPT emission.
+    /// Stage 6: selection (unless the SVP trial made it) plus SPT emission.
     pub select_emit_s: f64,
+    /// Interpreter profiling runs: 1 for stage 3, plus 1 for each SVP trial
+    /// round that rewrote something. Deterministic, unlike the times.
+    pub profile_runs: u64,
     /// Total partition-search nodes visited across all analyses (pairs with
     /// `analysis_s` for a nodes-per-second figure).
     pub search_visited: u64,
@@ -341,11 +367,12 @@ fn transform_scratch(
         .collect();
     let mut collector = profile(module, input, config, &targets)?;
     collector.values.threshold = SVP_THRESHOLD;
+    timings.profile_runs = 1;
     timings.profile_s = t.elapsed().as_secs_f64();
 
     // --- Stage 4: pass 1 analysis.
     let t = std::time::Instant::now();
-    let mut loops = analyze_module(
+    let loops = analyze_module(
         module,
         &forests,
         &collector,
@@ -355,67 +382,56 @@ fn transform_scratch(
         &mut diags,
     );
     timings.analysis_s = t.elapsed().as_secs_f64();
-    let mut forests = LiveForests::new(forests);
 
-    // --- Stage 5: software value prediction.
-    let mut svp_headers: HashSet<(FuncId, BlockId)> = HashSet::new();
-    if config.use_svp {
-        let t = std::time::Instant::now();
-        let loop_phis = svp_targets(config, &loops, &carriers);
-        let rewrote = !loop_phis.is_empty()
-            && svp_rewrite(
-                module,
-                &mut forests,
-                loop_phis,
-                &collector.values,
-                &mut svp_headers,
-                &mut diags,
-            );
-        timings.svp_s = t.elapsed().as_secs_f64();
-        if rewrote {
-            for func in &mut module.funcs {
-                spt_ir::passes::cleanup(func);
-                spt_ir::passes::loop_simplify(func);
-            }
-            spt_ir::verify::verify_module(module)
-                .map_err(|e| PipelineError::Verify(e.to_string()))?;
-            // The stage-3 profile is stale; free it, with the dependence
-            // profiler's shadow memory, before the new run allocates its own.
-            drop(collector);
-            let t = std::time::Instant::now();
-            collector = profile(module, input, config, &[])?;
-            timings.profile_s += t.elapsed().as_secs_f64();
-            let t = std::time::Instant::now();
-            let rebuilt = loop_forests(module);
-            loops = analyze_module(
-                module,
-                &rebuilt,
-                &collector,
-                config,
-                cache,
-                &mut timings,
-                &mut diags,
-            );
-            forests = LiveForests::new(rebuilt);
-            timings.analysis_s += t.elapsed().as_secs_f64();
-        }
-    }
-    for c in &mut loops {
-        c.svp_applied = svp_headers.contains(&(c.func, c.frag.header));
-    }
-    timings.search_visited = loops.iter().map(|c| c.frag.search_visited).sum();
+    // --- Stage 5: the software value prediction trial.
+    let t = std::time::Instant::now();
+    let plans = if config.use_svp {
+        svp_plans(&svp_targets(config, &loops, &carriers), &collector.values)
+    } else {
+        Vec::new()
+    };
+    // Selection and the report read only the loop profile from here on:
+    // the rest of the run, the dependence profiler's shadow memory
+    // included, is freed before a trial run allocates its own.
+    let pre_svp = Pass1 {
+        loops,
+        profile: std::mem::take(&mut collector.loops),
+        forests,
+    };
+    drop(collector);
+    timings.svp_s = t.elapsed().as_secs_f64();
+    let kept = if plans.is_empty() {
+        None
+    } else {
+        let trial = SvpTrial {
+            input,
+            config,
+            cache,
+            unroll_factors: &unroll_factors,
+        };
+        trial.run(module, &pre_svp.forests, plans, &mut timings, &mut diags)?
+    };
 
-    // --- Stage 6: pass 2 selection and emission.
+    // --- Stage 6: pass 2 selection (made by the trial when it kept a
+    // rewrite) and emission.
     let t_select = std::time::Instant::now();
-    let mut records = select(
-        module,
-        config,
-        &collector,
-        &loops,
-        &unroll_factors,
-        &mut diags,
-    );
-    let selected_out = emit_selected(module, &mut forests, &loops, &mut records, &mut diags);
+    let (pass1, mut records) = match kept {
+        Some(settled) => settled,
+        None => {
+            let records = select(
+                module,
+                config,
+                &pre_svp.profile,
+                &pre_svp.loops,
+                &unroll_factors,
+                &mut diags,
+            );
+            (pre_svp, records)
+        }
+    };
+    timings.search_visited = pass1.loops.iter().map(|c| c.frag.search_visited).sum();
+    let mut forests = LiveForests::new(pass1.forests);
+    let selected_out = emit_selected(module, &mut forests, &pass1.loops, &mut records, &mut diags);
 
     // --- Stage 7: cleanup and verification.
     for func in &mut module.funcs {
@@ -432,7 +448,7 @@ fn transform_scratch(
             config_name: config.name.to_string(),
             loops: records,
             selected: selected_out,
-            profile_total_cycles: collector.loops.total_cycles,
+            profile_total_cycles: pass1.profile.total_cycles,
             diagnostics: diags,
         },
         timings,
@@ -1041,8 +1057,41 @@ fn svp_targets(
     out
 }
 
-/// Stage 5, rewrite half: given value-profile results, rewrite the
-/// predictable carriers. Returns `true` when anything was rewritten.
+/// One stage-5 target that stage 3 found predictable, and how to predict
+/// it.
+#[derive(Clone, Copy, Debug)]
+struct SvpPlan {
+    target: SvpCarrier,
+    pattern: ValuePattern,
+    /// The pattern's measured misprediction rate.
+    miss: f64,
+}
+
+/// The [`svp_targets`] whose value profile `vp` shows a pattern with enough
+/// evidence, in target order.
+fn svp_plans(targets: &[SvpCarrier], vp: &ValueProfile) -> Vec<SvpPlan> {
+    targets
+        .iter()
+        .filter_map(|&target| {
+            let (pattern, ratio) = vp.pattern(target.func, target.carrier);
+            // No pattern, or too little evidence for one, is routine, not a
+            // degradation.
+            let predictable = !matches!(pattern, ValuePattern::Unpredictable)
+                && vp.samples(target.func, target.carrier) >= 8;
+            predictable.then(|| SvpPlan {
+                target,
+                pattern,
+                miss: (1.0 - ratio).clamp(0.0, 1.0),
+            })
+        })
+        .collect()
+}
+
+/// Stage 5, rewrite half: rewrites the carriers of `plans` in order, and
+/// returns the headers of the loops that now have a rewritten carrier.
+/// `rebuild` marks a trial round after the first, which re-applies the
+/// rewrites pass 2 kept to the pre-SVP module; its fault-injection site is
+/// `pipeline::svp_rebuild` instead of `pipeline::svp`.
 ///
 /// Each rewrite is fault-isolated: `apply_svp` runs under [`catch_unwind`]
 /// against a snapshot of the function (and of the global table, since the
@@ -1053,27 +1102,23 @@ fn svp_targets(
 fn svp_rewrite(
     module: &mut Module,
     forests: &mut LiveForests,
-    targets: Vec<SvpCarrier>,
-    vp: &ValueProfile,
-    svp_headers: &mut HashSet<(FuncId, BlockId)>,
+    plans: &[SvpPlan],
+    rebuild: bool,
     diags: &mut Vec<Diagnostic>,
-) -> bool {
-    // Rewrite predictable carriers.
-    let mut rewrote = false;
-    for SvpCarrier {
-        func: func_id,
-        header,
-        phi,
-        carrier,
-    } in targets
+) -> HashSet<(FuncId, BlockId)> {
+    let mut rewritten = HashSet::new();
+    for &SvpPlan {
+        target:
+            SvpCarrier {
+                func: func_id,
+                header,
+                phi,
+                ..
+            },
+        pattern,
+        miss,
+    } in plans
     {
-        let (pattern, ratio) = vp.pattern(func_id, carrier);
-        if matches!(pattern, spt_profile::ValuePattern::Unpredictable) {
-            continue; // no evidence of a pattern — routine, not a degradation
-        }
-        if vp.samples(func_id, carrier) < 8 {
-            continue; // not enough evidence
-        }
         // Re-locate the loop (earlier rewrites may have restructured).
         let Some(lid) = forests.loop_headed_by(module, func_id, header) else {
             diags.push(Diagnostic::for_loop(
@@ -1085,14 +1130,20 @@ fn svp_rewrite(
             ));
             continue;
         };
-        let miss = (1.0 - ratio).clamp(0.0, 1.0);
         let func_snapshot = module.func(func_id).clone();
         let globals_len = module.globals.len();
         let applied = catch_unwind(AssertUnwindSafe(|| {
-            crate::fail_point!(
-                "pipeline::svp",
-                &format!("{}@{}", module.func(func_id).name, header)
-            );
+            if rebuild {
+                crate::fail_point!(
+                    "pipeline::svp_rebuild",
+                    &format!("{}@{}", module.func(func_id).name, header)
+                );
+            } else {
+                crate::fail_point!(
+                    "pipeline::svp",
+                    &format!("{}@{}", module.func(func_id).name, header)
+                );
+            }
             spt_transform::apply_svp(module, func_id, lid, phi, pattern, miss)
         }));
         // A contained panic restores the snapshot, whose forest still holds.
@@ -1101,8 +1152,7 @@ fn svp_rewrite(
         }
         match applied {
             Ok(Ok(_)) => {
-                svp_headers.insert((func_id, header));
-                rewrote = true;
+                rewritten.insert((func_id, header));
             }
             Ok(Err(e)) => {
                 diags.push(Diagnostic::for_loop(
@@ -1129,16 +1179,145 @@ fn svp_rewrite(
             }
         }
     }
-    rewrote
+    rewritten
+}
+
+/// Stage 5 as a trial that pass 2 settles: software value prediction exists
+/// to enable a partition (§7.2), so a loop keeps its rewrite only if pass 2
+/// selects it.
+struct SvpTrial<'a> {
+    input: &'a ProfilingInput,
+    config: &'a CompilerConfig,
+    cache: Option<&'a Store>,
+    unroll_factors: &'a HashMap<(FuncId, BlockId), usize>,
+}
+
+impl SvpTrial<'_> {
+    /// Applies `plans` to the pre-SVP `module`, whose [`loop_forests`] are
+    /// `forests`, then re-profiles, re-analyses and selects. While pass 2
+    /// rejects some rewritten loops, it rebuilds the module from the pre-SVP
+    /// one with the other loops' rewrites only, in their original order, and
+    /// runs again; the kept set only shrinks, so this ends. Each rolled-back
+    /// loop gets an Info diagnostic naming its outcome with the rewrite.
+    ///
+    /// Returns the final round's pass 1 and selection, every rewritten loop
+    /// of it `Selected`; or `None` with `module` restored to the pre-SVP
+    /// module when no rewrite is kept, whose own pass 1 then stands.
+    fn run(
+        &self,
+        module: &mut Module,
+        forests: &[(Cfg, LoopForest)],
+        mut plans: Vec<SvpPlan>,
+        timings: &mut StageTimings,
+        diags: &mut Vec<Diagnostic>,
+    ) -> Result<Option<(Pass1, Vec<LoopRecord>)>, PipelineError> {
+        let pre_svp = module.clone();
+        let mut rebuild = false;
+        loop {
+            let t = std::time::Instant::now();
+            let mut live = LiveForests::new(forests.to_vec());
+            let rewritten = svp_rewrite(module, &mut live, &plans, rebuild, diags);
+            timings.svp_s += t.elapsed().as_secs_f64();
+            if rewritten.is_empty() {
+                *module = pre_svp;
+                return Ok(None);
+            }
+            plans.retain(|p| rewritten.contains(&(p.target.func, p.target.header)));
+            let (pass1, records, selection) = self.settle(module, &rewritten, timings, diags)?;
+
+            let t = std::time::Instant::now();
+            let mut rejected: Vec<(FuncId, BlockId)> = Vec::new();
+            for (c, r) in pass1.loops.iter().zip(&records) {
+                if c.svp_applied && r.outcome != LoopOutcome::Selected {
+                    diags.push(Diagnostic::for_loop(
+                        Stage::Svp,
+                        Severity::Info,
+                        c.func,
+                        c.frag.header,
+                        format!(
+                            "SVP rewrite rolled back: the rewritten loop was not selected ({})",
+                            r.outcome.label()
+                        ),
+                    ));
+                    rejected.push((c.func, c.frag.header));
+                }
+            }
+            if rejected.is_empty() {
+                diags.extend(selection);
+                timings.svp_s += t.elapsed().as_secs_f64();
+                return Ok(Some((pass1, records)));
+            }
+            // The round's selection diagnostics describe a module that is
+            // not emitted, so they go with it.
+            drop(selection);
+            plans.retain(|p| !rejected.contains(&(p.target.func, p.target.header)));
+            *module = pre_svp.clone();
+            rebuild = true;
+            timings.svp_s += t.elapsed().as_secs_f64();
+        }
+    }
+
+    /// One trial round after its rewrites: cleans `module` up, profiles and
+    /// analyses it, and selects. Returns the selection's diagnostics apart
+    /// from `diags`, for the caller to keep only if the round stands.
+    fn settle(
+        &self,
+        module: &mut Module,
+        rewritten: &HashSet<(FuncId, BlockId)>,
+        timings: &mut StageTimings,
+        diags: &mut Vec<Diagnostic>,
+    ) -> Result<(Pass1, Vec<LoopRecord>, Vec<Diagnostic>), PipelineError> {
+        for func in &mut module.funcs {
+            spt_ir::passes::cleanup(func);
+            spt_ir::passes::loop_simplify(func);
+        }
+        spt_ir::verify::verify_module(module).map_err(|e| PipelineError::Verify(e.to_string()))?;
+        let t = std::time::Instant::now();
+        let collector = profile(module, self.input, self.config, &[])?;
+        timings.profile_runs += 1;
+        timings.profile_s += t.elapsed().as_secs_f64();
+        let t = std::time::Instant::now();
+        let forests = loop_forests(module);
+        let mut loops = analyze_module(
+            module,
+            &forests,
+            &collector,
+            self.config,
+            self.cache,
+            timings,
+            diags,
+        );
+        for c in &mut loops {
+            c.svp_applied = rewritten.contains(&(c.func, c.frag.header));
+        }
+        timings.analysis_s += t.elapsed().as_secs_f64();
+        let t = std::time::Instant::now();
+        let pass1 = Pass1 {
+            loops,
+            profile: collector.loops,
+            forests,
+        };
+        let mut selection = Vec::new();
+        let records = select(
+            module,
+            self.config,
+            &pass1.profile,
+            &pass1.loops,
+            self.unroll_factors,
+            &mut selection,
+        );
+        timings.svp_s += t.elapsed().as_secs_f64();
+        Ok((pass1, records, selection))
+    }
 }
 
 /// Pass 2: apply the §6.1 selection criteria and resolve nest conflicts.
-/// The candidates and `collector` describe the same module, so a
-/// candidate's loop id is also its id in the loop profile.
+/// The candidates and `profile` describe the same module, so a candidate's
+/// loop id is also its id in the loop profile.
 fn select(
     module: &Module,
     config: &CompilerConfig,
-    collector: &ProfileCollector,
+    profile: &LoopProfile,
     loops: &[Candidate],
     unroll_factors: &HashMap<(FuncId, BlockId), usize>,
     diags: &mut Vec<Diagnostic>,
@@ -1146,7 +1325,7 @@ fn select(
     let mut records: Vec<LoopRecord> = Vec::with_capacity(loops.len());
     for c in loops {
         let a = &c.frag;
-        let stats = collector.loops.stats(c.func, c.loop_id);
+        let stats = profile.stats(c.func, c.loop_id);
         let outcome = if c.failed {
             LoopOutcome::AnalysisFailed
         } else if !a.canonical {
@@ -1180,7 +1359,7 @@ fn select(
             prefork_size: a.prefork_size,
             avg_trip_count: stats.avg_trip_count(),
             dyn_body_insts: stats.body_insts_per_iter(),
-            coverage: collector.loops.coverage(c.func, c.loop_id),
+            coverage: profile.coverage(c.func, c.loop_id),
             svp_applied: c.svp_applied,
             unroll_factor: unroll_factors
                 .get(&(c.func, a.header))

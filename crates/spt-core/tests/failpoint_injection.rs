@@ -332,6 +332,70 @@ fn svp_panic_is_contained_and_rolled_back() {
     assert!(injected.report.loops.iter().all(|r| !r.svp_applied));
 }
 
+/// A fault in the SVP trial's rebuild round. `mcf_s` rewrites two loops
+/// under `best` and pass 2 rejects one of them, so the trial rebuilds the
+/// module from the pre-SVP one with the other loop's rewrite alone. A panic
+/// while re-applying that rewrite restores the function and drops the loop
+/// from the kept set; with none left, the pre-SVP module stands: the module
+/// and loop records of an SVP-off compile, plus an Error diagnostic.
+#[test]
+fn panic_in_the_svp_rebuild_round_drops_that_rewrite() {
+    let _lock = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = failpoint::scoped();
+
+    let b = spt_bench_suite::benchmark("mcf_s").expect("mcf_s is in the suite");
+    let input = ProfilingInput::new(b.entry, [b.train_arg]);
+    let compile = |config: &CompilerConfig| {
+        let mut module = spt_frontend::compile(b.source).expect("compiles");
+        let (report, timings) =
+            transform_module_timed_with(&mut module, &input, config, None).expect("pipeline");
+        (module, report, timings)
+    };
+    let (_, clean, timings) = compile(&CompilerConfig::best());
+    assert_eq!(timings.profile_runs, 3, "the clean compile rebuilds once");
+    let kept: Vec<&LoopRecord> = clean.loops.iter().filter(|r| r.svp_applied).collect();
+    let [target] = kept.as_slice() else {
+        panic!("mcf_s keeps one SVP rewrite: {:#?}", clean.loops);
+    };
+    assert_eq!(target.outcome, LoopOutcome::Selected);
+
+    failpoint::set_keyed(
+        "pipeline::svp_rebuild",
+        &loop_key(target),
+        Action::panic("injected rebuild fault"),
+    );
+    let (module, injected, timings) = with_quiet_panics(|| compile(&CompilerConfig::best()));
+    assert_eq!(
+        timings.profile_runs, 2,
+        "no run after the last kept rewrite is dropped"
+    );
+    assert!(injected.loops.iter().all(|r| !r.svp_applied));
+    let diags = injected.diagnostics_for(target.func, target.header);
+    assert!(
+        diags.iter().any(|d| d.stage == Stage::Svp
+            && d.severity == Severity::Error
+            && d.message.contains("injected rebuild fault")),
+        "missing rebuild-failure diagnostic: {diags:#?}"
+    );
+
+    let mut svp_off = CompilerConfig::best();
+    svp_off.use_svp = false;
+    let (off_module, off, _) = compile(&svp_off);
+    assert_eq!(module.content_hash(), off_module.content_hash());
+    assert_eq!(format!("{:?}", injected.loops), format!("{:?}", off.loops));
+
+    let baseline = spt_frontend::compile(b.source).expect("compiles");
+    for n in [0i64, 50, b.train_arg] {
+        let run = |m: &spt_ir::Module| {
+            Interp::new(m)
+                .run(b.entry, &[Val::from_i64(n)], &mut spt_profile::NoProfiler)
+                .expect("module runs")
+                .ret
+        };
+        assert_eq!(run(&module), run(&baseline), "main({n})");
+    }
+}
+
 /// The whole-compile memo of a disk-backed store: a compile that a
 /// contained panic degraded is never stored, and a stored compile is served
 /// whole — with the profiling site armed to fail, the warm compile still

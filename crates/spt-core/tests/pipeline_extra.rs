@@ -1,7 +1,10 @@
 //! Additional pipeline integration tests: selection-criteria boundaries,
 //! nest conflicts, unprofiled code, SVP bookkeeping and report integrity.
 
-use spt_core::{compile_and_transform, CompilerConfig, LoopOutcome, ProfilingInput};
+use spt_core::{
+    compile_and_transform, CompilerConfig, LoopOutcome, ProfilingInput, SptCompilation,
+};
+use spt_sim::SptSimulator;
 
 fn run(src: &str, entry: &str, train: i64, config: &CompilerConfig) -> spt_core::SptCompilation {
     let input = ProfilingInput::new(entry, [train]);
@@ -217,6 +220,119 @@ fn svp_flag_set_only_on_rewritten_loops() {
             .count(),
         0
     );
+}
+
+/// A loop SVP cannot rescue: its carried `t` is predictable enough to be
+/// rewritten, but the loop stays too costly to speculate with the rewrite.
+const SVP_RESIDUE_REPRO: &str = "
+    fn main(n: int) -> int {
+        let s = 0;
+        let t = 0;
+        for (let i = 0; i < n; i = i + 1) {
+            if (i % 3 == 0) {
+                s = s + i * 7;
+            } else {
+                t = (t * 5 + i) % 1013;
+            }
+        }
+        return s + t;
+    }
+";
+
+/// A rejected loop keeps no SVP code: the emitted module simulates exactly
+/// the baseline's cycles in every configuration. Left in the rejected
+/// loop, the rewrite costs `best` and `anticipated` 15% (106029 cycles).
+#[test]
+fn a_loop_pass_2_rejects_keeps_no_svp_code() {
+    let sim = SptSimulator::new();
+    for config in [
+        CompilerConfig::basic(),
+        CompilerConfig::best(),
+        CompilerConfig::anticipated(),
+    ] {
+        let result = run(SVP_RESIDUE_REPRO, "main", 2000, &config);
+        let [l] = result.report.loops.as_slice() else {
+            panic!(
+                "{}: one loop expected: {:#?}",
+                config.name, result.report.loops
+            );
+        };
+        assert_eq!(l.outcome, LoopOutcome::CostTooHigh, "{}", config.name);
+        assert!(!l.svp_applied, "{}: {l:#?}", config.name);
+        let base = sim
+            .run(&result.baseline, "main", &[2000])
+            .expect("baseline runs");
+        let spt = sim
+            .run(&result.module, "main", &[2000])
+            .expect("SPT module runs");
+        assert_eq!(spt.ret, base.ret, "{}", config.name);
+        assert_eq!(
+            (base.cycles, spt.cycles),
+            (92_015, 92_015),
+            "{}: (baseline, SPT) cycles",
+            config.name
+        );
+    }
+}
+
+/// The SVP trial's two invariants on one compile of `source`: every loop
+/// that keeps an SVP rewrite is selected, and a compile that keeps none
+/// emits the module and loop records of a compile with SVP off.
+fn assert_no_svp_residue(
+    name: &str,
+    source: &str,
+    input: &ProfilingInput,
+    config: &CompilerConfig,
+    result: &SptCompilation,
+) {
+    for l in &result.report.loops {
+        assert!(
+            !l.svp_applied || l.outcome == LoopOutcome::Selected,
+            "{name} ({}): {}@{} keeps its SVP rewrite but is {}",
+            config.name,
+            l.func_name,
+            l.header,
+            l.outcome.label()
+        );
+    }
+    if result.report.loops.iter().any(|l| l.svp_applied) {
+        return;
+    }
+    let mut off = config.clone();
+    off.use_svp = false;
+    let without = compile_and_transform(source, input, &off).expect("pipeline with SVP off");
+    assert_eq!(
+        result.module.content_hash(),
+        without.module.content_hash(),
+        "{name} ({}): no loop keeps SVP, yet the module differs from SVP off",
+        config.name
+    );
+    assert_eq!(
+        format!("{:?}", result.report.loops),
+        format!("{:?}", without.report.loops),
+        "{name} ({}): no loop keeps SVP, yet the loop records differ from SVP off",
+        config.name
+    );
+}
+
+#[test]
+fn every_kept_svp_rewrite_is_selected_on_the_suite() {
+    let mut kept = 0;
+    for config in [
+        CompilerConfig::basic(),
+        CompilerConfig::best(),
+        CompilerConfig::anticipated(),
+    ] {
+        for b in spt_bench_suite::suite() {
+            let input = ProfilingInput::new(b.entry, [b.train_arg]);
+            let result = compile_and_transform(b.source, &input, &config).expect("pipeline");
+            assert_no_svp_residue(b.name, b.source, &input, &config, &result);
+            kept += result.report.loops.iter().filter(|l| l.svp_applied).count();
+        }
+    }
+    // parser_s, vortex_s and mcf_s keep one rewrite each, under best and
+    // under anticipated.
+    assert_eq!(kept, 6);
 }
 
 #[test]

@@ -11,10 +11,11 @@
 //!   chases, reductions, guarded stores, cross-function calls, maybe-zero
 //!   divisors, float kernels), plus a token-level mutator for frontend
 //!   hardening;
-//! * [`oracle`] — the five differential oracles checked per module: no
-//!   escaped panic, baseline-vs-transformed semantics, engine-versus-reference
-//!   bit-identity, cache-off/cold/warm/function-unit report identity, and
-//!   worker-count-invariant reports;
+//! * [`oracle`] — the seven oracles checked per module: no escaped panic,
+//!   no clean failure, baseline-vs-transformed semantics,
+//!   engine-versus-reference bit-identity, cache-off/cold/warm/function-unit
+//!   and worker-count-invariant reports, an exact partition search, and no
+//!   SVP rewrite that pass 2 did not select;
 //! * [`runner`] — shards thousands of modules over
 //!   [`spt_core::parallel::parallel_map`] and folds deterministic
 //!   verdicts (and a cross-process digest);

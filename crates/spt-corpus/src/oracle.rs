@@ -1,4 +1,4 @@
-//! The six differential oracles every corpus module must satisfy.
+//! The seven oracles every corpus module must satisfy.
 //!
 //! For one module the battery checks, in order:
 //!
@@ -28,6 +28,10 @@
 //!    partition from `optimal_partition` as from the from-scratch
 //!    `optimal_partition_reference` (cost bits, chosen set, pre-fork mask
 //!    and size), in no more visited nodes.
+//! 7. **No SVP residue** — every loop that keeps a software value
+//!    prediction rewrite is selected (or was, until its SPT emission
+//!    failed), and a compile that keeps no rewrite emits the module
+//!    (`content_hash`) and loop records of the same compile with SVP off.
 //!
 //! The worker-count knob is process-global, so the battery serializes that
 //! sub-oracle through [`global_state_lock`]; racing *observers* in other
@@ -38,7 +42,7 @@ use crate::gen::GeneratedProgram;
 use spt_core::diag::panic_message;
 use spt_core::parallel::set_thread_count_override;
 use spt_core::pipeline::{transform_module_timed, PipelineError, ProfilingInput, StageTimings};
-use spt_core::{CompilationReport, CompilerConfig, Severity};
+use spt_core::{CompilationReport, CompilerConfig, LoopOutcome, Severity, Stage};
 use spt_ir::Module;
 use spt_profile::{
     DepProfile, Interp, NoProfiler, ProfileCollector, ReferenceDepProfile, ReferenceInterp,
@@ -78,6 +82,9 @@ pub enum OracleKind {
     ThreadDivergence,
     /// The partition search diverged from its from-scratch reference.
     SearchDivergence,
+    /// A rejected loop kept SVP code, or a compile that kept none differs
+    /// from the SVP-off compile.
+    SvpResidue,
 }
 
 impl OracleKind {
@@ -91,6 +98,7 @@ impl OracleKind {
             OracleKind::CacheDivergence => "cache-divergence",
             OracleKind::ThreadDivergence => "thread-divergence",
             OracleKind::SearchDivergence => "search-divergence",
+            OracleKind::SvpResidue => "svp-residue",
         }
     }
 }
@@ -358,6 +366,42 @@ fn search_divergence(module: &Module, entry: &str, train_arg: i64) -> Option<Str
     })
 }
 
+/// Oracle 7 (see the module docs) on the base compile `base` of `p` under
+/// `config`: describes the first SVP residue.
+fn svp_residue(p: &ProgramUnderTest, config: &CompilerConfig, base: &Compiled) -> Option<String> {
+    let report = &base.report;
+    for l in report.loops.iter().filter(|l| l.svp_applied) {
+        let emission_failed = report
+            .diagnostics_for(l.func, l.header)
+            .iter()
+            .any(|d| d.stage == Stage::Emission);
+        if l.outcome != LoopOutcome::Selected && !emission_failed {
+            return Some(format!(
+                "{}'s loop at block {} keeps its SVP rewrite but is {}",
+                l.func_name,
+                l.header.index(),
+                l.outcome.label()
+            ));
+        }
+    }
+    if !config.use_svp || report.loops.iter().any(|l| l.svp_applied) {
+        return None;
+    }
+    let mut svp_off = config.clone();
+    svp_off.use_svp = false;
+    match compile(p, &svp_off) {
+        Ok(Ok(off)) if off.module.content_hash() != base.module.content_hash() => {
+            Some("no loop keeps SVP, yet the module differs from the SVP-off compile's".into())
+        }
+        Ok(Ok(off)) if format!("{:?}", off.report.loops) != format!("{:?}", report.loops) => {
+            Some("no loop keeps SVP, yet the loop records differ from the SVP-off compile's".into())
+        }
+        Ok(Ok(_)) => None,
+        Ok(Err(e)) => Some(format!("the SVP-off compile failed: {e}")),
+        Err(panic) => Some(format!("the SVP-off compile panicked: {panic}")),
+    }
+}
+
 /// Restores the worker-count override on drop.
 struct ThreadRestore;
 impl Drop for ThreadRestore {
@@ -531,6 +575,14 @@ pub fn check_program(p: &ProgramUnderTest, opts: &CheckOptions) -> Vec<Failure> 
     if let Some(detail) = search_divergence(&base.baseline, &p.entry, p.train_arg) {
         failures.push(Failure {
             kind: OracleKind::SearchDivergence,
+            detail,
+        });
+    }
+
+    // Oracle 7: pass 2 settles every SVP rewrite.
+    if let Some(detail) = svp_residue(p, &opts.config, &base) {
+        failures.push(Failure {
+            kind: OracleKind::SvpResidue,
             detail,
         });
     }

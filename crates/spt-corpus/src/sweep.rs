@@ -58,9 +58,10 @@ pub fn sweep_failpoints(start_seed: u64, count: usize, opts: &CheckOptions) -> S
     let mut outcome = SweepOutcome::default();
 
     for site in failpoint::sites() {
-        // Only the battery's base compile + semantics oracles run under
-        // injection: report-identity oracles would recompile with the
-        // fault still armed and trivially agree, telling us nothing.
+        // Only the battery's base compile, semantics, search and SVP-residue
+        // oracles run under injection: report-identity oracles would
+        // recompile with the fault still armed and trivially agree, telling
+        // us nothing.
         let sweep_opts = CheckOptions {
             config: opts.config.clone(),
             check_threads: false,

@@ -292,6 +292,7 @@ fn put_timings(out: &mut Vec<u8>, t: &StageTimings) {
     put_f64(out, t.analysis_s);
     put_f64(out, t.svp_s);
     put_f64(out, t.select_emit_s);
+    put_varint(out, t.profile_runs);
     put_varint(out, t.search_visited);
     put_varint(out, t.func_units_total);
     put_varint(out, t.func_analysis_hits);
@@ -307,6 +308,7 @@ fn get_timings(r: &mut Reader<'_>) -> Option<StageTimings> {
         analysis_s: r.f64()?,
         svp_s: r.f64()?,
         select_emit_s: r.f64()?,
+        profile_runs: r.varint()?,
         search_visited: r.varint()?,
         func_units_total: r.varint()?,
         func_analysis_hits: r.varint()?,
@@ -590,6 +592,7 @@ mod tests {
                     analysis_s: 0.0,
                     svp_s: f64::MIN_POSITIVE,
                     select_emit_s: 3.25,
+                    profile_runs: 3,
                     search_visited: 999,
                     func_units_total: 12,
                     func_analysis_hits: 11,

@@ -48,12 +48,14 @@ cargo test -q -p spt-corpus --features failpoints
 # response; a delayed compile proves single-flight joining.
 cargo test -q -p spt-serve --features failpoints --test serve_failpoints
 
-echo "== corpus: full 1000-module differential run (six oracles) =="
+echo "== corpus: full 1000-module differential run (seven oracles) =="
 # The pinned-seed corpus fuzzer: every module must satisfy the no-panic,
-# semantics, engine-identity, cache-identity, thread-invariance and
-# search-exactness oracles. The engine-identity oracle checks every
-# executor walk against the reference engines on each module; the search
-# oracle checks every loop's partition search against the reference search.
+# semantics, engine-identity, cache-identity, thread-invariance,
+# search-exactness and SVP-residue oracles. The engine-identity oracle
+# checks every executor walk against the reference engines on each module;
+# the search oracle checks every loop's partition search against the
+# reference search; the SVP-residue oracle holds every kept SVP rewrite to a
+# selected loop, and a compile that keeps none to the SVP-off compile.
 cargo run --release -q -p spt-bench --bin corpus -- --seed 1 --count 1000
 
 echo "== corpus: frontend mutation fuzz (8,000 token-corrupted mutants) =="
